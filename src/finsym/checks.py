@@ -1,410 +1,364 @@
 """Check registry: every verification the engine can run over a scenario.
 
-Each check walks the scenario's sample plan and produces one record per
-point (and per sub-facet).  Domain failures never abort a suite; they come
-back as records carrying the error message.  Record order is fixed: checks
-sorted by id, then points in plan order.
+A check is a named group of facets.  A facet is one residual with its own
+record id, tolerance rule and point set: the base points x, or the (x, y)
+pairs of the plan.  The runner visits each base point once and fills a
+lazy :class:`PointContext` there, so a quantity several facets read is
+computed once and dropped with the context.  Domain failures never abort a
+suite: a facet whose evaluation raises gets an error record.  Record order
+is fixed: record ids sorted, then points in plan order.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .curvature import (
-    bianchi_contracted_residual,
-    bianchi_cyclic_residual,
+    brace_array,
+    contracted_two_path,
     curvature_fd_commutator,
-    curvature_induced,
-    pair_symmetry_residual,
+    curvature_up,
+    cyclic_residual,
+    induced_derivatives,
+    pair_two_path,
 )
 from .errors import ConfigError, FinsymError
 from .fedosov import (
+    ConnectionCoefficients,
     FedosovScenario,
     berwald_uniqueness_probe,
+    covariant_residual,
+    darboux_relations_residual,
     hatted_preservation_residual,
-    induce_connection,
     minkowski_preservation_check,
-    symplectic_connection_residual,
     transform_connection,
 )
-from .finsler import chern_structural_residuals, metric_validity
+from .finsler import finsler_sample, metric_validity, structural_residuals
 from .records import CheckRecord
 from .scenario import BuiltScenario, build_scenario
 from .symplectic import (
-    chern_preservation_residual,
-    closedness_residual,
-    nondegeneracy_check,
-    randers_preservation_condition,
+    PreservationResidual,
+    closedness,
+    nondegeneracy,
+    preservation_entries,
+    randers_condition,
     standard_form,
 )
 
-CHECK_IDS = (
-    "metric-validity",
-    "structural",
-    "preservation",
-    "induce",
-    "darboux",
-    "transform",
-    "minkowski",
-    "berwald-uniqueness",
-    "curvature",
-    "bianchi",
-    "pair-symmetry",
+
+class _once:
+    """A lazily computed attribute.  An exception is kept like a value and
+    raised again on every read, so a failed quantity is not recomputed."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.key = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        cache = obj.__dict__
+        if self.key not in cache:
+            try:
+                cache[self.key] = (self.fn(obj), None)
+            except Exception as exc:  # noqa: BLE001 - re-raised on every read
+                cache[self.key] = (None, exc)
+        value, exc = cache[self.key]
+        if exc is not None:
+            raise exc
+        return value
+
+
+def _lift(chern, w, dw) -> PreservationResidual:
+    return PreservationResidual.of(preservation_entries(w, dw, chern))
+
+
+def _minkowski(c: "PointContext") -> tuple[float, float, float]:
+    s, x = c.s, c.x
+    mk = minkowski_preservation_check(s.metric, s.two_form, s.chart, x)
+    ghat = transform_connection(
+        ConnectionCoefficients.zero(s.dimension), s.chart, x)
+    hatted = hatted_preservation_residual(s.two_form, s.chart, x, ghat)
+    return mk.natural, mk.hatted, abs(mk.hatted - hatted.max_abs)
+
+
+class PointContext:
+    """What the facets read at one base point x, each computed on first use.
+
+    ``sample_w`` is the value path at (x, W(x)) and ``derivatives`` the jet
+    path there.  ``lift_w`` is the lift-preservation residual of the
+    scenario's form along W, ``standard_lift_w`` that of the standard form.
+    The finite-difference curvature ``fd`` evaluates its own stencil and
+    reads nothing else from the context.
+    """
+
+    def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x):
+        self.s, self.sc, self.x = s, sc, x
+
+    w = _once(lambda c: c.s.vector_field.values(c.x))
+    sample_w = _once(lambda c: finsler_sample(c.s.metric, c.x, c.w))
+    gamma = _once(lambda c: ConnectionCoefficients(c.s.dimension,
+                                                   c.sample_w.chern))
+    omega = _once(lambda c: c.s.two_form.values(c.x))
+    domega = _once(lambda c: c.s.two_form.derivative_values(c.x))
+    lift_w = _once(lambda c: _lift(c.sample_w.chern, c.omega, c.domega))
+    standard_lift_w = _once(lambda c: _lift(
+        c.sample_w.chern, *_standard_data(c.s.dimension // 2, c.x)))
+    derivatives = _once(lambda c: induced_derivatives(c.sc, c.x, c.w))
+    up = _once(lambda c: curvature_up(*c.derivatives))
+    brace = _once(lambda c: brace_array(*c.derivatives))
+    pair = _once(lambda c: pair_two_path(c.up, c.brace, c.omega))
+    fd = _once(lambda c: curvature_fd_commutator(c.sc, c.x))
+    minkowski = _once(_minkowski)
+
+
+def _standard_data(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    std = standard_form(n)
+    return std.values(x), std.derivative_values(x)
+
+
+class FiberContext:
+    """What the facets read at one pair (x, y) of the plan."""
+
+    def __init__(self, base: PointContext, y):
+        self.base, self.y = base, y
+        self.point = np.concatenate([base.x, y])
+
+    sample = _once(lambda f: finsler_sample(f.base.s.metric, f.base.x, f.y))
+    structural = _once(lambda f: structural_residuals(f.sample))
+    lift = _once(lambda f: _lift(f.sample.chern, f.base.omega,
+                                 f.base.domega))
+
+
+@dataclass(frozen=True)
+class Facet:
+    """One residual of a check, recorded under ``name``.
+
+    ``residual`` maps the context (a FiberContext when ``fiber``) to the
+    residual, or to (residual, scale) where the bound is relative: the
+    record's tolerance is ``tolerances[tol] * scale``, and 0 when ``tol``
+    is None.  A ``gate`` returns a preservation residual along W; the point
+    is skipped where it exceeds the preservation-gate tolerance.  ``when``
+    limits the facet to scenarios it applies to.
+    """
+
+    name: str
+    residual: Callable
+    tol: str | None = None
+    fiber: bool = False
+    gate: Callable | None = None
+    when: Callable[[BuiltScenario], bool] | None = None
+
+
+@dataclass(frozen=True)
+class Check:
+    """A check id, what it verifies, the config blocks it needs, and either
+    its facets or a ``records`` function producing all its records at once."""
+
+    id: str
+    description: str
+    requires: tuple[str, ...]
+    facets: tuple[Facet, ...] = ()
+    records: Callable[[BuiltScenario], list[CheckRecord]] | None = None
+    even_dimension: bool = False
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def _nondegeneracy(c: PointContext) -> float:
+    return max(0.0, c.s.tolerances["tol_nd"] - nondegeneracy(c.omega))
+
+
+def _randers_equivalence(f: FiberContext) -> float:
+    pres = f.lift
+    cond = randers_condition(f.base.s.metric, f.base.x, f.sample.chern)
+    scale = max(1.0, _max_abs(pres.entries))
+    return _max_abs(cond.entries + pres.entries) / scale
+
+
+def _exactness(c: PointContext) -> float:
+    gam = c.gamma
+    pres = c.lift_w
+    return abs(covariant_residual(gam.array, c.omega, c.domega) - pres.max_abs)
+
+
+def _roundtrip(c: PointContext) -> float:
+    chart, gam = c.s.chart, c.gamma
+    ghat = transform_connection(gam, chart, c.x)
+    back = transform_connection(ghat, chart.swapped(), chart.forward_point(c.x))
+    return _max_abs(back.array - gam.array)
+
+
+def _fd_consistency(c: PointContext) -> tuple[float, float]:
+    up, fd = c.up, c.fd
+    scale = max(1.0, _max_abs(up), _max_abs(fd))
+    return _max_abs(up - fd), scale
+
+
+def _has_two_form(s: BuiltScenario) -> bool:
+    return s.two_form is not None
+
+
+def _metric_validity(s: BuiltScenario) -> list[CheckRecord]:
+    return metric_validity(s.metric, list(s.plan.pairs()),
+                           homogeneity_tol=s.tolerances["homogeneity"])
+
+
+CHECKS = (
+    Check("metric-validity",
+          "homogeneity, Euler identity, Cartan trace, positive-definiteness, "
+          "Randers covector bound",
+          (), records=_metric_validity),
+    Check("structural",
+          "torsion-freeness and almost-metric-compatibility residuals of the "
+          "connection coefficients",
+          (), (
+              Facet("structural:torsion", lambda f: f.structural.torsion,
+                    fiber=True),
+              Facet("structural:compat",
+                    lambda f: (f.structural.compat, f.structural.scale),
+                    "structural-compat", fiber=True),
+          )),
+    Check("preservation",
+          "two-form validity (closedness, nondegeneracy) and the "
+          "lift-preservation residual; Randers d(beta) equivalence",
+          ("two_form",), (
+              Facet("preservation:closedness", lambda c: closedness(c.domega),
+                    "closedness"),
+              Facet("preservation:nondegeneracy", _nondegeneracy),
+              Facet("preservation:lift", lambda f: f.lift.max_abs,
+                    "preservation", fiber=True),
+              Facet("preservation:randers-equivalence", _randers_equivalence,
+                    "randers-equivalence", fiber=True,
+                    when=lambda s: (s.metric.family == "randers"
+                                    and s.two_form_kind == "randers-dbeta")),
+          )),
+    Check("induce",
+          "symmetry of the induced connection and exact agreement of its "
+          "two-form residual with the lift residual along W",
+          ("vector_field",), (
+              Facet("induce:symmetry", lambda c: _max_abs(
+                  c.gamma.array - c.gamma.array.transpose(0, 2, 1))),
+              Facet("induce:exactness", _exactness, "exactness",
+                    when=_has_two_form),
+          )),
+    Check("darboux",
+          "standard-form coefficient relations at points where the "
+          "connection preserves the standard two-form",
+          ("vector_field",), (
+              Facet("darboux:relations",
+                    lambda c: darboux_relations_residual(
+                        c.gamma, c.s.dimension // 2),
+                    "darboux", gate=lambda c: c.standard_lift_w.max_abs),
+          ), even_dimension=True),
+    Check("transform",
+          "round trip of the coefficient transformation law through the "
+          "configured chart and back",
+          ("vector_field", "chart"), (
+              Facet("transform:roundtrip", _roundtrip, "transform"),
+          )),
+    Check("minkowski",
+          "preservation conditions of an x-independent metric in natural "
+          "and hatted charts, and their consistency with the transformation "
+          "law",
+          ("two_form", "chart"), (
+              Facet("minkowski:natural", lambda c: c.minkowski[0],
+                    "minkowski"),
+              Facet("minkowski:hatted", lambda c: c.minkowski[1],
+                    "minkowski"),
+              Facet("minkowski:equivalence", lambda c: c.minkowski[2],
+                    "minkowski"),
+          )),
+    Check("berwald-uniqueness",
+          "spread of the induced connection across distinct probe vector "
+          "fields",
+          ("vector_field",), (
+              Facet("berwald-uniqueness:spread",
+                    lambda c: berwald_uniqueness_probe(
+                        c.sc, c.x, c.s.berwald_vectors),
+                    "berwald-uniqueness"),
+          )),
+    Check("curvature",
+          "chain-rule curvature against a finite-difference commutator of "
+          "the induced-connection field; exact last-pair antisymmetry",
+          ("vector_field",), (
+              Facet("curvature:fd-consistency", _fd_consistency,
+                    "curvature-fd"),
+              Facet("curvature:antisymmetry",
+                    lambda c: _max_abs(c.up + c.up.swapaxes(2, 3))),
+          )),
+    Check("bianchi",
+          "cyclic curvature sum (first Bianchi identity) and the contracted "
+          "two-path comparison",
+          ("vector_field",), (
+              Facet("bianchi:cyclic", lambda c: cyclic_residual(c.up),
+                    "bianchi"),
+              Facet("bianchi:two-path",
+                    lambda c: contracted_two_path(
+                        c.up, c.brace, c.omega).paths_delta,
+                    "two-path", when=_has_two_form),
+          )),
+    Check("pair-symmetry",
+          "first-pair symmetry of the lowered curvature at preserving "
+          "points; printed-formula two-path comparison",
+          ("vector_field", "two_form"), (
+              Facet("pair-symmetry:two-path", lambda c: c.pair.paths_delta,
+                    "two-path"),
+              Facet("pair-symmetry:lowered",
+                    lambda c: (c.pair.assembled, c.pair.scale),
+                    "pair-symmetry", gate=lambda c: c.lift_w.max_abs),
+          )),
 )
 
-CHECK_DESCRIPTIONS = {
-    "metric-validity": "homogeneity, Euler identity, Cartan trace, "
-                       "positive-definiteness, Randers covector bound",
-    "structural": "torsion-freeness and almost-metric-compatibility residuals "
-                  "of the connection coefficients",
-    "preservation": "two-form validity (closedness, nondegeneracy) and the "
-                    "lift-preservation residual; Randers d(beta) equivalence",
-    "induce": "symmetry of the induced connection and exact agreement of its "
-              "two-form residual with the lift residual along W",
-    "darboux": "standard-form coefficient relations at points where the "
-               "connection preserves the standard two-form",
-    "transform": "round trip of the coefficient transformation law through "
-                 "the configured chart and back",
-    "minkowski": "preservation conditions of an x-independent metric in "
-                 "natural and hatted charts, and their consistency with the "
-                 "transformation law",
-    "berwald-uniqueness": "spread of the induced connection across distinct "
-                          "probe vector fields",
-    "curvature": "chain-rule curvature against a finite-difference commutator "
-                 "of the induced-connection field; exact last-pair antisymmetry",
-    "bianchi": "cyclic curvature sum (first Bianchi identity) and the "
-               "contracted two-path comparison",
-    "pair-symmetry": "first-pair symmetry of the lowered curvature at "
-                     "preserving points; printed-formula two-path comparison",
-}
-
-_REQUIREMENTS = {
-    "metric-validity": (),
-    "structural": (),
-    "preservation": ("two_form",),
-    "induce": ("vector_field",),
-    "darboux": ("vector_field",),
-    "transform": ("vector_field", "chart"),
-    "minkowski": ("two_form", "chart"),
-    "berwald-uniqueness": ("vector_field",),
-    "curvature": ("vector_field",),
-    "bianchi": ("vector_field",),
-    "pair-symmetry": ("vector_field", "two_form"),
-}
-
-
-def _timed(records: list, check: str, point, tolerance: float,
-           fn: Callable[[], float]) -> None:
-    t0 = time.perf_counter()
-    try:
-        residual = fn()
-    except FinsymError as exc:
-        records.append(CheckRecord.failed(
-            check, point, f"{type(exc).__name__}: {exc}", tolerance,
-            elapsed=time.perf_counter() - t0))
-        return
-    records.append(CheckRecord.evaluated(
-        check, point, residual, tolerance, elapsed=time.perf_counter() - t0))
-
-
-def _check_metric_validity(s: BuiltScenario) -> list[CheckRecord]:
-    t0 = time.perf_counter()
-    records = metric_validity(
-        s.metric, list(s.plan.pairs()),
-        homogeneity_tol=s.tolerances["homogeneity"],
-        tol_pd=s.tolerances["tol_pd"])
-    elapsed = (time.perf_counter() - t0) / max(1, len(records))
-    for r in records:
-        r.elapsed = elapsed
-    return records
-
-
-def _check_structural(s: BuiltScenario) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    for x, y in s.plan.pairs():
-        pt = tuple(np.concatenate([x, y]))
-        t0 = time.perf_counter()
-        try:
-            res = chern_structural_residuals(s.metric, x, y)
-        except FinsymError as exc:
-            elapsed = time.perf_counter() - t0
-            msg = f"{type(exc).__name__}: {exc}"
-            records.append(CheckRecord.failed("structural:torsion", pt, msg,
-                                              0.0, elapsed))
-            records.append(CheckRecord.failed("structural:compat", pt, msg,
-                                              s.tolerances["structural-compat"],
-                                              elapsed))
-            continue
-        elapsed = time.perf_counter() - t0
-        records.append(CheckRecord.evaluated(
-            "structural:torsion", pt, res.torsion, 0.0, elapsed))
-        records.append(CheckRecord.evaluated(
-            "structural:compat", pt, res.compat,
-            s.tolerances["structural-compat"] * res.scale, elapsed))
-    return records
-
-
-def _check_preservation(s: BuiltScenario) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    omega = s.two_form
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-        _timed(records, "preservation:closedness", tuple(x),
-               s.tolerances["closedness"],
-               lambda x=x: closedness_residual(omega, x))
-        _timed(records, "preservation:nondegeneracy", tuple(x), 0.0,
-               lambda x=x: max(0.0, s.tolerances["tol_nd"]
-                               - nondegeneracy_check(omega, x)))
-    for x, y in s.plan.pairs():
-        pt = tuple(np.concatenate([x, y]))
-        _timed(records, "preservation:lift", pt, s.tolerances["preservation"],
-               lambda x=x, y=y: chern_preservation_residual(
-                   s.metric, omega, x, y).max_abs)
-        if s.metric.family == "randers" and s.two_form_kind == "randers-dbeta":
-            def equivalence(x=x, y=y) -> float:
-                pres = chern_preservation_residual(s.metric, omega, x, y)
-                cond = randers_preservation_condition(s.metric, x, y)
-                scale = max(1.0, float(np.max(np.abs(pres.entries))))
-                return float(np.max(np.abs(cond.entries + pres.entries))) / scale
-            _timed(records, "preservation:randers-equivalence", pt,
-                   s.tolerances["randers-equivalence"], equivalence)
-    return records
-
-
-def _scenario(s: BuiltScenario) -> FedosovScenario:
-    return FedosovScenario(s.metric, s.vector_field, s.two_form)
-
-
-def _check_induce(s: BuiltScenario) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    sc = _scenario(s)
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-        pt = tuple(x)
-
-        def symmetry(x=x) -> float:
-            gam = induce_connection(sc, x)
-            return float(np.max(np.abs(gam.array - gam.array.transpose(0, 2, 1))))
-        _timed(records, "induce:symmetry", pt, 0.0, symmetry)
-
-        if s.two_form is not None:
-            def exactness(x=x) -> float:
-                gam = induce_connection(sc, x)
-                w = s.vector_field.values(x)
-                pres = chern_preservation_residual(s.metric, s.two_form, x, w)
-                direct = symplectic_connection_residual(gam, s.two_form, x)
-                return abs(direct - pres.max_abs)
-            _timed(records, "induce:exactness", pt,
-                   s.tolerances["exactness"], exactness)
-    return records
-
-
-def _check_darboux(s: BuiltScenario) -> list[CheckRecord]:
-    if s.dimension % 2 != 0:
-        raise ConfigError(
-            f"darboux relations need an even dimension, got {s.dimension}",
-            "/dimension")
-    from .fedosov import darboux_relations_residual
-
-    records: list[CheckRecord] = []
-    sc = _scenario(s)
-    std = standard_form(s.dimension // 2)
-    gate = s.tolerances["preservation-gate"]
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-        pt = tuple(x)
-        t0 = time.perf_counter()
-        try:
-            w = s.vector_field.values(x)
-            pres = chern_preservation_residual(s.metric, std, x, w)
-            if pres.max_abs > gate:
-                continue  # relations are only asserted where the form is kept
-            gam = induce_connection(sc, x)
-            residual = darboux_relations_residual(gam, s.dimension // 2)
-        except FinsymError as exc:
-            records.append(CheckRecord.failed(
-                "darboux:relations", pt, f"{type(exc).__name__}: {exc}",
-                s.tolerances["darboux"], time.perf_counter() - t0))
-            continue
-        records.append(CheckRecord.evaluated(
-            "darboux:relations", pt, residual, s.tolerances["darboux"],
-            time.perf_counter() - t0))
-    return records
-
-
-def _check_transform(s: BuiltScenario) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    sc = _scenario(s)
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-
-        def roundtrip(x=x) -> float:
-            gam = induce_connection(sc, x)
-            ghat = transform_connection(gam, s.chart, x)
-            xhat = s.chart.forward_point(x)
-            back = transform_connection(ghat, s.chart.swapped(), xhat)
-            return float(np.max(np.abs(back.array - gam.array)))
-        _timed(records, "transform:roundtrip", tuple(x),
-               s.tolerances["transform"], roundtrip)
-    return records
-
-
-def _check_minkowski(s: BuiltScenario) -> list[CheckRecord]:
-    from .fedosov import ConnectionCoefficients
-
-    records: list[CheckRecord] = []
-    tol = s.tolerances["minkowski"]
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-        pt = tuple(x)
-        t0 = time.perf_counter()
-        try:
-            mk = minkowski_preservation_check(s.metric, s.two_form, s.chart, x)
-            ghat = transform_connection(
-                ConnectionCoefficients.zero(s.dimension), s.chart, x)
-            hatted_pres = hatted_preservation_residual(
-                s.two_form, s.chart, x, ghat)
-            equivalence = abs(mk.hatted - hatted_pres.max_abs)
-        except FinsymError as exc:
-            elapsed = time.perf_counter() - t0
-            msg = f"{type(exc).__name__}: {exc}"
-            for facet in ("natural", "hatted", "equivalence"):
-                records.append(CheckRecord.failed(
-                    f"minkowski:{facet}", pt, msg, tol, elapsed))
-            continue
-        elapsed = time.perf_counter() - t0
-        records.append(CheckRecord.evaluated(
-            "minkowski:natural", pt, mk.natural, tol, elapsed))
-        records.append(CheckRecord.evaluated(
-            "minkowski:hatted", pt, mk.hatted, tol, elapsed))
-        records.append(CheckRecord.evaluated(
-            "minkowski:equivalence", pt, equivalence, tol, elapsed))
-    return records
-
-
-def _check_berwald_uniqueness(s: BuiltScenario) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    sc = _scenario(s)
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-        _timed(records, "berwald-uniqueness:spread", tuple(x),
-               s.tolerances["berwald-uniqueness"],
-               lambda x=x: berwald_uniqueness_probe(sc, x, s.berwald_vectors))
-    return records
-
-
-def _check_curvature(s: BuiltScenario) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    sc = _scenario(s)
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-        pt = tuple(x)
-        t0 = time.perf_counter()
-        try:
-            c = curvature_induced(sc, x)
-            fd = curvature_fd_commutator(sc, x)
-            scale = max(1.0, float(np.max(np.abs(c.up))),
-                        float(np.max(np.abs(fd))))
-            consistency = float(np.max(np.abs(c.up - fd)))
-            antisym = float(np.max(np.abs(c.up + c.up.swapaxes(2, 3))))
-        except FinsymError as exc:
-            elapsed = time.perf_counter() - t0
-            msg = f"{type(exc).__name__}: {exc}"
-            records.append(CheckRecord.failed(
-                "curvature:fd-consistency", pt, msg,
-                s.tolerances["curvature-fd"], elapsed))
-            records.append(CheckRecord.failed(
-                "curvature:antisymmetry", pt, msg, 0.0, elapsed))
-            continue
-        elapsed = time.perf_counter() - t0
-        records.append(CheckRecord.evaluated(
-            "curvature:fd-consistency", pt, consistency,
-            s.tolerances["curvature-fd"] * scale, elapsed))
-        records.append(CheckRecord.evaluated(
-            "curvature:antisymmetry", pt, antisym, 0.0, elapsed))
-    return records
-
-
-def _check_bianchi(s: BuiltScenario) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    sc = _scenario(s)
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-        pt = tuple(x)
-        t0 = time.perf_counter()
-        try:
-            cyc, scale = bianchi_cyclic_residual(sc, x)
-        except FinsymError as exc:
-            records.append(CheckRecord.failed(
-                "bianchi:cyclic", pt, f"{type(exc).__name__}: {exc}",
-                s.tolerances["bianchi"], time.perf_counter() - t0))
-            continue
-        records.append(CheckRecord.evaluated(
-            "bianchi:cyclic", pt, cyc, s.tolerances["bianchi"] * scale,
-            time.perf_counter() - t0))
-        if s.two_form is not None:
-            _timed(records, "bianchi:two-path", pt, s.tolerances["two-path"],
-                   lambda x=x: bianchi_contracted_residual(sc, x).paths_delta)
-    return records
-
-
-def _check_pair_symmetry(s: BuiltScenario) -> list[CheckRecord]:
-    records: list[CheckRecord] = []
-    sc = _scenario(s)
-    gate = s.tolerances["preservation-gate"]
-    for i in range(s.plan.count):
-        x = s.plan.xs[i]
-        pt = tuple(x)
-        _timed(records, "pair-symmetry:two-path", pt, s.tolerances["two-path"],
-               lambda x=x: pair_symmetry_residual(sc, x).paths_delta)
-        t0 = time.perf_counter()
-        try:
-            w = s.vector_field.values(x)
-            pres = chern_preservation_residual(s.metric, s.two_form, x, w)
-            if pres.max_abs > gate:
-                continue  # symmetry is only asserted at preserving points
-            tp = pair_symmetry_residual(sc, x)
-        except FinsymError as exc:
-            records.append(CheckRecord.failed(
-                "pair-symmetry:lowered", pt, f"{type(exc).__name__}: {exc}",
-                s.tolerances["pair-symmetry"], time.perf_counter() - t0))
-            continue
-        records.append(CheckRecord.evaluated(
-            "pair-symmetry:lowered", pt, tp.assembled,
-            s.tolerances["pair-symmetry"] * tp.scale,
-            time.perf_counter() - t0))
-    return records
-
-
-_CHECK_FNS = {
-    "metric-validity": _check_metric_validity,
-    "structural": _check_structural,
-    "preservation": _check_preservation,
-    "induce": _check_induce,
-    "darboux": _check_darboux,
-    "transform": _check_transform,
-    "minkowski": _check_minkowski,
-    "berwald-uniqueness": _check_berwald_uniqueness,
-    "curvature": _check_curvature,
-    "bianchi": _check_bianchi,
-    "pair-symmetry": _check_pair_symmetry,
-}
+CHECK_IDS = tuple(check.id for check in CHECKS)
+_BY_ID = {check.id: check for check in CHECKS}
 
 
 def available_checks(s: BuiltScenario) -> list[str]:
     """Check ids whose required config blocks are present."""
-    out = []
-    for cid in CHECK_IDS:
-        ok = True
-        for need in _REQUIREMENTS[cid]:
+    return [check.id for check in CHECKS
+            if all(getattr(s, need) is not None for need in check.requires)]
+
+
+def _evaluate(facet: Facet, ctx, point, tolerances: dict
+              ) -> CheckRecord | None:
+    tolerance = tolerances[facet.tol] if facet.tol else 0.0
+    t0 = time.perf_counter()
+    try:
+        if (facet.gate is not None
+                and facet.gate(ctx) > tolerances["preservation-gate"]):
+            return None  # asserted only where the connection keeps the form
+        out = facet.residual(ctx)
+    except FinsymError as exc:
+        return CheckRecord.failed(facet.name, point,
+                                  f"{type(exc).__name__}: {exc}", tolerance,
+                                  time.perf_counter() - t0)
+    residual, scale = out if isinstance(out, tuple) else (out, 1.0)
+    return CheckRecord.evaluated(facet.name, point, residual,
+                                 tolerance * scale, time.perf_counter() - t0)
+
+
+def _select(s: BuiltScenario, suite) -> list[Check]:
+    ids = available_checks(s) if suite is None else list(suite)
+    for cid in ids:
+        if cid not in _BY_ID:
+            raise ConfigError(f"unknown check id {cid!r}", "/suite")
+        for need in _BY_ID[cid].requires:
             if getattr(s, need) is None:
-                ok = False
-        if ok:
-            out.append(cid)
-    return out
+                raise ConfigError(f"check {cid!r} requires the {need} block",
+                                  f"/{need}")
+    checks = [_BY_ID[cid] for cid in sorted(set(ids))]
+    for check in checks:
+        if check.even_dimension and s.dimension % 2 != 0:
+            raise ConfigError(f"{check.id} relations need an even dimension, "
+                              f"got {s.dimension}", "/dimension")
+    return checks
 
 
 def run_scenario(config: dict, suite=None, seed_override: int | None = None,
@@ -412,26 +366,35 @@ def run_scenario(config: dict, suite=None, seed_override: int | None = None,
     """Run the requested checks over one scenario config.
 
     ``suite`` is an iterable of check ids; None runs every check whose
-    required blocks exist.  Records come back sorted by check id, then by
+    required blocks exist.  Records come back sorted by record id, then by
     sample-point order.  Sampling is deterministic for a given config and
     seed, so two runs produce identical records.
     """
-    built = build_scenario(config, seed_override=seed_override,
-                           tolerance_overrides=tolerance_overrides)
-    if suite is None:
-        suite = available_checks(built)
-    else:
-        suite = list(suite)
-        for cid in suite:
-            if cid not in _CHECK_FNS:
-                raise ConfigError(f"unknown check id {cid!r}", "/suite")
-            for need in _REQUIREMENTS[cid]:
-                if getattr(built, need) is None:
-                    raise ConfigError(
-                        f"check {cid!r} requires the {need} block",
-                        f"/{need}")
+    s = build_scenario(config, seed_override=seed_override,
+                       tolerance_overrides=tolerance_overrides)
+    checks = _select(s, suite)
     records: list[CheckRecord] = []
-    for cid in sorted(set(suite)):
-        records.extend(_CHECK_FNS[cid](built))
+    for check in checks:
+        if check.records is not None:
+            t0 = time.perf_counter()
+            batch = check.records(s)
+            elapsed = (time.perf_counter() - t0) / max(1, len(batch))
+            for r in batch:
+                r.elapsed = elapsed
+            records.extend(batch)
+    facets = [f for check in checks for f in check.facets
+              if f.when is None or f.when(s)]
+    sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
+          if s.vector_field is not None else None)
+    for x, ys in zip(s.plan.xs, s.plan.ys):
+        ctx = PointContext(s, sc, x)
+        fibers = [FiberContext(ctx, y) for y in ys]
+        for facet in facets:
+            if facet.fiber:
+                found = [_evaluate(facet, f, f.point, s.tolerances)
+                         for f in fibers]
+            else:
+                found = [_evaluate(facet, ctx, x, s.tolerances)]
+            records.extend(r for r in found if r is not None)
     records.sort(key=lambda r: r.check)
     return records

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import CHECK_DESCRIPTIONS, CHECK_IDS, run_scenario
+from .checks import CHECKS, run_scenario
 from .errors import ConfigError, ParseError
 from .report import emit_report
 from .scenario import load_config, validate_config
@@ -62,9 +62,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-checks":
-        width = max(len(cid) for cid in CHECK_IDS)
-        for cid in CHECK_IDS:
-            print(f"{cid.ljust(width)}  {CHECK_DESCRIPTIONS[cid]}")
+        width = max(len(check.id) for check in CHECKS)
+        for check in CHECKS:
+            print(f"{check.id.ljust(width)}  {check.description}")
         return 0
 
     try:

@@ -18,43 +18,51 @@ from .errors import DimensionMismatchError
 from .fedosov import FedosovScenario, induce_connection
 from .finsler import chern_with_derivatives
 from .jets import fd_base_step
-from .fields import eval_vector_field
 from .symplectic import TwoFormField
 
 
 @dataclass(frozen=True, eq=False)
 class CurvatureAtPoint:
-    """Curvature arrays at one chart point.
+    """Curvature array at one chart point.
 
     ``up[l, i, j, k]`` follows R(d_j, d_k) d_i = R^l_ijk d_l and is exactly
-    antisymmetric in (j, k).  ``lowered`` is filled by
-    :func:`lower_curvature` when a two-form is supplied.
+    antisymmetric in (j, k).
     """
 
     dimension: int
     up: np.ndarray
-    lowered: np.ndarray | None = None
 
 
-def _connection_derivative_data(s: FedosovScenario, x):
-    w_jets = eval_vector_field(s.vector_field, x, order=1)
-    n = s.metric.dimension
-    w = np.array([j.value for j in w_jets])
-    dW = np.array([[w_jets[p].partial(tuple(1 if v == j else 0
-                                            for v in range(n)))
-                    for j in range(n)] for p in range(n)])
+def induced_derivatives(s: FedosovScenario, x, w) -> tuple:
+    """Jet-path data (G, dG_dx, dG_dy, dW) of x -> Gtilde(x, W(x)) at x.
+
+    ``w`` is W(x); G and its chart and fiber derivatives are taken at
+    (x, w), and dW[p, j] = d W^p / d x^j.
+    """
     G, dG_dx, dG_dy = chern_with_derivatives(s.metric, x, w)
-    return G, dG_dx, dG_dy, dW
+    return G, dG_dx, dG_dy, s.vector_field.jacobian(x)
+
+
+def _derivative_data(s: FedosovScenario, x) -> tuple:
+    return induced_derivatives(s, x, s.vector_field.values(x))
+
+
+def curvature_up(G, dG_dx, dG_dy, dW) -> np.ndarray:
+    """R^l_ijk from the induced-connection derivative data."""
+    half = (np.einsum("lkij->lijk", dG_dx)
+            + np.einsum("lkip,pj->lijk", dG_dy, dW)
+            + np.einsum("mki,ljm->lijk", G, G))
+    return half - half.swapaxes(2, 3)
 
 
 def curvature_induced(s: FedosovScenario, x) -> CurvatureAtPoint:
     """R^l_ijk of the induced connection via the chain-rule expansion."""
-    G, dG_dx, dG_dy, dW = _connection_derivative_data(s, x)
-    half = (np.einsum("lkij->lijk", dG_dx)
-            + np.einsum("lkip,pj->lijk", dG_dy, dW)
-            + np.einsum("mki,ljm->lijk", G, G))
-    up = half - half.swapaxes(2, 3)
-    return CurvatureAtPoint(dimension=s.metric.dimension, up=up)
+    return CurvatureAtPoint(dimension=s.metric.dimension,
+                            up=curvature_up(*_derivative_data(s, x)))
+
+
+def _lowered(w: np.ndarray, up: np.ndarray) -> np.ndarray:
+    return np.einsum("in,njkl->ijkl", w, up)
 
 
 def lower_curvature(c: CurvatureAtPoint, omega: TwoFormField, x) -> np.ndarray:
@@ -64,7 +72,7 @@ def lower_curvature(c: CurvatureAtPoint, omega: TwoFormField, x) -> np.ndarray:
             f"form dimension {omega.dimension} != curvature dimension "
             f"{c.dimension}"
         )
-    return np.einsum("in,njkl->ijkl", omega.values(x), c.up)
+    return _lowered(omega.values(x), c.up)
 
 
 def curvature_fd_commutator(s: FedosovScenario, x,
@@ -97,7 +105,7 @@ def curvature_fd_commutator(s: FedosovScenario, x,
     return half - half.swapaxes(2, 3)
 
 
-def _brace_array(G, dG_dx, dG_dy, dW) -> np.ndarray:
+def brace_array(G, dG_dx, dG_dy, dW) -> np.ndarray:
     """B[n, j, k, l]: the printed one-brace expression of the curvature."""
     return (np.einsum("nljk->njkl", dG_dx)
             + np.einsum("nljp,pk->njkl", dG_dy, dW)
@@ -124,38 +132,45 @@ class TwoPathResidual(NamedTuple):
     paths_delta: float
     scale: float
 
+    @classmethod
+    def of(cls, direct: np.ndarray, assembled: np.ndarray,
+           lowered: np.ndarray) -> "TwoPathResidual":
+        return cls(
+            direct=float(np.max(np.abs(direct))),
+            assembled=float(np.max(np.abs(assembled))),
+            paths_delta=float(np.max(np.abs(direct - assembled))),
+            scale=max(1.0, float(np.max(np.abs(lowered)))),
+        )
+
 
 def bianchi_cyclic_residual(s: FedosovScenario, x) -> tuple[float, float]:
     """Uncontracted first-Bianchi residual and its comparison scale."""
-    c = curvature_induced(s, x)
-    cyc = _cyclic(c.up)
-    scale = max(1.0, float(np.max(np.abs(c.up))))
-    return float(np.max(np.abs(cyc))), scale
+    return cyclic_residual(curvature_induced(s, x).up)
+
+
+def cyclic_residual(up: np.ndarray) -> tuple[float, float]:
+    """:func:`bianchi_cyclic_residual` of a curvature array."""
+    scale = max(1.0, float(np.max(np.abs(up))))
+    return float(np.max(np.abs(_cyclic(up)))), scale
+
+
+def _with_two_form(s: FedosovScenario, x, what: str) -> tuple:
+    if s.two_form is None:
+        raise DimensionMismatchError(f"scenario carries no two-form to {what}")
+    data = _derivative_data(s, x)
+    return curvature_up(*data), brace_array(*data), s.two_form.values(x)
 
 
 def bianchi_contracted_residual(s: FedosovScenario, x) -> TwoPathResidual:
     """Cyclic curvature sum contracted with the two-form, both code paths."""
-    if s.two_form is None:
-        raise DimensionMismatchError("scenario carries no two-form to contract")
-    G, dG_dx, dG_dy, dW = _connection_derivative_data(s, x)
-    w = s.two_form.values(x)
+    return contracted_two_path(*_with_two_form(s, x, "contract"))
 
-    B = _brace_array(G, dG_dx, dG_dy, dW)
-    direct = np.einsum("in,njkl->ijkl", w, _cyclic(B))
 
-    half = (np.einsum("lkij->lijk", dG_dx)
-            + np.einsum("lkip,pj->lijk", dG_dy, dW)
-            + np.einsum("mki,ljm->lijk", G, G))
-    up = half - half.swapaxes(2, 3)
-    assembled = np.einsum("in,njkl->ijkl", w, _cyclic(up))
-    scale = max(1.0, float(np.max(np.abs(np.einsum("in,njkl->ijkl", w, up)))))
-
-    return TwoPathResidual(
-        direct=float(np.max(np.abs(direct))),
-        assembled=float(np.max(np.abs(assembled))),
-        paths_delta=float(np.max(np.abs(direct - assembled))),
-        scale=scale,
-    )
+def contracted_two_path(up, brace, w) -> TwoPathResidual:
+    """:func:`bianchi_contracted_residual` from the curvature ``up``, the
+    brace array and the two-form components w at the point."""
+    return TwoPathResidual.of(_lowered(w, _cyclic(brace)),
+                              _lowered(w, _cyclic(up)), _lowered(w, up))
 
 
 def pair_symmetry_residual(s: FedosovScenario, x) -> TwoPathResidual:
@@ -164,22 +179,13 @@ def pair_symmetry_residual(s: FedosovScenario, x) -> TwoPathResidual:
     ``assembled`` is max |R_ijkl - R_jikl| from the lowered curvature;
     ``direct`` evaluates the printed two-brace condition.
     """
-    if s.two_form is None:
-        raise DimensionMismatchError("scenario carries no two-form to lower with")
-    G, dG_dx, dG_dy, dW = _connection_derivative_data(s, x)
-    w = s.two_form.values(x)
+    return pair_two_path(*_with_two_form(s, x, "lower with"))
 
-    B = _brace_array(G, dG_dx, dG_dy, dW)
-    direct = (np.einsum("in,njkl->ijkl", w, B)
-              - np.einsum("jn,nikl->ijkl", w, B))
 
-    c = curvature_induced(s, x)
-    lowered = lower_curvature(c, s.two_form, x)
-    assembled = lowered - lowered.transpose(1, 0, 2, 3)
-
-    return TwoPathResidual(
-        direct=float(np.max(np.abs(direct))),
-        assembled=float(np.max(np.abs(assembled))),
-        paths_delta=float(np.max(np.abs(direct - assembled))),
-        scale=max(1.0, float(np.max(np.abs(lowered)))),
-    )
+def pair_two_path(up, brace, w) -> TwoPathResidual:
+    """:func:`pair_symmetry_residual` from the same data as
+    :func:`contracted_two_path`."""
+    direct = _lowered(w, brace) - np.einsum("jn,nikl->ijkl", w, brace)
+    lowered = _lowered(w, up)
+    return TwoPathResidual.of(direct, lowered - lowered.transpose(1, 0, 2, 3),
+                              lowered)

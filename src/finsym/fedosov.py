@@ -19,18 +19,18 @@ from .errors import (
     ZeroVectorError,
 )
 from .fields import ChartMap, VectorFieldSpec, chart_jacobians
-from .finsler import MetricSpec, finsler_sample
+from .finsler import MetricSpec, finsler_sample, max_pairwise_spread
 from .jets import jet_compose, jet_eval
 from .symplectic import PreservationResidual, TwoFormField, preservation_entries
 
 
 @dataclass(frozen=True, eq=False)
 class ConnectionCoefficients:
-    """Rank-(1,2) coefficient array G^k_ij at a point, array[k, i, j]."""
+    """Rank-(1,2) coefficient array G^k_ij at a point, array[k, i, j];
+    symmetric in the lower pair (i, j), which construction checks."""
 
     dimension: int
     array: np.ndarray
-    symmetric: bool = True
 
     def __post_init__(self):
         if self.array.shape != (self.dimension,) * 3:
@@ -38,9 +38,8 @@ class ConnectionCoefficients:
                 f"coefficient array shape {self.array.shape} does not match "
                 f"dimension {self.dimension}"
             )
-        if self.symmetric and not np.array_equal(
-                self.array, self.array.transpose(0, 2, 1)):
-            raise ValueError("coefficients marked symmetric are not")
+        if not np.array_equal(self.array, self.array.transpose(0, 2, 1)):
+            raise ValueError("coefficients are not symmetric in the lower pair")
 
     @classmethod
     def zero(cls, dimension: int) -> "ConnectionCoefficients":
@@ -96,9 +95,12 @@ def symplectic_connection_residual(gamma, omega: TwoFormField, x) -> float:
             f"connection dimension {coeffs.dimension} != form dimension "
             f"{omega.dimension}"
         )
-    w = omega.values(x)
-    dw = omega.derivative_values(x)
-    G = coeffs.array
+    return covariant_residual(coeffs.array, omega.values(x),
+                              omega.derivative_values(x))
+
+
+def covariant_residual(G: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:
+    """:func:`symplectic_connection_residual` of coefficient and form data."""
     covariant = np.einsum("lki,lj->kij", G, w) + np.einsum("lkj,il->kij", G, w)
     return float(np.max(np.abs(dw - covariant)))
 
@@ -204,9 +206,8 @@ def hatted_preservation_residual(omega: TwoFormField, chart: ChartMap, x,
                                  ) -> PreservationResidual:
     """Lift-preservation residual computed entirely in the hatted chart."""
     values, derivs, _ = hatted_two_form_data(omega, chart, x)
-    entries = preservation_entries(values, derivs, gamma_hat.array)
-    return PreservationResidual(entries=entries,
-                                max_abs=float(np.max(np.abs(entries))))
+    return PreservationResidual.of(
+        preservation_entries(values, derivs, gamma_hat.array))
 
 
 class MinkowskiResiduals(NamedTuple):
@@ -269,9 +270,5 @@ def berwald_uniqueness_probe(s: FedosovScenario, x,
             raise ZeroVectorError(
                 f"probe vector norm {np.linalg.norm(w):.3e} below floor {floor}"
             )
-    cherns = [finsler_sample(s.metric, x, w).chern for w in ws]
-    spread = 0.0
-    for a in range(len(cherns)):
-        for b in range(a + 1, len(cherns)):
-            spread = max(spread, float(np.max(np.abs(cherns[a] - cherns[b]))))
-    return spread
+    return max_pairwise_spread([finsler_sample(s.metric, x, w).chern
+                                for w in ws])

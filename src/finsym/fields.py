@@ -214,13 +214,16 @@ def _pow_value(v, p: float):
     if isinstance(v, Jet):
         return v ** p
     v = float(v)
-    if p == float(int(p)):
-        if v == 0.0 and p < 0:
-            raise DomainError("zero raised to a negative power")
-        return v ** int(p)
-    if v <= 0.0:
-        raise DomainError(f"fractional power {p} of non-positive value {v}")
-    return v ** p
+    try:
+        if p == float(int(p)):
+            if v == 0.0 and p < 0:
+                raise DomainError("zero raised to a negative power")
+            return v ** int(p)
+        if v <= 0.0:
+            raise DomainError(f"fractional power {p} of non-positive value {v}")
+        return v ** p
+    except OverflowError:
+        raise DomainError(f"power {p:g} of {v:.6g} overflows") from None
 
 
 def _sqrt_value(v):
@@ -344,12 +347,9 @@ class ScalarFieldSpec:
         if not isinstance(out, Jet):
             out = Jet.constant(float(out), num_vars, order)
         if not out.is_finite():
-            raise DomainError(f"non-finite field data at {list(point)}")
+            raise DomainError(
+                f"non-finite field data at {np.asarray(point, float).tolist()}")
         return out
-
-    def eval_with(self, env: Sequence):
-        """Evaluate with arbitrary ring elements substituted for variables."""
-        return eval_node(self.root, env)
 
     def to_string(self) -> str:
         return format_expression(self.root)
@@ -391,7 +391,8 @@ class DomainBox:
 
     def require(self, point: Sequence[float], what: str = "point") -> None:
         if not self.contains(point):
-            raise DomainError(f"{what} {list(np.asarray(point, float))} outside domain")
+            raise DomainError(
+                f"{what} {np.asarray(point, float).tolist()} outside domain")
 
 
 @dataclass(frozen=True)
@@ -410,7 +411,7 @@ class VectorFieldSpec:
         if float(np.linalg.norm(w)) < self.w_min:
             raise ZeroVectorError(
                 f"vector field norm {np.linalg.norm(w):.3e} below floor "
-                f"{self.w_min} at {list(np.asarray(x, float))}"
+                f"{self.w_min} at {np.asarray(x, float).tolist()}"
             )
         return w
 
@@ -436,7 +437,7 @@ def eval_vector_field(W: VectorFieldSpec, x: Sequence[float],
     if float(np.linalg.norm(w)) < W.w_min:
         raise ZeroVectorError(
             f"vector field norm {np.linalg.norm(w):.3e} below floor {W.w_min} "
-            f"at {list(np.asarray(x, float))}"
+            f"at {np.asarray(x, float).tolist()}"
         )
     return jets
 
@@ -504,7 +505,7 @@ def chart_jacobians(chart: ChartMap, x: Sequence[float],
     det = float(np.linalg.det(fwd))
     if abs(det) < 1e-8:
         raise SingularChartError(
-            f"chart Jacobian determinant {det:.3e} below 1e-8 at {list(x)}"
+            f"chart Jacobian determinant {det:.3e} below 1e-8 at {x.tolist()}"
         )
 
     if chart.inverse_domain is not None:
@@ -526,6 +527,6 @@ def chart_jacobians(chart: ChartMap, x: Sequence[float],
     if defect > chain_tol:
         raise SingularChartError(
             f"inverse map inconsistent with forward map (chain defect "
-            f"{defect:.3e} > {chain_tol:g}) at {list(x)}"
+            f"{defect:.3e} > {chain_tol:g}) at {x.tolist()}"
         )
     return ChartJacobians(x=x, xhat=xhat, fwd=fwd, inv=inv, inv2=inv2)

@@ -49,7 +49,8 @@ class MetricSpec:
     Families: ``riemannian`` (matrix g_ij(x)), ``randers`` (riemannian alpha
     matrix plus covector b_i(x), F = alpha + b_i y^i), ``custom`` (one scalar
     field F(x, y)).  ``F_field`` and ``phi_field`` are derived expressions
-    over the joint variables x1..xn, y1..yn.
+    over the joint variables x1..xn, y1..yn.  ``tol_pd`` is the floor every
+    leading principal minor of the fundamental tensor must exceed.
     """
 
     family: str
@@ -60,6 +61,7 @@ class MetricSpec:
     y_min: float = DEFAULT_Y_MIN
     g_entries: tuple | None = None
     b_fields: tuple | None = None
+    tol_pd: float = DEFAULT_TOL_PD
 
     @staticmethod
     def _as_spec(entry, variables) -> ScalarFieldSpec:
@@ -273,12 +275,12 @@ def finsler_value(m: MetricSpec, x, y) -> float:
     x, y = _require_point(m, x, y)
     value = m.F_field.evaluate(np.concatenate([x, y]))
     if not value > 0.0:
-        raise NonPositiveError(f"F = {value:.3e} <= 0 at x={list(x)}, y={list(y)}")
+        raise NonPositiveError(
+            f"F = {value:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
     return value
 
 
-def finsler_sample(m: MetricSpec, x, y,
-                   tol_pd: float = DEFAULT_TOL_PD) -> FinslerSample:
+def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
     x, y = _require_point(m, x, y)
     point = np.concatenate([x, y])
     n = m.dimension
@@ -291,7 +293,7 @@ def finsler_sample(m: MetricSpec, x, y,
     for i in range(n):
         for j in range(i, n):
             g[i, j] = g[j, i] = phi.partial(_unit2n(n2, n + i, n + j))
-    _check_pd(g, tol_pd)
+    _check_pd(g, m.tol_pd)
 
     dg_dx = np.empty((n, n, n))
     dg_dy = np.empty((n, n, n))
@@ -322,12 +324,12 @@ def finsler_sample(m: MetricSpec, x, y,
     )
     for arr in (sample.g_inv, sample.A, sample.gamma, sample.N, sample.chern):
         if not np.isfinite(arr).all():
-            raise DomainError(f"non-finite connection data at x={list(x)}, y={list(y)}")
+            raise DomainError(f"non-finite connection data at x={x.tolist()}, "
+                              f"y={y.tolist()}")
     return sample
 
 
-def fundamental_tensor(m: MetricSpec, x, y,
-                       tol_pd: float = DEFAULT_TOL_PD) -> np.ndarray:
+def fundamental_tensor(m: MetricSpec, x, y) -> np.ndarray:
     """g_ij, the fiber Hessian of F^2/2; checked positive-definite."""
     x, y = _require_point(m, x, y)
     point = np.concatenate([x, y])
@@ -337,7 +339,7 @@ def fundamental_tensor(m: MetricSpec, x, y,
     for i in range(n):
         for j in range(i, n):
             g[i, j] = g[j, i] = phi.partial(_unit2n(2 * n, n + i, n + j))
-    _check_pd(g, tol_pd)
+    _check_pd(g, m.tol_pd)
     return g
 
 
@@ -374,7 +376,11 @@ def chern_structural_residuals(m: MetricSpec, x, y) -> StructuralResiduals:
     equation: dg_ij/dx^t - g_kj G^k_it - g_ik G^k_jt - 2 A_ijs N^s_t / F.
     ``scale`` is max(1, largest |term|), for relative comparisons.
     """
-    s = finsler_sample(m, x, y)
+    return structural_residuals(finsler_sample(m, x, y))
+
+
+def structural_residuals(s: FinslerSample) -> StructuralResiduals:
+    """:func:`chern_structural_residuals` of an existing sample."""
     torsion = float(np.max(np.abs(s.chern - s.chern.transpose(0, 2, 1))))
 
     term_g = s.dg_dx.transpose(1, 2, 0)                       # (i, j, t)
@@ -387,7 +393,7 @@ def chern_structural_residuals(m: MetricSpec, x, y) -> StructuralResiduals:
     return StructuralResiduals(torsion, float(np.max(np.abs(residual))), scale)
 
 
-def chern_with_derivatives(m: MetricSpec, x, y, tol_pd: float = DEFAULT_TOL_PD):
+def chern_with_derivatives(m: MetricSpec, x, y):
     """Connection coefficients plus their chart and fiber first derivatives.
 
     Returns (G, dG_dx, dG_dy) with G[l, j, k], dG_dx[l, j, k, t] the
@@ -417,7 +423,7 @@ def chern_with_derivatives(m: MetricSpec, x, y, tol_pd: float = DEFAULT_TOL_PD):
             for k in range(n):
                 jd = phi.derivative_jet(_unit2n(n2, n + k, n + i, n + j))
                 dgdy1[k][i][j] = dgdy1[k][j][i] = jd
-    _check_pd(g_val, tol_pd)
+    _check_pd(g_val, m.tol_pd)
 
     F1 = (2.0 * phi.truncated(1)).sqrt()
     y_ring = [Jet.variable(n + i, y[i], n2, 1) for i in range(n)]
@@ -438,7 +444,7 @@ def chern_with_derivatives(m: MetricSpec, x, y, tol_pd: float = DEFAULT_TOL_PD):
                     dG_dy[l, j, k, p] = jet.partial(_unit2n(n2, n + p))
     if not (np.isfinite(G).all() and np.isfinite(dG_dx).all()
             and np.isfinite(dG_dy).all()):
-        raise DomainError(f"non-finite connection derivatives at x={list(x)}")
+        raise DomainError(f"non-finite connection derivatives at x={x.tolist()}")
     return G, dG_dx, dG_dy
 
 
@@ -458,8 +464,7 @@ def randers_alpha_norm(m: MetricSpec, x) -> float:
 
 def metric_validity(m: MetricSpec, samples: Sequence,
                     lambdas=(0.5, 2.0, 3.0),
-                    homogeneity_tol: float = 1e-9,
-                    tol_pd: float = DEFAULT_TOL_PD) -> list[CheckRecord]:
+                    homogeneity_tol: float = 1e-9) -> list[CheckRecord]:
     """Homogeneity, Euler, Cartan-trace, positive-definiteness, and (for
     Randers) covector-smallness records over the sampled (x, y) pairs.
 
@@ -497,7 +502,7 @@ def metric_validity(m: MetricSpec, samples: Sequence,
                 "metric-validity:euler", pt, str(exc), homogeneity_tol))
 
         try:
-            s = finsler_sample(m, x, y, tol_pd=tol_pd)
+            s = finsler_sample(m, x, y)
             trace = float(np.max(np.abs(np.einsum("ijk,k->ij", s.A, y))))
             scale = max(1.0, float(np.max(np.abs(s.A))) * float(np.linalg.norm(y)))
             records.append(CheckRecord.evaluated(
@@ -530,9 +535,13 @@ def berwald_probe(m: MetricSpec, x, y_samples: Sequence) -> float:
     ys = [np.asarray(y, dtype=float) for y in y_samples]
     if len(ys) < 2:
         raise DomainError("berwald probe needs at least two fiber samples")
-    cherns = [finsler_sample(m, x, y).chern for y in ys]
+    return max_pairwise_spread([finsler_sample(m, x, y).chern for y in ys])
+
+
+def max_pairwise_spread(arrays: Sequence[np.ndarray]) -> float:
+    """Largest entrywise difference between any two of the arrays."""
     spread = 0.0
-    for a in range(len(cherns)):
-        for b in range(a + 1, len(cherns)):
-            spread = max(spread, float(np.max(np.abs(cherns[a] - cherns[b]))))
+    for a in range(len(arrays)):
+        for b in range(a + 1, len(arrays)):
+            spread = max(spread, float(np.max(np.abs(arrays[a] - arrays[b]))))
     return spread

@@ -333,7 +333,8 @@ def jet_eval(field, point: Sequence[float], order: int) -> Jet:
         if not isinstance(out, Jet):
             out = Jet.constant(float(out), num_vars, order)
     if not out.is_finite():
-        raise DomainError(f"non-finite derivative data at point {list(point)}")
+        raise DomainError("non-finite derivative data at point "
+                          f"{np.asarray(point, float).tolist()}")
     return out
 
 
@@ -386,7 +387,7 @@ def fd_oracle(field, point: Sequence[float], idx: Sequence[int],
         for corner in (x + reach, x - reach):
             if not domain.contains(corner):
                 raise DomainError(
-                    f"finite-difference stencil leaves the domain near {list(x)}"
+                    f"finite-difference stencil leaves the domain near {x.tolist()}"
                 )
 
     coarse = _central(f, x, idx, steps)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -388,7 +388,17 @@ def build_scenario(config: dict, seed_override: int | None = None,
         config["sampling"]["seed"] = int(seed_override)
 
     dimension = config["dimension"]
-    metric = _build_metric(config["metric"], dimension)
+    tolerances = dict(DEFAULT_TOLERANCES)
+    tolerances.update(config.get("tolerances", {}))
+    if tolerance_overrides:
+        for name, value in tolerance_overrides.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance {name!r}",
+                                  f"/tolerances/{name}")
+            tolerances[name] = float(value)
+
+    metric = replace(_build_metric(config["metric"], dimension),
+                     tol_pd=tolerances["tol_pd"])
 
     two_form = None
     kind = None
@@ -431,15 +441,6 @@ def build_scenario(config: dict, seed_override: int | None = None,
                                        "/chart/inverse_domain")
                             if "inverse_domain" in block else None),
         )
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(config.get("tolerances", {}))
-    if tolerance_overrides:
-        for name, value in tolerance_overrides.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {name!r}",
-                                  f"/tolerances/{name}")
-            tolerances[name] = float(value)
 
     if "berwald_vectors" in config:
         vecs = tuple(np.asarray(v, dtype=float) for v in config["berwald_vectors"])

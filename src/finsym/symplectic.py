@@ -76,19 +76,6 @@ class TwoFormField:
                 d[k, j, i] = -v
         return d
 
-    def entry_jet(self, i: int, j: int, x, order: int) -> Jet:
-        """Signed jet of omega_ij; zero jet when the entry is absent."""
-        if i == j:
-            return Jet.constant(0.0, self.dimension, order)
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        entry = self.entries.get((i, j))
-        if entry is None:
-            return Jet.constant(0.0, self.dimension, order)
-        jet = entry.eval_jet(x, order)
-        return jet if sign > 0 else -jet
-
 
 def standard_form(n: int) -> TwoFormField:
     """The constant form sum_i dx^i wedge dx^{n+i} on a 2n-dimensional chart."""
@@ -114,8 +101,12 @@ def explicit_two_form(dimension: int, entries: Mapping) -> TwoFormField:
 
 def closedness_residual(omega: TwoFormField, x) -> float:
     """max over i<j<k of |d_i w_jk + d_j w_ki + d_k w_ij| (vacuous in dim 2)."""
-    m = omega.dimension
-    d = omega.derivative_values(x)
+    return closedness(omega.derivative_values(x))
+
+
+def closedness(d: np.ndarray) -> float:
+    """:func:`closedness_residual` of derivative data d[k, i, j]."""
+    m = d.shape[0]
     worst = 0.0
     for i in range(m):
         for j in range(i + 1, m):
@@ -126,11 +117,16 @@ def closedness_residual(omega: TwoFormField, x) -> float:
 
 def nondegeneracy_check(omega: TwoFormField, x) -> float:
     """|det(omega_ij(x))|; compare against the nondegeneracy tolerance."""
-    if omega.dimension % 2 != 0:
+    return nondegeneracy(omega.values(x))
+
+
+def nondegeneracy(w: np.ndarray) -> float:
+    """:func:`nondegeneracy_check` of the component matrix w."""
+    if w.shape[0] % 2 != 0:
         raise OddDimensionError(
-            f"nondegenerate two-forms need even dimension, got {omega.dimension}"
+            f"nondegenerate two-forms need even dimension, got {w.shape[0]}"
         )
-    return float(abs(np.linalg.det(omega.values(x))))
+    return float(abs(np.linalg.det(w)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +135,10 @@ class PreservationResidual:
 
     entries: np.ndarray  # (k, i, j)
     max_abs: float
+
+    @classmethod
+    def of(cls, entries: np.ndarray) -> "PreservationResidual":
+        return cls(entries=entries, max_abs=float(np.max(np.abs(entries))))
 
 
 def preservation_entries(omega_values: np.ndarray,
@@ -161,12 +161,9 @@ def chern_preservation_residual(m: MetricSpec, omega: TwoFormField,
         raise DimensionMismatchError(
             f"form dimension {omega.dimension} != metric dimension {m.dimension}"
         )
-    sample = finsler_sample(m, x, y)
-    w = omega.values(x)
-    dw = omega.derivative_values(x)
-    entries = preservation_entries(w, dw, sample.chern)
-    return PreservationResidual(entries=entries,
-                                max_abs=float(np.max(np.abs(entries))))
+    chern = finsler_sample(m, x, y).chern
+    return PreservationResidual.of(preservation_entries(
+        omega.values(x), omega.derivative_values(x), chern))
 
 
 def randers_two_form(b: Sequence[ScalarFieldSpec]) -> TwoFormField:
@@ -199,9 +196,13 @@ class RandersPreservation:
 def randers_preservation_condition(m: MetricSpec, x, y) -> RandersPreservation:
     if m.family != "randers":
         raise NotRandersError(f"metric family is {m.family!r}")
+    return randers_condition(m, x, finsler_sample(m, x, y).chern)
+
+
+def randers_condition(m: MetricSpec, x, G: np.ndarray) -> RandersPreservation:
+    """:func:`randers_preservation_condition` given the connection
+    coefficients G at (x, y)."""
     n = m.dimension
-    sample = finsler_sample(m, x, y)
-    G = sample.chern
 
     db = np.empty((n, n))    # db[l, j] = d b_j / d x^l
     ddb = np.empty((n, n, n))  # ddb[k, l, j] = d^2 b_j / d x^k d x^l

@@ -1,5 +1,7 @@
 """Shared metrics, scenarios, and sampling helpers for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ XY4 = ("x1", "x2", "x3", "x4")
 BOX2 = DomainBox((-1.0, -1.0), (1.0, 1.0))
 BOX4 = DomainBox((-1.0,) * 4, (1.0,) * 4)
 POLAR_BOX = DomainBox((1.0, 0.1), (3.0, 1.5))
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Rebind ``original`` to ``replacement`` in every finsym module that
+    imported it, so no call site can reach the original."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "finsym" or name.startswith("finsym.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 def sample_box(rng, lower, upper, count):

@@ -1,14 +1,23 @@
 """Scenario configs, the check runner, report emission, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from finsym import finsler
 from finsym.checks import CHECK_IDS, available_checks, run_scenario
 from finsym.cli import main
 from finsym.errors import ConfigError
 from finsym.report import emit_report
 from finsym.scenario import build_scenario, validate_config
+
+from conftest import patch_everywhere
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
 
 
 def euclid_config(count=9):
@@ -195,6 +204,30 @@ class TestRunScenario:
         assert errs  # the grid contains the origin, where W vanishes
         assert all("ZeroVectorError" in r.error for r in errs)
         assert all(not r.passed for r in errs)
+        assert not any("np.float64" in r.error for r in errs)
+
+    def test_every_facet_reports_its_own_error(self):
+        cfg = euclid_config()
+        cfg["vector_field"] = {"components": ["x2", "-x1"]}
+        records = run_scenario(cfg, suite=["bianchi"])
+        errs = {r.check for r in records if r.error is not None}
+        assert errs == {"bianchi:cyclic", "bianchi:two-path"}
+
+    def test_chern_derivatives_once_per_base_point(self, monkeypatch):
+        calls = []
+        original = finsler.chern_with_derivatives
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, original, counted)
+        cfg = euclid_config(count=4)
+        cfg["metric"]["F"] = "sqrt((1+x1^2)*y1^2+y2^2)"
+        del cfg["chart"]  # minkowski would reject the curved metric
+        records = run_scenario(cfg)
+        assert all(r.error is None for r in records)
+        assert len(calls) == build_scenario(cfg).plan.count == 4
 
     def test_tolerance_override_tightens(self):
         records = run_scenario(randers_config(), suite=["berwald-uniqueness"],
@@ -315,6 +348,48 @@ class TestCliMain:
         main(["run", "--config", path, "--suite", "structural", "--seed", "10"])
         out2 = capsys.readouterr().out
         assert out1 != out2
+
+    def test_tol_pd_reaches_every_check(self, capsys):
+        path = os.path.join(CONFIG_DIR, "polar_riemannian.json")
+        code = main(["run", "--config", path, "--suite",
+                     "metric-validity,structural,preservation",
+                     "--tol", "tol_pd=5"])
+        assert code == 1
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().split("\n")]
+        for check in ("metric-validity:positive-definite", "structural:torsion",
+                      "structural:compat", "preservation:lift"):
+            rs = [r for r in records if r["check"] == check]
+            assert len(rs) == 200
+            assert all("leading principal minor" in r["error"] for r in rs)
+        assert all(r["error"].startswith("NotPositiveDefiniteError")
+                   for r in records if r["check"].startswith("structural"))
+
+    def test_overflow_is_a_domain_error(self, tmp_path):
+        cfg = {
+            "dimension": 2,
+            "metric": {"family": "custom",
+                       "F": "sqrt(y1^2+y2^2)*(1+x1^2)^200",
+                       "domain": {"lower": [30, 30], "upper": [40, 40]}},
+            "sampling": {"mode": "grid", "count": 4, "y_per_x": 1},
+        }
+        path = self._write(tmp_path, cfg)
+        src = os.path.dirname(os.path.dirname(finsler.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "finsym.cli", "run", "--config", path],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.strip().split("\n")
+        assert len(lines) == 20
+
+        def strict(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        records = [json.loads(line, parse_constant=strict) for line in lines]
+        assert any("DomainError: power 200" in (r["error"] or "")
+                   for r in records)
 
     def test_gated_empty_suite_is_usage_error(self, tmp_path, capsys):
         path = self._write(tmp_path, randers_config())

@@ -15,7 +15,7 @@ from finsym.errors import DimensionMismatchError
 from finsym.fedosov import FedosovScenario
 from finsym.symplectic import chern_preservation_residual, standard_form
 
-from conftest import BOX2, BOX4, POLAR_BOX, sample_box
+from conftest import BOX2, BOX4, POLAR_BOX, patch_everywhere, sample_box
 
 
 class TestCurvatureInduced:
@@ -56,6 +56,21 @@ class TestCurvatureInduced:
         fd = curvature_fd_commutator(product_scenario, x)
         scale = max(1.0, float(np.max(np.abs(c.up))))
         assert np.max(np.abs(c.up - fd)) <= 1e-5 * scale
+
+    def test_fd_commutator_never_reads_the_jet_path(self, monkeypatch,
+                                                    graph_scenario):
+        from finsym import finsler
+        x = [0.4, -0.3]
+        expected = curvature_fd_commutator(graph_scenario, x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("finite-difference path reached the jet path")
+
+        patch_everywhere(monkeypatch, finsler.chern_with_derivatives, refuse)
+        with pytest.raises(AssertionError):
+            curvature_induced(graph_scenario, x)
+        assert np.array_equal(curvature_fd_commutator(graph_scenario, x),
+                              expected)
 
     def test_chain_term_matters(self, randers01, dbeta01):
         """With a position-dependent W on a fiber-dependent metric, dropping

@@ -53,7 +53,7 @@ class TestInduceConnection:
     def test_euclidean_zero(self, euclid_std_scenario):
         gam = induce_connection(euclid_std_scenario, [0.3, -0.2])
         assert np.max(np.abs(gam.array)) == 0.0
-        assert gam.symmetric
+        assert np.array_equal(gam.array, gam.array.transpose(0, 2, 1))
 
     def test_minkowskian_zero(self, quartic_std_scenario):
         gam = induce_connection(quartic_std_scenario, [0.5, 0.1])
