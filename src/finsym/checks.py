@@ -37,7 +37,7 @@ from .fedosov import (
     minkowski_preservation_check,
     transform_connection,
 )
-from .finsler import finsler_sample, metric_validity, structural_residuals
+from .finsler import finsler_sample, pair_validity, structural_residuals
 from .records import CheckRecord
 from .scenario import BuiltScenario, build_scenario
 from .symplectic import (
@@ -157,13 +157,16 @@ class Facet:
 @dataclass(frozen=True)
 class Check:
     """A check id, what it verifies, the config blocks it needs, and either
-    its facets or a ``records`` function producing all its records at once."""
+    its facets or a ``pair_records`` function producing all its records at
+    one (x, y) pair from that pair's FiberContext.  An ``even_dimension``
+    check is left out of the default suite on odd dimensions and rejected
+    when requested there."""
 
     id: str
     description: str
     requires: tuple[str, ...]
     facets: tuple[Facet, ...] = ()
-    records: Callable[[BuiltScenario], list[CheckRecord]] | None = None
+    pair_records: Callable[[FiberContext], list[CheckRecord]] | None = None
     even_dimension: bool = False
 
 
@@ -205,16 +208,17 @@ def _has_two_form(s: BuiltScenario) -> bool:
     return s.two_form is not None
 
 
-def _metric_validity(s: BuiltScenario) -> list[CheckRecord]:
-    return metric_validity(s.metric, list(s.plan.pairs()),
-                           homogeneity_tol=s.tolerances["homogeneity"])
+def _metric_validity(f: FiberContext) -> list[CheckRecord]:
+    s = f.base.s
+    return pair_validity(s.metric, f.base.x, f.y, lambda: f.sample,
+                         homogeneity_tol=s.tolerances["homogeneity"])
 
 
 CHECKS = (
     Check("metric-validity",
           "homogeneity, Euler identity, Cartan trace, positive-definiteness, "
           "Randers covector bound",
-          (), records=_metric_validity),
+          (), pair_records=_metric_validity),
     Check("structural",
           "torsion-freeness and almost-metric-compatibility residuals of the "
           "connection coefficients",
@@ -321,9 +325,11 @@ _BY_ID = {check.id: check for check in CHECKS}
 
 
 def available_checks(s: BuiltScenario) -> list[str]:
-    """Check ids whose required config blocks are present."""
+    """Check ids whose required config blocks are present and whose
+    dimension rule the scenario meets."""
     return [check.id for check in CHECKS
-            if all(getattr(s, need) is not None for need in check.requires)]
+            if all(getattr(s, need) is not None for need in check.requires)
+            and not (check.even_dimension and s.dimension % 2 != 0)]
 
 
 def _evaluate(facet: Facet, ctx, point, tolerances: dict
@@ -342,6 +348,16 @@ def _evaluate(facet: Facet, ctx, point, tolerances: dict
     residual, scale = out if isinstance(out, tuple) else (out, 1.0)
     return CheckRecord.evaluated(facet.name, point, residual,
                                  tolerance * scale, time.perf_counter() - t0)
+
+
+def _timed_batch(pair_records: Callable, f: FiberContext
+                 ) -> list[CheckRecord]:
+    t0 = time.perf_counter()
+    batch = pair_records(f)
+    elapsed = (time.perf_counter() - t0) / max(1, len(batch))
+    for r in batch:
+        r.elapsed = elapsed
+    return batch
 
 
 def _select(s: BuiltScenario, suite) -> list[Check]:
@@ -365,30 +381,27 @@ def run_scenario(config: dict, suite=None, seed_override: int | None = None,
                  tolerance_overrides: dict | None = None) -> list[CheckRecord]:
     """Run the requested checks over one scenario config.
 
-    ``suite`` is an iterable of check ids; None runs every check whose
-    required blocks exist.  Records come back sorted by record id, then by
+    ``suite`` is an iterable of check ids; None runs every check in
+    :func:`available_checks`.  Records come back sorted by record id, then by
     sample-point order.  Sampling is deterministic for a given config and
     seed, so two runs produce identical records.
     """
     s = build_scenario(config, seed_override=seed_override,
                        tolerance_overrides=tolerance_overrides)
     checks = _select(s, suite)
-    records: list[CheckRecord] = []
-    for check in checks:
-        if check.records is not None:
-            t0 = time.perf_counter()
-            batch = check.records(s)
-            elapsed = (time.perf_counter() - t0) / max(1, len(batch))
-            for r in batch:
-                r.elapsed = elapsed
-            records.extend(batch)
+    pair_checks = [check.pair_records for check in checks
+                   if check.pair_records is not None]
     facets = [f for check in checks for f in check.facets
               if f.when is None or f.when(s)]
+    records: list[CheckRecord] = []
     sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
           if s.vector_field is not None else None)
     for x, ys in zip(s.plan.xs, s.plan.ys):
         ctx = PointContext(s, sc, x)
         fibers = [FiberContext(ctx, y) for y in ys]
+        for pair_records in pair_checks:
+            for f in fibers:
+                records.extend(_timed_batch(pair_records, f))
         for facet in facets:
             if facet.fiber:
                 found = [_evaluate(facet, f, f.point, s.tolerances)

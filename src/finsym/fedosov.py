@@ -194,10 +194,9 @@ def hatted_two_form_data(omega: TwoFormField, chart: ChartMap, x):
                 continue
             values[q, r] = acc.value
             values[r, q] = -acc.value
-            for k in range(m):
-                v = acc.partial(tuple(1 if t == k else 0 for t in range(m)))
-                derivs[k, q, r] = v
-                derivs[k, r, q] = -v
+            v = acc.derivatives(1)
+            derivs[:, q, r] = v
+            derivs[:, r, q] = -v
     return values, derivs, xhat
 
 

@@ -335,7 +335,11 @@ class ScalarFieldSpec:
         return len(self.variables)
 
     def evaluate(self, point: Sequence[float]) -> float:
-        return float(eval_node(self.root, [float(v) for v in point]))
+        out = float(eval_node(self.root, [float(v) for v in point]))
+        if not math.isfinite(out):
+            raise DomainError(
+                f"non-finite field value at {np.asarray(point, float).tolist()}")
+        return out
 
     __call__ = evaluate
 
@@ -343,7 +347,8 @@ class ScalarFieldSpec:
         num_vars = len(self.variables)
         env = [Jet.variable(i, float(point[i]), num_vars, order)
                for i in range(num_vars)]
-        out = eval_node(self.root, env)
+        with np.errstate(all="ignore"):  # non-finite data raises below
+            out = eval_node(self.root, env)
         if not isinstance(out, Jet):
             out = Jet.constant(float(out), num_vars, order)
         if not out.is_finite():
@@ -417,14 +422,8 @@ class VectorFieldSpec:
 
     def jacobian(self, x: Sequence[float]) -> np.ndarray:
         """dW[p, j] = d W^p / d x^j."""
-        jets = eval_vector_field(self, x, order=1)
-        n = self.dimension
-        return np.array([[jets[p].partial(_unit(n, j)) for j in range(n)]
-                         for p in range(n)])
-
-
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if v == i else 0 for v in range(n))
+        return np.array([j.derivatives(1)
+                         for j in eval_vector_field(self, x, order=1)])
 
 
 def eval_vector_field(W: VectorFieldSpec, x: Sequence[float],
@@ -500,8 +499,7 @@ def chart_jacobians(chart: ChartMap, x: Sequence[float],
 
     fwd_jets = [jet_eval(c, x, 1) for c in chart.forward]
     xhat = np.array([j.value for j in fwd_jets])
-    fwd = np.array([[fwd_jets[p].partial(_unit(m, i)) for i in range(m)]
-                    for p in range(m)])
+    fwd = np.array([j.derivatives(1) for j in fwd_jets])
     det = float(np.linalg.det(fwd))
     if abs(det) < 1e-8:
         raise SingularChartError(
@@ -511,17 +509,8 @@ def chart_jacobians(chart: ChartMap, x: Sequence[float],
     if chart.inverse_domain is not None:
         chart.inverse_domain.require(xhat, "mapped chart point")
     inv_jets = [jet_eval(c, xhat, 2) for c in chart.inverse]
-    inv = np.array([[inv_jets[j].partial(_unit(m, q)) for q in range(m)]
-                    for j in range(m)])
-    inv2 = np.empty((m, m, m))
-    for i in range(m):
-        for q in range(m):
-            for r in range(q, m):
-                idx = tuple((1 if v == q else 0) + (1 if v == r else 0)
-                            for v in range(m))
-                val = inv_jets[i].partial(idx)
-                inv2[i, q, r] = val
-                inv2[i, r, q] = val
+    inv = np.array([j.derivatives(1) for j in inv_jets])
+    inv2 = np.array([j.derivatives(2) for j in inv_jets])
 
     defect = float(np.max(np.abs(fwd @ inv - np.eye(m))))
     if defect > chain_tol:

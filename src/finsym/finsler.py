@@ -1,15 +1,20 @@
 """Finsler fundamental quantities and connection coefficients at a point.
 
-Everything is driven by jets of the energy Phi(x, y) = F^2/2 over the 2n
-chart-plus-fiber variables.  The Christoffel-style assembly is written once,
-generically over a commutative ring, so the same code produces plain values
-(float scalars) and values-plus-first-derivatives (order-1 jet scalars).
+Everything is driven by one jet of the energy Phi(x, y) = F^2/2 over the 2n
+chart-plus-fiber variables: g is its fiber Hessian and C = (1/2) dg/dy.  The
+connection assembly is written once, as numpy products over arrays with a
+trailing tangent axis (forward-mode dual numbers): a tangent axis of length
+1 gives the values (:func:`finsler_sample`), one of length 1 + 2n the values
+plus their first derivatives in (x, y) (:func:`chern_with_derivatives`).
+F cancels from the assembly and enters only the reported Cartan tensor
+A = F C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,98 +145,92 @@ def _require_point(m: MetricSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-# -- ring-generic connection assembly ----------------------------------------
+# -- connection assembly ---------------------------------------------------------
+#
+# Every array below carries a trailing tangent axis: slot 0 holds the value
+# and slots 1.. the first derivatives in the 2n variables (x, y).  The value
+# path uses a tangent axis of length 1 and does no tangent work; the value
+# slot is computed by the same operations on the same operands either way.
 
 
-def _scalar_value(s) -> float:
-    return s.value if isinstance(s, Jet) else float(s)
+def _value(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a[..., 0])
 
 
-def _ring_inverse(mat, n: int):
-    """Gauss-Jordan inverse over a commutative ring with unit magnitudes."""
-    work = [list(row) for row in mat]
-    out = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(_scalar_value(work[r][col])))
-        if abs(_scalar_value(work[piv][col])) == 0.0:
-            raise DomainError("singular matrix in ring inversion")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            out[col], out[piv] = out[piv], out[col]
-        pivot = work[col][col]
-        work[col] = [e / pivot for e in work[col]]
-        out[col] = [e / pivot for e in out[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if isinstance(factor, float) and factor == 0.0:
-                continue
-            work[r] = [wr - factor * wc for wr, wc in zip(work[r], work[col])]
-            out[r] = [orr - factor * oc for orr, oc in zip(out[r], out[col])]
-    return out
+def _mul(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec)`` of two such arrays, by the product rule."""
+    a0, b0 = _value(a), _value(b)
+    value = np.einsum(spec, a0, b0)[..., None]
+    if a.shape[-1] == 1:
+        return value
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    tangent = (np.einsum(f"{sa}...,{sb}->{out}...", a[..., 1:], b0)
+               + np.einsum(f"{sa},{sb}...->{out}...", a0, b[..., 1:]))
+    return np.concatenate([value, tangent], axis=-1)
 
 
-class _PipelineData(NamedTuple):
-    g_inv: list
-    cartan: list
-    gamma: list
-    nonlinear: list
-    chern: list
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """Matrix inverse, with d(g^-1) = -g^-1 (dg) g^-1 in the tangent slots."""
+    try:
+        inv = np.linalg.inv(_value(g))
+    except np.linalg.LinAlgError:
+        raise DomainError("singular fundamental tensor") from None
+    if g.shape[-1] == 1:
+        return inv[..., None]
+    tangent = -np.einsum("is,sra,rj->ija", inv, g[..., 1:], inv)
+    return np.concatenate([inv[..., None], tangent], axis=-1)
 
 
-def _connection_pipeline(g, dg_dx, dg_dy, F, y, n: int) -> _PipelineData:
-    """Formal Christoffel symbols, nonlinear connection, and connection
-    coefficients from metric data, generically over the scalar ring.
+@lru_cache(maxsize=None)
+def _strict_upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
 
-    g[i][j]          fundamental tensor
-    dg_dx[t][i][j]   d g_ij / d x^t
-    dg_dy[k][i][j]   d g_ij / d y^k
-    F                metric value, y[i] fiber coordinates
+
+def _mirror(a: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of the lower index pair onto the lower one,
+    so the pair symmetry is exact."""
+    i, j = _strict_upper(a.shape[1])
+    a[:, j, i] = a[:, i, j]
+    return a
+
+
+def _metric_data(phi: Jet, n: int) -> tuple:
+    """g_ij, dg_ij/dx^t as [t, i, j] and dg_ij/dy^k as [k, i, j] from the
+    jet of the energy, with a tangent axis of length 1 + 2n from an order-4
+    jet and of length 1 from an order-3 one."""
+    fiber = slice(n, 2 * n)
+    g = phi.derivatives(2)[fiber, fiber][..., None]
+    d3 = phi.derivatives(3)[:, fiber, fiber]          # [a, i, j]
+    dg = d3[..., None]
+    if phi.order == 4:
+        g = np.concatenate([g, d3.transpose(1, 2, 0)], axis=-1)
+        dg = np.concatenate([dg, phi.derivatives(4)[:, fiber, fiber]],
+                            axis=-1)
+    return g, dg[:n], dg[n:]
+
+
+def _connection(g, dg_dx, dg_dy, y) -> tuple:
+    """(g^-1, C, gamma, N, chern) from the metric data and the fiber point.
+
+    C_ijk = (1/2) dg_ij/dy^k, gamma^i_jk the formal Christoffel symbols,
+    N^i_j = gamma^i_jk y^k - C^i_jk gamma^k_rs y^r y^s the nonlinear
+    connection and chern^l_jk = gamma^l_jk - g^li (C_ijs N^s_k
+    - C_jks N^s_i + C_kis N^s_j); F cancels from all of them.
     """
-    g_inv = _ring_inverse(g, n)
-
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = sum(
-                    g_inv[i][s] * (dg_dx[k][s][j] + dg_dx[j][s][k] - dg_dx[s][j][k])
-                    for s in range(n)
-                )
-                val = 0.5 * acc
-                gamma[i][j][k] = val
-                gamma[i][k][j] = val
-
-    cartan = [[[0.5 * (F * dg_dy[k][i][j]) for k in range(n)]
-               for j in range(n)] for i in range(n)]
-    cartan_up = [[[sum(g_inv[i][l] * cartan[l][j][k] for l in range(n))
-                   for k in range(n)] for j in range(n)] for i in range(n)]
-
-    spray = [sum(gamma[k][r][s] * y[r] * y[s]
-                 for r in range(n) for s in range(n)) for k in range(n)]
-    nonlinear = [[sum(gamma[i][j][k] * y[k] for k in range(n))
-                  - sum(cartan_up[i][j][k] * spray[k] for k in range(n)) / F
-                  for j in range(n)] for i in range(n)]
-
-    chern = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for l in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                corr = sum(
-                    g_inv[l][i] * sum(
-                        cartan[i][j][s] * nonlinear[s][k]
-                        - cartan[j][k][s] * nonlinear[s][i]
-                        + cartan[k][i][s] * nonlinear[s][j]
-                        for s in range(n)
-                    )
-                    for i in range(n)
-                )
-                val = gamma[l][j][k] - corr / F
-                chern[l][j][k] = val
-                chern[l][k][j] = val
-
-    return _PipelineData(g_inv, cartan, gamma, nonlinear, chern)
+    g_inv = _inverse(g)
+    gamma = _mirror(0.5 * _mul(
+        "is,sjk->ijk", g_inv,
+        dg_dx.transpose(1, 2, 0, 3) + dg_dx.transpose(1, 0, 2, 3) - dg_dx))
+    C = 0.5 * dg_dy.transpose(1, 2, 0, 3)
+    spray = _mul("kr,r->k", _mul("krs,s->kr", gamma, y), y)
+    N = (_mul("ijk,k->ij", gamma, y)
+         - _mul("ijk,k->ij", _mul("il,ljk->ijk", g_inv, C), spray))
+    M = _mul("ijs,sk->ijk", C, N)
+    chern = _mirror(gamma - _mul(
+        "li,ijk->ljk", g_inv,
+        M - M.transpose(2, 0, 1, 3) + M.transpose(1, 2, 0, 3)))
+    return g_inv, C, gamma, N, chern
 
 
 # -- point samples -------------------------------------------------------------
@@ -251,13 +250,6 @@ class FinslerSample:
     N: np.ndarray
     chern: np.ndarray
     dg_dx: np.ndarray  # (t, i, j); kept for the structural residual
-
-
-def _unit2n(n2: int, *positions: int) -> tuple[int, ...]:
-    e = [0] * n2
-    for p in positions:
-        e[p] += 1
-    return tuple(e)
 
 
 def _check_pd(g: np.ndarray, tol_pd: float) -> None:
@@ -281,64 +273,34 @@ def finsler_value(m: MetricSpec, x, y) -> float:
 
 
 def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
+    """The fundamental quantities at (x, y): the value path of the
+    connection assembly, from the order-3 jet of the energy."""
     x, y = _require_point(m, x, y)
-    point = np.concatenate([x, y])
     n = m.dimension
-    n2 = 2 * n
-
     F = finsler_value(m, x, y)
-    phi = m.phi_field.eval_jet(point, 3)
+    phi = m.phi_field.eval_jet(np.concatenate([x, y]), 3)
+    g, dg_dx, dg_dy = _metric_data(phi, n)
+    g0 = _value(g)
+    _check_pd(g0, m.tol_pd)
 
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = phi.partial(_unit2n(n2, n + i, n + j))
-    _check_pd(g, m.tol_pd)
-
-    dg_dx = np.empty((n, n, n))
-    dg_dy = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for t in range(n):
-                v = phi.partial(_unit2n(n2, t, n + i, n + j))
-                dg_dx[t, i, j] = dg_dx[t, j, i] = v
-            for k in range(n):
-                v = phi.partial(_unit2n(n2, n + k, n + i, n + j))
-                dg_dy[k, i, j] = dg_dy[k, j, i] = v
-
-    data = _connection_pipeline(
-        [[g[i, j] for j in range(n)] for i in range(n)],
-        [[[dg_dx[t, i, j] for j in range(n)] for i in range(n)] for t in range(n)],
-        [[[dg_dy[k, i, j] for j in range(n)] for i in range(n)] for k in range(n)],
-        F, [y[i] for i in range(n)], n,
-    )
-
-    sample = FinslerSample(
-        x=x, y=y, F=F, g=g,
-        g_inv=np.array(data.g_inv),
-        A=np.array(data.cartan),
-        gamma=np.array(data.gamma),
-        N=np.array(data.nonlinear),
-        chern=np.array(data.chern),
-        dg_dx=dg_dx,
-    )
-    for arr in (sample.g_inv, sample.A, sample.gamma, sample.N, sample.chern):
+    with np.errstate(all="ignore"):  # non-finite results raise below
+        g_inv, C, gamma, N, chern = (
+            _value(a) for a in _connection(g, dg_dx, dg_dy, y[:, None]))
+        A = F * C
+    for arr in (g_inv, A, gamma, N, chern):
         if not np.isfinite(arr).all():
             raise DomainError(f"non-finite connection data at x={x.tolist()}, "
                               f"y={y.tolist()}")
-    return sample
+    return FinslerSample(x=x, y=y, F=F, g=g0, g_inv=g_inv, A=A,
+                         gamma=gamma, N=N, chern=chern, dg_dx=_value(dg_dx))
 
 
 def fundamental_tensor(m: MetricSpec, x, y) -> np.ndarray:
     """g_ij, the fiber Hessian of F^2/2; checked positive-definite."""
     x, y = _require_point(m, x, y)
-    point = np.concatenate([x, y])
     n = m.dimension
-    phi = m.phi_field.eval_jet(point, 2)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = phi.partial(_unit2n(2 * n, n + i, n + j))
+    phi = m.phi_field.eval_jet(np.concatenate([x, y]), 2)
+    g = phi.derivatives(2)[n:, n:]
     _check_pd(g, m.tol_pd)
     return g
 
@@ -398,52 +360,22 @@ def chern_with_derivatives(m: MetricSpec, x, y):
 
     Returns (G, dG_dx, dG_dy) with G[l, j, k], dG_dx[l, j, k, t] the
     derivative in x^t, dG_dy[l, j, k, p] the derivative in y^p, all at
-    (x, y).  Uses one order-4 jet of the energy and runs the shared
-    assembly over order-1 jet scalars.
+    (x, y).  Uses one order-4 jet of the energy; G equals the value path's
+    ``finsler_sample(m, x, y).chern`` bit for bit.
     """
     x, y = _require_point(m, x, y)
-    point = np.concatenate([x, y])
     n = m.dimension
-    n2 = 2 * n
+    phi = m.phi_field.eval_jet(np.concatenate([x, y]), 4)
+    g, dg_dx, dg_dy = _metric_data(phi, n)
+    _check_pd(_value(g), m.tol_pd)
 
-    phi = m.phi_field.eval_jet(point, 4)
-
-    g_val = np.empty((n, n))
-    g1 = [[None] * n for _ in range(n)]
-    dgdx1 = [[[None] * n for _ in range(n)] for _ in range(n)]
-    dgdy1 = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            jij = phi.derivative_jet(_unit2n(n2, n + i, n + j)).truncated(1)
-            g1[i][j] = g1[j][i] = jij
-            g_val[i, j] = g_val[j, i] = jij.value
-            for t in range(n):
-                jd = phi.derivative_jet(_unit2n(n2, t, n + i, n + j))
-                dgdx1[t][i][j] = dgdx1[t][j][i] = jd
-            for k in range(n):
-                jd = phi.derivative_jet(_unit2n(n2, n + k, n + i, n + j))
-                dgdy1[k][i][j] = dgdy1[k][j][i] = jd
-    _check_pd(g_val, m.tol_pd)
-
-    F1 = (2.0 * phi.truncated(1)).sqrt()
-    y_ring = [Jet.variable(n + i, y[i], n2, 1) for i in range(n)]
-
-    data = _connection_pipeline(g1, dgdx1, dgdy1, F1, y_ring, n)
-
-    G = np.empty((n, n, n))
-    dG_dx = np.empty((n, n, n, n))
-    dG_dy = np.empty((n, n, n, n))
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                jet = data.chern[l][j][k]
-                G[l, j, k] = jet.value
-                for t in range(n):
-                    dG_dx[l, j, k, t] = jet.partial(_unit2n(n2, t))
-                for p in range(n):
-                    dG_dy[l, j, k, p] = jet.partial(_unit2n(n2, n + p))
-    if not (np.isfinite(G).all() and np.isfinite(dG_dx).all()
-            and np.isfinite(dG_dy).all()):
+    y_dual = np.concatenate([y[:, None], np.eye(n, 2 * n, k=n)], axis=-1)
+    with np.errstate(all="ignore"):  # non-finite results raise below
+        chern = _connection(g, dg_dx, dg_dy, y_dual)[-1]
+    G = _value(chern)
+    dG_dx = np.ascontiguousarray(chern[..., 1:n + 1])
+    dG_dy = np.ascontiguousarray(chern[..., n + 1:])
+    if not np.isfinite(chern).all():
         raise DomainError(f"non-finite connection derivatives at x={x.tolist()}")
     return G, dG_dx, dG_dy
 
@@ -459,7 +391,12 @@ def randers_alpha_norm(m: MetricSpec, x) -> float:
     a = np.array([[m.g_entries[i][j].evaluate(x) for j in range(n)]
                   for i in range(n)])
     b = np.array([c.evaluate(x) for c in m.b_fields])
-    return float(np.sqrt(b @ np.linalg.solve(a, b)))
+    with np.errstate(all="ignore"):  # checked right below
+        q = float(b @ np.linalg.solve(a, b))
+    if not 0.0 <= q < np.inf:
+        raise DomainError(f"a^ij b_i b_j = {q:.3e} is negative or non-finite "
+                          f"at x={np.asarray(x, float).tolist()}")
+    return float(np.sqrt(q))
 
 
 def metric_validity(m: MetricSpec, samples: Sequence,
@@ -472,58 +409,67 @@ def metric_validity(m: MetricSpec, samples: Sequence,
     """
     records: list[CheckRecord] = []
     for x, y in samples:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        pt = tuple(np.concatenate([x, y]))
+        records.extend(pair_validity(m, x, y, lambda: finsler_sample(m, x, y),
+                                     lambdas, homogeneity_tol))
+    return records
 
-        try:
-            F = finsler_value(m, x, y)
-            rel = 0.0
-            for lam in lambdas:
-                Fl = m.F_field.evaluate(np.concatenate([x, lam * y]))
-                rel = max(rel, abs(Fl - lam * F) / abs(lam * F))
-            records.append(CheckRecord.evaluated(
-                "metric-validity:homogeneity", pt, rel, homogeneity_tol))
-        except Exception as exc:  # noqa: BLE001 - failures become records
-            records.append(CheckRecord.failed(
-                "metric-validity:homogeneity", pt, str(exc), homogeneity_tol))
 
+def pair_validity(m: MetricSpec, x, y, sample: Callable[[], FinslerSample],
+                  lambdas=(0.5, 2.0, 3.0),
+                  homogeneity_tol: float = 1e-9) -> list[CheckRecord]:
+    """:func:`metric_validity` records at one pair (x, y).  ``sample()``
+    returns ``finsler_sample(m, x, y)``, so a caller that already holds the
+    sample passes it in rather than having it evaluated again."""
+    records: list[CheckRecord] = []
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pt = tuple(np.concatenate([x, y]))
+
+    try:
+        F = finsler_value(m, x, y)
+        rel = 0.0
+        for lam in lambdas:
+            Fl = m.F_field.evaluate(np.concatenate([x, lam * y]))
+            rel = max(rel, abs(Fl - lam * F) / abs(lam * F))
+        records.append(CheckRecord.evaluated(
+            "metric-validity:homogeneity", pt, rel, homogeneity_tol))
+    except Exception as exc:  # noqa: BLE001 - failures become records
+        records.append(CheckRecord.failed(
+            "metric-validity:homogeneity", pt, str(exc), homogeneity_tol))
+
+    try:
+        Fj = m.F_field.eval_jet(np.concatenate([x, y]), 1)
+        F = Fj.value
+        euler = abs(sum(y * Fj.derivatives(1)[m.dimension:]) - F) / abs(F)
+        records.append(CheckRecord.evaluated(
+            "metric-validity:euler", pt, euler, homogeneity_tol))
+    except Exception as exc:  # noqa: BLE001
+        records.append(CheckRecord.failed(
+            "metric-validity:euler", pt, str(exc), homogeneity_tol))
+
+    try:
+        s = sample()
+        trace = float(np.max(np.abs(np.einsum("ijk,k->ij", s.A, y))))
+        scale = max(1.0, float(np.max(np.abs(s.A))) * float(np.linalg.norm(y)))
+        records.append(CheckRecord.evaluated(
+            "metric-validity:cartan-trace", pt, trace / scale, homogeneity_tol))
+        records.append(CheckRecord.evaluated(
+            "metric-validity:positive-definite", pt, 0.0, 0.0))
+    except NotPositiveDefiniteError as exc:
+        records.append(CheckRecord.failed(
+            "metric-validity:positive-definite", pt, str(exc), 0.0))
+    except Exception as exc:  # noqa: BLE001
+        records.append(CheckRecord.failed(
+            "metric-validity:cartan-trace", pt, str(exc), homogeneity_tol))
+
+    if m.family == "randers":
         try:
-            point = np.concatenate([x, y])
-            Fj = m.F_field.eval_jet(point, 1)
-            F = Fj.value
-            euler = abs(sum(
-                y[k] * Fj.partial(_unit2n(2 * m.dimension, m.dimension + k))
-                for k in range(m.dimension)) - F) / abs(F)
+            norm = randers_alpha_norm(m, x)
             records.append(CheckRecord.evaluated(
-                "metric-validity:euler", pt, euler, homogeneity_tol))
+                "metric-validity:randers-bound", pt, norm, 1.0 - 1e-6))
         except Exception as exc:  # noqa: BLE001
             records.append(CheckRecord.failed(
-                "metric-validity:euler", pt, str(exc), homogeneity_tol))
-
-        try:
-            s = finsler_sample(m, x, y)
-            trace = float(np.max(np.abs(np.einsum("ijk,k->ij", s.A, y))))
-            scale = max(1.0, float(np.max(np.abs(s.A))) * float(np.linalg.norm(y)))
-            records.append(CheckRecord.evaluated(
-                "metric-validity:cartan-trace", pt, trace / scale, homogeneity_tol))
-            records.append(CheckRecord.evaluated(
-                "metric-validity:positive-definite", pt, 0.0, 0.0))
-        except NotPositiveDefiniteError as exc:
-            records.append(CheckRecord.failed(
-                "metric-validity:positive-definite", pt, str(exc), 0.0))
-        except Exception as exc:  # noqa: BLE001
-            records.append(CheckRecord.failed(
-                "metric-validity:cartan-trace", pt, str(exc), homogeneity_tol))
-
-        if m.family == "randers":
-            try:
-                norm = randers_alpha_norm(m, x)
-                records.append(CheckRecord.evaluated(
-                    "metric-validity:randers-bound", pt, norm, 1.0 - 1e-6))
-            except Exception as exc:  # noqa: BLE001
-                records.append(CheckRecord.failed(
-                    "metric-validity:randers-bound", pt, str(exc), 1.0 - 1e-6))
+                "metric-validity:randers-bound", pt, str(exc), 1.0 - 1e-6))
     return records
 
 

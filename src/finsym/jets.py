@@ -115,6 +115,24 @@ def _table(num_vars: int, order: int) -> _JetTable:
     return _JetTable(num_vars, order)
 
 
+@lru_cache(maxsize=None)
+def _derivative_gather(num_vars: int, order: int,
+                       k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient positions and multi-index factorials of every k-th
+    partial, laid out as ``(num_vars,)*k`` arrays."""
+    index_of = _table(num_vars, order).index_of
+    shape = (num_vars,) * k
+    pos = np.empty(shape, dtype=np.intp)
+    fac = np.empty(shape)
+    for slots in np.ndindex(*shape):
+        idx = [0] * num_vars
+        for v in slots:
+            idx[v] += 1
+        pos[slots] = index_of[tuple(idx)]
+        fac[slots] = multi_index_factorial(idx)
+    return pos, fac
+
+
 class Jet:
     """Truncated multivariate Taylor expansion of a scalar field at a point.
 
@@ -173,6 +191,14 @@ class Jet:
         """Partial derivative for the given multi-index."""
         return self.coefficient(idx) * multi_index_factorial(idx)
 
+    def derivatives(self, k: int) -> np.ndarray:
+        """Every k-th partial as a symmetric ``(num_vars,)*k`` array:
+        ``out[v1, ..., vk]`` is the partial in the variables v1..vk."""
+        if not 0 <= k <= self.order:
+            raise OrderError(f"derivative degree {k} outside 0..{self.order}")
+        pos, fac = _derivative_gather(self.num_vars, self.order, k)
+        return self.c[pos] * fac
+
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.c).all())
 
@@ -191,14 +217,6 @@ class Jet:
         t = _table(self.num_vars, self.order)
         return Jet(self.num_vars, self.order - 1,
                    self.c[t.deriv_src[v]] * t.deriv_fac[v])
-
-    def derivative_jet(self, idx: Sequence[int]) -> "Jet":
-        """Jet of the mixed partial D^idx, reduced in order by its degree."""
-        out = self
-        for v, e in enumerate(idx):
-            for _ in range(e):
-                out = out.derivative(v)
-        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -329,7 +347,8 @@ def jet_eval(field, point: Sequence[float], order: int) -> Jet:
         num_vars = len(point)
         args = [Jet.variable(i, float(point[i]), num_vars, order)
                 for i in range(num_vars)]
-        out = field(args)
+        with np.errstate(all="ignore"):  # non-finite data raises below
+            out = field(args)
         if not isinstance(out, Jet):
             out = Jet.constant(float(out), num_vars, order)
     if not out.is_finite():

@@ -11,7 +11,8 @@ def emit_report(records: list[CheckRecord], fmt: str = "json") -> bytes:
     """Serialize records as json-lines or an aligned table (UTF-8, LF).
 
     Output is byte-identical across runs with the same config and seed;
-    wall-clock timings are therefore kept off the report.
+    wall-clock timings are therefore kept off the report.  json-lines
+    output is strict JSON: a non-finite number raises ValueError.
     """
     if not records:
         raise ValueError("no records to emit")
@@ -26,7 +27,8 @@ def emit_report(records: list[CheckRecord], fmt: str = "json") -> bytes:
                 "pass": r.passed,
                 "error": r.error,
             }
-            lines.append(json.dumps(obj, separators=(",", ":")))
+            lines.append(json.dumps(obj, separators=(",", ":"),
+                                    allow_nan=False))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "table":
         groups: dict[str, list[CheckRecord]] = {}

@@ -69,11 +69,9 @@ class TwoFormField:
         m = self.dimension
         d = np.zeros((m, m, m))
         for (i, j), entry in self.entries.items():
-            jet = entry.eval_jet(x, 1)
-            for k in range(m):
-                v = jet.partial(tuple(1 if t == k else 0 for t in range(m)))
-                d[k, i, j] = v
-                d[k, j, i] = -v
+            v = entry.eval_jet(x, 1).derivatives(1)
+            d[:, i, j] = v
+            d[:, j, i] = -v
         return d
 
 
@@ -202,18 +200,10 @@ def randers_preservation_condition(m: MetricSpec, x, y) -> RandersPreservation:
 def randers_condition(m: MetricSpec, x, G: np.ndarray) -> RandersPreservation:
     """:func:`randers_preservation_condition` given the connection
     coefficients G at (x, y)."""
-    n = m.dimension
-
-    db = np.empty((n, n))    # db[l, j] = d b_j / d x^l
-    ddb = np.empty((n, n, n))  # ddb[k, l, j] = d^2 b_j / d x^k d x^l
-    for j in range(n):
-        jet = m.b_fields[j].eval_jet(np.asarray(x, dtype=float), 2)
-        for l in range(n):
-            db[l, j] = jet.partial(tuple(1 if t == l else 0 for t in range(n)))
-            for k in range(n):
-                idx = tuple((1 if t == l else 0) + (1 if t == k else 0)
-                            for t in range(n))
-                ddb[k, l, j] = jet.partial(idx)
+    jets = [b.eval_jet(np.asarray(x, dtype=float), 2) for b in m.b_fields]
+    # db[l, j] = d b_j / d x^l, ddb[k, l, j] = d^2 b_j / d x^k d x^l
+    db = np.stack([j.derivatives(1) for j in jets], axis=-1)
+    ddb = np.stack([j.derivatives(2) for j in jets], axis=-1)
 
     bracket1 = (np.einsum("lki,lj->kij", G, db)
                 - np.einsum("lkj,li->kij", G, db))

@@ -43,6 +43,16 @@ def xy_samples(rng, box, count, y_range=(0.35, 1.6)):
     return list(zip(xs, ys))
 
 
+def randers_metric(n):
+    """A Randers metric on [-1, 1]^n with x-dependent alpha and b."""
+    alpha = [[f"1+0.2*x{i + 1}^2" if i == j else
+              f"{0.03 * abs(i - j):.2f}*x{min(i, j) + 1}*x{max(i, j) + 1}"
+              for j in range(n)] for i in range(n)]
+    b = [f"{0.1 * (-1) ** i:.1f}*x{(i + 1) % n + 1}" for i in range(n)]
+    box = DomainBox((-1.0,) * n, (1.0,) * n)
+    return MetricSpec.randers(alpha, b, box)
+
+
 @pytest.fixture(scope="session")
 def euclid2():
     return MetricSpec.custom("sqrt(y1^2+y2^2)", 2, BOX2)

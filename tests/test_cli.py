@@ -11,6 +11,7 @@ from finsym import finsler
 from finsym.checks import CHECK_IDS, available_checks, run_scenario
 from finsym.cli import main
 from finsym.errors import ConfigError
+from finsym.records import CheckRecord
 from finsym.report import emit_report
 from finsym.scenario import build_scenario, validate_config
 
@@ -45,6 +46,21 @@ def randers_config(count=5, seed=42):
         "sampling": {"mode": "random", "count": count, "seed": seed,
                      "y_per_x": 2},
     }
+
+
+def strict_records(text):
+    """Parse json-lines output, rejecting NaN and Infinity."""
+
+    def strict(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return [json.loads(line, parse_constant=strict)
+            for line in text.strip().split("\n")]
+
+
+def _as_tuples(records):
+    return [(r.check, r.point, r.residual, r.tolerance, r.passed, r.error)
+            for r in records]
 
 
 class TestValidation:
@@ -229,6 +245,32 @@ class TestRunScenario:
         assert all(r.error is None for r in records)
         assert len(calls) == build_scenario(cfg).plan.count == 4
 
+    def test_metric_validity_reads_the_pair_sample(self, monkeypatch):
+        calls = []
+        original = finsler.finsler_sample
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, original, counted)
+        # tol_pd = 1 fails positive-definiteness at 8 of the 10 pairs, so
+        # both sides of the cartan-trace / positive-definite split occur
+        cfg, tols = randers_config(), {"tol_pd": 1.0}
+        records = run_scenario(cfg, suite=["metric-validity", "structural"],
+                               tolerance_overrides=tols)
+        s = build_scenario(cfg, tolerance_overrides=tols)
+        pairs = list(s.plan.pairs())
+        assert len(calls) == len(pairs) == 10
+        expected = finsler.metric_validity(
+            s.metric, pairs, homogeneity_tol=s.tolerances["homogeneity"])
+        found = [r for r in records if r.check.startswith("metric-validity")]
+        assert _as_tuples(found) == _as_tuples(
+            sorted(expected, key=lambda r: r.check))
+        assert {r.error is None for r in found
+                if r.check == "metric-validity:positive-definite"} == {True,
+                                                                      False}
+
     def test_tolerance_override_tightens(self):
         records = run_scenario(randers_config(), suite=["berwald-uniqueness"],
                                tolerance_overrides={"berwald-uniqueness": 10.0})
@@ -261,6 +303,12 @@ class TestEmitReport:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             emit_report([], "json")
+
+    def test_non_finite_residual_rejected(self):
+        record = CheckRecord.evaluated("structural:torsion", (0.0, 1.0),
+                                       float("nan"), 1e-12)
+        with pytest.raises(ValueError):
+            emit_report([record])
 
     def test_table_contains_summary(self):
         records = run_scenario(euclid_config(), suite=["structural"])
@@ -381,13 +429,8 @@ class TestCliMain:
             capture_output=True, text=True, env=env, check=False)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        lines = proc.stdout.strip().split("\n")
-        assert len(lines) == 20
-
-        def strict(token):
-            raise ValueError(f"non-strict JSON constant {token}")
-
-        records = [json.loads(line, parse_constant=strict) for line in lines]
+        records = strict_records(proc.stdout)
+        assert len(records) == 20
         assert any("DomainError: power 200" in (r["error"] or "")
                    for r in records)
 
@@ -395,3 +438,45 @@ class TestCliMain:
         path = self._write(tmp_path, randers_config())
         assert main(["run", "--config", path, "--suite", "darboux"]) == 2
         assert "no records" in capsys.readouterr().err
+
+    def test_odd_dimension_default_suite_skips_darboux(self, tmp_path,
+                                                       capsys):
+        cfg = {
+            "dimension": 3,
+            "metric": {"family": "riemannian",
+                       "g": [["1", "0", "0"], ["0", "1", "0"],
+                             ["0", "0", "1"]],
+                       "domain": {"lower": [-1, -1, -1],
+                                  "upper": [1, 1, 1]}},
+            "two_form": {"kind": "explicit", "entries": {"1,2": "1"}},
+            "vector_field": {"components": ["1", "0", "0"]},
+            "sampling": {"mode": "grid", "count": 2, "y_per_x": 1},
+        }
+        path = self._write(tmp_path, cfg)
+        # a 3-d two-form is degenerate: nondegeneracy gives error records
+        assert main(["run", "--config", path]) == 1
+        records = strict_records(capsys.readouterr().out)
+        assert not any(r["check"].startswith("darboux") for r in records)
+        assert {r["check"] for r in records if r["error"]} == {
+            "preservation:nondegeneracy"}
+        assert main(["run", "--config", path, "--suite", "darboux"]) == 2
+        assert "even dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric, check", [
+        ({"family": "randers", "alpha": [["1", "0"], ["0", "-1"]],
+          "b": ["0", "0.5"]}, "metric-validity:randers-bound"),
+        ({"family": "custom", "F": "sqrt(y1^2+y2^2)*1e200*1e200"},
+         "metric-validity:homogeneity"),
+    ])
+    def test_non_finite_values_become_error_records(self, tmp_path, capsys,
+                                                    metric, check):
+        metric = dict(metric, domain={"lower": [-1, -1], "upper": [1, 1]})
+        cfg = {"dimension": 2, "metric": metric,
+               "sampling": {"mode": "grid", "count": 4, "y_per_x": 1}}
+        path = self._write(tmp_path, cfg)
+        assert main(["run", "--config", path]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        rs = [r for r in strict_records(out) if r["check"] == check]
+        assert len(rs) == 4
+        assert all(r["error"] and "non-finite" in r["error"] for r in rs)

@@ -55,6 +55,12 @@ class TestInduceConnection:
         assert np.max(np.abs(gam.array)) == 0.0
         assert np.array_equal(gam.array, gam.array.transpose(0, 2, 1))
 
+    def test_asymmetric_coefficients_rejected(self):
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 1] = 1e-17
+        with pytest.raises(ValueError):
+            ConnectionCoefficients(2, arr)
+
     def test_minkowskian_zero(self, quartic_std_scenario):
         gam = induce_connection(quartic_std_scenario, [0.5, 0.1])
         assert np.max(np.abs(gam.array)) == 0.0

@@ -25,7 +25,7 @@ from finsym.finsler import (
 )
 from finsym.jets import fd_oracle
 
-from conftest import BOX2, POLAR_BOX, xy_samples
+from conftest import BOX2, POLAR_BOX, randers_metric, xy_samples
 
 
 class TestFinslerValue:
@@ -256,23 +256,31 @@ class TestBerwaldProbe:
 
 
 class TestChernWithDerivatives:
-    def test_values_match_sample(self, randers01):
-        x, y = [0.3, 0.2], [1.0, 0.5]
-        G, _, _ = chern_with_derivatives(randers01, x, y)
-        assert np.max(np.abs(G - finsler_sample(randers01, x, y).chern)) == 0.0
+    POINTS = {2: ([0.3, 0.2], [1.0, 0.5]),
+              3: ([0.3, -0.2, 0.5], [1.0, 0.5, 0.8]),
+              4: ([0.3, -0.2, 0.5, -0.6], [1.0, 0.5, 0.8, 0.6])}
 
-    def test_derivatives_against_differences(self, randers01):
-        x, y = np.array([0.3, 0.2]), np.array([1.0, 0.5])
-        _, dGx, dGy = chern_with_derivatives(randers01, x, y)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_values_match_sample(self, n):
+        m = randers_metric(n)
+        x, y = self.POINTS[n]
+        G, _, _ = chern_with_derivatives(m, x, y)
+        assert np.array_equal(G, finsler_sample(m, x, y).chern)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_derivatives_against_differences(self, n):
+        m = randers_metric(n)
+        x, y = (np.array(v) for v in self.POINTS[n])
+        _, dGx, dGy = chern_with_derivatives(m, x, y)
         h = 1e-5
-        for t in range(2):
-            e = np.zeros(2)
+        for t in range(n):
+            e = np.zeros(n)
             e[t] = h
-            num = (finsler_sample(randers01, x + e, y).chern
-                   - finsler_sample(randers01, x - e, y).chern) / (2 * h)
+            num = (finsler_sample(m, x + e, y).chern
+                   - finsler_sample(m, x - e, y).chern) / (2 * h)
             assert np.max(np.abs(num - dGx[:, :, :, t])) < 1e-8
-            num = (finsler_sample(randers01, x, y + e).chern
-                   - finsler_sample(randers01, x, y - e).chern) / (2 * h)
+            num = (finsler_sample(m, x, y + e).chern
+                   - finsler_sample(m, x, y - e).chern) / (2 * h)
             assert np.max(np.abs(num - dGy[:, :, :, t])) < 1e-8
 
     def test_fiber_independence_for_riemannian(self, graph2):

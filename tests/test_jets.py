@@ -82,6 +82,21 @@ class TestJetEval:
             jet_eval(f, [0.0], 2)
 
 
+def test_derivatives_match_partial():
+    f = parse_field("x1^2*x2*sqrt(1+x3^2)+x2^3/(2+x1)", ["x1", "x2", "x3"])
+    j = jet_eval(f, [0.3, -0.7, 1.2], 4)
+    for k in range(5):
+        d = j.derivatives(k)
+        assert d.shape == (3,) * k
+        for slots in np.ndindex(*d.shape):
+            idx = [0, 0, 0]
+            for v in slots:
+                idx[v] += 1
+            assert d[slots] == j.partial(idx)
+    with pytest.raises(OrderError):
+        j.derivatives(5)
+
+
 class TestJetArithmetic:
     def test_shape_mismatch(self):
         a = Jet.constant(1.0, 2, 2)

@@ -2,7 +2,10 @@
 
 A refactor of the check runner or the connection pipeline must leave these
 hashes unchanged; only a deliberate change of the numerics may re-pin them
-(and say so).  Measured with numpy 2.4.6.
+(and say so).  Measured with numpy 2.4.6.  curved_volume, polar_riemannian
+and randers_dbeta were re-pinned when the connection assembly moved to
+array-form forward mode: residuals moved in the last bits (at most 2.7e-13),
+every record kept its check, point, verdict, error and tolerance.
 """
 
 import hashlib
@@ -19,15 +22,15 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
 
 REPORT_SHA256 = {
     "curved_volume":
-        "c3815d5e6da87812a4d457f40736718013108d45eda349a98f9846edc3fb6eab",
+        "1fd972bee6825544880724439dacb0a2bb7821a23149f58d64a79b8785e89a6f",
     "euclidean_standard":
         "336ce98854e16ee2b4bf219f4405572d6547301eec81705eea4938d0b906e99a",
     "polar_riemannian":
-        "27cc5c668f5c7e3cd6fa605281e957d95b0090522cd1470dd4131e0c62092e3e",
+        "71692a738befa0c6e44ccd211b94329982410a9de13f038c508df515d1d6c7fb",
     "quartic_minkowski_chart":
         "4f7eed38eb763a24a93df4a39c9987e733a3e0588d322c2daf15acb86db70760",
     "randers_dbeta":
-        "8bdc5414fb5f3849b5eed50e5f4fc86acd1d058dcac586662b5e50cda4423532",
+        "1eb5b2fc5e4e609870e53bb6c2ef783001ae3817c9555349c70a8b4ea0f821fd",
 }
 
 
