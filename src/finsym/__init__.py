@@ -17,14 +17,13 @@ from .errors import (
     UnknownVariableError,
     ZeroVectorError,
 )
-from .jets import Jet, fd_oracle, jet_compose, jet_eval, jet_partial
+from .jets import Jet, fd_oracle, jet_eval
 from .fields import (
     ChartMap,
     DomainBox,
     ScalarFieldSpec,
     VectorFieldSpec,
     chart_jacobians,
-    eval_vector_field,
     parse_field,
 )
 from .finsler import (
@@ -32,18 +31,15 @@ from .finsler import (
     MetricSpec,
     StructuralResiduals,
     berwald_probe,
-    cartan_tensor,
-    chern_coefficients,
     chern_structural_residuals,
     chern_with_derivatives,
     finsler_sample,
     finsler_value,
-    formal_christoffel,
     fundamental_tensor,
     metric_validity,
-    nonlinear_connection,
 )
 from .symplectic import (
+    ExactTwoForm,
     PreservationResidual,
     RandersPreservation,
     TwoFormField,
@@ -62,9 +58,10 @@ from .fedosov import (
     darboux_relations_families,
     darboux_relations_residual,
     hatted_preservation_residual,
+    hatted_two_form_data,
     induce_connection,
-    induced_connection_field,
     minkowski_preservation_check,
+    require_minkowskian,
     symplectic_connection_residual,
     transform_connection,
 )

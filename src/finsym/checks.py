@@ -34,9 +34,12 @@ from .fedosov import (
     covariant_residual,
     darboux_relations_residual,
     hatted_preservation_residual,
+    hatted_two_form_data,
     minkowski_preservation_check,
+    require_minkowskian,
     transform_connection,
 )
+from .fields import chart_jacobians
 from .finsler import finsler_sample, pair_validity, structural_residuals
 from .records import CheckRecord
 from .scenario import BuiltScenario, build_scenario
@@ -78,11 +81,11 @@ def _lift(chern, w, dw) -> PreservationResidual:
 
 
 def _minkowski(c: "PointContext") -> tuple[float, float, float]:
-    s, x = c.s, c.x
-    mk = minkowski_preservation_check(s.metric, s.two_form, s.chart, x)
+    require_minkowskian(c.s.metric, c.x)
+    mk = minkowski_preservation_check(c.domega, c.jac, c.hatted)
     ghat = transform_connection(
-        ConnectionCoefficients.zero(s.dimension), s.chart, x)
-    hatted = hatted_preservation_residual(s.two_form, s.chart, x, ghat)
+        ConnectionCoefficients.zero(c.s.dimension), c.jac)
+    hatted = hatted_preservation_residual(c.hatted, ghat)
     return mk.natural, mk.hatted, abs(mk.hatted - hatted.max_abs)
 
 
@@ -92,8 +95,9 @@ class PointContext:
     ``sample_w`` is the value path at (x, W(x)) and ``derivatives`` the jet
     path there.  ``lift_w`` is the lift-preservation residual of the
     scenario's form along W, ``standard_lift_w`` that of the standard form.
-    The finite-difference curvature ``fd`` evaluates its own stencil and
-    reads nothing else from the context.
+    ``jac`` holds the chart derivatives at x and ``hatted`` the scenario's
+    form pulled back through them.  The finite-difference curvature ``fd``
+    evaluates its own stencil and reads nothing else from the context.
     """
 
     def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x):
@@ -113,6 +117,8 @@ class PointContext:
     brace = _once(lambda c: brace_array(*c.derivatives))
     pair = _once(lambda c: pair_two_path(c.up, c.brace, c.omega))
     fd = _once(lambda c: curvature_fd_commutator(c.sc, c.x))
+    jac = _once(lambda c: chart_jacobians(c.s.chart, c.x))
+    hatted = _once(lambda c: hatted_two_form_data(c.omega, c.domega, c.jac))
     minkowski = _once(_minkowski)
 
 
@@ -192,9 +198,10 @@ def _exactness(c: PointContext) -> float:
 
 
 def _roundtrip(c: PointContext) -> float:
-    chart, gam = c.s.chart, c.gamma
-    ghat = transform_connection(gam, chart, c.x)
-    back = transform_connection(ghat, chart.swapped(), chart.forward_point(c.x))
+    gam = c.gamma
+    ghat = transform_connection(gam, c.jac)
+    back = transform_connection(
+        ghat, chart_jacobians(c.s.chart.swapped(), c.jac.xhat))
     return _max_abs(back.array - gam.array)
 
 

@@ -18,7 +18,7 @@ from .errors import DimensionMismatchError
 from .fedosov import FedosovScenario, induce_connection
 from .finsler import chern_with_derivatives
 from .jets import fd_base_step
-from .symplectic import TwoFormField
+from .symplectic import TwoForm
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +65,7 @@ def _lowered(w: np.ndarray, up: np.ndarray) -> np.ndarray:
     return np.einsum("in,njkl->ijkl", w, up)
 
 
-def lower_curvature(c: CurvatureAtPoint, omega: TwoFormField, x) -> np.ndarray:
+def lower_curvature(c: CurvatureAtPoint, omega: TwoForm, x) -> np.ndarray:
     """R_ijkl = w_in(x) R^n_jkl (first-slot lowering)."""
     if omega.dimension != c.dimension:
         raise DimensionMismatchError(

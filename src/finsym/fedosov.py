@@ -9,7 +9,7 @@ connection preserving it on the base, i.e. a Fedosov structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,10 +18,9 @@ from .errors import (
     NotMinkowskianError,
     ZeroVectorError,
 )
-from .fields import ChartMap, VectorFieldSpec, chart_jacobians
+from .fields import ChartJacobians, VectorFieldSpec
 from .finsler import MetricSpec, finsler_sample, max_pairwise_spread
-from .jets import jet_compose, jet_eval
-from .symplectic import PreservationResidual, TwoFormField, preservation_entries
+from .symplectic import PreservationResidual, TwoForm, preservation_entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +51,7 @@ class FedosovScenario:
 
     metric: MetricSpec
     vector_field: VectorFieldSpec
-    two_form: TwoFormField | None = None
+    two_form: TwoForm | None = None
 
     def __post_init__(self):
         if self.vector_field.dimension != self.metric.dimension:
@@ -73,29 +72,16 @@ def induce_connection(s: FedosovScenario, x) -> ConnectionCoefficients:
     return ConnectionCoefficients(s.metric.dimension, sample.chern)
 
 
-def induced_connection_field(s: FedosovScenario) -> Callable:
-    """The induced connection as a field x -> ConnectionCoefficients."""
-    return lambda x: induce_connection(s, x)
-
-
-def _coefficients_at(gamma, x) -> ConnectionCoefficients:
-    if isinstance(gamma, ConnectionCoefficients):
-        return gamma
-    return gamma(x)
-
-
-def symplectic_connection_residual(gamma, omega: TwoFormField, x) -> float:
-    """max |d_k w_ij - (G^l_ki w_lj + G^l_kj w_il)| at x.
-
-    ``gamma`` may be coefficients at x or a connection field.
-    """
-    coeffs = _coefficients_at(gamma, x)
-    if coeffs.dimension != omega.dimension:
+def symplectic_connection_residual(gamma: ConnectionCoefficients,
+                                   omega: TwoForm, x) -> float:
+    """max |d_k w_ij - (G^l_ki w_lj + G^l_kj w_il)| at x, for coefficients
+    ``gamma`` at x."""
+    if gamma.dimension != omega.dimension:
         raise DimensionMismatchError(
-            f"connection dimension {coeffs.dimension} != form dimension "
+            f"connection dimension {gamma.dimension} != form dimension "
             f"{omega.dimension}"
         )
-    return covariant_residual(coeffs.array, omega.values(x),
+    return covariant_residual(gamma.array, omega.values(x),
                               omega.derivative_values(x))
 
 
@@ -117,19 +103,16 @@ def darboux_relations_families(gamma: ConnectionCoefficients,
         raise DimensionMismatchError(
             f"connection dimension {gamma.dimension} != 2n = {2 * n}"
         )
-    res = np.zeros(4)
-    for k in range(2 * n):
-        for i in range(n):
-            for j in range(n):
-                res[0] = max(res[0], abs(G[i + n, k, j] - G[j + n, k, i]))
-                res[3] = max(res[3], abs(G[i, k, j + n] - G[j, k, i + n]))
-        for i in range(n):
-            for j in range(n, 2 * n):
-                res[1] = max(res[1], abs(G[i + n, k, j] + G[j - n, k, i]))
-        for i in range(n, 2 * n):
-            for j in range(n):
-                res[2] = max(res[2], abs(G[i - n, k, j] + G[j + n, k, i]))
-    return res
+    A, B = G[n:, :, :n], G[:n, :, n:]
+    C, D = G[n:, :, n:], G[:n, :, :n]
+    return np.array([_max_abs(A - A.transpose(2, 1, 0)),
+                     _max_abs(C + D.transpose(2, 1, 0)),
+                     _max_abs(D + C.transpose(2, 1, 0)),
+                     _max_abs(B - B.transpose(2, 1, 0))])
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def darboux_relations_residual(gamma: ConnectionCoefficients, n: int) -> float:
@@ -137,76 +120,63 @@ def darboux_relations_residual(gamma: ConnectionCoefficients, n: int) -> float:
     return float(np.max(darboux_relations_families(gamma, n)))
 
 
-def transform_connection(gamma: ConnectionCoefficients, chart: ChartMap,
-                         x) -> ConnectionCoefficients:
-    """Coefficients in the hatted chart at xhat(x).
+def transform_connection(gamma: ConnectionCoefficients,
+                         jac: ChartJacobians) -> ConnectionCoefficients:
+    """Coefficients in the hatted chart at jac.xhat, from the chart
+    derivatives ``jac`` at the point where ``gamma`` is given.
 
     Ghat^p_qr = d_i xhat^p * dhat_q dhat_r x^i
               + d_i xhat^p * G^i_jk * dhat_q x^j * dhat_r x^k
     """
-    if gamma.dimension != chart.dimension:
+    m = jac.fwd.shape[0]
+    if gamma.dimension != m:
         raise DimensionMismatchError(
-            f"connection dimension {gamma.dimension} != chart dimension "
-            f"{chart.dimension}"
-        )
-    jac = chart_jacobians(chart, x)
+            f"connection dimension {gamma.dimension} != chart dimension {m}")
     inhom = np.einsum("pi,iqr->pqr", jac.fwd, jac.inv2)
     tensorial = np.einsum("pi,ijk,jq,kr->pqr",
                           jac.fwd, gamma.array, jac.inv, jac.inv)
     out = inhom + tensorial
-    m = chart.dimension
     for q in range(m):
         for r in range(q + 1, m):
             out[:, r, q] = out[:, q, r]
     return ConnectionCoefficients(m, out)
 
 
-def hatted_two_form_data(omega: TwoFormField, chart: ChartMap, x):
-    """Hatted-chart components of a two-form and their hatted derivatives.
+def hatted_two_form_data(w: np.ndarray, dw: np.ndarray,
+                         jac: ChartJacobians) -> tuple[np.ndarray, np.ndarray]:
+    """Pull a two-form back through the inverse chart map.
 
-    Returns (values, derivs, xhat) with values[q, r] the component in the
-    hatted chart at xhat(x) and derivs[k, q, r] its hatted partial.
+    ``w[i, j]`` and ``dw[l, i, j]`` are the form and its partials at jac.x.
+    Returns (values, derivs): values[q, r] the component in the hatted
+    chart at jac.xhat and derivs[k, q, r] its hatted partial.  With
+    J = dhat x and H = dhat^2 x, values = J^T w J and derivs follow from the
+    chain rule as contractions; both are made exactly skew from their
+    strict upper triangles.
     """
-    if omega.dimension != chart.dimension:
+    m = jac.inv.shape[0]
+    if w.shape != (m, m):
         raise DimensionMismatchError(
-            f"form dimension {omega.dimension} != chart dimension "
-            f"{chart.dimension}"
-        )
-    m = chart.dimension
-    xhat = chart.forward_point(x)
-    inv_jets = [jet_eval(c, xhat, 2) for c in chart.inverse]
-    x_back = np.array([j.value for j in inv_jets])
-    args = [j.truncated(1) for j in inv_jets]
-    d_inv = [[inv_jets[i].derivative(q) for q in range(m)] for i in range(m)]
-
-    values = np.zeros((m, m))
-    derivs = np.zeros((m, m, m))
-    composed = {key: jet_compose(entry.eval_jet(x_back, 1), args)
-                for key, entry in omega.entries.items()}
-    for q in range(m):
-        for r in range(q + 1, m):
-            acc = None
-            for (i, j), wij in composed.items():
-                term = wij * (d_inv[i][q] * d_inv[j][r]
-                              - d_inv[j][q] * d_inv[i][r])
-                acc = term if acc is None else acc + term
-            if acc is None:
-                continue
-            values[q, r] = acc.value
-            values[r, q] = -acc.value
-            v = acc.derivatives(1)
-            derivs[:, q, r] = v
-            derivs[:, r, q] = -v
-    return values, derivs, xhat
+            f"form dimension {w.shape[0]} != chart dimension {m}")
+    J, H = jac.inv, jac.inv2
+    values = np.einsum("ij,iq,jr->qr", w, J, J)
+    derivs = (np.einsum("lij,lk,iq,jr->kqr", dw, J, J, J)
+              + np.einsum("ij,ikq,jr->kqr", w, H, J)
+              + np.einsum("ij,iq,jkr->kqr", w, J, H))
+    return _skew(values), _skew(derivs)
 
 
-def hatted_preservation_residual(omega: TwoFormField, chart: ChartMap, x,
+def _skew(a: np.ndarray) -> np.ndarray:
+    upper = np.triu(a, 1)
+    return upper - np.swapaxes(upper, -1, -2)
+
+
+def hatted_preservation_residual(hatted: tuple[np.ndarray, np.ndarray],
                                  gamma_hat: ConnectionCoefficients
                                  ) -> PreservationResidual:
-    """Lift-preservation residual computed entirely in the hatted chart."""
-    values, derivs, _ = hatted_two_form_data(omega, chart, x)
+    """Lift-preservation residual computed entirely in the hatted chart,
+    from the :func:`hatted_two_form_data` of the form."""
     return PreservationResidual.of(
-        preservation_entries(values, derivs, gamma_hat.array))
+        preservation_entries(*hatted, gamma_hat.array))
 
 
 class MinkowskiResiduals(NamedTuple):
@@ -222,39 +192,40 @@ def default_fiber_probes(n: int) -> list[np.ndarray]:
     return [base, base[::-1].copy() * 0.75, base + 0.5]
 
 
-def minkowski_preservation_check(m: MetricSpec, omega: TwoFormField,
-                                 chart: ChartMap, x,
-                                 y_probes: Sequence | None = None,
-                                 flatness_tol: float = 1e-8
-                                 ) -> MinkowskiResiduals:
-    """Preservation conditions for an x-independent metric, both charts.
-
-    natural: max |d_k w_ij| in the natural chart.  hatted: the residual of
-    the transformed condition in the hatted chart, built from the chart's
-    second derivatives and the hatted components of the form.
-    """
-    n = m.dimension
+def require_minkowskian(m: MetricSpec, x, y_probes: Sequence | None = None,
+                        flatness_tol: float = 1e-8) -> None:
+    """Raise NotMinkowskianError unless the connection coefficients vanish
+    at x on every fiber probe, as they do for an x-independent metric."""
     if y_probes is None:
-        y_probes = default_fiber_probes(n)
+        y_probes = default_fiber_probes(m.dimension)
     worst = 0.0
     for y in y_probes:
         sample = finsler_sample(m, x, y)
-        worst = max(worst, float(np.max(np.abs(sample.chern))))
+        worst = max(worst, _max_abs(sample.chern))
     if worst > flatness_tol:
         raise NotMinkowskianError(
             f"connection coefficients reach {worst:.3e} in the natural chart "
             f"(> {flatness_tol:g}); metric is not x-independent here"
         )
 
-    natural = float(np.max(np.abs(omega.derivative_values(x))))
 
-    jac = chart_jacobians(chart, x)
-    values, derivs, _ = hatted_two_form_data(omega, chart, x)
+def minkowski_preservation_check(dw: np.ndarray, jac: ChartJacobians,
+                                 hatted: tuple[np.ndarray, np.ndarray]
+                                 ) -> MinkowskiResiduals:
+    """Preservation conditions of an x-independent metric (see
+    :func:`require_minkowskian`) in both charts.
+
+    natural: max |d_k w_ij| in the natural chart, from the form's partials
+    ``dw`` at jac.x.  hatted: the residual of the transformed condition in
+    the hatted chart, built from the chart's second derivatives and the
+    :func:`hatted_two_form_data` of the form.
+    """
+    values, derivs = hatted
     second = np.einsum("lh,hki->lki", jac.fwd, jac.inv2)
     term1 = np.einsum("lki,lj->kij", second, values)
     term2 = np.einsum("lkj,il->kij", second, values)
-    hatted = float(np.max(np.abs(term1 + term2 - derivs)))
-    return MinkowskiResiduals(natural=natural, hatted=hatted)
+    return MinkowskiResiduals(natural=_max_abs(dw),
+                              hatted=_max_abs(term1 + term2 - derivs))
 
 
 def berwald_uniqueness_probe(s: FedosovScenario, x,

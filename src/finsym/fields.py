@@ -28,7 +28,7 @@ from .errors import (
     UnknownVariableError,
     ZeroVectorError,
 )
-from .jets import Jet, jet_eval
+from .jets import Jet
 
 # -- expression tree ---------------------------------------------------------
 
@@ -422,23 +422,8 @@ class VectorFieldSpec:
 
     def jacobian(self, x: Sequence[float]) -> np.ndarray:
         """dW[p, j] = d W^p / d x^j."""
-        return np.array([j.derivatives(1)
-                         for j in eval_vector_field(self, x, order=1)])
-
-
-def eval_vector_field(W: VectorFieldSpec, x: Sequence[float],
-                      order: int = 1) -> list[Jet]:
-    """Per-component jets of a vector field; enforces the nowhere-zero floor."""
-    if order > 2:
-        raise ValueError("vector fields are differentiated at most twice")
-    jets = [jet_eval(c, x, order) for c in W.components]
-    w = np.array([j.value for j in jets])
-    if float(np.linalg.norm(w)) < W.w_min:
-        raise ZeroVectorError(
-            f"vector field norm {np.linalg.norm(w):.3e} below floor {W.w_min} "
-            f"at {np.asarray(x, float).tolist()}"
-        )
-    return jets
+        return np.array([c.eval_jet(x, 1).derivatives(1)
+                         for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -497,7 +482,7 @@ def chart_jacobians(chart: ChartMap, x: Sequence[float],
     if chart.forward_domain is not None:
         chart.forward_domain.require(x, "chart point")
 
-    fwd_jets = [jet_eval(c, x, 1) for c in chart.forward]
+    fwd_jets = [c.eval_jet(x, 1) for c in chart.forward]
     xhat = np.array([j.value for j in fwd_jets])
     fwd = np.array([j.derivatives(1) for j in fwd_jets])
     det = float(np.linalg.det(fwd))
@@ -508,7 +493,7 @@ def chart_jacobians(chart: ChartMap, x: Sequence[float],
 
     if chart.inverse_domain is not None:
         chart.inverse_domain.require(xhat, "mapped chart point")
-    inv_jets = [jet_eval(c, xhat, 2) for c in chart.inverse]
+    inv_jets = [c.eval_jet(xhat, 2) for c in chart.inverse]
     inv = np.array([j.derivatives(1) for j in inv_jets])
     inv2 = np.array([j.derivatives(2) for j in inv_jets])
 

@@ -305,24 +305,6 @@ def fundamental_tensor(m: MetricSpec, x, y) -> np.ndarray:
     return g
 
 
-def cartan_tensor(m: MetricSpec, x, y) -> np.ndarray:
-    """A_ijk = (F/2) d g_ij / d y^k; totally symmetric by construction."""
-    return finsler_sample(m, x, y).A
-
-
-def formal_christoffel(m: MetricSpec, x, y) -> np.ndarray:
-    return finsler_sample(m, x, y).gamma
-
-
-def nonlinear_connection(m: MetricSpec, x, y) -> np.ndarray:
-    return finsler_sample(m, x, y).N
-
-
-def chern_coefficients(m: MetricSpec, x, y) -> np.ndarray:
-    """Connection coefficients, symmetric in the lower index pair."""
-    return finsler_sample(m, x, y).chern
-
-
 class StructuralResiduals(NamedTuple):
     """Residuals of the two defining structural equations at one point."""
 

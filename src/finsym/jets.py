@@ -6,6 +6,9 @@ point, over ``num_vars`` coordinates, truncated at total degree ``order``
 coefficient times the multi-index factorial.  Arithmetic is closed on jets
 of equal shape and is exact for polynomial operations; analytic operations
 (sqrt, real powers, reciprocals) are exact to the truncation order.
+Derivatives leave a jet only as arrays (:meth:`Jet.derivatives`); chain
+rules through a known Jacobian are numpy contractions over those arrays,
+done by the callers, not jet compositions.
 
 An independent finite-difference oracle (:func:`fd_oracle`) is provided to
 cross-check jet output; it never goes through jet arithmetic.
@@ -55,11 +58,8 @@ def _graded_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
 class _JetTable:
     """Precomputed index bookkeeping for one (num_vars, order) shape."""
 
-    __slots__ = (
-        "num_vars", "order", "indices", "index_of", "size",
-        "degrees", "factorials", "mul_a", "mul_b", "mul_out",
-        "deriv_src", "deriv_fac",
-    )
+    __slots__ = ("num_vars", "order", "indices", "index_of", "size",
+                 "mul_a", "mul_b", "mul_out")
 
     def __init__(self, num_vars: int, order: int):
         self.num_vars = num_vars
@@ -67,10 +67,6 @@ class _JetTable:
         self.indices = _graded_indices(num_vars, order)
         self.size = len(self.indices)
         self.index_of = {idx: k for k, idx in enumerate(self.indices)}
-        self.degrees = np.array([sum(idx) for idx in self.indices], dtype=np.intp)
-        self.factorials = np.array(
-            [multi_index_factorial(idx) for idx in self.indices], dtype=np.float64
-        )
 
         mul_a, mul_b, mul_out = [], [], []
         by_degree: dict[int, list[int]] = {}
@@ -92,23 +88,6 @@ class _JetTable:
         self.mul_b = np.array(mul_b, dtype=np.intp)
         self.mul_out = np.array(mul_out, dtype=np.intp)
 
-        # deriv_src[v][k] = position in this table of (indices_small[k] + e_v),
-        # deriv_fac[v][k] = indices_small[k][v] + 1, where indices_small is the
-        # table one order down.  Empty for order 0.
-        self.deriv_src = []
-        self.deriv_fac = []
-        if order >= 1:
-            small = _graded_indices(num_vars, order - 1)
-            for v in range(num_vars):
-                src = np.empty(len(small), dtype=np.intp)
-                fac = np.empty(len(small), dtype=np.float64)
-                for k, idx in enumerate(small):
-                    bumped = idx[:v] + (idx[v] + 1,) + idx[v + 1:]
-                    src[k] = self.index_of[bumped]
-                    fac[k] = idx[v] + 1
-                self.deriv_src.append(src)
-                self.deriv_fac.append(fac)
-
 
 @lru_cache(maxsize=None)
 def _table(num_vars: int, order: int) -> _JetTable:
@@ -118,7 +97,7 @@ def _table(num_vars: int, order: int) -> _JetTable:
 @lru_cache(maxsize=None)
 def _derivative_gather(num_vars: int, order: int,
                        k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient positions and multi-index factorials of every k-th
+    """Coefficient positions and multi-index factorial weights of every k-th
     partial, laid out as ``(num_vars,)*k`` arrays."""
     index_of = _table(num_vars, order).index_of
     shape = (num_vars,) * k
@@ -202,22 +181,6 @@ class Jet:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.c).all())
 
-    # -- structure ---------------------------------------------------------
-
-    def truncated(self, order: int) -> "Jet":
-        if order > self.order:
-            raise OrderError(f"cannot extend order {self.order} jet to {order}")
-        size = _table(self.num_vars, order).size
-        return Jet(self.num_vars, order, self.c[:size].copy())
-
-    def derivative(self, v: int) -> "Jet":
-        """Jet of the partial derivative in variable ``v``, one order lower."""
-        if self.order < 1:
-            raise OrderError("cannot differentiate an order-0 jet")
-        t = _table(self.num_vars, self.order)
-        return Jet(self.num_vars, self.order - 1,
-                   self.c[t.deriv_src[v]] * t.deriv_fac[v])
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Jet") -> None:
@@ -297,7 +260,11 @@ class Jet:
         v = self.value
         if v == 0.0:
             raise DomainError("division by a jet with zero value")
-        dcoef = [(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)]
+        try:
+            dcoef = [(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)]
+        except (ZeroDivisionError, OverflowError):
+            raise DomainError(f"Taylor factors of 1/{v:.6g} leave the "
+                              "floating-point range") from None
         return self._compose(dcoef)
 
     def sqrt(self) -> "Jet":
@@ -323,9 +290,13 @@ class Jet:
             )
         dcoef = []
         binom = 1.0
-        for k in range(self.order + 1):
-            dcoef.append(binom * v ** (p - k))
-            binom *= (p - k) / (k + 1)
+        try:
+            for k in range(self.order + 1):
+                dcoef.append(binom * v ** (p - k))
+                binom *= (p - k) / (k + 1)
+        except (ZeroDivisionError, OverflowError):
+            raise DomainError(f"Taylor factors of {v:.6g}^{p:g} leave the "
+                              "floating-point range") from None
         return self._compose(dcoef)
 
     def __repr__(self) -> str:
@@ -355,11 +326,6 @@ def jet_eval(field, point: Sequence[float], order: int) -> Jet:
         raise DomainError("non-finite derivative data at point "
                           f"{np.asarray(point, float).tolist()}")
     return out
-
-
-def jet_partial(jet: Jet, idx: Sequence[int]) -> float:
-    """Partial derivative stored in ``jet`` for multi-index ``idx``."""
-    return jet.partial(idx)
 
 
 def fd_base_step(degree: int) -> float:
@@ -412,32 +378,3 @@ def fd_oracle(field, point: Sequence[float], idx: Sequence[int],
     coarse = _central(f, x, idx, steps)
     fine = _central(f, x, idx, steps / 2.0)
     return (4.0 * fine - coarse) / 3.0
-
-
-def jet_compose(g: Jet, args: Sequence[Jet]) -> Jet:
-    """Compose a jet with jet-valued arguments (multivariate chain rule).
-
-    ``g`` holds the Taylor data of a function of ``g.num_vars`` variables
-    around the point given by the argument values; each element of ``args``
-    is a jet over the *target* variables whose value equals the matching
-    expansion coordinate.  The result is the jet of the composite over the
-    target variables, truncated at the arguments' order.
-    """
-    if len(args) != g.num_vars:
-        raise ValueError("argument count does not match jet variable count")
-    tgt_vars = args[0].num_vars
-    tgt_order = args[0].order
-    h = [a._nilpotent() for a in args]
-
-    t = _table(g.num_vars, min(g.order, tgt_order))
-    monomials: dict[tuple, Jet] = {t.indices[0]: Jet.constant(1.0, tgt_vars, tgt_order)}
-    out = Jet.constant(0.0, tgt_vars, tgt_order)
-    for idx in t.indices:
-        if idx not in monomials:
-            v = next(i for i, e in enumerate(idx) if e > 0)
-            parent = idx[:v] + (idx[v] - 1,) + idx[v + 1:]
-            monomials[idx] = monomials[parent] * h[v]
-        coef = g.coefficient(idx)
-        if coef != 0.0:
-            out = out + monomials[idx] * coef
-    return out

@@ -18,7 +18,7 @@ from jsonschema import Draft202012Validator
 from .errors import ConfigError, ParseError
 from .fields import ChartMap, DomainBox, ScalarFieldSpec, VectorFieldSpec
 from .finsler import MetricSpec
-from .symplectic import TwoFormField, explicit_two_form, randers_two_form, standard_form
+from .symplectic import TwoForm, explicit_two_form, randers_two_form, standard_form
 
 DEFAULT_TOLERANCES = {
     "tol_pd": 1e-10,
@@ -166,7 +166,7 @@ class BuiltScenario:
     metric: MetricSpec
     plan: SamplePlan
     tolerances: dict
-    two_form: TwoFormField | None = None
+    two_form: TwoForm | None = None
     two_form_kind: str | None = None
     vector_field: VectorFieldSpec | None = None
     chart: ChartMap | None = None
@@ -240,7 +240,7 @@ def _build_metric(block: dict, dimension: int) -> MetricSpec:
 
 
 def _build_two_form(block: dict, dimension: int,
-                    metric: MetricSpec) -> tuple[TwoFormField, str]:
+                    metric: MetricSpec) -> tuple[TwoForm, str]:
     kind = block["kind"]
     if kind == "standard":
         if dimension % 2 != 0:

@@ -1,6 +1,8 @@
 """Two-form fields, symplectic validity checks, and preservation residuals.
 
-A two-form is stored by its strictly-upper entries; skewness is structural.
+A two-form is either a :class:`TwoFormField`, stored by its strictly-upper
+entries, or the exact form d(beta) of a covector (:class:`ExactTwoForm`),
+read off the covector's derivative arrays; skewness is structural in both.
 The lift of a base two-form to the pulled-back bundle has the same
 components evaluated at the base point, so preservation conditions are
 evaluated directly on the base entries.
@@ -20,27 +22,6 @@ from .errors import (
 )
 from .fields import ScalarFieldSpec
 from .finsler import MetricSpec, finsler_sample
-from .jets import Jet
-
-
-class ExteriorDerivativeEntry:
-    """Entry (d beta)_ij = d_i b_j - d_j b_i, differentiated numerically."""
-
-    def __init__(self, b_i: ScalarFieldSpec, b_j: ScalarFieldSpec, i: int, j: int):
-        self.b_i = b_i
-        self.b_j = b_j
-        self.i = i
-        self.j = j
-
-    def evaluate(self, x) -> float:
-        return self.eval_jet(x, 0).value
-
-    __call__ = evaluate
-
-    def eval_jet(self, x, order: int) -> Jet:
-        ji = self.b_j.eval_jet(x, order + 1).derivative(self.i)
-        jj = self.b_i.eval_jet(x, order + 1).derivative(self.j)
-        return ji - jj
 
 
 @dataclass(eq=False)
@@ -48,8 +29,7 @@ class TwoFormField:
     """Skew matrix-valued field on a chart; entries stored for i < j."""
 
     dimension: int
-    entries: Mapping  # (i, j) with i < j -> entry with evaluate/eval_jet
-    standard: bool = False
+    entries: Mapping  # (i, j) with i < j -> ScalarFieldSpec
 
     def __post_init__(self):
         for (i, j) in self.entries:
@@ -75,6 +55,40 @@ class TwoFormField:
         return d
 
 
+def covector_derivatives(b: Sequence[ScalarFieldSpec], x,
+                         order: int) -> list[np.ndarray]:
+    """The first ``order`` derivative arrays of the covector b at x:
+    db[l, j] = d b_j / d x^l, then ddb[k, l, j] = d^2 b_j / d x^k d x^l."""
+    jets = [c.eval_jet(np.asarray(x, dtype=float), order) for c in b]
+    return [np.stack([j.derivatives(k) for j in jets], axis=-1)
+            for k in range(1, order + 1)]
+
+
+@dataclass(frozen=True, eq=False)
+class ExactTwoForm:
+    """The exterior derivative of beta = b_i dx^i:
+    (d beta)_ij = d_i b_j - d_j b_i, read off the derivative arrays of b."""
+
+    b: tuple[ScalarFieldSpec, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.b)
+
+    def values(self, x) -> np.ndarray:
+        db, = covector_derivatives(self.b, x, 1)
+        return db - db.T
+
+    def derivative_values(self, x) -> np.ndarray:
+        """d[k, i, j] = d (d beta)_ij / d x^k."""
+        _, ddb = covector_derivatives(self.b, x, 2)
+        return ddb - ddb.transpose(0, 2, 1)
+
+
+# what every consumer of a two-form reads: dimension, values, derivative_values
+TwoForm = TwoFormField | ExactTwoForm
+
+
 def standard_form(n: int) -> TwoFormField:
     """The constant form sum_i dx^i wedge dx^{n+i} on a 2n-dimensional chart."""
     if n < 1:
@@ -82,7 +96,7 @@ def standard_form(n: int) -> TwoFormField:
     dim = 2 * n
     names = tuple(f"x{i + 1}" for i in range(dim))
     one = ScalarFieldSpec.parse("1", names)
-    return TwoFormField(dim, {(i, n + i): one for i in range(n)}, standard=True)
+    return TwoFormField(dim, {(i, n + i): one for i in range(n)})
 
 
 def explicit_two_form(dimension: int, entries: Mapping) -> TwoFormField:
@@ -97,7 +111,7 @@ def explicit_two_form(dimension: int, entries: Mapping) -> TwoFormField:
     return TwoFormField(dimension, parsed)
 
 
-def closedness_residual(omega: TwoFormField, x) -> float:
+def closedness_residual(omega: TwoForm, x) -> float:
     """max over i<j<k of |d_i w_jk + d_j w_ki + d_k w_ij| (vacuous in dim 2)."""
     return closedness(omega.derivative_values(x))
 
@@ -113,7 +127,7 @@ def closedness(d: np.ndarray) -> float:
     return worst
 
 
-def nondegeneracy_check(omega: TwoFormField, x) -> float:
+def nondegeneracy_check(omega: TwoForm, x) -> float:
     """|det(omega_ij(x))|; compare against the nondegeneracy tolerance."""
     return nondegeneracy(omega.values(x))
 
@@ -148,7 +162,7 @@ def preservation_entries(omega_values: np.ndarray,
     return omega_derivs - term1 + term2
 
 
-def chern_preservation_residual(m: MetricSpec, omega: TwoFormField,
+def chern_preservation_residual(m: MetricSpec, omega: TwoForm,
                                 x, y) -> PreservationResidual:
     """Does the Finsler connection preserve the lifted form at (x, y)?
 
@@ -164,14 +178,9 @@ def chern_preservation_residual(m: MetricSpec, omega: TwoFormField,
         omega.values(x), omega.derivative_values(x), chern))
 
 
-def randers_two_form(b: Sequence[ScalarFieldSpec]) -> TwoFormField:
+def randers_two_form(b: Sequence[ScalarFieldSpec]) -> ExactTwoForm:
     """The exterior derivative of beta = b_i dx^i as a two-form field."""
-    n = len(b)
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            entries[(i, j)] = ExteriorDerivativeEntry(b[i], b[j], i, j)
-    return TwoFormField(n, entries)
+    return ExactTwoForm(tuple(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,10 +209,7 @@ def randers_preservation_condition(m: MetricSpec, x, y) -> RandersPreservation:
 def randers_condition(m: MetricSpec, x, G: np.ndarray) -> RandersPreservation:
     """:func:`randers_preservation_condition` given the connection
     coefficients G at (x, y)."""
-    jets = [b.eval_jet(np.asarray(x, dtype=float), 2) for b in m.b_fields]
-    # db[l, j] = d b_j / d x^l, ddb[k, l, j] = d^2 b_j / d x^k d x^l
-    db = np.stack([j.derivatives(1) for j in jets], axis=-1)
-    ddb = np.stack([j.derivatives(2) for j in jets], axis=-1)
+    db, ddb = covector_derivatives(m.b_fields, x, 2)
 
     bracket1 = (np.einsum("lki,lj->kij", G, db)
                 - np.einsum("lkj,li->kij", G, db))

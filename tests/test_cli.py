@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from finsym import finsler
+from finsym import fedosov, fields, finsler
 from finsym.checks import CHECK_IDS, available_checks, run_scenario
 from finsym.cli import main
 from finsym.errors import ConfigError
@@ -245,6 +245,29 @@ class TestRunScenario:
         assert all(r.error is None for r in records)
         assert len(calls) == build_scenario(cfg).plan.count == 4
 
+    def test_chart_data_once_per_base_point(self, monkeypatch):
+        """transform and minkowski share the chart derivatives at x and
+        the hatted form; only the round trip's swapped chart adds a call."""
+        counts = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            patch_everywhere(monkeypatch, original, counted)
+
+        counting(fields, "chart_jacobians")
+        counting(fedosov, "hatted_two_form_data")
+        cfg = euclid_config(count=4)
+        records = run_scenario(cfg, suite=["transform", "minkowski"])
+        assert all(r.passed for r in records)
+        count = build_scenario(cfg).plan.count
+        assert counts == {"chart_jacobians": 2 * count,
+                          "hatted_two_form_data": count}
+
     def test_metric_validity_reads_the_pair_sample(self, monkeypatch):
         calls = []
         original = finsler.finsler_sample
@@ -432,6 +455,30 @@ class TestCliMain:
         records = strict_records(proc.stdout)
         assert len(records) == 20
         assert any("DomainError: power 200" in (r["error"] or "")
+                   for r in records)
+
+    @pytest.mark.parametrize("F", [
+        "sqrt(y1^2+y2^2)*(2+x1/(x2*1e-75))",    # 1/v^5 underflows to 0
+        "sqrt(y1^2+y2^2)*(x1*1e-200)^0.5",      # v^(1/2-4) overflows
+    ])
+    def test_extreme_jet_values_are_domain_errors(self, tmp_path, F):
+        cfg = {
+            "dimension": 2,
+            "metric": {"family": "custom", "F": F,
+                       "domain": {"lower": [0.5, 0.5], "upper": [1, 1]}},
+            "vector_field": {"components": ["1", "0"]},
+            "sampling": {"mode": "grid", "count": 4, "y_per_x": 1},
+        }
+        path = self._write(tmp_path, cfg)
+        src = os.path.dirname(os.path.dirname(finsler.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "finsym.cli", "run", "--config", path],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        records = strict_records(proc.stdout)
+        assert any("DomainError: Taylor factors" in (r["error"] or "")
                    for r in records)
 
     def test_gated_empty_suite_is_usage_error(self, tmp_path, capsys):

@@ -8,7 +8,12 @@ from finsym.errors import (
     NotMinkowskianError,
     ZeroVectorError,
 )
-from finsym.fields import ChartMap, VectorFieldSpec, parse_field
+from finsym.fields import (
+    ChartMap,
+    VectorFieldSpec,
+    chart_jacobians,
+    parse_field,
+)
 from finsym.fedosov import (
     ConnectionCoefficients,
     FedosovScenario,
@@ -16,12 +21,14 @@ from finsym.fedosov import (
     darboux_relations_families,
     darboux_relations_residual,
     hatted_preservation_residual,
+    hatted_two_form_data,
     induce_connection,
-    induced_connection_field,
     minkowski_preservation_check,
+    require_minkowskian,
     symplectic_connection_residual,
     transform_connection,
 )
+from finsym.jets import fd_oracle
 from finsym.symplectic import (
     chern_preservation_residual,
     explicit_two_form,
@@ -31,6 +38,7 @@ from finsym.symplectic import (
 from conftest import BOX2, const_vector, sample_box
 
 V2 = ["x1", "x2"]
+V4 = ["x1", "x2", "x3", "x4"]
 
 QUAD_CHART = ChartMap(
     forward=(parse_field("x1", V2), parse_field("x2+x1^2/2", V2)),
@@ -79,12 +87,6 @@ class TestInduceConnection:
         with pytest.raises(ZeroVectorError):
             induce_connection(sc, [0.0, 0.0])
 
-    def test_field_closure(self, graph_scenario):
-        field = induced_connection_field(graph_scenario)
-        x = [0.4, -0.3]
-        assert np.array_equal(field(x).array,
-                              induce_connection(graph_scenario, x).array)
-
 
 class TestSymplecticConnectionResidual:
     def test_zero_connection_constant_form(self):
@@ -120,12 +122,6 @@ class TestSymplecticConnectionResidual:
             gam, randers_std_scenario.two_form, x)
         assert abs(direct - pres.max_abs) <= 1e-12
         assert direct > 1e-3  # negative control is genuinely non-preserving
-
-    def test_accepts_connection_field(self, graph_scenario):
-        field = induced_connection_field(graph_scenario)
-        res = symplectic_connection_residual(field, graph_scenario.two_form,
-                                             [0.2, 0.5])
-        assert res <= 1e-9
 
     def test_dimension_mismatch(self):
         gam = ConnectionCoefficients.zero(2)
@@ -182,12 +178,13 @@ class TestTransformConnection:
     def test_identity_chart(self, polar_scenario):
         gam = induce_connection(polar_scenario, [2.0, 0.5])
         # polar domain box differs; identity chart carries no domain checks
-        ghat = transform_connection(gam, IDENTITY_CHART, [2.0, 0.5])
+        ghat = transform_connection(
+            gam, chart_jacobians(IDENTITY_CHART, [2.0, 0.5]))
         assert np.max(np.abs(ghat.array - gam.array)) == 0.0
 
     def test_quadratic_chart_frozen_value(self):
         ghat = transform_connection(ConnectionCoefficients.zero(2),
-                                    QUAD_CHART, [0.8, -0.1])
+                                    chart_jacobians(QUAD_CHART, [0.8, -0.1]))
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 0] = -1.0
         assert np.allclose(ghat.array, expect, atol=1e-12)
@@ -195,7 +192,7 @@ class TestTransformConnection:
     def test_linear_chart_pure_conjugation(self, polar_scenario):
         x = [2.0, 0.5]
         gam = induce_connection(polar_scenario, x)
-        ghat = transform_connection(gam, LIN_CHART, x)
+        ghat = transform_connection(gam, chart_jacobians(LIN_CHART, x))
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         Ainv = np.linalg.inv(A)
         expect = np.zeros((2, 2, 2))
@@ -213,7 +210,8 @@ class TestTransformConnection:
 
     def test_symmetry_preserved(self, graph_scenario):
         gam = induce_connection(graph_scenario, [0.4, -0.3])
-        ghat = transform_connection(gam, QUAD_CHART, [0.4, -0.3])
+        ghat = transform_connection(
+            gam, chart_jacobians(QUAD_CHART, [0.4, -0.3]))
         assert np.array_equal(ghat.array, ghat.array.transpose(0, 2, 1))
 
     def test_chain_consistency(self):
@@ -221,55 +219,110 @@ class TestTransformConnection:
         two transforms."""
         x = np.array([0.3, -0.2])
         zero = ConnectionCoefficients.zero(2)
-        step1 = transform_connection(zero, LIN_CHART, x)
+        step1 = transform_connection(zero, chart_jacobians(LIN_CHART, x))
         mid = LIN_CHART.forward_point(x)
-        step2 = transform_connection(step1, QUAD_CHART, mid)
-        direct = transform_connection(zero, COMP_CHART, x)
+        step2 = transform_connection(step1, chart_jacobians(QUAD_CHART, mid))
+        direct = transform_connection(zero, chart_jacobians(COMP_CHART, x))
         assert np.max(np.abs(step2.array - direct.array)) <= 1e-8
 
     def test_roundtrip(self, graph_scenario):
         x = np.array([0.4, -0.3])
         gam = induce_connection(graph_scenario, x)
-        ghat = transform_connection(gam, QUAD_CHART, x)
-        back = transform_connection(ghat, QUAD_CHART.swapped(),
-                                    QUAD_CHART.forward_point(x))
+        jac = chart_jacobians(QUAD_CHART, x)
+        ghat = transform_connection(gam, jac)
+        back = transform_connection(
+            ghat, chart_jacobians(QUAD_CHART.swapped(), jac.xhat))
         assert np.max(np.abs(back.array - gam.array)) <= 1e-8
+
+
+def _minkowski(metric, omega, chart, x):
+    """The minkowski check's residuals and the hatted form at x."""
+    require_minkowskian(metric, x)
+    jac = chart_jacobians(chart, x)
+    dw = omega.derivative_values(x)
+    hatted = hatted_two_form_data(omega.values(x), dw, jac)
+    return minkowski_preservation_check(dw, jac, hatted), hatted, jac
 
 
 class TestMinkowskiCheck:
     def test_identity_chart_constant_form(self, quartic2):
-        res = minkowski_preservation_check(quartic2, standard_form(1),
-                                           IDENTITY_CHART, [0.4, 0.1])
+        res, _, _ = _minkowski(quartic2, standard_form(1), IDENTITY_CHART,
+                               [0.4, 0.1])
         assert res.natural == 0.0
         assert res.hatted == 0.0
 
     def test_linear_chart_constant_form(self, quartic2):
-        res = minkowski_preservation_check(quartic2, standard_form(1),
-                                           LIN_CHART, [0.4, 0.1])
+        res, _, _ = _minkowski(quartic2, standard_form(1), LIN_CHART,
+                               [0.4, 0.1])
         assert res.natural == 0.0
         assert abs(res.hatted) < 1e-12
 
     def test_quadratic_chart_equivalence(self, quartic2):
         rng = np.random.default_rng(17)
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 10):
-            res = minkowski_preservation_check(quartic2, standard_form(1),
-                                               QUAD_CHART, x)
-            ghat = transform_connection(ConnectionCoefficients.zero(2),
-                                        QUAD_CHART, x)
-            pres = hatted_preservation_residual(standard_form(1), QUAD_CHART,
-                                                x, ghat)
+            res, hatted, jac = _minkowski(quartic2, standard_form(1),
+                                          QUAD_CHART, x)
+            ghat = transform_connection(ConnectionCoefficients.zero(2), jac)
+            pres = hatted_preservation_residual(hatted, ghat)
             assert abs(res.hatted - pres.max_abs) <= 1e-8
 
     def test_not_minkowskian(self, polar):
         with pytest.raises(NotMinkowskianError):
-            minkowski_preservation_check(polar, standard_form(1),
-                                         IDENTITY_CHART, [2.0, 0.5])
+            require_minkowskian(polar, [2.0, 0.5])
 
     def test_non_constant_form_natural_residual(self, quartic2):
         omega = explicit_two_form(2, {(0, 1): "1+x1"})
-        res = minkowski_preservation_check(quartic2, omega, IDENTITY_CHART,
-                                           [0.4, 0.1])
+        res, _, _ = _minkowski(quartic2, omega, IDENTITY_CHART, [0.4, 0.1])
         assert res.natural == pytest.approx(1.0)
+
+
+# nonlinear charts with exact inverses and non-constant Jacobian
+# determinants, and non-constant forms on them
+PULLBACK_CASES = {
+    2: (ChartMap(
+            forward=(parse_field("x1*(1+x2^2)", V2), parse_field("x2", V2)),
+            inverse=(parse_field("x1/(1+x2^2)", V2), parse_field("x2", V2))),
+        {(0, 1): "1+x1^2+0.3*x2*x1"}),
+    4: (ChartMap(
+            forward=tuple(parse_field(t, V4) for t in (
+                "x1", "x2+x1^2/2", "x3+x1*x2", "x4+x3^2/2+x1")),
+            inverse=tuple(parse_field(t, V4) for t in (
+                "x1", "x2-x1^2/2", "x3-x1*(x2-x1^2/2)",
+                "x4-(x3-x1*(x2-x1^2/2))^2/2-x1"))),
+        {(0, 1): "1+x1*x3", (0, 2): "x2^2", (0, 3): "x3*x4",
+         (1, 2): "0.2", (1, 3): "0.5*x4", (2, 3): "2+x1^2"}),
+}
+
+
+@pytest.mark.parametrize("m", sorted(PULLBACK_CASES))
+def test_hatted_form_against_differences(m):
+    """The hatted partials (the dw and w.H terms) agree with finite
+    differences of xhat -> what_qr(xhat); the values are J^T w J."""
+    chart, entries = PULLBACK_CASES[m]
+    omega = explicit_two_form(m, entries)
+
+    def hatted_values(xhat):
+        x = chart.inverse_point(xhat)
+        return hatted_two_form_data(omega.values(x), omega.derivative_values(x),
+                                    chart_jacobians(chart, x))[0]
+
+    rng = np.random.default_rng(21 + m)
+    for x in rng.uniform(-0.8, 0.8, (4, m)):
+        jac = chart_jacobians(chart, x)
+        w = omega.values(x)
+        values, derivs = hatted_two_form_data(
+            w, omega.derivative_values(x), jac)
+        assert np.allclose(values, jac.inv.T @ w @ jac.inv,
+                           rtol=0, atol=1e-14)
+        assert np.array_equal(values, -values.T)
+        assert np.array_equal(derivs, -derivs.transpose(0, 2, 1))
+        for q in range(m):
+            for r in range(q + 1, m):
+                for k in range(m):
+                    idx = tuple(int(v == k) for v in range(m))
+                    fd = fd_oracle(lambda p: hatted_values(p)[q, r],
+                                   jac.xhat, idx)
+                    assert abs(derivs[k, q, r] - fd) <= 1e-8 * max(1, abs(fd))
 
 
 class TestBerwaldUniqueness:

@@ -12,16 +12,12 @@ from finsym.fields import parse_field
 from finsym.finsler import (
     MetricSpec,
     berwald_probe,
-    cartan_tensor,
-    chern_coefficients,
     chern_structural_residuals,
     chern_with_derivatives,
     finsler_sample,
     finsler_value,
-    formal_christoffel,
     fundamental_tensor,
     metric_validity,
-    nonlinear_connection,
 )
 from finsym.jets import fd_oracle
 
@@ -90,40 +86,40 @@ class TestFundamentalTensor:
 
 class TestCartanTensor:
     def test_riemannian_vanishes(self, polar):
-        A = cartan_tensor(polar, [2.0, 0.5], [1.0, 1.0])
+        A = finsler_sample(polar, [2.0, 0.5], [1.0, 1.0]).A
         assert np.max(np.abs(A)) < 1e-14
 
     def test_trace_vanishes(self, quartic2):
         y = np.array([1.0, 1.0])
-        A = cartan_tensor(quartic2, [0.0, 0.0], y)
+        A = finsler_sample(quartic2, [0.0, 0.0], y).A
         assert np.max(np.abs(np.einsum("ijk,k->ij", A, y))) < 1e-12
 
     def test_quartic_entry_against_oracle(self, quartic2):
         x, y = np.zeros(2), np.array([1.0, 2.0])
-        A = cartan_tensor(quartic2, x, y)
+        A = finsler_sample(quartic2, x, y).A
         F = finsler_value(quartic2, x, y)
         f2 = parse_field("(x1^4+x2^4)^0.5", ["x1", "x2"])
         expect = (F / 4.0) * fd_oracle(f2, y, (3, 0))
         assert A[0, 0, 0] == pytest.approx(expect, abs=1e-6)
 
     def test_total_symmetry(self, randers01):
-        A = cartan_tensor(randers01, [0.3, 0.2], [1.0, 0.5])
+        A = finsler_sample(randers01, [0.3, 0.2], [1.0, 0.5]).A
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             assert np.array_equal(A, np.transpose(A, perm))
 
 
 class TestFormalChristoffel:
     def test_x_independent_metric(self, quartic2):
-        gam = formal_christoffel(quartic2, [0.3, -0.4], [1.0, 0.7])
+        gam = finsler_sample(quartic2, [0.3, -0.4], [1.0, 0.7]).gamma
         assert np.max(np.abs(gam)) == 0.0
 
     def test_euclidean(self, euclid2):
-        gam = formal_christoffel(euclid2, [0.3, -0.4], [1.0, 0.7])
+        gam = finsler_sample(euclid2, [0.3, -0.4], [1.0, 0.7]).gamma
         assert np.max(np.abs(gam)) == 0.0
 
     def test_polar_closed_form(self, polar):
         # classical values: only gamma^1_22 = -r and gamma^2_12 = 1/r
-        gam = formal_christoffel(polar, [2.0, 0.5], [1.0, 1.0])
+        gam = finsler_sample(polar, [2.0, 0.5], [1.0, 1.0]).gamma
         assert gam[0, 1, 1] == pytest.approx(-2.0, abs=1e-12)
         assert gam[1, 0, 1] == pytest.approx(0.5, abs=1e-12)
         assert gam[1, 1, 0] == pytest.approx(0.5, abs=1e-12)
@@ -135,7 +131,7 @@ class TestFormalChristoffel:
 
 class TestNonlinearConnection:
     def test_locally_minkowskian(self, quartic2):
-        N = nonlinear_connection(quartic2, [0.3, -0.4], [1.0, 0.7])
+        N = finsler_sample(quartic2, [0.3, -0.4], [1.0, 0.7]).N
         assert np.max(np.abs(N)) == 0.0
 
     def test_riemannian_reduction(self, polar):
@@ -144,33 +140,34 @@ class TestNonlinearConnection:
         assert np.allclose(s.N, np.einsum("ijk,k->ij", s.gamma, y), atol=1e-12)
 
     def test_polar_entry(self, polar):
-        N = nonlinear_connection(polar, [2.0, 0.5], [1.0, 1.0])
+        N = finsler_sample(polar, [2.0, 0.5], [1.0, 1.0]).N
         assert N[0, 1] == pytest.approx(-2.0, abs=1e-12)
 
     def test_positive_homogeneity(self, randers01):
         x, y = [0.3, 0.2], np.array([1.0, 0.5])
-        N1 = nonlinear_connection(randers01, x, y)
-        N2 = nonlinear_connection(randers01, x, 2.0 * y)
+        N1 = finsler_sample(randers01, x, y).N
+        N2 = finsler_sample(randers01, x, 2.0 * y).N
         scale = max(1.0, float(np.max(np.abs(N1))))
         assert np.max(np.abs(N2 - 2.0 * N1)) <= 1e-8 * scale
 
 
 class TestChernCoefficients:
     def test_euclidean_zero(self, euclid2):
-        assert np.max(np.abs(chern_coefficients(euclid2, [0.1, 0.1], [1.0, 2.0]))) == 0.0
+        G = finsler_sample(euclid2, [0.1, 0.1], [1.0, 2.0]).chern
+        assert np.max(np.abs(G)) == 0.0
 
     def test_riemannian_reduction(self, polar):
         """For a quadratic metric the coefficients equal the Levi-Civita
         symbols and are fiber-independent."""
         x = [2.0, 0.5]
-        g1 = chern_coefficients(polar, x, [1.0, 1.0])
-        gam = formal_christoffel(polar, x, [1.0, 1.0])
+        g1 = finsler_sample(polar, x, [1.0, 1.0]).chern
+        gam = finsler_sample(polar, x, [1.0, 1.0]).gamma
         assert np.max(np.abs(g1 - gam)) < 1e-14
-        g2 = chern_coefficients(polar, x, [0.3, 1.7])
+        g2 = finsler_sample(polar, x, [0.3, 1.7]).chern
         assert np.max(np.abs(g1 - g2)) < 1e-10
 
     def test_lower_index_symmetry_exact(self, randers01):
-        G = chern_coefficients(randers01, [0.3, 0.2], [1.0, 0.5])
+        G = finsler_sample(randers01, [0.3, 0.2], [1.0, 0.5]).chern
         assert np.array_equal(G, G.transpose(0, 2, 1))
 
     def test_randers_validated_by_structural(self, randers01):

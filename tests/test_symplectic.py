@@ -10,6 +10,7 @@ from finsym.errors import (
 )
 from finsym.fields import parse_field
 from finsym.finsler import berwald_probe
+from finsym.jets import fd_oracle
 from finsym.symplectic import (
     TwoFormField,
     chern_preservation_residual,
@@ -109,6 +110,35 @@ class TestRandersTwoForm:
         omega = randers_two_form(b)
         assert omega.values([0.5, 0.0])[0, 1] == pytest.approx(1.0)
         assert nondegeneracy_check(omega, [0.0, 0.3]) < 1e-8
+
+
+# nonlinear covectors; b[j] is the component b_j
+EXACT_CASES = {
+    3: ("x2*x3^2", "sqrt(1+x1^2)*x3", "x1^3+x2/(2+x3)"),
+    4: ("x2*x4^2", "x1*x3^2+x4", "sqrt(1+x2^2)*x4", "x1^2*x3-x2^3/3"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_CASES))
+def test_exact_form_against_differences(n):
+    """d(beta) and its partials agree with finite differences of b."""
+    names = [f"x{i + 1}" for i in range(n)]
+    b = [parse_field(t, names) for t in EXACT_CASES[n]]
+    omega = randers_two_form(b)
+    unit = np.eye(n, dtype=int)
+    rng = np.random.default_rng(30 + n)
+    for x in rng.uniform(-0.9, 0.9, (3, n)):
+        w, dw = omega.values(x), omega.derivative_values(x)
+        assert np.array_equal(w, -w.T)
+        assert np.array_equal(dw, -dw.transpose(0, 2, 1))
+        for i in range(n):
+            for j in range(n):
+                fd = fd_oracle(b[j], x, unit[i]) - fd_oracle(b[i], x, unit[j])
+                assert abs(w[i, j] - fd) <= 1e-9 * max(1.0, abs(fd))
+                for k in range(n):
+                    fd = (fd_oracle(b[j], x, unit[k] + unit[i])
+                          - fd_oracle(b[i], x, unit[k] + unit[j]))
+                    assert abs(dw[k, i, j] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 class TestPreservationResidual:
