@@ -30,49 +30,46 @@ from .finsler import (
     FinslerSample,
     MetricSpec,
     StructuralResiduals,
-    berwald_probe,
-    chern_structural_residuals,
     chern_with_derivatives,
     finsler_sample,
     finsler_value,
-    fundamental_tensor,
+    max_pairwise_spread,
     metric_validity,
+    structural_residuals,
 )
 from .symplectic import (
     ExactTwoForm,
     PreservationResidual,
-    RandersPreservation,
     TwoFormField,
     chern_preservation_residual,
-    closedness_residual,
+    closedness,
+    covector_derivatives,
     explicit_two_form,
-    nondegeneracy_check,
-    randers_preservation_condition,
-    randers_two_form,
+    nondegeneracy,
+    randers_condition,
     standard_form,
 )
 from .fedosov import (
     ConnectionCoefficients,
     FedosovScenario,
     berwald_uniqueness_probe,
-    darboux_relations_families,
+    covariant_residual,
     darboux_relations_residual,
-    hatted_preservation_residual,
     hatted_two_form_data,
     induce_connection,
     minkowski_preservation_check,
     require_minkowskian,
-    symplectic_connection_residual,
     transform_connection,
 )
 from .curvature import (
-    CurvatureAtPoint,
-    bianchi_contracted_residual,
-    bianchi_cyclic_residual,
+    brace_array,
+    contracted_two_path,
     curvature_fd_commutator,
     curvature_induced,
-    lower_curvature,
-    pair_symmetry_residual,
+    curvature_up,
+    cyclic_residual,
+    induced_derivatives,
+    pair_two_path,
 )
 from .records import CheckRecord
 from .checks import CHECK_IDS, available_checks, run_scenario

@@ -33,7 +33,6 @@ from .fedosov import (
     berwald_uniqueness_probe,
     covariant_residual,
     darboux_relations_residual,
-    hatted_preservation_residual,
     hatted_two_form_data,
     minkowski_preservation_check,
     require_minkowskian,
@@ -46,8 +45,8 @@ from .scenario import BuiltScenario, build_scenario
 from .symplectic import (
     PreservationResidual,
     closedness,
+    covector_derivatives,
     nondegeneracy,
-    preservation_entries,
     randers_condition,
     standard_form,
 )
@@ -76,16 +75,12 @@ class _once:
         return value
 
 
-def _lift(chern, w, dw) -> PreservationResidual:
-    return PreservationResidual.of(preservation_entries(w, dw, chern))
-
-
 def _minkowski(c: "PointContext") -> tuple[float, float, float]:
     require_minkowskian(c.s.metric, c.x)
     mk = minkowski_preservation_check(c.domega, c.jac, c.hatted)
     ghat = transform_connection(
         ConnectionCoefficients.zero(c.s.dimension), c.jac)
-    hatted = hatted_preservation_residual(c.hatted, ghat)
+    hatted = PreservationResidual.of(*c.hatted, ghat.array)
     return mk.natural, mk.hatted, abs(mk.hatted - hatted.max_abs)
 
 
@@ -96,8 +91,10 @@ class PointContext:
     path there.  ``lift_w`` is the lift-preservation residual of the
     scenario's form along W, ``standard_lift_w`` that of the standard form.
     ``jac`` holds the chart derivatives at x and ``hatted`` the scenario's
-    form pulled back through them.  The finite-difference curvature ``fd``
-    evaluates its own stencil and reads nothing else from the context.
+    form pulled back through them.  ``covector`` holds the first and second
+    derivative arrays of the Randers covector b at x.  The finite-difference
+    curvature ``fd`` evaluates its own stencil and reads nothing else from
+    the context.
     """
 
     def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x):
@@ -109,9 +106,12 @@ class PointContext:
                                                    c.sample_w.chern))
     omega = _once(lambda c: c.s.two_form.values(c.x))
     domega = _once(lambda c: c.s.two_form.derivative_values(c.x))
-    lift_w = _once(lambda c: _lift(c.sample_w.chern, c.omega, c.domega))
-    standard_lift_w = _once(lambda c: _lift(
-        c.sample_w.chern, *_standard_data(c.s.dimension // 2, c.x)))
+    # G is read first: where both the connection and the form fail, the
+    # record carries the connection's error
+    lift_w = _once(lambda c: PreservationResidual.of(
+        G=c.sample_w.chern, w=c.omega, dw=c.domega))
+    standard_lift_w = _once(lambda c: PreservationResidual.of(
+        *_standard_data(c.s.dimension // 2, c.x), c.sample_w.chern))
     derivatives = _once(lambda c: induced_derivatives(c.sc, c.x, c.w))
     up = _once(lambda c: curvature_up(*c.derivatives))
     brace = _once(lambda c: brace_array(*c.derivatives))
@@ -119,6 +119,8 @@ class PointContext:
     fd = _once(lambda c: curvature_fd_commutator(c.sc, c.x))
     jac = _once(lambda c: chart_jacobians(c.s.chart, c.x))
     hatted = _once(lambda c: hatted_two_form_data(c.omega, c.domega, c.jac))
+    covector = _once(lambda c: covector_derivatives(c.s.metric.b_fields,
+                                                    c.x, 2))
     minkowski = _once(_minkowski)
 
 
@@ -136,8 +138,8 @@ class FiberContext:
 
     sample = _once(lambda f: finsler_sample(f.base.s.metric, f.base.x, f.y))
     structural = _once(lambda f: structural_residuals(f.sample))
-    lift = _once(lambda f: _lift(f.sample.chern, f.base.omega,
-                                 f.base.domega))
+    lift = _once(lambda f: PreservationResidual.of(
+        G=f.sample.chern, w=f.base.omega, dw=f.base.domega))
 
 
 @dataclass(frozen=True)
@@ -186,9 +188,9 @@ def _nondegeneracy(c: PointContext) -> float:
 
 def _randers_equivalence(f: FiberContext) -> float:
     pres = f.lift
-    cond = randers_condition(f.base.s.metric, f.base.x, f.sample.chern)
+    cond = randers_condition(*f.base.covector, f.sample.chern)
     scale = max(1.0, _max_abs(pres.entries))
-    return _max_abs(cond.entries + pres.entries) / scale
+    return _max_abs(cond + pres.entries) / scale
 
 
 def _exactness(c: PointContext) -> float:

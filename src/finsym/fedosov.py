@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fields import ChartJacobians, VectorFieldSpec
 from .finsler import MetricSpec, finsler_sample, max_pairwise_spread
-from .symplectic import PreservationResidual, TwoForm, preservation_entries
+from .symplectic import TwoForm
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,31 +72,18 @@ def induce_connection(s: FedosovScenario, x) -> ConnectionCoefficients:
     return ConnectionCoefficients(s.metric.dimension, sample.chern)
 
 
-def symplectic_connection_residual(gamma: ConnectionCoefficients,
-                                   omega: TwoForm, x) -> float:
-    """max |d_k w_ij - (G^l_ki w_lj + G^l_kj w_il)| at x, for coefficients
-    ``gamma`` at x."""
-    if gamma.dimension != omega.dimension:
-        raise DimensionMismatchError(
-            f"connection dimension {gamma.dimension} != form dimension "
-            f"{omega.dimension}"
-        )
-    return covariant_residual(gamma.array, omega.values(x),
-                              omega.derivative_values(x))
-
-
 def covariant_residual(G: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:
-    """:func:`symplectic_connection_residual` of coefficient and form data."""
+    """max |d_k w_ij - (G^l_ki w_lj + G^l_kj w_il)| from the coefficients
+    G[l, k, i], the form w and its partials dw[k, i, j] at one point."""
     covariant = np.einsum("lki,lj->kij", G, w) + np.einsum("lkj,il->kij", G, w)
     return float(np.max(np.abs(dw - covariant)))
 
 
-def darboux_relations_families(gamma: ConnectionCoefficients,
-                               n: int) -> np.ndarray:
-    """Residuals of the four standard-form coefficient relations, per family.
+def darboux_relations_residual(gamma: ConnectionCoefficients, n: int) -> float:
+    """Worst violation of the four standard-form coefficient relations.
 
     For a symmetric connection preserving sum dx^i wedge dx^{n+i} on a
-    2n-chart, all four families vanish.
+    2n-chart, all four families vanish for every k.
     """
     G = gamma.array
     if gamma.dimension != 2 * n:
@@ -105,19 +92,14 @@ def darboux_relations_families(gamma: ConnectionCoefficients,
         )
     A, B = G[n:, :, :n], G[:n, :, n:]
     C, D = G[n:, :, n:], G[:n, :, :n]
-    return np.array([_max_abs(A - A.transpose(2, 1, 0)),
-                     _max_abs(C + D.transpose(2, 1, 0)),
-                     _max_abs(D + C.transpose(2, 1, 0)),
-                     _max_abs(B - B.transpose(2, 1, 0))])
+    return max(_max_abs(A - A.transpose(2, 1, 0)),
+               _max_abs(C + D.transpose(2, 1, 0)),
+               _max_abs(D + C.transpose(2, 1, 0)),
+               _max_abs(B - B.transpose(2, 1, 0)))
 
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
-
-
-def darboux_relations_residual(gamma: ConnectionCoefficients, n: int) -> float:
-    """Worst violation over the four relation families and all k."""
-    return float(np.max(darboux_relations_families(gamma, n)))
 
 
 def transform_connection(gamma: ConnectionCoefficients,
@@ -168,15 +150,6 @@ def hatted_two_form_data(w: np.ndarray, dw: np.ndarray,
 def _skew(a: np.ndarray) -> np.ndarray:
     upper = np.triu(a, 1)
     return upper - np.swapaxes(upper, -1, -2)
-
-
-def hatted_preservation_residual(hatted: tuple[np.ndarray, np.ndarray],
-                                 gamma_hat: ConnectionCoefficients
-                                 ) -> PreservationResidual:
-    """Lift-preservation residual computed entirely in the hatted chart,
-    from the :func:`hatted_two_form_data` of the form."""
-    return PreservationResidual.of(
-        preservation_entries(*hatted, gamma_hat.array))
 
 
 class MinkowskiResiduals(NamedTuple):

@@ -443,16 +443,6 @@ class ChartMap:
     def dimension(self) -> int:
         return len(self.forward)
 
-    def forward_point(self, x: Sequence[float]) -> np.ndarray:
-        return np.array([c.evaluate(x) for c in self.forward])
-
-    def inverse_point(self, xhat: Sequence[float]) -> np.ndarray:
-        return np.array([c.evaluate(xhat) for c in self.inverse])
-
-    def roundtrip_residual(self, x: Sequence[float]) -> float:
-        back = self.inverse_point(self.forward_point(x))
-        return float(np.max(np.abs(back - np.asarray(x, dtype=float))))
-
     def swapped(self) -> "ChartMap":
         return ChartMap(self.inverse, self.forward,
                         self.inverse_domain, self.forward_domain)
@@ -476,7 +466,9 @@ class ChartJacobians:
 
 def chart_jacobians(chart: ChartMap, x: Sequence[float],
                     chain_tol: float = 1e-8) -> ChartJacobians:
-    """First/second derivative arrays of a chart at ``x``, chain-rule checked."""
+    """First/second derivative arrays of a chart at ``x``; SingularChartError
+    unless the inverse undoes the forward map there (Jacobians inverse within
+    ``chain_tol``, value back at x within ``chain_tol * max(1, max|x|)``)."""
     m = chart.dimension
     x = np.asarray(x, dtype=float)
     if chart.forward_domain is not None:
@@ -502,5 +494,13 @@ def chart_jacobians(chart: ChartMap, x: Sequence[float],
         raise SingularChartError(
             f"inverse map inconsistent with forward map (chain defect "
             f"{defect:.3e} > {chain_tol:g}) at {x.tolist()}"
+        )
+    back = np.array([j.value for j in inv_jets])
+    miss = float(np.max(np.abs(back - x)))
+    bound = chain_tol * max(1.0, float(np.max(np.abs(x))))
+    if miss > bound:
+        raise SingularChartError(
+            f"inverse map does not return to the point (round-trip miss "
+            f"{miss:.3e} > {bound:.3g}) at {x.tolist()}"
         )
     return ChartJacobians(x=x, xhat=xhat, fwd=fwd, inv=inv, inv2=inv2)

@@ -295,16 +295,6 @@ def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
                          gamma=gamma, N=N, chern=chern, dg_dx=_value(dg_dx))
 
 
-def fundamental_tensor(m: MetricSpec, x, y) -> np.ndarray:
-    """g_ij, the fiber Hessian of F^2/2; checked positive-definite."""
-    x, y = _require_point(m, x, y)
-    n = m.dimension
-    phi = m.phi_field.eval_jet(np.concatenate([x, y]), 2)
-    g = phi.derivatives(2)[n:, n:]
-    _check_pd(g, m.tol_pd)
-    return g
-
-
 class StructuralResiduals(NamedTuple):
     """Residuals of the two defining structural equations at one point."""
 
@@ -313,18 +303,13 @@ class StructuralResiduals(NamedTuple):
     scale: float
 
 
-def chern_structural_residuals(m: MetricSpec, x, y) -> StructuralResiduals:
+def structural_residuals(s: FinslerSample) -> StructuralResiduals:
     """Torsion-freeness and almost-metric-compatibility residuals.
 
     The compatibility residual is the dx-component of the structural
     equation: dg_ij/dx^t - g_kj G^k_it - g_ik G^k_jt - 2 A_ijs N^s_t / F.
     ``scale`` is max(1, largest |term|), for relative comparisons.
     """
-    return structural_residuals(finsler_sample(m, x, y))
-
-
-def structural_residuals(s: FinslerSample) -> StructuralResiduals:
-    """:func:`chern_structural_residuals` of an existing sample."""
     torsion = float(np.max(np.abs(s.chern - s.chern.transpose(0, 2, 1))))
 
     term_g = s.dg_dx.transpose(1, 2, 0)                       # (i, j, t)
@@ -453,17 +438,6 @@ def pair_validity(m: MetricSpec, x, y, sample: Callable[[], FinslerSample],
             records.append(CheckRecord.failed(
                 "metric-validity:randers-bound", pt, str(exc), 1.0 - 1e-6))
     return records
-
-
-def berwald_probe(m: MetricSpec, x, y_samples: Sequence) -> float:
-    """Spread of the connection coefficients across fiber points at fixed x.
-
-    Near zero identifies Berwald behavior (coefficients depend on x only).
-    """
-    ys = [np.asarray(y, dtype=float) for y in y_samples]
-    if len(ys) < 2:
-        raise DomainError("berwald probe needs at least two fiber samples")
-    return max_pairwise_spread([finsler_sample(m, x, y).chern for y in ys])
 
 
 def max_pairwise_spread(arrays: Sequence[np.ndarray]) -> float:

@@ -333,7 +333,7 @@ def fd_base_step(degree: int) -> float:
     return float(np.finfo(float).eps ** (1.0 / (degree + 4)))
 
 
-def _central(f: Callable, x: np.ndarray, idx: tuple, steps: np.ndarray) -> float:
+def _central(f: Callable, x: np.ndarray, idx: tuple, steps: np.ndarray):
     for v, e in enumerate(idx):
         if e > 0:
             rest = idx[:v] + (e - 1,) + idx[v + 1:]
@@ -343,23 +343,24 @@ def _central(f: Callable, x: np.ndarray, idx: tuple, steps: np.ndarray) -> float
             xm[v] -= steps[v]
             return (_central(f, xp, rest, steps)
                     - _central(f, xm, rest, steps)) / (2.0 * steps[v])
-    return float(f(x))
+    return f(x)
 
 
 def fd_oracle(field, point: Sequence[float], idx: Sequence[int],
-              base_step: float | None = None, domain=None) -> float:
+              base_step: float | None = None, domain=None):
     """Finite-difference derivative estimate, independent of jet arithmetic.
 
     Composite central differences, one Richardson extrapolation step
     (O(step^4) error for first derivatives).  ``field`` is called with a
-    plain coordinate array.  If ``domain`` is given, every stencil point is
+    plain coordinate array and may return a float or an array, which is
+    differentiated entrywise.  If ``domain`` is given, every stencil point is
     required to lie inside it.
     """
     idx = tuple(int(e) for e in idx)
     x = np.asarray(point, dtype=float)
     degree = multi_index_degree(idx)
     if degree == 0:
-        return float(field(x))
+        return field(x)
     if base_step is None:
         base_step = fd_base_step(degree)
     steps = base_step * np.maximum(1.0, np.abs(x))

@@ -18,7 +18,7 @@ from jsonschema import Draft202012Validator
 from .errors import ConfigError, ParseError
 from .fields import ChartMap, DomainBox, ScalarFieldSpec, VectorFieldSpec
 from .finsler import MetricSpec
-from .symplectic import TwoForm, explicit_two_form, randers_two_form, standard_form
+from .symplectic import ExactTwoForm, TwoForm, explicit_two_form, standard_form
 
 DEFAULT_TOLERANCES = {
     "tol_pd": 1e-10,
@@ -253,7 +253,7 @@ def _build_two_form(block: dict, dimension: int,
             raise ConfigError(
                 "randers-dbeta two-form requires a randers metric",
                 "/two_form/kind")
-        return randers_two_form(metric.b_fields), kind
+        return ExactTwoForm(metric.b_fields), kind
     entries = block.get("entries")
     if not entries:
         raise ConfigError("explicit two-form requires 'entries'",

@@ -15,11 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotRandersError,
-    OddDimensionError,
-)
+from .errors import DimensionMismatchError, OddDimensionError
 from .fields import ScalarFieldSpec
 from .finsler import MetricSpec, finsler_sample
 
@@ -111,13 +107,9 @@ def explicit_two_form(dimension: int, entries: Mapping) -> TwoFormField:
     return TwoFormField(dimension, parsed)
 
 
-def closedness_residual(omega: TwoForm, x) -> float:
-    """max over i<j<k of |d_i w_jk + d_j w_ki + d_k w_ij| (vacuous in dim 2)."""
-    return closedness(omega.derivative_values(x))
-
-
 def closedness(d: np.ndarray) -> float:
-    """:func:`closedness_residual` of derivative data d[k, i, j]."""
+    """max over i<j<k of |d_i w_jk + d_j w_ki + d_k w_ij| for the form's
+    derivative data d[k, i, j] (vacuous in dim 2)."""
     m = d.shape[0]
     worst = 0.0
     for i in range(m):
@@ -127,13 +119,9 @@ def closedness(d: np.ndarray) -> float:
     return worst
 
 
-def nondegeneracy_check(omega: TwoForm, x) -> float:
-    """|det(omega_ij(x))|; compare against the nondegeneracy tolerance."""
-    return nondegeneracy(omega.values(x))
-
-
 def nondegeneracy(w: np.ndarray) -> float:
-    """:func:`nondegeneracy_check` of the component matrix w."""
+    """|det(w)| of the component matrix w; compare against the
+    nondegeneracy tolerance."""
     if w.shape[0] % 2 != 0:
         raise OddDimensionError(
             f"nondegenerate two-forms need even dimension, got {w.shape[0]}"
@@ -149,17 +137,13 @@ class PreservationResidual:
     max_abs: float
 
     @classmethod
-    def of(cls, entries: np.ndarray) -> "PreservationResidual":
+    def of(cls, w: np.ndarray, dw: np.ndarray,
+           G: np.ndarray) -> "PreservationResidual":
+        """residual_kij = d_k w_ij - w_il G^l_kj + w_jl G^l_ki from the form
+        w, its partials dw[k, i, j] and the coefficients G[l, k, j]."""
+        entries = (dw - np.einsum("il,lkj->kij", w, G)
+                   + np.einsum("jl,lki->kij", w, G))
         return cls(entries=entries, max_abs=float(np.max(np.abs(entries))))
-
-
-def preservation_entries(omega_values: np.ndarray,
-                         omega_derivs: np.ndarray,
-                         gamma: np.ndarray) -> np.ndarray:
-    """residual_kij = d_k w_ij - w_il G^l_kj + w_jl G^l_ki for given data."""
-    term1 = np.einsum("il,lkj->kij", omega_values, gamma)
-    term2 = np.einsum("jl,lki->kij", omega_values, gamma)
-    return omega_derivs - term1 + term2
 
 
 def chern_preservation_residual(m: MetricSpec, omega: TwoForm,
@@ -174,53 +158,19 @@ def chern_preservation_residual(m: MetricSpec, omega: TwoForm,
             f"form dimension {omega.dimension} != metric dimension {m.dimension}"
         )
     chern = finsler_sample(m, x, y).chern
-    return PreservationResidual.of(preservation_entries(
-        omega.values(x), omega.derivative_values(x), chern))
+    return PreservationResidual.of(omega.values(x), omega.derivative_values(x),
+                                   chern)
 
 
-def randers_two_form(b: Sequence[ScalarFieldSpec]) -> ExactTwoForm:
-    """The exterior derivative of beta = b_i dx^i as a two-form field."""
-    return ExactTwoForm(tuple(b))
-
-
-@dataclass(frozen=True, eq=False)
-class RandersPreservation:
-    """Pointwise preservation condition of a Randers metric against d(beta).
-
-    ``entries`` holds the general condition per (k, i, j); ``residual`` its
-    max magnitude.  ``darboux_residual`` drops the second-derivative
-    bracket, the form the condition takes when the covector is linear
-    (constant d(beta)); ``second_deriv_max`` reports how far from that case
-    the covector is.
-    """
-
-    entries: np.ndarray
-    residual: float
-    darboux_residual: float
-    second_deriv_max: float
-
-
-def randers_preservation_condition(m: MetricSpec, x, y) -> RandersPreservation:
-    if m.family != "randers":
-        raise NotRandersError(f"metric family is {m.family!r}")
-    return randers_condition(m, x, finsler_sample(m, x, y).chern)
-
-
-def randers_condition(m: MetricSpec, x, G: np.ndarray) -> RandersPreservation:
-    """:func:`randers_preservation_condition` given the connection
-    coefficients G at (x, y)."""
-    db, ddb = covector_derivatives(m.b_fields, x, 2)
-
+def randers_condition(db: np.ndarray, ddb: np.ndarray,
+                      G: np.ndarray) -> np.ndarray:
+    """Pointwise preservation condition of a Randers metric against d(beta),
+    per (k, i, j), from the covector's derivative arrays db and ddb at x
+    (see :func:`covector_derivatives`) and the connection coefficients G at
+    (x, y).  It equals the negated lift residual of d(beta)."""
     bracket1 = (np.einsum("lki,lj->kij", G, db)
                 - np.einsum("lkj,li->kij", G, db))
     bracket2 = (np.einsum("lkj,il->kij", G, db)
                 - np.einsum("lki,jl->kij", G, db))
     bracket3 = ddb.transpose(0, 2, 1) - ddb  # d_k d_j b_i - d_k d_i b_j
-    entries = bracket1 + bracket2 + bracket3
-    darboux = bracket1 + bracket2
-    return RandersPreservation(
-        entries=entries,
-        residual=float(np.max(np.abs(entries))),
-        darboux_residual=float(np.max(np.abs(darboux))),
-        second_deriv_max=float(np.max(np.abs(ddb))),
-    )
+    return bracket1 + bracket2 + bracket3

@@ -8,7 +8,7 @@ import pytest
 from finsym.fields import DomainBox, ScalarFieldSpec, VectorFieldSpec
 from finsym.finsler import MetricSpec
 from finsym.fedosov import FedosovScenario
-from finsym.symplectic import explicit_two_form, randers_two_form, standard_form
+from finsym.symplectic import ExactTwoForm, explicit_two_form, standard_form
 
 XY2 = ("x1", "x2")
 XY4 = ("x1", "x2", "x3", "x4")
@@ -143,7 +143,7 @@ def volume_form4():
 
 @pytest.fixture(scope="session")
 def dbeta01(randers01):
-    return randers_two_form(randers01.b_fields)
+    return ExactTwoForm(randers01.b_fields)
 
 
 @pytest.fixture(scope="session")

@@ -12,41 +12,43 @@ import pytest
 from finsym.checks import run_scenario
 from finsym.cli import main
 from finsym.curvature import (
-    bianchi_contracted_residual,
-    bianchi_cyclic_residual,
+    brace_array,
+    contracted_two_path,
     curvature_fd_commutator,
     curvature_induced,
-    lower_curvature,
-    pair_symmetry_residual,
+    curvature_up,
+    cyclic_residual,
+    induced_derivatives,
+    pair_two_path,
 )
 from finsym.errors import ConfigError
 from finsym.fedosov import (
-    ConnectionCoefficients,
     FedosovScenario,
     berwald_uniqueness_probe,
+    covariant_residual,
     darboux_relations_residual,
-    hatted_preservation_residual,
     hatted_two_form_data,
     induce_connection,
     minkowski_preservation_check,
     require_minkowskian,
-    symplectic_connection_residual,
     transform_connection,
 )
 from finsym.fields import ChartMap, chart_jacobians, parse_field
 from finsym.finsler import (
     MetricSpec,
-    chern_structural_residuals,
     finsler_sample,
     metric_validity,
+    structural_residuals,
 )
 from finsym.jets import fd_oracle, jet_eval
 from finsym.report import emit_report
 from finsym.scenario import build_scenario
 from finsym.symplectic import (
+    PreservationResidual,
     chern_preservation_residual,
-    closedness_residual,
-    randers_preservation_condition,
+    closedness,
+    covector_derivatives,
+    randers_condition,
     standard_form,
 )
 
@@ -130,7 +132,7 @@ def test_criterion_02_structural_equations(euclid2, polar, quartic2, randers01):
     for metric, box in [(euclid2, BOX2), (polar, POLAR_BOX),
                         (quartic2, BOX2), (randers01, BOX2)]:
         for x, y in xy_samples(rng, box, 100):
-            res = chern_structural_residuals(metric, x, y)
+            res = structural_residuals(finsler_sample(metric, x, y))
             worst_t = max(worst_t, res.torsion)
             worst_c = max(worst_c, res.compat / res.scale)
     _report("criterion-02 structural-equations",
@@ -212,7 +214,8 @@ def test_criterion_05_exactness(request):
             gam = induce_connection(sc, x)
             w = sc.vector_field.values(x)
             pres = chern_preservation_residual(sc.metric, sc.two_form, x, w)
-            direct = symplectic_connection_residual(gam, sc.two_form, x)
+            direct = covariant_residual(gam.array, sc.two_form.values(x),
+                                        sc.two_form.derivative_values(x))
             worst = max(worst, abs(direct - pres.max_abs))
     _report("criterion-05 induced-exactness", worst <= 1e-12,
             f"7 scenarios x 15 pts: |connection residual - lift residual| "
@@ -281,11 +284,13 @@ def test_criterion_08_randers_equivalence(randers01, dbeta01):
     worst_eq, worst_closed = 0.0, 0.0
     for x, y in xy_samples(rng, BOX2, 100):
         pres = chern_preservation_residual(randers01, dbeta01, x, y)
-        cond = randers_preservation_condition(randers01, x, y)
+        cond = randers_condition(*covector_derivatives(randers01.b_fields, x, 2),
+                                 finsler_sample(randers01, x, y).chern)
         scale = max(1.0, float(np.max(np.abs(pres.entries))))
         worst_eq = max(worst_eq,
-                       float(np.max(np.abs(cond.entries + pres.entries))) / scale)
-        worst_closed = max(worst_closed, closedness_residual(dbeta01, x))
+                       float(np.max(np.abs(cond + pres.entries))) / scale)
+        worst_closed = max(worst_closed,
+                           closedness(dbeta01.derivative_values(x)))
     w12 = dbeta01.values([0.3, -0.7])[0, 1]
     _report("criterion-08 randers-equivalence",
             worst_eq <= 1e-9 and worst_closed <= 1e-9
@@ -315,7 +320,7 @@ def test_criterion_09_chart_transformation(quartic2):
         dw = sc.two_form.derivative_values(x)
         hatted = hatted_two_form_data(sc.two_form.values(x), dw, jac)
         mk = minkowski_preservation_check(dw, jac, hatted)
-        hp = hatted_preservation_residual(hatted, ghat)
+        hp = PreservationResidual.of(*hatted, ghat.array)
         worst_eq = max(worst_eq, abs(mk.hatted - hp.max_abs))
     _report("criterion-09 chart-transformation",
             worst_spot <= 1e-8 and worst_eq <= 1e-8,
@@ -335,11 +340,11 @@ def test_criterion_10_curvature(request, euclid4):
     for sc, box, n in ((graph_sc, BOX2, 60), (polar_sc, POLAR_BOX, 30),
                        (product_sc, BOX4, 10)):
         for x in sample_box(rng, box.lower, box.upper, n):
-            c = curvature_induced(sc, x)
+            up = curvature_induced(sc, x)
             fd = curvature_fd_commutator(sc, x)
-            scale = max(1.0, float(np.max(np.abs(c.up))),
+            scale = max(1.0, float(np.max(np.abs(up))),
                         float(np.max(np.abs(fd))))
-            worst_fd = max(worst_fd, float(np.max(np.abs(c.up - fd))) / scale)
+            worst_fd = max(worst_fd, float(np.max(np.abs(up - fd))) / scale)
 
     flat_worst = 0.0
     for sc in (request.getfixturevalue("euclid_std_scenario"),
@@ -349,10 +354,10 @@ def test_criterion_10_curvature(request, euclid4):
         box = BOX2 if sc.metric.dimension == 2 else BOX4
         for x in sample_box(rng, box.lower, box.upper, 10):
             flat_worst = max(flat_worst,
-                             float(np.max(np.abs(curvature_induced(sc, x).up))))
+                             float(np.max(np.abs(curvature_induced(sc, x)))))
 
     polar_worst = max(
-        float(np.max(np.abs(curvature_induced(polar_sc, x).up)))
+        float(np.max(np.abs(curvature_induced(polar_sc, x))))
         for x in sample_box(rng, POLAR_BOX.lower, POLAR_BOX.upper, 30))
     _report("criterion-10 curvature",
             worst_fd <= 1e-5 and flat_worst <= 1e-9 and polar_worst <= 1e-7,
@@ -363,6 +368,10 @@ def test_criterion_10_curvature(request, euclid4):
 # -- 11: curvature identities ------------------------------------------------------------
 
 
+def _derivatives(sc, x):
+    return induced_derivatives(sc, x, sc.vector_field.values(x))
+
+
 def test_criterion_11_curvature_identities(request):
     rng = np.random.default_rng(20)
     worst_bianchi = 0.0
@@ -370,10 +379,12 @@ def test_criterion_11_curvature_identities(request):
     for name, sc, box in _all_scenarios(request):
         pts = sample_box(rng, box.lower, box.upper, 6 if box is BOX4 else 12)
         for x in pts:
-            cyc, scale = bianchi_cyclic_residual(sc, x)
+            d = _derivatives(sc, x)
+            up, brace, w = curvature_up(*d), brace_array(*d), sc.two_form.values(x)
+            cyc, scale = cyclic_residual(up)
             worst_bianchi = max(worst_bianchi, cyc / scale)
-            bc = bianchi_contracted_residual(sc, x)
-            ps = pair_symmetry_residual(sc, x)
+            bc = contracted_two_path(up, brace, w)
+            ps = pair_two_path(up, brace, w)
             worst_two_path = max(worst_two_path, bc.paths_delta, ps.paths_delta)
 
     worst_pair = 0.0
@@ -386,11 +397,15 @@ def test_criterion_11_curvature_identities(request):
             w = sc.vector_field.values(x)
             assert chern_preservation_residual(
                 sc.metric, sc.two_form, x, w).max_abs <= 1e-9
-            ps = pair_symmetry_residual(sc, x)
+            d = induced_derivatives(sc, x, w)
+            ps = pair_two_path(curvature_up(*d), brace_array(*d),
+                               sc.two_form.values(x))
             worst_pair = max(worst_pair, ps.assembled / ps.scale)
 
-    control = pair_symmetry_residual(
-        request.getfixturevalue("randers_std_scenario"), [0.3, 0.2])
+    control_sc, x = request.getfixturevalue("randers_std_scenario"), [0.3, 0.2]
+    d = _derivatives(control_sc, x)
+    control = pair_two_path(curvature_up(*d), brace_array(*d),
+                            control_sc.two_form.values(x))
     _report("criterion-11 curvature-identities",
             worst_bianchi <= 1e-7 and worst_pair <= 1e-6
             and worst_two_path <= 1e-9 and control.assembled > 1e-6,

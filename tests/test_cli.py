@@ -268,6 +268,26 @@ class TestRunScenario:
         assert counts == {"chart_jacobians": 2 * count,
                           "hatted_two_form_data": count}
 
+    def test_covector_data_once_per_base_point(self, monkeypatch):
+        """randers-equivalence reads the covector's derivative arrays from
+        the base point; only the d(beta) form's values (order 1) and
+        partials (order 2) evaluate b again there."""
+        cfg = randers_config()
+        s = build_scenario(cfg)
+        original = fields.ScalarFieldSpec.eval_jet
+        orders = []
+
+        def counted(spec, point, order):
+            if spec in s.metric.b_fields:
+                orders.append(order)
+            return original(spec, point, order)
+
+        monkeypatch.setattr(fields.ScalarFieldSpec, "eval_jet", counted)
+        run_scenario(cfg, suite=["preservation"])
+        per_point = s.dimension * s.plan.count
+        assert len(list(s.plan.pairs())) > s.plan.count  # several y per x
+        assert (orders.count(1), orders.count(2)) == (per_point, 2 * per_point)
+
     def test_metric_validity_reads_the_pair_sample(self, monkeypatch):
         calls = []
         original = finsler.finsler_sample
@@ -455,6 +475,27 @@ class TestCliMain:
         records = strict_records(proc.stdout)
         assert len(records) == 20
         assert any("DomainError: power 200" in (r["error"] or "")
+                   for r in records)
+
+    def test_chart_inverse_must_return_to_the_point(self, tmp_path, capsys):
+        """An inverse whose Jacobian matches but whose values are shifted
+        is not the chart's inverse: every chart record is an error."""
+        cfg = {
+            "dimension": 2,
+            "metric": {"family": "custom", "F": "(y1^4+y2^4)^0.25",
+                       "domain": {"lower": [-1, -1], "upper": [1, 1]}},
+            "two_form": {"kind": "standard"},
+            "vector_field": {"components": ["1", "0.5"]},
+            "chart": {"forward": ["x1", "x2"], "inverse": ["x1+0.3", "x2"]},
+            "sampling": {"mode": "grid", "count": 4},
+        }
+        path = self._write(tmp_path, cfg)
+        assert main(["run", "--config", path,
+                     "--suite", "transform,minkowski"]) == 1
+        records = strict_records(capsys.readouterr().out)
+        assert len(records) == 16
+        assert all(r["error"].startswith("SingularChartError: inverse map "
+                                         "does not return to the point")
                    for r in records)
 
     @pytest.mark.parametrize("F", [

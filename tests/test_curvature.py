@@ -4,58 +4,63 @@ import numpy as np
 import pytest
 
 from finsym.curvature import (
-    bianchi_contracted_residual,
-    bianchi_cyclic_residual,
+    brace_array,
+    contracted_two_path,
     curvature_fd_commutator,
     curvature_induced,
-    lower_curvature,
-    pair_symmetry_residual,
+    curvature_up,
+    cyclic_residual,
+    induced_derivatives,
+    pair_two_path,
 )
-from finsym.errors import DimensionMismatchError
 from finsym.fedosov import FedosovScenario
 from finsym.symplectic import chern_preservation_residual, standard_form
 
 from conftest import BOX2, BOX4, POLAR_BOX, patch_everywhere, sample_box
 
 
+def _derivatives(sc, x):
+    return induced_derivatives(sc, x, sc.vector_field.values(x))
+
+
 class TestCurvatureInduced:
     def test_flat_scenarios_vanish(self, euclid_std_scenario,
                                    quartic_std_scenario):
         for sc in (euclid_std_scenario, quartic_std_scenario):
-            c = curvature_induced(sc, [0.4, -0.2])
-            assert np.max(np.abs(c.up)) == 0.0
+            up = curvature_induced(sc, [0.4, -0.2])
+            assert np.max(np.abs(up)) == 0.0
 
     def test_flat_with_varying_vector_field(self, euclid_std_scenario):
         """Chain terms vanish when the coefficients are constant, even for a
         position-dependent vector field."""
-        c = curvature_induced(euclid_std_scenario, [0.7, 0.3])
-        assert np.max(np.abs(c.up)) == 0.0
+        up = curvature_induced(euclid_std_scenario, [0.7, 0.3])
+        assert np.max(np.abs(up)) == 0.0
 
     def test_polar_chart_is_flat(self, polar_scenario):
         rng = np.random.default_rng(21)
         for x in sample_box(rng, POLAR_BOX.lower, POLAR_BOX.upper, 10):
-            c = curvature_induced(polar_scenario, x)
-            assert np.max(np.abs(c.up)) <= 1e-7
+            up = curvature_induced(polar_scenario, x)
+            assert np.max(np.abs(up)) <= 1e-7
 
     def test_last_pair_antisymmetry_exact(self, graph_scenario):
-        c = curvature_induced(graph_scenario, [0.4, -0.3])
-        assert np.max(np.abs(c.up)) > 0.1  # genuinely curved
-        assert np.max(np.abs(c.up + c.up.swapaxes(2, 3))) == 0.0
+        up = curvature_induced(graph_scenario, [0.4, -0.3])
+        assert np.max(np.abs(up)) > 0.1  # genuinely curved
+        assert np.max(np.abs(up + up.swapaxes(2, 3))) == 0.0
 
     def test_fd_commutator_cross_check(self, graph_scenario):
         rng = np.random.default_rng(22)
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 8):
-            c = curvature_induced(graph_scenario, x)
+            up = curvature_induced(graph_scenario, x)
             fd = curvature_fd_commutator(graph_scenario, x)
-            scale = max(1.0, float(np.max(np.abs(c.up))))
-            assert np.max(np.abs(c.up - fd)) <= 1e-5 * scale
+            scale = max(1.0, float(np.max(np.abs(up))))
+            assert np.max(np.abs(up - fd)) <= 1e-5 * scale
 
     def test_fd_commutator_dim4(self, product_scenario):
         x = [0.4, -0.3, 0.2, 0.5]
-        c = curvature_induced(product_scenario, x)
+        up = curvature_induced(product_scenario, x)
         fd = curvature_fd_commutator(product_scenario, x)
-        scale = max(1.0, float(np.max(np.abs(c.up))))
-        assert np.max(np.abs(c.up - fd)) <= 1e-5 * scale
+        scale = max(1.0, float(np.max(np.abs(up))))
+        assert np.max(np.abs(up - fd)) <= 1e-5 * scale
 
     def test_fd_commutator_never_reads_the_jet_path(self, monkeypatch,
                                                     graph_scenario):
@@ -80,9 +85,9 @@ class TestCurvatureInduced:
                              ScalarFieldSpec.parse("1+x2^2", ["x1", "x2"])))
         sc = FedosovScenario(randers01, w, dbeta01)
         x = [0.3, 0.2]
-        c = curvature_induced(sc, x)
+        up = curvature_induced(sc, x)
         fd = curvature_fd_commutator(sc, x)
-        assert np.max(np.abs(c.up - fd)) <= 1e-5 * max(1.0, np.max(np.abs(c.up)))
+        assert np.max(np.abs(up - fd)) <= 1e-5 * max(1.0, np.max(np.abs(up)))
 
         from finsym.finsler import chern_with_derivatives
         G, dG_dx, _ = chern_with_derivatives(sc.metric, x, w.values(x))
@@ -94,35 +99,37 @@ class TestCurvatureInduced:
 
 class TestLowerCurvature:
     def test_zero_curvature(self, euclid_std_scenario):
-        c = curvature_induced(euclid_std_scenario, [0.1, 0.1])
-        low = lower_curvature(c, euclid_std_scenario.two_form, [0.1, 0.1])
-        assert np.max(np.abs(low)) == 0.0
+        x = [0.1, 0.1]
+        d = _derivatives(euclid_std_scenario, x)
+        res = pair_two_path(curvature_up(*d), brace_array(*d),
+                            euclid_std_scenario.two_form.values(x))
+        assert res.assembled == 0.0 and res.scale == 1.0
 
     def test_standard_form_unrolled_n1(self, graph_scenario):
         x = [0.4, -0.3]
-        c = curvature_induced(graph_scenario, x)
-        low = lower_curvature(c, standard_form(1), x)
-        assert np.array_equal(low[0], c.up[1])
-        assert np.array_equal(low[1], -c.up[0])
+        d = _derivatives(graph_scenario, x)
+        up = curvature_up(*d)
+        res = pair_two_path(up, brace_array(*d), standard_form(1).values(x))
+        low = np.stack([up[1], -up[0]])  # R_1jkl = R^2_jkl, R_2jkl = -R^1_jkl
+        assert res.assembled == np.max(np.abs(low - low.transpose(1, 0, 2, 3)))
+        assert res.scale == max(1.0, np.max(np.abs(low)))
 
     def test_pair_symmetry_on_preserving_scenario(self, graph_scenario,
                                                   volume_form2):
         rng = np.random.default_rng(23)
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 8):
-            c = curvature_induced(graph_scenario, x)
-            low = lower_curvature(c, volume_form2, x)
-            scale = max(1.0, float(np.max(np.abs(low))))
-            assert np.max(np.abs(low - low.transpose(1, 0, 2, 3))) <= 1e-7 * scale
-
-    def test_dimension_mismatch(self, graph_scenario):
-        c = curvature_induced(graph_scenario, [0.1, 0.1])
-        with pytest.raises(DimensionMismatchError):
-            lower_curvature(c, standard_form(2), [0.1, 0.1, 0.0, 0.0])
+            d = _derivatives(graph_scenario, x)
+            res = pair_two_path(curvature_up(*d), brace_array(*d),
+                                volume_form2.values(x))
+            assert res.assembled <= 1e-7 * res.scale
 
 
 class TestBianchi:
     def test_flat(self, euclid_std_scenario):
-        res = bianchi_contracted_residual(euclid_std_scenario, [0.2, 0.2])
+        x = [0.2, 0.2]
+        d = _derivatives(euclid_std_scenario, x)
+        res = contracted_two_path(curvature_up(*d), brace_array(*d),
+                                  euclid_std_scenario.two_form.values(x))
         assert res.direct == 0.0 and res.assembled == 0.0
 
     def test_cyclic_sum_all_scenarios(self, graph_scenario, product_scenario,
@@ -131,19 +138,24 @@ class TestBianchi:
                         (randers_std_scenario, BOX2)):
             rng = np.random.default_rng(24)
             for x in sample_box(rng, box.lower, box.upper, 5):
-                cyc, scale = bianchi_cyclic_residual(sc, x)
+                cyc, scale = cyclic_residual(curvature_induced(sc, x))
                 assert cyc <= 1e-7 * scale
 
     def test_two_paths_agree(self, graph_scenario, product_scenario):
         for sc, x in ((graph_scenario, [0.4, -0.3]),
                       (product_scenario, [0.4, -0.3, 0.2, 0.5])):
-            res = bianchi_contracted_residual(sc, x)
+            d = _derivatives(sc, x)
+            res = contracted_two_path(curvature_up(*d), brace_array(*d),
+                                      sc.two_form.values(x))
             assert res.paths_delta <= 1e-9
 
 
 class TestPairSymmetry:
     def test_flat(self, quartic_std_scenario):
-        res = pair_symmetry_residual(quartic_std_scenario, [0.2, 0.6])
+        x = [0.2, 0.6]
+        d = _derivatives(quartic_std_scenario, x)
+        res = pair_two_path(curvature_up(*d), brace_array(*d),
+                            quartic_std_scenario.two_form.values(x))
         assert res.assembled == 0.0 and res.direct == 0.0
 
     def test_preserving_scenarios_symmetric(self, graph_scenario,
@@ -154,13 +166,18 @@ class TestPairSymmetry:
                 w = sc.vector_field.values(x)
                 pres = chern_preservation_residual(sc.metric, sc.two_form, x, w)
                 assert pres.max_abs <= 1e-9  # scenario really does preserve
-                res = pair_symmetry_residual(sc, x)
+                d = induced_derivatives(sc, x, w)
+                res = pair_two_path(curvature_up(*d), brace_array(*d),
+                                    sc.two_form.values(x))
                 assert res.assembled <= 1e-6 * res.scale
 
     def test_two_paths_agree_everywhere(self, graph_scenario,
                                         randers_std_scenario):
+        x = [0.3, 0.2]
         for sc in (graph_scenario, randers_std_scenario):
-            res = pair_symmetry_residual(sc, [0.3, 0.2])
+            d = _derivatives(sc, x)
+            res = pair_two_path(curvature_up(*d), brace_array(*d),
+                                sc.two_form.values(x))
             assert res.paths_delta <= 1e-9
 
     def test_negative_control_breaks_symmetry(self, randers_std_scenario):
@@ -172,6 +189,8 @@ class TestPairSymmetry:
         pres = chern_preservation_residual(
             randers_std_scenario.metric, randers_std_scenario.two_form, x, w)
         assert pres.max_abs > 1e-3
-        res = pair_symmetry_residual(randers_std_scenario, x)
+        d = induced_derivatives(randers_std_scenario, x, w)
+        res = pair_two_path(curvature_up(*d), brace_array(*d),
+                            randers_std_scenario.two_form.values(x))
         assert np.isfinite(res.assembled)
         assert res.assembled > 1e-6  # visibly asymmetric here

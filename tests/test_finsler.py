@@ -11,13 +11,12 @@ from finsym.errors import (
 from finsym.fields import parse_field
 from finsym.finsler import (
     MetricSpec,
-    berwald_probe,
-    chern_structural_residuals,
     chern_with_derivatives,
     finsler_sample,
     finsler_value,
-    fundamental_tensor,
+    max_pairwise_spread,
     metric_validity,
+    structural_residuals,
 )
 from finsym.jets import fd_oracle
 
@@ -51,22 +50,22 @@ class TestFinslerValue:
 
 class TestFundamentalTensor:
     def test_euclidean_identity(self, euclid2):
-        g = fundamental_tensor(euclid2, [0.2, -0.1], [0.6, 1.1])
+        g = finsler_sample(euclid2, [0.2, -0.1], [0.6, 1.1]).g
         assert np.allclose(g, np.eye(2), atol=1e-12)
 
     def test_riemannian_returns_matrix(self, polar):
         for y in ([1.0, 0.5], [0.3, 1.2]):
-            g = fundamental_tensor(polar, [2.0, 0.5], y)
+            g = finsler_sample(polar, [2.0, 0.5], y).g
             assert np.allclose(g, np.diag([1.0, 4.0]), atol=1e-12)
 
     def test_quartic_frozen_values(self, quartic2):
-        g = fundamental_tensor(quartic2, [0.0, 0.0], [1.0, 1.0])
+        g = finsler_sample(quartic2, [0.0, 0.0], [1.0, 1.0]).g
         r2 = np.sqrt(2.0)
         assert np.allclose(g, [[r2, -r2 / 2], [-r2 / 2, r2]], atol=1e-12)
 
     def test_quartic_against_oracle(self, quartic2):
         x, y = np.zeros(2), np.array([1.0, 1.0])
-        g = fundamental_tensor(quartic2, x, y)
+        g = finsler_sample(quartic2, x, y).g
         half_f2 = parse_field("0.5*(x1^4+x2^4)^0.5", ["x1", "x2"])
         for i in range(2):
             for j in range(2):
@@ -77,10 +76,10 @@ class TestFundamentalTensor:
 
     def test_degenerate_on_axis(self, quartic2):
         with pytest.raises(NotPositiveDefiniteError):
-            fundamental_tensor(quartic2, [0.0, 0.0], [1.0, 0.0])
+            finsler_sample(quartic2, [0.0, 0.0], [1.0, 0.0]).g
 
     def test_symmetric_exactly(self, randers01):
-        g = fundamental_tensor(randers01, [0.3, 0.2], [1.0, 0.5])
+        g = finsler_sample(randers01, [0.3, 0.2], [1.0, 0.5]).g
         assert np.array_equal(g, g.T)
 
 
@@ -171,23 +170,27 @@ class TestChernCoefficients:
         assert np.array_equal(G, G.transpose(0, 2, 1))
 
     def test_randers_validated_by_structural(self, randers01):
-        res = chern_structural_residuals(randers01, [0.3, 0.2], [1.0, 0.5])
+        res = structural_residuals(
+            finsler_sample(randers01, [0.3, 0.2], [1.0, 0.5]))
         assert res.compat <= 1e-7 * res.scale
 
 
 class TestStructuralResiduals:
     def test_euclidean_zero(self, euclid2):
-        res = chern_structural_residuals(euclid2, [0.2, 0.3], [1.0, 0.5])
+        res = structural_residuals(
+            finsler_sample(euclid2, [0.2, 0.3], [1.0, 0.5]))
         assert res.torsion == 0.0
         assert res.compat == 0.0
 
     def test_polar(self, polar):
-        res = chern_structural_residuals(polar, [2.0, 0.5], [1.0, 1.0])
+        res = structural_residuals(
+            finsler_sample(polar, [2.0, 0.5], [1.0, 1.0]))
         assert res.torsion == 0.0
         assert res.compat <= 1e-9
 
     def test_quartic_exact(self, quartic2):
-        res = chern_structural_residuals(quartic2, [0.4, -0.2], [1.0, 0.7])
+        res = structural_residuals(
+            finsler_sample(quartic2, [0.4, -0.2], [1.0, 0.7]))
         assert res.torsion == 0.0
         assert res.compat == 0.0
 
@@ -197,7 +200,7 @@ class TestStructuralResiduals:
                  (quartic2, BOX2), (randers01, BOX2)]
         for metric, box in cases:
             for x, y in xy_samples(rng, box, 25):
-                res = chern_structural_residuals(metric, x, y)
+                res = structural_residuals(finsler_sample(metric, x, y))
                 assert res.torsion == 0.0
                 assert res.compat <= 1e-7 * res.scale
 
@@ -232,24 +235,22 @@ class TestMetricValidity:
 
 
 class TestBerwaldProbe:
+    YS = ([1.0, 0.5], [0.5, 1.3], [2.0, 3.0])
+
     def test_riemannian(self, polar):
-        spread = berwald_probe(polar, [2.0, 0.5],
-                               [[1.0, 0.5], [0.5, 1.3], [2.0, 3.0]])
+        spread = max_pairwise_spread(
+            [finsler_sample(polar, [2.0, 0.5], y).chern for y in self.YS])
         assert spread <= 1e-10
 
     def test_locally_minkowskian_exact(self, quartic2):
-        spread = berwald_probe(quartic2, [0.4, -0.2],
-                               [[1.0, 0.5], [0.5, 1.3], [2.0, 3.0]])
+        spread = max_pairwise_spread(
+            [finsler_sample(quartic2, [0.4, -0.2], y).chern for y in self.YS])
         assert spread == 0.0
 
     def test_randers_is_not_berwald(self, randers01):
-        spread = berwald_probe(randers01, [0.3, 0.2],
-                               [[1.0, 0.5], [0.5, 1.3], [2.0, 3.0]])
+        spread = max_pairwise_spread(
+            [finsler_sample(randers01, [0.3, 0.2], y).chern for y in self.YS])
         assert spread > 1e-3
-
-    def test_needs_two_samples(self, polar):
-        with pytest.raises(DomainError):
-            berwald_probe(polar, [2.0, 0.5], [[1.0, 1.0]])
 
 
 class TestChernWithDerivatives:

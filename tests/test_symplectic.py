@@ -3,22 +3,19 @@
 import numpy as np
 import pytest
 
-from finsym.errors import (
-    DimensionMismatchError,
-    NotRandersError,
-    OddDimensionError,
-)
+from finsym.errors import DimensionMismatchError, OddDimensionError
 from finsym.fields import parse_field
-from finsym.finsler import berwald_probe
+from finsym.finsler import finsler_sample, max_pairwise_spread
 from finsym.jets import fd_oracle
 from finsym.symplectic import (
+    ExactTwoForm,
     TwoFormField,
     chern_preservation_residual,
-    closedness_residual,
+    closedness,
+    covector_derivatives,
     explicit_two_form,
-    nondegeneracy_check,
-    randers_preservation_condition,
-    randers_two_form,
+    nondegeneracy,
+    randers_condition,
     standard_form,
 )
 
@@ -43,7 +40,7 @@ class TestStandardForm:
 
     def test_constant_coefficients_closed(self):
         omega = standard_form(2)
-        assert closedness_residual(omega, [0.1, -0.2, 0.5, 0.0]) == 0.0
+        assert closedness(omega.derivative_values([0.1, -0.2, 0.5, 0.0])) == 0.0
 
     def test_skewness_structural(self):
         omega = explicit_two_form(4, {(0, 1): "x1*x2", (1, 3): "sqrt(1+x3^2)"})
@@ -55,41 +52,43 @@ class TestClosedness:
     def test_dbeta_is_closed(self, dbeta01):
         rng = np.random.default_rng(1)
         for x in -1 + 2 * rng.random((10, 2)):
-            assert closedness_residual(dbeta01, x) <= 1e-9
+            assert closedness(dbeta01.derivative_values(x)) <= 1e-9
 
     def test_dbeta_closed_dim4(self):
         b = [parse_field(t, ["x1", "x2", "x3", "x4"])
              for t in ("-0.1*x2", "0.1*x1*x3", "x4^2", "x1*x2*x3")]
-        omega = randers_two_form(b)
+        omega = ExactTwoForm(b)
         rng = np.random.default_rng(1)
         for x in -1 + 2 * rng.random((10, 4)):
-            assert closedness_residual(omega, x) <= 1e-9
+            assert closedness(omega.derivative_values(x)) <= 1e-9
 
     def test_two_dimensional_vacuous(self):
         omega = explicit_two_form(2, {(0, 1): "x1"})
-        assert closedness_residual(omega, [0.5, 0.5]) == 0.0
+        assert closedness(omega.derivative_values([0.5, 0.5])) == 0.0
 
     def test_non_closed_detected(self):
         omega = explicit_two_form(4, {(0, 1): "x3"})
-        assert closedness_residual(omega, [0.0, 0.0, 0.0, 0.0]) == pytest.approx(1.0)
+        d = omega.derivative_values([0.0, 0.0, 0.0, 0.0])
+        assert closedness(d) == pytest.approx(1.0)
 
 
 class TestNondegeneracy:
     def test_standard(self):
-        assert nondegeneracy_check(standard_form(2), [0.0] * 4) == pytest.approx(1.0)
+        w = standard_form(2).values([0.0] * 4)
+        assert nondegeneracy(w) == pytest.approx(1.0)
 
     def test_randers_dbeta_determinant(self, dbeta01):
         # 2 * 0.1 = 0.2 on each entry, det = 0.04
-        assert nondegeneracy_check(dbeta01, [0.3, -0.8]) == pytest.approx(0.04)
+        assert nondegeneracy(dbeta01.values([0.3, -0.8])) == pytest.approx(0.04)
 
     def test_zero_form_fails(self):
         omega = TwoFormField(2, {})
-        assert nondegeneracy_check(omega, [0.0, 0.0]) == 0.0
+        assert nondegeneracy(omega.values([0.0, 0.0])) == 0.0
 
     def test_odd_dimension(self):
         omega = TwoFormField(3, {})
         with pytest.raises(OddDimensionError):
-            nondegeneracy_check(omega, [0.0, 0.0, 0.0])
+            nondegeneracy(omega.values([0.0, 0.0, 0.0]))
 
 
 class TestRandersTwoForm:
@@ -101,15 +100,15 @@ class TestRandersTwoForm:
     def test_exact_covector_gives_zero(self):
         # b = d(x1^2 + x2^2) has vanishing exterior derivative
         b = [parse_field("2*x1", V2), parse_field("2*x2", V2)]
-        omega = randers_two_form(b)
+        omega = ExactTwoForm(b)
         assert np.max(np.abs(omega.values([0.7, -0.4]))) < 1e-14
-        assert nondegeneracy_check(omega, [0.7, -0.4]) < 1e-8
+        assert nondegeneracy(omega.values([0.7, -0.4])) < 1e-8
 
     def test_degenerate_line(self):
         b = [parse_field("0", V2), parse_field("x1^2", V2)]
-        omega = randers_two_form(b)
+        omega = ExactTwoForm(b)
         assert omega.values([0.5, 0.0])[0, 1] == pytest.approx(1.0)
-        assert nondegeneracy_check(omega, [0.0, 0.3]) < 1e-8
+        assert nondegeneracy(omega.values([0.0, 0.3])) < 1e-8
 
 
 # nonlinear covectors; b[j] is the component b_j
@@ -124,7 +123,7 @@ def test_exact_form_against_differences(n):
     """d(beta) and its partials agree with finite differences of b."""
     names = [f"x{i + 1}" for i in range(n)]
     b = [parse_field(t, names) for t in EXACT_CASES[n]]
-    omega = randers_two_form(b)
+    omega = ExactTwoForm(b)
     unit = np.eye(n, dtype=int)
     rng = np.random.default_rng(30 + n)
     for x in rng.uniform(-0.9, 0.9, (3, n)):
@@ -167,7 +166,8 @@ class TestPreservationResidual:
         """Fiber independence of the residual follows the coefficient spread."""
         x = [0.4, -0.3]
         ys = [[1.0, 0.5], [0.6, 1.2], [2.0, 1.0]]
-        spread = berwald_probe(graph2, x, ys)
+        spread = max_pairwise_spread([finsler_sample(graph2, x, y).chern
+                                      for y in ys])
         residuals = [chern_preservation_residual(graph2, volume_form2, x, y).entries
                      for y in ys]
         worst = max(float(np.max(np.abs(residuals[0] - r))) for r in residuals[1:])
@@ -175,39 +175,27 @@ class TestPreservationResidual:
 
 
 class TestRandersCondition:
-    def test_requires_randers(self, euclid2):
-        with pytest.raises(NotRandersError):
-            randers_preservation_condition(euclid2, [0.0, 0.0], [1.0, 1.0])
-
     def test_constant_covector_flat_alpha(self):
         from finsym.finsler import MetricSpec
         m = MetricSpec.randers([["1", "0"], ["0", "1"]], ["0.2", "0.1"], BOX2)
-        cond = randers_preservation_condition(m, [0.3, 0.1], [1.0, 0.5])
-        assert cond.residual == 0.0
-
-    def test_linear_covector_darboux_variant_coincides(self, randers01):
-        cond = randers_preservation_condition(randers01, [0.3, 0.2], [1.0, 0.5])
-        assert cond.second_deriv_max == 0.0
-        assert cond.residual == cond.darboux_residual
+        x, y = [0.3, 0.1], [1.0, 0.5]
+        cond = randers_condition(*covector_derivatives(m.b_fields, x, 2),
+                                 finsler_sample(m, x, y).chern)
+        assert np.max(np.abs(cond)) == 0.0
 
     def test_equivalence_with_negated_lift_residual(self, randers01, dbeta01):
         rng = np.random.default_rng(6)
         for x, y in xy_samples(rng, BOX2, 20):
             pres = chern_preservation_residual(randers01, dbeta01, x, y)
-            cond = randers_preservation_condition(randers01, x, y)
+            cond = randers_condition(
+                *covector_derivatives(randers01.b_fields, x, 2),
+                finsler_sample(randers01, x, y).chern)
             scale = max(1.0, float(np.max(np.abs(pres.entries))))
-            assert np.max(np.abs(cond.entries + pres.entries)) <= 1e-9 * scale
+            assert np.max(np.abs(cond + pres.entries)) <= 1e-9 * scale
 
     def test_pointwise_equivalence_at_probe(self, randers01, dbeta01):
         x, y = [0.3, 0.2], [1.0, 0.5]
         pres = chern_preservation_residual(randers01, dbeta01, x, y)
-        cond = randers_preservation_condition(randers01, x, y)
-        assert np.max(np.abs(cond.entries + pres.entries)) <= 1e-9
-
-    def test_nonlinear_covector_brackets_differ(self):
-        from finsym.finsler import MetricSpec
-        m = MetricSpec.randers([["1", "0"], ["0", "1"]],
-                               ["-0.1*x2^2", "0.1*x1"], BOX2)
-        cond = randers_preservation_condition(m, [0.3, 0.4], [1.0, 0.5])
-        assert cond.second_deriv_max > 0.0
-        assert cond.residual != cond.darboux_residual
+        cond = randers_condition(*covector_derivatives(randers01.b_fields, x, 2),
+                                 finsler_sample(randers01, x, y).chern)
+        assert np.max(np.abs(cond + pres.entries)) <= 1e-9
