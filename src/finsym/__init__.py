@@ -17,14 +17,13 @@ from .errors import (
     UnknownVariableError,
     ZeroVectorError,
 )
-from .jets import Jet, fd_oracle, jet_eval
+from .jets import Jet, fd_oracle
 from .fields import (
     ChartMap,
     DomainBox,
     ScalarFieldSpec,
     VectorFieldSpec,
     chart_jacobians,
-    parse_field,
 )
 from .finsler import (
     FinslerSample,

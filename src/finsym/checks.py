@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,6 +47,7 @@ from .symplectic import (
     PreservationResidual,
     closedness,
     covector_derivatives,
+    exact_form_data,
     nondegeneracy,
     randers_condition,
     standard_form,
@@ -77,7 +79,7 @@ class _once:
 
 def _minkowski(c: "PointContext") -> tuple[float, float, float]:
     require_minkowskian(c.s.metric, c.x)
-    mk = minkowski_preservation_check(c.domega, c.jac, c.hatted)
+    mk = minkowski_preservation_check(c.form[1], c.jac, c.hatted)
     ghat = transform_connection(
         ConnectionCoefficients.zero(c.s.dimension), c.jac)
     hatted = PreservationResidual.of(*c.hatted, ghat.array)
@@ -91,8 +93,10 @@ class PointContext:
     path there.  ``lift_w`` is the lift-preservation residual of the
     scenario's form along W, ``standard_lift_w`` that of the standard form.
     ``jac`` holds the chart derivatives at x and ``hatted`` the scenario's
-    form pulled back through them.  ``covector`` holds the first and second
-    derivative arrays of the Randers covector b at x.  The finite-difference
+    form pulled back through them.  ``form`` holds the scenario's two-form
+    and its partials at x; ``covector`` the first and second derivative
+    arrays of the Randers covector b there, from which a d(beta) form is
+    read rather than evaluating b again.  The finite-difference
     curvature ``fd`` evaluates its own stencil and reads nothing else from
     the context.
     """
@@ -104,29 +108,34 @@ class PointContext:
     sample_w = _once(lambda c: finsler_sample(c.s.metric, c.x, c.w))
     gamma = _once(lambda c: ConnectionCoefficients(c.s.dimension,
                                                    c.sample_w.chern))
-    omega = _once(lambda c: c.s.two_form.values(c.x))
-    domega = _once(lambda c: c.s.two_form.derivative_values(c.x))
+    form = _once(lambda c: (exact_form_data(*c.covector)
+                            if c.s.two_form_kind == "randers-dbeta"
+                            else c.s.two_form.data(c.x)))
     # G is read first: where both the connection and the form fail, the
     # record carries the connection's error
     lift_w = _once(lambda c: PreservationResidual.of(
-        G=c.sample_w.chern, w=c.omega, dw=c.domega))
+        G=c.sample_w.chern, w=c.form[0], dw=c.form[1]))
     standard_lift_w = _once(lambda c: PreservationResidual.of(
-        *_standard_data(c.s.dimension // 2, c.x), c.sample_w.chern))
+        *_standard_data(c.s.dimension // 2), c.sample_w.chern))
     derivatives = _once(lambda c: induced_derivatives(c.sc, c.x, c.w))
     up = _once(lambda c: curvature_up(*c.derivatives))
     brace = _once(lambda c: brace_array(*c.derivatives))
-    pair = _once(lambda c: pair_two_path(c.up, c.brace, c.omega))
+    pair = _once(lambda c: pair_two_path(c.up, c.brace, c.form[0]))
     fd = _once(lambda c: curvature_fd_commutator(c.sc, c.x))
     jac = _once(lambda c: chart_jacobians(c.s.chart, c.x))
-    hatted = _once(lambda c: hatted_two_form_data(c.omega, c.domega, c.jac))
+    hatted = _once(lambda c: hatted_two_form_data(*c.form, c.jac))
     covector = _once(lambda c: covector_derivatives(c.s.metric.b_fields,
                                                     c.x, 2))
     minkowski = _once(_minkowski)
 
 
-def _standard_data(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    std = standard_form(n)
-    return std.values(x), std.derivative_values(x)
+@lru_cache(maxsize=None)
+def _standard_data(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The standard form's components and partials: constant, so read once
+    (at the origin) and shared, read-only, by every base point."""
+    w, dw = standard_form(n).data(np.zeros(2 * n))
+    w.flags.writeable = dw.flags.writeable = False
+    return w, dw
 
 
 class FiberContext:
@@ -139,7 +148,7 @@ class FiberContext:
     sample = _once(lambda f: finsler_sample(f.base.s.metric, f.base.x, f.y))
     structural = _once(lambda f: structural_residuals(f.sample))
     lift = _once(lambda f: PreservationResidual.of(
-        G=f.sample.chern, w=f.base.omega, dw=f.base.domega))
+        G=f.sample.chern, w=f.base.form[0], dw=f.base.form[1]))
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def _nondegeneracy(c: PointContext) -> float:
-    return max(0.0, c.s.tolerances["tol_nd"] - nondegeneracy(c.omega))
+    return max(0.0, c.s.tolerances["tol_nd"] - nondegeneracy(c.form[0]))
 
 
 def _randers_equivalence(f: FiberContext) -> float:
@@ -196,7 +205,7 @@ def _randers_equivalence(f: FiberContext) -> float:
 def _exactness(c: PointContext) -> float:
     gam = c.gamma
     pres = c.lift_w
-    return abs(covariant_residual(gam.array, c.omega, c.domega) - pres.max_abs)
+    return abs(covariant_residual(gam.array, *c.form) - pres.max_abs)
 
 
 def _roundtrip(c: PointContext) -> float:
@@ -242,8 +251,8 @@ CHECKS = (
           "two-form validity (closedness, nondegeneracy) and the "
           "lift-preservation residual; Randers d(beta) equivalence",
           ("two_form",), (
-              Facet("preservation:closedness", lambda c: closedness(c.domega),
-                    "closedness"),
+              Facet("preservation:closedness",
+                    lambda c: closedness(c.form[1]), "closedness"),
               Facet("preservation:nondegeneracy", _nondegeneracy),
               Facet("preservation:lift", lambda f: f.lift.max_abs,
                     "preservation", fiber=True),
@@ -314,7 +323,7 @@ CHECKS = (
                     "bianchi"),
               Facet("bianchi:two-path",
                     lambda c: contracted_two_path(
-                        c.up, c.brace, c.omega).paths_delta,
+                        c.up, c.brace, c.form[0]).paths_delta,
                     "two-path", when=_has_two_form),
           )),
     Check("pair-symmetry",

@@ -50,8 +50,7 @@ def _lowered(w: np.ndarray, up: np.ndarray) -> np.ndarray:
     return np.einsum("in,njkl->ijkl", w, up)
 
 
-def curvature_fd_commutator(s: FedosovScenario, x,
-                            base_step: float | None = None) -> np.ndarray:
+def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
     """Finite-difference curvature of the induced-connection field.
 
     The first derivatives of x -> induce_connection(s, x) come from
@@ -62,14 +61,14 @@ def curvature_fd_commutator(s: FedosovScenario, x,
     n = s.metric.dimension
     x = np.asarray(x, dtype=float)
 
-    def coeffs(pt: np.ndarray) -> np.ndarray:
+    def induced(pt: np.ndarray) -> np.ndarray:
         return induce_connection(s, pt).array
 
-    G0 = coeffs(x)
+    G0 = induced(x)
     axes = np.eye(n, dtype=int)
     # dG[l, a, b, t] = d G^l_ab / d x^t
-    dG = np.stack([fd_oracle(coeffs, x, axes[t], base_step)
-                   for t in range(n)], axis=-1)
+    dG = np.stack([fd_oracle(induced, x, axes[t]) for t in range(n)],
+                  axis=-1)
     half = np.einsum("lkij->lijk", dG) + np.einsum("mki,ljm->lijk", G0, G0)
     return half - half.swapaxes(2, 3)
 

@@ -262,59 +262,6 @@ def eval_node(node: Node, env: Sequence):
     raise TypeError(f"unknown node {node!r}")
 
 
-# -- printing -----------------------------------------------------------------
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _fmt_number(v: float) -> str:
-    if float(v).is_integer() and abs(v) < 1e15:
-        return str(int(v))
-    return repr(float(v))
-
-
-def _fmt(node: Node) -> tuple[str, int]:
-    if isinstance(node, Num):
-        return _fmt_number(node.value), _LEVEL_ATOM
-    if isinstance(node, Var):
-        return node.name, _LEVEL_ATOM
-    if isinstance(node, Sqrt):
-        return f"sqrt({_fmt(node.arg)[0]})", _LEVEL_ATOM
-    if isinstance(node, Neg):
-        s, lvl = _fmt(node.arg)
-        if lvl < _LEVEL_NEG:
-            s = f"({s})"
-        return f"-{s}", _LEVEL_NEG
-    if isinstance(node, Pow):
-        s, lvl = _fmt(node.base)
-        if lvl < _LEVEL_ATOM:
-            s = f"({s})"
-        return f"{s}^{_fmt_number(node.exponent)}", _LEVEL_POW
-    if isinstance(node, (Add, Sub)):
-        ls, llvl = _fmt(node.left)
-        rs, rlvl = _fmt(node.right)
-        if llvl < _LEVEL_ADD:
-            ls = f"({ls})"
-        if rlvl <= _LEVEL_ADD:
-            rs = f"({rs})"
-        op = "+" if isinstance(node, Add) else "-"
-        return f"{ls}{op}{rs}", _LEVEL_ADD
-    if isinstance(node, (Mul, Div)):
-        ls, llvl = _fmt(node.left)
-        rs, rlvl = _fmt(node.right)
-        if llvl < _LEVEL_MUL:
-            ls = f"({ls})"
-        if rlvl <= _LEVEL_MUL:
-            rs = f"({rs})"
-        op = "*" if isinstance(node, Mul) else "/"
-        return f"{ls}{op}{rs}", _LEVEL_MUL
-    raise TypeError(f"unknown node {node!r}")
-
-
-def format_expression(node: Node) -> str:
-    return _fmt(node)[0]
-
-
 # -- field specs ---------------------------------------------------------------
 
 
@@ -355,14 +302,6 @@ class ScalarFieldSpec:
             raise DomainError(
                 f"non-finite field data at {np.asarray(point, float).tolist()}")
         return out
-
-    def to_string(self) -> str:
-        return format_expression(self.root)
-
-
-def parse_field(text: str, variables: Sequence[str]) -> ScalarFieldSpec:
-    """Parse expression text over the declared variables."""
-    return ScalarFieldSpec.parse(text, variables)
 
 
 @dataclass(frozen=True)
@@ -464,11 +403,13 @@ class ChartJacobians:
     inv2: np.ndarray
 
 
-def chart_jacobians(chart: ChartMap, x: Sequence[float],
-                    chain_tol: float = 1e-8) -> ChartJacobians:
+_CHAIN_TOL = 1e-8
+
+
+def chart_jacobians(chart: ChartMap, x: Sequence[float]) -> ChartJacobians:
     """First/second derivative arrays of a chart at ``x``; SingularChartError
     unless the inverse undoes the forward map there (Jacobians inverse within
-    ``chain_tol``, value back at x within ``chain_tol * max(1, max|x|)``)."""
+    ``_CHAIN_TOL``, value back at x within ``_CHAIN_TOL * max(1, max|x|)``)."""
     m = chart.dimension
     x = np.asarray(x, dtype=float)
     if chart.forward_domain is not None:
@@ -490,14 +431,14 @@ def chart_jacobians(chart: ChartMap, x: Sequence[float],
     inv2 = np.array([j.derivatives(2) for j in inv_jets])
 
     defect = float(np.max(np.abs(fwd @ inv - np.eye(m))))
-    if defect > chain_tol:
+    if defect > _CHAIN_TOL:
         raise SingularChartError(
             f"inverse map inconsistent with forward map (chain defect "
-            f"{defect:.3e} > {chain_tol:g}) at {x.tolist()}"
+            f"{defect:.3e} > {_CHAIN_TOL:g}) at {x.tolist()}"
         )
     back = np.array([j.value for j in inv_jets])
     miss = float(np.max(np.abs(back - x)))
-    bound = chain_tol * max(1.0, float(np.max(np.abs(x))))
+    bound = _CHAIN_TOL * max(1.0, float(np.max(np.abs(x))))
     if miss > bound:
         raise SingularChartError(
             f"inverse map does not return to the point (round-trip miss "

@@ -366,8 +366,12 @@ def randers_alpha_norm(m: MetricSpec, x) -> float:
     return float(np.sqrt(q))
 
 
+# fiber scalings at which the homogeneity record compares F(x, lam y)
+# with lam F(x, y)
+_LAMBDAS = (0.5, 2.0, 3.0)
+
+
 def metric_validity(m: MetricSpec, samples: Sequence,
-                    lambdas=(0.5, 2.0, 3.0),
                     homogeneity_tol: float = 1e-9) -> list[CheckRecord]:
     """Homogeneity, Euler, Cartan-trace, positive-definiteness, and (for
     Randers) covector-smallness records over the sampled (x, y) pairs.
@@ -377,13 +381,12 @@ def metric_validity(m: MetricSpec, samples: Sequence,
     records: list[CheckRecord] = []
     for x, y in samples:
         records.extend(pair_validity(m, x, y, lambda: finsler_sample(m, x, y),
-                                     lambdas, homogeneity_tol))
+                                     homogeneity_tol))
     return records
 
 
 def pair_validity(m: MetricSpec, x, y, sample: Callable[[], FinslerSample],
-                  lambdas=(0.5, 2.0, 3.0),
-                  homogeneity_tol: float = 1e-9) -> list[CheckRecord]:
+                  homogeneity_tol: float) -> list[CheckRecord]:
     """:func:`metric_validity` records at one pair (x, y).  ``sample()``
     returns ``finsler_sample(m, x, y)``, so a caller that already holds the
     sample passes it in rather than having it evaluated again."""
@@ -395,7 +398,7 @@ def pair_validity(m: MetricSpec, x, y, sample: Callable[[], FinslerSample],
     try:
         F = finsler_value(m, x, y)
         rel = 0.0
-        for lam in lambdas:
+        for lam in _LAMBDAS:
             Fl = m.F_field.evaluate(np.concatenate([x, lam * y]))
             rel = max(rel, abs(Fl - lam * F) / abs(lam * F))
         records.append(CheckRecord.evaluated(
@@ -407,6 +410,9 @@ def pair_validity(m: MetricSpec, x, y, sample: Callable[[], FinslerSample],
     try:
         Fj = m.F_field.eval_jet(np.concatenate([x, y]), 1)
         F = Fj.value
+        if not F > 0.0:
+            raise NonPositiveError(
+                f"F = {F:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
         euler = abs(sum(y * Fj.derivatives(1)[m.dimension:]) - F) / abs(F)
         records.append(CheckRecord.evaluated(
             "metric-validity:euler", pt, euler, homogeneity_tol))

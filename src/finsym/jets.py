@@ -1,11 +1,11 @@
 """Exact higher-order forward-mode differentiation via truncated Taylor jets.
 
 A :class:`Jet` stores the Taylor coefficients of a smooth scalar field at a
-point, over ``num_vars`` coordinates, truncated at total degree ``order``
-(at most 4).  The partial derivative for a multi-index equals the stored
-coefficient times the multi-index factorial.  Arithmetic is closed on jets
-of equal shape and is exact for polynomial operations; analytic operations
-(sqrt, real powers, reciprocals) are exact to the truncation order.
+point, over ``num_vars`` coordinates, truncated at total degree ``order``.
+The partial derivative for a multi-index equals the stored coefficient
+times the multi-index factorial.  Arithmetic is closed on jets of equal
+shape and is exact for polynomial operations; analytic operations (sqrt,
+real powers, reciprocals) are exact to the truncation order.
 Derivatives leave a jet only as arrays (:meth:`Jet.derivatives`); chain
 rules through a known Jacobian are numpy contractions over those arrays,
 done by the callers, not jet compositions.
@@ -24,10 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, OrderError
-
-MAX_ORDER = 4
-
-MultiIndex = tuple  # exponent per variable, nonnegative ints
 
 
 def multi_index_degree(idx: Sequence[int]) -> int:
@@ -115,8 +111,9 @@ def _derivative_gather(num_vars: int, order: int,
 class Jet:
     """Truncated multivariate Taylor expansion of a scalar field at a point.
 
-    ``coeffs[idx]`` is the Taylor coefficient for multi-index ``idx``; the
-    partial derivative is ``coeffs[idx] * multi_index_factorial(idx)``.
+    ``c`` holds the Taylor coefficients in graded multi-index order; the
+    partial derivative for a multi-index is its coefficient times
+    ``multi_index_factorial``, read out through :meth:`derivatives`.
     """
 
     __slots__ = ("num_vars", "order", "c")
@@ -151,24 +148,6 @@ class Jet:
     @property
     def value(self) -> float:
         return float(self.c[0])
-
-    @property
-    def coeffs(self) -> dict:
-        t = _table(self.num_vars, self.order)
-        return {idx: float(self.c[k]) for k, idx in enumerate(t.indices)}
-
-    def coefficient(self, idx: Sequence[int]) -> float:
-        idx = tuple(int(e) for e in idx)
-        t = _table(self.num_vars, self.order)
-        if multi_index_degree(idx) > self.order:
-            raise OrderError(
-                f"multi-index {idx} exceeds jet order {self.order}"
-            )
-        return float(self.c[t.index_of[idx]])
-
-    def partial(self, idx: Sequence[int]) -> float:
-        """Partial derivative for the given multi-index."""
-        return self.coefficient(idx) * multi_index_factorial(idx)
 
     def derivatives(self, k: int) -> np.ndarray:
         """Every k-th partial as a symmetric ``(num_vars,)*k`` array:
@@ -303,31 +282,6 @@ class Jet:
         return f"Jet(num_vars={self.num_vars}, order={self.order}, value={self.value})"
 
 
-def jet_eval(field, point: Sequence[float], order: int) -> Jet:
-    """Evaluate a scalar field at ``point`` as a jet of the given order.
-
-    ``field`` is either an object exposing ``eval_jet(point, order)`` (the
-    expression specs do) or a callable taking a list of jets, one per
-    coordinate, and combining them with jet arithmetic.
-    """
-    if order < 0 or order > MAX_ORDER:
-        raise OrderError(f"order {order} outside supported range 0..{MAX_ORDER}")
-    if hasattr(field, "eval_jet"):
-        out = field.eval_jet(point, order)
-    else:
-        num_vars = len(point)
-        args = [Jet.variable(i, float(point[i]), num_vars, order)
-                for i in range(num_vars)]
-        with np.errstate(all="ignore"):  # non-finite data raises below
-            out = field(args)
-        if not isinstance(out, Jet):
-            out = Jet.constant(float(out), num_vars, order)
-    if not out.is_finite():
-        raise DomainError("non-finite derivative data at point "
-                          f"{np.asarray(point, float).tolist()}")
-    return out
-
-
 def fd_base_step(degree: int) -> float:
     # balances O(h^4) truncation (after Richardson) against cancellation noise
     return float(np.finfo(float).eps ** (1.0 / (degree + 4)))
@@ -346,36 +300,22 @@ def _central(f: Callable, x: np.ndarray, idx: tuple, steps: np.ndarray):
     return f(x)
 
 
-def fd_oracle(field, point: Sequence[float], idx: Sequence[int],
-              base_step: float | None = None, domain=None):
+def fd_oracle(field, point: Sequence[float], idx: Sequence[int]):
     """Finite-difference derivative estimate, independent of jet arithmetic.
 
-    Composite central differences, one Richardson extrapolation step
-    (O(step^4) error for first derivatives).  ``field`` is called with a
-    plain coordinate array and may return a float or an array, which is
-    differentiated entrywise.  If ``domain`` is given, every stencil point is
-    required to lie inside it.
+    Composite central differences with step ``fd_base_step(degree)`` scaled
+    by max(1, |x_v|), one Richardson extrapolation step (O(step^4) error for
+    first derivatives).  ``field`` is called with a plain coordinate array
+    and may return a float or an array, which is differentiated entrywise.
+    The stencil is not checked against a domain here: ``field`` rejects the
+    points it cannot evaluate.
     """
     idx = tuple(int(e) for e in idx)
     x = np.asarray(point, dtype=float)
     degree = multi_index_degree(idx)
     if degree == 0:
         return field(x)
-    if base_step is None:
-        base_step = fd_base_step(degree)
-    steps = base_step * np.maximum(1.0, np.abs(x))
-
-    f = field
-    if domain is not None:
-        reach = np.zeros_like(x)
-        for v, e in enumerate(idx):
-            reach[v] = e * steps[v]
-        for corner in (x + reach, x - reach):
-            if not domain.contains(corner):
-                raise DomainError(
-                    f"finite-difference stencil leaves the domain near {x.tolist()}"
-                )
-
-    coarse = _central(f, x, idx, steps)
-    fine = _central(f, x, idx, steps / 2.0)
+    steps = fd_base_step(degree) * np.maximum(1.0, np.abs(x))
+    coarse = _central(field, x, idx, steps)
+    fine = _central(field, x, idx, steps / 2.0)
     return (4.0 * fine - coarse) / 3.0

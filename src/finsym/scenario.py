@@ -148,15 +148,6 @@ class SamplePlan:
     xs: np.ndarray
     ys: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return self.xs.shape[0]
-
-    def pairs(self):
-        for i in range(self.xs.shape[0]):
-            for j in range(self.ys.shape[1]):
-                yield self.xs[i], self.ys[i, j]
-
 
 @dataclass(frozen=True, eq=False)
 class BuiltScenario:
@@ -295,10 +286,16 @@ def validate_config(config: dict) -> None:
     if sampling["mode"] == "random" and "seed" not in sampling:
         raise ConfigError("random sampling requires an explicit seed",
                           "/sampling/seed")
-    for name in config.get("tolerances", {}):
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance {name!r}",
-                              f"/tolerances/{name}")
+    for name, value in config.get("tolerances", {}).items():
+        _check_tolerance(name, value)
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if name not in DEFAULT_TOLERANCES:
+        raise ConfigError(f"unknown tolerance {name!r}", f"/tolerances/{name}")
+    if not math.isfinite(value):
+        raise ConfigError(f"tolerance {name!r} must be finite, got {value}",
+                          f"/tolerances/{name}")
 
 
 # Sample points stay this fraction of the box width away from its faces so
@@ -392,9 +389,7 @@ def build_scenario(config: dict, seed_override: int | None = None,
     tolerances.update(config.get("tolerances", {}))
     if tolerance_overrides:
         for name, value in tolerance_overrides.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {name!r}",
-                                  f"/tolerances/{name}")
+            _check_tolerance(name, float(value))
             tolerances[name] = float(value)
 
     metric = replace(_build_metric(config["metric"], dimension),

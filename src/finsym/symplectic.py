@@ -32,23 +32,21 @@ class TwoFormField:
             if not (0 <= i < j < self.dimension):
                 raise ValueError(f"entry key ({i},{j}) must satisfy 0 <= i < j < dim")
 
-    def values(self, x) -> np.ndarray:
-        w = np.zeros((self.dimension, self.dimension))
+    def data(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The components w[i, j] at x and their partials
+        d[k, i, j] = d omega_ij / d x^k."""
+        m = self.dimension
+        w = np.zeros((m, m))
         for (i, j), entry in self.entries.items():
             v = entry.evaluate(x)
             w[i, j] = v
             w[j, i] = -v
-        return w
-
-    def derivative_values(self, x) -> np.ndarray:
-        """d[k, i, j] = d omega_ij / d x^k."""
-        m = self.dimension
         d = np.zeros((m, m, m))
         for (i, j), entry in self.entries.items():
             v = entry.eval_jet(x, 1).derivatives(1)
             d[:, i, j] = v
             d[:, j, i] = -v
-        return d
+        return w, d
 
 
 def covector_derivatives(b: Sequence[ScalarFieldSpec], x,
@@ -58,6 +56,14 @@ def covector_derivatives(b: Sequence[ScalarFieldSpec], x,
     jets = [c.eval_jet(np.asarray(x, dtype=float), order) for c in b]
     return [np.stack([j.derivatives(k) for j in jets], axis=-1)
             for k in range(1, order + 1)]
+
+
+def exact_form_data(db: np.ndarray,
+                    ddb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d(beta) and its partials from the derivative arrays of b (see
+    :func:`covector_derivatives`): w[i, j] = d_i b_j - d_j b_i and
+    d[k, i, j] = d w_ij / d x^k."""
+    return db - db.T, ddb - ddb.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,17 +77,13 @@ class ExactTwoForm:
     def dimension(self) -> int:
         return len(self.b)
 
-    def values(self, x) -> np.ndarray:
-        db, = covector_derivatives(self.b, x, 1)
-        return db - db.T
-
-    def derivative_values(self, x) -> np.ndarray:
-        """d[k, i, j] = d (d beta)_ij / d x^k."""
-        _, ddb = covector_derivatives(self.b, x, 2)
-        return ddb - ddb.transpose(0, 2, 1)
+    def data(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The components at x and their partials, from one order-2
+        evaluation of b."""
+        return exact_form_data(*covector_derivatives(self.b, x, 2))
 
 
-# what every consumer of a two-form reads: dimension, values, derivative_values
+# what every consumer of a two-form reads: dimension, data
 TwoForm = TwoFormField | ExactTwoForm
 
 
@@ -158,8 +160,7 @@ def chern_preservation_residual(m: MetricSpec, omega: TwoForm,
             f"form dimension {omega.dimension} != metric dimension {m.dimension}"
         )
     chern = finsler_sample(m, x, y).chern
-    return PreservationResidual.of(omega.values(x), omega.derivative_values(x),
-                                   chern)
+    return PreservationResidual.of(*omega.data(x), chern)
 
 
 def randers_condition(db: np.ndarray, ddb: np.ndarray,

@@ -29,6 +29,13 @@ def patch_everywhere(monkeypatch, original, replacement):
                 monkeypatch.setattr(module, attr, replacement)
 
 
+def partial(jet, idx):
+    """The partial derivative of a jet for a multi-index, read from
+    ``jet.derivatives``."""
+    slots = tuple(v for v, e in enumerate(idx) for _ in range(e))
+    return jet.derivatives(len(slots))[slots]
+
+
 def sample_box(rng, lower, upper, count):
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)

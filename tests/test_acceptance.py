@@ -33,14 +33,14 @@ from finsym.fedosov import (
     require_minkowskian,
     transform_connection,
 )
-from finsym.fields import ChartMap, chart_jacobians, parse_field
+from finsym.fields import ChartMap, ScalarFieldSpec, chart_jacobians
 from finsym.finsler import (
     MetricSpec,
     finsler_sample,
     metric_validity,
     structural_residuals,
 )
-from finsym.jets import fd_oracle, jet_eval
+from finsym.jets import fd_oracle
 from finsym.report import emit_report
 from finsym.scenario import build_scenario
 from finsym.symplectic import (
@@ -52,7 +52,15 @@ from finsym.symplectic import (
     standard_form,
 )
 
-from conftest import BOX2, BOX4, POLAR_BOX, const_vector, sample_box, xy_samples
+from conftest import (
+    BOX2,
+    BOX4,
+    POLAR_BOX,
+    const_vector,
+    partial,
+    sample_box,
+    xy_samples,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -109,14 +117,14 @@ def test_criterion_01_ad_correctness():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for text, names, (lo, hi) in AD_FIELDS:
-        f = parse_field(text, names)
+        f = ScalarFieldSpec.parse(text, names)
         idxs = _indices(len(names), 3)
         for _ in range(100):
             x = lo + (hi - lo) * rng.random(len(names))
-            jet = jet_eval(f, x, 3)
+            jet = f.eval_jet(x, 3)
             for idx in idxs:
                 fd = fd_oracle(f, x, idx)
-                rel = abs(jet.partial(idx) - fd) / max(1.0, abs(fd))
+                rel = abs(partial(jet, idx) - fd) / max(1.0, abs(fd))
                 worst = max(worst, rel)
     _report("criterion-01 ad-correctness", worst <= 1e-6,
             f"20 fields x 100 points, degree<=3, worst relative "
@@ -214,8 +222,7 @@ def test_criterion_05_exactness(request):
             gam = induce_connection(sc, x)
             w = sc.vector_field.values(x)
             pres = chern_preservation_residual(sc.metric, sc.two_form, x, w)
-            direct = covariant_residual(gam.array, sc.two_form.values(x),
-                                        sc.two_form.derivative_values(x))
+            direct = covariant_residual(gam.array, *sc.two_form.data(x))
             worst = max(worst, abs(direct - pres.max_abs))
     _report("criterion-05 induced-exactness", worst <= 1e-12,
             f"7 scenarios x 15 pts: |connection residual - lift residual| "
@@ -290,8 +297,8 @@ def test_criterion_08_randers_equivalence(randers01, dbeta01):
         worst_eq = max(worst_eq,
                        float(np.max(np.abs(cond + pres.entries))) / scale)
         worst_closed = max(worst_closed,
-                           closedness(dbeta01.derivative_values(x)))
-    w12 = dbeta01.values([0.3, -0.7])[0, 1]
+                           closedness(dbeta01.data(x)[1]))
+    w12 = dbeta01.data([0.3, -0.7])[0][0, 1]
     _report("criterion-08 randers-equivalence",
             worst_eq <= 1e-9 and worst_closed <= 1e-9
             and abs(w12 - 0.2) <= 1e-12,
@@ -304,8 +311,10 @@ def test_criterion_08_randers_equivalence(randers01, dbeta01):
 
 def test_criterion_09_chart_transformation(quartic2):
     chart = ChartMap(
-        forward=(parse_field("x1", V2), parse_field("x2+x1^2/2", V2)),
-        inverse=(parse_field("x1", V2), parse_field("x2-x1^2/2", V2)))
+        forward=tuple(ScalarFieldSpec.parse(t, V2)
+                      for t in ("x1", "x2+x1^2/2")),
+        inverse=tuple(ScalarFieldSpec.parse(t, V2)
+                      for t in ("x1", "x2-x1^2/2")))
     sc = FedosovScenario(quartic2, const_vector(2, (1, 0.5)), standard_form(1))
     rng = np.random.default_rng(18)
     worst_spot, worst_eq = 0.0, 0.0
@@ -317,8 +326,8 @@ def test_criterion_09_chart_transformation(quartic2):
         expect[1, 0, 0] = -1.0
         worst_spot = max(worst_spot, float(np.max(np.abs(ghat.array - expect))))
         require_minkowskian(quartic2, x)
-        dw = sc.two_form.derivative_values(x)
-        hatted = hatted_two_form_data(sc.two_form.values(x), dw, jac)
+        w, dw = sc.two_form.data(x)
+        hatted = hatted_two_form_data(w, dw, jac)
         mk = minkowski_preservation_check(dw, jac, hatted)
         hp = PreservationResidual.of(*hatted, ghat.array)
         worst_eq = max(worst_eq, abs(mk.hatted - hp.max_abs))
@@ -380,7 +389,8 @@ def test_criterion_11_curvature_identities(request):
         pts = sample_box(rng, box.lower, box.upper, 6 if box is BOX4 else 12)
         for x in pts:
             d = _derivatives(sc, x)
-            up, brace, w = curvature_up(*d), brace_array(*d), sc.two_form.values(x)
+            up, brace = curvature_up(*d), brace_array(*d)
+            w = sc.two_form.data(x)[0]
             cyc, scale = cyclic_residual(up)
             worst_bianchi = max(worst_bianchi, cyc / scale)
             bc = contracted_two_path(up, brace, w)
@@ -399,13 +409,13 @@ def test_criterion_11_curvature_identities(request):
                 sc.metric, sc.two_form, x, w).max_abs <= 1e-9
             d = induced_derivatives(sc, x, w)
             ps = pair_two_path(curvature_up(*d), brace_array(*d),
-                               sc.two_form.values(x))
+                               sc.two_form.data(x)[0])
             worst_pair = max(worst_pair, ps.assembled / ps.scale)
 
     control_sc, x = request.getfixturevalue("randers_std_scenario"), [0.3, 0.2]
     d = _derivatives(control_sc, x)
     control = pair_two_path(curvature_up(*d), brace_array(*d),
-                            control_sc.two_form.values(x))
+                            control_sc.two_form.data(x)[0])
     _report("criterion-11 curvature-identities",
             worst_bianchi <= 1e-7 and worst_pair <= 1e-6
             and worst_two_path <= 1e-9 and control.assembled > 1e-6,

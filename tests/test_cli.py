@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from finsym import fedosov, fields, finsler
+from finsym import checks, fedosov, fields, finsler
 from finsym.checks import CHECK_IDS, available_checks, run_scenario
 from finsym.cli import main
 from finsym.errors import ConfigError
@@ -243,7 +243,7 @@ class TestRunScenario:
         del cfg["chart"]  # minkowski would reject the curved metric
         records = run_scenario(cfg)
         assert all(r.error is None for r in records)
-        assert len(calls) == build_scenario(cfg).plan.count == 4
+        assert len(calls) == len(build_scenario(cfg).plan.xs) == 4
 
     def test_chart_data_once_per_base_point(self, monkeypatch):
         """transform and minkowski share the chart derivatives at x and
@@ -264,14 +264,14 @@ class TestRunScenario:
         cfg = euclid_config(count=4)
         records = run_scenario(cfg, suite=["transform", "minkowski"])
         assert all(r.passed for r in records)
-        count = build_scenario(cfg).plan.count
+        count = len(build_scenario(cfg).plan.xs)
         assert counts == {"chart_jacobians": 2 * count,
                           "hatted_two_form_data": count}
 
     def test_covector_data_once_per_base_point(self, monkeypatch):
-        """randers-equivalence reads the covector's derivative arrays from
-        the base point; only the d(beta) form's values (order 1) and
-        partials (order 2) evaluate b again there."""
+        """randers-equivalence and the d(beta) form both read the
+        covector's derivative arrays from the base point: b is evaluated
+        once there, at order 2."""
         cfg = randers_config()
         s = build_scenario(cfg)
         original = fields.ScalarFieldSpec.eval_jet
@@ -284,9 +284,28 @@ class TestRunScenario:
 
         monkeypatch.setattr(fields.ScalarFieldSpec, "eval_jet", counted)
         run_scenario(cfg, suite=["preservation"])
-        per_point = s.dimension * s.plan.count
-        assert len(list(s.plan.pairs())) > s.plan.count  # several y per x
-        assert (orders.count(1), orders.count(2)) == (per_point, 2 * per_point)
+        per_point = s.dimension * len(s.plan.xs)
+        assert s.plan.ys.shape[1] > 1  # several y per x
+        assert (orders.count(1), orders.count(2)) == (0, per_point)
+
+    def test_standard_form_built_once_for_the_darboux_gate(self,
+                                                           monkeypatch):
+        """The standard form is constant; the gate does not rebuild it at
+        every base point."""
+        calls = []
+        original = checks.standard_form
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(checks, "standard_form", counted)
+        cfg = euclid_config(count=4)
+        first = run_scenario(cfg, suite=["darboux"])
+        second = run_scenario(cfg, suite=["darboux"])
+        assert len(first) == 4
+        assert _as_tuples(first) == _as_tuples(second)
+        assert len(calls) <= 1
 
     def test_metric_validity_reads_the_pair_sample(self, monkeypatch):
         calls = []
@@ -303,7 +322,7 @@ class TestRunScenario:
         records = run_scenario(cfg, suite=["metric-validity", "structural"],
                                tolerance_overrides=tols)
         s = build_scenario(cfg, tolerance_overrides=tols)
-        pairs = list(s.plan.pairs())
+        pairs = [(x, y) for x, ys in zip(s.plan.xs, s.plan.ys) for y in ys]
         assert len(calls) == len(pairs) == 10
         expected = finsler.metric_validity(
             s.metric, pairs, homogeneity_tol=s.tolerances["homogeneity"])
@@ -497,6 +516,54 @@ class TestCliMain:
         assert all(r["error"].startswith("SingularChartError: inverse map "
                                          "does not return to the point")
                    for r in records)
+
+    def test_non_positive_F_gives_euler_error_records(self, tmp_path):
+        """Where F <= 0 (x1 <= 0 here; at x1 = 0 the Euler residual would
+        be 0/0) the Euler record is an error record, so the report stays
+        strict JSON and the run fails without a traceback."""
+        cfg = {
+            "dimension": 2,
+            "metric": {"family": "custom", "F": "x1*sqrt(y1^2+y2^2)",
+                       "domain": {"lower": [-1, -1], "upper": [1, 1]}},
+            "sampling": {"mode": "grid", "count": 9, "y_per_x": 1},
+        }
+        path = self._write(tmp_path, cfg)
+        src = os.path.dirname(os.path.dirname(finsler.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "finsym.cli", "run", "--config", path,
+             "--suite", "metric-validity"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        euler = [r for r in strict_records(proc.stdout)
+                 if r["check"] == "metric-validity:euler"]
+        assert len(euler) == 9
+        errors = [r for r in euler if r["error"]]
+        assert len(errors) == 6  # the grid columns x1 = -0.95 and x1 = 0
+        assert all("<= 0" in r["error"] for r in errors)
+        assert all(r["point"][0] <= 0 for r in errors)
+
+    @pytest.mark.parametrize("flag, config_text", [
+        ("structural-compat=inf", None),
+        ("structural-compat=nan", None),
+        (None, '"tolerances": {"structural-compat": 1e400}'),
+    ])
+    def test_non_finite_tolerance_is_a_config_error(self, tmp_path, capsys,
+                                                    flag, config_text):
+        text = json.dumps(euclid_config())
+        if config_text:
+            text = text[:-1] + ", " + config_text + "}"
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        args = ["run", "--config", str(path), "--suite", "structural"]
+        if flag:
+            args += ["--tol", flag]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: /tolerances/structural-compat: ")
+        assert "must be finite" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("F", [
         "sqrt(y1^2+y2^2)*(2+x1/(x2*1e-75))",    # 1/v^5 underflows to 0

@@ -102,14 +102,14 @@ class TestLowerCurvature:
         x = [0.1, 0.1]
         d = _derivatives(euclid_std_scenario, x)
         res = pair_two_path(curvature_up(*d), brace_array(*d),
-                            euclid_std_scenario.two_form.values(x))
+                            euclid_std_scenario.two_form.data(x)[0])
         assert res.assembled == 0.0 and res.scale == 1.0
 
     def test_standard_form_unrolled_n1(self, graph_scenario):
         x = [0.4, -0.3]
         d = _derivatives(graph_scenario, x)
         up = curvature_up(*d)
-        res = pair_two_path(up, brace_array(*d), standard_form(1).values(x))
+        res = pair_two_path(up, brace_array(*d), standard_form(1).data(x)[0])
         low = np.stack([up[1], -up[0]])  # R_1jkl = R^2_jkl, R_2jkl = -R^1_jkl
         assert res.assembled == np.max(np.abs(low - low.transpose(1, 0, 2, 3)))
         assert res.scale == max(1.0, np.max(np.abs(low)))
@@ -120,7 +120,7 @@ class TestLowerCurvature:
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 8):
             d = _derivatives(graph_scenario, x)
             res = pair_two_path(curvature_up(*d), brace_array(*d),
-                                volume_form2.values(x))
+                                volume_form2.data(x)[0])
             assert res.assembled <= 1e-7 * res.scale
 
 
@@ -129,7 +129,7 @@ class TestBianchi:
         x = [0.2, 0.2]
         d = _derivatives(euclid_std_scenario, x)
         res = contracted_two_path(curvature_up(*d), brace_array(*d),
-                                  euclid_std_scenario.two_form.values(x))
+                                  euclid_std_scenario.two_form.data(x)[0])
         assert res.direct == 0.0 and res.assembled == 0.0
 
     def test_cyclic_sum_all_scenarios(self, graph_scenario, product_scenario,
@@ -146,7 +146,7 @@ class TestBianchi:
                       (product_scenario, [0.4, -0.3, 0.2, 0.5])):
             d = _derivatives(sc, x)
             res = contracted_two_path(curvature_up(*d), brace_array(*d),
-                                      sc.two_form.values(x))
+                                      sc.two_form.data(x)[0])
             assert res.paths_delta <= 1e-9
 
 
@@ -155,7 +155,7 @@ class TestPairSymmetry:
         x = [0.2, 0.6]
         d = _derivatives(quartic_std_scenario, x)
         res = pair_two_path(curvature_up(*d), brace_array(*d),
-                            quartic_std_scenario.two_form.values(x))
+                            quartic_std_scenario.two_form.data(x)[0])
         assert res.assembled == 0.0 and res.direct == 0.0
 
     def test_preserving_scenarios_symmetric(self, graph_scenario,
@@ -168,7 +168,7 @@ class TestPairSymmetry:
                 assert pres.max_abs <= 1e-9  # scenario really does preserve
                 d = induced_derivatives(sc, x, w)
                 res = pair_two_path(curvature_up(*d), brace_array(*d),
-                                    sc.two_form.values(x))
+                                    sc.two_form.data(x)[0])
                 assert res.assembled <= 1e-6 * res.scale
 
     def test_two_paths_agree_everywhere(self, graph_scenario,
@@ -177,7 +177,7 @@ class TestPairSymmetry:
         for sc in (graph_scenario, randers_std_scenario):
             d = _derivatives(sc, x)
             res = pair_two_path(curvature_up(*d), brace_array(*d),
-                                sc.two_form.values(x))
+                                sc.two_form.data(x)[0])
             assert res.paths_delta <= 1e-9
 
     def test_negative_control_breaks_symmetry(self, randers_std_scenario):
@@ -191,6 +191,6 @@ class TestPairSymmetry:
         assert pres.max_abs > 1e-3
         d = induced_derivatives(randers_std_scenario, x, w)
         res = pair_two_path(curvature_up(*d), brace_array(*d),
-                            randers_std_scenario.two_form.values(x))
+                            randers_std_scenario.two_form.data(x)[0])
         assert np.isfinite(res.assembled)
         assert res.assembled > 1e-6  # visibly asymmetric here

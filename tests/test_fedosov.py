@@ -10,9 +10,9 @@ from finsym.errors import (
 )
 from finsym.fields import (
     ChartMap,
+    ScalarFieldSpec,
     VectorFieldSpec,
     chart_jacobians,
-    parse_field,
 )
 from finsym.fedosov import (
     ConnectionCoefficients,
@@ -39,21 +39,25 @@ from conftest import BOX2, const_vector, sample_box
 V2 = ["x1", "x2"]
 V4 = ["x1", "x2", "x3", "x4"]
 
-QUAD_CHART = ChartMap(
-    forward=(parse_field("x1", V2), parse_field("x2+x1^2/2", V2)),
-    inverse=(parse_field("x1", V2), parse_field("x2-x1^2/2", V2)))
 
-LIN_CHART = ChartMap(
-    forward=(parse_field("x1+x2", V2), parse_field("x2", V2)),
-    inverse=(parse_field("x1-x2", V2), parse_field("x2", V2)))
+def _specs(texts, names=V2):
+    return tuple(ScalarFieldSpec.parse(t, names) for t in texts)
+
+
+def _chart(forward, inverse, names=V2):
+    return ChartMap(forward=_specs(forward, names),
+                    inverse=_specs(inverse, names))
+
+
+QUAD_CHART = _chart(("x1", "x2+x1^2/2"), ("x1", "x2-x1^2/2"))
+
+LIN_CHART = _chart(("x1+x2", "x2"), ("x1-x2", "x2"))
 
 # hatted composite of LIN then QUAD, worked out by hand
-COMP_CHART = ChartMap(
-    forward=(parse_field("x1+x2", V2), parse_field("x2+(x1+x2)^2/2", V2)),
-    inverse=(parse_field("x1-x2+x1^2/2", V2), parse_field("x2-x1^2/2", V2)))
+COMP_CHART = _chart(("x1+x2", "x2+(x1+x2)^2/2"),
+                    ("x1-x2+x1^2/2", "x2-x1^2/2"))
 
-IDENTITY_CHART = ChartMap(forward=(parse_field("x1", V2), parse_field("x2", V2)),
-                          inverse=(parse_field("x1", V2), parse_field("x2", V2)))
+IDENTITY_CHART = _chart(("x1", "x2"), ("x1", "x2"))
 
 
 class TestInduceConnection:
@@ -81,7 +85,7 @@ class TestInduceConnection:
             assert np.max(np.abs(arr - arrays[0])) <= 1e-10
 
     def test_zero_vector_hypothesis_violated(self, euclid2):
-        w = VectorFieldSpec((parse_field("-x2", V2), parse_field("x1", V2)))
+        w = VectorFieldSpec(_specs(("-x2", "x1")))
         sc = FedosovScenario(euclid2, w)
         with pytest.raises(ZeroVectorError):
             induce_connection(sc, [0.0, 0.0])
@@ -91,14 +95,13 @@ class TestSymplecticConnectionResidual:
     def test_zero_connection_constant_form(self):
         gam = ConnectionCoefficients.zero(2)
         omega, x = standard_form(1), [0.1, 0.2]
-        assert covariant_residual(gam.array, omega.values(x),
-                                  omega.derivative_values(x)) == 0.0
+        assert covariant_residual(gam.array, *omega.data(x)) == 0.0
 
     def test_unmatched_derivative(self):
         gam = ConnectionCoefficients.zero(2)
         omega, x = explicit_two_form(2, {(0, 1): "1+x1"}), [0.4, 0.0]
-        assert covariant_residual(gam.array, omega.values(x),
-                                  omega.derivative_values(x)) == pytest.approx(1.0)
+        assert covariant_residual(gam.array,
+                                  *omega.data(x)) == pytest.approx(1.0)
 
     def test_exactness_on_preserving_scenario(self, graph_scenario):
         rng = np.random.default_rng(12)
@@ -108,8 +111,7 @@ class TestSymplecticConnectionResidual:
             pres = chern_preservation_residual(
                 graph_scenario.metric, graph_scenario.two_form, x, w)
             omega = graph_scenario.two_form
-            direct = covariant_residual(gam.array, omega.values(x),
-                                        omega.derivative_values(x))
+            direct = covariant_residual(gam.array, *omega.data(x))
             assert abs(direct - pres.max_abs) <= 1e-12
             assert direct <= 1e-9
 
@@ -122,8 +124,7 @@ class TestSymplecticConnectionResidual:
         pres = chern_preservation_residual(
             randers_std_scenario.metric, randers_std_scenario.two_form, x, w)
         omega = randers_std_scenario.two_form
-        direct = covariant_residual(gam.array, omega.values(x),
-                                    omega.derivative_values(x))
+        direct = covariant_residual(gam.array, *omega.data(x))
         assert abs(direct - pres.max_abs) <= 1e-12
         assert direct > 1e-3  # negative control is genuinely non-preserving
 
@@ -163,8 +164,7 @@ class TestDarbouxRelations:
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 10):
             gam = induce_connection(quartic_std_scenario, x)
             omega = quartic_std_scenario.two_form
-            res = covariant_residual(gam.array, omega.values(x),
-                                     omega.derivative_values(x))
+            res = covariant_residual(gam.array, *omega.data(x))
             if res <= 1e-9:
                 assert darboux_relations_residual(gam, 1) <= 1e-8
 
@@ -238,8 +238,8 @@ def _minkowski(metric, omega, chart, x):
     """The minkowski check's residuals and the hatted form at x."""
     require_minkowskian(metric, x)
     jac = chart_jacobians(chart, x)
-    dw = omega.derivative_values(x)
-    hatted = hatted_two_form_data(omega.values(x), dw, jac)
+    w, dw = omega.data(x)
+    hatted = hatted_two_form_data(w, dw, jac)
     return minkowski_preservation_check(dw, jac, hatted), hatted, jac
 
 
@@ -278,16 +278,11 @@ class TestMinkowskiCheck:
 # nonlinear charts with exact inverses and non-constant Jacobian
 # determinants, and non-constant forms on them
 PULLBACK_CASES = {
-    2: (ChartMap(
-            forward=(parse_field("x1*(1+x2^2)", V2), parse_field("x2", V2)),
-            inverse=(parse_field("x1/(1+x2^2)", V2), parse_field("x2", V2))),
+    2: (_chart(("x1*(1+x2^2)", "x2"), ("x1/(1+x2^2)", "x2")),
         {(0, 1): "1+x1^2+0.3*x2*x1"}),
-    4: (ChartMap(
-            forward=tuple(parse_field(t, V4) for t in (
-                "x1", "x2+x1^2/2", "x3+x1*x2", "x4+x3^2/2+x1")),
-            inverse=tuple(parse_field(t, V4) for t in (
-                "x1", "x2-x1^2/2", "x3-x1*(x2-x1^2/2)",
-                "x4-(x3-x1*(x2-x1^2/2))^2/2-x1"))),
+    4: (_chart(("x1", "x2+x1^2/2", "x3+x1*x2", "x4+x3^2/2+x1"),
+               ("x1", "x2-x1^2/2", "x3-x1*(x2-x1^2/2)",
+                "x4-(x3-x1*(x2-x1^2/2))^2/2-x1"), V4),
         {(0, 1): "1+x1*x3", (0, 2): "x2^2", (0, 3): "x3*x4",
          (1, 2): "0.2", (1, 3): "0.5*x4", (2, 3): "2+x1^2"}),
 }
@@ -302,15 +297,14 @@ def test_hatted_form_against_differences(m):
 
     def hatted_values(xhat):
         x = np.array([c.evaluate(xhat) for c in chart.inverse])
-        return hatted_two_form_data(omega.values(x), omega.derivative_values(x),
+        return hatted_two_form_data(*omega.data(x),
                                     chart_jacobians(chart, x))[0]
 
     rng = np.random.default_rng(21 + m)
     for x in rng.uniform(-0.8, 0.8, (4, m)):
         jac = chart_jacobians(chart, x)
-        w = omega.values(x)
-        values, derivs = hatted_two_form_data(
-            w, omega.derivative_values(x), jac)
+        w, dw = omega.data(x)
+        values, derivs = hatted_two_form_data(w, dw, jac)
         assert np.allclose(values, jac.inv.T @ w @ jac.inv,
                            rtol=0, atol=1e-14)
         assert np.array_equal(values, -values.T)

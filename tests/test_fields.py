@@ -15,14 +15,18 @@ from finsym.errors import (
 from finsym.fields import (
     Add,
     ChartMap,
+    Div,
     DomainBox,
     Mul,
+    Neg,
     Num,
+    Pow,
     ScalarFieldSpec,
+    Sqrt,
+    Sub,
     Var,
     VectorFieldSpec,
     chart_jacobians,
-    parse_field,
 )
 from finsym.jets import fd_oracle
 
@@ -32,63 +36,63 @@ V4 = ["x1", "x2", "y1", "y2"]
 
 class TestParser:
     def test_simple_product(self):
-        f = parse_field("x1^2*x2", V2)
+        f = ScalarFieldSpec.parse("x1^2*x2", V2)
         assert f.evaluate([2.0, 3.0]) == 12.0
 
     def test_norm_field(self):
-        f = parse_field("sqrt(y1^2+y2^2)", V4)
+        f = ScalarFieldSpec.parse("sqrt(y1^2+y2^2)", V4)
         assert f.evaluate([0.0, 0.0, 3.0, 4.0]) == 5.0
 
     def test_quartic_norm(self):
-        f = parse_field("(y1^4+y2^4)^0.25", V4)
+        f = ScalarFieldSpec.parse("(y1^4+y2^4)^0.25", V4)
         assert f.evaluate([0.0, 0.0, 1.0, 1.0]) == pytest.approx(2 ** 0.25)
 
     def test_precedence(self):
-        f = parse_field("1+2*3^2", V2)
+        f = ScalarFieldSpec.parse("1+2*3^2", V2)
         assert f.evaluate([0.0, 0.0]) == 19.0
 
     def test_unary_minus(self):
-        f = parse_field("-x1^2", V2)
+        f = ScalarFieldSpec.parse("-x1^2", V2)
         assert f.evaluate([3.0, 0.0]) == -9.0
-        g = parse_field("2*-3", V2)
+        g = ScalarFieldSpec.parse("2*-3", V2)
         assert g.evaluate([0.0, 0.0]) == -6.0
 
     def test_negative_exponent(self):
-        f = parse_field("x1^-2", V2)
+        f = ScalarFieldSpec.parse("x1^-2", V2)
         assert f.evaluate([2.0, 0.0]) == 0.25
 
     def test_division(self):
-        f = parse_field("x1/x2", V2)
+        f = ScalarFieldSpec.parse("x1/x2", V2)
         assert f.evaluate([1.0, 4.0]) == 0.25
         with pytest.raises(DomainError):
             f.evaluate([1.0, 0.0])
 
     def test_whitespace_insignificant(self):
-        a = parse_field(" x1 + 2 * x2 ", V2)
-        b = parse_field("x1+2*x2", V2)
+        a = ScalarFieldSpec.parse(" x1 + 2 * x2 ", V2)
+        b = ScalarFieldSpec.parse("x1+2*x2", V2)
         assert a.root == b.root
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError) as err:
-            parse_field("x1+z9", V2)
+            ScalarFieldSpec.parse("x1+z9", V2)
         assert err.value.position == 3
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as err:
-            parse_field("x1+*x2", V2)
+            ScalarFieldSpec.parse("x1+*x2", V2)
         assert err.value.position == 3
 
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError):
-            parse_field("(x1+x2", V2)
+            ScalarFieldSpec.parse("(x1+x2", V2)
 
     def test_exponent_must_be_literal(self):
         with pytest.raises(ParseError):
-            parse_field("x1^x2", V2)
+            ScalarFieldSpec.parse("x1^x2", V2)
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
-            parse_field("x1 x2", V2)
+            ScalarFieldSpec.parse("x1 x2", V2)
 
 
 @st.composite
@@ -104,7 +108,6 @@ def _trees(draw, depth=0):
     if kind == 1:
         i = draw(st.integers(1, 2))
         return Var(f"x{i}", i - 1)
-    from finsym.fields import Div, Neg, Pow, Sqrt, Sub
     a = draw(_trees(depth=depth + 1))
     b = draw(_trees(depth=depth + 1))
     if kind == 2:
@@ -122,27 +125,46 @@ def _trees(draw, depth=0):
     return Sqrt(a)
 
 
+def _print(node):
+    """Expression text for a tree, every compound node in parentheses."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{_print(node.arg)})"
+    if isinstance(node, Pow):
+        return f"({_print(node.base)}^{node.exponent!r})"
+    if isinstance(node, Sqrt):
+        return f"sqrt({_print(node.arg)})"
+    op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
+    return f"({_print(node.left)}{op}{_print(node.right)})"
+
+
 @settings(max_examples=150, deadline=None)
 @given(_trees())
 def test_print_parse_round_trip(tree):
-    text = ScalarFieldSpec(tuple(V2), tree).to_string()
-    reparsed = parse_field(text, V2)
+    reparsed = ScalarFieldSpec.parse(_print(tree), V2)
     assert reparsed.root == tree
+
+
+def _specs(*texts):
+    return tuple(ScalarFieldSpec.parse(t, V2) for t in texts)
 
 
 class TestVectorField:
     def test_constant_field(self):
-        w = VectorFieldSpec((parse_field("1", V2), parse_field("0", V2)))
+        w = VectorFieldSpec(_specs("1", "0"))
         assert w.values([0.3, -0.2]).tolist() == [1.0, 0.0]
         assert not w.jacobian([0.3, -0.2]).any()
 
     def test_zero_at_origin(self):
-        w = VectorFieldSpec((parse_field("-x2", V2), parse_field("x1", V2)))
+        w = VectorFieldSpec(_specs("-x2", "x1"))
         with pytest.raises(ZeroVectorError):
             w.values([0.0, 0.0])
 
     def test_polynomial_jacobian(self):
-        w = VectorFieldSpec((parse_field("1+x1^2", V2), parse_field("x2", V2)))
+        w = VectorFieldSpec(_specs("1+x1^2", "x2"))
         assert np.allclose(w.values([1.0, 2.0]), [2.0, 2.0])
         jac = w.jacobian([1.0, 2.0])
         assert jac[0, 0] == 2.0
@@ -151,8 +173,7 @@ class TestVectorField:
 
 
 def _chart(fwd, inv, **kw):
-    return ChartMap(forward=tuple(parse_field(t, V2) for t in fwd),
-                    inverse=tuple(parse_field(t, V2) for t in inv), **kw)
+    return ChartMap(forward=_specs(*fwd), inverse=_specs(*inv), **kw)
 
 
 class TestChartMap:

@@ -8,7 +8,7 @@ from finsym.errors import (
     NonPositiveError,
     NotPositiveDefiniteError,
 )
-from finsym.fields import parse_field
+from finsym.fields import ScalarFieldSpec
 from finsym.finsler import (
     MetricSpec,
     chern_with_derivatives,
@@ -66,7 +66,7 @@ class TestFundamentalTensor:
     def test_quartic_against_oracle(self, quartic2):
         x, y = np.zeros(2), np.array([1.0, 1.0])
         g = finsler_sample(quartic2, x, y).g
-        half_f2 = parse_field("0.5*(x1^4+x2^4)^0.5", ["x1", "x2"])
+        half_f2 = ScalarFieldSpec.parse("0.5*(x1^4+x2^4)^0.5", ["x1", "x2"])
         for i in range(2):
             for j in range(2):
                 idx = tuple((1 if k == i else 0) + (1 if k == j else 0)
@@ -97,7 +97,7 @@ class TestCartanTensor:
         x, y = np.zeros(2), np.array([1.0, 2.0])
         A = finsler_sample(quartic2, x, y).A
         F = finsler_value(quartic2, x, y)
-        f2 = parse_field("(x1^4+x2^4)^0.5", ["x1", "x2"])
+        f2 = ScalarFieldSpec.parse("(x1^4+x2^4)^0.5", ["x1", "x2"])
         expect = (F / 4.0) * fd_oracle(f2, y, (3, 0))
         assert A[0, 0, 0] == pytest.approx(expect, abs=1e-6)
 

@@ -1,19 +1,22 @@
 """Jet arithmetic, derivative extraction, and the finite-difference oracle."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsym.errors import DomainError, OrderError
-from finsym.fields import parse_field
+from finsym.fields import ScalarFieldSpec
 from finsym.jets import (
     Jet,
     fd_oracle,
-    jet_eval,
     multi_index_degree,
     multi_index_factorial,
 )
+
+from conftest import partial
 
 
 def test_multi_index_helpers():
@@ -24,60 +27,56 @@ def test_multi_index_helpers():
 
 class TestJetEval:
     def test_polynomial_partials(self):
-        f = parse_field("x1^2*x2", ["x1", "x2"])
-        j = jet_eval(f, [2.0, 3.0], 3)
+        f = ScalarFieldSpec.parse("x1^2*x2", ["x1", "x2"])
+        j = f.eval_jet([2.0, 3.0], 3)
         assert j.value == 12.0
-        assert j.partial((1, 0)) == 12.0
-        assert j.partial((2, 0)) == 6.0
-        assert j.partial((2, 1)) == 2.0
-        assert j.partial((0, 2)) == 0.0
+        assert j.derivatives(1)[0] == 12.0
+        assert j.derivatives(2)[0, 0] == 6.0
+        assert j.derivatives(3)[0, 0, 1] == 2.0
+        assert j.derivatives(2)[1, 1] == 0.0
 
     def test_constant_field(self):
-        f = parse_field("7", ["x1", "x2"])
-        j = jet_eval(f, [0.3, -0.5], 2)
+        f = ScalarFieldSpec.parse("7", ["x1", "x2"])
+        j = f.eval_jet([0.3, -0.5], 2)
         assert j.value == 7.0
-        assert all(c == 0.0 for idx, c in j.coeffs.items() if sum(idx) > 0)
+        assert not j.derivatives(1).any() and not j.derivatives(2).any()
 
     def test_sqrt_field_against_oracle(self):
-        f = parse_field("sqrt(x1^2+x2^2)", ["x1", "x2"])
-        j = jet_eval(f, [3.0, 4.0], 2)
+        f = ScalarFieldSpec.parse("sqrt(x1^2+x2^2)", ["x1", "x2"])
+        j = f.eval_jet([3.0, 4.0], 2)
         assert j.value == pytest.approx(5.0, abs=1e-14)
-        assert j.partial((1, 0)) == pytest.approx(0.6, abs=1e-14)
+        assert j.derivatives(1)[0] == pytest.approx(0.6, abs=1e-14)
         fd = fd_oracle(f, [3.0, 4.0], (2, 0))
-        assert abs(j.partial((2, 0)) - fd) < 1e-8
+        assert abs(j.derivatives(2)[0, 0] - fd) < 1e-8
 
     def test_callable_field(self):
-        j = jet_eval(lambda v: v[0] * v[0] * v[1], [2.0, 3.0], 2)
+        v = [Jet.variable(i, p, 2, 2) for i, p in enumerate([2.0, 3.0])]
+        j = v[0] * v[0] * v[1]
         assert j.value == 12.0
-        assert j.partial((1, 1)) == 4.0
-
-    def test_order_cap(self):
-        f = parse_field("x1", ["x1"])
-        with pytest.raises(OrderError):
-            jet_eval(f, [1.0], 5)
+        assert j.derivatives(2)[0, 1] == 4.0
 
     def test_partial_beyond_order(self):
-        f = parse_field("x1^2*x2", ["x1", "x2"])
-        j = jet_eval(f, [2.0, 3.0], 2)
+        f = ScalarFieldSpec.parse("x1^2*x2", ["x1", "x2"])
+        j = f.eval_jet([2.0, 3.0], 2)
         with pytest.raises(OrderError):
-            j.partial((2, 1))
+            j.derivatives(3)
 
     def test_idx_zero_is_value(self):
-        f = parse_field("x1^2*x2", ["x1", "x2"])
-        j = jet_eval(f, [2.0, 3.0], 2)
-        assert j.partial((0, 0)) == j.value
+        f = ScalarFieldSpec.parse("x1^2*x2", ["x1", "x2"])
+        j = f.eval_jet([2.0, 3.0], 2)
+        assert j.derivatives(0) == j.value
 
     def test_singular_point_raises(self):
-        f = parse_field("x1^0.5", ["x1"])
+        f = ScalarFieldSpec.parse("x1^0.5", ["x1"])
         with pytest.raises(DomainError):
-            jet_eval(f, [-1.0], 2)
+            f.eval_jet([-1.0], 2)
         with pytest.raises(DomainError):
-            jet_eval(f, [0.0], 2)
+            f.eval_jet([0.0], 2)
 
     def test_division_by_zero_value(self):
-        f = parse_field("1/x1", ["x1"])
+        f = ScalarFieldSpec.parse("1/x1", ["x1"])
         with pytest.raises(DomainError):
-            jet_eval(f, [0.0], 2)
+            f.eval_jet([0.0], 2)
 
     @pytest.mark.parametrize("text,x", [
         ("1/x1", 1e-75),        # 1/v^(k+1) underflows to a zero divisor
@@ -86,22 +85,26 @@ class TestJetEval:
         ("x1^-2", 1e-80),
     ])
     def test_extreme_values_are_domain_errors(self, text, x):
-        f = parse_field(text, ["x1"])
+        f = ScalarFieldSpec.parse(text, ["x1"])
         with pytest.raises(DomainError, match="floating-point range"):
-            jet_eval(f, [x], 4)
+            f.eval_jet([x], 4)
 
 
 def test_derivatives_match_partial():
-    f = parse_field("x1^2*x2*sqrt(1+x3^2)+x2^3/(2+x1)", ["x1", "x2", "x3"])
-    j = jet_eval(f, [0.3, -0.7, 1.2], 4)
+    """Every slot of derivatives(k) holds the closed-form partial of
+    L^4, L = 1 + x1 + 2 x2 + 3 x3, for the multi-index of its slots:
+    4!/(4-k)! * L^(4-k) * prod of the slot coefficients."""
+    f = ScalarFieldSpec.parse("(1+x1+2*x2+3*x3)^4", ["x1", "x2", "x3"])
+    x = [0.3, -0.7, 1.2]
+    L = 1 + x[0] + 2 * x[1] + 3 * x[2]
+    j = f.eval_jet(x, 4)
     for k in range(5):
         d = j.derivatives(k)
         assert d.shape == (3,) * k
+        falling = float(np.prod(range(4 - k + 1, 5)))
         for slots in np.ndindex(*d.shape):
-            idx = [0, 0, 0]
-            for v in slots:
-                idx[v] += 1
-            assert d[slots] == j.partial(idx)
+            expected = falling * L ** (4 - k) * np.prod([v + 1 for v in slots])
+            assert d[slots] == pytest.approx(expected, rel=1e-12)
     with pytest.raises(OrderError):
         j.derivatives(5)
 
@@ -114,18 +117,20 @@ class TestJetArithmetic:
             _ = a * b
 
     def test_reciprocal_and_negative_power(self):
-        f = parse_field("(1+x1)^-2", ["x1"])
-        j = jet_eval(f, [0.5], 3)
+        f = ScalarFieldSpec.parse("(1+x1)^-2", ["x1"])
+        j = f.eval_jet([0.5], 3)
         assert j.value == pytest.approx(1.5 ** -2, rel=1e-14)
-        assert j.partial((1,)) == pytest.approx(-2 * 1.5 ** -3, rel=1e-13)
-        assert j.partial((3,)) == pytest.approx(-24 * 1.5 ** -5, rel=1e-12)
+        assert j.derivatives(1)[0] == pytest.approx(-2 * 1.5 ** -3, rel=1e-13)
+        assert j.derivatives(3)[0, 0, 0] == pytest.approx(-24 * 1.5 ** -5,
+                                                          rel=1e-12)
 
     def test_fractional_power(self):
-        f = parse_field("x1^1.5", ["x1"])
-        j = jet_eval(f, [4.0], 2)
+        f = ScalarFieldSpec.parse("x1^1.5", ["x1"])
+        j = f.eval_jet([4.0], 2)
         assert j.value == pytest.approx(8.0, rel=1e-14)
-        assert j.partial((1,)) == pytest.approx(1.5 * 2.0, rel=1e-14)
-        assert j.partial((2,)) == pytest.approx(1.5 * 0.5 / 2.0, rel=1e-13)
+        assert j.derivatives(1)[0] == pytest.approx(1.5 * 2.0, rel=1e-14)
+        assert j.derivatives(2)[0, 0] == pytest.approx(1.5 * 0.5 / 2.0,
+                                                       rel=1e-13)
 
 
 @st.composite
@@ -150,52 +155,48 @@ def _poly_jets(draw, num_vars=2, order=3):
 @settings(max_examples=60, deadline=None)
 @given(_poly_jets(), _poly_jets())
 def test_product_ring_homomorphism(a, b):
-    """Multiplying integer polynomial jets is exact coefficient-wise."""
+    """Multiplying integer polynomial jets is exact: every derivative of
+    the product is the general Leibniz sum over splits of its slots."""
     prod = a * b
-    dense_a, dense_b = a.coeffs, b.coeffs
-    for idx, expected in prod.coeffs.items():
-        acc = 0.0
-        for ia, ca in dense_a.items():
-            for ib, cb in dense_b.items():
-                if tuple(p + q for p, q in zip(ia, ib)) == idx:
-                    acc += ca * cb
-        assert acc == expected
+    for k in range(prod.order + 1):
+        expected = prod.derivatives(k)
+        for slots in np.ndindex(*expected.shape):
+            acc = 0.0
+            for split in product((True, False), repeat=k):
+                left = tuple(v for v, s in zip(slots, split) if s)
+                right = tuple(v for v, s in zip(slots, split) if not s)
+                acc += (a.derivatives(len(left))[left]
+                        * b.derivatives(len(right))[right])
+            assert acc == expected[slots]
 
 
 @settings(max_examples=60, deadline=None)
 @given(_poly_jets(), _poly_jets())
 def test_leibniz_first_derivative(a, b):
     prod = a * b
-    lhs = prod.partial((1, 0))
-    rhs = a.value * b.partial((1, 0)) + b.value * a.partial((1, 0))
+    lhs = prod.derivatives(1)[0]
+    rhs = a.value * b.derivatives(1)[0] + b.value * a.derivatives(1)[0]
     assert lhs == rhs
 
 
 class TestFdOracle:
     def test_cube_first_derivative(self):
-        f = parse_field("x1^3", ["x1"])
+        f = ScalarFieldSpec.parse("x1^3", ["x1"])
         assert abs(fd_oracle(f, [2.0], (1,)) - 12.0) < 1e-8
 
     def test_cube_third_derivative(self):
-        f = parse_field("x1^3", ["x1"])
+        f = ScalarFieldSpec.parse("x1^3", ["x1"])
         assert abs(fd_oracle(f, [2.0], (3,)) - 6.0) < 1e-5
 
     def test_mixed_partial_cross_check(self):
-        f = parse_field("sqrt(x1^2+x2^2)", ["x1", "x2"])
-        j = jet_eval(f, [3.0, 4.0], 2)
+        f = ScalarFieldSpec.parse("sqrt(x1^2+x2^2)", ["x1", "x2"])
+        j = f.eval_jet([3.0, 4.0], 2)
         fd = fd_oracle(f, [3.0, 4.0], (1, 1))
-        assert abs(fd - j.partial((1, 1))) < 1e-6
+        assert abs(fd - j.derivatives(2)[0, 1]) < 1e-6
 
     def test_degree_zero_is_value(self):
-        f = parse_field("x1*x2", ["x1", "x2"])
+        f = ScalarFieldSpec.parse("x1*x2", ["x1", "x2"])
         assert fd_oracle(f, [2.0, 3.0], (0, 0)) == 6.0
-
-    def test_domain_guard(self):
-        from finsym.fields import DomainBox
-        f = parse_field("x1^2", ["x1"])
-        box = DomainBox((0.0,), (1.0,))
-        with pytest.raises(DomainError):
-            fd_oracle(f, [0.9999999], (1,), base_step=0.01, domain=box)
 
 
 @pytest.mark.parametrize("text,vars_,box", [
@@ -206,23 +207,23 @@ class TestFdOracle:
 ])
 def test_jet_fd_agreement_sampled(text, vars_, box):
     """Every derivative of degree <= 3 agrees with the oracle at random points."""
-    f = parse_field(text, vars_)
+    f = ScalarFieldSpec.parse(text, vars_)
     rng = np.random.default_rng(7)
     indices = [(i, j) for i in range(4) for j in range(4) if 0 < i + j <= 3]
     for _ in range(10):
         x = box[0] + (box[1] - box[0]) * rng.random(2)
-        j = jet_eval(f, x, 3)
+        j = f.eval_jet(x, 3)
         for idx in indices:
             fd = fd_oracle(f, x, idx)
-            assert abs(j.partial(idx) - fd) <= 1e-6 * max(1.0, abs(fd))
+            assert abs(partial(j, idx) - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_euler_homogeneity_of_norm_field():
     """y . dF/dy = F for a 1-homogeneous field (sanity for downstream use)."""
-    f = parse_field("sqrt(y1^2+y2^2)", ["y1", "y2"])
+    f = ScalarFieldSpec.parse("sqrt(y1^2+y2^2)", ["y1", "y2"])
     rng = np.random.default_rng(3)
     for _ in range(20):
         y = 0.3 + rng.random(2)
-        j = jet_eval(f, y, 1)
-        lhs = y[0] * j.partial((1, 0)) + y[1] * j.partial((0, 1))
+        j = f.eval_jet(y, 1)
+        lhs = y @ j.derivatives(1)
         assert abs(lhs - j.value) <= 1e-9 * j.value

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finsym.errors import DimensionMismatchError, OddDimensionError
-from finsym.fields import parse_field
+from finsym.fields import ScalarFieldSpec
 from finsym.finsler import finsler_sample, max_pairwise_spread
 from finsym.jets import fd_oracle
 from finsym.symplectic import (
@@ -27,12 +27,12 @@ V2 = ["x1", "x2"]
 class TestStandardForm:
     def test_n1(self):
         omega = standard_form(1)
-        w = omega.values([0.0, 0.0])
+        w = omega.data([0.0, 0.0])[0]
         assert w[0, 1] == 1.0 and w[1, 0] == -1.0
 
     def test_n2_pattern(self):
         omega = standard_form(2)
-        w = omega.values([0.1, 0.2, 0.3, 0.4])
+        w = omega.data([0.1, 0.2, 0.3, 0.4])[0]
         expect = np.zeros((4, 4))
         expect[0, 2] = expect[1, 3] = 1.0
         expect -= expect.T
@@ -40,11 +40,11 @@ class TestStandardForm:
 
     def test_constant_coefficients_closed(self):
         omega = standard_form(2)
-        assert closedness(omega.derivative_values([0.1, -0.2, 0.5, 0.0])) == 0.0
+        assert closedness(omega.data([0.1, -0.2, 0.5, 0.0])[1]) == 0.0
 
     def test_skewness_structural(self):
         omega = explicit_two_form(4, {(0, 1): "x1*x2", (1, 3): "sqrt(1+x3^2)"})
-        w = omega.values([0.5, -0.3, 0.2, 0.9])
+        w = omega.data([0.5, -0.3, 0.2, 0.9])[0]
         assert np.array_equal(w, -w.T)
 
 
@@ -52,63 +52,64 @@ class TestClosedness:
     def test_dbeta_is_closed(self, dbeta01):
         rng = np.random.default_rng(1)
         for x in -1 + 2 * rng.random((10, 2)):
-            assert closedness(dbeta01.derivative_values(x)) <= 1e-9
+            assert closedness(dbeta01.data(x)[1]) <= 1e-9
 
     def test_dbeta_closed_dim4(self):
-        b = [parse_field(t, ["x1", "x2", "x3", "x4"])
+        b = [ScalarFieldSpec.parse(t, ["x1", "x2", "x3", "x4"])
              for t in ("-0.1*x2", "0.1*x1*x3", "x4^2", "x1*x2*x3")]
         omega = ExactTwoForm(b)
         rng = np.random.default_rng(1)
         for x in -1 + 2 * rng.random((10, 4)):
-            assert closedness(omega.derivative_values(x)) <= 1e-9
+            assert closedness(omega.data(x)[1]) <= 1e-9
 
     def test_two_dimensional_vacuous(self):
         omega = explicit_two_form(2, {(0, 1): "x1"})
-        assert closedness(omega.derivative_values([0.5, 0.5])) == 0.0
+        assert closedness(omega.data([0.5, 0.5])[1]) == 0.0
 
     def test_non_closed_detected(self):
         omega = explicit_two_form(4, {(0, 1): "x3"})
-        d = omega.derivative_values([0.0, 0.0, 0.0, 0.0])
+        d = omega.data([0.0, 0.0, 0.0, 0.0])[1]
         assert closedness(d) == pytest.approx(1.0)
 
 
 class TestNondegeneracy:
     def test_standard(self):
-        w = standard_form(2).values([0.0] * 4)
+        w = standard_form(2).data([0.0] * 4)[0]
         assert nondegeneracy(w) == pytest.approx(1.0)
 
     def test_randers_dbeta_determinant(self, dbeta01):
         # 2 * 0.1 = 0.2 on each entry, det = 0.04
-        assert nondegeneracy(dbeta01.values([0.3, -0.8])) == pytest.approx(0.04)
+        w = dbeta01.data([0.3, -0.8])[0]
+        assert nondegeneracy(w) == pytest.approx(0.04)
 
     def test_zero_form_fails(self):
         omega = TwoFormField(2, {})
-        assert nondegeneracy(omega.values([0.0, 0.0])) == 0.0
+        assert nondegeneracy(omega.data([0.0, 0.0])[0]) == 0.0
 
     def test_odd_dimension(self):
         omega = TwoFormField(3, {})
         with pytest.raises(OddDimensionError):
-            nondegeneracy(omega.values([0.0, 0.0, 0.0]))
+            nondegeneracy(omega.data([0.0, 0.0, 0.0])[0])
 
 
 class TestRandersTwoForm:
     def test_linear_covector_constant_entry(self, dbeta01):
         rng = np.random.default_rng(4)
         for x in -1 + 2 * rng.random((5, 2)):
-            assert dbeta01.values(x)[0, 1] == pytest.approx(0.2, abs=1e-14)
+            assert dbeta01.data(x)[0][0, 1] == pytest.approx(0.2, abs=1e-14)
 
     def test_exact_covector_gives_zero(self):
         # b = d(x1^2 + x2^2) has vanishing exterior derivative
-        b = [parse_field("2*x1", V2), parse_field("2*x2", V2)]
+        b = [ScalarFieldSpec.parse(t, V2) for t in ("2*x1", "2*x2")]
         omega = ExactTwoForm(b)
-        assert np.max(np.abs(omega.values([0.7, -0.4]))) < 1e-14
-        assert nondegeneracy(omega.values([0.7, -0.4])) < 1e-8
+        assert np.max(np.abs(omega.data([0.7, -0.4])[0])) < 1e-14
+        assert nondegeneracy(omega.data([0.7, -0.4])[0]) < 1e-8
 
     def test_degenerate_line(self):
-        b = [parse_field("0", V2), parse_field("x1^2", V2)]
+        b = [ScalarFieldSpec.parse(t, V2) for t in ("0", "x1^2")]
         omega = ExactTwoForm(b)
-        assert omega.values([0.5, 0.0])[0, 1] == pytest.approx(1.0)
-        assert nondegeneracy(omega.values([0.0, 0.3])) < 1e-8
+        assert omega.data([0.5, 0.0])[0][0, 1] == pytest.approx(1.0)
+        assert nondegeneracy(omega.data([0.0, 0.3])[0]) < 1e-8
 
 
 # nonlinear covectors; b[j] is the component b_j
@@ -122,12 +123,12 @@ EXACT_CASES = {
 def test_exact_form_against_differences(n):
     """d(beta) and its partials agree with finite differences of b."""
     names = [f"x{i + 1}" for i in range(n)]
-    b = [parse_field(t, names) for t in EXACT_CASES[n]]
+    b = [ScalarFieldSpec.parse(t, names) for t in EXACT_CASES[n]]
     omega = ExactTwoForm(b)
     unit = np.eye(n, dtype=int)
     rng = np.random.default_rng(30 + n)
     for x in rng.uniform(-0.9, 0.9, (3, n)):
-        w, dw = omega.values(x), omega.derivative_values(x)
+        w, dw = omega.data(x)
         assert np.array_equal(w, -w.T)
         assert np.array_equal(dw, -dw.transpose(0, 2, 1))
         for i in range(n):
