@@ -6,6 +6,8 @@ hashes unchanged; only a deliberate change of the numerics may re-pin them
 and randers_dbeta were re-pinned when the connection assembly moved to
 array-form forward mode: residuals moved in the last bits (at most 2.7e-13),
 every record kept its check, point, verdict, error and tolerance.
+The two randomly sampled configs are pinned at two more seeds as well, so
+a change that only shows at other sample points is caught too.
 """
 
 import hashlib
@@ -34,6 +36,24 @@ REPORT_SHA256 = {
 }
 
 
+# (config, seed) -> sha256 of the report with the config's seed replaced
+RESEEDED_REPORT_SHA256 = {
+    ("curved_volume", 1):
+        "ae8c32c2e4bcb49b07a884205461e98a6b898db44a9cdca7c049057c4f639a48",
+    ("curved_volume", 2):
+        "1493115d8068e9848a5f33d286ed2517a9c7fcdf475628db9bd0dd556b5e7a80",
+    ("randers_dbeta", 1):
+        "060902920a4f81ecd31f76670a85822d40828757457f3c2380778212478bcb1f",
+    ("randers_dbeta", 2):
+        "ea60b382118ccc763a676a608c2e080e9ac18cabda15f0bdca4feefcd2ac72f0",
+}
+
+
+def _load(name: str) -> dict:
+    with open(os.path.join(CONFIG_DIR, f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_every_shipped_config_is_pinned():
     shipped = sorted(f[:-5] for f in os.listdir(CONFIG_DIR)
                      if f.endswith(".json"))
@@ -42,7 +62,18 @@ def test_every_shipped_config_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
 def test_shipped_report_is_byte_identical(name):
-    with open(os.path.join(CONFIG_DIR, f"{name}.json"), encoding="utf-8") as fh:
-        config = json.load(fh)
-    payload = emit_report(run_scenario(config))
+    payload = emit_report(run_scenario(_load(name)))
     assert hashlib.sha256(payload).hexdigest() == REPORT_SHA256[name]
+
+
+def test_reseeded_configs_are_the_random_ones():
+    random = sorted(name for name in REPORT_SHA256
+                    if _load(name)["sampling"]["mode"] == "random")
+    assert sorted({name for name, _ in RESEEDED_REPORT_SHA256}) == random
+
+
+@pytest.mark.parametrize("name,seed", sorted(RESEEDED_REPORT_SHA256))
+def test_reseeded_report_is_byte_identical(name, seed):
+    payload = emit_report(run_scenario(_load(name), seed_override=seed))
+    assert (hashlib.sha256(payload).hexdigest()
+            == RESEEDED_REPORT_SHA256[(name, seed)])
