@@ -5,8 +5,9 @@ record id, tolerance rule and point set: the base points x, or the (x, y)
 pairs of the plan.  The runner visits each base point once and fills a
 lazy :class:`PointContext` there, so a quantity several facets read is
 computed once and dropped with the context.  Domain failures never abort a
-suite: a facet whose evaluation raises gets an error record.  Record order
-is fixed: record ids sorted, then points in plan order.
+suite: :func:`_evaluate`, which makes every record, gives an error record
+where a facet raises or its residual or tolerance is not finite.  Record
+order is fixed: record ids sorted, then points in plan order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .curvature import (
     induced_derivatives,
     pair_two_path,
 )
-from .errors import ConfigError, FinsymError
+from .errors import ConfigError, DomainError, FinsymError
 from .fedosov import (
     ConnectionCoefficients,
     FedosovScenario,
@@ -40,7 +41,14 @@ from .fedosov import (
     transform_connection,
 )
 from .fields import chart_jacobians
-from .finsler import finsler_sample, pair_validity, structural_residuals
+from .finsler import (
+    cartan_trace_residual,
+    euler_residual,
+    finsler_sample,
+    homogeneity_residual,
+    randers_alpha_norm,
+    structural_residuals,
+)
 from .records import CheckRecord
 from .scenario import BuiltScenario, build_scenario
 from .symplectic import (
@@ -96,7 +104,8 @@ class PointContext:
     form pulled back through them.  ``form`` holds the scenario's two-form
     and its partials at x; ``covector`` the first and second derivative
     arrays of the Randers covector b there, from which a d(beta) form is
-    read rather than evaluating b again.  The finite-difference
+    read rather than evaluating b again, and ``alpha_norm`` the Randers
+    covector's alpha-norm, shared by the pairs at x.  The finite-difference
     curvature ``fd`` evaluates its own stencil and reads nothing else from
     the context.
     """
@@ -127,6 +136,7 @@ class PointContext:
     covector = _once(lambda c: covector_derivatives(c.s.metric.b_fields,
                                                     c.x, 2))
     minkowski = _once(_minkowski)
+    alpha_norm = _once(lambda c: randers_alpha_norm(c.s.metric, c.x))
 
 
 @lru_cache(maxsize=None)
@@ -157,10 +167,11 @@ class Facet:
 
     ``residual`` maps the context (a FiberContext when ``fiber``) to the
     residual, or to (residual, scale) where the bound is relative: the
-    record's tolerance is ``tolerances[tol] * scale``, and 0 when ``tol``
-    is None.  A ``gate`` returns a preservation residual along W; the point
-    is skipped where it exceeds the preservation-gate tolerance.  ``when``
-    limits the facet to scenarios it applies to.
+    record's tolerance is ``tolerances[tol] * scale``, or the fixed
+    ``bound * scale`` when ``tol`` is None.  A ``gate`` returns a
+    preservation residual along W; the point is skipped where it exceeds
+    the preservation-gate tolerance.  ``when`` limits the facet to
+    scenarios it applies to.
     """
 
     name: str
@@ -169,21 +180,19 @@ class Facet:
     fiber: bool = False
     gate: Callable | None = None
     when: Callable[[BuiltScenario], bool] | None = None
+    bound: float = 0.0
 
 
 @dataclass(frozen=True)
 class Check:
-    """A check id, what it verifies, the config blocks it needs, and either
-    its facets or a ``pair_records`` function producing all its records at
-    one (x, y) pair from that pair's FiberContext.  An ``even_dimension``
-    check is left out of the default suite on odd dimensions and rejected
-    when requested there."""
+    """A check id, what it verifies, the config blocks it needs and its
+    facets.  An ``even_dimension`` check is left out of the default suite
+    on odd dimensions and rejected when requested there."""
 
     id: str
     description: str
     requires: tuple[str, ...]
-    facets: tuple[Facet, ...] = ()
-    pair_records: Callable[[FiberContext], list[CheckRecord]] | None = None
+    facets: tuple[Facet, ...]
     even_dimension: bool = False
 
 
@@ -226,17 +235,35 @@ def _has_two_form(s: BuiltScenario) -> bool:
     return s.two_form is not None
 
 
-def _metric_validity(f: FiberContext) -> list[CheckRecord]:
-    s = f.base.s
-    return pair_validity(s.metric, f.base.x, f.y, lambda: f.sample,
-                         homogeneity_tol=s.tolerances["homogeneity"])
+def _positive_definite(f: FiberContext) -> float:
+    """0 where the pair sample exists: ``finsler_sample`` raises
+    NotPositiveDefiniteError where a leading minor of g is below tol_pd."""
+    _ = f.sample
+    return 0.0
 
 
 CHECKS = (
     Check("metric-validity",
           "homogeneity, Euler identity, Cartan trace, positive-definiteness, "
           "Randers covector bound",
-          (), pair_records=_metric_validity),
+          (), (
+              Facet("metric-validity:homogeneity",
+                    lambda f: homogeneity_residual(f.base.s.metric,
+                                                   f.base.x, f.y),
+                    "homogeneity", fiber=True),
+              Facet("metric-validity:euler",
+                    lambda f: euler_residual(f.base.s.metric, f.base.x, f.y),
+                    "homogeneity", fiber=True),
+              Facet("metric-validity:cartan-trace",
+                    lambda f: cartan_trace_residual(f.sample),
+                    "homogeneity", fiber=True),
+              Facet("metric-validity:positive-definite", _positive_definite,
+                    fiber=True),
+              Facet("metric-validity:randers-bound",
+                    lambda f: f.base.alpha_norm, fiber=True,
+                    when=lambda s: s.metric.family == "randers",
+                    bound=1.0 - 1e-6),
+          )),
     Check("structural",
           "torsion-freeness and almost-metric-compatibility residuals of the "
           "connection coefficients",
@@ -352,30 +379,24 @@ def available_checks(s: BuiltScenario) -> list[str]:
 
 def _evaluate(facet: Facet, ctx, point, tolerances: dict
               ) -> CheckRecord | None:
-    tolerance = tolerances[facet.tol] if facet.tol else 0.0
+    tolerance = tolerances[facet.tol] if facet.tol else facet.bound
     t0 = time.perf_counter()
     try:
         if (facet.gate is not None
                 and facet.gate(ctx) > tolerances["preservation-gate"]):
             return None  # asserted only where the connection keeps the form
         out = facet.residual(ctx)
+        residual, scale = out if isinstance(out, tuple) else (out, 1.0)
+        bound = tolerance * scale
+        if not np.isfinite([residual, bound]).all():
+            raise DomainError(f"non-finite residual {residual:.3e} or "
+                              f"bound {bound:.3e}")
     except FinsymError as exc:
         return CheckRecord.failed(facet.name, point,
                                   f"{type(exc).__name__}: {exc}", tolerance,
                                   time.perf_counter() - t0)
-    residual, scale = out if isinstance(out, tuple) else (out, 1.0)
-    return CheckRecord.evaluated(facet.name, point, residual,
-                                 tolerance * scale, time.perf_counter() - t0)
-
-
-def _timed_batch(pair_records: Callable, f: FiberContext
-                 ) -> list[CheckRecord]:
-    t0 = time.perf_counter()
-    batch = pair_records(f)
-    elapsed = (time.perf_counter() - t0) / max(1, len(batch))
-    for r in batch:
-        r.elapsed = elapsed
-    return batch
+    return CheckRecord.evaluated(facet.name, point, residual, bound,
+                                 time.perf_counter() - t0)
 
 
 def _select(s: BuiltScenario, suite) -> list[Check]:
@@ -404,11 +425,15 @@ def run_scenario(config: dict, suite=None, seed_override: int | None = None,
     sample-point order.  Sampling is deterministic for a given config and
     seed, so two runs produce identical records.
     """
-    s = build_scenario(config, seed_override=seed_override,
-                       tolerance_overrides=tolerance_overrides)
+    return run_checks(build_scenario(config, seed_override=seed_override,
+                                     tolerance_overrides=tolerance_overrides),
+                      suite)
+
+
+def run_checks(s: BuiltScenario, suite=None) -> list[CheckRecord]:
+    """Run the requested checks over a built scenario's sample plan, as
+    :func:`run_scenario` does."""
     checks = _select(s, suite)
-    pair_checks = [check.pair_records for check in checks
-                   if check.pair_records is not None]
     facets = [f for check in checks for f in check.facets
               if f.when is None or f.when(s)]
     records: list[CheckRecord] = []
@@ -417,9 +442,6 @@ def run_scenario(config: dict, suite=None, seed_override: int | None = None,
     for x, ys in zip(s.plan.xs, s.plan.ys):
         ctx = PointContext(s, sc, x)
         fibers = [FiberContext(ctx, y) for y in ys]
-        for pair_records in pair_checks:
-            for f in fibers:
-                records.extend(_timed_batch(pair_records, f))
         for facet in facets:
             if facet.fiber:
                 found = [_evaluate(facet, f, f.point, s.tolerances)

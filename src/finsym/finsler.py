@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -358,92 +358,65 @@ def randers_alpha_norm(m: MetricSpec, x) -> float:
     a = np.array([[m.g_entries[i][j].evaluate(x) for j in range(n)]
                   for i in range(n)])
     b = np.array([c.evaluate(x) for c in m.b_fields])
-    with np.errstate(all="ignore"):  # checked right below
-        q = float(b @ np.linalg.solve(a, b))
+    try:
+        with np.errstate(all="ignore"):  # checked right below
+            q = float(b @ np.linalg.solve(a, b))
+    except np.linalg.LinAlgError:
+        raise DomainError(f"singular alpha matrix at "
+                          f"x={np.asarray(x, float).tolist()}") from None
     if not 0.0 <= q < np.inf:
         raise DomainError(f"a^ij b_i b_j = {q:.3e} is negative or non-finite "
                           f"at x={np.asarray(x, float).tolist()}")
     return float(np.sqrt(q))
 
 
-# fiber scalings at which the homogeneity record compares F(x, lam y)
+# fiber scalings at which the homogeneity residual compares F(x, lam y)
 # with lam F(x, y)
 _LAMBDAS = (0.5, 2.0, 3.0)
 
 
+def homogeneity_residual(m: MetricSpec, x, y) -> float:
+    """Largest relative gap |F(x, lam y) - lam F(x, y)| / (lam F(x, y))
+    over the fiber scalings lam in ``_LAMBDAS``."""
+    F = finsler_value(m, x, y)
+    rel = 0.0
+    for lam in _LAMBDAS:
+        Fl = m.F_field.evaluate(np.concatenate([x, lam * y]))
+        rel = max(rel, abs(Fl - lam * F) / abs(lam * F))
+    return rel
+
+
+def euler_residual(m: MetricSpec, x, y) -> float:
+    """Relative defect of Euler's identity y^i dF/dy^i = F at (x, y)."""
+    Fj = m.F_field.eval_jet(np.concatenate([x, y]), 1)
+    F = Fj.value
+    if not F > 0.0:
+        raise NonPositiveError(
+            f"F = {F:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
+    return abs(sum(y * Fj.derivatives(1)[m.dimension:]) - F) / abs(F)
+
+
+def cartan_trace_residual(s: FinslerSample) -> float:
+    """|A_ijk y^k|, which vanishes for a homogeneous F, relative to
+    max(1, max|A| |y|)."""
+    trace = float(np.max(np.abs(np.einsum("ijk,k->ij", s.A, s.y))))
+    scale = max(1.0, float(np.max(np.abs(s.A))) * float(np.linalg.norm(s.y)))
+    return trace / scale
+
+
 def metric_validity(m: MetricSpec, samples: Sequence,
                     homogeneity_tol: float = 1e-9) -> list[CheckRecord]:
-    """Homogeneity, Euler, Cartan-trace, positive-definiteness, and (for
-    Randers) covector-smallness records over the sampled (x, y) pairs.
+    """The ``metric-validity`` check's records, sorted by record id, with
+    each sampled (x, y) pair as its own base point.  Failures never raise;
+    they come back as error records."""
+    from .checks import run_checks
+    from .scenario import DEFAULT_TOLERANCES, BuiltScenario, SamplePlan
 
-    Failures never raise; they come back as failing records.
-    """
-    records: list[CheckRecord] = []
-    for x, y in samples:
-        records.extend(pair_validity(m, x, y, lambda: finsler_sample(m, x, y),
-                                     homogeneity_tol))
-    return records
-
-
-def pair_validity(m: MetricSpec, x, y, sample: Callable[[], FinslerSample],
-                  homogeneity_tol: float) -> list[CheckRecord]:
-    """:func:`metric_validity` records at one pair (x, y).  ``sample()``
-    returns ``finsler_sample(m, x, y)``, so a caller that already holds the
-    sample passes it in rather than having it evaluated again."""
-    records: list[CheckRecord] = []
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pt = tuple(np.concatenate([x, y]))
-
-    try:
-        F = finsler_value(m, x, y)
-        rel = 0.0
-        for lam in _LAMBDAS:
-            Fl = m.F_field.evaluate(np.concatenate([x, lam * y]))
-            rel = max(rel, abs(Fl - lam * F) / abs(lam * F))
-        records.append(CheckRecord.evaluated(
-            "metric-validity:homogeneity", pt, rel, homogeneity_tol))
-    except Exception as exc:  # noqa: BLE001 - failures become records
-        records.append(CheckRecord.failed(
-            "metric-validity:homogeneity", pt, str(exc), homogeneity_tol))
-
-    try:
-        Fj = m.F_field.eval_jet(np.concatenate([x, y]), 1)
-        F = Fj.value
-        if not F > 0.0:
-            raise NonPositiveError(
-                f"F = {F:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
-        euler = abs(sum(y * Fj.derivatives(1)[m.dimension:]) - F) / abs(F)
-        records.append(CheckRecord.evaluated(
-            "metric-validity:euler", pt, euler, homogeneity_tol))
-    except Exception as exc:  # noqa: BLE001
-        records.append(CheckRecord.failed(
-            "metric-validity:euler", pt, str(exc), homogeneity_tol))
-
-    try:
-        s = sample()
-        trace = float(np.max(np.abs(np.einsum("ijk,k->ij", s.A, y))))
-        scale = max(1.0, float(np.max(np.abs(s.A))) * float(np.linalg.norm(y)))
-        records.append(CheckRecord.evaluated(
-            "metric-validity:cartan-trace", pt, trace / scale, homogeneity_tol))
-        records.append(CheckRecord.evaluated(
-            "metric-validity:positive-definite", pt, 0.0, 0.0))
-    except NotPositiveDefiniteError as exc:
-        records.append(CheckRecord.failed(
-            "metric-validity:positive-definite", pt, str(exc), 0.0))
-    except Exception as exc:  # noqa: BLE001
-        records.append(CheckRecord.failed(
-            "metric-validity:cartan-trace", pt, str(exc), homogeneity_tol))
-
-    if m.family == "randers":
-        try:
-            norm = randers_alpha_norm(m, x)
-            records.append(CheckRecord.evaluated(
-                "metric-validity:randers-bound", pt, norm, 1.0 - 1e-6))
-        except Exception as exc:  # noqa: BLE001
-            records.append(CheckRecord.failed(
-                "metric-validity:randers-bound", pt, str(exc), 1.0 - 1e-6))
-    return records
+    plan = SamplePlan(xs=np.array([x for x, _ in samples], dtype=float),
+                      ys=np.array([[y] for _, y in samples], dtype=float))
+    tolerances = dict(DEFAULT_TOLERANCES, homogeneity=homogeneity_tol)
+    return run_checks(BuiltScenario(m.dimension, m, plan, tolerances),
+                      ["metric-validity"])
 
 
 def max_pairwise_spread(arrays: Sequence[np.ndarray]) -> float:

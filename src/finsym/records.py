@@ -1,4 +1,4 @@
-"""Result record shared by validity checks and the CLI runner."""
+"""The record the check runner makes for each facet at each sample point."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ class CheckRecord:
     """One residual evaluation at one sample point.
 
     ``passed`` must equal ``residual <= tolerance`` whenever the evaluation
-    succeeded; evaluations that raised carry the message in ``error``,
-    ``residual`` None, and ``passed`` False.
+    succeeded; an evaluation that raised, or gave a non-finite residual or
+    tolerance, carries ``"Type: message"`` in ``error``, ``residual`` None,
+    and ``passed`` False.
     """
 
     check: str

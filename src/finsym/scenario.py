@@ -172,6 +172,8 @@ def _build_box(block: dict, dimension: int, path: str) -> DomainBox:
             f"box bounds must have {dimension} entries", f"{path}/lower")
     if any(lo >= hi for lo, hi in zip(lower, upper)):
         raise ConfigError("box has empty interior", f"{path}/upper")
+    if not all(math.isfinite(hi - lo) for lo, hi in zip(lower, upper)):
+        raise ConfigError("box width overflows", f"{path}/upper")
     excluded = tuple(
         (tuple(float(c) for c in ball["center"]), float(ball["radius"]))
         for ball in block.get("excluded", ())

@@ -333,6 +333,35 @@ class TestRunScenario:
                 if r.check == "metric-validity:positive-definite"} == {True,
                                                                       False}
 
+    def test_alpha_norm_runs_once_per_base_point(self, monkeypatch):
+        calls = []
+        original = finsler.randers_alpha_norm
+
+        def counted(m, x):
+            calls.append(tuple(x))
+            return original(m, x)
+
+        patch_everywhere(monkeypatch, original, counted)
+        records = run_scenario(randers_config(), suite=["metric-validity"])
+        bound = [r for r in records
+                 if r.check == "metric-validity:randers-bound"]
+        assert len(bound) == 10  # 5 base points, 2 fiber points each
+        assert len(calls) == len(set(calls)) == 5
+
+    def test_overflowing_scaled_tolerance_is_an_error_record(self):
+        """A finite tolerance times a relative bound's scale above 1
+        overflows; the record is an error record, not an Infinity."""
+        with open(os.path.join(CONFIG_DIR, "polar_riemannian.json")) as fh:
+            cfg = json.load(fh)
+        records = run_scenario(cfg, suite=["structural"],
+                               tolerance_overrides={
+                                   "structural-compat": 1.7e308})
+        errors = [r for r in records if r.error]
+        assert errors and all(r.check == "structural:compat" for r in errors)
+        assert all(r.error.startswith("DomainError: non-finite residual")
+                   for r in errors)
+        emit_report(records)  # strict JSON
+
     def test_tolerance_override_tightens(self):
         records = run_scenario(randers_config(), suite=["berwald-uniqueness"],
                                tolerance_overrides={"berwald-uniqueness": 10.0})
@@ -392,6 +421,17 @@ class TestCliMain:
         path = tmp_path / name
         path.write_text(json.dumps(cfg))
         return str(path)
+
+    @staticmethod
+    def _cli(path, *args):
+        """``finsym run`` on a config in a fresh interpreter, so a traceback
+        or a warning would reach its stderr."""
+        src = os.path.dirname(os.path.dirname(finsler.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "finsym.cli", "run", "--config", path,
+             *args],
+            capture_output=True, text=True, check=False,
+            env=dict(os.environ, PYTHONPATH=src))
 
     def test_exit_zero_on_pass(self, tmp_path, capsys):
         path = self._write(tmp_path, euclid_config())
@@ -484,15 +524,13 @@ class TestCliMain:
             "sampling": {"mode": "grid", "count": 4, "y_per_x": 1},
         }
         path = self._write(tmp_path, cfg)
-        src = os.path.dirname(os.path.dirname(finsler.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "finsym.cli", "run", "--config", path],
-            capture_output=True, text=True, env=env, check=False)
+        proc = self._cli(path)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         records = strict_records(proc.stdout)
-        assert len(records) == 20
+        # 4 points x 6 records: the pair sample fails everywhere, and
+        # cartan-trace and positive-definite each get their error record
+        assert len(records) == 24
         assert any("DomainError: power 200" in (r["error"] or "")
                    for r in records)
 
@@ -528,12 +566,7 @@ class TestCliMain:
             "sampling": {"mode": "grid", "count": 9, "y_per_x": 1},
         }
         path = self._write(tmp_path, cfg)
-        src = os.path.dirname(os.path.dirname(finsler.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "finsym.cli", "run", "--config", path,
-             "--suite", "metric-validity"],
-            capture_output=True, text=True, env=env, check=False)
+        proc = self._cli(path, "--suite", "metric-validity")
         assert proc.returncode == 1
         assert proc.stderr == ""
         euler = [r for r in strict_records(proc.stdout)
@@ -578,11 +611,7 @@ class TestCliMain:
             "sampling": {"mode": "grid", "count": 4, "y_per_x": 1},
         }
         path = self._write(tmp_path, cfg)
-        src = os.path.dirname(os.path.dirname(finsler.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "finsym.cli", "run", "--config", path],
-            capture_output=True, text=True, env=env, check=False)
+        proc = self._cli(path)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         records = strict_records(proc.stdout)
@@ -635,3 +664,65 @@ class TestCliMain:
         rs = [r for r in strict_records(out) if r["check"] == check]
         assert len(rs) == 4
         assert all(r["error"] and "non-finite" in r["error"] for r in rs)
+
+    def test_non_finite_residual_is_an_error_record(self, tmp_path):
+        """F(x, 3y) / F(x, y) = 3^800 overflows the homogeneity residual;
+        the record is a DomainError error record, so the report stays
+        strict JSON."""
+        cfg = {
+            "dimension": 2,
+            "metric": {"family": "custom", "F": "(y1^2+y2^2)^400",
+                       "domain": {"lower": [-1, -1], "upper": [1, 1]}},
+            "sampling": {"mode": "grid", "count": 4, "y_per_x": 1,
+                         "y_box": {"lower": [0.35, 0.35],
+                                   "upper": [0.4, 0.4]}},
+        }
+        proc = self._cli(self._write(tmp_path, cfg),
+                         "--suite", "metric-validity")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        homog = [r for r in strict_records(proc.stdout)
+                 if r["check"] == "metric-validity:homogeneity"]
+        assert len(homog) == 4
+        assert all(r["error"].startswith("DomainError: non-finite residual")
+                   for r in homog)
+
+    def test_singular_alpha_is_a_domain_error(self, tmp_path):
+        cfg = {
+            "dimension": 2,
+            "metric": {"family": "randers",
+                       "alpha": [["x1^2", "0"], ["0", "1"]],
+                       "b": ["0", "0.1"],
+                       "domain": {"lower": [-1, -1], "upper": [1, 1]}},
+            "sampling": {"mode": "grid", "count": 9, "y_per_x": 1},
+        }
+        proc = self._cli(self._write(tmp_path, cfg),
+                         "--suite", "metric-validity")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        errors = [r for r in strict_records(proc.stdout)
+                  if r["check"] == "metric-validity:randers-bound"
+                  and r["error"]]
+        assert [r["point"][0] for r in errors] == [0.0, 0.0, 0.0]
+        assert all(r["error"].startswith("DomainError: singular alpha")
+                   for r in errors)
+
+    @pytest.mark.parametrize("mode", ["grid", "random"])
+    @pytest.mark.parametrize("block", ["/metric/domain", "/sampling/y_box"])
+    def test_overflowing_box_width_is_a_config_error(self, tmp_path, capsys,
+                                                     mode, block):
+        huge = {"lower": [-1e308, -1e308], "upper": [1e308, 1e308]}
+        cfg = {
+            "dimension": 2,
+            "metric": {"family": "custom", "F": "sqrt(y1^2+y2^2)",
+                       "domain": {"lower": [-1, -1], "upper": [1, 1]}},
+            "sampling": {"mode": mode, "count": 4, "seed": 1},
+        }
+        if block == "/metric/domain":
+            cfg["metric"]["domain"] = huge
+        else:
+            cfg["sampling"]["y_box"] = huge
+        assert main(["run", "--config", self._write(tmp_path, cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {block}/upper: box width overflows\n"
