@@ -12,7 +12,7 @@ import sys
 from .checks import CHECKS, run_scenario
 from .errors import ConfigError, ParseError
 from .report import emit_report
-from .scenario import load_config, validate_config
+from .scenario import build_scenario, load_config
 
 
 def _parse_tol_overrides(items) -> dict:
@@ -50,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", action="append", metavar="NAME=VALUE",
                      help="override a tolerance (repeatable)")
 
-    val = sub.add_parser("validate", help="schema-check a scenario config")
+    val = sub.add_parser(
+        "validate", help="check that a scenario config builds: schema, "
+                         "expressions, boxes and sample points")
     val.add_argument("--config", required=True)
 
     sub.add_parser("list-checks", help="print check ids and what they verify")
@@ -70,7 +72,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "validate":
-            validate_config(config)
+            build_scenario(config)
             print("config OK")
             return 0
 

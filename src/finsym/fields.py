@@ -10,6 +10,15 @@ Grammar (whitespace insignificant)::
 Identifiers are the declared variable names (conventionally ``x1..xn`` and
 ``y1..yn``).  Exponents are numeric literals, never sub-expressions.  The
 leading ``-`` on a factor is accepted as sugar on top of the binary grammar.
+Parentheses, ``sqrt(`` and unary minus may nest at most ``_MAX_NESTING``
+levels deep.
+
+The parser emits a flat postfix program of ``(op, arg)`` instructions:
+``("num", value)``, ``("var", index)``, ``("neg", None)``,
+``("sqrt", None)``, ``("^", exponent)`` and the binary ``("+", None)``,
+``("-", None)``, ``("*", None)``, ``("/", None)``, each after both of its
+operands.  One loop over a value stack runs a program on floats or jets,
+left operand first, so the length of an expression costs no stack depth.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -30,67 +39,17 @@ from .errors import (
 )
 from .jets import Jet
 
-# -- expression tree ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: float
-
-
-@dataclass(frozen=True)
-class Sqrt:
-    arg: "Node"
-
-
-Node = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Sqrt]
+# -- parsing --------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
+
+# nesting levels of parentheses, sqrt( and unary minus; the parser recurses
+# once per level
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -115,10 +74,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent that appends each instruction once its operands
+    are in the program, which is postfix order."""
+
     def __init__(self, text: str, variables: Sequence[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.var_index = {name: i for i, name in enumerate(variables)}
+        self.program: list[tuple] = []
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -134,46 +98,52 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}", at)
         return self.advance()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> tuple:
+        self.expr()
         kind, text, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", at)
-        return node
+        return tuple(self.program)
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> None:
+        self.term()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
+                self.term()
+                self.program.append((text, None))
             else:
-                return node
+                return
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> None:
+        self.factor()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
+                self.factor()
+                self.program.append((text, None))
             else:
-                return node
+                return
 
-    def factor(self) -> Node:
-        kind, text, _ = self.peek()
+    def factor(self) -> None:
+        kind, text, at = self.peek()
+        if self.depth > _MAX_NESTING:
+            raise ParseError(
+                f"expression nested more than {_MAX_NESTING} levels deep", at)
+        self.depth += 1
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
-        node = self.base()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(node, self.signed_number())
-        return node
+            self.factor()
+            self.program.append(("neg", None))
+        else:
+            self.base()
+            kind, text, _ = self.peek()
+            if kind == "op" and text == "^":
+                self.advance()
+                self.program.append(("^", self.signed_number()))
+        self.depth -= 1
 
     def signed_number(self) -> float:
         sign = 1.0
@@ -187,24 +157,24 @@ class _Parser:
         self.advance()
         return sign * float(text)
 
-    def base(self) -> Node:
+    def base(self) -> None:
         kind, text, at = self.advance()
         if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            if text == "sqrt":
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return Sqrt(inner)
+            self.program.append(("num", float(text)))
+        elif kind == "name" and text == "sqrt":
+            self.expect_op("(")
+            self.expr()
+            self.expect_op(")")
+            self.program.append(("sqrt", None))
+        elif kind == "name":
             if text not in self.var_index:
                 raise UnknownVariableError(f"unknown variable {text!r}", at)
-            return Var(text, self.var_index[text])
-        if kind == "op" and text == "(":
-            inner = self.expr()
+            self.program.append(("var", self.var_index[text]))
+        elif kind == "op" and text == "(":
+            self.expr()
             self.expect_op(")")
-            return inner
-        raise ParseError(f"expected a value, found {text or 'end of input'!r}", at)
+        else:
+            raise ParseError(f"expected a value, found {text or 'end of input'!r}", at)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -235,31 +205,34 @@ def _sqrt_value(v):
     return math.sqrt(v)
 
 
-def eval_node(node: Node, env: Sequence):
-    """Evaluate an expression tree; env entries may be floats or jets."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.index]
-    if isinstance(node, Neg):
-        return -eval_node(node.arg, env)
-    if isinstance(node, Add):
-        return eval_node(node.left, env) + eval_node(node.right, env)
-    if isinstance(node, Sub):
-        return eval_node(node.left, env) - eval_node(node.right, env)
-    if isinstance(node, Mul):
-        return eval_node(node.left, env) * eval_node(node.right, env)
-    if isinstance(node, Div):
-        num = eval_node(node.left, env)
-        den = eval_node(node.right, env)
-        if not isinstance(den, Jet) and float(den) == 0.0:
-            raise DomainError("division by zero")
-        return num / den
-    if isinstance(node, Pow):
-        return _pow_value(eval_node(node.base, env), node.exponent)
-    if isinstance(node, Sqrt):
-        return _sqrt_value(eval_node(node.arg, env))
-    raise TypeError(f"unknown node {node!r}")
+def _run(program: tuple, env: Sequence):
+    """Run a postfix program; env entries may be floats or jets."""
+    stack = []
+    for op, arg in program:
+        if op == "var":
+            stack.append(env[arg])
+        elif op == "num":
+            stack.append(arg)
+        elif op == "^":
+            stack[-1] = _pow_value(stack[-1], arg)
+        elif op == "sqrt":
+            stack[-1] = _sqrt_value(stack[-1])
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        else:
+            right = stack.pop()
+            left = stack[-1]
+            if op == "*":
+                stack[-1] = left * right
+            elif op == "+":
+                stack[-1] = left + right
+            elif op == "-":
+                stack[-1] = left - right
+            else:
+                if not isinstance(right, Jet) and float(right) == 0.0:
+                    raise DomainError("division by zero")
+                stack[-1] = left / right
+    return stack[-1]
 
 
 # -- field specs ---------------------------------------------------------------
@@ -267,22 +240,21 @@ def eval_node(node: Node, env: Sequence):
 
 @dataclass(frozen=True)
 class ScalarFieldSpec:
-    """A scalar field given by an expression tree over named variables."""
+    """A scalar field given by a postfix program over named variables."""
 
     variables: tuple[str, ...]
-    root: Node
+    program: tuple
 
     @classmethod
     def parse(cls, text: str, variables: Sequence[str]) -> "ScalarFieldSpec":
-        node = _Parser(text, variables).parse()
-        return cls(tuple(variables), node)
+        return cls(tuple(variables), _Parser(text, variables).parse())
 
     @property
     def num_vars(self) -> int:
         return len(self.variables)
 
     def evaluate(self, point: Sequence[float]) -> float:
-        out = float(eval_node(self.root, [float(v) for v in point]))
+        out = float(_run(self.program, [float(v) for v in point]))
         if not math.isfinite(out):
             raise DomainError(
                 f"non-finite field value at {np.asarray(point, float).tolist()}")
@@ -295,7 +267,7 @@ class ScalarFieldSpec:
         env = [Jet.variable(i, float(point[i]), num_vars, order)
                for i in range(num_vars)]
         with np.errstate(all="ignore"):  # non-finite data raises below
-            out = eval_node(self.root, env)
+            out = _run(self.program, env)
         if not isinstance(out, Jet):
             out = Jet.constant(float(out), num_vars, order)
         if not out.is_finite():
@@ -328,8 +300,10 @@ class DomainBox:
             return False
         if (x < np.asarray(self.lower)).any() or (x > np.asarray(self.upper)).any():
             return False
+        coords = x.tolist()
         for center, radius in self.excluded:
-            if np.linalg.norm(x - np.asarray(center)) < radius:
+            # math.hypot scales its arguments, so a far centre cannot overflow
+            if math.hypot(*(a - c for a, c in zip(coords, center))) < radius:
                 return False
         return True
 

@@ -24,7 +24,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotRandersError,
 )
-from .fields import Add, DomainBox, Mul, Num, Pow, ScalarFieldSpec, Sqrt, Var
+from .fields import DomainBox, ScalarFieldSpec
 from .jets import Jet
 from .records import CheckRecord
 
@@ -36,15 +36,20 @@ def _xy_vars(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
 
 
-def _y_var(n: int, i: int) -> Var:
-    return Var(f"y{i + 1}", n + i)
+# postfix instructions (see :mod:`fields`) spliced around the entries' programs
+_ADD, _MUL, _SQRT, _SQUARE = ("+", None), ("*", None), ("sqrt", None), ("^", 2.0)
 
 
-def _sum_nodes(nodes):
-    out = nodes[0]
-    for node in nodes[1:]:
-        out = Add(out, node)
+def _sum_programs(programs) -> tuple:
+    """The program of the left-associated sum of the given programs."""
+    out = programs[0]
+    for program in programs[1:]:
+        out += program + (_ADD,)
     return out
+
+
+def _half(program: tuple) -> tuple:
+    return (("num", 0.5),) + program + (_MUL,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +88,12 @@ class MetricSpec:
                   for i in range(n))
         for i in range(n):
             for j in range(i + 1, n):
-                if g[i][j].root != g[j][i].root:
+                if g[i][j].program != g[j][i].program:
                     raise ValueError(f"metric matrix not symmetric at ({i},{j})")
-        quad = _quadratic_form_node(g, n)
+        quad = _quadratic_form(g, n)
         allvars = _xy_vars(n)
-        F = ScalarFieldSpec(allvars, Sqrt(quad))
-        phi = ScalarFieldSpec(allvars, Mul(Num(0.5), quad))
+        F = ScalarFieldSpec(allvars, quad + (_SQRT,))
+        phi = ScalarFieldSpec(allvars, _half(quad))
         return cls("riemannian", n, domain, F, phi, y_min, g_entries=g)
 
     @classmethod
@@ -100,17 +105,17 @@ class MetricSpec:
                   for i in range(n))
         for i in range(n):
             for j in range(i + 1, n):
-                if a[i][j].root != a[j][i].root:
+                if a[i][j].program != a[j][i].program:
                     raise ValueError(f"alpha matrix not symmetric at ({i},{j})")
         b = tuple(cls._as_spec(c, xvars) for c in b_components)
         if len(b) != n:
             raise ValueError("covector component count must match dimension")
-        quad = _quadratic_form_node(a, n)
-        beta = _sum_nodes([Mul(b[i].root, _y_var(n, i)) for i in range(n)])
-        F_node = Add(Sqrt(quad), beta)
+        beta = _sum_programs([b[i].program + (("var", n + i), _MUL)
+                              for i in range(n)])
+        F_program = _quadratic_form(a, n) + (_SQRT,) + beta + (_ADD,)
         allvars = _xy_vars(n)
-        F = ScalarFieldSpec(allvars, F_node)
-        phi = ScalarFieldSpec(allvars, Mul(Num(0.5), Pow(F_node, 2.0)))
+        F = ScalarFieldSpec(allvars, F_program)
+        phi = ScalarFieldSpec(allvars, _half(F_program + (_SQUARE,)))
         return cls("randers", n, domain, F, phi, y_min, g_entries=a, b_fields=b)
 
     @classmethod
@@ -118,16 +123,15 @@ class MetricSpec:
                y_min: float = DEFAULT_Y_MIN) -> "MetricSpec":
         allvars = _xy_vars(dimension)
         F_spec = cls._as_spec(F, allvars)
-        phi = ScalarFieldSpec(allvars, Mul(Num(0.5), Pow(F_spec.root, 2.0)))
+        phi = ScalarFieldSpec(allvars, _half(F_spec.program + (_SQUARE,)))
         return cls("custom", dimension, domain, F_spec, phi, y_min)
 
 
-def _quadratic_form_node(entries, n: int):
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            terms.append(Mul(entries[i][j].root, Mul(_y_var(n, i), _y_var(n, j))))
-    return _sum_nodes(terms)
+def _quadratic_form(entries, n: int) -> tuple:
+    """The program of sum_ij a_ij * (y_i * y_j), summed left to right."""
+    return _sum_programs([
+        entries[i][j].program + (("var", n + i), ("var", n + j), _MUL, _MUL)
+        for i in range(n) for j in range(n)])
 
 
 def _require_point(m: MetricSpec, x, y) -> tuple[np.ndarray, np.ndarray]:

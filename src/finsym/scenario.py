@@ -251,6 +251,7 @@ def _build_two_form(block: dict, dimension: int,
     if not entries:
         raise ConfigError("explicit two-form requires 'entries'",
                           "/two_form/entries")
+    xvars = tuple(f"x{i + 1}" for i in range(dimension))
     parsed = {}
     for key, text in entries.items():
         parts = key.split(",")
@@ -262,7 +263,8 @@ def _build_two_form(block: dict, dimension: int,
             raise ConfigError(
                 f"entry key {key!r} must be 'i,j' with 1 <= i < j <= {dimension}",
                 f"/two_form/entries/{key}")
-        parsed[(i - 1, j - 1)] = str(text)
+        parsed[(i - 1, j - 1)] = _parse_expr(
+            str(text), xvars, f"/two_form/entries/{key}")
     return explicit_two_form(dimension, parsed), kind
 
 
@@ -464,5 +466,7 @@ def load_config(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}", "") from exc
+    except RecursionError:
+        raise ConfigError("invalid JSON: nested too deeply", "") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", "") from exc

@@ -107,6 +107,13 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             build_scenario(cfg)
         assert err.value.json_path == "/metric/F"
+        cfg = euclid_config()
+        cfg["two_form"] = {"kind": "explicit", "entries": {"1,2": "y1"}}
+        with pytest.raises(ConfigError) as err:
+            build_scenario(cfg)
+        assert err.value.json_path == "/two_form/entries/1,2"
+        assert str(err.value).startswith(
+            "/two_form/entries/1,2: bad expression 'y1': unknown variable")
 
     def test_vector_component_count(self):
         cfg = euclid_config()
@@ -462,6 +469,51 @@ class TestCliMain:
         del cfg["metric"]["domain"]
         path2 = self._write(tmp_path, cfg, "bad.json")
         assert main(["validate", "--config", path2]) == 2
+
+    def test_validate_builds_the_scenario(self, tmp_path, capsys):
+        cfg = euclid_config()
+        cfg["metric"] = {"family": "riemannian",
+                         "g": [["1", "0"], ["0", "1"]],
+                         "domain": {"lower": [-1, -1], "upper": [1, 1]}}
+        cfg["two_form"] = {"kind": "explicit", "entries": {"1,2": "y1+"}}
+        path = self._write(tmp_path, cfg)
+        errors = []
+        for command in ("validate", "run"):
+            assert main([command, "--config", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: /two_form/entries/1,2: bad expression")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_deeply_nested_json_is_a_config_error(self, tmp_path, capsys,
+                                                 command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: /: invalid JSON: nested too deeply\n"
+
+    def test_nesting_limit_is_a_config_error(self, tmp_path, capsys):
+        cfg = euclid_config()
+        depth = fields._MAX_NESTING
+        cfg["vector_field"]["components"][0] = "(" * depth + "1" + ")" * depth
+        assert main(["validate", "--config", self._write(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        cfg["vector_field"]["components"][0] = "(" * 300 + "1" + ")" * 300
+        assert main(["run", "--config", self._write(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /vector_field/components/0: bad expression")
+        assert "nested more than" in err
+
+    def test_long_expression_runs(self, tmp_path):
+        cfg = euclid_config(count=1)
+        cfg["metric"]["F"] = "sqrt(" + "+".join(["y1^2"] * 1999 + ["y2^2"]) + ")"
+        proc = self._cli(self._write(tmp_path, cfg), "--suite",
+                         "metric-validity,structural")
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == ""
+        assert strict_records(proc.stdout)
 
     def test_list_checks(self, capsys):
         assert main(["list-checks"]) == 0

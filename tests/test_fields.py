@@ -13,18 +13,10 @@ from finsym.errors import (
     ZeroVectorError,
 )
 from finsym.fields import (
-    Add,
+    _MAX_NESTING,
     ChartMap,
-    Div,
     DomainBox,
-    Mul,
-    Neg,
-    Num,
-    Pow,
     ScalarFieldSpec,
-    Sqrt,
-    Sub,
-    Var,
     VectorFieldSpec,
     chart_jacobians,
 )
@@ -70,7 +62,7 @@ class TestParser:
     def test_whitespace_insignificant(self):
         a = ScalarFieldSpec.parse(" x1 + 2 * x2 ", V2)
         b = ScalarFieldSpec.parse("x1+2*x2", V2)
-        assert a.root == b.root
+        assert a.program == b.program
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariableError) as err:
@@ -94,58 +86,59 @@ class TestParser:
         with pytest.raises(ParseError):
             ScalarFieldSpec.parse("x1 x2", V2)
 
+    @pytest.mark.parametrize("opening, closing", [
+        ("(", ")"), ("sqrt(", ")"), ("-", ""), ("-(", ")")])
+    def test_nesting_limit(self, opening, closing):
+        depth = _MAX_NESTING // (2 if opening == "-(" else 1)
+        at_limit = opening * depth + "x1" + closing * depth
+        ScalarFieldSpec.parse(at_limit, V2)
+        with pytest.raises(ParseError, match="nested more than"):
+            ScalarFieldSpec.parse(opening + at_limit + closing, V2)
+
+    def test_long_sum_costs_no_stack_depth(self):
+        f = ScalarFieldSpec.parse("+".join(["x1*x2"] * 3000), V2)
+        assert f.evaluate([0.5, 2.0]) == 3000.0
+        jet = f.eval_jet([0.5, 2.0], 2)
+        assert jet.value == 3000.0
+        assert jet.derivatives(1).tolist() == [6000.0, 1500.0]
+        assert jet.derivatives(2).tolist() == [[0.0, 3000.0], [3000.0, 0.0]]
+
 
 @st.composite
-def _trees(draw, depth=0):
+def _expressions(draw, depth=0):
+    """Expression text, every compound in parentheses, with the postfix
+    program the parser must emit for it."""
     if depth >= 3:
         leaf = draw(st.integers(0, 2))
         if leaf == 0:
-            return Num(float(draw(st.integers(0, 9))))
-        return Var(f"x{leaf}", leaf - 1)
+            value = float(draw(st.integers(0, 9)))
+            return repr(value), (("num", value),)
+        return f"x{leaf}", (("var", leaf - 1),)
     kind = draw(st.integers(0, 7))
     if kind == 0:
-        return Num(float(draw(st.integers(0, 9))))
+        value = float(draw(st.integers(0, 9)))
+        return repr(value), (("num", value),)
     if kind == 1:
         i = draw(st.integers(1, 2))
-        return Var(f"x{i}", i - 1)
-    a = draw(_trees(depth=depth + 1))
-    b = draw(_trees(depth=depth + 1))
-    if kind == 2:
-        return Add(a, b)
-    if kind == 3:
-        return Sub(a, b)
-    if kind == 4:
-        return Mul(a, b)
-    if kind == 5:
-        return Div(a, b)
+        return f"x{i}", (("var", i - 1),)
+    a_text, a_program = draw(_expressions(depth=depth + 1))
+    b_text, b_program = draw(_expressions(depth=depth + 1))
+    if kind <= 5:
+        op = "+-*/"[kind - 2]
+        return f"({a_text}{op}{b_text})", a_program + b_program + ((op, None),)
     if kind == 6:
-        return Neg(a)
+        return f"(-{a_text})", a_program + (("neg", None),)
     if draw(st.booleans()):
-        return Pow(a, float(draw(st.sampled_from([-2, -1, 2, 3, 0.5, 1.5]))))
-    return Sqrt(a)
-
-
-def _print(node):
-    """Expression text for a tree, every compound node in parentheses."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_print(node.arg)})"
-    if isinstance(node, Pow):
-        return f"({_print(node.base)}^{node.exponent!r})"
-    if isinstance(node, Sqrt):
-        return f"sqrt({_print(node.arg)})"
-    op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(node)]
-    return f"({_print(node.left)}{op}{_print(node.right)})"
+        p = float(draw(st.sampled_from([-2, -1, 2, 3, 0.5, 1.5])))
+        return f"({a_text}^{p!r})", a_program + (("^", p),)
+    return f"sqrt({a_text})", a_program + (("sqrt", None),)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_trees())
-def test_print_parse_round_trip(tree):
-    reparsed = ScalarFieldSpec.parse(_print(tree), V2)
-    assert reparsed.root == tree
+@given(_expressions())
+def test_print_parse_round_trip(expression):
+    text, program = expression
+    assert ScalarFieldSpec.parse(text, V2).program == program
 
 
 def _specs(*texts):
@@ -243,6 +236,15 @@ class TestDomainBox:
         box = DomainBox((0.0,), (1.0,))
         with pytest.raises(DomainError):
             box.require([2.0])
+
+    def test_far_excluded_ball(self):
+        # the distance to the centre is finite; its square is not
+        box = DomainBox((-1.0, -1.0), (1.0, 1.0),
+                        excluded=(((1e308, 1e308), 1e300),))
+        assert box.contains([0.5, -0.5])
+        near = DomainBox((-1.0, -1.0), (1.0, 1.0),
+                         excluded=(((1e308, 1e308), 1.5e308),))
+        assert not near.contains([0.5, -0.5])
 
     def test_empty_interior_rejected(self):
         with pytest.raises(ValueError):
