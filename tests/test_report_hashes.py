@@ -7,7 +7,9 @@ and randers_dbeta were re-pinned when the connection assembly moved to
 array-form forward mode: residuals moved in the last bits (at most 2.7e-13),
 every record kept its check, point, verdict, error and tolerance.
 The two randomly sampled configs are pinned at two more seeds as well, so
-a change that only shows at other sample points is caught too.
+a change that only shows at other sample points is caught too.  Two
+generated Randers configs in ``tests/data`` pin the n = 3 and n = 4 paths:
+a 4-d scenario under the full suite and a 3-d one under ``structural``.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from finsym.report import emit_report
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 REPORT_SHA256 = {
     "curved_volume":
@@ -49,8 +52,17 @@ RESEEDED_REPORT_SHA256 = {
 }
 
 
-def _load(name: str) -> dict:
-    with open(os.path.join(CONFIG_DIR, f"{name}.json"), encoding="utf-8") as fh:
+# (data config, suite) -> sha256 of its report; None runs the full suite
+DATA_REPORT_SHA256 = {
+    ("curvature-n4-v3", None):
+        "79c8f03ad5418a6842594c9f5008e455ab9b9e4b69db7162a3fa0f050bda5980",
+    ("structural-n3-v3", "structural"):
+        "19f0c54b3b36e742d93a721ae8a8a88115d453414c8dc8a979131a236722dbde",
+}
+
+
+def _load(name: str, directory: str = CONFIG_DIR) -> dict:
+    with open(os.path.join(directory, f"{name}.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -77,3 +89,13 @@ def test_reseeded_report_is_byte_identical(name, seed):
     payload = emit_report(run_scenario(_load(name), seed_override=seed))
     assert (hashlib.sha256(payload).hexdigest()
             == RESEEDED_REPORT_SHA256[(name, seed)])
+
+
+@pytest.mark.parametrize("name,suite", sorted(DATA_REPORT_SHA256,
+                                              key=lambda k: k[0]))
+def test_higher_dimension_report_is_byte_identical(name, suite):
+    config = _load(name, DATA_DIR)
+    payload = emit_report(run_scenario(
+        config, suite=None if suite is None else [suite]))
+    assert (hashlib.sha256(payload).hexdigest()
+            == DATA_REPORT_SHA256[(name, suite)])
