@@ -49,14 +49,13 @@ from .symplectic import (
     standard_form,
 )
 from .fedosov import (
-    ConnectionCoefficients,
     FedosovScenario,
-    berwald_uniqueness_probe,
     covariant_residual,
     darboux_relations_residual,
     hatted_two_form_data,
     induce_connection,
     minkowski_preservation_check,
+    minkowski_probes,
     require_minkowskian,
     transform_connection,
 )

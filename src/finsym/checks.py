@@ -28,24 +28,25 @@ from .curvature import (
     induced_derivatives,
     pair_two_path,
 )
-from .errors import ConfigError, DomainError, FinsymError
+from .errors import ConfigError, DomainError, FinsymError, ZeroVectorError
 from .fedosov import (
-    ConnectionCoefficients,
     FedosovScenario,
-    berwald_uniqueness_probe,
     covariant_residual,
     darboux_relations_residual,
     hatted_two_form_data,
     minkowski_preservation_check,
+    minkowski_probes,
     require_minkowskian,
     transform_connection,
 )
 from .fields import chart_jacobians
 from .finsler import (
+    FinslerSample,
     cartan_trace_residual,
     euler_residual,
     finsler_sample,
     homogeneity_residual,
+    max_pairwise_spread,
     randers_alpha_norm,
     structural_residuals,
 )
@@ -62,9 +63,23 @@ from .symplectic import (
 )
 
 
+def _cached(cache: dict, key, fn):
+    """``cache[key]``, computed by ``fn()`` on first use.  A FinsymError is
+    kept like a value and raised again on every read, so a failed quantity
+    is not recomputed."""
+    if key not in cache:
+        try:
+            cache[key] = (fn(), None)
+        except FinsymError as exc:
+            cache[key] = (None, exc)
+    value, exc = cache[key]
+    if exc is not None:
+        raise exc
+    return value
+
+
 class _once:
-    """A lazily computed attribute.  An exception is kept like a value and
-    raised again on every read, so a failed quantity is not recomputed."""
+    """A lazily computed attribute, cached by :func:`_cached`."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -73,35 +88,29 @@ class _once:
         self.key = f"_{name}"
 
     def __get__(self, obj, owner=None):
-        cache = obj.__dict__
-        if self.key not in cache:
-            try:
-                cache[self.key] = (self.fn(obj), None)
-            except Exception as exc:  # noqa: BLE001 - re-raised on every read
-                cache[self.key] = (None, exc)
-        value, exc = cache[self.key]
-        if exc is not None:
-            raise exc
-        return value
+        return _cached(obj.__dict__, self.key, lambda: self.fn(obj))
 
 
 def _minkowski(c: "PointContext") -> tuple[float, float, float]:
-    require_minkowskian(c.s.metric, c.x)
+    require_minkowskian([c.sample(y).chern
+                         for y in minkowski_probes(c.s.dimension)])
     mk = minkowski_preservation_check(c.form[1], c.jac, c.hatted)
-    ghat = transform_connection(
-        ConnectionCoefficients.zero(c.s.dimension), c.jac)
-    hatted = PreservationResidual.of(*c.hatted, ghat.array)
+    ghat = transform_connection(np.zeros((c.s.dimension,) * 3), c.jac)
+    hatted = PreservationResidual.of(*c.hatted, ghat)
     return mk.natural, mk.hatted, abs(mk.hatted - hatted.max_abs)
 
 
 class PointContext:
     """What the facets read at one base point x, each computed on first use.
 
-    ``sample_w`` is the value path at (x, W(x)) and ``derivatives`` the jet
-    path there.  ``lift_w`` is the lift-preservation residual of the
-    scenario's form along W, ``standard_lift_w`` that of the standard form.
-    ``jac`` holds the chart derivatives at x and ``hatted`` the scenario's
-    form pulled back through them.  ``form`` holds the scenario's two-form
+    :meth:`sample` is the value path at (x, y), computed once per distinct
+    fiber point y: the plan's pairs, W(x), the Berwald probe vectors and
+    the Minkowski probes all read it.  ``sample_w`` is its value at
+    (x, W(x)) and ``derivatives`` the jet path there.  ``lift_w`` is the
+    lift-preservation residual of the scenario's form along W,
+    ``standard_lift_w`` that of the standard form.  ``jac`` holds the chart
+    derivatives at x and ``hatted`` the scenario's form pulled back through
+    them.  ``form`` holds the scenario's two-form
     and its partials at x; ``covector`` the first and second derivative
     arrays of the Randers covector b there, from which a d(beta) form is
     read rather than evaluating b again, and ``alpha_norm`` the Randers
@@ -112,11 +121,16 @@ class PointContext:
 
     def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x):
         self.s, self.sc, self.x = s, sc, x
+        self._samples: dict = {}
+
+    def sample(self, y) -> FinslerSample:
+        """The Finsler sample at (x, y), computed once per distinct y."""
+        y = np.asarray(y, dtype=float)
+        return _cached(self._samples, y.tobytes(),
+                       lambda: finsler_sample(self.s.metric, self.x, y))
 
     w = _once(lambda c: c.s.vector_field.values(c.x))
-    sample_w = _once(lambda c: finsler_sample(c.s.metric, c.x, c.w))
-    gamma = _once(lambda c: ConnectionCoefficients(c.s.dimension,
-                                                   c.sample_w.chern))
+    sample_w = property(lambda c: c.sample(c.w))
     form = _once(lambda c: (exact_form_data(*c.covector)
                             if c.s.two_form_kind == "randers-dbeta"
                             else c.s.two_form.data(c.x)))
@@ -130,6 +144,8 @@ class PointContext:
     up = _once(lambda c: curvature_up(*c.derivatives))
     brace = _once(lambda c: brace_array(*c.derivatives))
     pair = _once(lambda c: pair_two_path(c.up, c.brace, c.form[0]))
+    # The FD path samples its own centre and stencil, (x, W(x)) included:
+    # reading sample_w would let it share a result with the path it checks.
     fd = _once(lambda c: curvature_fd_commutator(c.sc, c.x))
     jac = _once(lambda c: chart_jacobians(c.s.chart, c.x))
     hatted = _once(lambda c: hatted_two_form_data(*c.form, c.jac))
@@ -155,7 +171,7 @@ class FiberContext:
         self.base, self.y = base, y
         self.point = np.concatenate([base.x, y])
 
-    sample = _once(lambda f: finsler_sample(f.base.s.metric, f.base.x, f.y))
+    sample = property(lambda f: f.base.sample(f.y))
     structural = _once(lambda f: structural_residuals(f.sample))
     lift = _once(lambda f: PreservationResidual.of(
         G=f.sample.chern, w=f.base.form[0], dw=f.base.form[1]))
@@ -212,17 +228,28 @@ def _randers_equivalence(f: FiberContext) -> float:
 
 
 def _exactness(c: PointContext) -> float:
-    gam = c.gamma
+    G = c.sample_w.chern
     pres = c.lift_w
-    return abs(covariant_residual(gam.array, *c.form) - pres.max_abs)
+    return abs(covariant_residual(G, *c.form) - pres.max_abs)
 
 
 def _roundtrip(c: PointContext) -> float:
-    gam = c.gamma
-    ghat = transform_connection(gam, c.jac)
+    G = c.sample_w.chern
+    ghat = transform_connection(G, c.jac)
     back = transform_connection(
         ghat, chart_jacobians(c.s.chart.swapped(), c.jac.xhat))
-    return _max_abs(back.array - gam.array)
+    return _max_abs(back - G)
+
+
+def _berwald_spread(c: PointContext) -> float:
+    floor = c.s.vector_field.w_min
+    for v in c.s.berwald_vectors:
+        if float(np.linalg.norm(v)) < floor:
+            raise ZeroVectorError(
+                f"probe vector norm {np.linalg.norm(v):.3e} below floor {floor}"
+            )
+    return max_pairwise_spread([c.sample(v).chern
+                                for v in c.s.berwald_vectors])
 
 
 def _fd_consistency(c: PointContext) -> tuple[float, float]:
@@ -293,7 +320,7 @@ CHECKS = (
           "two-form residual with the lift residual along W",
           ("vector_field",), (
               Facet("induce:symmetry", lambda c: _max_abs(
-                  c.gamma.array - c.gamma.array.transpose(0, 2, 1))),
+                  c.sample_w.chern - c.sample_w.chern.transpose(0, 2, 1))),
               Facet("induce:exactness", _exactness, "exactness",
                     when=_has_two_form),
           )),
@@ -303,7 +330,7 @@ CHECKS = (
           ("vector_field",), (
               Facet("darboux:relations",
                     lambda c: darboux_relations_residual(
-                        c.gamma, c.s.dimension // 2),
+                        c.sample_w.chern, c.s.dimension // 2),
                     "darboux", gate=lambda c: c.standard_lift_w.max_abs),
           ), even_dimension=True),
     Check("transform",
@@ -328,9 +355,7 @@ CHECKS = (
           "spread of the induced connection across distinct probe vector "
           "fields",
           ("vector_field",), (
-              Facet("berwald-uniqueness:spread",
-                    lambda c: berwald_uniqueness_probe(
-                        c.sc, c.x, c.s.berwald_vectors),
+              Facet("berwald-uniqueness:spread", _berwald_spread,
                     "berwald-uniqueness"),
           )),
     Check("curvature",

@@ -1,7 +1,9 @@
 """Command-line interface: run scenario suites, validate configs, list checks.
 
 Exit codes: 0 when every record passes, 1 when any check fails, 2 on
-configuration or expression errors (including usage problems).
+configuration or expression errors (including usage problems), 3 on an
+internal error, which prints one ``internal error: Type: message`` line on
+stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - any other failure is a bug
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

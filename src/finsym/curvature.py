@@ -61,14 +61,11 @@ def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
     n = s.metric.dimension
     x = np.asarray(x, dtype=float)
 
-    def induced(pt: np.ndarray) -> np.ndarray:
-        return induce_connection(s, pt).array
-
-    G0 = induced(x)
+    G0 = induce_connection(s, x)
     axes = np.eye(n, dtype=int)
     # dG[l, a, b, t] = d G^l_ab / d x^t
-    dG = np.stack([fd_oracle(induced, x, axes[t]) for t in range(n)],
-                  axis=-1)
+    dG = np.stack([fd_oracle(lambda pt: induce_connection(s, pt), x, axes[t])
+                   for t in range(n)], axis=-1)
     half = np.einsum("lkij->lijk", dG) + np.einsum("mki,ljm->lijk", G0, G0)
     return half - half.swapaxes(2, 3)
 

@@ -4,6 +4,11 @@ The induced connection evaluates the Finsler connection coefficients along a
 nowhere-zero vector field, G^k_ij(x) = Gtilde^k_ij(x, W_x).  When the
 Finsler connection preserves the lifted two-form, the result is a symmetric
 connection preserving it on the base, i.e. a Fedosov structure.
+
+Every connection here is a plain coefficient array G[k, i, j] = G^k_ij,
+symmetric in the lower pair.  The residual functions take such arrays and
+other point data; only :func:`induce_connection`, which the
+finite-difference curvature differentiates, samples the metric itself.
 """
 
 from __future__ import annotations
@@ -13,36 +18,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotMinkowskianError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, NotMinkowskianError
 from .fields import ChartJacobians, VectorFieldSpec
-from .finsler import MetricSpec, finsler_sample, max_pairwise_spread
+from .finsler import MetricSpec, _mirror, finsler_sample
 from .symplectic import TwoForm
-
-
-@dataclass(frozen=True, eq=False)
-class ConnectionCoefficients:
-    """Rank-(1,2) coefficient array G^k_ij at a point, array[k, i, j];
-    symmetric in the lower pair (i, j), which construction checks."""
-
-    dimension: int
-    array: np.ndarray
-
-    def __post_init__(self):
-        if self.array.shape != (self.dimension,) * 3:
-            raise DimensionMismatchError(
-                f"coefficient array shape {self.array.shape} does not match "
-                f"dimension {self.dimension}"
-            )
-        if not np.array_equal(self.array, self.array.transpose(0, 2, 1)):
-            raise ValueError("coefficients are not symmetric in the lower pair")
-
-    @classmethod
-    def zero(cls, dimension: int) -> "ConnectionCoefficients":
-        return cls(dimension, np.zeros((dimension,) * 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +44,10 @@ class FedosovScenario:
             )
 
 
-def induce_connection(s: FedosovScenario, x) -> ConnectionCoefficients:
-    """Connection coefficients at x along the scenario's vector field."""
-    w = s.vector_field.values(x)
-    sample = finsler_sample(s.metric, x, w)
-    return ConnectionCoefficients(s.metric.dimension, sample.chern)
+def induce_connection(s: FedosovScenario, x) -> np.ndarray:
+    """Connection coefficients G[k, i, j] at x along the scenario's vector
+    field."""
+    return finsler_sample(s.metric, x, s.vector_field.values(x)).chern
 
 
 def covariant_residual(G: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:
@@ -79,16 +57,15 @@ def covariant_residual(G: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:
     return float(np.max(np.abs(dw - covariant)))
 
 
-def darboux_relations_residual(gamma: ConnectionCoefficients, n: int) -> float:
+def darboux_relations_residual(G: np.ndarray, n: int) -> float:
     """Worst violation of the four standard-form coefficient relations.
 
-    For a symmetric connection preserving sum dx^i wedge dx^{n+i} on a
-    2n-chart, all four families vanish for every k.
+    For a symmetric connection G[k, i, j] preserving sum dx^i wedge dx^{n+i}
+    on a 2n-chart, all four families vanish for every k.
     """
-    G = gamma.array
-    if gamma.dimension != 2 * n:
+    if G.shape[0] != 2 * n:
         raise DimensionMismatchError(
-            f"connection dimension {gamma.dimension} != 2n = {2 * n}"
+            f"connection dimension {G.shape[0]} != 2n = {2 * n}"
         )
     A, B = G[n:, :, :n], G[:n, :, n:]
     C, D = G[n:, :, n:], G[:n, :, :n]
@@ -102,26 +79,20 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def transform_connection(gamma: ConnectionCoefficients,
-                         jac: ChartJacobians) -> ConnectionCoefficients:
+def transform_connection(G: np.ndarray, jac: ChartJacobians) -> np.ndarray:
     """Coefficients in the hatted chart at jac.xhat, from the chart
-    derivatives ``jac`` at the point where ``gamma`` is given.
+    derivatives ``jac`` at the point where ``G`` is given.
 
     Ghat^p_qr = d_i xhat^p * dhat_q dhat_r x^i
               + d_i xhat^p * G^i_jk * dhat_q x^j * dhat_r x^k
     """
     m = jac.fwd.shape[0]
-    if gamma.dimension != m:
+    if G.shape[0] != m:
         raise DimensionMismatchError(
-            f"connection dimension {gamma.dimension} != chart dimension {m}")
+            f"connection dimension {G.shape[0]} != chart dimension {m}")
     inhom = np.einsum("pi,iqr->pqr", jac.fwd, jac.inv2)
-    tensorial = np.einsum("pi,ijk,jq,kr->pqr",
-                          jac.fwd, gamma.array, jac.inv, jac.inv)
-    out = inhom + tensorial
-    for q in range(m):
-        for r in range(q + 1, m):
-            out[:, r, q] = out[:, q, r]
-    return ConnectionCoefficients(m, out)
+    tensorial = np.einsum("pi,ijk,jq,kr->pqr", jac.fwd, G, jac.inv, jac.inv)
+    return _mirror(inhom + tensorial)
 
 
 def hatted_two_form_data(w: np.ndarray, dw: np.ndarray,
@@ -161,15 +132,20 @@ _MINKOWSKI_PROBE_BASE = (1.0, 0.6, 1.3, 0.8, 1.1, 0.7, 1.4, 0.9)
 _FLATNESS_TOL = 1e-8
 
 
-def require_minkowskian(m: MetricSpec, x) -> None:
-    """Raise NotMinkowskianError unless the connection coefficients vanish
-    at x on three fixed fiber probes, as they do for an x-independent
+def minkowski_probes(n: int) -> tuple[np.ndarray, ...]:
+    """The three fixed fiber points at which :func:`require_minkowskian`
+    reads the connection."""
+    base = np.array(_MINKOWSKI_PROBE_BASE[:n])
+    return base, base[::-1] * 0.75, base + 0.5
+
+
+def require_minkowskian(probes: Sequence[np.ndarray]) -> None:
+    """Raise NotMinkowskianError unless the connection arrays at x on the
+    :func:`minkowski_probes` vanish, as they do for an x-independent
     metric."""
-    base = np.array(_MINKOWSKI_PROBE_BASE[:m.dimension])
     worst = 0.0
-    for y in (base, base[::-1] * 0.75, base + 0.5):
-        sample = finsler_sample(m, x, y)
-        worst = max(worst, _max_abs(sample.chern))
+    for G in probes:
+        worst = max(worst, _max_abs(G))
     if worst > _FLATNESS_TOL:
         raise NotMinkowskianError(
             f"connection coefficients reach {worst:.3e} in the natural chart "
@@ -194,19 +170,3 @@ def minkowski_preservation_check(dw: np.ndarray, jac: ChartJacobians,
     term2 = np.einsum("lkj,il->kij", second, values)
     return MinkowskiResiduals(natural=_max_abs(dw),
                               hatted=_max_abs(term1 + term2 - derivs))
-
-
-def berwald_uniqueness_probe(s: FedosovScenario, x,
-                             w_list: Sequence) -> float:
-    """Max pairwise coefficient difference across candidate vector values."""
-    ws = [np.asarray(w, dtype=float) for w in w_list]
-    if len(ws) < 2:
-        raise ValueError("need at least two vector values to probe uniqueness")
-    floor = s.vector_field.w_min
-    for w in ws:
-        if float(np.linalg.norm(w)) < floor:
-            raise ZeroVectorError(
-                f"probe vector norm {np.linalg.norm(w):.3e} below floor {floor}"
-            )
-    return max_pairwise_spread([finsler_sample(s.metric, x, w).chern
-                                for w in ws])

@@ -382,11 +382,15 @@ def build_plan(config: dict, metric: MetricSpec) -> SamplePlan:
 
 def build_scenario(config: dict, seed_override: int | None = None,
                    tolerance_overrides: dict | None = None) -> BuiltScenario:
-    """Validate a config dict and construct all scenario objects."""
+    """Validate a config dict and construct all scenario objects.
+
+    ``seed_override`` replaces the sampling seed before validation, so the
+    schema checks it as it checks a seed in the config."""
+    sampling = config.get("sampling") if isinstance(config, dict) else None
+    if seed_override is not None and isinstance(sampling, dict):
+        config = {**config, "sampling": {**sampling,
+                                         "seed": int(seed_override)}}
     validate_config(config)
-    if seed_override is not None:
-        config = json.loads(json.dumps(config))
-        config["sampling"]["seed"] = int(seed_override)
 
     dimension = config["dimension"]
     tolerances = dict(DEFAULT_TOLERANCES)

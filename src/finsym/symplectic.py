@@ -34,18 +34,15 @@ class TwoFormField:
 
     def data(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The components w[i, j] at x and their partials
-        d[k, i, j] = d omega_ij / d x^k."""
+        d[k, i, j] = d omega_ij / d x^k, from one order-1 jet per entry."""
         m = self.dimension
         w = np.zeros((m, m))
-        for (i, j), entry in self.entries.items():
-            v = entry.evaluate(x)
-            w[i, j] = v
-            w[j, i] = -v
         d = np.zeros((m, m, m))
         for (i, j), entry in self.entries.items():
-            v = entry.eval_jet(x, 1).derivatives(1)
-            d[:, i, j] = v
-            d[:, j, i] = -v
+            jet = entry.eval_jet(x, 1)
+            w[i, j], w[j, i] = jet.value, -jet.value
+            d[:, i, j] = jet.derivatives(1)
+            d[:, j, i] = -d[:, i, j]
         return w, d
 
 

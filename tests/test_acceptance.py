@@ -24,12 +24,12 @@ from finsym.curvature import (
 from finsym.errors import ConfigError
 from finsym.fedosov import (
     FedosovScenario,
-    berwald_uniqueness_probe,
     covariant_residual,
     darboux_relations_residual,
     hatted_two_form_data,
     induce_connection,
     minkowski_preservation_check,
+    minkowski_probes,
     require_minkowskian,
     transform_connection,
 )
@@ -37,6 +37,7 @@ from finsym.fields import ChartMap, ScalarFieldSpec, chart_jacobians
 from finsym.finsler import (
     MetricSpec,
     finsler_sample,
+    max_pairwise_spread,
     metric_validity,
     structural_residuals,
 )
@@ -222,7 +223,7 @@ def test_criterion_05_exactness(request):
             gam = induce_connection(sc, x)
             w = sc.vector_field.values(x)
             pres = chern_preservation_residual(sc.metric, sc.two_form, x, w)
-            direct = covariant_residual(gam.array, *sc.two_form.data(x))
+            direct = covariant_residual(gam, *sc.two_form.data(x))
             worst = max(worst, abs(direct - pres.max_abs))
     _report("criterion-05 induced-exactness", worst <= 1e-12,
             f"7 scenarios x 15 pts: |connection residual - lift residual| "
@@ -261,21 +262,21 @@ def test_criterion_06_darboux_relations(euclid2, quartic2, euclid4, quartic4):
 # -- 7: uniqueness for fiber-independent coefficients -------------------------------
 
 
-def test_criterion_07_berwald_uniqueness(polar, quartic2, randers01, dbeta01):
+def _spread(metric, x, ws):
+    return max_pairwise_spread([finsler_sample(metric, x, w).chern
+                                for w in ws])
+
+
+def test_criterion_07_berwald_uniqueness(polar, quartic2, randers01):
     rng = np.random.default_rng(16)
     w_axis = [[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]]
     w_off = [[1.0, 0.5], [0.5, 1.3], [2.0, 3.0]]
-    sc_polar = FedosovScenario(polar, const_vector(2, (1, 0)))
-    sc_quartic = FedosovScenario(quartic2, const_vector(2, (1, 0.5)))
     worst_unique = 0.0
     for x in sample_box(rng, POLAR_BOX.lower, POLAR_BOX.upper, 50):
-        worst_unique = max(worst_unique,
-                           berwald_uniqueness_probe(sc_polar, x, w_axis))
+        worst_unique = max(worst_unique, _spread(polar, x, w_axis))
     for x in sample_box(rng, BOX2.lower, BOX2.upper, 50):
-        worst_unique = max(worst_unique,
-                           berwald_uniqueness_probe(sc_quartic, x, w_off))
-    sc_randers = FedosovScenario(randers01, const_vector(2, (1, 0)), dbeta01)
-    spread = max(berwald_uniqueness_probe(sc_randers, x, w_off)
+        worst_unique = max(worst_unique, _spread(quartic2, x, w_off))
+    spread = max(_spread(randers01, x, w_off)
                  for x in sample_box(rng, BOX2.lower, BOX2.upper, 50))
     _report("criterion-07 berwald-uniqueness",
             worst_unique <= 1e-10 and spread > 1e-3,
@@ -324,12 +325,13 @@ def test_criterion_09_chart_transformation(quartic2):
         ghat = transform_connection(gam, jac)
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 0] = -1.0
-        worst_spot = max(worst_spot, float(np.max(np.abs(ghat.array - expect))))
-        require_minkowskian(quartic2, x)
+        worst_spot = max(worst_spot, float(np.max(np.abs(ghat - expect))))
+        require_minkowskian([finsler_sample(quartic2, x, y).chern
+                             for y in minkowski_probes(2)])
         w, dw = sc.two_form.data(x)
         hatted = hatted_two_form_data(w, dw, jac)
         mk = minkowski_preservation_check(dw, jac, hatted)
-        hp = PreservationResidual.of(*hatted, ghat.array)
+        hp = PreservationResidual.of(*hatted, ghat)
         worst_eq = max(worst_eq, abs(mk.hatted - hp.max_abs))
     _report("criterion-09 chart-transformation",
             worst_spot <= 1e-8 and worst_eq <= 1e-8,

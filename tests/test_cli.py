@@ -1,5 +1,6 @@
 """Scenario configs, the check runner, report emission, and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from finsym import checks, fedosov, fields, finsler
+from finsym import checks, fedosov, fields, finsler, scenario
 from finsym.checks import CHECK_IDS, available_checks, run_scenario
 from finsym.cli import main
 from finsym.errors import ConfigError
@@ -340,6 +341,54 @@ class TestRunScenario:
                 if r.check == "metric-validity:positive-definite"} == {True,
                                                                       False}
 
+    @pytest.mark.parametrize("name", ["euclidean_standard",
+                                      "polar_riemannian"])
+    def test_each_fiber_point_sampled_once_per_base_point(self, monkeypatch,
+                                                          name):
+        """The plan pairs, W(x), the Berwald probes and the Minkowski probes
+        read one sample per (x, y).  The FD path samples its own centre and
+        stencil through induce_connection, so those calls are not counted."""
+        counts = {}
+        in_fd = []
+        sample, induce = finsler.finsler_sample, fedosov.induce_connection
+
+        def counted(m, x, y):
+            if not in_fd:
+                key = (tuple(map(float, x)), tuple(map(float, y)))
+                counts[key] = counts.get(key, 0) + 1
+            return sample(m, x, y)
+
+        def fd_induce(s, x):
+            in_fd.append(x)
+            try:
+                return induce(s, x)
+            finally:
+                in_fd.pop()
+
+        patch_everywhere(monkeypatch, sample, counted)
+        patch_everywhere(monkeypatch, induce, fd_induce)
+        with open(os.path.join(CONFIG_DIR, f"{name}.json"),
+                  encoding="utf-8") as fh:
+            run_scenario(json.load(fh))
+        assert counts and set(counts.values()) == {1}
+
+    def test_asymmetric_connection_is_a_failing_symmetry_record(self,
+                                                                monkeypatch):
+        original = finsler.finsler_sample
+
+        def skewed(m, x, y):
+            sample = original(m, x, y)
+            chern = sample.chern.copy()
+            chern[0, 0, 1] += 1e-3
+            return dataclasses.replace(sample, chern=chern)
+
+        patch_everywhere(monkeypatch, original, skewed)
+        records = run_scenario(euclid_config(count=4), suite=["induce"])
+        symmetry = [r for r in records if r.check == "induce:symmetry"]
+        assert len(symmetry) == 4
+        assert all(r.error is None and not r.passed and r.residual == 1e-3
+                   for r in symmetry)
+
     def test_alpha_norm_runs_once_per_base_point(self, monkeypatch):
         calls = []
         original = finsler.randers_alpha_norm
@@ -550,6 +599,46 @@ class TestCliMain:
         main(["run", "--config", path, "--suite", "structural", "--seed", "10"])
         out2 = capsys.readouterr().out
         assert out1 != out2
+
+    @pytest.mark.parametrize("config", [euclid_config, randers_config])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, config):
+        """--seed is checked against the schema like a seed in the config,
+        in grid and random sampling mode alike."""
+        path = self._write(tmp_path, config())
+        assert main(["run", "--config", path, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: /sampling/seed: ")
+
+    def test_seed_flag_supplies_a_missing_random_seed(self, tmp_path, capsys):
+        cfg = randers_config(seed=42)
+        seeded = self._write(tmp_path, cfg, "seeded.json")
+        del cfg["sampling"]["seed"]
+        unseeded = self._write(tmp_path, cfg, "unseeded.json")
+        assert main(["validate", "--config", unseeded]) == 2
+        capsys.readouterr()
+        code = main(["run", "--config", unseeded, "--suite", "structural",
+                     "--seed", "42"])
+        out = capsys.readouterr().out
+        assert code == main(["run", "--config", seeded, "--suite",
+                             "structural"])
+        assert out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,module,name", [
+        ("run", finsler, "finsler_sample"),
+        ("validate", scenario, "build_plan"),
+    ])
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch,
+                                        command, module, name):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken quantity")
+
+        patch_everywhere(monkeypatch, getattr(module, name), broken)
+        path = self._write(tmp_path, euclid_config())
+        assert main([command, "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: broken quantity\n"
 
     def test_tol_pd_reaches_every_check(self, capsys):
         path = os.path.join(CONFIG_DIR, "polar_riemannian.json")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from finsym.checks import run_scenario
 from finsym.errors import (
     DimensionMismatchError,
     NotMinkowskianError,
@@ -15,17 +16,17 @@ from finsym.fields import (
     chart_jacobians,
 )
 from finsym.fedosov import (
-    ConnectionCoefficients,
     FedosovScenario,
-    berwald_uniqueness_probe,
     covariant_residual,
     darboux_relations_residual,
     hatted_two_form_data,
     induce_connection,
     minkowski_preservation_check,
+    minkowski_probes,
     require_minkowskian,
     transform_connection,
 )
+from finsym.finsler import finsler_sample, max_pairwise_spread
 from finsym.jets import fd_oracle
 from finsym.symplectic import (
     PreservationResidual,
@@ -60,26 +61,24 @@ COMP_CHART = _chart(("x1+x2", "x2+(x1+x2)^2/2"),
 IDENTITY_CHART = _chart(("x1", "x2"), ("x1", "x2"))
 
 
+def _zero(m):
+    return np.zeros((m, m, m))
+
+
 class TestInduceConnection:
     def test_euclidean_zero(self, euclid_std_scenario):
         gam = induce_connection(euclid_std_scenario, [0.3, -0.2])
-        assert np.max(np.abs(gam.array)) == 0.0
-        assert np.array_equal(gam.array, gam.array.transpose(0, 2, 1))
-
-    def test_asymmetric_coefficients_rejected(self):
-        arr = np.zeros((2, 2, 2))
-        arr[0, 0, 1] = 1e-17
-        with pytest.raises(ValueError):
-            ConnectionCoefficients(2, arr)
+        assert np.max(np.abs(gam)) == 0.0
+        assert np.array_equal(gam, gam.transpose(0, 2, 1))
 
     def test_minkowskian_zero(self, quartic_std_scenario):
         gam = induce_connection(quartic_std_scenario, [0.5, 0.1])
-        assert np.max(np.abs(gam.array)) == 0.0
+        assert np.max(np.abs(gam)) == 0.0
 
     def test_riemannian_w_independence(self, polar):
         ws = [const_vector(2, (1, 0)), const_vector(2, (0, 1)),
               const_vector(2, (2, 3))]
-        arrays = [induce_connection(FedosovScenario(polar, w), [2.0, 0.5]).array
+        arrays = [induce_connection(FedosovScenario(polar, w), [2.0, 0.5])
                   for w in ws]
         for arr in arrays[1:]:
             assert np.max(np.abs(arr - arrays[0])) <= 1e-10
@@ -93,14 +92,14 @@ class TestInduceConnection:
 
 class TestSymplecticConnectionResidual:
     def test_zero_connection_constant_form(self):
-        gam = ConnectionCoefficients.zero(2)
+        gam = _zero(2)
         omega, x = standard_form(1), [0.1, 0.2]
-        assert covariant_residual(gam.array, *omega.data(x)) == 0.0
+        assert covariant_residual(gam, *omega.data(x)) == 0.0
 
     def test_unmatched_derivative(self):
-        gam = ConnectionCoefficients.zero(2)
+        gam = _zero(2)
         omega, x = explicit_two_form(2, {(0, 1): "1+x1"}), [0.4, 0.0]
-        assert covariant_residual(gam.array,
+        assert covariant_residual(gam,
                                   *omega.data(x)) == pytest.approx(1.0)
 
     def test_exactness_on_preserving_scenario(self, graph_scenario):
@@ -111,7 +110,7 @@ class TestSymplecticConnectionResidual:
             pres = chern_preservation_residual(
                 graph_scenario.metric, graph_scenario.two_form, x, w)
             omega = graph_scenario.two_form
-            direct = covariant_residual(gam.array, *omega.data(x))
+            direct = covariant_residual(gam, *omega.data(x))
             assert abs(direct - pres.max_abs) <= 1e-12
             assert direct <= 1e-9
 
@@ -124,14 +123,14 @@ class TestSymplecticConnectionResidual:
         pres = chern_preservation_residual(
             randers_std_scenario.metric, randers_std_scenario.two_form, x, w)
         omega = randers_std_scenario.two_form
-        direct = covariant_residual(gam.array, *omega.data(x))
+        direct = covariant_residual(gam, *omega.data(x))
         assert abs(direct - pres.max_abs) <= 1e-12
         assert direct > 1e-3  # negative control is genuinely non-preserving
 
 
 class TestDarbouxRelations:
     def test_zero_connection(self):
-        assert darboux_relations_residual(ConnectionCoefficients.zero(4), 2) == 0.0
+        assert darboux_relations_residual(_zero(4), 2) == 0.0
 
     def test_hand_unrolled_n1(self):
         """n=1: families collapse to G^2_k2 + G^1_k1 = 0 for both k."""
@@ -139,8 +138,7 @@ class TestDarbouxRelations:
         arr = np.zeros((2, 2, 2))
         arr[0, 0, 0] = c            # G^1_11 = c
         arr[1, 0, 1] = arr[1, 1, 0] = -c  # G^2_12 = -c, symmetric
-        gam = ConnectionCoefficients(2, arr)
-        assert darboux_relations_residual(gam, 1) == 0.0
+        assert darboux_relations_residual(arr, 1) == 0.0
         # brute-force enumeration over all four printed relation families
         G = arr
         worst = 0.0
@@ -156,21 +154,20 @@ class TestDarbouxRelations:
     def test_violating_connection_detected(self):
         arr = np.zeros((2, 2, 2))
         arr[0, 0, 0] = 1.0  # G^1_11 = 1 with G^2_12 = 0 breaks the relation
-        gam = ConnectionCoefficients(2, arr)
-        assert darboux_relations_residual(gam, 1) == pytest.approx(1.0)
+        assert darboux_relations_residual(arr, 1) == pytest.approx(1.0)
 
     def test_preserving_scenario_satisfies_relations(self, quartic_std_scenario):
         rng = np.random.default_rng(3)
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 10):
             gam = induce_connection(quartic_std_scenario, x)
             omega = quartic_std_scenario.two_form
-            res = covariant_residual(gam.array, *omega.data(x))
+            res = covariant_residual(gam, *omega.data(x))
             if res <= 1e-9:
                 assert darboux_relations_residual(gam, 1) <= 1e-8
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
-            darboux_relations_residual(ConnectionCoefficients.zero(2), 2)
+            darboux_relations_residual(_zero(2), 2)
 
 
 class TestTransformConnection:
@@ -179,14 +176,14 @@ class TestTransformConnection:
         # polar domain box differs; identity chart carries no domain checks
         ghat = transform_connection(
             gam, chart_jacobians(IDENTITY_CHART, [2.0, 0.5]))
-        assert np.max(np.abs(ghat.array - gam.array)) == 0.0
+        assert np.max(np.abs(ghat - gam)) == 0.0
 
     def test_quadratic_chart_frozen_value(self):
-        ghat = transform_connection(ConnectionCoefficients.zero(2),
+        ghat = transform_connection(_zero(2),
                                     chart_jacobians(QUAD_CHART, [0.8, -0.1]))
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 0] = -1.0
-        assert np.allclose(ghat.array, expect, atol=1e-12)
+        assert np.allclose(ghat, expect, atol=1e-12)
 
     def test_linear_chart_pure_conjugation(self, polar_scenario):
         x = [2.0, 0.5]
@@ -202,27 +199,27 @@ class TestTransformConnection:
                     for i in range(2):
                         for j in range(2):
                             for k in range(2):
-                                acc += (A[p, i] * gam.array[i, j, k]
+                                acc += (A[p, i] * gam[i, j, k]
                                         * Ainv[j, q] * Ainv[k, r])
                     expect[p, q, r] = acc
-        assert np.max(np.abs(ghat.array - expect)) < 1e-12
+        assert np.max(np.abs(ghat - expect)) < 1e-12
 
     def test_symmetry_preserved(self, graph_scenario):
         gam = induce_connection(graph_scenario, [0.4, -0.3])
         ghat = transform_connection(
             gam, chart_jacobians(QUAD_CHART, [0.4, -0.3]))
-        assert np.array_equal(ghat.array, ghat.array.transpose(0, 2, 1))
+        assert np.array_equal(ghat, ghat.transpose(0, 2, 1))
 
     def test_chain_consistency(self):
         """Transforming through a hand-composed chart equals composing the
         two transforms."""
         x = np.array([0.3, -0.2])
-        zero = ConnectionCoefficients.zero(2)
+        zero = _zero(2)
         step1 = transform_connection(zero, chart_jacobians(LIN_CHART, x))
         mid = chart_jacobians(LIN_CHART, x).xhat
         step2 = transform_connection(step1, chart_jacobians(QUAD_CHART, mid))
         direct = transform_connection(zero, chart_jacobians(COMP_CHART, x))
-        assert np.max(np.abs(step2.array - direct.array)) <= 1e-8
+        assert np.max(np.abs(step2 - direct)) <= 1e-8
 
     def test_roundtrip(self, graph_scenario):
         x = np.array([0.4, -0.3])
@@ -231,12 +228,13 @@ class TestTransformConnection:
         ghat = transform_connection(gam, jac)
         back = transform_connection(
             ghat, chart_jacobians(QUAD_CHART.swapped(), jac.xhat))
-        assert np.max(np.abs(back.array - gam.array)) <= 1e-8
+        assert np.max(np.abs(back - gam)) <= 1e-8
 
 
 def _minkowski(metric, omega, chart, x):
     """The minkowski check's residuals and the hatted form at x."""
-    require_minkowskian(metric, x)
+    require_minkowskian([finsler_sample(metric, x, y).chern
+                         for y in minkowski_probes(2)])
     jac = chart_jacobians(chart, x)
     w, dw = omega.data(x)
     hatted = hatted_two_form_data(w, dw, jac)
@@ -261,13 +259,15 @@ class TestMinkowskiCheck:
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 10):
             res, hatted, jac = _minkowski(quartic2, standard_form(1),
                                           QUAD_CHART, x)
-            ghat = transform_connection(ConnectionCoefficients.zero(2), jac)
-            pres = PreservationResidual.of(*hatted, ghat.array)
+            ghat = transform_connection(_zero(2), jac)
+            pres = PreservationResidual.of(*hatted, ghat)
             assert abs(res.hatted - pres.max_abs) <= 1e-8
 
     def test_not_minkowskian(self, polar):
+        probes = [finsler_sample(polar, [2.0, 0.5], y).chern
+                  for y in minkowski_probes(2)]
         with pytest.raises(NotMinkowskianError):
-            require_minkowskian(polar, [2.0, 0.5])
+            require_minkowskian(probes)
 
     def test_non_constant_form_natural_residual(self, quartic2):
         omega = explicit_two_form(2, {(0, 1): "1+x1"})
@@ -318,27 +318,41 @@ def test_hatted_form_against_differences(m):
                     assert abs(derivs[k, q, r] - fd) <= 1e-8 * max(1, abs(fd))
 
 
+def _spread(metric, x, ws):
+    """The berwald-uniqueness residual: the largest difference of the
+    connection arrays at x across the fiber points ws."""
+    return max_pairwise_spread([finsler_sample(metric, x, w).chern
+                                for w in ws])
+
+
 class TestBerwaldUniqueness:
-    def test_riemannian(self, polar_scenario):
-        spread = berwald_uniqueness_probe(polar_scenario, [2.0, 0.5],
-                                          [[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
+    def test_riemannian(self, polar):
+        spread = _spread(polar, [2.0, 0.5],
+                         [[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
         assert spread <= 1e-10
 
-    def test_minkowskian_exact(self, quartic_std_scenario):
-        spread = berwald_uniqueness_probe(quartic_std_scenario, [0.4, 0.1],
-                                          [[1.0, 0.5], [0.5, 1.3], [2.0, 3.0]])
+    def test_minkowskian_exact(self, quartic2):
+        spread = _spread(quartic2, [0.4, 0.1],
+                         [[1.0, 0.5], [0.5, 1.3], [2.0, 3.0]])
         assert spread == 0.0
 
-    def test_randers_depends_on_vector(self, randers_dbeta_scenario):
-        spread = berwald_uniqueness_probe(randers_dbeta_scenario, [0.3, 0.2],
-                                          [[1.0, 0.5], [0.5, 1.3], [2.0, 3.0]])
+    def test_randers_depends_on_vector(self, randers01):
+        spread = _spread(randers01, [0.3, 0.2],
+                         [[1.0, 0.5], [0.5, 1.3], [2.0, 3.0]])
         assert spread > 1e-3
 
-    def test_rejects_zero_probe(self, polar_scenario):
-        with pytest.raises(ZeroVectorError):
-            berwald_uniqueness_probe(polar_scenario, [2.0, 0.5],
-                                     [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_needs_two(self, polar_scenario):
-        with pytest.raises(ValueError):
-            berwald_uniqueness_probe(polar_scenario, [2.0, 0.5], [[1.0, 0.0]])
+    def test_rejects_zero_probe(self):
+        config = {
+            "dimension": 2,
+            "metric": {"family": "riemannian",
+                       "g": [["1", "0"], ["0", "x1^2"]],
+                       "domain": {"lower": [1.0, 0.1], "upper": [3.0, 1.5]}},
+            "vector_field": {"components": ["1", "0"]},
+            "sampling": {"mode": "grid", "count": 4},
+            "berwald_vectors": [[1.0, 0.0], [0.0, 0.0]],
+        }
+        records = run_scenario(config, suite=["berwald-uniqueness"])
+        assert len(records) == 4
+        assert all(not r.passed for r in records)
+        assert {r.error for r in records} == {
+            "ZeroVectorError: probe vector norm 0.000e+00 below floor 1e-06"}
