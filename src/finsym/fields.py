@@ -183,6 +183,9 @@ class _Parser:
 def _pow_value(v, p: float):
     if isinstance(v, Jet):
         return v ** p
+    if isinstance(v, np.ndarray):
+        # per entry on Python floats, which np.power need not match
+        return np.array([_pow_value(e, p) for e in v.tolist()])
     v = float(v)
     try:
         if p == float(int(p)):
@@ -199,14 +202,25 @@ def _pow_value(v, p: float):
 def _sqrt_value(v):
     if isinstance(v, Jet):
         return v.sqrt()
+    if isinstance(v, np.ndarray):
+        if (v < 0.0).any():
+            raise DomainError(f"sqrt of negative value {v[v < 0.0][0]}")
+        return np.sqrt(v)  # correctly rounded, as math.sqrt is
     v = float(v)
     if v < 0.0:
         raise DomainError(f"sqrt of negative value {v}")
     return math.sqrt(v)
 
 
+def _is_zero(v) -> bool:
+    if isinstance(v, np.ndarray):
+        return bool((v == 0.0).any())
+    return not isinstance(v, Jet) and float(v) == 0.0
+
+
 def _run(program: tuple, env: Sequence):
-    """Run a postfix program; env entries may be floats or jets."""
+    """Run a postfix program; env entries may be floats, jets, or arrays
+    or jets with one entry or column per point."""
     stack = []
     for op, arg in program:
         if op == "var":
@@ -229,7 +243,7 @@ def _run(program: tuple, env: Sequence):
             elif op == "-":
                 stack[-1] = left - right
             else:
-                if not isinstance(right, Jet) and float(right) == 0.0:
+                if _is_zero(right):
                     raise DomainError("division by zero")
                 stack[-1] = left / right
     return stack[-1]
@@ -253,7 +267,18 @@ class ScalarFieldSpec:
     def num_vars(self) -> int:
         return len(self.variables)
 
-    def evaluate(self, point: Sequence[float]) -> float:
+    def evaluate(self, point: Sequence[float]):
+        """The value at a point, or an array of the values at each row of a
+        ``(P, num_vars)`` stack of points."""
+        if isinstance(point, np.ndarray) and point.ndim == 2:
+            points = point.astype(float, copy=False)
+            with np.errstate(all="ignore"):  # non-finite values raise below
+                out = _run(self.program, list(points.T.copy()))
+            out = np.broadcast_to(out, points.shape[:1])
+            if not np.isfinite(out).all():
+                raise DomainError("non-finite field value in a block of "
+                                  f"{len(points)} points")
+            return out
         out = float(_run(self.program, [float(v) for v in point]))
         if not math.isfinite(out):
             raise DomainError(
@@ -263,16 +288,19 @@ class ScalarFieldSpec:
     __call__ = evaluate
 
     def eval_jet(self, point: Sequence[float], order: int) -> Jet:
+        """The order-``order`` jet at a point, or the jet with one column per
+        row of a ``(P, num_vars)`` stack of points."""
         num_vars = len(self.variables)
-        env = [Jet.variable(i, float(point[i]), num_vars, order)
+        x = np.asarray(point, dtype=float)
+        env = [Jet.variable(i, x.T[i], num_vars, order)
                for i in range(num_vars)]
         with np.errstate(all="ignore"):  # non-finite data raises below
             out = _run(self.program, env)
         if not isinstance(out, Jet):
-            out = Jet.constant(float(out), num_vars, order)
+            out = Jet.constant(np.full(x.shape[:-1], float(out)), num_vars,
+                               order)
         if not out.is_finite():
-            raise DomainError(
-                f"non-finite field data at {np.asarray(point, float).tolist()}")
+            raise DomainError(f"non-finite field data at {x.tolist()}")
         return out
 
 
@@ -326,9 +354,10 @@ class VectorFieldSpec:
 
     def values(self, x: Sequence[float]) -> np.ndarray:
         w = np.array([c.evaluate(x) for c in self.components])
-        if float(np.linalg.norm(w)) < self.w_min:
+        norm = math.hypot(*w)  # scaled, so a large W cannot overflow
+        if norm < self.w_min:
             raise ZeroVectorError(
-                f"vector field norm {np.linalg.norm(w):.3e} below floor "
+                f"vector field norm {norm:.3e} below floor "
                 f"{self.w_min} at {np.asarray(x, float).tolist()}"
             )
         return w

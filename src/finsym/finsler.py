@@ -6,12 +6,16 @@ connection assembly is written once, as numpy products over arrays with a
 trailing tangent axis (forward-mode dual numbers): a tangent axis of length
 1 gives the values (:func:`finsler_sample`), one of length 1 + 2n the values
 plus their first derivatives in (x, y) (:func:`chern_with_derivatives`).
-F cancels from the assembly and enters only the reported Cartan tensor
-A = F C.
+On the value path the arrays may also carry a leading batch axis:
+:func:`finsler_samples` runs the assembly once for a block of points, from
+one jet of the energy with a column per point, and each point's result is
+bit-identical to :func:`finsler_sample` there.  F cancels from the assembly
+and enters only the reported Cartan tensor A = F C.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -20,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    FinsymError,
     NonPositiveError,
     NotPositiveDefiniteError,
     NotRandersError,
@@ -142,9 +147,10 @@ def _require_point(m: MetricSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
             f"point shapes {x.shape}/{y.shape} do not match dimension {m.dimension}"
         )
     m.domain.require(x, "base point")
-    if float(np.linalg.norm(y)) < m.y_min:
+    norm = math.hypot(*y)  # scaled, so a large y cannot overflow
+    if norm < m.y_min:
         raise DomainError(
-            f"fiber point norm {np.linalg.norm(y):.3e} below slit floor {m.y_min}"
+            f"fiber point norm {norm:.3e} below slit floor {m.y_min}"
         )
     return x, y
 
@@ -155,15 +161,25 @@ def _require_point(m: MetricSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
 # and slots 1.. the first derivatives in the 2n variables (x, y).  The value
 # path uses a tangent axis of length 1 and does no tangent work; the value
 # slot is computed by the same operations on the same operands either way.
+# Value-path arrays may also carry a leading batch axis, one entry per
+# point; index pairs are therefore addressed from the end.
 
 
 def _value(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a[..., 0])
 
 
+@lru_cache(maxsize=None)
+def _batched(spec: str) -> str:
+    """The einsum spec with a leading batch axis on every operand."""
+    return "z" + spec.replace(",", ",z").replace("->", "->z")
+
+
 def _mul(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.einsum(spec)`` of two such arrays, by the product rule."""
     a0, b0 = _value(a), _value(b)
+    if a0.ndim > spec.index(","):  # a batch axis, which the value path alone has
+        return np.einsum(_batched(spec), a0, b0)[..., None]
     value = np.einsum(spec, a0, b0)[..., None]
     if a.shape[-1] == 1:
         return value
@@ -191,27 +207,36 @@ def _strict_upper(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def _mirror(a: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle of the lower index pair onto the lower one,
-    so the pair symmetry is exact."""
-    i, j = _strict_upper(a.shape[1])
-    a[:, j, i] = a[:, i, j]
+def _mirror(a: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Copy the upper triangle of the lower index pair, axes ``axis`` and
+    ``axis + 1``, onto the lower one, so the pair symmetry is exact."""
+    i, j = _strict_upper(a.shape[axis])
+    lead = (slice(None),) * axis
+    a[lead + (j, i)] = a[lead + (i, j)]
     return a
+
+
+def _permute(a: np.ndarray, *axes: int) -> np.ndarray:
+    """``a.transpose(axes)`` on the last four axes, after any batch axis."""
+    if a.ndim == 4:
+        return a.transpose(axes)
+    return a.transpose(0, *[k + 1 for k in axes])
 
 
 def _metric_data(phi: Jet, n: int) -> tuple:
     """g_ij, dg_ij/dx^t as [t, i, j] and dg_ij/dy^k as [k, i, j] from the
     jet of the energy, with a tangent axis of length 1 + 2n from an order-4
-    jet and of length 1 from an order-3 one."""
+    jet and of length 1 from an order-3 one, and a leading batch axis from
+    a jet with columns."""
     fiber = slice(n, 2 * n)
-    g = phi.derivatives(2)[fiber, fiber][..., None]
-    d3 = phi.derivatives(3)[:, fiber, fiber]          # [a, i, j]
+    g = phi.derivatives(2)[..., fiber, fiber, None]
+    d3 = phi.derivatives(3)[..., fiber, fiber]          # [a, i, j]
     dg = d3[..., None]
     if phi.order == 4:
         g = np.concatenate([g, d3.transpose(1, 2, 0)], axis=-1)
         dg = np.concatenate([dg, phi.derivatives(4)[:, fiber, fiber]],
                             axis=-1)
-    return g, dg[:n], dg[n:]
+    return g, dg[..., :n, :, :, :], dg[..., n:, :, :, :]
 
 
 def _connection(g, dg_dx, dg_dy, y) -> tuple:
@@ -223,17 +248,19 @@ def _connection(g, dg_dx, dg_dy, y) -> tuple:
     - C_jks N^s_i + C_kis N^s_j); F cancels from all of them.
     """
     g_inv = _inverse(g)
+    lower = g.ndim - 2  # the lower index pair, after any batch axis
     gamma = _mirror(0.5 * _mul(
         "is,sjk->ijk", g_inv,
-        dg_dx.transpose(1, 2, 0, 3) + dg_dx.transpose(1, 0, 2, 3) - dg_dx))
-    C = 0.5 * dg_dy.transpose(1, 2, 0, 3)
+        _permute(dg_dx, 1, 2, 0, 3) + _permute(dg_dx, 1, 0, 2, 3) - dg_dx),
+        lower)
+    C = 0.5 * _permute(dg_dy, 1, 2, 0, 3)
     spray = _mul("kr,r->k", _mul("krs,s->kr", gamma, y), y)
     N = (_mul("ijk,k->ij", gamma, y)
          - _mul("ijk,k->ij", _mul("il,ljk->ijk", g_inv, C), spray))
     M = _mul("ijs,sk->ijk", C, N)
     chern = _mirror(gamma - _mul(
         "li,ijk->ljk", g_inv,
-        M - M.transpose(2, 0, 1, 3) + M.transpose(1, 2, 0, 3)))
+        M - _permute(M, 2, 0, 1, 3) + _permute(M, 1, 2, 0, 3)), lower)
     return g_inv, C, gamma, N, chern
 
 
@@ -257,46 +284,93 @@ class FinslerSample:
 
 
 def _check_pd(g: np.ndarray, tol_pd: float) -> None:
-    n = g.shape[0]
+    """Every leading principal minor of g, or of each g in a batch, must
+    exceed ``tol_pd``."""
+    n = g.shape[-1]
     for k in range(1, n + 1):
-        minor = float(np.linalg.det(g[:k, :k]))
+        minors = np.linalg.det(g[..., :k, :k])
+        minor = float(minors) if minors.ndim == 0 else minors.min()
         if not minor > tol_pd:
             raise NotPositiveDefiniteError(
                 f"leading principal minor {k} is {minor:.3e} (<= {tol_pd:g})"
             )
 
 
-def finsler_value(m: MetricSpec, x, y) -> float:
-    """F(x, y); positive on the slit domain or the metric is invalid."""
-    x, y = _require_point(m, x, y)
-    value = m.F_field.evaluate(np.concatenate([x, y]))
-    if not value > 0.0:
+def _positive_F(m: MetricSpec, x: np.ndarray, y: np.ndarray):
+    """F at a checked point, or at each row of checked (P, n) stacks."""
+    value = m.F_field.evaluate(np.concatenate([x, y], axis=-1))
+    if x.ndim == 2:
+        if not (value > 0.0).all():
+            raise NonPositiveError("F <= 0 at a point of the block")
+    elif not value > 0.0:
         raise NonPositiveError(
             f"F = {value:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
     return value
+
+
+def finsler_value(m: MetricSpec, x, y) -> float:
+    """F(x, y); positive on the slit domain or the metric is invalid."""
+    x, y = _require_point(m, x, y)
+    return _positive_F(m, x, y)
+
+
+def _sample(m: MetricSpec, x: np.ndarray, y: np.ndarray, F):
+    """The value path at a checked point, or its arrays with a leading
+    batch axis at each row of checked (P, n) stacks."""
+    phi = m.phi_field.eval_jet(np.concatenate([x, y], axis=-1), 3)
+    g, dg_dx, dg_dy = _metric_data(phi, m.dimension)
+    g0 = _value(g)
+    _check_pd(g0, m.tol_pd)
+
+    with np.errstate(all="ignore"):  # non-finite results raise below
+        g_inv, C, gamma, N, chern = (
+            _value(a) for a in _connection(g, dg_dx, dg_dy, y[..., None]))
+        A = (F[:, None, None, None] if x.ndim == 2 else F) * C
+    for arr in (g_inv, A, gamma, N, chern):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"non-finite connection data at x={x.tolist()}, "
+                              f"y={y.tolist()}")
+    return dict(x=x, y=y, F=F, g=g0, g_inv=g_inv, A=A, gamma=gamma, N=N,
+                chern=chern, dg_dx=_value(dg_dx))
 
 
 def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
     """The fundamental quantities at (x, y): the value path of the
     connection assembly, from the order-3 jet of the energy."""
     x, y = _require_point(m, x, y)
-    n = m.dimension
-    F = finsler_value(m, x, y)
-    phi = m.phi_field.eval_jet(np.concatenate([x, y]), 3)
-    g, dg_dx, dg_dy = _metric_data(phi, n)
-    g0 = _value(g)
-    _check_pd(g0, m.tol_pd)
+    return FinslerSample(**_sample(m, x, y, _positive_F(m, x, y)))
 
-    with np.errstate(all="ignore"):  # non-finite results raise below
-        g_inv, C, gamma, N, chern = (
-            _value(a) for a in _connection(g, dg_dx, dg_dy, y[:, None]))
-        A = F * C
-    for arr in (g_inv, A, gamma, N, chern):
-        if not np.isfinite(arr).all():
-            raise DomainError(f"non-finite connection data at x={x.tolist()}, "
-                              f"y={y.tolist()}")
-    return FinslerSample(x=x, y=y, F=F, g=g0, g_inv=g_inv, A=A,
-                         gamma=gamma, N=N, chern=chern, dg_dx=_value(dg_dx))
+
+def finsler_samples(m: MetricSpec, xs, ys) -> list:
+    """:func:`finsler_sample` at each pair (xs[p], ys[p]) of two (P, n)
+    stacks, in one pass of the value path for all of them.
+
+    Entry p is the sample, or the FinsymError that ``finsler_sample``
+    raises there.  Where any point fails, the block's points are run one
+    at a time, so each entry is exactly what the one-point call gives.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} base points but {len(ys)} fiber points")
+    if not len(xs):
+        return []
+    try:
+        for x, y in zip(xs, ys):
+            _require_point(m, x, y)
+        block = _sample(m, xs, ys, _positive_F(m, xs, ys))
+    except FinsymError:
+        return [_sample_or_error(m, x, y) for x, y in zip(xs, ys)]
+    block["F"] = block["F"].tolist()
+    return [FinslerSample(**{k: v[p] for k, v in block.items()})
+            for p in range(len(xs))]
+
+
+def _sample_or_error(m: MetricSpec, x, y):
+    try:
+        return finsler_sample(m, x, y)
+    except FinsymError as exc:
+        return exc
 
 
 class StructuralResiduals(NamedTuple):

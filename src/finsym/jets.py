@@ -10,6 +10,17 @@ Derivatives leave a jet only as arrays (:meth:`Jet.derivatives`); chain
 rules through a known Jacobian are numpy contractions over those arrays,
 done by the callers, not jet compositions.
 
+A jet may carry a trailing column axis: coefficients of shape
+``(size, P)`` hold the jets of one field at P points, so each operation is
+one numpy call for all of them (Taylor propagation vectorised over points,
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+Every column is bit-identical to the one-point jet: a product sums each
+coefficient's terms in the same order (one ``np.bincount`` over the
+flattened (output, column) index), and the Taylor factors of sqrt, real
+powers and reciprocals are computed per column with Python float ``**``,
+which can round differently from ``np.power``.  A single point keeps 1-D
+coefficients.
+
 An independent finite-difference oracle (:func:`fd_oracle`) is provided to
 cross-check jet output; it never goes through jet arithmetic.
 """
@@ -108,12 +119,55 @@ def _derivative_gather(num_vars: int, order: int,
     return pos, fac
 
 
-class Jet:
-    """Truncated multivariate Taylor expansion of a scalar field at a point.
+@lru_cache(maxsize=64)
+def _column_bins(num_vars: int, order: int, columns: int) -> np.ndarray:
+    """The product table's output positions in flattened ``(size, columns)``
+    coefficients, one row per table entry."""
+    out = _table(num_vars, order).mul_out
+    bins = (out[:, None] * columns + np.arange(columns)).ravel()
+    bins.flags.writeable = False  # shared by every product of this shape
+    return bins
 
-    ``c`` holds the Taylor coefficients in graded multi-index order; the
-    partial derivative for a multi-index is its coefficient times
-    ``multi_index_factorial``, read out through :meth:`derivatives`.
+
+def _reciprocal_factors(v: float, order: int) -> list[float]:
+    if v == 0.0:
+        raise DomainError("division by a jet with zero value")
+    try:
+        return [(-1.0) ** k / v ** (k + 1) for k in range(order + 1)]
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"Taylor factors of 1/{v:.6g} leave the "
+                          "floating-point range") from None
+
+
+def _power_factors(v: float, order: int, p: float) -> list[float]:
+    if v <= 0.0:
+        raise DomainError(f"fractional power {p} of non-positive jet value {v}")
+    dcoef = []
+    binom = 1.0
+    try:
+        for k in range(order + 1):
+            dcoef.append(binom * v ** (p - k))
+            binom *= (p - k) / (k + 1)
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"Taylor factors of {v:.6g}^{p:g} leave the "
+                          "floating-point range") from None
+    return dcoef
+
+
+def _sqrt_factors(v: float, order: int) -> list[float]:
+    if v <= 0.0:
+        raise DomainError(f"sqrt of non-positive jet value {v}")
+    return _power_factors(v, order, 0.5)
+
+
+class Jet:
+    """Truncated multivariate Taylor expansion of a scalar field at a point,
+    or at P points.
+
+    ``c`` holds the Taylor coefficients in graded multi-index order, with a
+    trailing column axis of length P for P points; the partial derivative
+    for a multi-index is its coefficient times ``multi_index_factorial``,
+    read out through :meth:`derivatives`.
     """
 
     __slots__ = ("num_vars", "order", "c")
@@ -126,17 +180,20 @@ class Jet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, num_vars: int, order: int) -> "Jet":
-        c = np.zeros(_table(num_vars, order).size)
+    def constant(cls, value, num_vars: int, order: int) -> "Jet":
+        """A constant jet; an array ``value`` gives one column per entry."""
+        c = np.zeros((_table(num_vars, order).size,) + np.shape(value))
         c[0] = value
         return cls(num_vars, order, c)
 
     @classmethod
-    def variable(cls, i: int, value: float, num_vars: int, order: int) -> "Jet":
+    def variable(cls, i: int, value, num_vars: int, order: int) -> "Jet":
+        """The jet of coordinate i; an array ``value`` gives one column per
+        entry."""
         if not 0 <= i < num_vars:
             raise ValueError(f"variable index {i} out of range for {num_vars} vars")
         t = _table(num_vars, order)
-        c = np.zeros(t.size)
+        c = np.zeros((t.size,) + np.shape(value))
         c[0] = value
         if order >= 1:
             unit = tuple(1 if v == i else 0 for v in range(num_vars))
@@ -146,16 +203,20 @@ class Jet:
     # -- accessors ---------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        """The value: a float, or an array with one entry per column."""
+        return float(self.c[0]) if self.c.ndim == 1 else self.c[0].copy()
 
     def derivatives(self, k: int) -> np.ndarray:
         """Every k-th partial as a symmetric ``(num_vars,)*k`` array:
-        ``out[v1, ..., vk]`` is the partial in the variables v1..vk."""
+        ``out[v1, ..., vk]`` is the partial in the variables v1..vk.  With
+        columns the column axis comes first: ``out[p, v1, ..., vk]``."""
         if not 0 <= k <= self.order:
             raise OrderError(f"derivative degree {k} outside 0..{self.order}")
         pos, fac = _derivative_gather(self.num_vars, self.order, k)
-        return self.c[pos] * fac
+        if self.c.ndim == 1:
+            return self.c[pos] * fac
+        return self.c.T[:, pos] * fac
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.c).all())
@@ -207,9 +268,17 @@ class Jet:
             out[0] = a[0] * b[0]
             return Jet(self.num_vars, 1, out)
         t = _table(self.num_vars, self.order)
-        prod = self.c[t.mul_a] * other.c[t.mul_b]
-        return Jet(self.num_vars, self.order,
-                   np.bincount(t.mul_out, weights=prod, minlength=t.size))
+        prod = self.c[t.mul_a]
+        prod *= other.c[t.mul_b]
+        if prod.ndim == 1:
+            return Jet(self.num_vars, self.order,
+                       np.bincount(t.mul_out, weights=prod, minlength=t.size))
+        # one bincount over the flattened (output, column) index adds each
+        # column's terms in table order, as the one-point product does
+        columns = prod.shape[1]
+        bins = _column_bins(self.num_vars, self.order, columns)
+        c = np.bincount(bins, weights=prod.ravel(), minlength=t.size * columns)
+        return Jet(self.num_vars, self.order, c.reshape(t.size, columns))
 
     __rmul__ = __mul__
 
@@ -226,57 +295,45 @@ class Jet:
         c[0] = 0.0
         return Jet(self.num_vars, self.order, c)
 
-    def _compose(self, dcoef: Sequence[float]) -> "Jet":
-        """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!."""
+    def _factors(self, factors: Callable, *args) -> list | np.ndarray:
+        """``factors(v, order, *args)`` at the value, or at each column's
+        value as an ``(order + 1, P)`` array; always on Python floats."""
+        if self.c.ndim == 1:
+            return factors(float(self.c[0]), self.order, *args)
+        return np.array([factors(v, self.order, *args)
+                         for v in self.c[0].tolist()]).T
+
+    def _compose(self, dcoef) -> "Jet":
+        """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!,
+        a float or one per column."""
         h = self._nilpotent()
-        out = Jet.constant(dcoef[-1], self.num_vars, self.order)
-        for k in range(len(dcoef) - 2, -1, -1):
-            out = out * h
+        if self.order == 0:
+            return h + dcoef[0]
+        out = h * dcoef[-1]
+        for k in range(len(dcoef) - 2, 0, -1):
             out.c[0] += dcoef[k]
+            out = out * h
+        out.c[0] += dcoef[0]
         return out
 
     def _reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
-            raise DomainError("division by a jet with zero value")
-        try:
-            dcoef = [(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)]
-        except (ZeroDivisionError, OverflowError):
-            raise DomainError(f"Taylor factors of 1/{v:.6g} leave the "
-                              "floating-point range") from None
-        return self._compose(dcoef)
+        return self._compose(self._factors(_reciprocal_factors))
 
     def sqrt(self) -> "Jet":
-        v = self.value
-        if v <= 0.0:
-            raise DomainError(f"sqrt of non-positive jet value {v}")
-        return self.__pow__(0.5)
+        return self._compose(self._factors(_sqrt_factors))
 
     def __pow__(self, p: float) -> "Jet":
         p = float(p)
         if p.is_integer():
             n = int(p)
-            if n >= 0:
-                out = Jet.constant(1.0, self.num_vars, self.order)
-                for _ in range(n):
-                    out = out * self
-                return out
-            return (self.__pow__(-n))._reciprocal()
-        v = self.value
-        if v <= 0.0:
-            raise DomainError(
-                f"fractional power {p} of non-positive jet value {v}"
-            )
-        dcoef = []
-        binom = 1.0
-        try:
-            for k in range(self.order + 1):
-                dcoef.append(binom * v ** (p - k))
-                binom *= (p - k) / (k + 1)
-        except (ZeroDivisionError, OverflowError):
-            raise DomainError(f"Taylor factors of {v:.6g}^{p:g} leave the "
-                              "floating-point range") from None
-        return self._compose(dcoef)
+            if n == 0:
+                return Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
+                                    self.order)
+            out = self
+            for _ in range(abs(n) - 1):
+                out = out * self
+            return out if n > 0 else out._reciprocal()
+        return self._compose(self._factors(_power_factors, p))
 
     def __repr__(self) -> str:
         return f"Jet(num_vars={self.num_vars}, order={self.order}, value={self.value})"

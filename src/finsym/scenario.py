@@ -338,7 +338,7 @@ def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0
             raise ConfigError(
                 "sampling box rejects nearly all points", "/sampling")
         p = lo + (hi - lo) * rng.random(box.dimension)
-        if box.contains(p) and float(np.linalg.norm(p)) >= min_norm:
+        if box.contains(p) and math.hypot(*p) >= min_norm:
             out.append(p)
     return np.array(out)
 
@@ -364,7 +364,7 @@ def build_plan(config: dict, metric: MetricSpec) -> SamplePlan:
                               "/sampling/count")
         y_fixed = _grid_points(y_box, y_per_x)
         y_fixed = np.array([y for y in y_fixed
-                            if float(np.linalg.norm(y)) >= metric.y_min])
+                            if math.hypot(*y) >= metric.y_min])
         if y_fixed.size == 0:
             raise ConfigError("fiber grid produced no admissible points",
                               "/sampling/y_box")

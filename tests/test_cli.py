@@ -316,14 +316,27 @@ class TestRunScenario:
         assert len(calls) <= 1
 
     def test_metric_validity_reads_the_pair_sample(self, monkeypatch):
+        """Each pair is sampled once, in its block; a block with a failing
+        pair samples its pairs again one at a time, uncounted here."""
         calls = []
-        original = finsler.finsler_sample
+        in_block = []
+        original, block = finsler.finsler_sample, finsler.finsler_samples
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            if not in_block:
+                calls.append(args)
             return original(*args, **kwargs)
 
+        def counted_block(m, xs, ys):
+            calls.extend((m, x, y) for x, y in zip(xs, ys))
+            in_block.append(True)
+            try:
+                return block(m, xs, ys)
+            finally:
+                in_block.pop()
+
         patch_everywhere(monkeypatch, original, counted)
+        patch_everywhere(monkeypatch, block, counted_block)
         # tol_pd = 1 fails positive-definiteness at 8 of the 10 pairs, so
         # both sides of the cartan-trace / positive-definite split occur
         cfg, tols = randers_config(), {"tol_pd": 1.0}
@@ -346,17 +359,34 @@ class TestRunScenario:
     def test_each_fiber_point_sampled_once_per_base_point(self, monkeypatch,
                                                           name):
         """The plan pairs, W(x), the Berwald probes and the Minkowski probes
-        read one sample per (x, y).  The FD path samples its own centre and
-        stencil through induce_connection, so those calls are not counted."""
+        read one sample per (x, y), whether one at a time or in a block of
+        plan pairs.  The FD path samples its own centre and stencil through
+        induce_connection, and a block with a failing pair samples its
+        pairs again one at a time, so those calls are not counted."""
         counts = {}
         in_fd = []
+        in_block = []
         sample, induce = finsler.finsler_sample, fedosov.induce_connection
+        block = finsler.finsler_samples
+
+        def count(x, y):
+            key = (tuple(map(float, x)), tuple(map(float, y)))
+            counts[key] = counts.get(key, 0) + 1
 
         def counted(m, x, y):
-            if not in_fd:
-                key = (tuple(map(float, x)), tuple(map(float, y)))
-                counts[key] = counts.get(key, 0) + 1
+            if not in_fd and not in_block:
+                count(x, y)
             return sample(m, x, y)
+
+        def counted_block(m, xs, ys):
+            assert not in_fd
+            for x, y in zip(xs, ys):
+                count(x, y)
+            in_block.append(True)
+            try:
+                return block(m, xs, ys)
+            finally:
+                in_block.pop()
 
         def fd_induce(s, x):
             in_fd.append(x)
@@ -366,23 +396,35 @@ class TestRunScenario:
                 in_fd.pop()
 
         patch_everywhere(monkeypatch, sample, counted)
+        patch_everywhere(monkeypatch, block, counted_block)
         patch_everywhere(monkeypatch, induce, fd_induce)
         with open(os.path.join(CONFIG_DIR, f"{name}.json"),
                   encoding="utf-8") as fh:
-            run_scenario(json.load(fh))
+            config = json.load(fh)
+        run_scenario(config)
         assert counts and set(counts.values()) == {1}
+        s = build_scenario(config)
+        assert {(tuple(x), tuple(y)) for x, ys in zip(s.plan.xs, s.plan.ys)
+                for y in ys} <= set(counts)
 
     def test_asymmetric_connection_is_a_failing_symmetry_record(self,
                                                                 monkeypatch):
-        original = finsler.finsler_sample
+        original, block = finsler.finsler_sample, finsler.finsler_samples
 
-        def skewed(m, x, y):
-            sample = original(m, x, y)
+        def skew(sample):
             chern = sample.chern.copy()
             chern[0, 0, 1] += 1e-3
             return dataclasses.replace(sample, chern=chern)
 
+        def skewed(m, x, y):
+            return skew(original(m, x, y))
+
+        def skewed_block(m, xs, ys):
+            return [r if isinstance(r, Exception) else skew(r)
+                    for r in block(m, xs, ys)]
+
         patch_everywhere(monkeypatch, original, skewed)
+        patch_everywhere(monkeypatch, block, skewed_block)
         records = run_scenario(euclid_config(count=4), suite=["induce"])
         symmetry = [r for r in records if r.check == "induce:symmetry"]
         assert len(symmetry) == 4
@@ -673,6 +715,38 @@ class TestCliMain:
         # cartan-trace and positive-definite each get their error record
         assert len(records) == 24
         assert any("DomainError: power 200" in (r["error"] or "")
+                   for r in records)
+
+    @pytest.mark.parametrize("config,path,value,suite,count,error", [
+        (euclid_config, ("berwald_vectors",), [[1e200, 1e200], [1, 0]],
+         "berwald-uniqueness", 4, "power 2 of 1e+200 overflows"),
+        (euclid_config, ("vector_field",), {"components": ["1e200", "1e200"]},
+         "induce", 8, "power 2 of 1e+200 overflows"),
+        (euclid_config, ("sampling", "y_box"), {"lower": [1e200, 1e200],
+                                                "upper": [2e200, 2e200]},
+         "structural", 16, "power 2 of "),
+        (randers_config, ("sampling", "y_box"), {"lower": [1e200, 1e200],
+                                                 "upper": [2e200, 2e200]},
+         "structural", 16, "non-finite field value at "),
+    ], ids=["probe", "W", "grid-y", "random-y"])
+    def test_large_vector_is_a_quiet_domain_error(self, tmp_path, config,
+                                                  path, value, suite, count,
+                                                  error):
+        """The nowhere-zero floors of W, of the probe vectors and of the
+        slit, and the sampler's floor on y, take scaled norms, so a vector
+        near the top of the float range gives error records and no
+        overflow warning on stderr."""
+        cfg = config(count=4)
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        proc = self._cli(self._write(tmp_path, cfg), "--suite", suite)
+        assert proc.stderr == ""
+        assert proc.returncode == 1
+        records = strict_records(proc.stdout)
+        assert len(records) == count
+        assert all(r["error"].startswith("DomainError: " + error)
                    for r in records)
 
     def test_chart_inverse_must_return_to_the_point(self, tmp_path, capsys):

@@ -1,24 +1,35 @@
 """Fundamental tensors, connection coefficients, and structural residuals."""
 
+import dataclasses
+import glob
+import os
+
 import numpy as np
 import pytest
 
+from finsym import checks
+from finsym.checks import run_scenario
 from finsym.errors import (
     DomainError,
+    FinsymError,
     NonPositiveError,
     NotPositiveDefiniteError,
 )
-from finsym.fields import ScalarFieldSpec
+from finsym.fields import DomainBox, ScalarFieldSpec
 from finsym.finsler import (
+    FinslerSample,
     MetricSpec,
     chern_with_derivatives,
     finsler_sample,
+    finsler_samples,
     finsler_value,
     max_pairwise_spread,
     metric_validity,
     structural_residuals,
 )
 from finsym.jets import fd_oracle
+from finsym.report import emit_report
+from finsym.scenario import build_scenario, load_config
 
 from conftest import BOX2, POLAR_BOX, randers_metric, xy_samples
 
@@ -285,3 +296,84 @@ class TestChernWithDerivatives:
         x = [0.4, -0.3]
         _, _, dGy = chern_with_derivatives(graph2, x, [1.0, 0.5])
         assert np.max(np.abs(dGy)) < 1e-11
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = (sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+           + sorted(glob.glob(os.path.join(ROOT, "tests", "data", "*.json"))))
+
+
+def _assert_same_sample(a: FinslerSample, b: FinslerSample) -> None:
+    for field in dataclasses.fields(FinslerSample):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        assert type(va) is type(vb), field.name
+        assert np.shape(va) == np.shape(vb), field.name
+        assert np.asarray(va).tobytes() == np.asarray(vb).tobytes(), field.name
+
+
+def _assert_one_point_result(m, x, y, entry) -> None:
+    """``entry`` is what finsler_sample gives at (x, y): the same sample
+    bit for bit, or an error of the same type and text."""
+    try:
+        one = finsler_sample(m, x, y)
+    except FinsymError as exc:
+        assert type(entry) is type(exc) and str(entry) == str(exc)
+        return
+    _assert_same_sample(entry, one)
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_block_equals_one_point_calls(self, path):
+        s = build_scenario(load_config(path))
+        xs = np.repeat(s.plan.xs, s.plan.ys.shape[1], axis=0)
+        ys = s.plan.ys.reshape(-1, s.dimension)
+        found = finsler_samples(s.metric, xs, ys)
+        assert len(found) == len(xs)
+        for x, y, entry in zip(xs, ys, found):
+            _assert_one_point_result(s.metric, x, y, entry)
+
+    # sqrt(alpha^2) + x1 y1 with alpha^2 = (1 + x2) y1^2 + y2^2
+    MIXED = MetricSpec.custom("sqrt(y1^2+y2^2+x2*y1^2)+x1*y1", 2,
+                              DomainBox((-2.0, -2.0), (2.0, 2.0)))
+    QUARTIC = MetricSpec.custom("(y1^4+y2^4)^0.25", 2,
+                                DomainBox((-1.0, -1.0), (1.0, 1.0)))
+    GOOD = [([0.1, 0.2], [1.0, 0.7]), ([-0.3, 0.4], [0.6, 1.1]),
+            ([0.2, -0.1], [1.2, 0.4])]
+
+    @pytest.mark.parametrize("metric,x,y,error", [
+        (MIXED, [3.0, 0.0], [1.0, 0.5], DomainError),         # outside
+        (MIXED, [0.1, 0.2], [1e-9, 0.0], DomainError),        # slit floor
+        (MIXED, [-1.5, 0.0], [1.0, 0.0], NonPositiveError),   # F = -0.5
+        (MIXED, [0.0, -1.5], [1.0, 0.0], DomainError),        # sqrt(-0.5)
+        (QUARTIC, [0.0, 0.0], [1.0, 0.0], NotPositiveDefiniteError),
+    ], ids=["outside", "slit", "F<=0", "sqrt", "not-pd"])
+    def test_bad_point_in_a_block(self, metric, x, y, error):
+        """A bad column gets the one-point call's error, type and text;
+        the good columns around it are unchanged."""
+        with pytest.raises(error) as raised:
+            finsler_sample(metric, x, y)
+        pairs = self.GOOD[:2] + [(x, y)] + self.GOOD[2:]
+        found = finsler_samples(metric, *zip(*pairs))
+        assert type(found[2]) is error
+        assert str(found[2]) == str(raised.value)
+        alone = finsler_samples(metric, *zip(*self.GOOD))
+        for (gx, gy), entry, clean in zip(self.GOOD, found[:2] + found[3:],
+                                          alone):
+            _assert_same_sample(entry, clean)
+            _assert_one_point_result(metric, gx, gy, entry)
+
+    @pytest.mark.parametrize("path,suite,y_per_x", [
+        ("configs/randers_dbeta.json", None, 1),
+        ("tests/data/curvature-n4-v3.json",
+         ["metric-validity", "structural", "preservation", "induce"], 2),
+        ("tests/data/structural-n3-v3.json", ["structural"], 3),
+    ])
+    def test_block_size_leaves_reports_unchanged(self, monkeypatch, path,
+                                                 suite, y_per_x):
+        config = load_config(os.path.join(ROOT, path))
+        config["sampling"].update(count=40, y_per_x=y_per_x)
+        expected = emit_report(run_scenario(config, suite))
+        for size in (1, 7):
+            monkeypatch.setattr(checks, "_BLOCK_PAIRS", size)
+            assert emit_report(run_scenario(config, suite)) == expected

@@ -11,6 +11,8 @@ from finsym.errors import DomainError, OrderError
 from finsym.fields import ScalarFieldSpec
 from finsym.jets import (
     Jet,
+    _power_factors,
+    _reciprocal_factors,
     fd_oracle,
     multi_index_degree,
     multi_index_factorial,
@@ -177,6 +179,86 @@ def test_leibniz_first_derivative(a, b):
     lhs = prod.derivatives(1)[0]
     rhs = a.value * b.derivatives(1)[0] + b.value * a.derivatives(1)[0]
     assert lhs == rhs
+
+
+def _full_power(jet, n):
+    """x^n as n full products starting from the constant-1 jet."""
+    out = Jet.constant(1.0, jet.num_vars, jet.order)
+    for _ in range(n):
+        out = out * jet
+    return out
+
+
+def _full_compose(jet, dcoef):
+    """Horner's scheme for g(jet) starting from a constant jet."""
+    h = jet._nilpotent()
+    out = Jet.constant(dcoef[-1], jet.num_vars, jet.order)
+    for k in range(len(dcoef) - 2, -1, -1):
+        out = out * h
+        out.c[0] += dcoef[k]
+    return out
+
+
+@pytest.mark.parametrize("num_vars,order", [(1, 0), (1, 1), (2, 2), (3, 3),
+                                            (6, 3), (4, 4)])
+def test_shortcuts_match_the_full_products(num_vars, order):
+    """Integer powers start from the jet itself and compositions from
+    dcoef[-1] * h, one full product fewer; both agree with the full
+    products bit for bit."""
+    rng = np.random.default_rng(11)
+    size = Jet.constant(0.0, num_vars, order).c.size
+    for _ in range(10):
+        jet = Jet(num_vars, order, rng.uniform(0.5, 2.0, size))
+        for n in (1, 2, 3, 5):
+            assert (jet ** n).c.tobytes() == _full_power(jet, n).c.tobytes()
+        assert ((jet ** -2).c.tobytes()
+                == _full_compose(_full_power(jet, 2), _reciprocal_factors(
+                    _full_power(jet, 2).value, order)).c.tobytes())
+        for p in (0.5, 0.25, -1.5):
+            dcoef = _power_factors(jet.value, order, p)
+            assert ((jet ** p).c.tobytes()
+                    == _full_compose(jet, dcoef).c.tobytes())
+        dcoef = rng.normal(size=order + 1).tolist()
+        assert (jet._compose(dcoef).c.tobytes()
+                == _full_compose(jet, dcoef).c.tobytes())
+
+
+class TestColumns:
+    """A jet with a column per point equals the one-point jets bit for
+    bit, column by column."""
+
+    TEXTS = ["x1^2*x2+x2^3", "sqrt(1+x1^2+x2^2)", "(x1^4+x2^4)^0.25",
+             "x1/(1+x2^2)", "(1+x1*x2)^-3", "-x1^0.5+2/x2-x1^1.5*x2", "7"]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_eval_jet_columns(self, text, order):
+        f = ScalarFieldSpec.parse(text, ["x1", "x2"])
+        points = 0.2 + 1.5 * np.random.default_rng(5).random((9, 2))
+        block = f.eval_jet(points, order)
+        assert block.c.shape[1:] == (9,)
+        for p, point in enumerate(points):
+            one = f.eval_jet(point, order)
+            assert block.c[:, p].tobytes() == one.c.tobytes()
+            for k in range(order + 1):
+                assert (block.derivatives(k)[p].tobytes()
+                        == one.derivatives(k).tobytes())
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_evaluate_columns(self, text):
+        f = ScalarFieldSpec.parse(text, ["x1", "x2"])
+        points = 0.2 + 1.5 * np.random.default_rng(6).random((9, 2))
+        values = f.evaluate(points)
+        assert values.shape == (9,)
+        assert values.tolist() == [f.evaluate(point) for point in points]
+
+    @pytest.mark.parametrize("text,bad", [("x1^0.5", -1.0), ("1/x1", 0.0),
+                                          ("sqrt(x1)", -1.0),
+                                          ("sqrt(x1)", 0.0)])
+    def test_a_bad_column_raises_for_the_block(self, text, bad):
+        f = ScalarFieldSpec.parse(text, ["x1"])
+        with pytest.raises(DomainError):
+            f.eval_jet(np.array([[1.0], [bad], [2.0]]), 3)
 
 
 class TestFdOracle:
