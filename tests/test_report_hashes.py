@@ -10,6 +10,8 @@ The two randomly sampled configs are pinned at two more seeds as well, so
 a change that only shows at other sample points is caught too.  Two
 generated Randers configs in ``tests/data`` pin the n = 3 and n = 4 paths:
 a 4-d scenario under the full suite and a 3-d one under ``structural``.
+Five small ``errors-*`` configs pin reports full of error records, so the
+type, text and precedence of each error stays fixed, at every block size.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import os
 
 import pytest
 
+from finsym import checks
 from finsym.checks import run_scenario
 from finsym.report import emit_report
 
@@ -58,7 +61,23 @@ DATA_REPORT_SHA256 = {
         "79c8f03ad5418a6842594c9f5008e455ab9b9e4b69db7162a3fa0f050bda5980",
     ("structural-n3-v3", "structural"):
         "19f0c54b3b36e742d93a721ae8a8a88115d453414c8dc8a979131a236722dbde",
+    ("errors-berwald-floor", None):
+        "5bc3c7bbfa7aee5d9978365cbc9595f5bd2b898854457490c1989a6b34982944",
+    ("errors-narrow-box", None):
+        "30dd9a5374ad15e975baa2a1e2a0ce4f6088f530fd42e4947234cbea0db16848",
+    ("errors-not-minkowskian", None):
+        "d559d382b88bc41d0d6be8ec28b12e5269603814a10480faa727a64dcc658a84",
+    ("errors-tol-pd", None):
+        "29c70c441e23581d564889f58ccadc07cfdaf9a5fa536cd80e0cbbf603cb344c",
+    ("errors-w-vanishing", None):
+        "7c04e77136581fa761f4fce595b0418d535fb836ad328c2ba520d2a9d5c6c599",
 }
+
+# the configs above whose reports carry error records: W vanishing at a base
+# point, a Berwald probe below the floor, a curved metric under minkowski,
+# pairs failing tol_pd, and FD stencils that all leave a narrow box
+ERROR_CONFIGS = sorted(name for name, _ in DATA_REPORT_SHA256
+                       if name.startswith("errors-"))
 
 
 def _load(name: str, directory: str = CONFIG_DIR) -> dict:
@@ -99,3 +118,15 @@ def test_higher_dimension_report_is_byte_identical(name, suite):
         config, suite=None if suite is None else [suite]))
     assert (hashlib.sha256(payload).hexdigest()
             == DATA_REPORT_SHA256[(name, suite)])
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, None])
+@pytest.mark.parametrize("name", ERROR_CONFIGS)
+def test_error_report_is_the_same_at_every_block_size(name, block_pairs,
+                                                      monkeypatch):
+    if block_pairs is not None:
+        monkeypatch.setattr(checks, "_BLOCK_PAIRS", block_pairs)
+    payload = emit_report(run_scenario(_load(name, DATA_DIR)))
+    assert payload.count(b'"error":"') > 0
+    assert (hashlib.sha256(payload).hexdigest()
+            == DATA_REPORT_SHA256[(name, None)])
