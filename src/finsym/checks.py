@@ -5,8 +5,11 @@ record id, tolerance rule and point set: the base points x, or the (x, y)
 pairs of the plan.  The runner visits each base point once and fills a
 lazy :class:`PointContext` there, so a quantity several facets read is
 computed once and dropped with the context.  It walks the base points in
-blocks: the first read of a plan pair's sample samples every pair of the
-block in one :func:`finsler_samples` call.  Domain failures never abort a
+blocks: each facet names the fiber points whose samples it reads (the plan
+pairs, W(x), the Berwald probes, the Minkowski probes), and every such
+point of a block is sampled in one :func:`finsler_samples` call before
+the block's facets run.  The finite-difference commutator samples its own
+stencil block and reads none of these.  Domain failures never abort a
 suite: :func:`_evaluate`, which makes every record, gives an error record
 where a facet raises or its residual or tolerance is not finite.  Record
 order is fixed: record ids sorted, then points in plan order.
@@ -18,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -47,7 +50,6 @@ from .finsler import (
     FinslerSample,
     cartan_trace_residual,
     euler_residual,
-    finsler_sample,
     finsler_samples,
     homogeneity_residual,
     max_pairwise_spread,
@@ -67,9 +69,10 @@ from .symplectic import (
 )
 
 
-# plan pairs per finsler_samples call, in whole base points.  On a 3-d
-# Randers plan, 64 and 128 ran fastest; 256 ran slower and raised the peak
-# RSS by about 2 MB more than 64 does.
+# fiber points per finsler_samples call, the plan pairs and the points the
+# facets read beside them, in whole base points.  On a 3-d Randers plan, 64
+# and 128 ran fastest; 256 ran slower and raised the peak RSS by about 2 MB
+# more than 64 does.
 _BLOCK_PAIRS = 64
 
 
@@ -101,9 +104,12 @@ class _once:
         return _cached(obj.__dict__, self.key, lambda: self.fn(obj))
 
 
+def _minkowski_probes(c: "PointContext") -> tuple[np.ndarray, ...]:
+    return minkowski_probes(c.s.dimension)
+
+
 def _minkowski(c: "PointContext") -> tuple[float, float, float]:
-    require_minkowskian([c.sample(y).chern
-                         for y in minkowski_probes(c.s.dimension)])
+    require_minkowskian([c.sample(y).chern for y in _minkowski_probes(c)])
     mk = minkowski_preservation_check(c.form[1], c.jac, c.hatted)
     ghat = transform_connection(np.zeros((c.s.dimension,) * 3), c.jac)
     hatted = PreservationResidual.of(*c.hatted, ghat)
@@ -111,35 +117,53 @@ def _minkowski(c: "PointContext") -> tuple[float, float, float]:
 
 
 class PointContext:
-    """What the facets read at one base point x, each computed on first use.
+    """What the facets read at one base point x and its plan fiber points
+    ``ys``, each computed on first use.
 
-    :meth:`sample` is the value path at (x, y), computed once per distinct
-    fiber point y and kept in ``samples``, the base point's cache in its
-    :class:`PairBlock`: the plan's pairs, W(x), the Berwald probe vectors
-    and the Minkowski probes all read it.  ``sample_w`` is its value at
-    (x, W(x)) and ``derivatives`` the jet path there.  ``lift_w`` is the
-    lift-preservation residual of the scenario's form along W,
-    ``standard_lift_w`` that of the standard form.  ``jac`` holds the chart
+    :meth:`sample` is the value path at (x, y), kept once per distinct
+    fiber point y in ``samples``: the plan's pairs, W(x), the Berwald probe
+    vectors and the Minkowski probes all read it.  Each is sampled with
+    the rest of its block before any facet runs, for the facets that name
+    it (:meth:`fiber_points`, :func:`_sample_blocks`).  ``sample_w`` is
+    the sample at (x, W(x)) and ``derivatives`` the jet path there.
+    ``lift_w`` is the lift-preservation residual of the scenario's form
+    along W, ``standard_lift_w`` that of the standard form.  ``jac`` holds the chart
     derivatives at x and ``hatted`` the scenario's form pulled back through
     them.  ``form`` holds the scenario's two-form
     and its partials at x; ``covector`` the first and second derivative
     arrays of the Randers covector b there, from which a d(beta) form is
     read rather than evaluating b again, and ``alpha_norm`` the Randers
     covector's alpha-norm, shared by the pairs at x.  The finite-difference
-    curvature ``fd`` evaluates its own stencil and reads nothing else from
-    the context.
+    curvature ``fd`` samples its own stencil block and reads nothing else
+    from the context.  A context refers to no block, so reference counting
+    frees it once its block is done.
     """
 
-    def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x,
-                 samples: dict):
-        self.s, self.sc, self.x = s, sc, x
-        self._samples = samples
+    def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x, ys):
+        self.s, self.sc, self.x, self.ys = s, sc, x, ys
+        self.samples: dict = {}  # by y.tobytes(), as _cached keeps values
+
+    def fiber_points(self, facets) -> dict:
+        """The distinct fiber points whose samples ``facets`` read at x, by
+        cache key.  A facet whose ``reads`` raises reads none here; it
+        raises the same error when it runs, before it reads a sample."""
+        out = {}
+        for facet in facets:
+            try:
+                ys = facet.reads(self) if facet.reads else ()
+            except FinsymError:
+                continue
+            for y in ys:
+                y = np.asarray(y, dtype=float)
+                out.setdefault(y.tobytes(), y)
+        return out
 
     def sample(self, y) -> FinslerSample:
-        """The Finsler sample at (x, y), computed once per distinct y."""
-        y = np.asarray(y, dtype=float)
-        return _cached(self._samples, y.tobytes(),
-                       lambda: finsler_sample(self.s.metric, self.x, y))
+        """The Finsler sample at (x, y), taken with the block."""
+        value, exc = self.samples[np.asarray(y, dtype=float).tobytes()]
+        if exc is not None:
+            raise exc
+        return value
 
     w = _once(lambda c: c.s.vector_field.values(c.x))
     sample_w = property(lambda c: c.sample(c.w))
@@ -156,8 +180,9 @@ class PointContext:
     up = _once(lambda c: curvature_up(*c.derivatives))
     brace = _once(lambda c: brace_array(*c.derivatives))
     pair = _once(lambda c: pair_two_path(c.up, c.brace, c.form[0]))
-    # The FD path samples its own centre and stencil, (x, W(x)) included:
-    # reading sample_w would let it share a result with the path it checks.
+    # The FD path samples its own centre and stencil, (x, W(x)) included, in
+    # a block of its own: reading sample_w would let it share a result with
+    # the path it checks.
     fd = _once(lambda c: curvature_fd_commutator(c.sc, c.x))
     jac = _once(lambda c: chart_jacobians(c.s.chart, c.x))
     hatted = _once(lambda c: hatted_two_form_data(*c.form, c.jac))
@@ -176,51 +201,45 @@ def _standard_data(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, dw
 
 
-class PairBlock:
-    """The plan pairs of consecutive base points and each point's sample
-    cache, which its :class:`PointContext` reads.  :meth:`fill` samples the
-    pairs not yet cached in one :func:`finsler_samples` call, once; the
-    finite-difference path never reads them."""
+def _sample_blocks(s: BuiltScenario, sc: FedosovScenario | None,
+                   facets: list) -> Iterator[list[PointContext]]:
+    """The base points' contexts in plan order, in blocks of whole base
+    points with at most ``_BLOCK_PAIRS`` fiber points to sample, or one
+    base point that alone has more.  Each block comes with the samples its
+    facets read, taken in one :func:`finsler_samples` call."""
+    block, todo = [], []
+    for x, ys in zip(s.plan.xs, s.plan.ys):
+        ctx = PointContext(s, sc, x, ys)
+        wanted = ctx.fiber_points(facets)
+        if block and len(todo) + len(wanted) > _BLOCK_PAIRS:
+            _sample_into(s.metric, todo)
+            yield block
+            block, todo = [], []
+        block.append(ctx)
+        todo.extend((ctx, key, y) for key, y in wanted.items())
+    if block:
+        _sample_into(s.metric, todo)
+        yield block
 
-    def __init__(self, metric, xs, ys):
-        self.metric, self.xs, self.ys = metric, xs, ys
-        self.caches: list[dict] = [{} for _ in xs]
-        self.filled = False
 
-    def fill(self) -> None:
-        if self.filled:
-            return
-        self.filled = True
-        todo = {}
-        for i, (cache, x, x_ys) in enumerate(zip(self.caches, self.xs,
-                                                  self.ys)):
-            for y in x_ys:
-                key = y.tobytes()
-                if key not in cache:
-                    todo[i, key] = cache, x, y
-        if not todo:
-            return
-        pairs = list(todo.values())
-        found = finsler_samples(self.metric, [x for _, x, _ in pairs],
-                                [y for _, _, y in pairs])
-        for (cache, _, y), result in zip(pairs, found):  # as _cached keeps
-            cache[y.tobytes()] = ((None, result)
-                                  if isinstance(result, FinsymError)
-                                  else (result, None))
+def _sample_into(metric, todo: list) -> None:
+    """Sample each (context, key, y) of ``todo`` and keep the sample, or
+    its error, in the context's cache."""
+    found = finsler_samples(metric, [ctx.x for ctx, _, _ in todo],
+                            [y for _, _, y in todo])
+    for (ctx, key, _), result in zip(todo, found):
+        ctx.samples[key] = ((None, result) if isinstance(result, FinsymError)
+                            else (result, None))
 
 
 class FiberContext:
-    """What the facets read at one pair (x, y) of the plan; its sample
-    comes with the pairs of its block."""
+    """What the facets read at one pair (x, y) of the plan."""
 
-    def __init__(self, base: PointContext, y, block: PairBlock):
-        self.base, self.y, self.block = base, y, block
+    def __init__(self, base: PointContext, y):
+        self.base, self.y = base, y
         self.point = np.concatenate([base.x, y])
 
-    @property
-    def sample(self) -> FinslerSample:
-        self.block.fill()
-        return self.base.sample(self.y)
+    sample = property(lambda f: f.base.sample(f.y))
 
     structural = _once(lambda f: structural_residuals(f.sample))
     lift = _once(lambda f: PreservationResidual.of(
@@ -237,7 +256,9 @@ class Facet:
     ``bound * scale`` when ``tol`` is None.  A ``gate`` returns a
     preservation residual along W; the point is skipped where it exceeds
     the preservation-gate tolerance.  ``when`` limits the facet to
-    scenarios it applies to.
+    scenarios it applies to.  ``reads`` maps the base point's context to
+    the fiber points whose samples the facet (its gate included) reads
+    there; the runner samples them with the rest of the block.
     """
 
     name: str
@@ -247,6 +268,7 @@ class Facet:
     gate: Callable | None = None
     when: Callable[[BuiltScenario], bool] | None = None
     bound: float = 0.0
+    reads: Callable[[PointContext], Iterable] | None = None
 
 
 @dataclass(frozen=True)
@@ -291,7 +313,17 @@ def _roundtrip(c: PointContext) -> float:
     return _max_abs(back - G)
 
 
-def _berwald_spread(c: PointContext) -> float:
+def _plan_pairs(c: PointContext):
+    return c.ys
+
+
+def _w(c: PointContext) -> tuple[np.ndarray]:
+    return (c.w,)
+
+
+def _berwald_probes(c: PointContext) -> tuple[np.ndarray, ...]:
+    """The Berwald probe vectors; ZeroVectorError if one is below W's
+    floor."""
     floor = c.s.vector_field.w_min
     for v in c.s.berwald_vectors:
         norm = math.hypot(*v)  # scaled, so a large probe cannot overflow
@@ -299,8 +331,12 @@ def _berwald_spread(c: PointContext) -> float:
             raise ZeroVectorError(
                 f"probe vector norm {norm:.3e} below floor {floor}"
             )
+    return c.s.berwald_vectors
+
+
+def _berwald_spread(c: PointContext) -> float:
     return max_pairwise_spread([c.sample(v).chern
-                                for v in c.s.berwald_vectors])
+                                for v in _berwald_probes(c)])
 
 
 def _fd_consistency(c: PointContext) -> tuple[float, float]:
@@ -334,9 +370,9 @@ CHECKS = (
                     "homogeneity", fiber=True),
               Facet("metric-validity:cartan-trace",
                     lambda f: cartan_trace_residual(f.sample),
-                    "homogeneity", fiber=True),
+                    "homogeneity", fiber=True, reads=_plan_pairs),
               Facet("metric-validity:positive-definite", _positive_definite,
-                    fiber=True),
+                    fiber=True, reads=_plan_pairs),
               Facet("metric-validity:randers-bound",
                     lambda f: f.base.alpha_norm, fiber=True,
                     when=lambda s: s.metric.family == "randers",
@@ -347,10 +383,10 @@ CHECKS = (
           "connection coefficients",
           (), (
               Facet("structural:torsion", lambda f: f.structural.torsion,
-                    fiber=True),
+                    fiber=True, reads=_plan_pairs),
               Facet("structural:compat",
                     lambda f: (f.structural.compat, f.structural.scale),
-                    "structural-compat", fiber=True),
+                    "structural-compat", fiber=True, reads=_plan_pairs),
           )),
     Check("preservation",
           "two-form validity (closedness, nondegeneracy) and the "
@@ -360,9 +396,9 @@ CHECKS = (
                     lambda c: closedness(c.form[1]), "closedness"),
               Facet("preservation:nondegeneracy", _nondegeneracy),
               Facet("preservation:lift", lambda f: f.lift.max_abs,
-                    "preservation", fiber=True),
+                    "preservation", fiber=True, reads=_plan_pairs),
               Facet("preservation:randers-equivalence", _randers_equivalence,
-                    "randers-equivalence", fiber=True,
+                    "randers-equivalence", fiber=True, reads=_plan_pairs,
                     when=lambda s: (s.metric.family == "randers"
                                     and s.two_form_kind == "randers-dbeta")),
           )),
@@ -371,9 +407,10 @@ CHECKS = (
           "two-form residual with the lift residual along W",
           ("vector_field",), (
               Facet("induce:symmetry", lambda c: _max_abs(
-                  c.sample_w.chern - c.sample_w.chern.transpose(0, 2, 1))),
+                  c.sample_w.chern - c.sample_w.chern.transpose(0, 2, 1)),
+                    reads=_w),
               Facet("induce:exactness", _exactness, "exactness",
-                    when=_has_two_form),
+                    when=_has_two_form, reads=_w),
           )),
     Check("darboux",
           "standard-form coefficient relations at points where the "
@@ -382,13 +419,15 @@ CHECKS = (
               Facet("darboux:relations",
                     lambda c: darboux_relations_residual(
                         c.sample_w.chern, c.s.dimension // 2),
-                    "darboux", gate=lambda c: c.standard_lift_w.max_abs),
+                    "darboux", gate=lambda c: c.standard_lift_w.max_abs,
+                    reads=_w),
           ), even_dimension=True),
     Check("transform",
           "round trip of the coefficient transformation law through the "
           "configured chart and back",
           ("vector_field", "chart"), (
-              Facet("transform:roundtrip", _roundtrip, "transform"),
+              Facet("transform:roundtrip", _roundtrip, "transform",
+                    reads=_w),
           )),
     Check("minkowski",
           "preservation conditions of an x-independent metric in natural "
@@ -396,18 +435,18 @@ CHECKS = (
           "law",
           ("two_form", "chart"), (
               Facet("minkowski:natural", lambda c: c.minkowski[0],
-                    "minkowski"),
+                    "minkowski", reads=_minkowski_probes),
               Facet("minkowski:hatted", lambda c: c.minkowski[1],
-                    "minkowski"),
+                    "minkowski", reads=_minkowski_probes),
               Facet("minkowski:equivalence", lambda c: c.minkowski[2],
-                    "minkowski"),
+                    "minkowski", reads=_minkowski_probes),
           )),
     Check("berwald-uniqueness",
           "spread of the induced connection across distinct probe vector "
           "fields",
           ("vector_field",), (
               Facet("berwald-uniqueness:spread", _berwald_spread,
-                    "berwald-uniqueness"),
+                    "berwald-uniqueness", reads=_berwald_probes),
           )),
     Check("curvature",
           "chain-rule curvature against a finite-difference commutator of "
@@ -437,7 +476,8 @@ CHECKS = (
                     "two-path"),
               Facet("pair-symmetry:lowered",
                     lambda c: (c.pair.assembled, c.pair.scale),
-                    "pair-symmetry", gate=lambda c: c.lift_w.max_abs),
+                    "pair-symmetry", gate=lambda c: c.lift_w.max_abs,
+                    reads=_w),
           )),
 )
 
@@ -515,22 +555,16 @@ def run_checks(s: BuiltScenario, suite=None) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
           if s.vector_field is not None else None)
-    xs, ys = s.plan.xs, s.plan.ys
-    per_block = max(1, _BLOCK_PAIRS // (len(ys[0]) if len(ys) else 1))
-    for start in range(0, len(xs), per_block):
-        block = PairBlock(s.metric, xs[start:start + per_block],
-                          ys[start:start + per_block])
-        for x, x_ys, samples in zip(block.xs, block.ys, block.caches):
-            ctx = PointContext(s, sc, x, samples)
-            records.extend(_run_point(ctx, [FiberContext(ctx, y, block)
-                                            for y in x_ys], facets))
+    for block in _sample_blocks(s, sc, facets):
+        for ctx in block:
+            records.extend(_run_point(ctx, facets))
     records.sort(key=lambda r: r.check)
     return records
 
 
-def _run_point(ctx: PointContext, fibers: list[FiberContext],
-               facets: list[Facet]) -> list:
+def _run_point(ctx: PointContext, facets: list[Facet]) -> list:
     """The records of the facets at one base point, in facet order."""
+    fibers = [FiberContext(ctx, y) for y in ctx.ys]
     records = []
     for facet in facets:
         if facet.fiber:

@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fedosov import FedosovScenario, induce_connection
+from .fedosov import FedosovScenario, induce_connections
 from .finsler import chern_with_derivatives
-from .jets import fd_oracle
+from .jets import fd_oracle, fd_stencil
 
 
 def induced_derivatives(s: FedosovScenario, x, w) -> tuple:
@@ -56,15 +56,20 @@ def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
     The first derivatives of x -> induce_connection(s, x) come from
     :func:`fd_oracle` (central differences, one Richardson step), one
     coefficient array per axis, assembled into the commutator formula.
-    Independent of the jet-based chain-rule path.
+    The centre and every axis's :func:`fd_stencil` (9 points at n = 2,
+    17 at n = 4) are sampled as one block by :func:`induce_connections`,
+    which raises the first failing point's error in that order.  The
+    block is this call's own: independent of the jet-based chain-rule
+    path, it shares no sample with the checks' other readers.
     """
     n = s.metric.dimension
     x = np.asarray(x, dtype=float)
-
-    G0 = induce_connection(s, x)
     axes = np.eye(n, dtype=int)
+    stencils = [fd_stencil(x, axes[t]) for t in range(n)]
+    G0, *Gs = induce_connections(s, np.array([x] + sum(stencils, [])))
     # dG[l, a, b, t] = d G^l_ab / d x^t
-    dG = np.stack([fd_oracle(lambda pt: induce_connection(s, pt), x, axes[t])
+    per_axis = len(stencils[0])
+    dG = np.stack([fd_oracle(Gs[t * per_axis:(t + 1) * per_axis], x, axes[t])
                    for t in range(n)], axis=-1)
     half = np.einsum("lkij->lijk", dG) + np.einsum("mki,ljm->lijk", G0, G0)
     return half - half.swapaxes(2, 3)

@@ -7,8 +7,9 @@ connection preserving it on the base, i.e. a Fedosov structure.
 
 Every connection here is a plain coefficient array G[k, i, j] = G^k_ij,
 symmetric in the lower pair.  The residual functions take such arrays and
-other point data; only :func:`induce_connection`, which the
-finite-difference curvature differentiates, samples the metric itself.
+other point data; only :func:`induce_connection` and its block form
+:func:`induce_connections`, which the finite-difference curvature
+differentiates, sample the metric themselves.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotMinkowskianError
+from .errors import (DimensionMismatchError, FinsymError,
+                     NotMinkowskianError)
 from .fields import ChartJacobians, VectorFieldSpec
-from .finsler import MetricSpec, _mirror, finsler_sample
+from .finsler import MetricSpec, _mirror, finsler_sample, finsler_samples
 from .symplectic import TwoForm
 
 
@@ -48,6 +50,22 @@ def induce_connection(s: FedosovScenario, x) -> np.ndarray:
     """Connection coefficients G[k, i, j] at x along the scenario's vector
     field."""
     return finsler_sample(s.metric, x, s.vector_field.values(x)).chern
+
+
+def induce_connections(s: FedosovScenario, xs: np.ndarray) -> list:
+    """:func:`induce_connection` at each row of a ``(P, n)`` stack: W on the
+    whole stack, then one :func:`finsler_samples` call.  Raises what the
+    one-point calls, made in row order, raise first; at each row W's error
+    comes before the sample's."""
+    try:
+        ws = s.vector_field.values(xs)
+    except FinsymError:
+        return [induce_connection(s, x) for x in xs]
+    found = finsler_samples(s.metric, xs, ws)
+    for result in found:
+        if isinstance(result, FinsymError):
+            raise result
+    return [sample.chern for sample in found]
 
 
 def covariant_residual(G: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:

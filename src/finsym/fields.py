@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    FinsymError,
     ParseError,
     SingularChartError,
     UnknownVariableError,
@@ -353,6 +354,18 @@ class VectorFieldSpec:
         return len(self.components)
 
     def values(self, x: Sequence[float]) -> np.ndarray:
+        """W at a point, or the ``(P, n)`` stack of W at each row of a
+        ``(P, n)`` stack of points, each row held to the floor.  A stack in
+        which any row raises is evaluated one row at a time, so the error
+        is the first failing row's, with the one-point text."""
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            try:
+                w = np.stack([c.evaluate(x) for c in self.components], axis=1)
+                if all(math.hypot(*row) >= self.w_min for row in w.tolist()):
+                    return w
+            except FinsymError:
+                pass
+            return np.array([self.values(row) for row in x])
         w = np.array([c.evaluate(x) for c in self.components])
         norm = math.hypot(*w)  # scaled, so a large W cannot overflow
         if norm < self.w_min:

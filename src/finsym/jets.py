@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -344,7 +344,8 @@ def fd_base_step(degree: int) -> float:
     return float(np.finfo(float).eps ** (1.0 / (degree + 4)))
 
 
-def _central(f: Callable, x: np.ndarray, idx: tuple, steps: np.ndarray):
+def _central_points(x: np.ndarray, idx: tuple, steps: np.ndarray) -> list:
+    """The points at which :func:`_central` reads the field, in its order."""
     for v, e in enumerate(idx):
         if e > 0:
             rest = idx[:v] + (e - 1,) + idx[v + 1:]
@@ -352,9 +353,38 @@ def _central(f: Callable, x: np.ndarray, idx: tuple, steps: np.ndarray):
             xp[v] += steps[v]
             xm = x.copy()
             xm[v] -= steps[v]
-            return (_central(f, xp, rest, steps)
-                    - _central(f, xm, rest, steps)) / (2.0 * steps[v])
-    return f(x)
+            return (_central_points(xp, rest, steps)
+                    + _central_points(xm, rest, steps))
+    return [x]
+
+
+def _central(values: Iterator, idx: tuple, steps: np.ndarray):
+    """The central difference from the field's values at
+    :func:`_central_points`, taken from ``values`` in that order."""
+    for v, e in enumerate(idx):
+        if e > 0:
+            rest = idx[:v] + (e - 1,) + idx[v + 1:]
+            plus = _central(values, rest, steps)
+            return (plus - _central(values, rest, steps)) / (2.0 * steps[v])
+    return next(values)
+
+
+def _fd_steps(x: np.ndarray, idx: tuple) -> np.ndarray:
+    return fd_base_step(multi_index_degree(idx)) * np.maximum(1.0, np.abs(x))
+
+
+def fd_stencil(point: Sequence[float], idx: Sequence[int]) -> list:
+    """The points at which :func:`fd_oracle` reads the field, in the order
+    it reads them: the coarse central stencil, then the fine one.  For a
+    first derivative along axis v that is x + h e_v, x - h e_v,
+    x + h/2 e_v, x - h/2 e_v; a degree-0 index reads x alone."""
+    idx = tuple(int(e) for e in idx)
+    x = np.asarray(point, dtype=float)
+    if multi_index_degree(idx) == 0:
+        return [x]
+    steps = _fd_steps(x, idx)
+    return (_central_points(x, idx, steps)
+            + _central_points(x, idx, steps / 2.0))
 
 
 def fd_oracle(field, point: Sequence[float], idx: Sequence[int]):
@@ -362,17 +392,20 @@ def fd_oracle(field, point: Sequence[float], idx: Sequence[int]):
 
     Composite central differences with step ``fd_base_step(degree)`` scaled
     by max(1, |x_v|), one Richardson extrapolation step (O(step^4) error for
-    first derivatives).  ``field`` is called with a plain coordinate array
-    and may return a float or an array, which is differentiated entrywise.
-    The stencil is not checked against a domain here: ``field`` rejects the
-    points it cannot evaluate.
+    first derivatives).  ``field`` is either a callable, called with each
+    point of :func:`fd_stencil` in turn, or the field's values already
+    taken there, in that order.  A value may be a float or an array, which
+    is differentiated entrywise.  The stencil is not checked against a
+    domain here: ``field`` rejects the points it cannot evaluate.
     """
     idx = tuple(int(e) for e in idx)
     x = np.asarray(point, dtype=float)
-    degree = multi_index_degree(idx)
-    if degree == 0:
-        return field(x)
-    steps = fd_base_step(degree) * np.maximum(1.0, np.abs(x))
-    coarse = _central(field, x, idx, steps)
-    fine = _central(field, x, idx, steps / 2.0)
+    if callable(field):
+        field = [field(p) for p in fd_stencil(x, idx)]
+    values = iter(field)
+    if multi_index_degree(idx) == 0:
+        return next(values)
+    steps = _fd_steps(x, idx)
+    coarse = _central(values, idx, steps)
+    fine = _central(values, idx, steps / 2.0)
     return (4.0 * fine - coarse) / 3.0

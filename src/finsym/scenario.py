@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -18,6 +19,7 @@ from jsonschema import Draft202012Validator
 from .errors import ConfigError, ParseError
 from .fields import ChartMap, DomainBox, ScalarFieldSpec, VectorFieldSpec
 from .finsler import MetricSpec
+from .jets import fd_base_step
 from .symplectic import ExactTwoForm, TwoForm, explicit_two_form, standard_form
 
 DEFAULT_TOLERANCES = {
@@ -305,6 +307,21 @@ def _check_tolerance(name: str, value: float) -> None:
 # Sample points stay this fraction of the box width away from its faces so
 # finite-difference stencils around them remain admissible.
 _EDGE_MARGIN = 0.025
+# The FD commutator's largest step at unit scale, fd_oracle's coarse step for
+# a first derivative.
+_FD_STEP = fd_base_step(1)
+
+
+def _stencil_clear(box: DomainBox, p: np.ndarray) -> bool:
+    """True where p is in the box and every FD stencil around it misses the
+    excluded balls: p is at least the largest step,
+    ``eps^(1/5) * max(1, |x_v|)``, beyond each ball's radius."""
+    if not box.contains(p):
+        return False
+    coords = p.tolist()
+    step = _FD_STEP * max(1.0, *map(abs, coords))
+    return all(math.hypot(*(a - c for a, c in zip(coords, center)))
+               >= radius + step for center, radius in box.excluded)
 
 
 def _inset(box: DomainBox) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +331,9 @@ def _inset(box: DomainBox) -> tuple[np.ndarray, np.ndarray]:
     return lo + pad, hi - pad
 
 
-def _grid_points(box: DomainBox, count: int) -> np.ndarray:
+def _grid_points(box: DomainBox, count: int, keep=None) -> np.ndarray:
+    """Up to ``count`` points of a grid over the inset box that ``keep``
+    (default: the box's own test) admits."""
     dim = box.dimension
     lo, hi = _inset(box)
     per_axis = max(1, math.ceil(count ** (1.0 / dim)))
@@ -323,12 +342,15 @@ def _grid_points(box: DomainBox, count: int) -> np.ndarray:
             for i in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = [p for p in pts if box.contains(p)]
-    return np.array(keep[:count])
+    keep = keep or box.contains
+    return np.array([p for p in pts if keep(p)][:count])
 
 
-def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0
-                   ) -> np.ndarray:
+def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0,
+                   keep=None) -> np.ndarray:
+    """``count`` uniform points of the inset box that ``keep`` (default:
+    the box's own test) admits, each of norm at least ``min_norm``."""
+    keep = keep or box.contains
     lo, hi = _inset(box)
     out = []
     attempts = 0
@@ -338,7 +360,7 @@ def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0
             raise ConfigError(
                 "sampling box rejects nearly all points", "/sampling")
         p = lo + (hi - lo) * rng.random(box.dimension)
-        if box.contains(p) and math.hypot(*p) >= min_norm:
+        if keep(p) and math.hypot(*p) >= min_norm:
             out.append(p)
     return np.array(out)
 
@@ -357,8 +379,9 @@ def build_plan(config: dict, metric: MetricSpec) -> SamplePlan:
         y_box = DomainBox((_DEFAULT_Y_RANGE[0],) * dim,
                           (_DEFAULT_Y_RANGE[1],) * dim)
 
+    base_point = partial(_stencil_clear, metric.domain)
     if sampling["mode"] == "grid":
-        xs = _grid_points(metric.domain, count)
+        xs = _grid_points(metric.domain, count, base_point)
         if xs.size == 0:
             raise ConfigError("grid produced no admissible base points",
                               "/sampling/count")
@@ -373,7 +396,7 @@ def build_plan(config: dict, metric: MetricSpec) -> SamplePlan:
         return SamplePlan(xs=xs, ys=ys)
 
     rng = np.random.default_rng(sampling["seed"])
-    xs = _random_points(metric.domain, count, rng)
+    xs = _random_points(metric.domain, count, rng, keep=base_point)
     ys = np.empty((count, y_per_x, dim))
     for i in range(count):
         ys[i] = _random_points(y_box, y_per_x, rng, min_norm=metric.y_min)

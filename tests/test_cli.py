@@ -2,16 +2,18 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from finsym import checks, fedosov, fields, finsler, scenario
+from finsym import checks, curvature, fedosov, fields, finsler, scenario
 from finsym.checks import CHECK_IDS, available_checks, run_scenario
 from finsym.cli import main
 from finsym.errors import ConfigError
+from finsym.jets import fd_base_step
 from finsym.records import CheckRecord
 from finsym.report import emit_report
 from finsym.scenario import build_scenario, validate_config
@@ -181,6 +183,34 @@ class TestRunScenario:
                          seed_override=2)
         b = run_scenario(randers_config(seed=2), suite=["structural"])
         assert [r.point for r in a] == [r.point for r in b]
+
+    def test_grid_stencils_stay_out_of_excluded_balls(self):
+        """(0.95, 0) on a 3 x 3 grid over [-1, 1]^2 lies 0.2 from the centre
+        of a ball of radius 0.19999: admissible, but its FD stencil's -h
+        point is inside the ball.  Base points keep one FD step clear of
+        each ball, so it is left out and no curvature record errors."""
+        cfg = euclid_config(count=9)
+        cfg["metric"]["domain"]["excluded"] = [{"center": [0.75, 0],
+                                                "radius": 0.19999}]
+        records = run_scenario(cfg, suite=["curvature"])
+        assert len(records) == 16
+        assert all(r.error is None for r in records)
+        assert [0.95, 0.0] not in [r.point for r in records]
+
+    def test_random_base_points_keep_clear_of_excluded_balls(self):
+        """Far from the origin the FD step, eps^(1/5) * max(1, |x_v|), is
+        about 0.75, so many uniform points of the box would lie within one
+        step of the ball; none of the sampled base points does."""
+        cfg = euclid_config()
+        cfg["metric"]["domain"] = {
+            "lower": [1000, 1000], "upper": [1010, 1010],
+            "excluded": [{"center": [1005, 1005], "radius": 3}]}
+        cfg["sampling"] = {"mode": "random", "count": 40, "seed": 1}
+        xs = build_scenario(cfg).plan.xs
+        assert len(xs) == 40
+        for x in xs:
+            step = fd_base_step(1) * max(1.0, *abs(x))
+            assert math.hypot(*(x - 1005.0)) >= 3 + step
 
     def test_requested_subset(self):
         records = run_scenario(euclid_config(), suite=["structural"])
@@ -359,15 +389,18 @@ class TestRunScenario:
     def test_each_fiber_point_sampled_once_per_base_point(self, monkeypatch,
                                                           name):
         """The plan pairs, W(x), the Berwald probes and the Minkowski probes
-        read one sample per (x, y), whether one at a time or in a block of
-        plan pairs.  The FD path samples its own centre and stencil through
-        induce_connection, and a block with a failing pair samples its
-        pairs again one at a time, so those calls are not counted."""
+        read one sample per (x, y), taken in the runner's blocks.  The FD
+        commutator samples its own centre and stencil in a block of its
+        own, told apart here as the blocks sampled inside the commutator:
+        one per base point, which samples (x, W(x)) again rather than read
+        it from the runner's blocks.  A block with a failing pair samples
+        its pairs again one at a time, so those calls are not counted."""
         counts = {}
+        stencils = []
         in_fd = []
         in_block = []
-        sample, induce = finsler.finsler_sample, fedosov.induce_connection
-        block = finsler.finsler_samples
+        sample, block = finsler.finsler_sample, finsler.finsler_samples
+        commutator = curvature.curvature_fd_commutator
 
         def count(x, y):
             key = (tuple(map(float, x)), tuple(map(float, y)))
@@ -379,25 +412,28 @@ class TestRunScenario:
             return sample(m, x, y)
 
         def counted_block(m, xs, ys):
-            assert not in_fd
-            for x, y in zip(xs, ys):
-                count(x, y)
+            if in_fd:
+                stencils.append((tuple(map(float, xs[0])),
+                                 tuple(map(float, ys[0])), len(xs)))
+            else:
+                for x, y in zip(xs, ys):
+                    count(x, y)
             in_block.append(True)
             try:
                 return block(m, xs, ys)
             finally:
                 in_block.pop()
 
-        def fd_induce(s, x):
+        def fd_commutator(s, x):
             in_fd.append(x)
             try:
-                return induce(s, x)
+                return commutator(s, x)
             finally:
                 in_fd.pop()
 
         patch_everywhere(monkeypatch, sample, counted)
         patch_everywhere(monkeypatch, block, counted_block)
-        patch_everywhere(monkeypatch, induce, fd_induce)
+        patch_everywhere(monkeypatch, commutator, fd_commutator)
         with open(os.path.join(CONFIG_DIR, f"{name}.json"),
                   encoding="utf-8") as fh:
             config = json.load(fh)
@@ -406,6 +442,48 @@ class TestRunScenario:
         s = build_scenario(config)
         assert {(tuple(x), tuple(y)) for x, ys in zip(s.plan.xs, s.plan.ys)
                 for y in ys} <= set(counts)
+        assert [size for *_, size in stencils] == [1 + 4 * s.dimension] * len(
+            s.plan.xs)
+        assert [(x, w) for x, w, _ in stencils] == [
+            (tuple(x), tuple(s.vector_field.values(x))) for x in s.plan.xs]
+        assert {(x, w) for x, w, _ in stencils} <= set(counts)
+
+    @pytest.mark.parametrize("name", sorted(
+        f[:-5] for f in os.listdir(CONFIG_DIR) if f.endswith(".json")))
+    def test_no_one_point_sample_outside_a_failing_block(self, monkeypatch,
+                                                         name):
+        """Every sample of a shipped config's run is taken in a block;
+        ``finsler_sample`` runs only where a block fails and falls back to
+        one point at a time.  Under ``structural`` the blocks hold exactly
+        the plan pairs."""
+        single, pairs, in_block = [], [], []
+        sample, block = finsler.finsler_sample, finsler.finsler_samples
+
+        def counted(m, x, y):
+            if not in_block:
+                single.append((x, y))
+            return sample(m, x, y)
+
+        def counted_block(m, xs, ys):
+            pairs.extend((tuple(x), tuple(y)) for x, y in zip(xs, ys))
+            in_block.append(True)
+            try:
+                return block(m, xs, ys)
+            finally:
+                in_block.pop()
+
+        patch_everywhere(monkeypatch, sample, counted)
+        patch_everywhere(monkeypatch, block, counted_block)
+        with open(os.path.join(CONFIG_DIR, f"{name}.json"),
+                  encoding="utf-8") as fh:
+            config = json.load(fh)
+        run_scenario(config)
+        assert pairs and single == []
+        pairs.clear()
+        run_scenario(config, suite=["structural"])
+        s = build_scenario(config)
+        assert pairs == [(tuple(x), tuple(y))
+                         for x, ys in zip(s.plan.xs, s.plan.ys) for y in ys]
 
     def test_asymmetric_connection_is_a_failing_symmetry_record(self,
                                                                 monkeypatch):
@@ -667,7 +745,7 @@ class TestCliMain:
         assert out == capsys.readouterr().out
 
     @pytest.mark.parametrize("command,module,name", [
-        ("run", finsler, "finsler_sample"),
+        ("run", finsler, "finsler_samples"),
         ("validate", scenario, "build_plan"),
     ])
     def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch,

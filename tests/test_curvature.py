@@ -13,10 +13,13 @@ from finsym.curvature import (
     induced_derivatives,
     pair_two_path,
 )
-from finsym.fedosov import FedosovScenario
+from finsym.errors import FinsymError
+from finsym.fedosov import FedosovScenario, induce_connection
+from finsym.fields import ScalarFieldSpec, VectorFieldSpec
+from finsym.jets import fd_oracle, fd_stencil
 from finsym.symplectic import chern_preservation_residual, standard_form
 
-from conftest import BOX2, BOX4, POLAR_BOX, patch_everywhere, sample_box
+from conftest import BOX2, BOX4, POLAR_BOX, XY2, patch_everywhere, sample_box
 
 
 def _derivatives(sc, x):
@@ -95,6 +98,65 @@ class TestCurvatureInduced:
                  + np.einsum("mki,ljm->lijk", G, G))
         naive = naive - naive.swapaxes(2, 3)
         assert np.max(np.abs(naive - fd)) > 1e-4
+
+
+def _one_point_commutator(sc, x):
+    """The FD commutator from one induce_connection call per point, centre
+    first and then each axis's stencil in order: the form the stencil
+    block must reproduce, value and error alike."""
+    x = np.asarray(x, dtype=float)
+    G0 = induce_connection(sc, x)
+    axes = np.eye(sc.metric.dimension, dtype=int)
+    dG = np.stack([fd_oracle(lambda p: induce_connection(sc, p), x, axis)
+                   for axis in axes], axis=-1)
+    half = np.einsum("lkij->lijk", dG) + np.einsum("mki,ljm->lijk", G0, G0)
+    return half - half.swapaxes(2, 3)
+
+
+def _outcome(fn, sc, x):
+    try:
+        return fn(sc, x)
+    except FinsymError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _vanishing_at(point):
+    """A vector field whose only zero is ``point``: the components are
+    x_i - point_i, with each coordinate written exactly."""
+    return VectorFieldSpec(tuple(ScalarFieldSpec.parse(f"x{i + 1}-{v!r}", XY2)
+                                 for i, v in enumerate(point.tolist())))
+
+
+class TestStencilBlock:
+    def test_block_equals_one_point_calls_bit_for_bit(self, graph_scenario,
+                                                      product_scenario):
+        rng = np.random.default_rng(23)
+        cases = [(graph_scenario, x)
+                 for x in sample_box(rng, BOX2.lower, BOX2.upper, 6)]
+        cases.append((product_scenario, np.array([0.4, -0.3, 0.2, 0.5])))
+        for sc, x in cases:
+            assert np.array_equal(curvature_fd_commutator(sc, x),
+                                  _one_point_commutator(sc, x))
+
+    @pytest.mark.parametrize("x1,zero,expected", [
+        # W vanishes at the centre
+        (0.3, "centre", "ZeroVectorError: vector field norm 0.000e+00"),
+        # W vanishes at the block's fifth point, axis 1's fine -h/2 point
+        (0.3, 4, "ZeroVectorError: vector field norm 0.000e+00"),
+        # the second point, coarse +h, leaves the box before W's zero
+        (1.0 - 1e-4, 4, "DomainError: base point [1.00064"),
+        # W vanishes at the second point too: W's error comes first there
+        (1.0 - 1e-4, 1, "ZeroVectorError: vector field norm 0.000e+00"),
+    ])
+    def test_first_failing_point_raises(self, graph2, volume_form2, x1, zero,
+                                        expected):
+        x = np.array([x1, 0.2])
+        stencil = fd_stencil(x, (1, 0))
+        point = x if zero == "centre" else stencil[zero - 1]
+        sc = FedosovScenario(graph2, _vanishing_at(point), volume_form2)
+        found = _outcome(curvature_fd_commutator, sc, x)
+        assert isinstance(found, str) and found.startswith(expected)
+        assert found == _outcome(_one_point_commutator, sc, x)
 
 
 class TestLowerCurvature:

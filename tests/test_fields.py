@@ -156,6 +156,32 @@ class TestVectorField:
         with pytest.raises(ZeroVectorError):
             w.values([0.0, 0.0])
 
+    def test_stack_equals_rows_bit_for_bit(self):
+        w = VectorFieldSpec(_specs("1+x1^2.5/3", "x2/(1+x1)-x1*x2^3"))
+        rows = np.random.default_rng(5).uniform(0.1, 2.0, (9, 2))
+        stack = w.values(rows)
+        assert stack.shape == (9, 2)
+        assert stack.tobytes() == np.array([w.values(r) for r in rows]).tobytes()
+
+    @pytest.mark.parametrize("texts,rows", [
+        (("x1", "x2"), [[0.5, 0.5], [0.0, 0.0], [0.0, 1e-7], [1.0, 1.0]]),
+        (("1/x1", "1"), [[0.5, 0.5], [2.0, 1.0], [0.0, 0.3], [-1e-300, 1.0]]),
+        (("1", "x2^-400"), [[1.0, 1.0], [1.0, 1e-5], [1.0, 0.0]]),
+    ])
+    def test_stack_raises_the_first_failing_rows_error(self, texts, rows):
+        w = VectorFieldSpec(_specs(*texts))
+        rows = np.array(rows)
+        expected = None
+        for r in rows:
+            try:
+                w.values(r)
+            except (DomainError, ZeroVectorError) as exc:
+                expected = exc
+                break
+        with pytest.raises(type(expected)) as err:
+            w.values(rows)
+        assert str(err.value) == str(expected)
+
     def test_polynomial_jacobian(self):
         w = VectorFieldSpec(_specs("1+x1^2", "x2"))
         assert np.allclose(w.values([1.0, 2.0]), [2.0, 2.0])

@@ -13,7 +13,9 @@ from finsym.jets import (
     Jet,
     _power_factors,
     _reciprocal_factors,
+    fd_base_step,
     fd_oracle,
+    fd_stencil,
     multi_index_degree,
     multi_index_factorial,
 )
@@ -279,6 +281,23 @@ class TestFdOracle:
     def test_degree_zero_is_value(self):
         f = ScalarFieldSpec.parse("x1*x2", ["x1", "x2"])
         assert fd_oracle(f, [2.0, 3.0], (0, 0)) == 6.0
+
+    def test_values_on_the_stencil_give_the_callables_estimate(self):
+        """Values taken at ``fd_stencil``, in its order, give what the
+        callable gives, bit for bit: the coarse central stencil, then the
+        fine one, with the step scaled by max(1, |x_v|)."""
+        f = ScalarFieldSpec.parse("x1^2*x2/(1+x2^2)", ["x1", "x2"])
+        x = [0.7, -1.3]
+        for idx in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 3)]:
+            stencil = fd_stencil(x, idx)
+            assert len(stencil) == (2 ** (sum(idx) + 1) if sum(idx) else 1)
+            values = f.evaluate(np.array(stencil))
+            assert fd_oracle(values, x, idx) == fd_oracle(f, x, idx)
+        h, v = fd_base_step(1), fd_base_step(1) * 1.3
+        assert [p.tolist() for p in fd_stencil(x, (0, 1))] == [
+            [0.7, -1.3 + v], [0.7, -1.3 - v],
+            [0.7, -1.3 + v / 2], [0.7, -1.3 - v / 2]]
+        assert fd_stencil(x, (1, 0))[0].tolist() == [0.7 + h, -1.3]
 
 
 @pytest.mark.parametrize("text,vars_,box", [
