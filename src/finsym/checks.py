@@ -127,10 +127,10 @@ class PointContext:
     it (:meth:`fiber_points`, :func:`_sample_blocks`).  ``sample_w`` is
     the sample at (x, W(x)) and ``derivatives`` the jet path there.
     ``lift_w`` is the lift-preservation residual of the scenario's form
-    along W, ``standard_lift_w`` that of the standard form.  ``jac`` holds the chart
-    derivatives at x and ``hatted`` the scenario's form pulled back through
-    them.  ``form`` holds the scenario's two-form
-    and its partials at x; ``covector`` the first and second derivative
+    along W, ``standard_lift_w`` that of the standard form.  ``jac`` holds
+    the chart derivatives at x and ``hatted`` the scenario's form pulled
+    back through them.  ``form`` holds the scenario's two-form and its
+    partials at x; ``covector`` the first and second derivative
     arrays of the Randers covector b there, from which a d(beta) form is
     read rather than evaluating b again, and ``alpha_norm`` the Randers
     covector's alpha-norm, shared by the pairs at x.  The finite-difference
@@ -143,14 +143,15 @@ class PointContext:
         self.s, self.sc, self.x, self.ys = s, sc, x, ys
         self.samples: dict = {}  # by y.tobytes(), as _cached keeps values
 
-    def fiber_points(self, facets) -> dict:
-        """The distinct fiber points whose samples ``facets`` read at x, by
-        cache key.  A facet whose ``reads`` raises reads none here; it
-        raises the same error when it runs, before it reads a sample."""
+    def fiber_points(self, readers) -> dict:
+        """The distinct fiber points that ``readers``, the selected facets'
+        ``reads``, name at x, by cache key.  A reader that raises names
+        none; its facet raises the same error when it runs, before it reads
+        a sample."""
         out = {}
-        for facet in facets:
+        for read in readers:
             try:
-                ys = facet.reads(self) if facet.reads else ()
+                ys = read(self)
             except FinsymError:
                 continue
             for y in ys:
@@ -207,10 +208,11 @@ def _sample_blocks(s: BuiltScenario, sc: FedosovScenario | None,
     points with at most ``_BLOCK_PAIRS`` fiber points to sample, or one
     base point that alone has more.  Each block comes with the samples its
     facets read, taken in one :func:`finsler_samples` call."""
+    readers = list(dict.fromkeys(f.reads for f in facets if f.reads))
     block, todo = [], []
     for x, ys in zip(s.plan.xs, s.plan.ys):
         ctx = PointContext(s, sc, x, ys)
-        wanted = ctx.fiber_points(facets)
+        wanted = ctx.fiber_points(readers)
         if block and len(todo) + len(wanted) > _BLOCK_PAIRS:
             _sample_into(s.metric, todo)
             yield block

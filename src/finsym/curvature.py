@@ -65,10 +65,10 @@ def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
     n = s.metric.dimension
     x = np.asarray(x, dtype=float)
     axes = np.eye(n, dtype=int)
-    stencils = [fd_stencil(x, axes[t]) for t in range(n)]
-    G0, *Gs = induce_connections(s, np.array([x] + sum(stencils, [])))
-    # dG[l, a, b, t] = d G^l_ab / d x^t
-    per_axis = len(stencils[0])
+    stencil = [p for axis in axes for p in fd_stencil(x, axis)]
+    G0, *Gs = induce_connections(s, np.array([x] + stencil))
+    # dG[l, a, b, t] = d G^l_ab / d x^t, from axis t's run of the stencil
+    per_axis = len(Gs) // n
     dG = np.stack([fd_oracle(Gs[t * per_axis:(t + 1) * per_axis], x, axes[t])
                    for t in range(n)], axis=-1)
     half = np.einsum("lkij->lijk", dG) + np.einsum("mki,ljm->lijk", G0, G0)

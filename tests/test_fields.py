@@ -161,7 +161,8 @@ class TestVectorField:
         rows = np.random.default_rng(5).uniform(0.1, 2.0, (9, 2))
         stack = w.values(rows)
         assert stack.shape == (9, 2)
-        assert stack.tobytes() == np.array([w.values(r) for r in rows]).tobytes()
+        rowwise = np.array([w.values(r) for r in rows])
+        assert stack.tobytes() == rowwise.tobytes()
 
     @pytest.mark.parametrize("texts,rows", [
         (("x1", "x2"), [[0.5, 0.5], [0.0, 0.0], [0.0, 1e-7], [1.0, 1.0]]),
