@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsym import checks
 from finsym.checks import run_scenario
@@ -362,6 +364,84 @@ class TestSampleBlocks:
                                           alone):
             _assert_same_sample(entry, clean)
             _assert_one_point_result(metric, gx, gy, entry)
+
+    # g11 = 1e-9 + 1e300 x1: positive definite on x1 >= 0, but at x1 = 0
+    # g^11 dg_11/dx1 overflows
+    STEEP = MetricSpec.riemannian(
+        [["0.000000001+1e300*x1", "0"], ["0", "1"]],
+        DomainBox((0.0, -1.0), (1.0, 1.0)))
+    # the energy's jet overflows once x1 is away from 0
+    HUGE = MetricSpec.custom("sqrt(y1^2+y2^2)*(1+1e200*x1^2)", 2,
+                             DomainBox((-2.0, -2.0), (2.0, 2.0)))
+    # F itself overflows once x1 is away from 0
+    BIG = MetricSpec.custom("sqrt(y1^2+y2^2)+1e300*x1*1e300", 2,
+                            DomainBox((-2.0, -2.0), (2.0, 2.0)))
+
+    # the type and text of each one-point error, as the one-point path
+    # gave them before the block path became the only value path
+    PINNED = [
+        (MIXED, [3.0, 0.0], [1.0, 0.5], DomainError,
+         "base point [3.0, 0.0] outside domain"),
+        (MIXED, [0.1, 0.2], [1e-9, 0.0], DomainError,
+         "fiber point norm 1.000e-09 below slit floor 1e-06"),
+        (MIXED, [-1.5, 0.0], [1.0, 0.0], NonPositiveError,
+         "F = -5.000e-01 <= 0 at x=[-1.5, 0.0], y=[1.0, 0.0]"),
+        (MIXED, [0.0, -1.5], [1.0, 0.0], DomainError,
+         "sqrt of negative value -0.5"),
+        (QUARTIC, [0.0, 0.0], [1.0, 0.0], NotPositiveDefiniteError,
+         "leading principal minor 2 is 0.000e+00 (<= 1e-10)"),
+        (STEEP, [0.0, 0.5], [1.0, 0.3], DomainError,
+         "non-finite connection data at x=[0.0, 0.5], y=[1.0, 0.3]"),
+        (HUGE, [1.0, 0.0], [1.0, 0.0], DomainError,
+         "non-finite field data at [1.0, 0.0, 1.0, 0.0]"),
+        (BIG, [0.1, 0.0], [1.0, 0.0], DomainError,
+         "non-finite field value at [0.1, 0.0, 1.0, 0.0]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "metric,x,y,error,text", PINNED,
+        ids=["outside", "slit", "F<=0", "sqrt", "not-pd", "non-finite",
+             "jet-overflow", "F-overflow"])
+    def test_one_point_error_text_is_pinned(self, metric, x, y, error, text):
+        """The one-point error and the entry of a failing row in a block
+        carry the pinned type and text."""
+        with pytest.raises(error) as raised:
+            finsler_sample(metric, x, y)
+        assert type(raised.value) is error and str(raised.value) == text
+        good = self.GOOD_AT[metric]
+        found = finsler_samples(metric, *zip(good[0], (x, y), good[1]))
+        assert type(found[1]) is error and str(found[1]) == text
+
+    # good points of each metric above
+    GOOD_AT = {
+        MIXED: GOOD,
+        QUARTIC: [([0.1, 0.2], [1.0, 0.7]), ([-0.3, 0.4], [0.6, 1.1])],
+        STEEP: [([0.2, 0.1], [1.0, 0.5]), ([0.5, -0.3], [0.4, 0.9])],
+        HUGE: [([0.0, 0.3], [1.0, 0.5]), ([0.0, -0.6], [0.4, 0.9])],
+        BIG: [([0.0, 0.3], [1.0, 0.5]), ([0.0, -0.6], [0.4, 0.9])],
+    }
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_block_entries_equal_one_row_blocks(self, data):
+        """In a block that mixes good and failing points at random places,
+        entry p is what the one-row block of row p gives: the same sample
+        bit for bit, or an error of the same type and text."""
+        metric = data.draw(st.sampled_from(list(self.GOOD_AT)))
+        pool = self.GOOD_AT[metric] + [(x, y) for m, x, y, *_ in self.PINNED
+                                       if m is metric]
+        pairs = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=8))
+        found = finsler_samples(metric, *zip(*pairs))
+        assert len(found) == len(pairs)
+        for (x, y), entry in zip(pairs, found):
+            (alone,) = finsler_samples(metric, [x], [y])
+            if isinstance(alone, FinsymError):
+                assert type(entry) is type(alone)
+                assert str(entry) == str(alone)
+            else:
+                _assert_same_sample(entry, alone)
+            _assert_one_point_result(metric, x, y, entry)
 
     @pytest.mark.parametrize("path,suite,y_per_x", [
         ("configs/randers_dbeta.json", None, 1),
