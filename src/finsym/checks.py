@@ -84,10 +84,17 @@ def _cached(cache: dict, key, fn):
         try:
             cache[key] = (fn(), None)
         except FinsymError as exc:
-            cache[key] = (None, exc)
-    value, exc = cache[key]
+            cache[key] = (None, exc.with_traceback(None))
+    return _read(cache[key])
+
+
+def _read(entry: tuple):
+    """The value of a ``(value, error)`` cache entry, or its error raised
+    afresh.  Who drops a raised error clears its traceback: the frames hold
+    the caching context, a cycle reference counting cannot free."""
+    value, exc = entry
     if exc is not None:
-        raise exc
+        raise exc.with_traceback(None)
     return value
 
 
@@ -152,7 +159,8 @@ class PointContext:
         for read in readers:
             try:
                 ys = read(self)
-            except FinsymError:
+            except FinsymError as exc:
+                exc.__traceback__ = None  # see _read
                 continue
             for y in ys:
                 y = np.asarray(y, dtype=float)
@@ -161,10 +169,7 @@ class PointContext:
 
     def sample(self, y) -> FinslerSample:
         """The Finsler sample at (x, y), taken with the block."""
-        value, exc = self.samples[np.asarray(y, dtype=float).tobytes()]
-        if exc is not None:
-            raise exc
-        return value
+        return _read(self.samples[np.asarray(y, dtype=float).tobytes()])
 
     w = _once(lambda c: c.s.vector_field.values(c.x))
     sample_w = property(lambda c: c.sample(c.w))
@@ -188,7 +193,7 @@ class PointContext:
     jac = _once(lambda c: chart_jacobians(c.s.chart, c.x))
     hatted = _once(lambda c: hatted_two_form_data(*c.form, c.jac))
     covector = _once(lambda c: covector_derivatives(c.s.metric.b_fields,
-                                                    c.x, 2))
+                                                    c.x))
     minkowski = _once(_minkowski)
     alpha_norm = _once(lambda c: randers_alpha_norm(c.s.metric, c.x))
 
@@ -352,7 +357,7 @@ def _has_two_form(s: BuiltScenario) -> bool:
 
 
 def _positive_definite(f: FiberContext) -> float:
-    """0 where the pair sample exists: ``finsler_sample`` raises
+    """0 where the pair sample exists: the sample of a pair is a
     NotPositiveDefiniteError where a leading minor of g is below tol_pd."""
     _ = f.sample
     return 0.0
@@ -510,6 +515,7 @@ def _evaluate(facet: Facet, ctx, point, tolerances: dict
             raise DomainError(f"non-finite residual {residual:.3e} or "
                               f"bound {bound:.3e}")
     except FinsymError as exc:
+        exc.__traceback__ = None  # see _read
         return CheckRecord.failed(facet.name, point,
                                   f"{type(exc).__name__}: {exc}", tolerance,
                                   time.perf_counter() - t0)

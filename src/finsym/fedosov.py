@@ -7,9 +7,9 @@ connection preserving it on the base, i.e. a Fedosov structure.
 
 Every connection here is a plain coefficient array G[k, i, j] = G^k_ij,
 symmetric in the lower pair.  The residual functions take such arrays and
-other point data; only :func:`induce_connection` and its block form
-:func:`induce_connections`, which the finite-difference curvature
-differentiates, sample the metric themselves.
+other point data; only :func:`induce_connections`, which the
+finite-difference curvature differentiates, samples the metric itself, and
+:func:`induce_connection` is its one-row case.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, FinsymError,
                      NotMinkowskianError)
 from .fields import ChartJacobians, VectorFieldSpec
+# finsler_sample: perfbench's tracer test reads fedosov.finsler_sample
 from .finsler import MetricSpec, _mirror, finsler_sample, finsler_samples
 from .symplectic import TwoForm
 
@@ -48,24 +49,27 @@ class FedosovScenario:
 
 def induce_connection(s: FedosovScenario, x) -> np.ndarray:
     """Connection coefficients G[k, i, j] at x along the scenario's vector
-    field."""
-    return finsler_sample(s.metric, x, s.vector_field.values(x)).chern
+    field: :func:`induce_connections` on a stack of one row."""
+    return induce_connections(s, np.asarray([x], dtype=float))[0]
 
 
 def induce_connections(s: FedosovScenario, xs: np.ndarray) -> list:
-    """:func:`induce_connection` at each row of a ``(P, n)`` stack: W on the
-    whole stack, then one :func:`finsler_samples` call.  Raises what the
-    one-point calls, made in row order, raise first; at each row W's error
-    comes before the sample's."""
+    """The connection coefficients at each row of a ``(P, n)`` stack, from W
+    on the whole stack and one :func:`finsler_samples` call.  Raises the
+    first failing row's error, W's before the sample's; where W fails, row
+    by row as one-row stacks."""
     try:
         ws = s.vector_field.values(xs)
     except FinsymError:
-        return [induce_connection(s, x) for x in xs]
-    found = finsler_samples(s.metric, xs, ws)
-    for result in found:
-        if isinstance(result, FinsymError):
-            raise result
-    return [sample.chern for sample in found]
+        if len(xs) == 1:
+            raise
+    else:
+        found = finsler_samples(s.metric, xs, ws)
+        for result in found:
+            if isinstance(result, FinsymError):
+                raise result
+        return [sample.chern for sample in found]
+    return [induce_connections(s, xs[p:p + 1])[0] for p in range(len(xs))]
 
 
 def covariant_residual(G: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:

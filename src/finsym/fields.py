@@ -276,9 +276,10 @@ class ScalarFieldSpec:
             with np.errstate(all="ignore"):  # non-finite values raise below
                 out = _run(self.program, list(points.T.copy()))
             out = np.broadcast_to(out, points.shape[:1])
-            if not np.isfinite(out).all():
-                raise DomainError("non-finite field value in a block of "
-                                  f"{len(points)} points")
+            finite = np.isfinite(out)
+            if not finite.all():  # named by the first failing row
+                raise DomainError("non-finite field value at "
+                                  f"{points[np.argmin(finite)].tolist()}")
             return out
         out = float(_run(self.program, [float(v) for v in point]))
         if not math.isfinite(out):
@@ -301,6 +302,8 @@ class ScalarFieldSpec:
             out = Jet.constant(np.full(x.shape[:-1], float(out)), num_vars,
                                order)
         if not out.is_finite():
+            if x.ndim == 2:  # the first column with a non-finite coefficient
+                x = x[np.argmin(np.isfinite(out.c).all(axis=0))]
             raise DomainError(f"non-finite field data at {x.tolist()}")
         return out
 

@@ -3,14 +3,13 @@
 Everything is driven by one jet of the energy Phi(x, y) = F^2/2 over the 2n
 chart-plus-fiber variables: g is its fiber Hessian and C = (1/2) dg/dy.  The
 connection assembly is written once, as numpy products over arrays with a
-trailing tangent axis (forward-mode dual numbers): a tangent axis of length
-1 gives the values (:func:`finsler_sample`), one of length 1 + 2n the values
-plus their first derivatives in (x, y) (:func:`chern_with_derivatives`).
-On the value path the arrays may also carry a leading batch axis:
-:func:`finsler_samples` runs the assembly once for a block of points, from
-one jet of the energy with a column per point, and each point's result is
-bit-identical to :func:`finsler_sample` there.  F cancels from the assembly
-and enters only the reported Cartan tensor A = F C.
+leading batch axis, one entry per point, and a trailing tangent axis
+(forward-mode dual numbers).  A tangent axis of length 1 gives the values
+(:func:`finsler_samples`, for a block of points from one jet of the energy
+with a column per point), one of length 1 + 2n the values plus their first
+derivatives in (x, y) (:func:`chern_with_derivatives`, a batch of one).  A
+single point is a block of one row: :func:`finsler_sample`.  F cancels from
+the assembly and enters only the reported Cartan tensor A = F C.
 """
 
 from __future__ import annotations
@@ -157,29 +156,19 @@ def _require_point(m: MetricSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 # -- connection assembly ---------------------------------------------------------
 #
-# Every array below carries a trailing tangent axis: slot 0 holds the value
-# and slots 1.. the first derivatives in the 2n variables (x, y).  The value
-# path uses a tangent axis of length 1 and does no tangent work; the value
-# slot is computed by the same operations on the same operands either way.
-# Value-path arrays may also carry a leading batch axis, one entry per
-# point; index pairs are therefore addressed from the end.
+# Every array below carries a leading batch axis z, one entry per point,
+# and a trailing tangent axis: slot 0 holds the value and slots 1.. the
+# first derivatives in the 2n variables (x, y).  The value path uses a
+# tangent axis of length 1 and does no tangent work.
 
 
 def _value(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a[..., 0])
 
 
-@lru_cache(maxsize=None)
-def _batched(spec: str) -> str:
-    """The einsum spec with a leading batch axis on every operand."""
-    return "z" + spec.replace(",", ",z").replace("->", "->z")
-
-
 def _mul(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.einsum(spec)`` of two such arrays, by the product rule."""
     a0, b0 = _value(a), _value(b)
-    if a0.ndim > spec.index(","):  # a batch axis, which the value path alone has
-        return np.einsum(_batched(spec), a0, b0)[..., None]
     value = np.einsum(spec, a0, b0)[..., None]
     if a.shape[-1] == 1:
         return value
@@ -198,7 +187,7 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise DomainError("singular fundamental tensor") from None
     if g.shape[-1] == 1:
         return inv[..., None]
-    tangent = -np.einsum("is,sra,rj->ija", inv, g[..., 1:], inv)
+    tangent = -np.einsum("zis,zsra,zrj->zija", inv, g[..., 1:], inv)
     return np.concatenate([inv[..., None], tangent], axis=-1)
 
 
@@ -217,26 +206,23 @@ def _mirror(a: np.ndarray, axis: int = 1) -> np.ndarray:
 
 
 def _permute(a: np.ndarray, *axes: int) -> np.ndarray:
-    """``a.transpose(axes)`` on the last four axes, after any batch axis."""
-    if a.ndim == 4:
-        return a.transpose(axes)
+    """``a.transpose(axes)`` on the four axes after the batch axis."""
     return a.transpose(0, *[k + 1 for k in axes])
 
 
 def _metric_data(phi: Jet, n: int) -> tuple:
-    """g_ij, dg_ij/dx^t as [t, i, j] and dg_ij/dy^k as [k, i, j] from the
-    jet of the energy, with a tangent axis of length 1 + 2n from an order-4
-    jet and of length 1 from an order-3 one, and a leading batch axis from
-    a jet with columns."""
+    """g_ij, dg_ij/dx^t as [t, i, j] and dg_ij/dy^k as [k, i, j] at each
+    column of the jet of the energy, with a tangent axis of length 1 + 2n
+    from an order-4 jet and of length 1 from an order-3 one."""
     fiber = slice(n, 2 * n)
-    g = phi.derivatives(2)[..., fiber, fiber, None]
-    d3 = phi.derivatives(3)[..., fiber, fiber]          # [a, i, j]
+    g = phi.derivatives(2)[:, fiber, fiber, None]
+    d3 = phi.derivatives(3)[:, :, fiber, fiber]         # [p, a, i, j]
     dg = d3[..., None]
     if phi.order == 4:
-        g = np.concatenate([g, d3.transpose(1, 2, 0)], axis=-1)
-        dg = np.concatenate([dg, phi.derivatives(4)[:, fiber, fiber]],
+        g = np.concatenate([g, d3.transpose(0, 2, 3, 1)], axis=-1)
+        dg = np.concatenate([dg, phi.derivatives(4)[:, :, fiber, fiber]],
                             axis=-1)
-    return g, dg[..., :n, :, :, :], dg[..., n:, :, :, :]
+    return g, dg[:, :n], dg[:, n:]
 
 
 def _connection(g, dg_dx, dg_dy, y) -> tuple:
@@ -248,19 +234,18 @@ def _connection(g, dg_dx, dg_dy, y) -> tuple:
     - C_jks N^s_i + C_kis N^s_j); F cancels from all of them.
     """
     g_inv = _inverse(g)
-    lower = g.ndim - 2  # the lower index pair, after any batch axis
     gamma = _mirror(0.5 * _mul(
-        "is,sjk->ijk", g_inv,
+        "zis,zsjk->zijk", g_inv,
         _permute(dg_dx, 1, 2, 0, 3) + _permute(dg_dx, 1, 0, 2, 3) - dg_dx),
-        lower)
+        2)
     C = 0.5 * _permute(dg_dy, 1, 2, 0, 3)
-    spray = _mul("kr,r->k", _mul("krs,s->kr", gamma, y), y)
-    N = (_mul("ijk,k->ij", gamma, y)
-         - _mul("ijk,k->ij", _mul("il,ljk->ijk", g_inv, C), spray))
-    M = _mul("ijs,sk->ijk", C, N)
+    spray = _mul("zkr,zr->zk", _mul("zkrs,zs->zkr", gamma, y), y)
+    N = (_mul("zijk,zk->zij", gamma, y)
+         - _mul("zijk,zk->zij", _mul("zil,zljk->zijk", g_inv, C), spray))
+    M = _mul("zijs,zsk->zijk", C, N)
     chern = _mirror(gamma - _mul(
-        "li,ijk->ljk", g_inv,
-        M - _permute(M, 2, 0, 1, 3) + _permute(M, 1, 2, 0, 3)), lower)
+        "zli,zijk->zljk", g_inv,
+        M - _permute(M, 2, 0, 1, 3) + _permute(M, 1, 2, 0, 3)), 2)
     return g_inv, C, gamma, N, chern
 
 
@@ -284,40 +269,39 @@ class FinslerSample:
 
 
 def _check_pd(g: np.ndarray, tol_pd: float) -> None:
-    """Every leading principal minor of g, or of each g in a batch, must
-    exceed ``tol_pd``."""
+    """Every leading principal minor of each g must exceed ``tol_pd``."""
     n = g.shape[-1]
     for k in range(1, n + 1):
-        minors = np.linalg.det(g[..., :k, :k])
-        minor = float(minors) if minors.ndim == 0 else minors.min()
+        minor = np.linalg.det(g[:, :k, :k]).min()
         if not minor > tol_pd:
             raise NotPositiveDefiniteError(
                 f"leading principal minor {k} is {minor:.3e} (<= {tol_pd:g})"
             )
 
 
-def _positive_F(m: MetricSpec, x: np.ndarray, y: np.ndarray):
-    """F at a checked point, or at each row of checked (P, n) stacks."""
-    value = m.F_field.evaluate(np.concatenate([x, y], axis=-1))
-    if x.ndim == 2:
-        if not (value > 0.0).all():
-            raise NonPositiveError("F <= 0 at a point of the block")
-    elif not value > 0.0:
-        raise NonPositiveError(
-            f"F = {value:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
-    return value
+def _not_positive(F: float, x: np.ndarray, y: np.ndarray):
+    return NonPositiveError(
+        f"F = {F:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
 
 
 def finsler_value(m: MetricSpec, x, y) -> float:
     """F(x, y); positive on the slit domain or the metric is invalid."""
     x, y = _require_point(m, x, y)
-    return _positive_F(m, x, y)
+    F = m.F_field.evaluate(np.concatenate([x, y]))
+    if not F > 0.0:
+        raise _not_positive(F, x, y)
+    return F
 
 
-def _sample(m: MetricSpec, x: np.ndarray, y: np.ndarray, F):
-    """The value path at a checked point, or its arrays with a leading
-    batch axis at each row of checked (P, n) stacks."""
-    phi = m.phi_field.eval_jet(np.concatenate([x, y], axis=-1), 3)
+def _sample(m: MetricSpec, x: np.ndarray, y: np.ndarray) -> dict:
+    """The value path's arrays, with a leading batch axis, at each row of
+    checked (P, n) stacks."""
+    xy = np.concatenate([x, y], axis=-1)
+    F = m.F_field.evaluate(xy)
+    if not (F > 0.0).all():
+        p = int(np.argmin(F > 0.0))
+        raise _not_positive(F[p], x[p], y[p])
+    phi = m.phi_field.eval_jet(xy, 3)
     g, dg_dx, dg_dy = _metric_data(phi, m.dimension)
     g0 = _value(g)
     _check_pd(g0, m.tol_pd)
@@ -325,29 +309,35 @@ def _sample(m: MetricSpec, x: np.ndarray, y: np.ndarray, F):
     with np.errstate(all="ignore"):  # non-finite results raise below
         g_inv, C, gamma, N, chern = (
             _value(a) for a in _connection(g, dg_dx, dg_dy, y[..., None]))
-        A = (F[:, None, None, None] if x.ndim == 2 else F) * C
-    for arr in (g_inv, A, gamma, N, chern):
-        if not np.isfinite(arr).all():
-            raise DomainError(f"non-finite connection data at x={x.tolist()}, "
-                              f"y={y.tolist()}")
-    return dict(x=x, y=y, F=F, g=g0, g_inv=g_inv, A=A, gamma=gamma, N=N,
-                chern=chern, dg_dx=_value(dg_dx))
+        A = F[:, None, None, None] * C
+    finite = np.isfinite(np.concatenate(
+        [a.reshape(len(x), -1) for a in (g_inv, A, gamma, N, chern)],
+        axis=1)).all(axis=1)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise DomainError(f"non-finite connection data at x={x[p].tolist()}, "
+                          f"y={y[p].tolist()}")
+    return dict(x=x, y=y, F=F.tolist(), g=g0, g_inv=g_inv, A=A, gamma=gamma,
+                N=N, chern=chern, dg_dx=_value(dg_dx))
 
 
 def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
-    """The fundamental quantities at (x, y): the value path of the
-    connection assembly, from the order-3 jet of the energy."""
-    x, y = _require_point(m, x, y)
-    return FinslerSample(**_sample(m, x, y, _positive_F(m, x, y)))
+    """The fundamental quantities at (x, y): :func:`finsler_samples` on a
+    block of one row, whose error it raises."""
+    (found,) = finsler_samples(m, [x], [y])
+    if isinstance(found, FinsymError):
+        raise found
+    return found
 
 
 def finsler_samples(m: MetricSpec, xs, ys) -> list:
-    """:func:`finsler_sample` at each pair (xs[p], ys[p]) of two (P, n)
-    stacks, in one pass of the value path for all of them.
+    """The fundamental quantities at each pair (xs[p], ys[p]) of two
+    (P, n) stacks: the value path of the connection assembly, from one
+    order-3 jet of the energy with a column per pair.
 
-    Entry p is the sample, or the FinsymError that ``finsler_sample``
-    raises there.  Where any point fails, the block's points are run one
-    at a time, so each entry is exactly what the one-point call gives.
+    Entry p is the sample, or the FinsymError raised there.  A block in
+    which any row fails is run again as one-row blocks, so each entry is
+    what the block of its row alone gives, whatever the other rows hold.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -358,19 +348,15 @@ def finsler_samples(m: MetricSpec, xs, ys) -> list:
     try:
         for x, y in zip(xs, ys):
             _require_point(m, x, y)
-        block = _sample(m, xs, ys, _positive_F(m, xs, ys))
-    except FinsymError:
-        return [_sample_or_error(m, x, y) for x, y in zip(xs, ys)]
-    block["F"] = block["F"].tolist()
-    return [FinslerSample(**{k: v[p] for k, v in block.items()})
-            for p in range(len(xs))]
-
-
-def _sample_or_error(m: MetricSpec, x, y):
-    try:
-        return finsler_sample(m, x, y)
+        block = _sample(m, xs, ys)
     except FinsymError as exc:
-        return exc
+        if len(xs) == 1:
+            return [exc.with_traceback(None)]  # a value, without frames
+    else:
+        return [FinslerSample(**{k: v[p] for k, v in block.items()})
+                for p in range(len(xs))]
+    return [finsler_samples(m, xs[p:p + 1], ys[p:p + 1])[0]
+            for p in range(len(xs))]
 
 
 class StructuralResiduals(NamedTuple):
@@ -411,12 +397,13 @@ def chern_with_derivatives(m: MetricSpec, x, y):
     x, y = _require_point(m, x, y)
     n = m.dimension
     phi = m.phi_field.eval_jet(np.concatenate([x, y]), 4)
-    g, dg_dx, dg_dy = _metric_data(phi, n)
+    one = Jet(phi.num_vars, 4, phi.c[:, None])  # the point as one column
+    g, dg_dx, dg_dy = _metric_data(one, n)
     _check_pd(_value(g), m.tol_pd)
 
     y_dual = np.concatenate([y[:, None], np.eye(n, 2 * n, k=n)], axis=-1)
     with np.errstate(all="ignore"):  # non-finite results raise below
-        chern = _connection(g, dg_dx, dg_dy, y_dual)[-1]
+        chern = _connection(g, dg_dx, dg_dy, y_dual[None])[-1][0]
     G = _value(chern)
     dG_dx = np.ascontiguousarray(chern[..., 1:n + 1])
     dG_dy = np.ascontiguousarray(chern[..., n + 1:])
@@ -469,8 +456,7 @@ def euler_residual(m: MetricSpec, x, y) -> float:
     Fj = m.F_field.eval_jet(np.concatenate([x, y]), 1)
     F = Fj.value
     if not F > 0.0:
-        raise NonPositiveError(
-            f"F = {F:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
+        raise _not_positive(F, x, y)
     return abs(sum(y * Fj.derivatives(1)[m.dimension:]) - F) / abs(F)
 
 

@@ -46,13 +46,13 @@ class TwoFormField:
         return w, d
 
 
-def covector_derivatives(b: Sequence[ScalarFieldSpec], x,
-                         order: int) -> list[np.ndarray]:
-    """The first ``order`` derivative arrays of the covector b at x:
-    db[l, j] = d b_j / d x^l, then ddb[k, l, j] = d^2 b_j / d x^k d x^l."""
-    jets = [c.eval_jet(np.asarray(x, dtype=float), order) for c in b]
-    return [np.stack([j.derivatives(k) for j in jets], axis=-1)
-            for k in range(1, order + 1)]
+def covector_derivatives(b: Sequence[ScalarFieldSpec],
+                         x) -> tuple[np.ndarray, np.ndarray]:
+    """The first two derivative arrays of the covector b at x:
+    db[l, j] = d b_j / d x^l and ddb[k, l, j] = d^2 b_j / d x^k d x^l."""
+    jets = [c.eval_jet(np.asarray(x, dtype=float), 2) for c in b]
+    return tuple(np.stack([j.derivatives(k) for j in jets], axis=-1)
+                 for k in (1, 2))
 
 
 def exact_form_data(db: np.ndarray,
@@ -77,7 +77,7 @@ class ExactTwoForm:
     def data(self, x) -> tuple[np.ndarray, np.ndarray]:
         """The components at x and their partials, from one order-2
         evaluation of b."""
-        return exact_form_data(*covector_derivatives(self.b, x, 2))
+        return exact_form_data(*covector_derivatives(self.b, x))
 
 
 # what every consumer of a two-form reads: dimension, data

@@ -14,6 +14,7 @@ Five small ``errors-*`` configs pin reports full of error records, so the
 type, text and precedence of each error stays fixed, at every block size.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -130,3 +131,19 @@ def test_error_report_is_the_same_at_every_block_size(name, block_pairs,
     assert payload.count(b'"error":"') > 0
     assert (hashlib.sha256(payload).hexdigest()
             == DATA_REPORT_SHA256[(name, None)])
+
+
+@pytest.mark.parametrize("name", ERROR_CONFIGS)
+def test_error_run_leaves_no_reference_cycles(name):
+    """A failed quantity is kept and raised again without the frames it
+    was raised through, so a base point's context is freed by reference
+    counting once its block is done, errors or not."""
+    config = _load(name, DATA_DIR)
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(config)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

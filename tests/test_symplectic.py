@@ -180,7 +180,7 @@ class TestRandersCondition:
         from finsym.finsler import MetricSpec
         m = MetricSpec.randers([["1", "0"], ["0", "1"]], ["0.2", "0.1"], BOX2)
         x, y = [0.3, 0.1], [1.0, 0.5]
-        cond = randers_condition(*covector_derivatives(m.b_fields, x, 2),
+        cond = randers_condition(*covector_derivatives(m.b_fields, x),
                                  finsler_sample(m, x, y).chern)
         assert np.max(np.abs(cond)) == 0.0
 
@@ -189,7 +189,7 @@ class TestRandersCondition:
         for x, y in xy_samples(rng, BOX2, 20):
             pres = chern_preservation_residual(randers01, dbeta01, x, y)
             cond = randers_condition(
-                *covector_derivatives(randers01.b_fields, x, 2),
+                *covector_derivatives(randers01.b_fields, x),
                 finsler_sample(randers01, x, y).chern)
             scale = max(1.0, float(np.max(np.abs(pres.entries))))
             assert np.max(np.abs(cond + pres.entries)) <= 1e-9 * scale
@@ -197,6 +197,6 @@ class TestRandersCondition:
     def test_pointwise_equivalence_at_probe(self, randers01, dbeta01):
         x, y = [0.3, 0.2], [1.0, 0.5]
         pres = chern_preservation_residual(randers01, dbeta01, x, y)
-        cond = randers_condition(*covector_derivatives(randers01.b_fields, x, 2),
+        cond = randers_condition(*covector_derivatives(randers01.b_fields, x),
                                  finsler_sample(randers01, x, y).chern)
         assert np.max(np.abs(cond + pres.entries)) <= 1e-9
