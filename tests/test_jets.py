@@ -1,5 +1,7 @@
 """Jet arithmetic, derivative extraction, and the finite-difference oracle."""
 
+import hashlib
+import os
 from itertools import product
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsym.errors import DomainError, OrderError
-from finsym.fields import ScalarFieldSpec
+from finsym.errors import DomainError, FinsymError, OrderError
+from finsym.fields import ScalarFieldSpec, _run
 from finsym.jets import (
     Jet,
     _power_factors,
@@ -19,6 +21,7 @@ from finsym.jets import (
     multi_index_degree,
     multi_index_factorial,
 )
+from finsym.scenario import build_scenario, load_config
 
 from conftest import partial
 
@@ -328,3 +331,136 @@ def test_euler_homogeneity_of_norm_field():
         j = f.eval_jet(y, 1)
         lhs = y @ j.derivatives(1)
         assert abs(lhs - j.value) <= 1e-9 * j.value
+
+
+# -- non-finite data ------------------------------------------------------------
+
+_XY = ["x1", "x2", "y1", "y2"]
+_GOOD, _BAD = [0.5, -1.5, 2.0, 0.75], [100.0, -1.5, 2.0, 0.75]
+_AT = {"bad": np.array(_BAD), "block": np.array([_GOOD, _BAD, _GOOD])}
+_FIRST, _BAD_TEXT = (f"DomainError: non-finite field data at {p}"
+                     for p in (_GOOD, _BAD))
+
+# (field, points, order) -> "type: text" of the error, or the first 16 hex
+# digits of the sha256 of the jet's coefficient bytes
+_NON_FINITE_PINS = {
+    # a 1e999 literal is inf: inf times a variable's zero coefficients is nan
+    ("1e999*y1", "bad", 3): _BAD_TEXT,
+    ("1e999*y1", "block", 4): _FIRST,
+    ("x1 + 1e999*y1", "bad", 4): _BAD_TEXT,
+    ("x1 + 1e999*y1", "block", 3): _FIRST,
+    ("1e200*1e200*y1", "bad", 3): _BAD_TEXT,
+    ("1e200*1e200*y1", "block", 4): _FIRST,
+    # x1^200 overflows at x1 = 100 only: the error names that column
+    ("1/(x1^200*y1)", "bad", 3): _BAD_TEXT,
+    ("1/(x1^200*y1)", "block", 4): _BAD_TEXT,
+    ("(x1^200*y1)^-0.5", "bad", 4): _BAD_TEXT,
+    ("(x1^200*y1)^-0.5", "block", 3): _BAD_TEXT,
+    ("y2*(x1^200*y1)^-1.5", "block", 3): _BAD_TEXT,
+    ("y2*(x1^200*y1)^-1.5", "block", 4): (
+        "DomainError: Taylor factors of 1.2446e-60^-1.5 leave the "
+        "floating-point range"),
+    ("sqrt(x1^200*y1)*y2", "block", 4): _BAD_TEXT,
+    # finite jets from non-finite intermediates
+    ("y2/1e999 + x1*y1", "bad", 3): "b630be92505672a0",
+    ("y2/1e999 + x1*y1", "block", 4): "e0f71395f20dda98",
+    ("(1e999*x1)^0*y2", "bad", 4): "affce42f556493a7",
+    ("(1e999*x1)^0*y2", "block", 3): "76303264665fef1f",
+    ("x1*y2/(y1+1e999)", "bad", 4): "738c079dff6c9b77",
+    ("x1*y2/(y1+1e999)", "block", 3): "16d0edc8b7ad7705",
+}
+
+
+def _outcome(evaluate):
+    """The coefficient bytes of a jet, or the type and text of its error."""
+    try:
+        return evaluate().c.tobytes()
+    except FinsymError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("text,where,order", sorted(_NON_FINITE_PINS))
+def test_non_finite_intermediates_are_pinned(text, where, order):
+    """Where a non-finite value meets a jet, the jet or the error (type,
+    text and first failing column) stays as pinned."""
+    found = _outcome(lambda: ScalarFieldSpec.parse(text, _XY).eval_jet(
+        _AT[where], order))
+    if isinstance(found, bytes):
+        found = hashlib.sha256(found).hexdigest()[:16]
+    assert found == _NON_FINITE_PINS[text, where, order]
+
+
+def _full_support_eval_jet(field, point, order):
+    """``ScalarFieldSpec.eval_jet`` run on jets made from raw coefficients."""
+    x = np.asarray(point, dtype=float)
+    n = field.num_vars
+    env = [Jet(n, order, Jet.variable(i, x.T[i], n, order).c)
+           for i in range(n)]
+    with np.errstate(all="ignore"):
+        out = _run(field.program, env)
+    if not isinstance(out, Jet):
+        out = Jet.constant(np.full(x.shape[:-1], float(out)), n, order)
+    if not out.is_finite():
+        if x.ndim == 2:
+            x = x[np.argmin(np.isfinite(out.c).all(axis=0))]
+        raise DomainError(f"non-finite field data at {x.tolist()}")
+    return out
+
+
+def _configs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for directory in (os.path.join(root, "configs"),
+                      os.path.join(root, "tests", "data")):
+        for name in sorted(os.listdir(directory)):
+            if name.endswith(".json"):
+                yield os.path.join(directory, name)
+
+
+@pytest.mark.parametrize("path", list(_configs()),
+                         ids=lambda p: os.path.basename(p)[:-5])
+def test_energy_jets_equal_full_support_runs(path):
+    """The energy of every shipped and test config, at orders 3 and 4, on
+    one point and on a block: ``eval_jet`` equals the program run on jets
+    made from raw coefficients, bit for bit."""
+    s = build_scenario(load_config(path))
+    points = np.array([np.concatenate([x, y]) for x, ys in zip(
+        s.plan.xs, s.plan.ys) for y in ys][:6])
+    phi = s.metric.phi_field
+    for order in (3, 4):
+        for at in (points[0], points):
+            assert (phi.eval_jet(at, order).c.tobytes()
+                    == _full_support_eval_jet(phi, at, order).c.tobytes())
+
+
+_LEAVES = ["x1", "x2", "y1", "y2", "2", "0.5", "0", "1e-200", "1e200",
+           "1e999", "1e999"]
+_EXPONENTS = ["0", "2", "3", "-1", "-2", "0.5", "-0.5", "1.5", "200"]
+_POINTS = [[0.5, 1.5, 2.0, 0.75], [100.0, 1.5, 2.0, 0.75],
+           [0.3, 1e150, 1e-3, 2.5], [1e-160, 3.0, -2.0, 1e5]]
+
+
+def _extend(sub):
+    return st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(sub, st.sampled_from(_EXPONENTS)).map(
+            lambda t: f"({t[0]})^{t[1]}"),
+        sub.map(lambda e: f"sqrt({e})"),
+        sub.map(lambda e: f"-{e}"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(st.sampled_from(_LEAVES), _extend, max_leaves=10),
+       st.lists(st.sampled_from(range(len(_POINTS))), min_size=1,
+                max_size=3),
+       st.booleans(), st.integers(0, 4))
+def test_random_programs_equal_full_support_runs(text, rows, block, order):
+    """Random fields over literals that overflow, underflow or are inf, at
+    points where powers overflow: ``eval_jet`` gives the jet, or the error
+    type, text and first failing column, of the run on jets made from raw
+    coefficients."""
+    field = ScalarFieldSpec.parse(text, _XY)
+    at = np.array([_POINTS[r] for r in rows]) if block else np.array(
+        _POINTS[rows[0]])
+    assert (_outcome(lambda: field.eval_jet(at, order))
+            == _outcome(lambda: _full_support_eval_jet(field, at, order)))
