@@ -298,6 +298,12 @@ class ScalarFieldSpec:
                for i in range(num_vars)]
         with np.errstate(all="ignore"):  # non-finite data raises below
             out = _run(self.program, env)
+            if isinstance(out, Jet) and (out.is_marked()
+                                         or not out.is_finite()):
+                # the products skipped terms that may not be zero: run again
+                # on full supports, which skip none
+                out = _run(self.program, [Jet(num_vars, order, v.c)
+                                          for v in env])
         if not isinstance(out, Jet):
             out = Jet.constant(np.full(x.shape[:-1], float(out)), num_vars,
                                order)

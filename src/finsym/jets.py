@@ -62,11 +62,23 @@ def _graded_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
+class _Product:
+    """The entries of a product table whose two factors lie inside given
+    supports, in table order: coefficient ``a[e]`` of the left factor times
+    ``b[e]`` of the right one adds to coefficient ``out[e]``."""
+
+    __slots__ = ("a", "b", "out")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, out: np.ndarray):
+        self.a, self.b, self.out = a, b, out
+
+
 class _JetTable:
     """Precomputed index bookkeeping for one (num_vars, order) shape."""
 
     __slots__ = ("num_vars", "order", "indices", "index_of", "size",
-                 "mul_a", "mul_b", "mul_out")
+                 "exponents", "factorials", "_by_key", "_keys", "_pairs",
+                 "products")
 
     def __init__(self, num_vars: int, order: int):
         self.num_vars = num_vars
@@ -74,26 +86,46 @@ class _JetTable:
         self.indices = _graded_indices(num_vars, order)
         self.size = len(self.indices)
         self.index_of = {idx: k for k, idx in enumerate(self.indices)}
+        self.exponents = np.array(self.indices, dtype=np.intp).reshape(
+            self.size, num_vars)
+        self.factorials = np.array([multi_index_factorial(idx)
+                                    for idx in self.indices], dtype=float)
+        # each multi-index as one integer, its exponents the digits in base
+        # order + 1, sorted for lookup
+        keys = self.exponents @ (order + 1) ** np.arange(num_vars)
+        self._by_key = np.argsort(keys)
+        self._keys = keys[self._by_key]
 
-        mul_a, mul_b, mul_out = [], [], []
-        by_degree: dict[int, list[int]] = {}
-        for k, idx in enumerate(self.indices):
-            by_degree.setdefault(sum(idx), []).append(k)
-        for da, ka_list in by_degree.items():
-            for db, kb_list in by_degree.items():
-                if da + db > order:
-                    continue
-                for ka in ka_list:
-                    ia = self.indices[ka]
-                    for kb in kb_list:
-                        ib = self.indices[kb]
-                        tgt = tuple(a + b for a, b in zip(ia, ib))
-                        mul_a.append(ka)
-                        mul_b.append(kb)
-                        mul_out.append(self.index_of[tgt])
-        self.mul_a = np.array(mul_a, dtype=np.intp)
-        self.mul_b = np.array(mul_b, dtype=np.intp)
-        self.mul_out = np.array(mul_out, dtype=np.intp)
+        # every pair of coefficients whose degrees sum to at most order, by
+        # degree of a, then degree of b, then a, then b
+        start = np.searchsorted(self.exponents.sum(axis=1),
+                                np.arange(order + 2))
+        blocks = [np.arange(start[d], start[d + 1]) for d in range(order + 1)]
+        pairs = [(np.repeat(ka, len(kb)), np.tile(kb, len(ka)))
+                 for da, ka in enumerate(blocks) for kb in blocks[:order + 1 - da]]
+        a = np.concatenate([ka for ka, _ in pairs])
+        b = np.concatenate([kb for _, kb in pairs])
+        out = self.positions(self.exponents[a] + self.exponents[b])
+        support = (self.exponents > 0) @ (1 << np.arange(num_vars))
+        self._pairs = (a, b, out, support[a], support[b])
+        self.products: dict[tuple[int, int], _Product] = {}
+
+    def positions(self, exponents: np.ndarray) -> np.ndarray:
+        """The coefficient position of each row of a multi-index array."""
+        keys = exponents @ (self.order + 1) ** np.arange(self.num_vars)
+        return self._by_key[np.searchsorted(self._keys, keys)]
+
+    def product(self, sa: int, sb: int) -> _Product:
+        """The product table restricted to factors whose variables lie in
+        the supports ``sa`` and ``sb``; cached in ``products``."""
+        found = self.products.get((sa, sb))
+        if found is None:
+            a, b, out, support_a, support_b = self._pairs
+            keep = np.flatnonzero(((support_a & ~sa) == 0)
+                                  & ((support_b & ~sb) == 0))
+            found = self.products[sa, sb] = _Product(a[keep], b[keep],
+                                                     out[keep])
+        return found
 
 
 @lru_cache(maxsize=None)
@@ -106,27 +138,30 @@ def _derivative_gather(num_vars: int, order: int,
                        k: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient positions and multi-index factorial weights of every k-th
     partial, laid out as ``(num_vars,)*k`` arrays."""
-    index_of = _table(num_vars, order).index_of
+    t = _table(num_vars, order)
     shape = (num_vars,) * k
-    pos = np.empty(shape, dtype=np.intp)
-    fac = np.empty(shape)
-    for slots in np.ndindex(*shape):
-        idx = [0] * num_vars
-        for v in slots:
-            idx[v] += 1
-        pos[slots] = index_of[tuple(idx)]
-        fac[slots] = multi_index_factorial(idx)
-    return pos, fac
+    slots = np.indices(shape).reshape(k, num_vars ** k)
+    pos = t.positions((slots[..., None] == np.arange(num_vars)).sum(axis=0))
+    pos = pos.reshape(shape)
+    return pos, t.factorials[pos]
 
 
-@lru_cache(maxsize=64)
-def _column_bins(num_vars: int, order: int, columns: int) -> np.ndarray:
-    """The product table's output positions in flattened ``(size, columns)``
+# twice the most a benchmark workload uses (123 on curvature-n4: 41
+# restricted tables at order 3 times three block widths)
+@lru_cache(maxsize=256)
+def _column_bins(product: _Product, columns: int) -> np.ndarray:
+    """A product table's output positions in flattened ``(size, columns)``
     coefficients, one row per table entry."""
-    out = _table(num_vars, order).mul_out
-    bins = (out[:, None] * columns + np.arange(columns)).ravel()
+    bins = (product.out[:, None] * columns + np.arange(columns)).ravel()
     bins.flags.writeable = False  # shared by every product of this shape
     return bins
+
+
+def _finite(scalar) -> bool:
+    """Whether a scalar, or every entry of an array of them, is finite."""
+    if isinstance(scalar, np.ndarray):
+        return bool(np.isfinite(scalar).all())
+    return math.isfinite(scalar)
 
 
 def _reciprocal_factors(v: float, order: int) -> list[float]:
@@ -168,14 +203,33 @@ class Jet:
     trailing column axis of length P for P points; the partial derivative
     for a multi-index is its coefficient times ``multi_index_factorial``,
     read out through :meth:`derivatives`.
+
+    ``support`` is a bitmask of the variables the coefficients can depend
+    on: every coefficient whose multi-index has a variable outside it is
+    ±0.  A jet made from raw coefficients has full support.  Bit
+    ``num_vars``, above the variables, marks a jet whose data met a
+    non-finite scalar factor or went through a composition of non-finite
+    data; a marked jet has full support, and the mark spreads as support
+    does.
     """
 
-    __slots__ = ("num_vars", "order", "c")
+    __slots__ = ("num_vars", "order", "c", "support")
 
     def __init__(self, num_vars: int, order: int, c: np.ndarray):
         self.num_vars = num_vars
         self.order = order
         self.c = c
+        self.support = (1 << num_vars) - 1
+
+    def _new(self, c: np.ndarray, support: int) -> "Jet":
+        """A jet of this shape with coefficients ``c`` and ``support``."""
+        out = Jet.__new__(Jet)
+        out.num_vars, out.order, out.c, out.support = (
+            self.num_vars, self.order, c, support)
+        return out
+
+    def _marked(self, c: np.ndarray) -> "Jet":
+        return self._new(c, (2 << self.num_vars) - 1)
 
     # -- constructors ------------------------------------------------------
 
@@ -184,7 +238,9 @@ class Jet:
         """A constant jet; an array ``value`` gives one column per entry."""
         c = np.zeros((_table(num_vars, order).size,) + np.shape(value))
         c[0] = value
-        return cls(num_vars, order, c)
+        out = cls(num_vars, order, c)
+        out.support = 0
+        return out
 
     @classmethod
     def variable(cls, i: int, value, num_vars: int, order: int) -> "Jet":
@@ -198,7 +254,9 @@ class Jet:
         if order >= 1:
             unit = tuple(1 if v == i else 0 for v in range(num_vars))
             c[t.index_of[unit]] = 1.0
-        return cls(num_vars, order, c)
+        out = cls(num_vars, order, c)
+        out.support = 1 << i
+        return out
 
     # -- accessors ---------------------------------------------------------
 
@@ -221,6 +279,11 @@ class Jet:
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.c).all())
 
+    def is_marked(self) -> bool:
+        """Whether a non-finite scalar factor or composition met the data
+        of this jet or of one it was computed from."""
+        return bool(self.support >> self.num_vars)
+
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Jet") -> None:
@@ -233,59 +296,64 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return Jet(self.num_vars, self.order, self.c + other.c)
+            return self._new(self.c + other.c, self.support | other.support)
         c = self.c.copy()
         c[0] += other
-        return Jet(self.num_vars, self.order, c)
+        return self._new(c, self.support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.num_vars, self.order, -self.c)
+        return self._new(-self.c, self.support)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return Jet(self.num_vars, self.order, self.c - other.c)
+            return self._new(self.c - other.c, self.support | other.support)
         c = self.c.copy()
         c[0] -= other
-        return Jet(self.num_vars, self.order, c)
+        return self._new(c, self.support)
 
     def __rsub__(self, other):
         c = -self.c
         c[0] += other
-        return Jet(self.num_vars, self.order, c)
+        return self._new(c, self.support)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.num_vars, self.order, self.c * other)
+            c = self.c * other
+            return self._new(c, self.support) if _finite(other) else self._marked(c)
         self._check(other)
+        support = self.support | other.support
         if self.order == 0:
-            return Jet(self.num_vars, 0, self.c * other.c)
+            return self._new(self.c * other.c, support)
         if self.order == 1:
             a, b = self.c, other.c
             out = a[0] * b + b[0] * a
             out[0] = a[0] * b[0]
-            return Jet(self.num_vars, 1, out)
+            return self._new(out, support)
         t = _table(self.num_vars, self.order)
-        prod = self.c[t.mul_a]
-        prod *= other.c[t.mul_b]
+        p = t.products.get((self.support, other.support)) or t.product(
+            self.support, other.support)
+        prod = self.c[p.a]
+        prod *= other.c[p.b]
         if prod.ndim == 1:
-            return Jet(self.num_vars, self.order,
-                       np.bincount(t.mul_out, weights=prod, minlength=t.size))
+            return self._new(np.bincount(p.out, weights=prod, minlength=t.size),
+                             support)
         # one bincount over the flattened (output, column) index adds each
         # column's terms in table order, as the one-point product does
         columns = prod.shape[1]
-        bins = _column_bins(self.num_vars, self.order, columns)
-        c = np.bincount(bins, weights=prod.ravel(), minlength=t.size * columns)
-        return Jet(self.num_vars, self.order, c.reshape(t.size, columns))
+        c = np.bincount(_column_bins(p, columns), weights=prod.ravel(),
+                        minlength=t.size * columns)
+        return self._new(c.reshape(t.size, columns), support)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        return Jet(self.num_vars, self.order, self.c / other)
+        c = self.c / other
+        return self._new(c, self.support) if _finite(other) else self._marked(c)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -293,7 +361,7 @@ class Jet:
     def _nilpotent(self) -> "Jet":
         c = self.c.copy()
         c[0] = 0.0
-        return Jet(self.num_vars, self.order, c)
+        return self._new(c, self.support)
 
     def _factors(self, factors: Callable, *args) -> list | np.ndarray:
         """``factors(v, order, *args)`` at the value, or at each column's
@@ -307,6 +375,8 @@ class Jet:
         """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!,
         a float or one per column."""
         h = self._nilpotent()
+        if not self.is_finite():
+            h = h._marked(h.c)
         if self.order == 0:
             return h + dcoef[0]
         out = h * dcoef[-1]
@@ -327,8 +397,9 @@ class Jet:
         if p.is_integer():
             n = int(p)
             if n == 0:
-                return Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
-                                    self.order)
+                one = Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
+                                   self.order)
+                return self._new(one.c, self.support)
             out = self
             for _ in range(abs(n) - 1):
                 out = out * self

@@ -13,8 +13,10 @@ from finsym.errors import DomainError, FinsymError, OrderError
 from finsym.fields import ScalarFieldSpec, _run
 from finsym.jets import (
     Jet,
+    _derivative_gather,
     _power_factors,
     _reciprocal_factors,
+    _table,
     fd_base_step,
     fd_oracle,
     fd_stencil,
@@ -464,3 +466,157 @@ def test_random_programs_equal_full_support_runs(text, rows, block, order):
         _POINTS[rows[0]])
     assert (_outcome(lambda: field.eval_jet(at, order))
             == _outcome(lambda: _full_support_eval_jet(field, at, order)))
+
+
+# -- supports -------------------------------------------------------------------
+
+
+def test_supports_follow_the_operations():
+    """Variables and constants start the supports; sums and products take
+    the union; negation, finite scalars and compositions keep it; raw
+    coefficients give full support."""
+    x, y, z = (Jet.variable(i, 0.5 + i, 4, 3) for i in range(3))
+    assert (x.support, y.support, Jet.constant(2.0, 4, 3).support) == (
+        0b1, 0b10, 0)
+    assert ((x + y).support, (x - z).support, (x * z).support) == (
+        0b11, 0b101, 0b101)
+    for jet in (-x, x * 3.0, 3.0 * x, x / 3.0, 2.0 - x, x + 1.0,
+                x._nilpotent(), x.sqrt(), x ** 0.5, x ** -2, x ** 0):
+        assert jet.support == 0b1 and not jet.is_marked()
+    assert Jet(4, 3, x.c).support == 0b1111
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: x * float("inf"), lambda x: float("nan") * x,
+    lambda x: x / float("nan"), lambda x: x / np.inf,
+    lambda x: x * np.array([1.0, np.inf]),
+    lambda x: (x * 1e308 * 10.0 + 1.0).sqrt(),
+    lambda x: (x + float("inf")) ** -1])
+def test_non_finite_scalars_and_compositions_mark_the_jet(make):
+    """A non-finite scalar factor or a composition of non-finite data gives
+    full support and the mark, and the mark spreads."""
+    x, y = (Jet.variable(i, np.array([0.5, 2.0]), 3, 2) for i in range(2))
+    with np.errstate(all="ignore"):
+        jet = make(x)
+        assert jet.is_marked() and jet.support == 0b1111
+        assert (jet * y).is_marked() and (y - jet).is_marked()
+        # finite scalars keep the support, even where the product overflows
+        assert not (x * 1e308).is_marked()
+
+
+_SHAPES = [(n, o) for n in range(1, 9) for o in range(5)]
+_NON_FINITE = [np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _supported_pairs(draw):
+    """Two jets of one shape, each with random coefficients on a random
+    support and signed zeros outside it; in some draws, non-finite
+    coefficients inside the support."""
+    num_vars, order = draw(st.sampled_from(_SHAPES))
+    columns = draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exponents = np.array(_reference_indices(num_vars, order))
+    jets, supports = [], []
+    for _ in range(2):
+        support = draw(st.integers(0, 2 ** num_vars - 1))
+        inside = ((exponents > 0) & ~(support >> np.arange(num_vars) & 1)
+                  .astype(bool)).sum(axis=1) == 0
+        c = rng.normal(size=(len(exponents),) + columns)
+        c[~inside] = np.copysign(0.0, rng.normal(size=c[~inside].shape))
+        if draw(st.booleans()):
+            at = rng.choice(np.flatnonzero(inside), draw(st.integers(1, 3)))
+            c[at] = rng.choice(_NON_FINITE, (len(at),) + columns)
+        jets.append(c)
+        supports.append(support)
+    return num_vars, order, jets, supports
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_supported_pairs())
+def test_restricted_products_equal_the_full_table(pair):
+    """The product on the operands' supports equals the product on full
+    supports bit for bit when the coefficients are finite.  With non-finite
+    ones, the values are bit-identical and the same columns are
+    non-finite, which is what ``eval_jet`` reads to redo a run."""
+    num_vars, order, (ca, cb), (sa, sb) = pair
+    a, b = Jet(num_vars, order, ca), Jet(num_vars, order, cb)
+    a.support, b.support = sa, sb
+    with np.errstate(all="ignore"):
+        restricted = a * b
+        full = Jet(num_vars, order, ca) * Jet(num_vars, order, cb)
+    assert restricted.support == sa | sb
+    if np.isfinite(ca).all() and np.isfinite(cb).all():
+        assert restricted.c.tobytes() == full.c.tobytes()
+    else:
+        assert restricted.c[0].tobytes() == full.c[0].tobytes()
+        assert (np.isfinite(restricted.c).all(axis=0).tolist()
+                == np.isfinite(full.c).all(axis=0).tolist())
+
+
+# -- table construction -----------------------------------------------------------
+
+
+def _reference_indices(num_vars, order):
+    """All multi-indices of total degree <= order, graded, then in
+    lexicographic order within a degree."""
+    out = []
+    for deg in range(order + 1):
+        block = set()
+        for combo in product(range(num_vars), repeat=deg):
+            exps = [0] * num_vars
+            for v in combo:
+                exps[v] += 1
+            block.add(tuple(exps))
+        out.extend(sorted(block))
+    return out
+
+
+def _reference_table(num_vars, order):
+    """The product table as nested loops: degree of a, degree of b, then
+    a and b in index order."""
+    indices = _reference_indices(num_vars, order)
+    index_of = {idx: k for k, idx in enumerate(indices)}
+    rows = []
+    for da in range(order + 1):
+        for db in range(order + 1 - da):
+            for ka, ia in enumerate(indices):
+                if sum(ia) != da:
+                    continue
+                for kb, ib in enumerate(indices):
+                    if sum(ib) == db:
+                        out = tuple(p + q for p, q in zip(ia, ib))
+                        rows.append((ka, kb, index_of[out], ia, ib))
+    return indices, rows
+
+
+@pytest.mark.parametrize("num_vars,order", _SHAPES)
+def test_tables_equal_the_loop_construction(num_vars, order):
+    """The product tables (full and restricted), the derivative gathers and
+    their factorial weights equal a plain loop construction, entry for
+    entry and in order."""
+    t = _table(num_vars, order)
+    indices, rows = _reference_table(num_vars, order)
+    assert t.indices == indices
+    full = (1 << num_vars) - 1
+    rng = np.random.default_rng(num_vars * 10 + order)
+    for sa, sb in [(full, full), (0, full), (1, full - 1)] + [
+            tuple(rng.integers(0, full + 1, 2)) for _ in range(3)]:
+        sa, sb = int(sa), int(sb)
+        inside = [(ka, kb, out) for ka, kb, out, ia, ib in rows
+                  if all(e == 0 or sa >> v & 1 for v, e in enumerate(ia))
+                  and all(e == 0 or sb >> v & 1 for v, e in enumerate(ib))]
+        p = t.product(sa, sb)
+        for got, want in zip((p.a, p.b, p.out), zip(*inside) if inside
+                             else ((), (), ())):
+            assert got.dtype == np.intp and got.tolist() == list(want)
+    for k in range(order + 1):
+        pos, fac = _derivative_gather(num_vars, order, k)
+        assert pos.shape == fac.shape == (num_vars,) * k
+        assert pos.dtype == np.intp and fac.dtype == np.float64
+        for slots in np.ndindex(*pos.shape):
+            idx = [0] * num_vars
+            for v in slots:
+                idx[v] += 1
+            assert pos[slots] == indices.index(tuple(idx))
+            assert fac[slots] == float(multi_index_factorial(idx))
