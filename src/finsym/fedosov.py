@@ -22,8 +22,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, FinsymError,
                      NotMinkowskianError)
 from .fields import ChartJacobians, VectorFieldSpec
-# finsler_sample: perfbench's tracer test reads fedosov.finsler_sample
-from .finsler import MetricSpec, _mirror, finsler_sample, finsler_samples
+from .finsler import MetricSpec, _mirror, finsler_sample, sample_block
 from .symplectic import TwoForm
 
 
@@ -55,21 +54,18 @@ def induce_connection(s: FedosovScenario, x) -> np.ndarray:
 
 def induce_connections(s: FedosovScenario, xs: np.ndarray) -> list:
     """The connection coefficients at each row of a ``(P, n)`` stack, from W
-    on the whole stack and one :func:`finsler_samples` call.  Raises the
-    first failing row's error, W's before the sample's; where W fails, row
-    by row as one-row stacks."""
+    on the whole stack and one :func:`sample_block`.  Raises the first
+    failing row's error, W's before the sample's: a stack that fails is
+    replayed one row at a time, up to that row."""
+    if len(xs) == 1:
+        w = s.vector_field.values(xs)[0]
+        return [finsler_sample(s.metric, xs[0], w).chern]
     try:
-        ws = s.vector_field.values(xs)
+        return [sample.chern for sample in
+                sample_block(s.metric, xs, s.vector_field.values(xs))]
     except FinsymError:
-        if len(xs) == 1:
-            raise
-    else:
-        found = finsler_samples(s.metric, xs, ws)
-        for result in found:
-            if isinstance(result, FinsymError):
-                raise result
-        return [sample.chern for sample in found]
-    return [induce_connections(s, xs[p:p + 1])[0] for p in range(len(xs))]
+        pass  # replayed below
+    return [induce_connection(s, x) for x in xs]
 
 
 def covariant_residual(G: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:

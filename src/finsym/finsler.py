@@ -330,10 +330,22 @@ def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
     return found
 
 
+def sample_block(m: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> list:
+    """The samples at each pair of two (P, n) float stacks of equal length,
+    from one order-3 jet of the energy with a column per pair.  Raises a
+    FinsymError if any row fails; which row's error that is, where rows
+    fail at different stages, is the block's business."""
+    for x, y in zip(xs, ys):
+        _require_point(m, x, y)
+    block = _sample(m, xs, ys)
+    return [FinslerSample(**{k: v[p] for k, v in block.items()})
+            for p in range(len(xs))]
+
+
 def finsler_samples(m: MetricSpec, xs, ys) -> list:
     """The fundamental quantities at each pair (xs[p], ys[p]) of two
-    (P, n) stacks: the value path of the connection assembly, from one
-    order-3 jet of the energy with a column per pair.
+    (P, n) stacks: the value path of the connection assembly, as one
+    :func:`sample_block`.
 
     Entry p is the sample, or the FinsymError raised there.  A block in
     which any row fails is run again as one-row blocks, so each entry is
@@ -346,15 +358,10 @@ def finsler_samples(m: MetricSpec, xs, ys) -> list:
     if not len(xs):
         return []
     try:
-        for x, y in zip(xs, ys):
-            _require_point(m, x, y)
-        block = _sample(m, xs, ys)
+        return sample_block(m, xs, ys)
     except FinsymError as exc:
         if len(xs) == 1:
             return [exc.with_traceback(None)]  # a value, without frames
-    else:
-        return [FinslerSample(**{k: v[p] for k, v in block.items()})
-                for p in range(len(xs))]
     return [finsler_samples(m, xs[p:p + 1], ys[p:p + 1])[0]
             for p in range(len(xs))]
 

@@ -401,6 +401,7 @@ class TestRunScenario:
         in_fd = []
         in_block = []
         sample, block = finsler.finsler_sample, finsler.finsler_samples
+        stencil = finsler.sample_block
         commutator = curvature.curvature_fd_commutator
 
         def count(x, y):
@@ -413,10 +414,7 @@ class TestRunScenario:
             return sample(m, x, y)
 
         def counted_block(m, xs, ys):
-            if in_fd:
-                stencils.append((tuple(map(float, xs[0])),
-                                 tuple(map(float, ys[0])), len(xs)))
-            else:
+            if not in_fd:
                 for x, y in zip(xs, ys):
                     count(x, y)
             in_block.append(True)
@@ -424,6 +422,13 @@ class TestRunScenario:
                 return block(m, xs, ys)
             finally:
                 in_block.pop()
+
+        def counted_stencil(m, xs, ys):
+            # the commutator samples its stencil with sample_block itself
+            if in_fd and not in_block:
+                stencils.append((tuple(map(float, xs[0])),
+                                 tuple(map(float, ys[0])), len(xs)))
+            return stencil(m, xs, ys)
 
         def fd_commutator(s, x):
             in_fd.append(x)
@@ -434,6 +439,7 @@ class TestRunScenario:
 
         patch_everywhere(monkeypatch, sample, counted)
         patch_everywhere(monkeypatch, block, counted_block)
+        patch_everywhere(monkeypatch, stencil, counted_stencil)
         patch_everywhere(monkeypatch, commutator, fd_commutator)
         with open(os.path.join(CONFIG_DIR, f"{name}.json"),
                   encoding="utf-8") as fh:

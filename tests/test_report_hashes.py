@@ -21,9 +21,12 @@ import os
 
 import pytest
 
-from finsym import checks
+from finsym import checks, finsler
 from finsym.checks import run_scenario
 from finsym.report import emit_report
+from finsym.scenario import build_scenario
+
+from conftest import patch_everywhere
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
@@ -131,6 +134,29 @@ def test_error_report_is_the_same_at_every_block_size(name, block_pairs,
     assert payload.count(b'"error":"') > 0
     assert (hashlib.sha256(payload).hexdigest()
             == DATA_REPORT_SHA256[(name, None)])
+
+
+def test_a_failing_stencil_is_replayed_up_to_its_first_failing_point(
+        monkeypatch):
+    """The FD commutator raises the first failing stencil point's error, so
+    a failing stencil block is replayed one point at a time up to that
+    point.  On the narrow box every stencil point but the base point
+    leaves the box: two one-row samples per base point (the base point and
+    the first stencil point), not one per point of the 9-point block."""
+    one_row = []
+    block = finsler.finsler_samples
+
+    def counted(m, xs, ys):
+        if len(xs) == 1:
+            one_row.append(tuple(xs[0]))
+        return block(m, xs, ys)
+
+    patch_everywhere(monkeypatch, block, counted)
+    config = _load("errors-narrow-box", DATA_DIR)
+    payload = emit_report(run_scenario(config))
+    assert (hashlib.sha256(payload).hexdigest()
+            == DATA_REPORT_SHA256[("errors-narrow-box", None)])
+    assert 2 * len(build_scenario(config).plan.xs) == len(one_row) == 18
 
 
 @pytest.mark.parametrize("name", ERROR_CONFIGS)
