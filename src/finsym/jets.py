@@ -21,6 +21,31 @@ powers and reciprocals are computed per column with Python float ``**``,
 which can round differently from ``np.power``.  A single point keeps 1-D
 coefficients.
 
+Each jet carries its variable support, a bitmask of the variables its
+coefficients can depend on; every other coefficient is ±0.  A variable
+has its own bit and a constant none; sums, differences and products take
+the union; negation, finite scalar factors and divisors and compositions
+keep it; a jet made from raw coefficients has all of them (dependence
+propagation in forward mode, as in Griewank & Walther).  A product reads
+only the entries of its table whose two factors lie inside their
+operands' supports: a cached subsequence of the full table, in the same
+order, of which the full table is the (full, full) case.  Each skipped
+term has a ±0 factor, so with finite operands it is ±0, and
+``np.bincount`` starts every sum at +0.0, where adding ±0 changes no
+partial sum: every coefficient equals the full product's bit for bit.
+
+With a non-finite factor a skipped term is nan, which the full product
+keeps and the restricted one drops.  A product carries any non-finite
+coefficient of an operand into its own column, and values never depend
+on higher coefficients, so the two forms part only where a non-finite
+scalar multiplies or divides a jet (its zeros become nan), where a
+composition reads non-finite data (it can give finite coefficients), or
+in the non-finite coefficients themselves.  The first two give full
+support and mark the jet with bit ``num_vars`` (:meth:`Jet.is_marked`),
+which spreads as support does; ``ScalarFieldSpec.eval_jet`` runs the
+program again on full supports when its result is marked or non-finite,
+so it returns the full product's jet and raises its error.
+
 An independent finite-difference oracle (:func:`fd_oracle`) is provided to
 cross-check jet output; it never goes through jet arithmetic.
 """
@@ -102,7 +127,8 @@ class _JetTable:
                                 np.arange(order + 2))
         blocks = [np.arange(start[d], start[d + 1]) for d in range(order + 1)]
         pairs = [(np.repeat(ka, len(kb)), np.tile(kb, len(ka)))
-                 for da, ka in enumerate(blocks) for kb in blocks[:order + 1 - da]]
+                 for da, ka in enumerate(blocks)
+                 for kb in blocks[:order + 1 - da]]
         a = np.concatenate([ka for ka, _ in pairs])
         b = np.concatenate([kb for _, kb in pairs])
         out = self.positions(self.exponents[a] + self.exponents[b])
@@ -322,7 +348,8 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = self.c * other
-            return self._new(c, self.support) if _finite(other) else self._marked(c)
+            return (self._new(c, self.support) if _finite(other)
+                    else self._marked(c))
         self._check(other)
         support = self.support | other.support
         if self.order == 0:
@@ -333,13 +360,12 @@ class Jet:
             out[0] = a[0] * b[0]
             return self._new(out, support)
         t = _table(self.num_vars, self.order)
-        p = t.products.get((self.support, other.support)) or t.product(
-            self.support, other.support)
+        p = t.product(self.support, other.support)
         prod = self.c[p.a]
         prod *= other.c[p.b]
         if prod.ndim == 1:
-            return self._new(np.bincount(p.out, weights=prod, minlength=t.size),
-                             support)
+            return self._new(
+                np.bincount(p.out, weights=prod, minlength=t.size), support)
         # one bincount over the flattened (output, column) index adds each
         # column's terms in table order, as the one-point product does
         columns = prod.shape[1]
@@ -353,7 +379,8 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         c = self.c / other
-        return self._new(c, self.support) if _finite(other) else self._marked(c)
+        return (self._new(c, self.support) if _finite(other)
+                else self._marked(c))
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -397,6 +424,8 @@ class Jet:
         if p.is_integer():
             n = int(p)
             if n == 0:
+                # the operand's support, so that a run on full supports
+                # reads the full table in every product
                 one = Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
                                    self.order)
                 return self._new(one.c, self.support)
