@@ -333,8 +333,8 @@ def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
 def sample_block(m: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> list:
     """The samples at each pair of two (P, n) float stacks of equal length,
     from one order-3 jet of the energy with a column per pair.  Raises a
-    FinsymError if any row fails; which row's error that is, where rows
-    fail at different stages, is the block's business."""
+    FinsymError if any row fails: where rows fail at different stages, not
+    necessarily the first failing row's."""
     for x, y in zip(xs, ys):
         _require_point(m, x, y)
     block = _sample(m, xs, ys)

@@ -102,8 +102,7 @@ class _JetTable:
     """Precomputed index bookkeeping for one (num_vars, order) shape."""
 
     __slots__ = ("num_vars", "order", "indices", "index_of", "size",
-                 "exponents", "factorials", "_by_key", "_keys", "_pairs",
-                 "products")
+                 "factorials", "_by_key", "_keys", "_pairs", "products")
 
     def __init__(self, num_vars: int, order: int):
         self.num_vars = num_vars
@@ -111,19 +110,19 @@ class _JetTable:
         self.indices = _graded_indices(num_vars, order)
         self.size = len(self.indices)
         self.index_of = {idx: k for k, idx in enumerate(self.indices)}
-        self.exponents = np.array(self.indices, dtype=np.intp).reshape(
+        exponents = np.array(self.indices, dtype=np.intp).reshape(
             self.size, num_vars)
         self.factorials = np.array([multi_index_factorial(idx)
                                     for idx in self.indices], dtype=float)
         # each multi-index as one integer, its exponents the digits in base
         # order + 1, sorted for lookup
-        keys = self.exponents @ (order + 1) ** np.arange(num_vars)
+        keys = exponents @ (order + 1) ** np.arange(num_vars)
         self._by_key = np.argsort(keys)
         self._keys = keys[self._by_key]
 
         # every pair of coefficients whose degrees sum to at most order, by
         # degree of a, then degree of b, then a, then b
-        start = np.searchsorted(self.exponents.sum(axis=1),
+        start = np.searchsorted(exponents.sum(axis=1),
                                 np.arange(order + 2))
         blocks = [np.arange(start[d], start[d + 1]) for d in range(order + 1)]
         pairs = [(np.repeat(ka, len(kb)), np.tile(kb, len(ka)))
@@ -131,8 +130,8 @@ class _JetTable:
                  for kb in blocks[:order + 1 - da]]
         a = np.concatenate([ka for ka, _ in pairs])
         b = np.concatenate([kb for _, kb in pairs])
-        out = self.positions(self.exponents[a] + self.exponents[b])
-        support = (self.exponents > 0) @ (1 << np.arange(num_vars))
+        out = self.positions(exponents[a] + exponents[b])
+        support = (exponents > 0) @ (1 << np.arange(num_vars))
         self._pairs = (a, b, out, support[a], support[b])
         self.products: dict[tuple[int, int], _Product] = {}
 
