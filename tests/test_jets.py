@@ -538,7 +538,7 @@ def test_restricted_products_equal_the_full_table(pair):
     """The product on the operands' supports equals the product on full
     supports bit for bit when the coefficients are finite.  With non-finite
     ones, the values are bit-identical and the same columns are
-    non-finite, which is what ``eval_jet`` reads to redo a run."""
+    non-finite, so an error names the same first failing column."""
     num_vars, order, (ca, cb), (sa, sb) = pair
     a, b = Jet(num_vars, order, ca), Jet(num_vars, order, cb)
     a.support, b.support = sa, sb
