@@ -301,8 +301,9 @@ class TestChernWithDerivatives:
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CONFIGS = (sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
-           + sorted(glob.glob(os.path.join(ROOT, "tests", "data", "*.json"))))
+SHIPPED = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+CONFIGS = SHIPPED + sorted(glob.glob(os.path.join(ROOT, "tests", "data",
+                                                  "*.json")))
 
 
 def _assert_same_sample(a: FinslerSample, b: FinslerSample) -> None:
@@ -448,11 +449,15 @@ class TestSampleBlocks:
         ("tests/data/curvature-n4-v3.json",
          ["metric-validity", "structural", "preservation", "induce"], 2),
         ("tests/data/structural-n3-v3.json", ["structural"], 3),
-    ])
+    ] + [(os.path.relpath(path, ROOT), None, None) for path in SHIPPED]
+        + [("tests/data/curvature-n4-v3.json", None, None)])
     def test_block_size_leaves_reports_unchanged(self, monkeypatch, path,
                                                  suite, y_per_x):
+        """The report does not depend on how the base points are cut into
+        blocks.  ``y_per_x`` None runs the config's own plan."""
         config = load_config(os.path.join(ROOT, path))
-        config["sampling"].update(count=40, y_per_x=y_per_x)
+        if y_per_x is not None:
+            config["sampling"].update(count=40, y_per_x=y_per_x)
         expected = emit_report(run_scenario(config, suite))
         for size in (1, 7):
             monkeypatch.setattr(checks, "_BLOCK_PAIRS", size)
