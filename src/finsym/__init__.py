@@ -31,7 +31,6 @@ from .finsler import (
     StructuralResiduals,
     chern_with_derivatives,
     finsler_sample,
-    finsler_value,
     max_pairwise_spread,
     metric_validity,
     structural_residuals,

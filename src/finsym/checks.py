@@ -8,11 +8,13 @@ computed once and dropped with the context.  It walks the base points in
 blocks: each facet names the fiber points whose samples it reads (the plan
 pairs, W(x), the Berwald probes, the Minkowski probes), and every such
 point of a block is sampled in one :func:`finsler_samples` call before
-the block's facets run.  The finite-difference commutator samples its own
-stencil block and reads none of these.  Domain failures never abort a
-suite: :func:`_evaluate`, which makes every record, gives an error record
-where a facet raises or its residual or tolerance is not finite.  Record
-order is fixed: record ids sorted, then points in plan order.
+the block's facets run, and every other field quantity is one call over
+the block on first read (:class:`_batched`).  The finite-difference
+commutator samples its own stencil block and reads none of these.  Domain
+failures never abort a suite: :func:`_evaluate`, which makes every record,
+gives an error record where a facet raises or its residual or tolerance is
+not finite.  Record order is fixed: record ids sorted, then points in plan
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -34,7 +36,8 @@ from .curvature import (
     induced_derivatives,
     pair_two_path,
 )
-from .errors import ConfigError, DomainError, FinsymError, ZeroVectorError
+from .errors import (ConfigError, DomainError, FinsymError, ZeroVectorError,
+                     each_row)
 from .fedosov import (
     FedosovScenario,
     covariant_residual,
@@ -49,9 +52,9 @@ from .fields import chart_jacobians
 from .finsler import (
     FinslerSample,
     cartan_trace_residual,
-    euler_residual,
+    euler_residuals,
     finsler_samples,
-    homogeneity_residual,
+    homogeneity_residuals,
     max_pairwise_spread,
     randers_alpha_norm,
     structural_residuals,
@@ -70,9 +73,9 @@ from .symplectic import (
 
 
 # fiber points per finsler_samples call, the plan pairs and the points the
-# facets read beside them, in whole base points.  On a 3-d Randers plan, 64
-# and 128 ran fastest; 256 ran slower and raised the peak RSS by about 2 MB
-# more than 64 does.
+# facets read beside them, in whole base points; a block also holds at most
+# this many base points.  On a 3-d Randers plan, 64 and 128 ran fastest;
+# 256 ran slower and raised the peak RSS by about 2 MB more than 64 does.
 _BLOCK_PAIRS = 64
 
 
@@ -98,6 +101,30 @@ def _read(entry: tuple):
     return value
 
 
+def _entry(result) -> tuple:
+    """The ``(value, error)`` cache entry of a value or a FinsymError."""
+    if isinstance(result, FinsymError):
+        return None, result
+    return result, None
+
+
+def _rows(fn, *stacks) -> list:
+    """The entry of each row of ``fn`` over the stacks (:func:`each_row`)."""
+    return [_entry(r) for r in each_row(fn, *stacks)]
+
+
+def _where(entries: list, fn, xs: np.ndarray) -> list:
+    """``fn(xs, values)`` on the rows whose entry holds a value, the values
+    stacked; every other row keeps its entry's error."""
+    ok = [p for p, (_, exc) in enumerate(entries) if exc is None]
+    out = list(entries)
+    if ok:
+        values = np.array([entries[p][0] for p in ok])
+        for p, entry in zip(ok, _rows(fn, xs[ok], values)):
+            out[p] = entry
+    return out
+
+
 class _once:
     """A lazily computed attribute, cached by :func:`_cached`."""
 
@@ -109,6 +136,31 @@ class _once:
 
     def __get__(self, obj, owner=None):
         return _cached(obj.__dict__, self.key, lambda: self.fn(obj))
+
+
+class _batched(_once):
+    """A context's row of a block column: ``fn(block)`` gives one entry per
+    row of the context's block, computed on the block's first read."""
+
+    def __get__(self, c, owner=None):
+        return self if c is None else _read(self.rows(c.block)[c.row])
+
+    def rows(self, block) -> list:
+        return _cached(block.__dict__, self.key, lambda: self.fn(block))
+
+
+class _Block:
+    """The base points of one block stacked, W there, and its plan pairs
+    stacked, over which the contexts' :class:`_batched` columns run.  A
+    block refers to no context."""
+
+    def __init__(self, contexts: list):
+        self.s, self.sc = contexts[0].s, contexts[0].sc
+        self.xs = np.array([c.x for c in contexts])
+        self.ws = [c.w_entry for c in contexts]
+        ys = np.array([c.ys for c in contexts])
+        self.pairs = (np.repeat(self.xs, ys.shape[1], axis=0),
+                      ys.reshape(-1, self.s.dimension))
 
 
 def _minkowski_probes(c: "PointContext") -> tuple[np.ndarray, ...]:
@@ -123,6 +175,14 @@ def _minkowski(c: "PointContext") -> tuple[float, float, float]:
     return mk.natural, mk.hatted, abs(mk.hatted - hatted.max_abs)
 
 
+def _swapped_jacobians(b: _Block) -> list:
+    """The swapped chart's derivatives at each row's mapped point."""
+    chart = b.s.chart.swapped()
+    return _where([(None, exc) if exc else (jac.xhat, None)
+                   for jac, exc in PointContext.jac.rows(b)],
+                  lambda _, xhats: chart_jacobians(chart, xhats), b.xs)
+
+
 class PointContext:
     """What the facets read at one base point x and its plan fiber points
     ``ys``, each computed on first use.
@@ -131,24 +191,29 @@ class PointContext:
     fiber point y in ``samples``: the plan's pairs, W(x), the Berwald probe
     vectors and the Minkowski probes all read it.  Each is sampled with
     the rest of its block before any facet runs, for the facets that name
-    it (:meth:`fiber_points`, :func:`_sample_blocks`).  ``sample_w`` is
-    the sample at (x, W(x)) and ``derivatives`` the jet path there.
-    ``lift_w`` is the lift-preservation residual of the scenario's form
-    along W, ``standard_lift_w`` that of the standard form.  ``jac`` holds
-    the chart derivatives at x and ``hatted`` the scenario's form pulled
-    back through them.  ``form`` holds the scenario's two-form and its
-    partials at x; ``covector`` the first and second derivative
-    arrays of the Randers covector b there, from which a d(beta) form is
-    read rather than evaluating b again, and ``alpha_norm`` the Randers
-    covector's alpha-norm, shared by the pairs at x.  The finite-difference
-    curvature ``fd`` samples its own stencil block and reads nothing else
-    from the context.  A context refers to no block, so reference counting
-    frees it once its block is done.
+    it (:meth:`fiber_points`, :func:`_sample_blocks`).  ``w`` is W(x),
+    taken with the whole plan, ``sample_w`` the sample at (x, W(x)) and
+    ``derivatives`` the jet path there.  ``lift_w`` is the
+    lift-preservation residual of the scenario's form along W,
+    ``standard_lift_w`` that of the standard form.  ``jac`` holds the
+    chart derivatives at x, ``back`` the swapped chart's at the mapped
+    point, and ``hatted`` the scenario's form pulled back through ``jac``.
+    ``form`` holds the scenario's two-form and its partials at x;
+    ``covector`` the first and second derivative arrays of the Randers
+    covector b there, from which a d(beta) form is read rather than
+    evaluating b again, and ``alpha_norm`` the Randers covector's
+    alpha-norm, shared by the pairs at x.  Every field quantity is a
+    :class:`_batched` column of the context's block.  The
+    finite-difference curvature ``fd`` samples its own stencil block and
+    reads nothing else from the context.
     """
 
-    def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x, ys):
+    def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x, ys,
+                 w: tuple):
         self.s, self.sc, self.x, self.ys = s, sc, x, ys
+        self.w_entry = w  # W(x) as a (value, error) entry
         self.samples: dict = {}  # by y.tobytes(), as _cached keeps values
+        self.block, self.row = None, 0  # set when the block closes
 
     def fiber_points(self, readers) -> dict:
         """The distinct fiber points that ``readers``, the selected facets'
@@ -171,18 +236,20 @@ class PointContext:
         """The Finsler sample at (x, y), taken with the block."""
         return _read(self.samples[np.asarray(y, dtype=float).tobytes()])
 
-    w = _once(lambda c: c.s.vector_field.values(c.x))
+    w = property(lambda c: _read(c.w_entry))
     sample_w = property(lambda c: c.sample(c.w))
     form = _once(lambda c: (exact_form_data(*c.covector)
                             if c.s.two_form_kind == "randers-dbeta"
-                            else c.s.two_form.data(c.x)))
+                            else c.form_data))
+    form_data = _batched(lambda b: _rows(b.s.two_form.data, b.xs))
     # G is read first: where both the connection and the form fail, the
     # record carries the connection's error
     lift_w = _once(lambda c: PreservationResidual.of(
         G=c.sample_w.chern, w=c.form[0], dw=c.form[1]))
     standard_lift_w = _once(lambda c: PreservationResidual.of(
         *_standard_data(c.s.dimension // 2), c.sample_w.chern))
-    derivatives = _once(lambda c: induced_derivatives(c.sc, c.x, c.w))
+    derivatives = _batched(lambda b: _where(
+        b.ws, partial(induced_derivatives, b.sc), b.xs))
     up = _once(lambda c: curvature_up(*c.derivatives))
     brace = _once(lambda c: brace_array(*c.derivatives))
     pair = _once(lambda c: pair_two_path(c.up, c.brace, c.form[0]))
@@ -190,60 +257,71 @@ class PointContext:
     # a block of its own: reading sample_w would let it share a result with
     # the path it checks.
     fd = _once(lambda c: curvature_fd_commutator(c.sc, c.x))
-    jac = _once(lambda c: chart_jacobians(c.s.chart, c.x))
+    jac = _batched(lambda b: _rows(partial(chart_jacobians, b.s.chart), b.xs))
+    back = _batched(_swapped_jacobians)
     hatted = _once(lambda c: hatted_two_form_data(*c.form, c.jac))
-    covector = _once(lambda c: covector_derivatives(c.s.metric.b_fields,
-                                                    c.x))
+    covector = _batched(lambda b: _rows(
+        partial(covector_derivatives, b.s.metric.b_fields), b.xs))
     minkowski = _once(_minkowski)
-    alpha_norm = _once(lambda c: randers_alpha_norm(c.s.metric, c.x))
+    alpha_norm = _batched(lambda b: _rows(
+        partial(randers_alpha_norm, b.s.metric), b.xs))
 
 
 @lru_cache(maxsize=None)
 def _standard_data(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The standard form's components and partials: constant, so read once
     (at the origin) and shared, read-only, by every base point."""
-    w, dw = standard_form(n).data(np.zeros(2 * n))
+    (w, dw), = standard_form(n).data(np.zeros((1, 2 * n)))
     w.flags.writeable = dw.flags.writeable = False
     return w, dw
 
 
 def _sample_blocks(s: BuiltScenario, sc: FedosovScenario | None,
                    facets: list) -> Iterator[list[PointContext]]:
-    """The base points' contexts in plan order, in blocks of whole base
-    points with at most ``_BLOCK_PAIRS`` fiber points to sample, or one
-    base point that alone has more.  Each block comes with the samples its
-    facets read, taken in one :func:`finsler_samples` call."""
+    """The base points' contexts in plan order, in blocks of at most
+    ``_BLOCK_PAIRS`` whole base points with at most ``_BLOCK_PAIRS`` fiber
+    points to sample, or one base point that alone has more.  Each block
+    comes with the samples its facets read, taken in one
+    :func:`finsler_samples` call.  W(x), which names a fiber point, is
+    taken before, in one call over the plan."""
     readers = list(dict.fromkeys(f.reads for f in facets if f.reads))
+    xs = s.plan.xs
+    ws = (_rows(s.vector_field.values, xs) if s.vector_field is not None
+          else [(None, None)] * len(xs))
     block, todo = [], []
-    for x, ys in zip(s.plan.xs, s.plan.ys):
-        ctx = PointContext(s, sc, x, ys)
+    for x, ys, w in zip(xs, s.plan.ys, ws):
+        ctx = PointContext(s, sc, x, ys, w)
         wanted = ctx.fiber_points(readers)
-        if block and len(todo) + len(wanted) > _BLOCK_PAIRS:
-            _sample_into(s.metric, todo)
-            yield block
+        if block and (len(block) == _BLOCK_PAIRS
+                      or len(todo) + len(wanted) > _BLOCK_PAIRS):
+            yield _close(block, todo)
             block, todo = [], []
         block.append(ctx)
         todo.extend((ctx, key, y) for key, y in wanted.items())
     if block:
-        _sample_into(s.metric, todo)
-        yield block
+        yield _close(block, todo)
 
 
-def _sample_into(metric, todo: list) -> None:
-    """Sample each (context, key, y) of ``todo`` and keep the sample, or
-    its error, in the context's cache."""
-    found = finsler_samples(metric, [ctx.x for ctx, _, _ in todo],
+def _close(block: list[PointContext], todo: list) -> list[PointContext]:
+    """The block, with the samples of ``todo`` taken and a :class:`_Block`
+    shared by its contexts."""
+    found = finsler_samples(block[0].s.metric, [c.x for c, _, _ in todo],
                             [y for _, _, y in todo])
     for (ctx, key, _), result in zip(todo, found):
-        ctx.samples[key] = ((None, result) if isinstance(result, FinsymError)
-                            else (result, None))
+        ctx.samples[key] = _entry(result)
+    columns = _Block(block)
+    for row, ctx in enumerate(block):
+        ctx.block, ctx.row = columns, row
+    return block
 
 
 class FiberContext:
-    """What the facets read at one pair (x, y) of the plan."""
+    """What the facets read at one pair (x, y) of the plan, the ``row``-th
+    pair of its block."""
 
-    def __init__(self, base: PointContext, y):
+    def __init__(self, base: PointContext, y, row: int):
         self.base, self.y = base, y
+        self.block, self.row = base.block, row
         self.point = np.concatenate([base.x, y])
 
     sample = property(lambda f: f.base.sample(f.y))
@@ -251,6 +329,10 @@ class FiberContext:
     structural = _once(lambda f: structural_residuals(f.sample))
     lift = _once(lambda f: PreservationResidual.of(
         G=f.sample.chern, w=f.base.form[0], dw=f.base.form[1]))
+    homogeneity = _batched(lambda b: _rows(
+        partial(homogeneity_residuals, b.s.metric), *b.pairs))
+    euler = _batched(lambda b: _rows(
+        partial(euler_residuals, b.s.metric), *b.pairs))
 
 
 @dataclass(frozen=True)
@@ -315,9 +397,7 @@ def _exactness(c: PointContext) -> float:
 def _roundtrip(c: PointContext) -> float:
     G = c.sample_w.chern
     ghat = transform_connection(G, c.jac)
-    back = transform_connection(
-        ghat, chart_jacobians(c.s.chart.swapped(), c.jac.xhat))
-    return _max_abs(back - G)
+    return _max_abs(transform_connection(ghat, c.back) - G)
 
 
 def _plan_pairs(c: PointContext):
@@ -368,12 +448,9 @@ CHECKS = (
           "homogeneity, Euler identity, Cartan trace, positive-definiteness, "
           "Randers covector bound",
           (), (
-              Facet("metric-validity:homogeneity",
-                    lambda f: homogeneity_residual(f.base.s.metric,
-                                                   f.base.x, f.y),
+              Facet("metric-validity:homogeneity", lambda f: f.homogeneity,
                     "homogeneity", fiber=True),
-              Facet("metric-validity:euler",
-                    lambda f: euler_residual(f.base.s.metric, f.base.x, f.y),
+              Facet("metric-validity:euler", lambda f: f.euler,
                     "homogeneity", fiber=True),
               Facet("metric-validity:cartan-trace",
                     lambda f: cartan_trace_residual(f.sample),
@@ -572,7 +649,8 @@ def run_checks(s: BuiltScenario, suite=None) -> list[CheckRecord]:
 
 def _run_point(ctx: PointContext, facets: list[Facet]) -> list:
     """The records of the facets at one base point, in facet order."""
-    fibers = [FiberContext(ctx, y) for y in ctx.ys]
+    first = ctx.row * len(ctx.ys)  # the block's pairs, base point by point
+    fibers = [FiberContext(ctx, y, first + j) for j, y in enumerate(ctx.ys)]
     records = []
     for facet in facets:
         if facet.fiber:

@@ -14,18 +14,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .fedosov import FedosovScenario, induce_connections
-from .finsler import chern_with_derivatives
+from .finsler import chern_block
 from .jets import fd_oracle, fd_stencil
 
 
-def induced_derivatives(s: FedosovScenario, x, w) -> tuple:
-    """Jet-path data (G, dG_dx, dG_dy, dW) of x -> Gtilde(x, W(x)) at x.
+def induced_derivatives(s: FedosovScenario, xs, ws) -> list:
+    """Jet-path data (G, dG_dx, dG_dy, dW) of x -> Gtilde(x, W(x)) at each
+    row of a (P, n) stack of base points, with W there in ``ws``.
 
-    ``w`` is W(x); G and its chart and fiber derivatives are taken at
-    (x, w), and dW[p, j] = d W^p / d x^j.
+    G and its chart and fiber derivatives are taken at (x, W(x)), and
+    dW[p, j] = d W^p / d x^j.
     """
-    G, dG_dx, dG_dy = chern_with_derivatives(s.metric, x, w)
-    return G, dG_dx, dG_dy, s.vector_field.jacobian(x)
+    return [chern + (dW,) for chern, dW in zip(
+        chern_block(s.metric, xs, ws), s.vector_field.jacobian(xs))]
 
 
 def curvature_up(G, dG_dx, dG_dy, dW) -> np.ndarray:
@@ -42,7 +43,8 @@ def curvature_induced(s: FedosovScenario, x) -> np.ndarray:
     ``up[l, i, j, k]`` follows R(d_j, d_k) d_i = R^l_ijk d_l and is exactly
     antisymmetric in (j, k).
     """
-    return curvature_up(*induced_derivatives(s, x, s.vector_field.values(x)))
+    x = np.asarray([x], dtype=float)  # a stack of one row
+    return curvature_up(*induced_derivatives(s, x, s.vector_field.values(x))[0])
 
 
 def _lowered(w: np.ndarray, up: np.ndarray) -> np.ndarray:

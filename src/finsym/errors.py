@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the per-row replay."""
+
+from typing import Callable, Iterator
 
 
 class FinsymError(Exception):
@@ -70,3 +72,22 @@ class ConfigError(FinsymError):
     def __init__(self, message: str, json_path: str = ""):
         super().__init__(f"{json_path or '/'}: {message}")
         self.json_path = json_path
+
+
+def each_row(fn: Callable, *stacks) -> Iterator:
+    """The entries of ``fn(*stacks)``, one per row of the equal-length
+    stacks.  Where fn raises a FinsymError on a stack of several rows, each
+    row is run again as a one-row stack, in order and as the entries are
+    read, so every entry is its own row's value or the FinsymError its
+    one-row stack raises, without frames, whatever the other rows hold."""
+    try:
+        found = fn(*stacks)
+    except FinsymError as exc:
+        found = exc.with_traceback(None)
+    if not isinstance(found, FinsymError):
+        yield from found
+    elif len(stacks[0]) == 1:
+        yield found
+    else:
+        for p in range(len(stacks[0])):
+            yield from each_row(fn, *(s[p:p + 1] for s in stacks))

@@ -8,19 +8,20 @@ connection preserving it on the base, i.e. a Fedosov structure.
 Every connection here is a plain coefficient array G[k, i, j] = G^k_ij,
 symmetric in the lower pair.  The residual functions take such arrays and
 other point data; only :func:`induce_connections`, which the
-finite-difference curvature differentiates, samples the metric itself, and
-:func:`induce_connection` is its one-row case.
+finite-difference curvature differentiates, and :func:`induce_connection`,
+the same quantity at one point, sample the metric themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, FinsymError,
-                     NotMinkowskianError)
+                     NotMinkowskianError, each_row)
 from .fields import ChartJacobians, VectorFieldSpec
 from .finsler import MetricSpec, _mirror, finsler_sample, sample_block
 from .symplectic import TwoForm
@@ -48,24 +49,27 @@ class FedosovScenario:
 
 def induce_connection(s: FedosovScenario, x) -> np.ndarray:
     """Connection coefficients G[k, i, j] at x along the scenario's vector
-    field: :func:`induce_connections` on a stack of one row."""
-    return induce_connections(s, np.asarray([x], dtype=float))[0]
+    field: the sample at (x, W(x)), x taken as a stack of one row."""
+    x = np.asarray([x], dtype=float)
+    return finsler_sample(s.metric, x[0], s.vector_field.values(x)[0]).chern
+
+
+def _connections(s: FedosovScenario, xs: np.ndarray) -> list:
+    return [sample.chern for sample in
+            sample_block(s.metric, xs, s.vector_field.values(xs))]
 
 
 def induce_connections(s: FedosovScenario, xs: np.ndarray) -> list:
     """The connection coefficients at each row of a ``(P, n)`` stack, from W
     on the whole stack and one :func:`sample_block`.  Raises the first
     failing row's error, W's before the sample's: a stack that fails is
-    replayed one row at a time, up to that row."""
-    if len(xs) == 1:
-        w = s.vector_field.values(xs)[0]
-        return [finsler_sample(s.metric, xs[0], w).chern]
-    try:
-        return [sample.chern for sample in
-                sample_block(s.metric, xs, s.vector_field.values(xs))]
-    except FinsymError:
-        pass  # replayed below
-    return [induce_connection(s, x) for x in xs]
+    replayed as one-row stacks (:func:`each_row`), up to that row."""
+    out = []
+    for G in each_row(partial(_connections, s), xs):
+        if isinstance(G, FinsymError):
+            raise G
+        out.append(G)
+    return out
 
 
 def covariant_residual(G: np.ndarray, w: np.ndarray, dw: np.ndarray) -> float:

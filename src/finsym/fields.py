@@ -17,8 +17,9 @@ The parser emits a flat postfix program of ``(op, arg)`` instructions:
 ``("num", value)``, ``("var", index)``, ``("neg", None)``,
 ``("sqrt", None)``, ``("^", exponent)`` and the binary ``("+", None)``,
 ``("-", None)``, ``("*", None)``, ``("/", None)``, each after both of its
-operands.  One loop over a value stack runs a program on floats or jets,
-left operand first, so the length of an expression costs no stack depth.
+operands.  One loop over a value stack runs a program on jets or columns
+of floats, one column per row of a ``(P, num_vars)`` stack of points, left
+operand first, so the length of an expression costs no stack depth.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    FinsymError,
     ParseError,
     SingularChartError,
     UnknownVariableError,
@@ -220,8 +220,8 @@ def _is_zero(v) -> bool:
 
 
 def _run(program: tuple, env: Sequence):
-    """Run a postfix program; env entries may be floats, jets, or arrays
-    or jets with one entry or column per point."""
+    """Run a postfix program; env entries are arrays or jets with one entry
+    or column per point.  Constant subexpressions run on floats."""
     stack = []
     for op, arg in program:
         if op == "var":
@@ -269,31 +269,27 @@ class ScalarFieldSpec:
         return len(self.variables)
 
     def evaluate(self, point: Sequence[float]):
-        """The value at a point, or an array of the values at each row of a
-        ``(P, num_vars)`` stack of points."""
-        if isinstance(point, np.ndarray) and point.ndim == 2:
-            points = point.astype(float, copy=False)
-            with np.errstate(all="ignore"):  # non-finite values raise below
-                out = _run(self.program, list(points.T.copy()))
-            out = np.broadcast_to(out, points.shape[:1])
-            finite = np.isfinite(out)
-            if not finite.all():  # named by the first failing row
-                raise DomainError("non-finite field value at "
-                                  f"{points[np.argmin(finite)].tolist()}")
-            return out
-        out = float(_run(self.program, [float(v) for v in point]))
-        if not math.isfinite(out):
-            raise DomainError(
-                f"non-finite field value at {np.asarray(point, float).tolist()}")
-        return out
+        """The values at each row of a ``(P, num_vars)`` stack of points.
+        One point is run as a stack of one row; its value is a float."""
+        point = np.asarray(point, dtype=float)
+        points = point.reshape(-1, self.num_vars)
+        with np.errstate(all="ignore"):  # non-finite values raise below
+            out = _run(self.program, list(points.T.copy()))
+        out = np.broadcast_to(out, points.shape[:1])
+        finite = np.isfinite(out)
+        if not finite.all():  # named by the first failing row
+            raise DomainError("non-finite field value at "
+                              f"{points[np.argmin(finite)].tolist()}")
+        return out if points.shape == point.shape else float(out[0])
 
     __call__ = evaluate
 
     def eval_jet(self, point: Sequence[float], order: int) -> Jet:
-        """The order-``order`` jet at a point, or the jet with one column per
-        row of a ``(P, num_vars)`` stack of points."""
+        """The order-``order`` jet with one column per row of a
+        ``(P, num_vars)`` stack of points; one point is a stack of one
+        row."""
         num_vars = len(self.variables)
-        x = np.asarray(point, dtype=float)
+        x = np.asarray(point, dtype=float).reshape(-1, num_vars)
         env = [Jet.variable(i, x.T[i], num_vars, order)
                for i in range(num_vars)]
         with np.errstate(all="ignore"):  # non-finite data raises below
@@ -305,11 +301,9 @@ class ScalarFieldSpec:
                 out = _run(self.program, [Jet(num_vars, order, v.c)
                                           for v in env])
         if not isinstance(out, Jet):
-            out = Jet.constant(np.full(x.shape[:-1], float(out)), num_vars,
-                               order)
-        if not out.is_finite():
-            if x.ndim == 2:  # the first column with a non-finite coefficient
-                x = x[np.argmin(np.isfinite(out.c).all(axis=0))]
+            out = Jet.constant(np.full(len(x), float(out)), num_vars, order)
+        if not out.is_finite():  # named by the first non-finite column
+            x = x[np.argmin(np.isfinite(out.c).all(axis=0))]
             raise DomainError(f"non-finite field data at {x.tolist()}")
         return out
 
@@ -362,32 +356,23 @@ class VectorFieldSpec:
     def dimension(self) -> int:
         return len(self.components)
 
-    def values(self, x: Sequence[float]) -> np.ndarray:
-        """W at a point, or the ``(P, n)`` stack of W at each row of a
-        ``(P, n)`` stack of points, each row held to the floor.  A stack in
-        which any row raises is evaluated one row at a time, so the error
-        is the first failing row's, with the one-point text."""
-        if isinstance(x, np.ndarray) and x.ndim == 2:
-            try:
-                w = np.stack([c.evaluate(x) for c in self.components], axis=1)
-                if all(math.hypot(*row) >= self.w_min for row in w.tolist()):
-                    return w
-            except FinsymError:
-                pass
-            return np.array([self.values(row) for row in x])
-        w = np.array([c.evaluate(x) for c in self.components])
-        norm = math.hypot(*w)  # scaled, so a large W cannot overflow
-        if norm < self.w_min:
-            raise ZeroVectorError(
-                f"vector field norm {norm:.3e} below floor "
-                f"{self.w_min} at {np.asarray(x, float).tolist()}"
-            )
+    def values(self, xs) -> np.ndarray:
+        """The ``(P, n)`` stack of W at each row of a ``(P, n)`` stack of
+        points, each row held to the floor."""
+        xs = np.asarray(xs, dtype=float)
+        w = np.stack([c.evaluate(xs) for c in self.components], axis=1)
+        for x, row in zip(xs, w.tolist()):
+            norm = math.hypot(*row)  # scaled, so a large W cannot overflow
+            if norm < self.w_min:
+                raise ZeroVectorError(
+                    f"vector field norm {norm:.3e} below floor "
+                    f"{self.w_min} at {x.tolist()}")
         return w
 
-    def jacobian(self, x: Sequence[float]) -> np.ndarray:
-        """dW[p, j] = d W^p / d x^j."""
-        return np.array([c.eval_jet(x, 1).derivatives(1)
-                         for c in self.components])
+    def jacobian(self, xs) -> np.ndarray:
+        """dW[P, p, j] = d W^p / d x^j at each row of a ``(P, n)`` stack."""
+        return np.stack([c.eval_jet(xs, 1).derivatives(1)
+                         for c in self.components], axis=1)
 
 
 @dataclass(frozen=True)
@@ -414,7 +399,7 @@ class ChartMap:
 
 @dataclass(frozen=True)
 class ChartJacobians:
-    """Derivative data of a chart map at one point.
+    """Derivative data of a chart map at one point x.
 
     fwd[p, i]     = d xhat^p / d x^i            (at x)
     inv[j, q]     = d x^j / d xhat^q            (at xhat(x))
@@ -431,42 +416,47 @@ class ChartJacobians:
 _CHAIN_TOL = 1e-8
 
 
-def chart_jacobians(chart: ChartMap, x: Sequence[float]) -> ChartJacobians:
-    """First/second derivative arrays of a chart at ``x``; SingularChartError
-    unless the inverse undoes the forward map there (Jacobians inverse within
-    ``_CHAIN_TOL``, value back at x within ``_CHAIN_TOL * max(1, max|x|)``)."""
+def chart_jacobians(chart: ChartMap, xs) -> list[ChartJacobians]:
+    """First/second derivative arrays of a chart at each row of a ``(P, m)``
+    stack of points; SingularChartError unless the inverse undoes the
+    forward map at every row (Jacobians inverse within ``_CHAIN_TOL``,
+    value back at x within ``_CHAIN_TOL * max(1, max|x|)``).  The checks
+    after each jet run row by row, in the order of one point's."""
     m = chart.dimension
-    x = np.asarray(x, dtype=float)
+    xs = np.asarray(xs, dtype=float)
     if chart.forward_domain is not None:
-        chart.forward_domain.require(x, "chart point")
+        for x in xs:
+            chart.forward_domain.require(x, "chart point")
 
-    fwd_jets = [c.eval_jet(x, 1) for c in chart.forward]
-    xhat = np.array([j.value for j in fwd_jets])
-    fwd = np.array([j.derivatives(1) for j in fwd_jets])
-    det = float(np.linalg.det(fwd))
-    if abs(det) < 1e-8:
-        raise SingularChartError(
-            f"chart Jacobian determinant {det:.3e} below 1e-8 at {x.tolist()}"
-        )
+    fwd_jets = [c.eval_jet(xs, 1) for c in chart.forward]
+    xhat = np.stack([j.value for j in fwd_jets], axis=1)
+    fwd = np.stack([j.derivatives(1) for j in fwd_jets], axis=1)
+    for x, f in zip(xs, fwd):
+        det = float(np.linalg.det(f))
+        if abs(det) < 1e-8:
+            raise SingularChartError(f"chart Jacobian determinant {det:.3e} "
+                                     f"below 1e-8 at {x.tolist()}")
 
     if chart.inverse_domain is not None:
-        chart.inverse_domain.require(xhat, "mapped chart point")
+        for x in xhat:
+            chart.inverse_domain.require(x, "mapped chart point")
     inv_jets = [c.eval_jet(xhat, 2) for c in chart.inverse]
-    inv = np.array([j.derivatives(1) for j in inv_jets])
-    inv2 = np.array([j.derivatives(2) for j in inv_jets])
+    inv = np.stack([j.derivatives(1) for j in inv_jets], axis=1)
+    inv2 = np.stack([j.derivatives(2) for j in inv_jets], axis=1)
+    back = np.stack([j.value for j in inv_jets], axis=1)
 
-    defect = float(np.max(np.abs(fwd @ inv - np.eye(m))))
-    if defect > _CHAIN_TOL:
-        raise SingularChartError(
-            f"inverse map inconsistent with forward map (chain defect "
-            f"{defect:.3e} > {_CHAIN_TOL:g}) at {x.tolist()}"
-        )
-    back = np.array([j.value for j in inv_jets])
-    miss = float(np.max(np.abs(back - x)))
-    bound = _CHAIN_TOL * max(1.0, float(np.max(np.abs(x))))
-    if miss > bound:
-        raise SingularChartError(
-            f"inverse map does not return to the point (round-trip miss "
-            f"{miss:.3e} > {bound:.3g}) at {x.tolist()}"
-        )
-    return ChartJacobians(x=x, xhat=xhat, fwd=fwd, inv=inv, inv2=inv2)
+    out = []
+    for x, xh, f, i, i2, b in zip(xs, xhat, fwd, inv, inv2, back):
+        defect = float(np.max(np.abs(f @ i - np.eye(m))))
+        if defect > _CHAIN_TOL:
+            raise SingularChartError(
+                f"inverse map inconsistent with forward map (chain defect "
+                f"{defect:.3e} > {_CHAIN_TOL:g}) at {x.tolist()}")
+        miss = float(np.max(np.abs(b - x)))
+        bound = _CHAIN_TOL * max(1.0, float(np.max(np.abs(x))))
+        if miss > bound:
+            raise SingularChartError(
+                f"inverse map does not return to the point (round-trip miss "
+                f"{miss:.3e} > {bound:.3g}) at {x.tolist()}")
+        out.append(ChartJacobians(x=x, xhat=xh, fwd=f, inv=i, inv2=i2))
+    return out

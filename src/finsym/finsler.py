@@ -1,22 +1,21 @@
-"""Finsler fundamental quantities and connection coefficients at a point.
+"""Finsler fundamental quantities and connection coefficients at points.
 
 Everything is driven by one jet of the energy Phi(x, y) = F^2/2 over the 2n
 chart-plus-fiber variables: g is its fiber Hessian and C = (1/2) dg/dy.  The
 connection assembly is written once, as numpy products over arrays with a
 leading batch axis, one entry per point, and a trailing tangent axis
 (forward-mode dual numbers).  A tangent axis of length 1 gives the values
-(:func:`finsler_samples`, for a block of points from one jet of the energy
-with a column per point), one of length 1 + 2n the values plus their first
-derivatives in (x, y) (:func:`chern_with_derivatives`, a batch of one).  A
-single point is a block of one row: :func:`finsler_sample`.  F cancels from
-the assembly and enters only the reported Cartan tensor A = F C.
+(:func:`sample_block`), one of length 1 + 2n the values plus their first
+derivatives in (x, y) (:func:`chern_block`), each from one jet with a column
+per point.  A single point is a block of one row: :func:`finsler_sample`.
+F cancels from the assembly and enters only the reported Cartan tensor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     NonPositiveError,
     NotPositiveDefiniteError,
     NotRandersError,
+    each_row,
 )
 from .fields import DomainBox, ScalarFieldSpec
 from .jets import Jet
@@ -138,20 +138,20 @@ def _quadratic_form(entries, n: int) -> tuple:
         for i in range(n) for j in range(n)])
 
 
-def _require_point(m: MetricSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (m.dimension,) or y.shape != (m.dimension,):
-        raise DomainError(
-            f"point shapes {x.shape}/{y.shape} do not match dimension {m.dimension}"
-        )
-    m.domain.require(x, "base point")
-    norm = math.hypot(*y)  # scaled, so a large y cannot overflow
-    if norm < m.y_min:
-        raise DomainError(
-            f"fiber point norm {norm:.3e} below slit floor {m.y_min}"
-        )
-    return x, y
+def _require_points(m: MetricSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Two (P, n) stacks as float arrays, each pair (x, y) checked in turn."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    for x, y in zip(xs, ys):
+        if x.shape != (m.dimension,) or y.shape != (m.dimension,):
+            raise DomainError(f"point shapes {x.shape}/{y.shape} do not "
+                              f"match dimension {m.dimension}")
+        m.domain.require(x, "base point")
+        norm = math.hypot(*y)  # scaled, so a large y cannot overflow
+        if norm < m.y_min:
+            raise DomainError(
+                f"fiber point norm {norm:.3e} below slit floor {m.y_min}")
+    return xs, ys
 
 
 # -- connection assembly ---------------------------------------------------------
@@ -279,46 +279,25 @@ def _check_pd(g: np.ndarray, tol_pd: float) -> None:
             )
 
 
-def _not_positive(F: float, x: np.ndarray, y: np.ndarray):
-    return NonPositiveError(
-        f"F = {F:.3e} <= 0 at x={x.tolist()}, y={y.tolist()}")
-
-
-def finsler_value(m: MetricSpec, x, y) -> float:
-    """F(x, y); positive on the slit domain or the metric is invalid."""
-    x, y = _require_point(m, x, y)
-    F = m.F_field.evaluate(np.concatenate([x, y]))
-    if not F > 0.0:
-        raise _not_positive(F, x, y)
+def _positive(F: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """F at each pair; NonPositiveError at the first where it is not > 0."""
+    if not (F > 0.0).all():
+        p = int(np.argmin(F > 0.0))
+        raise NonPositiveError(f"F = {F[p]:.3e} <= 0 at x={xs[p].tolist()}, "
+                               f"y={ys[p].tolist()}")
     return F
 
 
-def _sample(m: MetricSpec, x: np.ndarray, y: np.ndarray) -> dict:
-    """The value path's arrays, with a leading batch axis, at each row of
-    checked (P, n) stacks."""
-    xy = np.concatenate([x, y], axis=-1)
-    F = m.F_field.evaluate(xy)
-    if not (F > 0.0).all():
-        p = int(np.argmin(F > 0.0))
-        raise _not_positive(F[p], x[p], y[p])
-    phi = m.phi_field.eval_jet(xy, 3)
+def _assembly(m: MetricSpec, xs, ys, order: int, y: np.ndarray) -> tuple:
+    """(g, dg_dx, g_inv, C, gamma, N, chern) at each pair of checked
+    stacks, from one order-``order`` jet of the energy with a column per
+    pair and the fiber points as ``y``; non-finite results are the
+    caller's to raise."""
+    phi = m.phi_field.eval_jet(np.concatenate([xs, ys], axis=1), order)
     g, dg_dx, dg_dy = _metric_data(phi, m.dimension)
-    g0 = _value(g)
-    _check_pd(g0, m.tol_pd)
-
-    with np.errstate(all="ignore"):  # non-finite results raise below
-        g_inv, C, gamma, N, chern = (
-            _value(a) for a in _connection(g, dg_dx, dg_dy, y[..., None]))
-        A = F[:, None, None, None] * C
-    finite = np.isfinite(np.concatenate(
-        [a.reshape(len(x), -1) for a in (g_inv, A, gamma, N, chern)],
-        axis=1)).all(axis=1)
-    if not finite.all():
-        p = int(np.argmin(finite))
-        raise DomainError(f"non-finite connection data at x={x[p].tolist()}, "
-                          f"y={y[p].tolist()}")
-    return dict(x=x, y=y, F=F.tolist(), g=g0, g_inv=g_inv, A=A, gamma=gamma,
-                N=N, chern=chern, dg_dx=_value(dg_dx))
+    _check_pd(_value(g), m.tol_pd)
+    with np.errstate(all="ignore"):
+        return (g, dg_dx) + _connection(g, dg_dx, dg_dy, y)
 
 
 def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
@@ -330,16 +309,27 @@ def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
     return found
 
 
-def sample_block(m: MetricSpec, xs: np.ndarray, ys: np.ndarray) -> list:
-    """The samples at each pair of two (P, n) float stacks of equal length,
-    from one order-3 jet of the energy with a column per pair.  Raises a
+def sample_block(m: MetricSpec, xs, ys) -> list:
+    """The samples at each pair of two (P, n) stacks of equal length, from
+    one order-3 jet of the energy with a column per pair.  Raises a
     FinsymError if any row fails: where rows fail at different stages, not
     necessarily the first failing row's."""
-    for x, y in zip(xs, ys):
-        _require_point(m, x, y)
-    block = _sample(m, xs, ys)
-    return [FinslerSample(**{k: v[p] for k, v in block.items()})
-            for p in range(len(xs))]
+    xs, ys = _require_points(m, xs, ys)
+    F = _positive(m.F_field.evaluate(np.concatenate([xs, ys], axis=1)),
+                  xs, ys)
+    g, dg_dx, g_inv, C, gamma, N, chern = (
+        _value(a) for a in _assembly(m, xs, ys, 3, ys[..., None]))
+    with np.errstate(all="ignore"):  # non-finite results raise below
+        A = F[:, None, None, None] * C
+    finite = np.isfinite(np.concatenate(
+        [a.reshape(len(xs), -1) for a in (g_inv, A, gamma, N, chern)],
+        axis=1)).all(axis=1)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise DomainError(f"non-finite connection data at x={xs[p].tolist()}"
+                          f", y={ys[p].tolist()}")
+    return [FinslerSample(*row) for row in zip(
+        xs, ys, F.tolist(), g, g_inv, A, gamma, N, chern, dg_dx)]
 
 
 def finsler_samples(m: MetricSpec, xs, ys) -> list:
@@ -347,9 +337,8 @@ def finsler_samples(m: MetricSpec, xs, ys) -> list:
     (P, n) stacks: the value path of the connection assembly, as one
     :func:`sample_block`.
 
-    Entry p is the sample, or the FinsymError raised there.  A block in
-    which any row fails is run again as one-row blocks, so each entry is
-    what the block of its row alone gives, whatever the other rows hold.
+    Entry p is the sample, or the FinsymError raised there: what the block
+    of its row alone gives, whatever the other rows hold (:func:`each_row`).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -357,13 +346,7 @@ def finsler_samples(m: MetricSpec, xs, ys) -> list:
         raise ValueError(f"{len(xs)} base points but {len(ys)} fiber points")
     if not len(xs):
         return []
-    try:
-        return sample_block(m, xs, ys)
-    except FinsymError as exc:
-        if len(xs) == 1:
-            return [exc.with_traceback(None)]  # a value, without frames
-    return [finsler_samples(m, xs[p:p + 1], ys[p:p + 1])[0]
-            for p in range(len(xs))]
+    return list(each_row(partial(sample_block, m), xs, ys))
 
 
 class StructuralResiduals(NamedTuple):
@@ -394,52 +377,58 @@ def structural_residuals(s: FinslerSample) -> StructuralResiduals:
 
 
 def chern_with_derivatives(m: MetricSpec, x, y):
-    """Connection coefficients plus their chart and fiber first derivatives.
+    """:func:`chern_block` at (x, y), a block of one row."""
+    return chern_block(m, [x], [y])[0]
 
-    Returns (G, dG_dx, dG_dy) with G[l, j, k], dG_dx[l, j, k, t] the
-    derivative in x^t, dG_dy[l, j, k, p] the derivative in y^p, all at
-    (x, y).  Uses one order-4 jet of the energy; G equals the value path's
-    ``finsler_sample(m, x, y).chern`` bit for bit.
-    """
-    x, y = _require_point(m, x, y)
+
+def chern_block(m: MetricSpec, xs, ys) -> list:
+    """Connection coefficients plus their chart and fiber first derivatives
+    at each pair of two (P, n) stacks, from one order-4 jet of the energy.
+
+    Entry p is (G, dG_dx, dG_dy) with G[l, j, k], dG_dx[l, j, k, t] the
+    derivative in x^t, dG_dy[l, j, k, q] the derivative in y^q, all at
+    (xs[p], ys[p]); G equals the value path's chern bit for bit.  Raises a
+    FinsymError if any row fails."""
+    xs, ys = _require_points(m, xs, ys)
     n = m.dimension
-    phi = m.phi_field.eval_jet(np.concatenate([x, y]), 4)
-    one = Jet(phi.num_vars, 4, phi.c[:, None])  # the point as one column
-    g, dg_dx, dg_dy = _metric_data(one, n)
-    _check_pd(_value(g), m.tol_pd)
-
-    y_dual = np.concatenate([y[:, None], np.eye(n, 2 * n, k=n)], axis=-1)
-    with np.errstate(all="ignore"):  # non-finite results raise below
-        chern = _connection(g, dg_dx, dg_dy, y_dual[None])[-1][0]
-    G = _value(chern)
-    dG_dx = np.ascontiguousarray(chern[..., 1:n + 1])
-    dG_dy = np.ascontiguousarray(chern[..., n + 1:])
-    if not np.isfinite(chern).all():
-        raise DomainError(f"non-finite connection derivatives at x={x.tolist()}")
-    return G, dG_dx, dG_dy
+    # y as a dual number: value y, unit tangent along each fiber variable
+    unit = np.broadcast_to(np.eye(n, 2 * n, k=n), (len(ys), n, 2 * n))
+    chern = _assembly(m, xs, ys, 4,
+                      np.concatenate([ys[..., None], unit], axis=-1))[-1]
+    finite = np.isfinite(chern.reshape(len(xs), -1)).all(axis=1)
+    if not finite.all():
+        raise DomainError("non-finite connection derivatives at "
+                          f"x={xs[np.argmin(finite)].tolist()}")
+    return [(_value(G), np.ascontiguousarray(G[..., 1:n + 1]),
+             np.ascontiguousarray(G[..., n + 1:])) for G in chern]
 
 
 # -- validity and probes --------------------------------------------------------
 
 
-def randers_alpha_norm(m: MetricSpec, x) -> float:
-    """alpha-norm of the covector b at x: sqrt(a^{ij} b_i b_j)."""
+def randers_alpha_norm(m: MetricSpec, xs) -> list[float]:
+    """alpha-norm sqrt(a^{ij} b_i b_j) of the covector b at each row of a
+    (P, n) stack; the solve and the product run row by row."""
     if m.family != "randers":
         raise NotRandersError(f"metric family is {m.family!r}")
     n = m.dimension
-    a = np.array([[m.g_entries[i][j].evaluate(x) for j in range(n)]
-                  for i in range(n)])
-    b = np.array([c.evaluate(x) for c in m.b_fields])
-    try:
-        with np.errstate(all="ignore"):  # checked right below
-            q = float(b @ np.linalg.solve(a, b))
-    except np.linalg.LinAlgError:
-        raise DomainError(f"singular alpha matrix at "
-                          f"x={np.asarray(x, float).tolist()}") from None
-    if not 0.0 <= q < np.inf:
-        raise DomainError(f"a^ij b_i b_j = {q:.3e} is negative or non-finite "
-                          f"at x={np.asarray(x, float).tolist()}")
-    return float(np.sqrt(q))
+    xs = np.asarray(xs, dtype=float)
+    a = np.stack([np.stack([m.g_entries[i][j].evaluate(xs) for j in range(n)],
+                           axis=1) for i in range(n)], axis=1)
+    b = np.stack([c.evaluate(xs) for c in m.b_fields], axis=1)
+    out = []
+    for x, a_x, b_x in zip(xs, a, b):
+        try:
+            with np.errstate(all="ignore"):  # checked right below
+                q = float(b_x @ np.linalg.solve(a_x, b_x))
+        except np.linalg.LinAlgError:
+            raise DomainError(
+                f"singular alpha matrix at x={x.tolist()}") from None
+        if not 0.0 <= q < np.inf:
+            raise DomainError(f"a^ij b_i b_j = {q:.3e} is negative or "
+                              f"non-finite at x={x.tolist()}")
+        out.append(float(np.sqrt(q)))
+    return out
 
 
 # fiber scalings at which the homogeneity residual compares F(x, lam y)
@@ -447,24 +436,31 @@ def randers_alpha_norm(m: MetricSpec, x) -> float:
 _LAMBDAS = (0.5, 2.0, 3.0)
 
 
-def homogeneity_residual(m: MetricSpec, x, y) -> float:
+def homogeneity_residuals(m: MetricSpec, xs, ys) -> list[float]:
     """Largest relative gap |F(x, lam y) - lam F(x, y)| / (lam F(x, y))
-    over the fiber scalings lam in ``_LAMBDAS``."""
-    F = finsler_value(m, x, y)
-    rel = 0.0
-    for lam in _LAMBDAS:
-        Fl = m.F_field.evaluate(np.concatenate([x, lam * y]))
-        rel = max(rel, abs(Fl - lam * F) / abs(lam * F))
+    over the fiber scalings lam in ``_LAMBDAS``, at each pair of two (P, n)
+    stacks: F on the pairs, then on each scaling of them.  F must be
+    positive on the slit domain."""
+    xs, ys = _require_points(m, xs, ys)
+    F = _positive(m.F_field.evaluate(np.concatenate([xs, ys], axis=1)),
+                  xs, ys).tolist()
+    rel = [0.0] * len(F)
+    for lam in _LAMBDAS:  # per pair on Python floats, as one point's
+        Fl = m.F_field.evaluate(np.concatenate([xs, lam * ys], axis=1))
+        rel = [max(r, abs(a - lam * b) / abs(lam * b))
+               for r, a, b in zip(rel, Fl.tolist(), F)]
     return rel
 
 
-def euler_residual(m: MetricSpec, x, y) -> float:
-    """Relative defect of Euler's identity y^i dF/dy^i = F at (x, y)."""
-    Fj = m.F_field.eval_jet(np.concatenate([x, y]), 1)
-    F = Fj.value
-    if not F > 0.0:
-        raise _not_positive(F, x, y)
-    return abs(sum(y * Fj.derivatives(1)[m.dimension:]) - F) / abs(F)
+def euler_residuals(m: MetricSpec, xs, ys) -> list:
+    """Relative defect of Euler's identity y^i dF/dy^i = F at each pair of
+    two (P, n) stacks, from one order-1 jet of F with a column per pair.
+    The contraction with y runs row by row, as a Python sum."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    Fj = m.F_field.eval_jet(np.concatenate([xs, ys], axis=1), 1)
+    F = _positive(Fj.value, xs, ys).tolist()
+    return [abs(sum(y * dF) - F_xy) / abs(F_xy) for y, dF, F_xy in zip(
+        ys, Fj.derivatives(1)[:, m.dimension:], F)]
 
 
 def cartan_trace_residual(s: FinslerSample) -> float:

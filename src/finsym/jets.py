@@ -10,16 +10,16 @@ Derivatives leave a jet only as arrays (:meth:`Jet.derivatives`); chain
 rules through a known Jacobian are numpy contractions over those arrays,
 done by the callers, not jet compositions.
 
-A jet may carry a trailing column axis: coefficients of shape
-``(size, P)`` hold the jets of one field at P points, so each operation is
-one numpy call for all of them (Taylor propagation vectorised over points,
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
-Every column is bit-identical to the one-point jet: a product sums each
-coefficient's terms in the same order (one ``np.bincount`` over the
-flattened (output, column) index), and the Taylor factors of sqrt, real
-powers and reciprocals are computed per column with Python float ``**``,
-which can round differently from ``np.power``.  A single point keeps 1-D
-coefficients.
+A jet holds one field at P points: its coefficients have shape
+``(size, P)``, one column per point, so each operation is one numpy call
+for all of them (Taylor propagation vectorised over points, Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  One point
+is P = 1.  Every column is bit-identical to the jet of its point alone: a
+product sums each coefficient's terms in the same order whatever P is
+(one ``np.bincount`` over the flattened (output, column) index), and the
+Taylor factors of sqrt, real powers and reciprocals are computed per
+column with Python float ``**``, which can round differently from
+``np.power``.
 
 Each jet carries its variable support, a bitmask of the variables its
 coefficients can depend on; every other coefficient is ±0.  A variable
@@ -171,8 +171,8 @@ def _derivative_gather(num_vars: int, order: int,
     return pos, t.factorials[pos]
 
 
-# twice the most a benchmark workload uses (123 on curvature-n4: 41
-# restricted tables at order 3 times three block widths)
+# above the most a benchmark workload uses (205 on curvature-n4: the
+# restricted tables of orders 2 to 4 times the block widths)
 @lru_cache(maxsize=256)
 def _column_bins(product: _Product, columns: int) -> np.ndarray:
     """A product table's output positions in flattened ``(size, columns)``
@@ -221,11 +221,10 @@ def _sqrt_factors(v: float, order: int) -> list[float]:
 
 
 class Jet:
-    """Truncated multivariate Taylor expansion of a scalar field at a point,
-    or at P points.
+    """Truncated multivariate Taylor expansion of a scalar field at P points.
 
     ``c`` holds the Taylor coefficients in graded multi-index order, with a
-    trailing column axis of length P for P points; the partial derivative
+    trailing column axis of length P, one column per point; the partial derivative
     for a multi-index is its coefficient times ``multi_index_factorial``,
     read out through :meth:`derivatives`.
 
@@ -260,8 +259,10 @@ class Jet:
 
     @classmethod
     def constant(cls, value, num_vars: int, order: int) -> "Jet":
-        """A constant jet; an array ``value`` gives one column per entry."""
-        c = np.zeros((_table(num_vars, order).size,) + np.shape(value))
+        """A constant jet with one column per entry of ``value`` (a float is
+        one column)."""
+        value = np.atleast_1d(value)
+        c = np.zeros((_table(num_vars, order).size,) + value.shape)
         c[0] = value
         out = cls(num_vars, order, c)
         out.support = 0
@@ -269,12 +270,13 @@ class Jet:
 
     @classmethod
     def variable(cls, i: int, value, num_vars: int, order: int) -> "Jet":
-        """The jet of coordinate i; an array ``value`` gives one column per
-        entry."""
+        """The jet of coordinate i with one column per entry of ``value``
+        (a float is one column)."""
         if not 0 <= i < num_vars:
             raise ValueError(f"variable index {i} out of range for {num_vars} vars")
         t = _table(num_vars, order)
-        c = np.zeros((t.size,) + np.shape(value))
+        value = np.atleast_1d(value)
+        c = np.zeros((t.size,) + value.shape)
         c[0] = value
         if order >= 1:
             unit = tuple(1 if v == i else 0 for v in range(num_vars))
@@ -286,20 +288,20 @@ class Jet:
     # -- accessors ---------------------------------------------------------
 
     @property
-    def value(self):
-        """The value: a float, or an array with one entry per column."""
-        return float(self.c[0]) if self.c.ndim == 1 else self.c[0].copy()
+    def value(self) -> np.ndarray:
+        """The values, one per column."""
+        return self.c[0].copy()
 
     def derivatives(self, k: int) -> np.ndarray:
-        """Every k-th partial as a symmetric ``(num_vars,)*k`` array:
-        ``out[v1, ..., vk]`` is the partial in the variables v1..vk.  With
-        columns the column axis comes first: ``out[p, v1, ..., vk]``."""
+        """Every k-th partial at each column, as symmetric
+        ``(num_vars,)*k`` arrays after the column axis: ``out[p, v1, ...,
+        vk]`` is the partial in the variables v1..vk at column p."""
         if not 0 <= k <= self.order:
             raise OrderError(f"derivative degree {k} outside 0..{self.order}")
         pos, fac = _derivative_gather(self.num_vars, self.order, k)
-        if self.c.ndim == 1:
-            return self.c[pos] * fac
-        return self.c.T[:, pos] * fac
+        # C order, so that each column's array is laid out as a lone
+        # point's: numpy may sum in another order over other strides
+        return np.multiply(self.c.T[:, pos], fac, order="C")
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.c).all())
@@ -362,11 +364,8 @@ class Jet:
         p = t.product(self.support, other.support)
         prod = self.c[p.a]
         prod *= other.c[p.b]
-        if prod.ndim == 1:
-            return self._new(
-                np.bincount(p.out, weights=prod, minlength=t.size), support)
         # one bincount over the flattened (output, column) index adds each
-        # column's terms in table order, as the one-point product does
+        # column's terms in table order, whatever the number of columns
         columns = prod.shape[1]
         c = np.bincount(_column_bins(p, columns), weights=prod.ravel(),
                         minlength=t.size * columns)
@@ -389,17 +388,15 @@ class Jet:
         c[0] = 0.0
         return self._new(c, self.support)
 
-    def _factors(self, factors: Callable, *args) -> list | np.ndarray:
-        """``factors(v, order, *args)`` at the value, or at each column's
-        value as an ``(order + 1, P)`` array; always on Python floats."""
-        if self.c.ndim == 1:
-            return factors(float(self.c[0]), self.order, *args)
+    def _factors(self, factors: Callable, *args) -> np.ndarray:
+        """``factors(v, order, *args)`` at each column's value, as an
+        ``(order + 1, P)`` array; always on Python floats."""
         return np.array([factors(v, self.order, *args)
                          for v in self.c[0].tolist()]).T
 
     def _compose(self, dcoef) -> "Jet":
         """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!,
-        a float or one per column."""
+        one per column."""
         h = self._nilpotent()
         if not self.is_finite():
             h = h._marked(h.c)

@@ -5,7 +5,7 @@ entries, or the exact form d(beta) of a covector (:class:`ExactTwoForm`),
 read off the covector's derivative arrays; skewness is structural in both.
 The lift of a base two-form to the pulled-back bundle has the same
 components evaluated at the base point, so preservation conditions are
-evaluated directly on the base entries.
+evaluated directly on the base entries, at a stack of base points.
 """
 
 from __future__ import annotations
@@ -32,27 +32,31 @@ class TwoFormField:
             if not (0 <= i < j < self.dimension):
                 raise ValueError(f"entry key ({i},{j}) must satisfy 0 <= i < j < dim")
 
-    def data(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """The components w[i, j] at x and their partials
-        d[k, i, j] = d omega_ij / d x^k, from one order-1 jet per entry."""
+    def data(self, xs) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The components w[i, j] and their partials d[k, i, j] =
+        d omega_ij / d x^k at each row of a (P, dim) stack, as one (w, d)
+        pair per row, from one order-1 jet per entry."""
         m = self.dimension
-        w = np.zeros((m, m))
-        d = np.zeros((m, m, m))
+        xs = np.asarray(xs, dtype=float)
+        w = np.zeros((len(xs), m, m))
+        d = np.zeros((len(xs), m, m, m))
         for (i, j), entry in self.entries.items():
-            jet = entry.eval_jet(x, 1)
-            w[i, j], w[j, i] = jet.value, -jet.value
-            d[:, i, j] = jet.derivatives(1)
-            d[:, j, i] = -d[:, i, j]
-        return w, d
+            jet = entry.eval_jet(xs, 1)
+            w[:, i, j], w[:, j, i] = jet.value, -jet.value
+            d[:, :, i, j] = jet.derivatives(1)
+            d[:, :, j, i] = -d[:, :, i, j]
+        return list(zip(w, d))
 
 
 def covector_derivatives(b: Sequence[ScalarFieldSpec],
-                         x) -> tuple[np.ndarray, np.ndarray]:
-    """The first two derivative arrays of the covector b at x:
-    db[l, j] = d b_j / d x^l and ddb[k, l, j] = d^2 b_j / d x^k d x^l."""
-    jets = [c.eval_jet(np.asarray(x, dtype=float), 2) for c in b]
-    return tuple(np.stack([j.derivatives(k) for j in jets], axis=-1)
-                 for k in (1, 2))
+                         xs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The first two derivative arrays of the covector b at each row of a
+    (P, n) stack, as one (db, ddb) pair per row: db[l, j] = d b_j / d x^l
+    and ddb[k, l, j] = d^2 b_j / d x^k d x^l, from one order-2 jet per
+    component."""
+    jets = [c.eval_jet(xs, 2) for c in b]
+    return list(zip(*(np.stack([j.derivatives(k) for j in jets], axis=-1)
+                      for k in (1, 2))))
 
 
 def exact_form_data(db: np.ndarray,
@@ -74,10 +78,11 @@ class ExactTwoForm:
     def dimension(self) -> int:
         return len(self.b)
 
-    def data(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """The components at x and their partials, from one order-2
-        evaluation of b."""
-        return exact_form_data(*covector_derivatives(self.b, x))
+    def data(self, xs) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The components and their partials at each row of a (P, n) stack,
+        from one order-2 evaluation of b."""
+        return [exact_form_data(*row)
+                for row in covector_derivatives(self.b, xs)]
 
 
 # what every consumer of a two-form reads: dimension, data
@@ -157,7 +162,7 @@ def chern_preservation_residual(m: MetricSpec, omega: TwoForm,
             f"form dimension {omega.dimension} != metric dimension {m.dimension}"
         )
     chern = finsler_sample(m, x, y).chern
-    return PreservationResidual.of(*omega.data(x), chern)
+    return PreservationResidual.of(*omega.data([x])[0], chern)
 
 
 def randers_condition(db: np.ndarray, ddb: np.ndarray,

@@ -30,10 +30,10 @@ def patch_everywhere(monkeypatch, original, replacement):
 
 
 def partial(jet, idx):
-    """The partial derivative of a jet for a multi-index, read from
-    ``jet.derivatives``."""
+    """The partial derivative of a one-point jet for a multi-index, read
+    from ``jet.derivatives``."""
     slots = tuple(v for v, e in enumerate(idx) for _ in range(e))
-    return jet.derivatives(len(slots))[slots]
+    return jet.derivatives(len(slots))[(0,) + slots]
 
 
 def sample_box(rng, lower, upper, count):

@@ -221,9 +221,9 @@ def test_criterion_05_exactness(request):
     for name, sc, box in _all_scenarios(request):
         for x in sample_box(rng, box.lower, box.upper, 15):
             gam = induce_connection(sc, x)
-            w = sc.vector_field.values(x)
+            w = sc.vector_field.values([x])[0]
             pres = chern_preservation_residual(sc.metric, sc.two_form, x, w)
-            direct = covariant_residual(gam, *sc.two_form.data(x))
+            direct = covariant_residual(gam, *sc.two_form.data([x])[0])
             worst = max(worst, abs(direct - pres.max_abs))
     _report("criterion-05 induced-exactness", worst <= 1e-12,
             f"7 scenarios x 15 pts: |connection residual - lift residual| "
@@ -246,7 +246,7 @@ def test_criterion_06_darboux_relations(euclid2, quartic2, euclid4, quartic4):
     for metric, w, n, box in cases:
         sc = FedosovScenario(metric, w, standard_form(n))
         for x in sample_box(rng, box.lower, box.upper, 25):
-            wx = w.values(x)
+            wx = w.values([x])[0]
             pres = chern_preservation_residual(metric, sc.two_form, x, wx)
             if pres.max_abs > 1e-9:
                 continue
@@ -292,14 +292,14 @@ def test_criterion_08_randers_equivalence(randers01, dbeta01):
     worst_eq, worst_closed = 0.0, 0.0
     for x, y in xy_samples(rng, BOX2, 100):
         pres = chern_preservation_residual(randers01, dbeta01, x, y)
-        cond = randers_condition(*covector_derivatives(randers01.b_fields, x),
+        cond = randers_condition(*covector_derivatives(randers01.b_fields, [x])[0],
                                  finsler_sample(randers01, x, y).chern)
         scale = max(1.0, float(np.max(np.abs(pres.entries))))
         worst_eq = max(worst_eq,
                        float(np.max(np.abs(cond + pres.entries))) / scale)
         worst_closed = max(worst_closed,
-                           closedness(dbeta01.data(x)[1]))
-    w12 = dbeta01.data([0.3, -0.7])[0][0, 1]
+                           closedness(dbeta01.data([x])[0][1]))
+    w12 = dbeta01.data([[0.3, -0.7]])[0][0][0, 1]
     _report("criterion-08 randers-equivalence",
             worst_eq <= 1e-9 and worst_closed <= 1e-9
             and abs(w12 - 0.2) <= 1e-12,
@@ -321,14 +321,14 @@ def test_criterion_09_chart_transformation(quartic2):
     worst_spot, worst_eq = 0.0, 0.0
     for x in sample_box(rng, BOX2.lower, BOX2.upper, 20):
         gam = induce_connection(sc, x)  # vanishes in natural coordinates
-        jac = chart_jacobians(chart, x)
+        jac = chart_jacobians(chart, [x])[0]
         ghat = transform_connection(gam, jac)
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 0] = -1.0
         worst_spot = max(worst_spot, float(np.max(np.abs(ghat - expect))))
         require_minkowskian([finsler_sample(quartic2, x, y).chern
                              for y in minkowski_probes(2)])
-        w, dw = sc.two_form.data(x)
+        w, dw = sc.two_form.data([x])[0]
         hatted = hatted_two_form_data(w, dw, jac)
         mk = minkowski_preservation_check(dw, jac, hatted)
         hp = PreservationResidual.of(*hatted, ghat)
@@ -380,7 +380,7 @@ def test_criterion_10_curvature(request, euclid4):
 
 
 def _derivatives(sc, x):
-    return induced_derivatives(sc, x, sc.vector_field.values(x))
+    return induced_derivatives(sc, [x], sc.vector_field.values([x]))[0]
 
 
 def test_criterion_11_curvature_identities(request):
@@ -392,7 +392,7 @@ def test_criterion_11_curvature_identities(request):
         for x in pts:
             d = _derivatives(sc, x)
             up, brace = curvature_up(*d), brace_array(*d)
-            w = sc.two_form.data(x)[0]
+            w = sc.two_form.data([x])[0][0]
             cyc, scale = cyclic_residual(up)
             worst_bianchi = max(worst_bianchi, cyc / scale)
             bc = contracted_two_path(up, brace, w)
@@ -406,18 +406,18 @@ def test_criterion_11_curvature_identities(request):
     for name, box, n in preserving:
         sc = request.getfixturevalue(name)
         for x in sample_box(rng, box.lower, box.upper, n):
-            w = sc.vector_field.values(x)
+            w = sc.vector_field.values([x])[0]
             assert chern_preservation_residual(
                 sc.metric, sc.two_form, x, w).max_abs <= 1e-9
-            d = induced_derivatives(sc, x, w)
+            d = induced_derivatives(sc, [x], [w])[0]
             ps = pair_two_path(curvature_up(*d), brace_array(*d),
-                               sc.two_form.data(x)[0])
+                               sc.two_form.data([x])[0][0])
             worst_pair = max(worst_pair, ps.assembled / ps.scale)
 
     control_sc, x = request.getfixturevalue("randers_std_scenario"), [0.3, 0.2]
     d = _derivatives(control_sc, x)
     control = pair_two_path(curvature_up(*d), brace_array(*d),
-                            control_sc.two_form.data(x)[0])
+                            control_sc.two_form.data([x])[0][0])
     _report("criterion-11 curvature-identities",
             worst_bianchi <= 1e-7 and worst_pair <= 1e-6
             and worst_two_path <= 1e-9 and control.assembled > 1e-6,

@@ -268,12 +268,14 @@ class TestRunScenario:
         assert errs == {"bianchi:cyclic", "bianchi:two-path"}
 
     def test_chern_derivatives_once_per_base_point(self, monkeypatch):
+        """The order-4 path runs once per base point: one row of one
+        block call each."""
         calls = []
-        original = finsler.chern_with_derivatives
+        original = finsler.chern_block
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(m, xs, ys):
+            calls.extend(zip(xs, ys))
+            return original(m, xs, ys)
 
         patch_everywhere(monkeypatch, original, counted)
         cfg = euclid_config(count=4)
@@ -285,14 +287,16 @@ class TestRunScenario:
 
     def test_chart_data_once_per_base_point(self, monkeypatch):
         """transform and minkowski share the chart derivatives at x and
-        the hatted form; only the round trip's swapped chart adds a call."""
+        the hatted form; only the round trip's swapped chart adds a row.
+        The chart derivatives are counted by rows of their block calls."""
         counts = {}
 
         def counting(module, name):
             original = getattr(module, name)
 
             def counted(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
+                rows = len(args[1]) if name == "chart_jacobians" else 1
+                counts[name] = counts.get(name, 0) + rows
                 return original(*args, **kwargs)
 
             patch_everywhere(monkeypatch, original, counted)
@@ -309,7 +313,7 @@ class TestRunScenario:
     def test_covector_data_once_per_base_point(self, monkeypatch):
         """randers-equivalence and the d(beta) form both read the
         covector's derivative arrays from the base point: b is evaluated
-        once there, at order 2."""
+        once there, at order 2, as one row of a block's jet."""
         cfg = randers_config()
         s = build_scenario(cfg)
         original = fields.ScalarFieldSpec.eval_jet
@@ -317,7 +321,7 @@ class TestRunScenario:
 
         def counted(spec, point, order):
             if spec in s.metric.b_fields:
-                orders.append(order)
+                orders.extend([order] * len(point))
             return original(spec, point, order)
 
         monkeypatch.setattr(fields.ScalarFieldSpec, "eval_jet", counted)
@@ -452,7 +456,8 @@ class TestRunScenario:
         assert [size for *_, size in stencils] == [1 + 4 * s.dimension] * len(
             s.plan.xs)
         assert [(x, w) for x, w, _ in stencils] == [
-            (tuple(x), tuple(s.vector_field.values(x))) for x in s.plan.xs]
+            (tuple(x), tuple(s.vector_field.values([x])[0]))
+            for x in s.plan.xs]
         assert {(x, w) for x, w, _ in stencils} <= set(counts)
 
     @pytest.mark.parametrize("name", sorted(
@@ -520,9 +525,9 @@ class TestRunScenario:
         calls = []
         original = finsler.randers_alpha_norm
 
-        def counted(m, x):
-            calls.append(tuple(x))
-            return original(m, x)
+        def counted(m, xs):
+            calls.extend(tuple(x) for x in xs)
+            return original(m, xs)
 
         patch_everywhere(monkeypatch, original, counted)
         records = run_scenario(randers_config(), suite=["metric-validity"])

@@ -94,23 +94,23 @@ class TestSymplecticConnectionResidual:
     def test_zero_connection_constant_form(self):
         gam = _zero(2)
         omega, x = standard_form(1), [0.1, 0.2]
-        assert covariant_residual(gam, *omega.data(x)) == 0.0
+        assert covariant_residual(gam, *omega.data([x])[0]) == 0.0
 
     def test_unmatched_derivative(self):
         gam = _zero(2)
         omega, x = explicit_two_form(2, {(0, 1): "1+x1"}), [0.4, 0.0]
         assert covariant_residual(gam,
-                                  *omega.data(x)) == pytest.approx(1.0)
+                                  *omega.data([x])[0]) == pytest.approx(1.0)
 
     def test_exactness_on_preserving_scenario(self, graph_scenario):
         rng = np.random.default_rng(12)
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 15):
             gam = induce_connection(graph_scenario, x)
-            w = graph_scenario.vector_field.values(x)
+            w = graph_scenario.vector_field.values([x])[0]
             pres = chern_preservation_residual(
                 graph_scenario.metric, graph_scenario.two_form, x, w)
             omega = graph_scenario.two_form
-            direct = covariant_residual(gam, *omega.data(x))
+            direct = covariant_residual(gam, *omega.data([x])[0])
             assert abs(direct - pres.max_abs) <= 1e-12
             assert direct <= 1e-9
 
@@ -119,11 +119,11 @@ class TestSymplecticConnectionResidual:
         whether the form is actually preserved."""
         x = [0.3, 0.2]
         gam = induce_connection(randers_std_scenario, x)
-        w = randers_std_scenario.vector_field.values(x)
+        w = randers_std_scenario.vector_field.values([x])[0]
         pres = chern_preservation_residual(
             randers_std_scenario.metric, randers_std_scenario.two_form, x, w)
         omega = randers_std_scenario.two_form
-        direct = covariant_residual(gam, *omega.data(x))
+        direct = covariant_residual(gam, *omega.data([x])[0])
         assert abs(direct - pres.max_abs) <= 1e-12
         assert direct > 1e-3  # negative control is genuinely non-preserving
 
@@ -161,7 +161,7 @@ class TestDarbouxRelations:
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 10):
             gam = induce_connection(quartic_std_scenario, x)
             omega = quartic_std_scenario.two_form
-            res = covariant_residual(gam, *omega.data(x))
+            res = covariant_residual(gam, *omega.data([x])[0])
             if res <= 1e-9:
                 assert darboux_relations_residual(gam, 1) <= 1e-8
 
@@ -175,12 +175,12 @@ class TestTransformConnection:
         gam = induce_connection(polar_scenario, [2.0, 0.5])
         # polar domain box differs; identity chart carries no domain checks
         ghat = transform_connection(
-            gam, chart_jacobians(IDENTITY_CHART, [2.0, 0.5]))
+            gam, chart_jacobians(IDENTITY_CHART, [[2.0, 0.5]])[0])
         assert np.max(np.abs(ghat - gam)) == 0.0
 
     def test_quadratic_chart_frozen_value(self):
         ghat = transform_connection(_zero(2),
-                                    chart_jacobians(QUAD_CHART, [0.8, -0.1]))
+                                    chart_jacobians(QUAD_CHART, [[0.8, -0.1]])[0])
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 0] = -1.0
         assert np.allclose(ghat, expect, atol=1e-12)
@@ -188,7 +188,7 @@ class TestTransformConnection:
     def test_linear_chart_pure_conjugation(self, polar_scenario):
         x = [2.0, 0.5]
         gam = induce_connection(polar_scenario, x)
-        ghat = transform_connection(gam, chart_jacobians(LIN_CHART, x))
+        ghat = transform_connection(gam, chart_jacobians(LIN_CHART, [x])[0])
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         Ainv = np.linalg.inv(A)
         expect = np.zeros((2, 2, 2))
@@ -207,7 +207,7 @@ class TestTransformConnection:
     def test_symmetry_preserved(self, graph_scenario):
         gam = induce_connection(graph_scenario, [0.4, -0.3])
         ghat = transform_connection(
-            gam, chart_jacobians(QUAD_CHART, [0.4, -0.3]))
+            gam, chart_jacobians(QUAD_CHART, [[0.4, -0.3]])[0])
         assert np.array_equal(ghat, ghat.transpose(0, 2, 1))
 
     def test_chain_consistency(self):
@@ -215,19 +215,19 @@ class TestTransformConnection:
         two transforms."""
         x = np.array([0.3, -0.2])
         zero = _zero(2)
-        step1 = transform_connection(zero, chart_jacobians(LIN_CHART, x))
-        mid = chart_jacobians(LIN_CHART, x).xhat
-        step2 = transform_connection(step1, chart_jacobians(QUAD_CHART, mid))
-        direct = transform_connection(zero, chart_jacobians(COMP_CHART, x))
+        step1 = transform_connection(zero, chart_jacobians(LIN_CHART, [x])[0])
+        mid = chart_jacobians(LIN_CHART, [x])[0].xhat
+        step2 = transform_connection(step1, chart_jacobians(QUAD_CHART, [mid])[0])
+        direct = transform_connection(zero, chart_jacobians(COMP_CHART, [x])[0])
         assert np.max(np.abs(step2 - direct)) <= 1e-8
 
     def test_roundtrip(self, graph_scenario):
         x = np.array([0.4, -0.3])
         gam = induce_connection(graph_scenario, x)
-        jac = chart_jacobians(QUAD_CHART, x)
+        jac = chart_jacobians(QUAD_CHART, [x])[0]
         ghat = transform_connection(gam, jac)
         back = transform_connection(
-            ghat, chart_jacobians(QUAD_CHART.swapped(), jac.xhat))
+            ghat, chart_jacobians(QUAD_CHART.swapped(), [jac.xhat])[0])
         assert np.max(np.abs(back - gam)) <= 1e-8
 
 
@@ -235,8 +235,8 @@ def _minkowski(metric, omega, chart, x):
     """The minkowski check's residuals and the hatted form at x."""
     require_minkowskian([finsler_sample(metric, x, y).chern
                          for y in minkowski_probes(2)])
-    jac = chart_jacobians(chart, x)
-    w, dw = omega.data(x)
+    jac = chart_jacobians(chart, [x])[0]
+    w, dw = omega.data([x])[0]
     hatted = hatted_two_form_data(w, dw, jac)
     return minkowski_preservation_check(dw, jac, hatted), hatted, jac
 
@@ -297,13 +297,13 @@ def test_hatted_form_against_differences(m):
 
     def hatted_values(xhat):
         x = np.array([c.evaluate(xhat) for c in chart.inverse])
-        return hatted_two_form_data(*omega.data(x),
-                                    chart_jacobians(chart, x))[0]
+        return hatted_two_form_data(*omega.data([x])[0],
+                                    chart_jacobians(chart, [x])[0])[0]
 
     rng = np.random.default_rng(21 + m)
     for x in rng.uniform(-0.8, 0.8, (4, m)):
-        jac = chart_jacobians(chart, x)
-        w, dw = omega.data(x)
+        jac = chart_jacobians(chart, [x])[0]
+        w, dw = omega.data([x])[0]
         values, derivs = hatted_two_form_data(w, dw, jac)
         assert np.allclose(values, jac.inv.T @ w @ jac.inv,
                            rtol=0, atol=1e-14)

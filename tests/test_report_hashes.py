@@ -144,7 +144,7 @@ def test_a_failing_stencil_is_replayed_up_to_its_first_failing_point(
     leaves the box: two one-row samples per base point (the base point and
     the first stencil point), not one per point of the 9-point block."""
     one_row = []
-    block = finsler.finsler_samples
+    block = finsler.sample_block
 
     def counted(m, xs, ys):
         if len(xs) == 1:
