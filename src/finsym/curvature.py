@@ -44,7 +44,8 @@ def curvature_induced(s: FedosovScenario, x) -> np.ndarray:
     antisymmetric in (j, k).
     """
     x = np.asarray([x], dtype=float)  # a stack of one row
-    return curvature_up(*induced_derivatives(s, x, s.vector_field.values(x))[0])
+    (derivatives,) = induced_derivatives(s, x, s.vector_field.values(x))
+    return curvature_up(*derivatives)
 
 
 def _lowered(w: np.ndarray, up: np.ndarray) -> np.ndarray:

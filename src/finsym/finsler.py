@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    FinsymError,
     NonPositiveError,
     NotPositiveDefiniteError,
     NotRandersError,
@@ -301,12 +300,9 @@ def _assembly(m: MetricSpec, xs, ys, order: int, y: np.ndarray) -> tuple:
 
 
 def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
-    """The fundamental quantities at (x, y): :func:`finsler_samples` on a
-    block of one row, whose error it raises."""
-    (found,) = finsler_samples(m, [x], [y])
-    if isinstance(found, FinsymError):
-        raise found
-    return found
+    """The fundamental quantities at (x, y): :func:`sample_block` on a
+    block of one row."""
+    return sample_block(m, [x], [y])[0]
 
 
 def sample_block(m: MetricSpec, xs, ys) -> list:

@@ -224,7 +224,7 @@ class Jet:
     """Truncated multivariate Taylor expansion of a scalar field at P points.
 
     ``c`` holds the Taylor coefficients in graded multi-index order, with a
-    trailing column axis of length P, one column per point; the partial derivative
+    trailing column axis, one column per point; the partial derivative
     for a multi-index is its coefficient times ``multi_index_factorial``,
     read out through :meth:`derivatives`.
 

@@ -292,8 +292,8 @@ def test_criterion_08_randers_equivalence(randers01, dbeta01):
     worst_eq, worst_closed = 0.0, 0.0
     for x, y in xy_samples(rng, BOX2, 100):
         pres = chern_preservation_residual(randers01, dbeta01, x, y)
-        cond = randers_condition(*covector_derivatives(randers01.b_fields, [x])[0],
-                                 finsler_sample(randers01, x, y).chern)
+        (db_ddb,) = covector_derivatives(randers01.b_fields, [x])
+        cond = randers_condition(*db_ddb, finsler_sample(randers01, x, y).chern)
         scale = max(1.0, float(np.max(np.abs(pres.entries))))
         worst_eq = max(worst_eq,
                        float(np.max(np.abs(cond + pres.entries))) / scale)

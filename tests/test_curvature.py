@@ -171,7 +171,8 @@ class TestLowerCurvature:
         x = [0.4, -0.3]
         d = _derivatives(graph_scenario, x)
         up = curvature_up(*d)
-        res = pair_two_path(up, brace_array(*d), standard_form(1).data([x])[0][0])
+        (w, _), = standard_form(1).data([x])
+        res = pair_two_path(up, brace_array(*d), w)
         low = np.stack([up[1], -up[0]])  # R_1jkl = R^2_jkl, R_2jkl = -R^1_jkl
         assert res.assembled == np.max(np.abs(low - low.transpose(1, 0, 2, 3)))
         assert res.scale == max(1.0, np.max(np.abs(low)))

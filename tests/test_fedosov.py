@@ -179,8 +179,8 @@ class TestTransformConnection:
         assert np.max(np.abs(ghat - gam)) == 0.0
 
     def test_quadratic_chart_frozen_value(self):
-        ghat = transform_connection(_zero(2),
-                                    chart_jacobians(QUAD_CHART, [[0.8, -0.1]])[0])
+        (jac,) = chart_jacobians(QUAD_CHART, [[0.8, -0.1]])
+        ghat = transform_connection(_zero(2), jac)
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 0] = -1.0
         assert np.allclose(ghat, expect, atol=1e-12)
@@ -217,8 +217,10 @@ class TestTransformConnection:
         zero = _zero(2)
         step1 = transform_connection(zero, chart_jacobians(LIN_CHART, [x])[0])
         mid = chart_jacobians(LIN_CHART, [x])[0].xhat
-        step2 = transform_connection(step1, chart_jacobians(QUAD_CHART, [mid])[0])
-        direct = transform_connection(zero, chart_jacobians(COMP_CHART, [x])[0])
+        step2 = transform_connection(
+            step1, chart_jacobians(QUAD_CHART, [mid])[0])
+        direct = transform_connection(
+            zero, chart_jacobians(COMP_CHART, [x])[0])
         assert np.max(np.abs(step2 - direct)) <= 1e-8
 
     def test_roundtrip(self, graph_scenario):

@@ -96,7 +96,8 @@ class TestRandersTwoForm:
     def test_linear_covector_constant_entry(self, dbeta01):
         rng = np.random.default_rng(4)
         for x in -1 + 2 * rng.random((5, 2)):
-            assert dbeta01.data([x])[0][0][0, 1] == pytest.approx(0.2, abs=1e-14)
+            (w, _), = dbeta01.data([x])
+            assert w[0, 1] == pytest.approx(0.2, abs=1e-14)
 
     def test_exact_covector_gives_zero(self):
         # b = d(x1^2 + x2^2) has vanishing exterior derivative
@@ -197,6 +198,6 @@ class TestRandersCondition:
     def test_pointwise_equivalence_at_probe(self, randers01, dbeta01):
         x, y = [0.3, 0.2], [1.0, 0.5]
         pres = chern_preservation_residual(randers01, dbeta01, x, y)
-        cond = randers_condition(*covector_derivatives(randers01.b_fields, [x])[0],
-                                 finsler_sample(randers01, x, y).chern)
+        (db_ddb,) = covector_derivatives(randers01.b_fields, [x])
+        cond = randers_condition(*db_ddb, finsler_sample(randers01, x, y).chern)
         assert np.max(np.abs(cond + pres.entries)) <= 1e-9
