@@ -2,14 +2,15 @@
 
 A check is a named group of facets.  A facet is one residual with its own
 record id, tolerance rule and point set: the base points x, or the (x, y)
-pairs of the plan.  The runner visits each base point once and fills a
-lazy :class:`PointContext` there, so a quantity several facets read is
-computed once and dropped with the context.  It walks the base points in
-blocks: each facet names the fiber points whose samples it reads (the plan
-pairs, W(x), the Berwald probes, the Minkowski probes), and every such
-point of a block is sampled in one :func:`finsler_samples` call before
-the block's facets run, and every other field quantity is one call over
-the block on first read (:class:`_batched`).  The finite-difference
+pairs of the plan.  The runner cuts the plan into blocks of consecutive
+base points and visits each base point once, filling a lazy
+:class:`PointContext` there, so a quantity several facets read is
+computed once and dropped with its block.  Every field quantity is a
+column of the block, one call over its rows on first read
+(:class:`_batched`); W(x) is one of them.  Every Finsler sample, at the
+plan pairs, (x, W(x)), the Berwald probes or the Minkowski probes, comes
+from the block's one sample cache, which samples the pairs it has not
+seen in one :func:`finsler_samples` call.  The finite-difference
 commutator samples its own stencil block and reads none of these.  Domain
 failures never abort a suite: :func:`_evaluate`, which makes every record,
 gives an error record where a facet raises or its residual or tolerance is
@@ -23,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .fedosov import (
 )
 from .fields import chart_jacobians
 from .finsler import (
-    FinslerSample,
     cartan_trace_residual,
     euler_residuals,
     finsler_samples,
@@ -72,10 +72,10 @@ from .symplectic import (
 )
 
 
-# fiber points per finsler_samples call, the plan pairs and the points the
-# facets read beside them, in whole base points; a block also holds at most
-# this many base points.  On a 3-d Randers plan, 64 and 128 ran fastest;
-# 256 ran slower and raised the peak RSS by about 2 MB more than 64 does.
+# plan pairs per block, in whole base points: a block holds
+# max(1, _BLOCK_PAIRS // y_per_x) base points.  On a 3-d Randers plan, 64
+# and 128 ran fastest; 256 ran slower and raised the peak RSS by about 2 MB
+# more than 64 does.
 _BLOCK_PAIRS = 64
 
 
@@ -150,25 +150,52 @@ class _batched(_once):
 
 
 class _Block:
-    """The base points of one block stacked, W there, and its plan pairs
-    stacked, over which the contexts' :class:`_batched` columns run.  A
-    block refers to no context."""
+    """The plan's base points ``start`` to ``stop`` and their pairs,
+    stacked, over which the contexts' :class:`_batched` columns run, with
+    the Finsler samples taken there.  A block refers to no context."""
 
-    def __init__(self, contexts: list):
-        self.s, self.sc = contexts[0].s, contexts[0].sc
-        self.xs = np.array([c.x for c in contexts])
-        self.ws = [c.w_entry for c in contexts]
-        ys = np.array([c.ys for c in contexts])
-        self.pairs = (np.repeat(self.xs, ys.shape[1], axis=0),
-                      ys.reshape(-1, self.s.dimension))
+    def __init__(self, s: BuiltScenario, sc: FedosovScenario | None,
+                 start: int, stop: int):
+        self.s, self.sc = s, sc
+        self.xs, self.ys = s.plan.xs[start:stop], s.plan.ys[start:stop]
+        self.pairs = (np.repeat(self.xs, self.ys.shape[1], axis=0),
+                      self.ys.reshape(-1, s.dimension))
+        self._samples: dict = {}  # by x.tobytes() + y.tobytes()
+
+    def samples(self, xs, ys) -> list:
+        """What :func:`finsler_samples` gives at each pair (xs[p], ys[p]).
+        Each distinct pair is sampled once per block: those not seen
+        before, in one call."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        keys = [x.tobytes() + y.tobytes() for x, y in zip(xs, ys)]
+        todo = {k: p for p, k in enumerate(keys) if k not in self._samples}
+        if todo:
+            rows = list(todo.values())
+            self._samples.update(zip(todo, finsler_samples(
+                self.s.metric, xs[rows], ys[rows])))
+        return [self._samples[k] for k in keys]
 
 
-def _minkowski_probes(c: "PointContext") -> tuple[np.ndarray, ...]:
-    return minkowski_probes(c.s.dimension)
+def _probe_samples(b: _Block, probes) -> list:
+    """Each row's samples at the probe vectors, one :meth:`_Block.samples`
+    call per probe, as an entry: the error of the row's first failing
+    probe, in probe order, where one fails.  A row is sampled at a probe
+    only while its earlier probes succeed."""
+    rows = [([], None) for _ in b.xs]
+    for v in probes:
+        ok = [p for p, (_, exc) in enumerate(rows) if exc is None]
+        found = b.samples(b.xs[ok], np.tile(v, (len(ok), 1)))
+        for p, result in zip(ok, found):
+            if isinstance(result, FinsymError):
+                rows[p] = (None, result)
+            else:
+                rows[p][0].append(result)
+    return rows
 
 
 def _minkowski(c: "PointContext") -> tuple[float, float, float]:
-    require_minkowskian([c.sample(y).chern for y in _minkowski_probes(c)])
+    require_minkowskian([smp.chern for smp in c.minkowski_samples])
     mk = minkowski_preservation_check(c.form[1], c.jac, c.hatted)
     ghat = transform_connection(np.zeros((c.s.dimension,) * 3), c.jac)
     hatted = PreservationResidual.of(*c.hatted, ghat)
@@ -184,60 +211,40 @@ def _swapped_jacobians(b: _Block) -> list:
 
 
 class PointContext:
-    """What the facets read at one base point x and its plan fiber points
-    ``ys``, each computed on first use.
+    """What the facets read at one base point x, the ``row``-th of its
+    block, and its plan fiber points ``ys``, each computed on first use.
 
-    :meth:`sample` is the value path at (x, y), kept once per distinct
-    fiber point y in ``samples``: the plan's pairs, W(x), the Berwald probe
-    vectors and the Minkowski probes all read it.  Each is sampled with
-    the rest of its block before any facet runs, for the facets that name
-    it (:meth:`fiber_points`, :func:`_sample_blocks`).  ``w`` is W(x),
-    taken with the whole plan, ``sample_w`` the sample at (x, W(x)) and
-    ``derivatives`` the jet path there.  ``lift_w`` is the
-    lift-preservation residual of the scenario's form along W,
-    ``standard_lift_w`` that of the standard form.  ``jac`` holds the
-    chart derivatives at x, ``back`` the swapped chart's at the mapped
-    point, and ``hatted`` the scenario's form pulled back through ``jac``.
-    ``form`` holds the scenario's two-form and its partials at x;
-    ``covector`` the first and second derivative arrays of the Randers
-    covector b there, from which a d(beta) form is read rather than
-    evaluating b again, and ``alpha_norm`` the Randers covector's
-    alpha-norm, shared by the pairs at x.  Every field quantity is a
-    :class:`_batched` column of the context's block.  The
-    finite-difference curvature ``fd`` samples its own stencil block and
-    reads nothing else from the context.
+    Every field quantity is a :class:`_batched` column of the block, and
+    every Finsler sample comes from the block's one sample cache
+    (:meth:`_Block.samples`), so each distinct (x, y) is sampled once
+    whichever facets read it.  ``w`` is W(x), ``sample_w`` the sample at
+    (x, W(x)) and ``derivatives`` the jet path there; ``berwald_samples``
+    and ``minkowski_samples`` are the samples at the Berwald probe vectors
+    and the Minkowski probes.  ``lift_w`` is the lift-preservation
+    residual of the scenario's form along W, ``standard_lift_w`` that of
+    the standard form.  ``jac`` holds the chart derivatives at x, ``back``
+    the swapped chart's at the mapped point, and ``hatted`` the scenario's
+    form pulled back through ``jac``.  ``form`` holds the scenario's
+    two-form and its partials at x; ``covector`` the first and second
+    derivative arrays of the Randers covector b there, from which a
+    d(beta) form is read rather than evaluating b again, and
+    ``alpha_norm`` the Randers covector's alpha-norm, shared by the pairs
+    at x.  The finite-difference curvature ``fd`` samples its own stencil
+    block and reads nothing else from the context.
     """
 
-    def __init__(self, s: BuiltScenario, sc: FedosovScenario | None, x, ys,
-                 w: tuple):
-        self.s, self.sc, self.x, self.ys = s, sc, x, ys
-        self.w_entry = w  # W(x) as a (value, error) entry
-        self.samples: dict = {}  # by y.tobytes(), as _cached keeps values
-        self.block, self.row = None, 0  # set when the block closes
+    def __init__(self, block: _Block, row: int):
+        self.block, self.row = block, row
+        self.s, self.sc = block.s, block.sc
+        self.x, self.ys = block.xs[row], block.ys[row]
 
-    def fiber_points(self, readers) -> dict:
-        """The distinct fiber points that ``readers``, the selected facets'
-        ``reads``, name at x, by cache key.  A reader that raises names
-        none; its facet raises the same error when it runs, before it reads
-        a sample."""
-        out = {}
-        for read in readers:
-            try:
-                ys = read(self)
-            except FinsymError as exc:
-                exc.__traceback__ = None  # see _read
-                continue
-            for y in ys:
-                y = np.asarray(y, dtype=float)
-                out.setdefault(y.tobytes(), y)
-        return out
-
-    def sample(self, y) -> FinslerSample:
-        """The Finsler sample at (x, y), taken with the block."""
-        return _read(self.samples[np.asarray(y, dtype=float).tobytes()])
-
-    w = property(lambda c: _read(c.w_entry))
-    sample_w = property(lambda c: c.sample(c.w))
+    w = _batched(lambda b: _rows(b.s.vector_field.values, b.xs))
+    sample_w = _batched(lambda b: _where(
+        PointContext.w.rows(b), b.samples, b.xs))
+    berwald_samples = _batched(lambda b: _probe_samples(
+        b, _berwald_probes(b.s)))
+    minkowski_samples = _batched(lambda b: _probe_samples(
+        b, minkowski_probes(b.s.dimension)))
     form = _once(lambda c: (exact_form_data(*c.covector)
                             if c.s.two_form_kind == "randers-dbeta"
                             else c.form_data))
@@ -249,7 +256,7 @@ class PointContext:
     standard_lift_w = _once(lambda c: PreservationResidual.of(
         *_standard_data(c.s.dimension // 2), c.sample_w.chern))
     derivatives = _batched(lambda b: _where(
-        b.ws, partial(induced_derivatives, b.sc), b.xs))
+        PointContext.w.rows(b), partial(induced_derivatives, b.sc), b.xs))
     up = _once(lambda c: curvature_up(*c.derivatives))
     brace = _once(lambda c: brace_array(*c.derivatives))
     pair = _once(lambda c: pair_two_path(c.up, c.brace, c.form[0]))
@@ -276,45 +283,6 @@ def _standard_data(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, dw
 
 
-def _sample_blocks(s: BuiltScenario, sc: FedosovScenario | None,
-                   facets: list) -> Iterator[list[PointContext]]:
-    """The base points' contexts in plan order, in blocks of at most
-    ``_BLOCK_PAIRS`` whole base points with at most ``_BLOCK_PAIRS`` fiber
-    points to sample, or one base point that alone has more.  Each block
-    comes with the samples its facets read, taken in one
-    :func:`finsler_samples` call.  W(x), which names a fiber point, is
-    taken before, in one call over the plan."""
-    readers = list(dict.fromkeys(f.reads for f in facets if f.reads))
-    xs = s.plan.xs
-    ws = (_rows(s.vector_field.values, xs) if s.vector_field is not None
-          else [(None, None)] * len(xs))
-    block, todo = [], []
-    for x, ys, w in zip(xs, s.plan.ys, ws):
-        ctx = PointContext(s, sc, x, ys, w)
-        wanted = ctx.fiber_points(readers)
-        if block and (len(block) == _BLOCK_PAIRS
-                      or len(todo) + len(wanted) > _BLOCK_PAIRS):
-            yield _close(block, todo)
-            block, todo = [], []
-        block.append(ctx)
-        todo.extend((ctx, key, y) for key, y in wanted.items())
-    if block:
-        yield _close(block, todo)
-
-
-def _close(block: list[PointContext], todo: list) -> list[PointContext]:
-    """The block, with the samples of ``todo`` taken and a :class:`_Block`
-    shared by its contexts."""
-    found = finsler_samples(block[0].s.metric, [c.x for c, _, _ in todo],
-                            [y for _, _, y in todo])
-    for (ctx, key, _), result in zip(todo, found):
-        ctx.samples[key] = _entry(result)
-    columns = _Block(block)
-    for row, ctx in enumerate(block):
-        ctx.block, ctx.row = columns, row
-    return block
-
-
 class FiberContext:
     """What the facets read at one pair (x, y) of the plan, the ``row``-th
     pair of its block."""
@@ -324,7 +292,7 @@ class FiberContext:
         self.block, self.row = base.block, row
         self.point = np.concatenate([base.x, y])
 
-    sample = property(lambda f: f.base.sample(f.y))
+    sample = _batched(lambda b: _rows(b.samples, *b.pairs))
 
     structural = _once(lambda f: structural_residuals(f.sample))
     lift = _once(lambda f: PreservationResidual.of(
@@ -345,9 +313,9 @@ class Facet:
     ``bound * scale`` when ``tol`` is None.  A ``gate`` returns a
     preservation residual along W; the point is skipped where it exceeds
     the preservation-gate tolerance.  ``when`` limits the facet to
-    scenarios it applies to.  ``reads`` maps the base point's context to
-    the fiber points whose samples the facet (its gate included) reads
-    there; the runner samples them with the rest of the block.
+    scenarios it applies to.  What a facet reads, samples included, is
+    computed for its whole block on first read, so a facet declares
+    nothing beyond its residual.
     """
 
     name: str
@@ -357,7 +325,6 @@ class Facet:
     gate: Callable | None = None
     when: Callable[[BuiltScenario], bool] | None = None
     bound: float = 0.0
-    reads: Callable[[PointContext], Iterable] | None = None
 
 
 @dataclass(frozen=True)
@@ -400,30 +367,21 @@ def _roundtrip(c: PointContext) -> float:
     return _max_abs(transform_connection(ghat, c.back) - G)
 
 
-def _plan_pairs(c: PointContext):
-    return c.ys
-
-
-def _w(c: PointContext) -> tuple[np.ndarray]:
-    return (c.w,)
-
-
-def _berwald_probes(c: PointContext) -> tuple[np.ndarray, ...]:
+def _berwald_probes(s: BuiltScenario) -> tuple[np.ndarray, ...]:
     """The Berwald probe vectors; ZeroVectorError if one is below W's
     floor."""
-    floor = c.s.vector_field.w_min
-    for v in c.s.berwald_vectors:
+    floor = s.vector_field.w_min
+    for v in s.berwald_vectors:
         norm = math.hypot(*v)  # scaled, so a large probe cannot overflow
         if norm < floor:
             raise ZeroVectorError(
                 f"probe vector norm {norm:.3e} below floor {floor}"
             )
-    return c.s.berwald_vectors
+    return s.berwald_vectors
 
 
 def _berwald_spread(c: PointContext) -> float:
-    return max_pairwise_spread([c.sample(v).chern
-                                for v in _berwald_probes(c)])
+    return max_pairwise_spread([smp.chern for smp in c.berwald_samples])
 
 
 def _fd_consistency(c: PointContext) -> tuple[float, float]:
@@ -454,9 +412,9 @@ CHECKS = (
                     "homogeneity", fiber=True),
               Facet("metric-validity:cartan-trace",
                     lambda f: cartan_trace_residual(f.sample),
-                    "homogeneity", fiber=True, reads=_plan_pairs),
+                    "homogeneity", fiber=True),
               Facet("metric-validity:positive-definite", _positive_definite,
-                    fiber=True, reads=_plan_pairs),
+                    fiber=True),
               Facet("metric-validity:randers-bound",
                     lambda f: f.base.alpha_norm, fiber=True,
                     when=lambda s: s.metric.family == "randers",
@@ -467,10 +425,10 @@ CHECKS = (
           "connection coefficients",
           (), (
               Facet("structural:torsion", lambda f: f.structural.torsion,
-                    fiber=True, reads=_plan_pairs),
+                    fiber=True),
               Facet("structural:compat",
                     lambda f: (f.structural.compat, f.structural.scale),
-                    "structural-compat", fiber=True, reads=_plan_pairs),
+                    "structural-compat", fiber=True),
           )),
     Check("preservation",
           "two-form validity (closedness, nondegeneracy) and the "
@@ -480,9 +438,9 @@ CHECKS = (
                     lambda c: closedness(c.form[1]), "closedness"),
               Facet("preservation:nondegeneracy", _nondegeneracy),
               Facet("preservation:lift", lambda f: f.lift.max_abs,
-                    "preservation", fiber=True, reads=_plan_pairs),
+                    "preservation", fiber=True),
               Facet("preservation:randers-equivalence", _randers_equivalence,
-                    "randers-equivalence", fiber=True, reads=_plan_pairs,
+                    "randers-equivalence", fiber=True,
                     when=lambda s: (s.metric.family == "randers"
                                     and s.two_form_kind == "randers-dbeta")),
           )),
@@ -491,10 +449,9 @@ CHECKS = (
           "two-form residual with the lift residual along W",
           ("vector_field",), (
               Facet("induce:symmetry", lambda c: _max_abs(
-                  c.sample_w.chern - c.sample_w.chern.transpose(0, 2, 1)),
-                    reads=_w),
+                  c.sample_w.chern - c.sample_w.chern.transpose(0, 2, 1))),
               Facet("induce:exactness", _exactness, "exactness",
-                    when=_has_two_form, reads=_w),
+                    when=_has_two_form),
           )),
     Check("darboux",
           "standard-form coefficient relations at points where the "
@@ -503,15 +460,13 @@ CHECKS = (
               Facet("darboux:relations",
                     lambda c: darboux_relations_residual(
                         c.sample_w.chern, c.s.dimension // 2),
-                    "darboux", gate=lambda c: c.standard_lift_w.max_abs,
-                    reads=_w),
+                    "darboux", gate=lambda c: c.standard_lift_w.max_abs),
           ), even_dimension=True),
     Check("transform",
           "round trip of the coefficient transformation law through the "
           "configured chart and back",
           ("vector_field", "chart"), (
-              Facet("transform:roundtrip", _roundtrip, "transform",
-                    reads=_w),
+              Facet("transform:roundtrip", _roundtrip, "transform"),
           )),
     Check("minkowski",
           "preservation conditions of an x-independent metric in natural "
@@ -519,18 +474,18 @@ CHECKS = (
           "law",
           ("two_form", "chart"), (
               Facet("minkowski:natural", lambda c: c.minkowski[0],
-                    "minkowski", reads=_minkowski_probes),
+                    "minkowski"),
               Facet("minkowski:hatted", lambda c: c.minkowski[1],
-                    "minkowski", reads=_minkowski_probes),
+                    "minkowski"),
               Facet("minkowski:equivalence", lambda c: c.minkowski[2],
-                    "minkowski", reads=_minkowski_probes),
+                    "minkowski"),
           )),
     Check("berwald-uniqueness",
           "spread of the induced connection across distinct probe vector "
           "fields",
           ("vector_field",), (
               Facet("berwald-uniqueness:spread", _berwald_spread,
-                    "berwald-uniqueness", reads=_berwald_probes),
+                    "berwald-uniqueness"),
           )),
     Check("curvature",
           "chain-rule curvature against a finite-difference commutator of "
@@ -560,8 +515,7 @@ CHECKS = (
                     "two-path"),
               Facet("pair-symmetry:lowered",
                     lambda c: (c.pair.assembled, c.pair.scale),
-                    "pair-symmetry", gate=lambda c: c.lift_w.max_abs,
-                    reads=_w),
+                    "pair-symmetry", gate=lambda c: c.lift_w.max_abs),
           )),
 )
 
@@ -640,9 +594,11 @@ def run_checks(s: BuiltScenario, suite=None) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
           if s.vector_field is not None else None)
-    for block in _sample_blocks(s, sc, facets):
-        for ctx in block:
-            records.extend(_run_point(ctx, facets))
+    size = max(1, _BLOCK_PAIRS // s.plan.ys.shape[1])
+    for start in range(0, len(s.plan.xs), size):
+        block = _Block(s, sc, start, start + size)
+        for row in range(len(block.xs)):
+            records.extend(_run_point(PointContext(block, row), facets))
     records.sort(key=lambda r: r.check)
     return records
 

@@ -93,8 +93,12 @@ def main(argv=None) -> int:
             return 2
         payload = emit_report(records, args.format)
         if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(payload)
+            try:
+                with open(args.out, "wb") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                print(f"error: cannot write report: {exc}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()

@@ -22,6 +22,7 @@ from conftest import patch_everywhere
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def euclid_config(count=9):
@@ -497,6 +498,46 @@ class TestRunScenario:
         assert pairs == [(tuple(x), tuple(y))
                          for x, ys in zip(s.plan.xs, s.plan.ys) for y in ys]
 
+    @pytest.mark.parametrize("directory,name", sorted(
+        [(DATA_DIR, f) for f in os.listdir(DATA_DIR)
+         if f.startswith("errors-") or f == "curvature-n4-v3.json"]
+        + [(CONFIG_DIR, f) for f in os.listdir(CONFIG_DIR)
+           if f.endswith(".json")]), ids=os.path.basename)
+    def test_a_check_alone_gives_its_full_suite_records(self, directory,
+                                                        name):
+        """Each check run alone gives exactly its records from the full
+        suite, errors included, whatever the other checks would have read
+        first.  Shipped configs run at 9 base points."""
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            config = json.load(fh)
+        if directory == CONFIG_DIR:
+            config["sampling"]["count"] = 9
+        full = run_scenario(config)
+        for cid in available_checks(build_scenario(config)):
+            assert _as_tuples(run_scenario(config, suite=[cid])) == (
+                _as_tuples(r for r in full
+                           if r.check.split(":")[0] == cid)), cid
+
+    @pytest.mark.parametrize("suite", ["structural", "metric-validity"])
+    def test_w_is_evaluated_only_where_a_facet_reads_it(self, monkeypatch,
+                                                        suite):
+        """No facet of ``structural`` or ``metric-validity`` reads W, so
+        their runs never evaluate it; ``induce`` does."""
+        calls = []
+        values = fields.VectorFieldSpec.values
+
+        def counted(field, xs):
+            calls.append(len(xs))
+            return values(field, xs)
+
+        monkeypatch.setattr(fields.VectorFieldSpec, "values", counted)
+        with open(os.path.join(CONFIG_DIR, "euclidean_standard.json"),
+                  encoding="utf-8") as fh:
+            config = json.load(fh)
+        assert run_scenario(config, suite=[suite]) and calls == []
+        run_scenario(config, suite=["induce"])
+        assert calls
+
     def test_asymmetric_connection_is_a_failing_symmetry_record(self,
                                                                 monkeypatch):
         original, block = finsler.finsler_sample, finsler.finsler_samples
@@ -713,6 +754,18 @@ class TestCliMain:
         assert main(["run", "--config", path, "--suite", "structural",
                      "--format", "table"]) == 0
         assert "structural:torsion" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["missing/report.jsonl", "."])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):
+        """A report path in a missing directory, or a directory, is exit 2
+        with one ``error:`` line, as an unreadable config is."""
+        path = self._write(tmp_path, euclid_config())
+        assert main(["run", "--config", path, "--suite", "structural",
+                     "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write report: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_tol_override_flag(self, tmp_path, capsys):
         path = self._write(tmp_path, randers_config())
