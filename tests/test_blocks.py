@@ -190,14 +190,15 @@ EVALUATIONS = {
 }
 
 
-@pytest.mark.parametrize("block_pairs", [None, 1])
+@pytest.mark.parametrize("block_pairs", [None, 7, 1])
 @pytest.mark.parametrize("path", sorted(EVALUATIONS))
 def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
                                                 block_pairs):
     """Outside the FD commutator, which samples its own stencil, a run
     evaluates fields a fixed number of times per block, whatever the
     block's number of base points and pairs: the same at the default block
-    size and with one base point per block."""
+    size, at 3 base points per block (7 pairs at 2 per base point) and
+    with one base point per block."""
     config = load_config(os.path.join(ROOT, path))
     run_scenario(config)  # the standard form's data is read once a process
     if block_pairs is not None:
@@ -233,5 +234,5 @@ def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
     run_scenario(config)
     before, per_block = EVALUATIONS[path]
     assert counts == [before] + [per_block] * len(sizes)
-    # one base point per block at 1 pair, several at the default
+    # one base point per block at 1 pair, several otherwise
     assert (max(sizes) == 1) == (block_pairs == 1)
