@@ -1,27 +1,26 @@
 """Check registry: every verification the engine can run over a scenario.
 
 A check is a named group of facets.  A facet is one residual with its own
-record id, tolerance rule and point set: the base points x, or the (x, y)
-pairs of the plan.  The runner cuts the plan into blocks of consecutive
-base points and visits each base point once, filling a lazy
-:class:`PointContext` there, so a quantity several facets read is
-computed once and dropped with its block.  Every field quantity is a
-column of the block, one call over its rows on first read
-(:class:`_batched`); W(x) is one of them.  Every Finsler sample, at the
-plan pairs, (x, W(x)), the Berwald probes or the Minkowski probes, comes
-from the block's one sample cache, which samples the pairs it has not
-seen in one :func:`finsler_samples` call.  The finite-difference
-commutator samples its own stencil block and reads none of these.  Domain
-failures never abort a suite: :func:`_evaluate`, which makes every record,
-gives an error record where a facet raises or its residual or tolerance is
-not finite.  Record order is fixed: record ids sorted, then points in plan
-order.
+record id and tolerance rule, at each base point x or each (x, y) pair of
+the plan.  The runner cuts the plan into blocks of consecutive base
+points, and a facet is a column of a block (:class:`_Column`): one entry
+per base point or pair, the residual or that row's FinsymError.  What a
+facet reads is a column of the block too, computed on first read and kept
+with the block, so each quantity is computed once.  A field quantity, W(x)
+among them, is one call over the block's rows (:func:`_batched`), and
+every Finsler sample comes from the block's one sample cache
+(:meth:`_Block.samples`).  A quantity made from others is computed row by
+row (:func:`_derived`), each input only on the rows where the earlier ones
+hold values.  The finite-difference commutator samples its own stencil
+block and reads none of these.  Domain failures never abort a suite:
+:func:`_records` makes an error record where a row's entry is an error or
+its residual or tolerance is not finite.  Record order is fixed: record
+ids sorted, then points in plan order.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -73,94 +72,53 @@ from .symplectic import (
 
 
 # plan pairs per block, in whole base points: a block holds
-# max(1, _BLOCK_PAIRS // y_per_x) base points.  On a 3-d Randers plan, 64
-# and 128 ran fastest; 256 ran slower and raised the peak RSS by about 2 MB
-# more than 64 does.
+# max(1, _BLOCK_PAIRS // max(2, y_per_x)) base points, so at most 64 pairs
+# (one base point alone when it has more) and at most 32 base points.  On a
+# 3-d Randers plan, 64 and 128 pairs ran fastest; 256 ran slower and raised
+# the peak RSS by about 2 MB more than 64 does.  The base-point cap bounds
+# the order-4 column (chern_block): 64 columns wide at n = 4 it raised the
+# peak RSS by about 7 MB over 32.
 _BLOCK_PAIRS = 64
 
 
-def _cached(cache: dict, key, fn):
-    """``cache[key]``, computed by ``fn()`` on first use.  A FinsymError is
-    kept like a value and raised again on every read, so a failed quantity
-    is not recomputed."""
-    if key not in cache:
-        try:
-            cache[key] = (fn(), None)
-        except FinsymError as exc:
-            cache[key] = (None, exc.with_traceback(None))
-    return _read(cache[key])
+@dataclass(frozen=True, eq=False)
+class _Column:
+    """A quantity at each row of a block: each base point, or each plan
+    pair where ``fiber``.  ``compute(block, todo)`` gives
+    ``{row: entry}`` for at least the rows in ``todo``; an entry is the
+    row's value or its FinsymError, without frames."""
 
-
-def _read(entry: tuple):
-    """The value of a ``(value, error)`` cache entry, or its error raised
-    afresh.  Who drops a raised error clears its traceback: the frames hold
-    the caching context, a cycle reference counting cannot free."""
-    value, exc = entry
-    if exc is not None:
-        raise exc.with_traceback(None)
-    return value
-
-
-def _entry(result) -> tuple:
-    """The ``(value, error)`` cache entry of a value or a FinsymError."""
-    if isinstance(result, FinsymError):
-        return None, result
-    return result, None
-
-
-def _rows(fn, *stacks) -> list:
-    """The entry of each row of ``fn`` over the stacks (:func:`each_row`)."""
-    return [_entry(r) for r in each_row(fn, *stacks)]
-
-
-def _where(entries: list, fn, xs: np.ndarray) -> list:
-    """``fn(xs, values)`` on the rows whose entry holds a value, the values
-    stacked; every other row keeps its entry's error."""
-    ok = [p for p, (_, exc) in enumerate(entries) if exc is None]
-    out = list(entries)
-    if ok:
-        values = np.array([entries[p][0] for p in ok])
-        for p, entry in zip(ok, _rows(fn, xs[ok], values)):
-            out[p] = entry
-    return out
-
-
-class _once:
-    """A lazily computed attribute, cached by :func:`_cached`."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.key = f"_{name}"
-
-    def __get__(self, obj, owner=None):
-        return _cached(obj.__dict__, self.key, lambda: self.fn(obj))
-
-
-class _batched(_once):
-    """A context's row of a block column: ``fn(block)`` gives one entry per
-    row of the context's block, computed on the block's first read."""
-
-    def __get__(self, c, owner=None):
-        return self if c is None else _read(self.rows(c.block)[c.row])
-
-    def rows(self, block) -> list:
-        return _cached(block.__dict__, self.key, lambda: self.fn(block))
+    compute: Callable
+    fiber: bool = False
 
 
 class _Block:
     """The plan's base points ``start`` to ``stop`` and their pairs,
-    stacked, over which the contexts' :class:`_batched` columns run, with
-    the Finsler samples taken there.  A block refers to no context."""
+    stacked, with the entries of the columns read there and the Finsler
+    samples taken there."""
 
     def __init__(self, s: BuiltScenario, sc: FedosovScenario | None,
                  start: int, stop: int):
         self.s, self.sc = s, sc
         self.xs, self.ys = s.plan.xs[start:stop], s.plan.ys[start:stop]
-        self.pairs = (np.repeat(self.xs, self.ys.shape[1], axis=0),
+        self.per_x = self.ys.shape[1]
+        self.pairs = (np.repeat(self.xs, self.per_x, axis=0),
                       self.ys.reshape(-1, s.dimension))
+        # each row's sample point as floats: base points, then pairs
+        self.points = ([tuple(x) for x in self.xs.tolist()],
+                       [tuple(x + y) for x, y in zip(
+                           self.pairs[0].tolist(), self.pairs[1].tolist())])
+        self._columns: dict = {}  # column -> {row: entry}
         self._samples: dict = {}  # by x.tobytes() + y.tobytes()
+
+    def read(self, column: _Column, rows) -> list:
+        """The column's entries at ``rows``, computing those not read
+        before."""
+        found = self._columns.setdefault(column, {})
+        todo = [p for p in dict.fromkeys(rows) if p not in found]
+        if todo:
+            found.update(column.compute(self, todo))
+        return [found[p] for p in rows]
 
     def samples(self, xs, ys) -> list:
         """What :func:`finsler_samples` gives at each pair (xs[p], ys[p]).
@@ -177,101 +135,97 @@ class _Block:
         return [self._samples[k] for k in keys]
 
 
+def _batched(fn, fiber: bool = False) -> _Column:
+    """A column computed at every row on its first read: ``fn(block)``
+    gives the entries.  A FinsymError fn raises is every row's entry."""
+    def compute(b: _Block, _) -> dict:
+        try:
+            found = fn(b)
+        except FinsymError as exc:
+            found = [exc.with_traceback(None)] * len(b.points[fiber])
+        return dict(enumerate(found))
+    return _Column(compute, fiber)
+
+
+def _each_row(fn, fiber: bool = False) -> _Column:
+    """A field quantity: the block function ``fn(block)`` on the stacked
+    base points, or on the plan pairs where ``fiber``, one entry per row
+    (:func:`each_row`)."""
+    return _batched(lambda b: list(each_row(
+        fn(b), *(b.pairs if fiber else (b.xs,)))), fiber)
+
+
+def _derived(fn, *inputs: _Column, fiber: bool = False) -> _Column:
+    """``fn(block, *values)`` row by row, from the inputs' entries there:
+    a column over the plan pairs where ``fiber`` or an input is.  The
+    inputs are read in order, each only on the rows where the earlier ones
+    hold values, and a pair reads a base-point input at its base point; a
+    row where an input holds an error carries the first such error, and fn
+    runs only where none does."""
+    fiber = fiber or any(column.fiber for column in inputs)
+
+    def compute(b: _Block, todo: list) -> dict:
+        out, args = {}, {p: [] for p in todo}
+        for column in inputs:
+            live = [p for p in todo if p not in out]
+            at = ([p // b.per_x for p in live] if fiber and not column.fiber
+                  else live)
+            for p, entry in zip(live, b.read(column, at)):
+                if isinstance(entry, FinsymError):
+                    out[p] = entry
+                else:
+                    args[p].append(entry)
+        for p in todo:
+            if p not in out:
+                try:
+                    out[p] = fn(b, *args[p])
+                except FinsymError as exc:
+                    out[p] = exc.with_traceback(None)
+        return out
+    return _Column(compute, fiber)
+
+
+def _where(b: _Block, column: _Column, fn) -> list:
+    """``fn(xs, values)`` on the base points where ``column`` holds a
+    value, stacked, one entry per row (:func:`each_row`); every other row
+    keeps the column's error."""
+    entries = b.read(column, range(len(b.xs)))
+    ok = [p for p, e in enumerate(entries) if not isinstance(e, FinsymError)]
+    if ok:
+        values = [entries[p] for p in ok]
+        for p, entry in zip(ok, each_row(fn, b.xs[ok], values)):
+            entries[p] = entry
+    return entries
+
+
 def _probe_samples(b: _Block, probes) -> list:
-    """Each row's samples at the probe vectors, one :meth:`_Block.samples`
-    call per probe, as an entry: the error of the row's first failing
-    probe, in probe order, where one fails.  A row is sampled at a probe
-    only while its earlier probes succeed."""
-    rows = [([], None) for _ in b.xs]
+    """Each base point's samples at the probe vectors, one
+    :meth:`_Block.samples` call per probe; a base point is sampled at a
+    probe only while its earlier probes succeed, and carries the error of
+    its first failing probe."""
+    rows = [[] for _ in b.xs]
     for v in probes:
-        ok = [p for p, (_, exc) in enumerate(rows) if exc is None]
+        ok = [p for p, r in enumerate(rows) if isinstance(r, list)]
         found = b.samples(b.xs[ok], np.tile(v, (len(ok), 1)))
         for p, result in zip(ok, found):
             if isinstance(result, FinsymError):
-                rows[p] = (None, result)
+                rows[p] = result
             else:
-                rows[p][0].append(result)
+                rows[p].append(result)
     return rows
 
 
-def _minkowski(c: "PointContext") -> tuple[float, float, float]:
-    require_minkowskian([smp.chern for smp in c.minkowski_samples])
-    mk = minkowski_preservation_check(c.form[1], c.jac, c.hatted)
-    ghat = transform_connection(np.zeros((c.s.dimension,) * 3), c.jac)
-    hatted = PreservationResidual.of(*c.hatted, ghat)
-    return mk.natural, mk.hatted, abs(mk.hatted - hatted.max_abs)
-
-
-def _swapped_jacobians(b: _Block) -> list:
-    """The swapped chart's derivatives at each row's mapped point."""
-    chart = b.s.chart.swapped()
-    return _where([(None, exc) if exc else (jac.xhat, None)
-                   for jac, exc in PointContext.jac.rows(b)],
-                  lambda _, xhats: chart_jacobians(chart, xhats), b.xs)
-
-
-class PointContext:
-    """What the facets read at one base point x, the ``row``-th of its
-    block, and its plan fiber points ``ys``, each computed on first use.
-
-    Every field quantity is a :class:`_batched` column of the block, and
-    every Finsler sample comes from the block's one sample cache
-    (:meth:`_Block.samples`), so each distinct (x, y) is sampled once
-    whichever facets read it.  ``w`` is W(x), ``sample_w`` the sample at
-    (x, W(x)) and ``derivatives`` the jet path there; ``berwald_samples``
-    and ``minkowski_samples`` are the samples at the Berwald probe vectors
-    and the Minkowski probes.  ``lift_w`` is the lift-preservation
-    residual of the scenario's form along W, ``standard_lift_w`` that of
-    the standard form.  ``jac`` holds the chart derivatives at x, ``back``
-    the swapped chart's at the mapped point, and ``hatted`` the scenario's
-    form pulled back through ``jac``.  ``form`` holds the scenario's
-    two-form and its partials at x; ``covector`` the first and second
-    derivative arrays of the Randers covector b there, from which a
-    d(beta) form is read rather than evaluating b again, and
-    ``alpha_norm`` the Randers covector's alpha-norm, shared by the pairs
-    at x.  The finite-difference curvature ``fd`` samples its own stencil
-    block and reads nothing else from the context.
-    """
-
-    def __init__(self, block: _Block, row: int):
-        self.block, self.row = block, row
-        self.s, self.sc = block.s, block.sc
-        self.x, self.ys = block.xs[row], block.ys[row]
-
-    w = _batched(lambda b: _rows(b.s.vector_field.values, b.xs))
-    sample_w = _batched(lambda b: _where(
-        PointContext.w.rows(b), b.samples, b.xs))
-    berwald_samples = _batched(lambda b: _probe_samples(
-        b, _berwald_probes(b.s)))
-    minkowski_samples = _batched(lambda b: _probe_samples(
-        b, minkowski_probes(b.s.dimension)))
-    form = _once(lambda c: (exact_form_data(*c.covector)
-                            if c.s.two_form_kind == "randers-dbeta"
-                            else c.form_data))
-    form_data = _batched(lambda b: _rows(b.s.two_form.data, b.xs))
-    # G is read first: where both the connection and the form fail, the
-    # record carries the connection's error
-    lift_w = _once(lambda c: PreservationResidual.of(
-        G=c.sample_w.chern, w=c.form[0], dw=c.form[1]))
-    standard_lift_w = _once(lambda c: PreservationResidual.of(
-        *_standard_data(c.s.dimension // 2), c.sample_w.chern))
-    derivatives = _batched(lambda b: _where(
-        PointContext.w.rows(b), partial(induced_derivatives, b.sc), b.xs))
-    up = _once(lambda c: curvature_up(*c.derivatives))
-    brace = _once(lambda c: brace_array(*c.derivatives))
-    pair = _once(lambda c: pair_two_path(c.up, c.brace, c.form[0]))
-    # The FD path samples its own centre and stencil, (x, W(x)) included, in
-    # a block of its own: reading sample_w would let it share a result with
-    # the path it checks.
-    fd = _once(lambda c: curvature_fd_commutator(c.sc, c.x))
-    jac = _batched(lambda b: _rows(partial(chart_jacobians, b.s.chart), b.xs))
-    back = _batched(_swapped_jacobians)
-    hatted = _once(lambda c: hatted_two_form_data(*c.form, c.jac))
-    covector = _batched(lambda b: _rows(
-        partial(covector_derivatives, b.s.metric.b_fields), b.xs))
-    minkowski = _once(_minkowski)
-    alpha_norm = _batched(lambda b: _rows(
-        partial(randers_alpha_norm, b.s.metric), b.xs))
+def _berwald_probes(s: BuiltScenario) -> tuple[np.ndarray, ...]:
+    """The Berwald probe vectors; ZeroVectorError if one is below W's
+    floor."""
+    floor = s.vector_field.w_min
+    for v in s.berwald_vectors:
+        norm = math.hypot(*v)  # scaled, so a large probe cannot overflow
+        if norm < floor:
+            raise ZeroVectorError(
+                f"probe vector norm {norm:.3e} below floor {floor}"
+            )
+    return s.berwald_vectors
 
 
 @lru_cache(maxsize=None)
@@ -283,46 +237,98 @@ def _standard_data(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, dw
 
 
-class FiberContext:
-    """What the facets read at one pair (x, y) of the plan, the ``row``-th
-    pair of its block."""
+def _form(b: _Block) -> list:
+    """The scenario's two-form and its partials at each base point; a
+    d(beta) form is read off the covector's derivative arrays, which
+    randers-equivalence reads too, rather than evaluating b again."""
+    if b.s.two_form_kind != "randers-dbeta":
+        return list(each_row(b.s.two_form.data, b.xs))
+    return [c if isinstance(c, FinsymError) else exact_form_data(*c)
+            for c in b.read(COVECTOR, range(len(b.xs)))]
 
-    def __init__(self, base: PointContext, y, row: int):
-        self.base, self.y = base, y
-        self.block, self.row = base.block, row
-        self.point = np.concatenate([base.x, y])
 
-    sample = _batched(lambda b: _rows(b.samples, *b.pairs))
+def _back(b: _Block) -> list:
+    """The swapped chart's derivatives at each base point's mapped
+    point."""
+    chart = b.s.chart.swapped()
+    return _where(b, JAC, lambda _, jacs: chart_jacobians(
+        chart, [jac.xhat for jac in jacs]))
 
-    structural = _once(lambda f: structural_residuals(f.sample))
-    lift = _once(lambda f: PreservationResidual.of(
-        G=f.sample.chern, w=f.base.form[0], dw=f.base.form[1]))
-    homogeneity = _batched(lambda b: _rows(
-        partial(homogeneity_residuals, b.s.metric), *b.pairs))
-    euler = _batched(lambda b: _rows(
-        partial(euler_residuals, b.s.metric), *b.pairs))
+
+def _lift(b: _Block, sample, form) -> PreservationResidual:
+    """The lift-preservation residual of the scenario's form at a sample;
+    read after the sample, so where both fail, the sample's error shows."""
+    return PreservationResidual.of(G=sample.chern, w=form[0], dw=form[1])
+
+
+def _minkowski(b: _Block, _, form, jac, hatted) -> tuple:
+    mk = minkowski_preservation_check(form[1], jac, hatted)
+    ghat = transform_connection(np.zeros((b.s.dimension,) * 3), jac)
+    pres = PreservationResidual.of(*hatted, ghat)
+    return mk.natural, mk.hatted, abs(mk.hatted - pres.max_abs)
+
+
+# The columns the facets read.  W is W(x), SAMPLE_W the sample at
+# (x, W(x)) and DERIVATIVES the jet path there; SAMPLE is the sample at
+# each plan pair.  JAC holds the chart derivatives at x, BACK the swapped
+# chart's at the mapped point, and HATTED the scenario's form pulled back
+# through JAC.  The finite-difference curvature FD samples its own
+# centre and stencil, (x, W(x)) included, in a block of its own: reading
+# SAMPLE_W would let it share a result with the path it checks.
+X = _batched(lambda b: list(b.xs))
+W = _each_row(lambda b: b.s.vector_field.values)
+SAMPLE_W = _batched(lambda b: _where(b, W, b.samples))
+DERIVATIVES = _batched(lambda b: _where(
+    b, W, partial(induced_derivatives, b.sc)))
+BERWALD_SAMPLES = _batched(lambda b: _probe_samples(b, _berwald_probes(b.s)))
+MINKOWSKI_SAMPLES = _batched(lambda b: _probe_samples(
+    b, minkowski_probes(b.s.dimension)))
+COVECTOR = _each_row(lambda b: partial(covector_derivatives,
+                                       b.s.metric.b_fields))
+FORM = _batched(_form)
+JAC = _each_row(lambda b: partial(chart_jacobians, b.s.chart))
+BACK = _batched(_back)
+ALPHA_NORM = _each_row(lambda b: partial(randers_alpha_norm, b.s.metric))
+LIFT_W = _derived(_lift, SAMPLE_W, FORM)
+STANDARD_LIFT_W = _derived(lambda b, sample: PreservationResidual.of(
+    *_standard_data(b.s.dimension // 2), sample.chern), SAMPLE_W)
+UP = _derived(lambda b, d: curvature_up(*d), DERIVATIVES)
+BRACE = _derived(lambda b, d: brace_array(*d), DERIVATIVES)
+PAIR = _derived(lambda b, up, brace, form: pair_two_path(up, brace, form[0]),
+                UP, BRACE, FORM)
+FD = _derived(lambda b, x: curvature_fd_commutator(b.sc, x), X)
+HATTED = _derived(lambda b, form, jac: hatted_two_form_data(*form, jac),
+                  FORM, JAC)
+MINKOWSKIAN = _derived(lambda b, samples: require_minkowskian(
+    [smp.chern for smp in samples]), MINKOWSKI_SAMPLES)
+MINKOWSKI = _derived(_minkowski, MINKOWSKIAN, FORM, JAC, HATTED)
+SAMPLE = _batched(lambda b: b.samples(*b.pairs), fiber=True)
+STRUCTURAL = _derived(lambda b, sample: structural_residuals(sample), SAMPLE)
+LIFT = _derived(_lift, SAMPLE, FORM)
+HOMOGENEITY = _each_row(lambda b: partial(homogeneity_residuals,
+                                          b.s.metric), fiber=True)
+EULER = _each_row(lambda b: partial(euler_residuals, b.s.metric), fiber=True)
 
 
 @dataclass(frozen=True)
 class Facet:
     """One residual of a check, recorded under ``name``.
 
-    ``residual`` maps the context (a FiberContext when ``fiber``) to the
-    residual, or to (residual, scale) where the bound is relative: the
-    record's tolerance is ``tolerances[tol] * scale``, or the fixed
-    ``bound * scale`` when ``tol`` is None.  A ``gate`` returns a
-    preservation residual along W; the point is skipped where it exceeds
-    the preservation-gate tolerance.  ``when`` limits the facet to
-    scenarios it applies to.  What a facet reads, samples included, is
-    computed for its whole block on first read, so a facet declares
-    nothing beyond its residual.
+    ``residual`` is a column of the block: at each base point, or at each
+    plan pair where the column is ``fiber``, the residual, or (residual,
+    scale) where the bound is relative.  The record's tolerance is
+    ``tolerances[tol] * scale``, or the fixed ``bound * scale`` when
+    ``tol`` is None.  A ``gate`` is a column of preservation residuals
+    along W: a row where its ``max_abs`` exceeds the preservation-gate
+    tolerance gets no record, and the residual is computed only on the
+    rows the gate lets through.
+    ``when`` limits the facet to scenarios it applies to.
     """
 
     name: str
-    residual: Callable
+    residual: _Column
     tol: str | None = None
-    fiber: bool = False
-    gate: Callable | None = None
+    gate: _Column | None = None
     when: Callable[[BuiltScenario], bool] | None = None
     bound: float = 0.0
 
@@ -344,48 +350,31 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _nondegeneracy(c: PointContext) -> float:
-    return max(0.0, c.s.tolerances["tol_nd"] - nondegeneracy(c.form[0]))
+def _nondegeneracy(b: _Block, form) -> float:
+    return max(0.0, b.s.tolerances["tol_nd"] - nondegeneracy(form[0]))
 
 
-def _randers_equivalence(f: FiberContext) -> float:
-    pres = f.lift
-    cond = randers_condition(*f.base.covector, f.sample.chern)
-    scale = max(1.0, _max_abs(pres.entries))
-    return _max_abs(cond + pres.entries) / scale
+def _randers_equivalence(b: _Block, lift, covector, sample) -> float:
+    cond = randers_condition(*covector, sample.chern)
+    scale = max(1.0, _max_abs(lift.entries))
+    return _max_abs(cond + lift.entries) / scale
 
 
-def _exactness(c: PointContext) -> float:
-    G = c.sample_w.chern
-    pres = c.lift_w
-    return abs(covariant_residual(G, *c.form) - pres.max_abs)
+def _exactness(b: _Block, sample, lift_w, form) -> float:
+    return abs(covariant_residual(sample.chern, *form) - lift_w.max_abs)
 
 
-def _roundtrip(c: PointContext) -> float:
-    G = c.sample_w.chern
-    ghat = transform_connection(G, c.jac)
-    return _max_abs(transform_connection(ghat, c.back) - G)
+def _roundtrip(b: _Block, sample, jac, back) -> float:
+    G = sample.chern
+    return _max_abs(transform_connection(transform_connection(G, jac), back)
+                    - G)
 
 
-def _berwald_probes(s: BuiltScenario) -> tuple[np.ndarray, ...]:
-    """The Berwald probe vectors; ZeroVectorError if one is below W's
-    floor."""
-    floor = s.vector_field.w_min
-    for v in s.berwald_vectors:
-        norm = math.hypot(*v)  # scaled, so a large probe cannot overflow
-        if norm < floor:
-            raise ZeroVectorError(
-                f"probe vector norm {norm:.3e} below floor {floor}"
-            )
-    return s.berwald_vectors
+def _berwald_spread(b: _Block, samples) -> float:
+    return max_pairwise_spread([smp.chern for smp in samples])
 
 
-def _berwald_spread(c: PointContext) -> float:
-    return max_pairwise_spread([smp.chern for smp in c.berwald_samples])
-
-
-def _fd_consistency(c: PointContext) -> tuple[float, float]:
-    up, fd = c.up, c.fd
+def _fd_consistency(b: _Block, up, fd) -> tuple[float, float]:
     scale = max(1.0, _max_abs(up), _max_abs(fd))
     return _max_abs(up - fd), scale
 
@@ -394,29 +383,23 @@ def _has_two_form(s: BuiltScenario) -> bool:
     return s.two_form is not None
 
 
-def _positive_definite(f: FiberContext) -> float:
-    """0 where the pair sample exists: the sample of a pair is a
-    NotPositiveDefiniteError where a leading minor of g is below tol_pd."""
-    _ = f.sample
-    return 0.0
-
-
 CHECKS = (
     Check("metric-validity",
           "homogeneity, Euler identity, Cartan trace, positive-definiteness, "
           "Randers covector bound",
           (), (
-              Facet("metric-validity:homogeneity", lambda f: f.homogeneity,
-                    "homogeneity", fiber=True),
-              Facet("metric-validity:euler", lambda f: f.euler,
-                    "homogeneity", fiber=True),
+              Facet("metric-validity:homogeneity", HOMOGENEITY,
+                    "homogeneity"),
+              Facet("metric-validity:euler", EULER, "homogeneity"),
               Facet("metric-validity:cartan-trace",
-                    lambda f: cartan_trace_residual(f.sample),
-                    "homogeneity", fiber=True),
-              Facet("metric-validity:positive-definite", _positive_definite,
-                    fiber=True),
+                    _derived(lambda b, sample: cartan_trace_residual(sample),
+                             SAMPLE), "homogeneity"),
+              # 0 where the pair sample exists: it is a
+              # NotPositiveDefiniteError where a minor of g is below tol_pd
+              Facet("metric-validity:positive-definite",
+                    _derived(lambda b, sample: 0.0, SAMPLE)),
               Facet("metric-validity:randers-bound",
-                    lambda f: f.base.alpha_norm, fiber=True,
+                    _derived(lambda b, norm: norm, ALPHA_NORM, fiber=True),
                     when=lambda s: s.metric.family == "randers",
                     bound=1.0 - 1e-6),
           )),
@@ -424,23 +407,27 @@ CHECKS = (
           "torsion-freeness and almost-metric-compatibility residuals of the "
           "connection coefficients",
           (), (
-              Facet("structural:torsion", lambda f: f.structural.torsion,
-                    fiber=True),
+              Facet("structural:torsion",
+                    _derived(lambda b, st: st.torsion, STRUCTURAL)),
               Facet("structural:compat",
-                    lambda f: (f.structural.compat, f.structural.scale),
-                    "structural-compat", fiber=True),
+                    _derived(lambda b, st: (st.compat, st.scale), STRUCTURAL),
+                    "structural-compat"),
           )),
     Check("preservation",
           "two-form validity (closedness, nondegeneracy) and the "
           "lift-preservation residual; Randers d(beta) equivalence",
           ("two_form",), (
               Facet("preservation:closedness",
-                    lambda c: closedness(c.form[1]), "closedness"),
-              Facet("preservation:nondegeneracy", _nondegeneracy),
-              Facet("preservation:lift", lambda f: f.lift.max_abs,
-                    "preservation", fiber=True),
-              Facet("preservation:randers-equivalence", _randers_equivalence,
-                    "randers-equivalence", fiber=True,
+                    _derived(lambda b, form: closedness(form[1]), FORM),
+                    "closedness"),
+              Facet("preservation:nondegeneracy",
+                    _derived(_nondegeneracy, FORM)),
+              Facet("preservation:lift",
+                    _derived(lambda b, lift: lift.max_abs, LIFT),
+                    "preservation"),
+              Facet("preservation:randers-equivalence",
+                    _derived(_randers_equivalence, LIFT, COVECTOR, SAMPLE),
+                    "randers-equivalence",
                     when=lambda s: (s.metric.family == "randers"
                                     and s.two_form_kind == "randers-dbeta")),
           )),
@@ -448,74 +435,80 @@ CHECKS = (
           "symmetry of the induced connection and exact agreement of its "
           "two-form residual with the lift residual along W",
           ("vector_field",), (
-              Facet("induce:symmetry", lambda c: _max_abs(
-                  c.sample_w.chern - c.sample_w.chern.transpose(0, 2, 1))),
-              Facet("induce:exactness", _exactness, "exactness",
-                    when=_has_two_form),
+              Facet("induce:symmetry", _derived(lambda b, sample: _max_abs(
+                  sample.chern - sample.chern.transpose(0, 2, 1)), SAMPLE_W)),
+              Facet("induce:exactness",
+                    _derived(_exactness, SAMPLE_W, LIFT_W, FORM),
+                    "exactness", when=_has_two_form),
           )),
     Check("darboux",
           "standard-form coefficient relations at points where the "
           "connection preserves the standard two-form",
           ("vector_field",), (
               Facet("darboux:relations",
-                    lambda c: darboux_relations_residual(
-                        c.sample_w.chern, c.s.dimension // 2),
-                    "darboux", gate=lambda c: c.standard_lift_w.max_abs),
+                    _derived(lambda b, sample: darboux_relations_residual(
+                        sample.chern, b.s.dimension // 2), SAMPLE_W),
+                    "darboux", gate=STANDARD_LIFT_W),
           ), even_dimension=True),
     Check("transform",
           "round trip of the coefficient transformation law through the "
           "configured chart and back",
           ("vector_field", "chart"), (
-              Facet("transform:roundtrip", _roundtrip, "transform"),
+              Facet("transform:roundtrip",
+                    _derived(_roundtrip, SAMPLE_W, JAC, BACK), "transform"),
           )),
     Check("minkowski",
           "preservation conditions of an x-independent metric in natural "
           "and hatted charts, and their consistency with the transformation "
           "law",
           ("two_form", "chart"), (
-              Facet("minkowski:natural", lambda c: c.minkowski[0],
-                    "minkowski"),
-              Facet("minkowski:hatted", lambda c: c.minkowski[1],
-                    "minkowski"),
-              Facet("minkowski:equivalence", lambda c: c.minkowski[2],
-                    "minkowski"),
+              Facet("minkowski:natural",
+                    _derived(lambda b, mk: mk[0], MINKOWSKI), "minkowski"),
+              Facet("minkowski:hatted",
+                    _derived(lambda b, mk: mk[1], MINKOWSKI), "minkowski"),
+              Facet("minkowski:equivalence",
+                    _derived(lambda b, mk: mk[2], MINKOWSKI), "minkowski"),
           )),
     Check("berwald-uniqueness",
           "spread of the induced connection across distinct probe vector "
           "fields",
           ("vector_field",), (
-              Facet("berwald-uniqueness:spread", _berwald_spread,
+              Facet("berwald-uniqueness:spread",
+                    _derived(_berwald_spread, BERWALD_SAMPLES),
                     "berwald-uniqueness"),
           )),
     Check("curvature",
           "chain-rule curvature against a finite-difference commutator of "
           "the induced-connection field; exact last-pair antisymmetry",
           ("vector_field",), (
-              Facet("curvature:fd-consistency", _fd_consistency,
-                    "curvature-fd"),
-              Facet("curvature:antisymmetry",
-                    lambda c: _max_abs(c.up + c.up.swapaxes(2, 3))),
+              Facet("curvature:fd-consistency",
+                    _derived(_fd_consistency, UP, FD), "curvature-fd"),
+              Facet("curvature:antisymmetry", _derived(
+                  lambda b, up: _max_abs(up + up.swapaxes(2, 3)), UP)),
           )),
     Check("bianchi",
           "cyclic curvature sum (first Bianchi identity) and the contracted "
           "two-path comparison",
           ("vector_field",), (
-              Facet("bianchi:cyclic", lambda c: cyclic_residual(c.up),
+              Facet("bianchi:cyclic",
+                    _derived(lambda b, up: cyclic_residual(up), UP),
                     "bianchi"),
               Facet("bianchi:two-path",
-                    lambda c: contracted_two_path(
-                        c.up, c.brace, c.form[0]).paths_delta,
+                    _derived(lambda b, up, brace, form: contracted_two_path(
+                        up, brace, form[0]).paths_delta, UP, BRACE, FORM),
                     "two-path", when=_has_two_form),
           )),
     Check("pair-symmetry",
           "first-pair symmetry of the lowered curvature at preserving "
           "points; printed-formula two-path comparison",
           ("vector_field", "two_form"), (
-              Facet("pair-symmetry:two-path", lambda c: c.pair.paths_delta,
+              Facet("pair-symmetry:two-path",
+                    _derived(lambda b, pair: pair.paths_delta, PAIR),
                     "two-path"),
               Facet("pair-symmetry:lowered",
-                    lambda c: (c.pair.assembled, c.pair.scale),
-                    "pair-symmetry", gate=lambda c: c.lift_w.max_abs),
+                    _derived(lambda b, pair: (pair.assembled, pair.scale),
+                             PAIR),
+                    "pair-symmetry", gate=LIFT_W),
           )),
 )
 
@@ -531,27 +524,37 @@ def available_checks(s: BuiltScenario) -> list[str]:
             and not (check.even_dimension and s.dimension % 2 != 0)]
 
 
-def _evaluate(facet: Facet, ctx, point, tolerances: dict
-              ) -> CheckRecord | None:
+def _records(facet: Facet, b: _Block) -> list[CheckRecord]:
+    """The facet's records over the block, in row order: an error record
+    where the row's entry is an error or its residual or bound is not
+    finite, and none where the gate stops the row."""
+    tolerances = b.s.tolerances
     tolerance = tolerances[facet.tol] if facet.tol else facet.bound
-    t0 = time.perf_counter()
-    try:
-        if (facet.gate is not None
-                and facet.gate(ctx) > tolerances["preservation-gate"]):
-            return None  # asserted only where the connection keeps the form
-        out = facet.residual(ctx)
-        residual, scale = out if isinstance(out, tuple) else (out, 1.0)
-        bound = tolerance * scale
-        if not np.isfinite([residual, bound]).all():
-            raise DomainError(f"non-finite residual {residual:.3e} or "
-                              f"bound {bound:.3e}")
-    except FinsymError as exc:
-        exc.__traceback__ = None  # see _read
-        return CheckRecord.failed(facet.name, point,
-                                  f"{type(exc).__name__}: {exc}", tolerance,
-                                  time.perf_counter() - t0)
-    return CheckRecord.evaluated(facet.name, point, residual, bound,
-                                 time.perf_counter() - t0)
+    points = b.points[facet.residual.fiber]
+    rows = range(len(points))
+    entries = {}
+    if facet.gate is not None:
+        # asserted only where the connection keeps the form
+        limit = tolerances["preservation-gate"]
+        entries = {p: g for p, g in zip(rows, b.read(facet.gate, rows))
+                   if isinstance(g, FinsymError) or not g.max_abs > limit}
+        rows = [p for p, g in entries.items()
+                if not isinstance(g, FinsymError)]
+    entries.update(zip(rows, b.read(facet.residual, rows)))
+    records = []
+    for p, e in entries.items():
+        if not isinstance(e, FinsymError):
+            residual, scale = e if isinstance(e, tuple) else (e, 1.0)
+            bound = tolerance * scale
+            if math.isfinite(residual) and math.isfinite(bound):
+                records.append(CheckRecord.evaluated(facet.name, points[p],
+                                                     residual, bound))
+                continue
+            e = DomainError(f"non-finite residual {residual:.3e} or "
+                            f"bound {bound:.3e}")
+        records.append(CheckRecord.failed(
+            facet.name, points[p], f"{type(e).__name__}: {e}", tolerance))
+    return records
 
 
 def _select(s: BuiltScenario, suite) -> list[Check]:
@@ -594,25 +597,10 @@ def run_checks(s: BuiltScenario, suite=None) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
           if s.vector_field is not None else None)
-    size = max(1, _BLOCK_PAIRS // s.plan.ys.shape[1])
+    size = max(1, _BLOCK_PAIRS // max(2, s.plan.ys.shape[1]))
     for start in range(0, len(s.plan.xs), size):
         block = _Block(s, sc, start, start + size)
-        for row in range(len(block.xs)):
-            records.extend(_run_point(PointContext(block, row), facets))
+        for facet in facets:
+            records.extend(_records(facet, block))
     records.sort(key=lambda r: r.check)
-    return records
-
-
-def _run_point(ctx: PointContext, facets: list[Facet]) -> list:
-    """The records of the facets at one base point, in facet order."""
-    first = ctx.row * len(ctx.ys)  # the block's pairs, base point by point
-    fibers = [FiberContext(ctx, y, first + j) for j, y in enumerate(ctx.ys)]
-    records = []
-    for facet in facets:
-        if facet.fiber:
-            found = [_evaluate(facet, f, f.point, ctx.s.tolerances)
-                     for f in fibers]
-        else:
-            found = [_evaluate(facet, ctx, ctx.x, ctx.s.tolerances)]
-        records.extend(r for r in found if r is not None)
     return records

@@ -212,7 +212,9 @@ def _permute(a: np.ndarray, *axes: int) -> np.ndarray:
 def _metric_data(phi: Jet, n: int) -> tuple:
     """g_ij, dg_ij/dx^t as [t, i, j] and dg_ij/dy^k as [k, i, j] at each
     column of the jet of the energy, with a tangent axis of length 1 + 2n
-    from an order-4 jet and of length 1 from an order-3 one."""
+    from an order-4 jet and of length 1 from an order-3 one.  Each is
+    C-contiguous: einsum sums the slices of a 64-row block of strided
+    order-4 data in another order than a lone row's."""
     fiber = slice(n, 2 * n)
     g = phi.derivatives(2)[:, fiber, fiber, None]
     d3 = phi.derivatives(3)[:, :, fiber, fiber]         # [p, a, i, j]
@@ -221,7 +223,7 @@ def _metric_data(phi: Jet, n: int) -> tuple:
         g = np.concatenate([g, d3.transpose(0, 2, 3, 1)], axis=-1)
         dg = np.concatenate([dg, phi.derivatives(4)[:, :, fiber, fiber]],
                             axis=-1)
-    return g, dg[:, :n], dg[:, n:]
+    return tuple(np.ascontiguousarray(a) for a in (g, dg[:, :n], dg[:, n:]))
 
 
 def _connection(g, dg_dx, dg_dy, y) -> tuple:

@@ -12,7 +12,9 @@ class CheckRecord:
     ``passed`` must equal ``residual <= tolerance`` whenever the evaluation
     succeeded; an evaluation that raised, or gave a non-finite residual or
     tolerance, carries ``"Type: message"`` in ``error``, ``residual`` None,
-    and ``passed`` False.
+    and ``passed`` False.  A ``point`` given as a tuple is kept as it is, so
+    the records of one sample point can share one tuple of floats; any
+    other sequence is converted.
     """
 
     check: str
@@ -20,20 +22,22 @@ class CheckRecord:
     residual: float | None
     tolerance: float
     passed: bool
-    elapsed: float = 0.0
     error: str | None = None
 
     @classmethod
-    def evaluated(cls, check: str, point, residual: float, tolerance: float,
-                  elapsed: float = 0.0) -> "CheckRecord":
+    def evaluated(cls, check: str, point, residual: float,
+                  tolerance: float) -> "CheckRecord":
         residual = float(residual)
-        return cls(check=check, point=tuple(float(v) for v in point),
-                   residual=residual, tolerance=float(tolerance),
-                   passed=bool(residual <= tolerance), elapsed=elapsed)
+        return cls(check=check, point=_point(point), residual=residual,
+                   tolerance=float(tolerance),
+                   passed=bool(residual <= tolerance))
 
     @classmethod
-    def failed(cls, check: str, point, message: str, tolerance: float,
-               elapsed: float = 0.0) -> "CheckRecord":
-        return cls(check=check, point=tuple(float(v) for v in point),
-                   residual=None, tolerance=float(tolerance), passed=False,
-                   elapsed=elapsed, error=message)
+    def failed(cls, check: str, point, message: str,
+               tolerance: float) -> "CheckRecord":
+        return cls(check=check, point=_point(point), residual=None,
+                   tolerance=float(tolerance), passed=False, error=message)
+
+
+def _point(point) -> tuple[float, ...]:
+    return point if isinstance(point, tuple) else tuple(map(float, point))

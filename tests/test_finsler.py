@@ -21,6 +21,7 @@ from finsym.fields import DomainBox, ScalarFieldSpec
 from finsym.finsler import (
     FinslerSample,
     MetricSpec,
+    chern_block,
     chern_with_derivatives,
     finsler_sample,
     finsler_samples,
@@ -466,3 +467,34 @@ class TestSampleBlocks:
         for size in (1, 7):
             monkeypatch.setattr(checks, "_BLOCK_PAIRS", size)
             assert emit_report(run_scenario(config, suite)) == expected
+
+    def test_block_size_leaves_one_fiber_point_reports_unchanged(
+            self, monkeypatch):
+        """At one fiber point per base point a block holds 32 base points,
+        half of ``_BLOCK_PAIRS``; the 4-d report at 64 base points is the
+        same there, at block sizes 1 and 7, and in one block of all 64,
+        where the order-4 column is 64 wide."""
+        config = load_config(os.path.join(ROOT, "tests", "data",
+                                          "curvature-n4-v3.json"))
+        config["sampling"].update(count=64, y_per_x=1)
+        expected = emit_report(run_scenario(config))
+        for size in (1, 7, 128):
+            monkeypatch.setattr(checks, "_BLOCK_PAIRS", size)
+            assert emit_report(run_scenario(config)) == expected
+
+    @pytest.mark.parametrize("rows", [64, 65])
+    def test_wide_order4_block_equals_one_row_calls(self, rows):
+        """chern_block on 64 and 65 rows at n = 4 gives each row what the
+        call on that row alone gives, bit for bit."""
+        config = load_config(os.path.join(ROOT, "tests", "data",
+                                          "curvature-n4-v3.json"))
+        config["sampling"].update(count=rows, y_per_x=1)
+        s = build_scenario(config)
+        xs = s.plan.xs
+        ws = s.vector_field.values(xs)
+        found = chern_block(s.metric, xs, ws)
+        assert len(found) == rows
+        for p, entry in enumerate(found):
+            (alone,) = chern_block(s.metric, xs[p:p + 1], ws[p:p + 1])
+            for a, b in zip(entry, alone):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()

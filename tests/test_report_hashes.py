@@ -173,3 +173,45 @@ def test_error_run_leaves_no_reference_cycles(name):
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+# base points of each errors-* config (9 each) at which the FD commutator
+# runs: those where the jet-path curvature it is compared with exists
+FD_COMMUTATOR_CALLS = {
+    "errors-berwald-floor": 9,
+    "errors-narrow-box": 9,
+    "errors-not-minkowskian": 9,
+    "errors-tol-pd": 5,
+    "errors-w-vanishing": 8,
+}
+
+
+@pytest.mark.parametrize("name", ERROR_CONFIGS)
+def test_inputs_are_computed_only_where_a_record_needs_them(name,
+                                                            monkeypatch):
+    """A facet reads its inputs in order, each only where the earlier ones
+    hold values, and a gated residual runs only where its gate lets the
+    row through: the FD commutator runs where the chain-rule curvature
+    exists, and the Darboux relations once per record they give a
+    residual."""
+    assert sorted(FD_COMMUTATOR_CALLS) == ERROR_CONFIGS
+    fd, relations = [], []
+    commutator = checks.curvature_fd_commutator
+    darboux = checks.darboux_relations_residual
+
+    def counted_fd(sc, x):
+        fd.append(x)
+        return commutator(sc, x)
+
+    def counted_relations(G, n):
+        relations.append(G)
+        return darboux(G, n)
+
+    monkeypatch.setattr(checks, "curvature_fd_commutator", counted_fd)
+    monkeypatch.setattr(checks, "darboux_relations_residual",
+                        counted_relations)
+    records = run_scenario(_load(name, DATA_DIR))
+    assert len(fd) == FD_COMMUTATOR_CALLS[name]
+    assert len(relations) == sum(1 for r in records
+                                 if r.check == "darboux:relations"
+                                 and r.residual is not None)
