@@ -6,16 +6,18 @@ the plan.  The runner cuts the plan into blocks of consecutive base
 points, and a facet is a column of a block (:class:`_Column`): one entry
 per base point or pair, the residual or that row's FinsymError.  What a
 facet reads is a column of the block too, computed on first read and kept
-with the block, so each quantity is computed once.  A field quantity, W(x)
-among them, is one call over the block's rows (:func:`_batched`), and
-every Finsler sample comes from the block's one sample cache
+with the block, so each quantity is computed once.  A column reads its
+input columns in order, each only on the rows where the earlier ones hold
+values, and a row carries its first failing input's error
+(:func:`_inputs`).  A field quantity, W(x) and every kind of Finsler
+sample among them, is one call over the rows where its inputs hold values
+(:func:`_stacked`); the samples come from the block's one sample cache
 (:meth:`_Block.samples`).  A quantity made from others is computed row by
-row (:func:`_derived`), each input only on the rows where the earlier ones
-hold values.  The finite-difference commutator samples its own stencil
-block and reads none of these.  Domain failures never abort a suite:
-:func:`_records` makes an error record where a row's entry is an error or
-its residual or tolerance is not finite.  Record order is fixed: record
-ids sorted, then points in plan order.
+row, on the rows read (:func:`_derived`).  The finite-difference
+commutator samples its own stencil block and reads none of these.  Domain
+failures never abort a suite: :func:`_records` makes an error record where
+a row's entry is an error or its residual or tolerance is not finite.
+Record order is fixed: record ids sorted, then points in plan order.
 """
 
 from __future__ import annotations
@@ -135,84 +137,75 @@ class _Block:
         return [self._samples[k] for k in keys]
 
 
-def _batched(fn, fiber: bool = False) -> _Column:
-    """A column computed at every row on its first read: ``fn(block)``
-    gives the entries.  A FinsymError fn raises is every row's entry."""
+def _inputs(b: _Block, inputs, rows, fiber: bool) -> tuple[dict, dict]:
+    """The inputs' entries at ``rows`` of a column over the plan pairs
+    where ``fiber``: read in order, each only on the rows where the earlier
+    ones hold values, a pair reading a base-point input at its base point.
+    Gives ``({row: its first error}, {row: its input values})``."""
+    errors, values = {}, {p: [] for p in rows}
+    for column in inputs:
+        live = [p for p in rows if p not in errors]
+        at = ([p // b.per_x for p in live] if fiber and not column.fiber
+              else live)
+        for p, entry in zip(live, b.read(column, at)):
+            if isinstance(entry, FinsymError):
+                errors[p] = entry
+            else:
+                values[p].append(entry)
+    return errors, values
+
+
+def _stacked(fn, *inputs: _Column, fiber: bool = False) -> _Column:
+    """A column computed at every row on its first read, over the plan
+    pairs where ``fiber`` or an input is: one call ``fn(block, xs,
+    *values)``, or ``fn(block, xs, ys, *values)`` over pairs, on the rows
+    where every input holds a value (:func:`_inputs`), stacked, one entry
+    per row (:func:`each_row`); every other row keeps its first input
+    error."""
+    fiber = fiber or any(column.fiber for column in inputs)
+
     def compute(b: _Block, _) -> dict:
-        try:
-            found = fn(b)
-        except FinsymError as exc:
-            found = [exc.with_traceback(None)] * len(b.points[fiber])
-        return dict(enumerate(found))
+        rows = range(len(b.points[fiber]))
+        out, values = _inputs(b, inputs, rows, fiber)
+        ok = [p for p in rows if p not in out]
+        if ok:
+            stacks = [s[ok] for s in (b.pairs if fiber else (b.xs,))]
+            stacks += zip(*(values[p] for p in ok))
+            out.update(zip(ok, each_row(partial(fn, b), *stacks)))
+        return out
     return _Column(compute, fiber)
 
 
-def _each_row(fn, fiber: bool = False) -> _Column:
-    """A field quantity: the block function ``fn(block)`` on the stacked
-    base points, or on the plan pairs where ``fiber``, one entry per row
-    (:func:`each_row`)."""
-    return _batched(lambda b: list(each_row(
-        fn(b), *(b.pairs if fiber else (b.xs,)))), fiber)
-
-
 def _derived(fn, *inputs: _Column, fiber: bool = False) -> _Column:
-    """``fn(block, *values)`` row by row, from the inputs' entries there:
-    a column over the plan pairs where ``fiber`` or an input is.  The
-    inputs are read in order, each only on the rows where the earlier ones
-    hold values, and a pair reads a base-point input at its base point; a
-    row where an input holds an error carries the first such error, and fn
-    runs only where none does."""
+    """``fn(block, *values)`` row by row, from the inputs' values there
+    (:func:`_inputs`): a column over the plan pairs where ``fiber`` or an
+    input is, computed only on the rows read.  A row where an input holds
+    an error carries the first such error, and fn runs only where none
+    does."""
     fiber = fiber or any(column.fiber for column in inputs)
 
     def compute(b: _Block, todo: list) -> dict:
-        out, args = {}, {p: [] for p in todo}
-        for column in inputs:
-            live = [p for p in todo if p not in out]
-            at = ([p // b.per_x for p in live] if fiber and not column.fiber
-                  else live)
-            for p, entry in zip(live, b.read(column, at)):
-                if isinstance(entry, FinsymError):
-                    out[p] = entry
-                else:
-                    args[p].append(entry)
+        out, values = _inputs(b, inputs, todo, fiber)
         for p in todo:
             if p not in out:
                 try:
-                    out[p] = fn(b, *args[p])
+                    out[p] = fn(b, *values[p])
                 except FinsymError as exc:
                     out[p] = exc.with_traceback(None)
         return out
     return _Column(compute, fiber)
 
 
-def _where(b: _Block, column: _Column, fn) -> list:
-    """``fn(xs, values)`` on the base points where ``column`` holds a
-    value, stacked, one entry per row (:func:`each_row`); every other row
-    keeps the column's error."""
-    entries = b.read(column, range(len(b.xs)))
-    ok = [p for p, e in enumerate(entries) if not isinstance(e, FinsymError)]
-    if ok:
-        values = [entries[p] for p in ok]
-        for p, entry in zip(ok, each_row(fn, b.xs[ok], values)):
-            entries[p] = entry
-    return entries
-
-
-def _probe_samples(b: _Block, probes) -> list:
-    """Each base point's samples at the probe vectors, one
-    :meth:`_Block.samples` call per probe; a base point is sampled at a
-    probe only while its earlier probes succeed, and carries the error of
-    its first failing probe."""
-    rows = [[] for _ in b.xs]
-    for v in probes:
-        ok = [p for p, r in enumerate(rows) if isinstance(r, list)]
-        found = b.samples(b.xs[ok], np.tile(v, (len(ok), 1)))
-        for p, result in zip(ok, found):
-            if isinstance(result, FinsymError):
-                rows[p] = result
-            else:
-                rows[p].append(result)
-    return rows
+def _probe_samples(b: _Block, xs, probes) -> list:
+    """Each base point's samples at the probe vectors, from one
+    :meth:`_Block.samples` read over every base point at every probe; a
+    base point carries the error of its first failing probe."""
+    k = len(probes)
+    found = b.samples(np.repeat(xs, k, axis=0),
+                      np.tile(np.asarray(probes), (len(xs), 1)))
+    rows = [found[p * k:(p + 1) * k] for p in range(len(xs))]
+    return [next((e for e in row if isinstance(e, FinsymError)), row)
+            for row in rows]
 
 
 def _berwald_probes(s: BuiltScenario) -> tuple[np.ndarray, ...]:
@@ -237,24 +230,6 @@ def _standard_data(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, dw
 
 
-def _form(b: _Block) -> list:
-    """The scenario's two-form and its partials at each base point; a
-    d(beta) form is read off the covector's derivative arrays, which
-    randers-equivalence reads too, rather than evaluating b again."""
-    if b.s.two_form_kind != "randers-dbeta":
-        return list(each_row(b.s.two_form.data, b.xs))
-    return [c if isinstance(c, FinsymError) else exact_form_data(*c)
-            for c in b.read(COVECTOR, range(len(b.xs)))]
-
-
-def _back(b: _Block) -> list:
-    """The swapped chart's derivatives at each base point's mapped
-    point."""
-    chart = b.s.chart.swapped()
-    return _where(b, JAC, lambda _, jacs: chart_jacobians(
-        chart, [jac.xhat for jac in jacs]))
-
-
 def _lift(b: _Block, sample, form) -> PreservationResidual:
     """The lift-preservation residual of the scenario's form at a sample;
     read after the sample, so where both fail, the sample's error shows."""
@@ -275,20 +250,28 @@ def _minkowski(b: _Block, _, form, jac, hatted) -> tuple:
 # through JAC.  The finite-difference curvature FD samples its own
 # centre and stencil, (x, W(x)) included, in a block of its own: reading
 # SAMPLE_W would let it share a result with the path it checks.
-X = _batched(lambda b: list(b.xs))
-W = _each_row(lambda b: b.s.vector_field.values)
-SAMPLE_W = _batched(lambda b: _where(b, W, b.samples))
-DERIVATIVES = _batched(lambda b: _where(
-    b, W, partial(induced_derivatives, b.sc)))
-BERWALD_SAMPLES = _batched(lambda b: _probe_samples(b, _berwald_probes(b.s)))
-MINKOWSKI_SAMPLES = _batched(lambda b: _probe_samples(
-    b, minkowski_probes(b.s.dimension)))
-COVECTOR = _each_row(lambda b: partial(covector_derivatives,
-                                       b.s.metric.b_fields))
-FORM = _batched(_form)
-JAC = _each_row(lambda b: partial(chart_jacobians, b.s.chart))
-BACK = _batched(_back)
-ALPHA_NORM = _each_row(lambda b: partial(randers_alpha_norm, b.s.metric))
+X = _stacked(lambda b, xs: xs)
+W = _stacked(lambda b, xs: b.s.vector_field.values(xs))
+SAMPLE_W = _stacked(lambda b, xs, ws: b.samples(xs, ws), W)
+DERIVATIVES = _stacked(lambda b, xs, ws: induced_derivatives(b.sc, xs, ws), W)
+BERWALD_SAMPLES = _stacked(lambda b, xs: _probe_samples(
+    b, xs, _berwald_probes(b.s)))
+MINKOWSKI_SAMPLES = _stacked(lambda b, xs: _probe_samples(
+    b, xs, minkowski_probes(b.s.dimension)))
+COVECTOR = _stacked(lambda b, xs: covector_derivatives(b.s.metric.b_fields,
+                                                       xs))
+# a d(beta) form is read off the covector's derivative arrays, which
+# randers-equivalence reads too, rather than evaluating b again
+_FIELD_FORM = _stacked(lambda b, xs: b.s.two_form.data(xs))
+_EXACT_FORM = _derived(lambda b, covector: exact_form_data(*covector),
+                       COVECTOR)
+FORM = _Column(lambda b, rows: dict(zip(rows, b.read(
+    _EXACT_FORM if b.s.two_form_kind == "randers-dbeta" else _FIELD_FORM,
+    rows))))
+JAC = _stacked(lambda b, xs: chart_jacobians(b.s.chart, xs))
+BACK = _stacked(lambda b, xs, jacs: chart_jacobians(
+    b.s.chart.swapped(), [jac.xhat for jac in jacs]), JAC)
+ALPHA_NORM = _stacked(lambda b, xs: randers_alpha_norm(b.s.metric, xs))
 LIFT_W = _derived(_lift, SAMPLE_W, FORM)
 STANDARD_LIFT_W = _derived(lambda b, sample: PreservationResidual.of(
     *_standard_data(b.s.dimension // 2), sample.chern), SAMPLE_W)
@@ -302,12 +285,13 @@ HATTED = _derived(lambda b, form, jac: hatted_two_form_data(*form, jac),
 MINKOWSKIAN = _derived(lambda b, samples: require_minkowskian(
     [smp.chern for smp in samples]), MINKOWSKI_SAMPLES)
 MINKOWSKI = _derived(_minkowski, MINKOWSKIAN, FORM, JAC, HATTED)
-SAMPLE = _batched(lambda b: b.samples(*b.pairs), fiber=True)
+SAMPLE = _stacked(lambda b, xs, ys: b.samples(xs, ys), fiber=True)
 STRUCTURAL = _derived(lambda b, sample: structural_residuals(sample), SAMPLE)
 LIFT = _derived(_lift, SAMPLE, FORM)
-HOMOGENEITY = _each_row(lambda b: partial(homogeneity_residuals,
-                                          b.s.metric), fiber=True)
-EULER = _each_row(lambda b: partial(euler_residuals, b.s.metric), fiber=True)
+HOMOGENEITY = _stacked(lambda b, xs, ys: homogeneity_residuals(
+    b.s.metric, xs, ys), fiber=True)
+EULER = _stacked(lambda b, xs, ys: euler_residuals(b.s.metric, xs, ys),
+                 fiber=True)
 
 
 @dataclass(frozen=True)

@@ -414,6 +414,14 @@ def build_scenario(config: dict, seed_override: int | None = None,
         config = {**config, "sampling": {**sampling,
                                          "seed": int(seed_override)}}
     validate_config(config)
+    # the schema takes a whole float such as 2.0 as an integer; these are
+    # used as counts, indices and a seed
+    sampling = dict(config["sampling"])
+    for key in ("count", "seed", "y_per_x"):
+        if key in sampling:
+            sampling[key] = int(sampling[key])
+    config = {**config, "dimension": int(config["dimension"]),
+              "sampling": sampling}
 
     dimension = config["dimension"]
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -491,7 +499,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, huge integers
         raise ConfigError(f"invalid JSON: {exc}", "") from exc
     except RecursionError:
         raise ConfigError("invalid JSON: nested too deeply", "") from None

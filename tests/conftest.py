@@ -7,6 +7,7 @@ import pytest
 
 from finsym.fields import DomainBox, ScalarFieldSpec, VectorFieldSpec
 from finsym.finsler import MetricSpec
+from finsym.jets import fd_oracle, fd_stencil
 from finsym.fedosov import FedosovScenario
 from finsym.symplectic import ExactTwoForm, explicit_two_form, standard_form
 
@@ -34,6 +35,12 @@ def partial(jet, idx):
     from ``jet.derivatives``."""
     slots = tuple(v for v, e in enumerate(idx) for _ in range(e))
     return jet.derivatives(len(slots))[(0,) + slots]
+
+
+def fd_estimate(field, x, idx):
+    """:func:`fd_oracle` for a scalar field at x, from the field's values on
+    the stencil, evaluated as one stack."""
+    return fd_oracle(field.evaluate(np.array(fd_stencil(x, idx))), x, idx)
 
 
 def sample_box(rng, lower, upper, count):

@@ -24,7 +24,7 @@ from finsym.fields import (ChartMap, DomainBox, ScalarFieldSpec,
 from finsym.finsler import (MetricSpec, chern_block, euler_residuals,
                             homogeneity_residuals, randers_alpha_norm,
                             sample_block)
-from finsym.scenario import load_config
+from finsym.scenario import build_scenario, load_config
 from finsym.symplectic import (ExactTwoForm, covector_derivatives,
                                explicit_two_form)
 
@@ -176,17 +176,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # field evaluations (ScalarFieldSpec.evaluate and eval_jet calls) of a full
 # run outside the FD commutator: (before the first block, in each block).
 # Every field quantity, W included, is one call per block, and so is each
-# kind of Finsler sample (the plan pairs, (x, W(x)), each Berwald probe and
-# each Minkowski probe not sampled before in the block), so nothing is
-# evaluated before the first block and a block of 4 base points costs what
-# one of 12 does.
+# kind of Finsler sample (the plan pairs, (x, W(x)), the Berwald probes and
+# the Minkowski probes, each at every base point, not sampled before in the
+# block), so nothing is evaluated before the first block and a block of 4
+# base points costs what one of 12 does.
 EVALUATIONS = {
-    "configs/curved_volume.json": (0, 21),
-    "configs/euclidean_standard.json": (0, 33),
-    "configs/polar_riemannian.json": (0, 19),
-    "configs/quartic_minkowski_chart.json": (0, 33),
-    "configs/randers_dbeta.json": (0, 28),
-    "tests/data/curvature-n4-v3.json": (0, 48),
+    "configs/curved_volume.json": (0, 17),
+    "configs/euclidean_standard.json": (0, 27),
+    "configs/polar_riemannian.json": (0, 15),
+    "configs/quartic_minkowski_chart.json": (0, 25),
+    "configs/randers_dbeta.json": (0, 24),
+    "tests/data/curvature-n4-v3.json": (0, 44),
 }
 
 
@@ -200,7 +200,8 @@ def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
     size, at 3 base points per block (7 pairs at 2 per base point) and
     with one base point per block."""
     config = load_config(os.path.join(ROOT, path))
-    run_scenario(config)  # the standard form's data is read once a process
+    if config["dimension"] % 2 == 0:
+        checks._standard_data(config["dimension"] // 2)  # once a process
     if block_pairs is not None:
         monkeypatch.setattr(checks, "_BLOCK_PAIRS", block_pairs)
     counts, sizes, in_fd = [0], [], []
@@ -236,3 +237,28 @@ def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
     assert counts == [before] + [per_block] * len(sizes)
     # one base point per block at 1 pair, several otherwise
     assert (max(sizes) == 1) == (block_pairs == 1)
+
+
+def test_a_stacked_column_over_pairs_reads_base_point_inputs():
+    """A stacked column over the plan pairs with a base-point input, W:
+    one call on the pairs whose base point holds a value, each pair with
+    its base point's W; the pairs of the base point where W vanishes carry
+    W's error."""
+    s = build_scenario(load_config(os.path.join(
+        ROOT, "tests/data/errors-w-vanishing.json")))
+    block = checks._Block(s, None, 0, len(s.plan.xs))
+    calls = []
+
+    def fn(b, xs, ys, ws):
+        calls.append(len(xs))
+        return [float(y @ w) for y, w in zip(ys, ws)]
+
+    rows = range(len(block.pairs[0]))
+    found = block.read(checks._stacked(fn, checks.W, fiber=True), rows)
+    ws = block.read(checks.W, range(len(block.xs)))
+    assert sum(isinstance(w, FinsymError) for w in ws) == 1
+    for p, entry in zip(rows, found):
+        w = ws[p // block.per_x]
+        assert entry is w if isinstance(w, FinsymError) else entry == float(
+            block.pairs[1][p] @ w)
+    assert calls == [len(rows) - block.per_x]

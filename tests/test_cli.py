@@ -728,6 +728,39 @@ class TestCliMain:
         assert err.startswith("error: /vector_field/components/0: bad expression")
         assert "nested more than" in err
 
+    @pytest.mark.parametrize("text", [
+        b'{"dimension": 2, "note": "\xff"}',
+        b'{"dimension": ' + b"9" * 4400 + b"}"],
+        ids=["not-utf8", "huge-integer"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_undecodable_json_is_a_config_error(self, tmp_path, capsys,
+                                                command, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: /: invalid JSON: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["dimension", "count", "seed",
+                                       "y_per_x"])
+    def test_a_whole_float_runs_as_its_integer(self, tmp_path, capsys, field):
+        """The schema takes a whole float such as 2.0 as an integer: the
+        config gives its integer twin's exit code and report."""
+        runs = []
+        for whole in (int, float):
+            cfg = randers_config()
+            block = cfg if field == "dimension" else cfg["sampling"]
+            block[field] = whole(block[field])
+            path = self._write(tmp_path, cfg, f"{whole.__name__}.json")
+            assert main(["validate", "--config", path]) == 0
+            assert capsys.readouterr().out == "config OK\n"
+            code = main(["run", "--config", path])
+            runs.append((code, capsys.readouterr()))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 1 and runs[0][1].err == ""
+
     def test_long_expression_runs(self, tmp_path):
         cfg = euclid_config(count=1)
         cfg["metric"]["F"] = "sqrt(" + "+".join(["y1^2"] * 1999 + ["y2^2"]) + ")"

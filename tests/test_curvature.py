@@ -107,7 +107,8 @@ def _one_point_commutator(sc, x):
     x = np.asarray(x, dtype=float)
     G0 = induce_connection(sc, x)
     axes = np.eye(sc.metric.dimension, dtype=int)
-    dG = np.stack([fd_oracle(lambda p: induce_connection(sc, p), x, axis)
+    dG = np.stack([fd_oracle([induce_connection(sc, p)
+                              for p in fd_stencil(x, axis)], x, axis)
                    for axis in axes], axis=-1)
     half = np.einsum("lkij->lijk", dG) + np.einsum("mki,ljm->lijk", G0, G0)
     return half - half.swapaxes(2, 3)

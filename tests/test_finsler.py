@@ -29,11 +29,11 @@ from finsym.finsler import (
     metric_validity,
     structural_residuals,
 )
-from finsym.jets import fd_oracle
 from finsym.report import emit_report
 from finsym.scenario import build_scenario, load_config
 
-from conftest import BOX2, POLAR_BOX, randers_metric, xy_samples
+from conftest import (BOX2, POLAR_BOX, fd_estimate, randers_metric,
+                      xy_samples)
 
 
 def finsler_value(m, x, y):
@@ -90,7 +90,7 @@ class TestFundamentalTensor:
                 idx = tuple((1 if k == i else 0) + (1 if k == j else 0)
                             for k in range(2))
                 assert g[i, j] == pytest.approx(
-                    fd_oracle(half_f2, y, idx), abs=1e-8)
+                    fd_estimate(half_f2, y, idx), abs=1e-8)
 
     def test_degenerate_on_axis(self, quartic2):
         with pytest.raises(NotPositiveDefiniteError):
@@ -116,7 +116,7 @@ class TestCartanTensor:
         A = finsler_sample(quartic2, x, y).A
         F = finsler_value(quartic2, x, y)
         f2 = ScalarFieldSpec.parse("(x1^4+x2^4)^0.5", ["x1", "x2"])
-        expect = (F / 4.0) * fd_oracle(f2, y, (3, 0))
+        expect = (F / 4.0) * fd_estimate(f2, y, (3, 0))
         assert A[0, 0, 0] == pytest.approx(expect, abs=1e-6)
 
     def test_total_symmetry(self, randers01):
