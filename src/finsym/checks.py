@@ -14,8 +14,10 @@ sample among them, is one call over the rows where its inputs hold values
 (:func:`_stacked`); the samples come from the block's one sample cache
 (:meth:`_Block.samples`).  A quantity made from others is computed row by
 row, on the rows read (:func:`_derived`).  The finite-difference
-commutator samples its own stencil block and reads none of these.  Domain
-failures never abort a suite: :func:`_records` makes an error record where
+commutator is stacked too, over the rows where the chain-rule curvature
+exists, but it samples its base points' own stencils and reads no
+sample, W or other quantity of the block.  Domain failures never abort a
+suite: :func:`_records` makes an error record where
 a row's entry is an error or its residual or tolerance is not finite.
 Record order is fixed: record ids sorted, then points in plan order.
 """
@@ -32,7 +34,7 @@ import numpy as np
 from .curvature import (
     brace_array,
     contracted_two_path,
-    curvature_fd_commutator,
+    curvature_fd_commutators,
     curvature_up,
     cyclic_residual,
     induced_derivatives,
@@ -247,9 +249,14 @@ def _minkowski(b: _Block, _, form, jac, hatted) -> tuple:
 # (x, W(x)) and DERIVATIVES the jet path there; SAMPLE is the sample at
 # each plan pair.  JAC holds the chart derivatives at x, BACK the swapped
 # chart's at the mapped point, and HATTED the scenario's form pulled back
-# through JAC.  The finite-difference curvature FD samples its own
-# centre and stencil, (x, W(x)) included, in a block of its own: reading
-# SAMPLE_W would let it share a result with the path it checks.
+# through JAC.  The finite-difference curvature FD is stacked over the
+# rows where UP, the chain-rule curvature it is compared with, holds a
+# value.  It takes W and the samples again on its base points' own
+# stencils, (x, W(x)) included, stacked in runs of whole stencils of at
+# most _BLOCK_PAIRS rows: reading W, SAMPLE_W or _Block.samples would let
+# it share a result with the path it checks.  A failing stack is replayed
+# one base point at a time, and each base point's stencil point by point
+# up to its first failing point, so a row carries that point's error.
 X = _stacked(lambda b, xs: xs)
 W = _stacked(lambda b, xs: b.s.vector_field.values(xs))
 SAMPLE_W = _stacked(lambda b, xs, ws: b.samples(xs, ws), W)
@@ -279,7 +286,8 @@ UP = _derived(lambda b, d: curvature_up(*d), DERIVATIVES)
 BRACE = _derived(lambda b, d: brace_array(*d), DERIVATIVES)
 PAIR = _derived(lambda b, up, brace, form: pair_two_path(up, brace, form[0]),
                 UP, BRACE, FORM)
-FD = _derived(lambda b, x: curvature_fd_commutator(b.sc, x), X)
+FD = _stacked(lambda b, xs, ups: curvature_fd_commutators(b.sc, xs,
+                                                           _BLOCK_PAIRS), UP)
 HATTED = _derived(lambda b, form, jac: hatted_two_form_data(*form, jac),
                   FORM, JAC)
 MINKOWSKIAN = _derived(lambda b, samples: require_minkowskian(

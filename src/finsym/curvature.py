@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fedosov import FedosovScenario, induce_connections
+from .fedosov import FedosovScenario, _connections, induce_connections
 from .finsler import chern_block
 from .jets import fd_oracle, fd_stencil
 
@@ -54,28 +54,55 @@ def _lowered(w: np.ndarray, up: np.ndarray) -> np.ndarray:
 
 
 def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
-    """Finite-difference curvature of the induced-connection field.
+    """Finite-difference curvature of the induced-connection field at x:
+    :func:`curvature_fd_commutators` on a stack of one base point."""
+    return curvature_fd_commutators(s, [x])[0]
 
-    The first derivatives of x -> induce_connection(s, x) come from
-    :func:`fd_oracle` (central differences, one Richardson step), one
-    coefficient array per axis, assembled into the commutator formula.
-    The centre and every axis's :func:`fd_stencil` (9 points at n = 2,
-    17 at n = 4) are sampled as one block by :func:`induce_connections`,
-    which raises the first failing point's error in that order.  The
-    block is this call's own: independent of the jet-based chain-rule
-    path, it shares no sample with the checks' other readers.
+
+def curvature_fd_commutators(s: FedosovScenario, xs,
+                             max_rows: int = 1) -> list:
+    """Finite-difference curvature of the induced-connection field at each
+    row of a (P, n) stack of base points.
+
+    Each base point's stencil is its centre and every axis's
+    :func:`fd_stencil` (9 points at n = 2, 17 at n = 4).  The stencils
+    are stacked and sampled in runs of whole stencils, at most
+    ``max_rows`` rows a run and at least one stencil, each run one
+    :func:`sample_block` with W on the run.  The first derivatives of
+    x -> induce_connection(s, x) come from :func:`fd_oracle` (central
+    differences, one Richardson step), one coefficient array per axis,
+    assembled into the commutator formula at each base point.
+
+    A run that fails raises some point's error; the caller replays the
+    stack one base point at a time (:func:`each_row`).  A stack of one
+    base point goes through :func:`induce_connections` instead, which
+    raises the first failing point's error in stencil order, W's before
+    the sample's.  The stencils are this call's own: independent of the
+    jet-based chain-rule path, they share no sample with the checks'
+    other readers.
     """
     n = s.metric.dimension
-    x = np.asarray(x, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    if not len(xs):
+        return []
     axes = np.eye(n, dtype=int)
-    stencil = [p for axis in axes for p in fd_stencil(x, axis)]
-    G0, *Gs = induce_connections(s, np.array([x] + stencil))
-    # dG[l, a, b, t] = d G^l_ab / d x^t, from axis t's run of the stencil
-    per_axis = len(Gs) // n
-    dG = np.stack([fd_oracle(Gs[t * per_axis:(t + 1) * per_axis], x, axes[t])
-                   for t in range(n)], axis=-1)
-    half = np.einsum("lkij->lijk", dG) + np.einsum("mki,ljm->lijk", G0, G0)
-    return half - half.swapaxes(2, 3)
+    stencils = [np.array([x] + [p for axis in axes
+                                for p in fd_stencil(x, axis)]) for x in xs]
+    size = len(stencils[0])
+    per_axis, per_run = (size - 1) // n, max(1, max_rows // size)
+    sample = induce_connections if len(xs) == 1 else _connections
+    Gs = [G for start in range(0, len(xs), per_run)
+          for G in sample(s, np.concatenate(stencils[start:start + per_run]))]
+    out = []
+    for p, x in enumerate(xs):
+        G0, *axis_Gs = Gs[p * size:(p + 1) * size]
+        # dG[l, a, b, t] = d G^l_ab / d x^t, from axis t's run of the stencil
+        dG = np.stack([fd_oracle(axis_Gs[t * per_axis:(t + 1) * per_axis],
+                                 x, axes[t]) for t in range(n)], axis=-1)
+        half = (np.einsum("lkij->lijk", dG)
+                + np.einsum("mki,ljm->lijk", G0, G0))
+        out.append(half - half.swapaxes(2, 3))
+    return out
 
 
 def brace_array(G, dG_dx, dG_dy, dW) -> np.ndarray:

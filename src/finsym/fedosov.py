@@ -7,9 +7,10 @@ connection preserving it on the base, i.e. a Fedosov structure.
 
 Every connection here is a plain coefficient array G[k, i, j] = G^k_ij,
 symmetric in the lower pair.  The residual functions take such arrays and
-other point data; only :func:`induce_connections`, which the
-finite-difference curvature differentiates, and :func:`induce_connection`,
-the same quantity at one point, sample the metric themselves.
+other point data; only :func:`induce_connections` and the one stack
+under it, which the finite-difference curvature differentiates, and
+:func:`induce_connection`, the same quantity at one point, sample the
+metric themselves.
 """
 
 from __future__ import annotations

@@ -328,16 +328,21 @@ class DomainBox:
 
     def contains(self, point: Sequence[float]) -> bool:
         x = np.asarray(point, dtype=float)
-        if x.shape != (self.dimension,):
-            return False
-        if (x < np.asarray(self.lower)).any() or (x > np.asarray(self.upper)).any():
-            return False
-        coords = x.tolist()
+        return x.shape == (self.dimension,) and bool(self.contains_rows(
+            x[None])[0])
+
+    def contains_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Whether each row of a (P, n) stack is in the domain: finite, in
+        the box, and outside every excluded ball."""
+        inside = (np.isfinite(xs) & (xs >= self.lower)
+                  & (xs <= self.upper)).all(axis=1)
         for center, radius in self.excluded:
-            # math.hypot scales its arguments, so a far centre cannot overflow
-            if math.hypot(*(a - c for a, c in zip(coords, center))) < radius:
-                return False
-        return True
+            # math.hypot scales its arguments, so a far centre cannot
+            # overflow; a difference that does is inf, as on Python floats
+            with np.errstate(over="ignore"):
+                offsets = (xs - center).tolist()
+            inside &= ~(np.array([math.hypot(*d) for d in offsets]) < radius)
+        return inside
 
     def require(self, point: Sequence[float], what: str = "point") -> None:
         if not self.contains(point):

@@ -138,18 +138,25 @@ def _quadratic_form(entries, n: int) -> tuple:
 
 
 def _require_points(m: MetricSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Two (P, n) stacks as float arrays, each pair (x, y) checked in turn."""
+    """Two (P, n) stacks as float arrays, checked as stacks: a DomainError
+    for the first failing pair, its x before its y."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    for x, y in zip(xs, ys):
-        if x.shape != (m.dimension,) or y.shape != (m.dimension,):
-            raise DomainError(f"point shapes {x.shape}/{y.shape} do not "
-                              f"match dimension {m.dimension}")
-        m.domain.require(x, "base point")
-        norm = math.hypot(*y)  # scaled, so a large y cannot overflow
-        if norm < m.y_min:
-            raise DomainError(
-                f"fiber point norm {norm:.3e} below slit floor {m.y_min}")
+    if not len(xs):
+        return xs, ys
+    if xs.shape[1:] != (m.dimension,) or ys.shape[1:] != (m.dimension,):
+        raise DomainError(f"point shapes {xs.shape[1:]}/{ys.shape[1:]} do "
+                          f"not match dimension {m.dimension}")
+    bad_x = ~m.domain.contains_rows(xs)
+    # scaled, so a large y cannot overflow
+    norms = [math.hypot(*y) for y in ys.tolist()]
+    bad = bad_x | (np.array(norms) < m.y_min)
+    if bad.any():
+        p = int(np.argmax(bad))
+        if bad_x[p]:
+            m.domain.require(xs[p], "base point")
+        raise DomainError(
+            f"fiber point norm {norms[p]:.3e} below slit floor {m.y_min}")
     return xs, ys
 
 

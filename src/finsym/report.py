@@ -6,6 +6,10 @@ import json
 
 from .records import CheckRecord
 
+# one encoder for every json-lines record; building one per call costs more
+# than encoding a record
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
 
 def emit_report(records: list[CheckRecord], fmt: str = "json") -> bytes:
     """Serialize records as json-lines or an aligned table (UTF-8, LF).
@@ -27,8 +31,7 @@ def emit_report(records: list[CheckRecord], fmt: str = "json") -> bytes:
                 "pass": r.passed,
                 "error": r.error,
             }
-            lines.append(json.dumps(obj, separators=(",", ":"),
-                                    allow_nan=False))
+            lines.append(_ENCODER.encode(obj))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "table":
         groups: dict[str, list[CheckRecord]] = {}

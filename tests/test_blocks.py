@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from finsym import checks
 from finsym.checks import run_scenario
-from finsym.curvature import induced_derivatives
+from finsym.curvature import curvature_fd_commutator, induced_derivatives
 from finsym.errors import FinsymError, each_row
 from finsym.fedosov import FedosovScenario
 from finsym.fields import (ChartMap, DomainBox, ScalarFieldSpec,
@@ -207,7 +207,7 @@ def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
     counts, sizes, in_fd = [0], [], []
     evaluate = ScalarFieldSpec.evaluate
     eval_jet = ScalarFieldSpec.eval_jet
-    init, commutator = checks._Block.__init__, checks.curvature_fd_commutator
+    init, commutators = checks._Block.__init__, checks.curvature_fd_commutators
 
     def counted(original):
         def call(*args):
@@ -221,17 +221,17 @@ def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
         init(block, *args)
         sizes.append(len(block.xs))
 
-    def fd(s, x):
-        in_fd.append(x)
+    def fd(s, xs, *args):
+        in_fd.append(xs)
         try:
-            return commutator(s, x)
+            return commutators(s, xs, *args)
         finally:
             in_fd.pop()
 
     monkeypatch.setattr(ScalarFieldSpec, "evaluate", counted(evaluate))
     monkeypatch.setattr(ScalarFieldSpec, "eval_jet", counted(eval_jet))
     monkeypatch.setattr(checks._Block, "__init__", counted_init)
-    monkeypatch.setattr(checks, "curvature_fd_commutator", fd)
+    monkeypatch.setattr(checks, "curvature_fd_commutators", fd)
     run_scenario(config)
     before, per_block = EVALUATIONS[path]
     assert counts == [before] + [per_block] * len(sizes)
@@ -262,3 +262,37 @@ def test_a_stacked_column_over_pairs_reads_base_point_inputs():
         assert entry is w if isinstance(w, FinsymError) else entry == float(
             block.pairs[1][p] @ w)
     assert calls == [len(rows) - block.per_x]
+
+
+FD_CONFIGS = ["configs/randers_dbeta.json"] + [
+    f"tests/data/errors-{name}.json" for name in (
+        "berwald-floor", "narrow-box", "not-minkowskian", "tol-pd",
+        "w-vanishing")]
+
+
+@pytest.mark.parametrize("path", FD_CONFIGS)
+def test_each_fd_entry_is_the_one_point_commutator(path):
+    """The FD column samples its base points' stencils in stacks; each
+    entry is what the one-point commutator gives there, bit for bit, or
+    its error, type and text.  Where the chain-rule curvature fails, the
+    entry is that error and the commutator does not run."""
+    s = build_scenario(load_config(os.path.join(ROOT, path)))
+    sc = FedosovScenario(s.metric, s.vector_field, s.two_form)
+    block = checks._Block(s, sc, 0, len(s.plan.xs))
+    rows = range(len(block.xs))
+    outcomes = set()
+    for x, up, fd in zip(block.xs, block.read(checks.UP, rows),
+                         block.read(checks.FD, rows)):
+        if isinstance(up, FinsymError):
+            assert fd is up
+            continue
+        try:
+            one = curvature_fd_commutator(sc, x)
+        except FinsymError as exc:
+            assert type(fd) is type(exc) and str(fd) == str(exc)
+            outcomes.add("error")
+        else:
+            assert fd.shape == one.shape and fd.tobytes() == one.tobytes()
+            outcomes.add("value")
+    # on the narrow box every stencil leaves the box
+    assert outcomes == ({"error"} if "narrow-box" in path else {"value"})

@@ -396,18 +396,24 @@ class TestRunScenario:
                                                           name):
         """The plan pairs, W(x), the Berwald probes and the Minkowski probes
         read one sample per (x, y), taken in the runner's blocks.  The FD
-        commutator samples its own centre and stencil in a block of its
+        commutator samples its own centres and stencils in stacks of its
         own, told apart here as the blocks sampled inside the commutator:
-        one per base point, which samples (x, W(x)) again rather than read
-        it from the runner's blocks.  A block with a failing pair samples
-        its pairs again one at a time, so those calls are not counted."""
+        whole stencils of 1 + 4n rows, each base point's once and in plan
+        order, whose centre samples (x, W(x)) again rather than read it
+        from the runner's blocks.  A block with a failing pair samples its
+        pairs again one at a time, so those calls are not counted."""
         counts = {}
         stencils = []
         in_fd = []
         in_block = []
         sample, block = finsler.finsler_sample, finsler.finsler_samples
         stencil = finsler.sample_block
-        commutator = curvature.curvature_fd_commutator
+        commutators = curvature.curvature_fd_commutators
+        with open(os.path.join(CONFIG_DIR, f"{name}.json"),
+                  encoding="utf-8") as fh:
+            config = json.load(fh)
+        s = build_scenario(config)
+        size, stacks = 1 + 4 * s.dimension, []
 
         def count(x, y):
             key = (tuple(map(float, x)), tuple(map(float, y)))
@@ -429,37 +435,35 @@ class TestRunScenario:
                 in_block.pop()
 
         def counted_stencil(m, xs, ys):
-            # the commutator samples its stencil with sample_block itself
+            # the commutator samples its stencils with sample_block itself
             if in_fd and not in_block:
-                stencils.append((tuple(map(float, xs[0])),
-                                 tuple(map(float, ys[0])), len(xs)))
+                stacks.append(len(xs))
+                stencils.extend((tuple(map(float, xs[p])),
+                                 tuple(map(float, ys[p])))
+                                for p in range(0, len(xs), size))
             return stencil(m, xs, ys)
 
-        def fd_commutator(s, x):
-            in_fd.append(x)
+        def fd_commutators(sc, xs, *args):
+            in_fd.append(xs)
             try:
-                return commutator(s, x)
+                return commutators(sc, xs, *args)
             finally:
                 in_fd.pop()
 
         patch_everywhere(monkeypatch, sample, counted)
         patch_everywhere(monkeypatch, block, counted_block)
         patch_everywhere(monkeypatch, stencil, counted_stencil)
-        patch_everywhere(monkeypatch, commutator, fd_commutator)
-        with open(os.path.join(CONFIG_DIR, f"{name}.json"),
-                  encoding="utf-8") as fh:
-            config = json.load(fh)
+        patch_everywhere(monkeypatch, commutators, fd_commutators)
         run_scenario(config)
         assert counts and set(counts.values()) == {1}
-        s = build_scenario(config)
+        assert all(rows % size == 0 for rows in stacks)
+        assert size < max(stacks) <= checks._BLOCK_PAIRS
         assert {(tuple(x), tuple(y)) for x, ys in zip(s.plan.xs, s.plan.ys)
                 for y in ys} <= set(counts)
-        assert [size for *_, size in stencils] == [1 + 4 * s.dimension] * len(
-            s.plan.xs)
-        assert [(x, w) for x, w, _ in stencils] == [
+        assert stencils == [
             (tuple(x), tuple(s.vector_field.values([x])[0]))
             for x in s.plan.xs]
-        assert {(x, w) for x, w, _ in stencils} <= set(counts)
+        assert set(stencils) <= set(counts)
 
     @pytest.mark.parametrize("name", sorted(
         f[:-5] for f in os.listdir(CONFIG_DIR) if f.endswith(".json")))

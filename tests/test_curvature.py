@@ -7,12 +7,14 @@ from finsym.curvature import (
     brace_array,
     contracted_two_path,
     curvature_fd_commutator,
+    curvature_fd_commutators,
     curvature_induced,
     curvature_up,
     cyclic_residual,
     induced_derivatives,
     pair_two_path,
 )
+from finsym import finsler
 from finsym.errors import FinsymError
 from finsym.fedosov import FedosovScenario, induce_connection
 from finsym.fields import ScalarFieldSpec, VectorFieldSpec
@@ -138,6 +140,34 @@ class TestStencilBlock:
         for sc, x in cases:
             assert np.array_equal(curvature_fd_commutator(sc, x),
                                   _one_point_commutator(sc, x))
+
+    @pytest.mark.parametrize("points,max_rows,runs", [
+        (7, 63, [63]),        # one run of exactly the row cap
+        (7, 62, [54, 9]),     # one row fewer: the seventh stencil runs alone
+        (8, 63, [63, 9]),     # one stencil past the cap
+        (3, 1, [9, 9, 9]),    # a cap below one stencil: one run each
+    ])
+    def test_stacked_stencils_equal_one_point_calls(self, monkeypatch,
+                                                    graph_scenario, points,
+                                                    max_rows, runs):
+        """Stencils are sampled in runs of whole stencils of at most
+        ``max_rows`` rows, and each base point's commutator is the
+        one-point one, bit for bit."""
+        xs = sample_box(np.random.default_rng(24), BOX2.lower, BOX2.upper,
+                        points)
+        sizes = []
+        block = finsler.sample_block
+
+        def counted(m, xs, ys):
+            sizes.append(len(xs))
+            return block(m, xs, ys)
+
+        patch_everywhere(monkeypatch, block, counted)
+        found = curvature_fd_commutators(graph_scenario, xs, max_rows)
+        assert sizes == runs
+        for x, fd in zip(xs, found):
+            assert np.array_equal(fd, _one_point_commutator(graph_scenario,
+                                                            x))
 
     @pytest.mark.parametrize("x1,zero,expected", [
         # W vanishes at the centre

@@ -1,5 +1,7 @@
 """Expression DSL, vector fields, chart maps, and domain boxes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,22 @@ class TestDomainBox:
         assert not box.contains([0.1, 0.1])  # inside the excluded ball
         assert box.contains([0.25, 0.0])     # on the ball boundary
 
+    def test_non_finite_coordinates_are_outside(self):
+        """Every comparison with NaN is false, so NaN would pass the box
+        test; a non-finite coordinate is outside even an unbounded box."""
+        box = DomainBox((0.0,), (1.0,))
+        assert not box.contains([math.nan])
+        assert not box.contains([math.inf])
+        wide = DomainBox((-math.inf, -1.0), (math.inf, 1.0),
+                         excluded=(((5.0, 0.0), 1.0),))
+        assert wide.contains([1e308, 0.0])
+        rows = np.array([[0.5, 0.5], [math.nan, 0.0], [math.inf, 0.0],
+                         [0.0, math.nan], [5.0, 0.5], [-1e308, -1.0]])
+        assert wide.contains_rows(rows).tolist() == [
+            True, False, False, False, False, True]
+        assert [wide.contains(x) for x in rows] == [
+            True, False, False, False, False, True]
+
     def test_require(self):
         box = DomainBox((0.0,), (1.0,))
         with pytest.raises(DomainError):
@@ -274,6 +292,10 @@ class TestDomainBox:
         near = DomainBox((-1.0, -1.0), (1.0, 1.0),
                          excluded=(((1e308, 1e308), 1.5e308),))
         assert not near.contains([0.5, -0.5])
+        # the offset from the centre overflows to -inf: outside the ball
+        far = DomainBox((-1.7e308, -1.0), (1.0, 1.0),
+                        excluded=(((1.7e308, 0.0), 1.0),))
+        assert far.contains([-1.7e308, 0.0])
 
     def test_empty_interior_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import glob
+import math
 import os
 
 import numpy as np
@@ -21,6 +22,7 @@ from finsym.fields import DomainBox, ScalarFieldSpec
 from finsym.finsler import (
     FinslerSample,
     MetricSpec,
+    _require_points,
     chern_block,
     chern_with_derivatives,
     finsler_sample,
@@ -328,6 +330,68 @@ def _assert_one_point_result(m, x, y, entry) -> None:
         assert type(entry) is type(exc) and str(entry) == str(exc)
         return
     _assert_same_sample(entry, one)
+
+
+def _per_row_check(m, xs, ys):
+    """The domain check one pair at a time, x before y: the reference the
+    stacked check in :func:`_require_points` must agree with."""
+    for x, y in zip(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)):
+        if x.shape != (m.dimension,) or y.shape != (m.dimension,):
+            raise DomainError(f"point shapes {x.shape}/{y.shape} do not "
+                              f"match dimension {m.dimension}")
+        m.domain.require(x, "base point")
+        norm = math.hypot(*y)
+        if norm < m.y_min:
+            raise DomainError(
+                f"fiber point norm {norm:.3e} below slit floor {m.y_min}")
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except FinsymError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+class TestRequirePoints:
+    BALLED = MetricSpec.custom("sqrt(y1^2+y2^2)", 2, DomainBox(
+        (-2.0, -2.0), (2.0, 2.0), excluded=(((1.0, 1.0), 0.5),)))
+    GOOD = [([0.1 * k, -0.2], [1.0, 0.1 * k]) for k in range(7)]
+    BAD = {
+        "box": ([3.0, 0.0], [1.0, 0.5]),
+        "ball": ([1.1, 0.9], [1.0, 0.5]),
+        "slit": ([0.1, 0.2], [1e-9, 0.0]),
+        "nan": ([math.nan, 0.0], [1.0, 0.5]),
+        "x-and-y": ([0.0, -2.5], [0.0, 1e-8]),  # x's error comes first
+    }
+
+    @pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle",
+                                                      "last"])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_stacked_check_raises_the_per_row_error(self, bad, where):
+        """The first failing row's error, type and text, whatever fails
+        after it."""
+        pairs = list(self.GOOD)
+        pairs[where] = self.BAD[bad]
+        if where < 6:  # a later row failing another way
+            pairs[6] = self.BAD["slit" if bad == "box" else "box"]
+        xs, ys = zip(*pairs)
+        expected = _outcome(_per_row_check, self.BALLED, xs, ys)
+        assert expected is not None
+        assert _outcome(_require_points, self.BALLED, xs, ys) == expected
+
+    def test_good_stacks_pass(self):
+        xs, ys = zip(*self.GOOD)
+        found = _require_points(self.BALLED, xs, ys)
+        assert all(np.array_equal(a, b) for a, b in zip(found, (xs, ys)))
+        assert _outcome(_require_points, self.BALLED, [[0.0]], [[1.0]]) == (
+            "DomainError: point shapes (1,)/(1,) do not match dimension 2")
+
+    def test_nan_base_point_is_outside(self):
+        with pytest.raises(DomainError, match=r"base point \[nan, 0.0\] "
+                           "outside domain"):
+            finsler_sample(self.BALLED, [math.nan, 0.0], [1.0, 0.0])
 
 
 class TestSampleBlocks:
