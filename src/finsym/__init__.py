@@ -29,6 +29,7 @@ from .finsler import (
     FinslerSample,
     MetricSpec,
     StructuralResiduals,
+    cartan_trace_residual,
     chern_with_derivatives,
     finsler_sample,
     max_pairwise_spread,

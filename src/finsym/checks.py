@@ -12,8 +12,11 @@ values, and a row carries its first failing input's error
 (:func:`_inputs`).  A field quantity, W(x) and every kind of Finsler
 sample among them, is one call over the rows where its inputs hold values
 (:func:`_stacked`); the samples come from the block's one sample cache
-(:meth:`_Block.samples`).  A quantity made from others is computed row by
-row, on the rows read (:func:`_derived`).  The finite-difference
+(:meth:`_Block.samples`).  So are the numerics made from the samples at
+every row: the structural and Cartan-trace residuals, the lift residuals
+and the Randers equivalence, each one array computation over the stack.
+Any other quantity made from others is computed row by row, on the rows
+read (:func:`_derived`).  The finite-difference
 commutator is stacked too, over the rows where the chain-rule curvature
 exists, but it samples its base points' own stencils and reads no
 sample, W or other quantity of the block.  Domain failures never abort a
@@ -232,10 +235,13 @@ def _standard_data(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, dw
 
 
-def _lift(b: _Block, sample, form) -> PreservationResidual:
-    """The lift-preservation residual of the scenario's form at a sample;
-    read after the sample, so where both fail, the sample's error shows."""
-    return PreservationResidual.of(G=sample.chern, w=form[0], dw=form[1])
+def _lifts(samples, forms) -> list[PreservationResidual]:
+    """The lift-preservation residuals of the scenario's form at stacked
+    samples, each with its base point's form; a column reads the sample
+    before the form, so where both fail, the sample's error shows."""
+    return PreservationResidual.stacked([w for w, _ in forms],
+                                        [dw for _, dw in forms],
+                                        [sample.chern for sample in samples])
 
 
 def _minkowski(b: _Block, _, form, jac, hatted) -> tuple:
@@ -247,16 +253,19 @@ def _minkowski(b: _Block, _, form, jac, hatted) -> tuple:
 
 # The columns the facets read.  W is W(x), SAMPLE_W the sample at
 # (x, W(x)) and DERIVATIVES the jet path there; SAMPLE is the sample at
-# each plan pair.  JAC holds the chart derivatives at x, BACK the swapped
-# chart's at the mapped point, and HATTED the scenario's form pulled back
-# through JAC.  The finite-difference curvature FD is stacked over the
-# rows where UP, the chain-rule curvature it is compared with, holds a
-# value.  It takes W and the samples again on its base points' own
-# stencils, (x, W(x)) included, stacked in runs of whole stencils of at
-# most _BLOCK_PAIRS rows: reading W, SAMPLE_W or _Block.samples would let
-# it share a result with the path it checks.  A failing stack is replayed
-# one base point at a time, and each base point's stencil point by point
-# up to its first failing point, so a row carries that point's error.
+# each plan pair, STRUCTURAL the structural residuals there and LIFT the
+# lift residual of the scenario's form there, as LIFT_W is at (x, W(x))
+# and STANDARD_LIFT_W that of the standard form.  JAC holds the chart
+# derivatives at x, BACK the swapped chart's at the mapped point, and
+# HATTED the scenario's form pulled back through JAC.  The
+# finite-difference curvature FD is stacked over the rows where UP, the
+# chain-rule curvature it is compared with, holds a value.  It takes W and
+# the samples again on its base points' own stencils, (x, W(x)) included,
+# stacked in runs of whole stencils of at most _BLOCK_PAIRS rows: reading
+# W, SAMPLE_W or _Block.samples would let it share a result with the path
+# it checks.  A failing stack is replayed one base point at a time, and
+# each base point's stencil point by point up to its first failing point,
+# so a row carries that point's error.
 X = _stacked(lambda b, xs: xs)
 W = _stacked(lambda b, xs: b.s.vector_field.values(xs))
 SAMPLE_W = _stacked(lambda b, xs, ws: b.samples(xs, ws), W)
@@ -279,9 +288,10 @@ JAC = _stacked(lambda b, xs: chart_jacobians(b.s.chart, xs))
 BACK = _stacked(lambda b, xs, jacs: chart_jacobians(
     b.s.chart.swapped(), [jac.xhat for jac in jacs]), JAC)
 ALPHA_NORM = _stacked(lambda b, xs: randers_alpha_norm(b.s.metric, xs))
-LIFT_W = _derived(_lift, SAMPLE_W, FORM)
-STANDARD_LIFT_W = _derived(lambda b, sample: PreservationResidual.of(
-    *_standard_data(b.s.dimension // 2), sample.chern), SAMPLE_W)
+LIFT_W = _stacked(lambda b, xs, samples, forms: _lifts(samples, forms),
+                  SAMPLE_W, FORM)
+STANDARD_LIFT_W = _stacked(lambda b, xs, samples: _lifts(
+    samples, [_standard_data(b.s.dimension // 2)] * len(samples)), SAMPLE_W)
 UP = _derived(lambda b, d: curvature_up(*d), DERIVATIVES)
 BRACE = _derived(lambda b, d: brace_array(*d), DERIVATIVES)
 PAIR = _derived(lambda b, up, brace, form: pair_two_path(up, brace, form[0]),
@@ -294,8 +304,10 @@ MINKOWSKIAN = _derived(lambda b, samples: require_minkowskian(
     [smp.chern for smp in samples]), MINKOWSKI_SAMPLES)
 MINKOWSKI = _derived(_minkowski, MINKOWSKIAN, FORM, JAC, HATTED)
 SAMPLE = _stacked(lambda b, xs, ys: b.samples(xs, ys), fiber=True)
-STRUCTURAL = _derived(lambda b, sample: structural_residuals(sample), SAMPLE)
-LIFT = _derived(_lift, SAMPLE, FORM)
+STRUCTURAL = _stacked(lambda b, xs, ys, samples: structural_residuals(
+    samples), SAMPLE)
+LIFT = _stacked(lambda b, xs, ys, samples, forms: _lifts(samples, forms),
+                SAMPLE, FORM)
 HOMOGENEITY = _stacked(lambda b, xs, ys: homogeneity_residuals(
     b.s.metric, xs, ys), fiber=True)
 EULER = _stacked(lambda b, xs, ys: euler_residuals(b.s.metric, xs, ys),
@@ -346,10 +358,14 @@ def _nondegeneracy(b: _Block, form) -> float:
     return max(0.0, b.s.tolerances["tol_nd"] - nondegeneracy(form[0]))
 
 
-def _randers_equivalence(b: _Block, lift, covector, sample) -> float:
-    cond = randers_condition(*covector, sample.chern)
-    scale = max(1.0, _max_abs(lift.entries))
-    return _max_abs(cond + lift.entries) / scale
+def _randers_equivalence(b: _Block, xs, ys, lifts, covectors,
+                         samples) -> list[float]:
+    cond = randers_condition([db for db, _ in covectors],
+                             [ddb for _, ddb in covectors],
+                             [sample.chern for sample in samples])
+    gap = np.abs(cond + np.stack([lift.entries for lift in lifts]))
+    return [d / max(1.0, lift.max_abs)
+            for d, lift in zip(gap.max(axis=(1, 2, 3)).tolist(), lifts)]
 
 
 def _exactness(b: _Block, sample, lift_w, form) -> float:
@@ -384,8 +400,8 @@ CHECKS = (
                     "homogeneity"),
               Facet("metric-validity:euler", EULER, "homogeneity"),
               Facet("metric-validity:cartan-trace",
-                    _derived(lambda b, sample: cartan_trace_residual(sample),
-                             SAMPLE), "homogeneity"),
+                    _stacked(lambda b, xs, ys, samples: cartan_trace_residual(
+                        samples), SAMPLE), "homogeneity"),
               # 0 where the pair sample exists: it is a
               # NotPositiveDefiniteError where a minor of g is below tol_pd
               Facet("metric-validity:positive-definite",
@@ -418,7 +434,7 @@ CHECKS = (
                     _derived(lambda b, lift: lift.max_abs, LIFT),
                     "preservation"),
               Facet("preservation:randers-equivalence",
-                    _derived(_randers_equivalence, LIFT, COVECTOR, SAMPLE),
+                    _stacked(_randers_equivalence, LIFT, COVECTOR, SAMPLE),
                     "randers-equivalence",
                     when=lambda s: (s.metric.family == "randers"
                                     and s.two_form_kind == "randers-dbeta")),

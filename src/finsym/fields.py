@@ -185,7 +185,15 @@ def _pow_value(v, p: float):
     if isinstance(v, Jet):
         return v ** p
     if isinstance(v, np.ndarray):
-        # per entry on Python floats, which np.power need not match
+        # per entry on Python floats, which np.power need not match: an
+        # integer power in one pass, and entry by entry where that fails,
+        # so the first failing entry's error is raised
+        try:
+            if p == float(int(p)):
+                q = int(p)
+                return np.array([e ** q for e in v.tolist()])
+        except (OverflowError, ZeroDivisionError):
+            pass
         return np.array([_pow_value(e, p) for e in v.tolist()])
     v = float(v)
     try:

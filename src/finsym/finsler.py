@@ -362,23 +362,31 @@ class StructuralResiduals(NamedTuple):
     scale: float
 
 
-def structural_residuals(s: FinslerSample) -> StructuralResiduals:
-    """Torsion-freeness and almost-metric-compatibility residuals.
+def structural_residuals(samples: Sequence[FinslerSample]
+                         ) -> list[StructuralResiduals]:
+    """Torsion-freeness and almost-metric-compatibility residuals at each
+    of a stack of samples, as one array computation over the stack.
 
     The compatibility residual is the dx-component of the structural
     equation: dg_ij/dx^t - g_kj G^k_it - g_ik G^k_jt - 2 A_ijs N^s_t / F.
     ``scale`` is max(1, largest |term|), for relative comparisons.
     """
-    torsion = float(np.max(np.abs(s.chern - s.chern.transpose(0, 2, 1))))
+    # C-contiguous stacks, so einsum sums each row in a lone row's order
+    g, chern, A, N, dg_dx = (np.stack([getattr(s, name) for s in samples])
+                             for name in ("g", "chern", "A", "N", "dg_dx"))
+    F = np.array([s.F for s in samples])[:, None, None, None]
+    torsion = np.abs(chern - chern.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
 
-    term_g = s.dg_dx.transpose(1, 2, 0)                       # (i, j, t)
-    term_a = np.einsum("kj,kit->ijt", s.g, s.chern)
-    term_b = np.einsum("ik,kjt->ijt", s.g, s.chern)
-    term_c = 2.0 * np.einsum("ijs,st->ijt", s.A, s.N) / s.F
+    term_g = dg_dx.transpose(0, 2, 3, 1)                      # (p, i, j, t)
+    term_a = np.einsum("pkj,pkit->pijt", g, chern)
+    term_b = np.einsum("pik,pkjt->pijt", g, chern)
+    term_c = 2.0 * np.einsum("pijs,pst->pijt", A, N) / F
     residual = term_g - term_a - term_b - term_c
-    scale = max(1.0, max(float(np.max(np.abs(t)))
-                         for t in (term_g, term_a, term_b, term_c)))
-    return StructuralResiduals(torsion, float(np.max(np.abs(residual))), scale)
+    largest = np.stack([np.abs(t).max(axis=(1, 2, 3))
+                        for t in (term_g, term_a, term_b, term_c)], axis=1)
+    compat = np.abs(residual).max(axis=(1, 2, 3))
+    return [StructuralResiduals(t, c, max(1.0, max(m))) for t, c, m in zip(
+        torsion.tolist(), compat.tolist(), largest.tolist())]
 
 
 def chern_with_derivatives(m: MetricSpec, x, y):
@@ -468,12 +476,17 @@ def euler_residuals(m: MetricSpec, xs, ys) -> list:
         ys, Fj.derivatives(1)[:, m.dimension:], F)]
 
 
-def cartan_trace_residual(s: FinslerSample) -> float:
+def cartan_trace_residual(samples: Sequence[FinslerSample]) -> list[float]:
     """|A_ijk y^k|, which vanishes for a homogeneous F, relative to
-    max(1, max|A| |y|)."""
-    trace = float(np.max(np.abs(np.einsum("ijk,k->ij", s.A, s.y))))
-    scale = max(1.0, float(np.max(np.abs(s.A))) * float(np.linalg.norm(s.y)))
-    return trace / scale
+    max(1, max|A| |y|), at each of a stack of samples."""
+    A = np.stack([s.A for s in samples])
+    ys = np.stack([s.y for s in samples])
+    trace = np.abs(np.einsum("pijk,pk->pij", A, ys)).max(axis=(1, 2))
+    # |y| as np.linalg.norm takes it of one row, a dot product: an axis
+    # norm sums the squares in another order
+    norm = np.sqrt(np.vecdot(ys, ys))
+    scale = np.abs(A).max(axis=(1, 2, 3)) * norm
+    return [t / max(1.0, c) for t, c in zip(trace.tolist(), scale.tolist())]
 
 
 def metric_validity(m: MetricSpec, samples: Sequence,

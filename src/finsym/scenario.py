@@ -312,16 +312,18 @@ _EDGE_MARGIN = 0.025
 _FD_STEP = fd_base_step(1)
 
 
-def _stencil_clear(box: DomainBox, p: np.ndarray) -> bool:
-    """True where p is in the box and every FD stencil around it misses the
-    excluded balls: p is at least the largest step,
-    ``eps^(1/5) * max(1, |x_v|)``, beyond each ball's radius."""
-    if not box.contains(p):
-        return False
-    coords = p.tolist()
-    step = _FD_STEP * max(1.0, *map(abs, coords))
-    return all(math.hypot(*(a - c for a, c in zip(coords, center)))
-               >= radius + step for center, radius in box.excluded)
+def _stencil_clear(box: DomainBox, ps: np.ndarray) -> np.ndarray:
+    """Whether each row p of a (P, n) stack is in the box and every FD
+    stencil around it misses the excluded balls: p is at least the largest
+    step, ``eps^(1/5) * max(1, |x_v|)``, beyond each ball's radius."""
+    clear = box.contains_rows(ps)
+    if box.excluded:
+        for row, coords in enumerate(ps.tolist()):
+            step = _FD_STEP * max(1.0, *map(abs, coords))
+            clear[row] = clear[row] and all(
+                math.hypot(*(a - c for a, c in zip(coords, center)))
+                >= radius + step for center, radius in box.excluded)
+    return clear
 
 
 def _inset(box: DomainBox) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +335,8 @@ def _inset(box: DomainBox) -> tuple[np.ndarray, np.ndarray]:
 
 def _grid_points(box: DomainBox, count: int, keep=None) -> np.ndarray:
     """Up to ``count`` points of a grid over the inset box that ``keep``
-    (default: the box's own test) admits."""
+    (default: the box's own test), a test of each row of a stack,
+    admits."""
     dim = box.dimension
     lo, hi = _inset(box)
     per_axis = max(1, math.ceil(count ** (1.0 / dim)))
@@ -342,26 +345,32 @@ def _grid_points(box: DomainBox, count: int, keep=None) -> np.ndarray:
             for i in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = keep or box.contains
-    return np.array([p for p in pts if keep(p)][:count])
+    keep = keep or box.contains_rows
+    return pts[keep(pts)][:count]
 
 
 def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0,
                    keep=None) -> np.ndarray:
     """``count`` uniform points of the inset box that ``keep`` (default:
-    the box's own test) admits, each of norm at least ``min_norm``."""
-    keep = keep or box.contains
+    the box's own test), a test of each row of a stack, admits, each of
+    norm at least ``min_norm``.
+
+    Candidates are drawn in rounds of as many as are still needed, one
+    ``rng.random`` call each: the draws of single points, in their order.
+    After ``1000 * count`` draws, the box rejects nearly all points."""
+    keep = keep or box.contains_rows
     lo, hi = _inset(box)
     out = []
-    attempts = 0
+    budget = 1000 * count
     while len(out) < count:
-        attempts += 1
-        if attempts > 1000 * count:
+        k = min(count - len(out), budget)
+        if not k:
             raise ConfigError(
                 "sampling box rejects nearly all points", "/sampling")
-        p = lo + (hi - lo) * rng.random(box.dimension)
-        if keep(p) and math.hypot(*p) >= min_norm:
-            out.append(p)
+        budget -= k
+        ps = lo + (hi - lo) * rng.random((k, box.dimension))
+        out.extend(p for p, ok, row in zip(ps, keep(ps), ps.tolist())
+                   if ok and math.hypot(*row) >= min_norm)
     return np.array(out)
 
 

@@ -141,13 +141,24 @@ class PreservationResidual:
     max_abs: float
 
     @classmethod
+    def stacked(cls, ws, dws, Gs) -> list["PreservationResidual"]:
+        """residual_kij = d_k w_ij - w_il G^l_kj + w_jl G^l_ki at each row
+        of stacks of the form w, its partials dw[k, i, j] and the
+        coefficients G[l, k, j], as one array computation over the
+        stack."""
+        # C-contiguous stacks, so einsum sums each row in a lone row's order
+        w, dw, G = np.stack(ws), np.stack(dws), np.stack(Gs)
+        entries = (dw - np.einsum("pil,plkj->pkij", w, G)
+                   + np.einsum("pjl,plki->pkij", w, G))
+        return [cls(entries=e, max_abs=m) for e, m in zip(
+            entries, np.abs(entries).max(axis=(1, 2, 3)).tolist())]
+
+    @classmethod
     def of(cls, w: np.ndarray, dw: np.ndarray,
            G: np.ndarray) -> "PreservationResidual":
-        """residual_kij = d_k w_ij - w_il G^l_kj + w_jl G^l_ki from the form
-        w, its partials dw[k, i, j] and the coefficients G[l, k, j]."""
-        entries = (dw - np.einsum("il,lkj->kij", w, G)
-                   + np.einsum("jl,lki->kij", w, G))
-        return cls(entries=entries, max_abs=float(np.max(np.abs(entries))))
+        """The residual at one point: :meth:`stacked` on a stack of one
+        row."""
+        return cls.stacked([w], [dw], [G])[0]
 
 
 def chern_preservation_residual(m: MetricSpec, omega: TwoForm,
@@ -168,12 +179,15 @@ def chern_preservation_residual(m: MetricSpec, omega: TwoForm,
 def randers_condition(db: np.ndarray, ddb: np.ndarray,
                       G: np.ndarray) -> np.ndarray:
     """Pointwise preservation condition of a Randers metric against d(beta),
-    per (k, i, j), from the covector's derivative arrays db and ddb at x
-    (see :func:`covector_derivatives`) and the connection coefficients G at
-    (x, y).  It equals the negated lift residual of d(beta)."""
-    bracket1 = (np.einsum("lki,lj->kij", G, db)
-                - np.einsum("lkj,li->kij", G, db))
-    bracket2 = (np.einsum("lkj,il->kij", G, db)
-                - np.einsum("lki,jl->kij", G, db))
-    bracket3 = ddb.transpose(0, 2, 1) - ddb  # d_k d_j b_i - d_k d_i b_j
+    per (p, k, i, j), at each row p of stacks of the covector's derivative
+    arrays db and ddb at x (see :func:`covector_derivatives`) and the
+    connection coefficients G at (x, y).  It equals the negated lift
+    residual of d(beta)."""
+    # C-contiguous stacks, so einsum sums each row in a lone row's order
+    db, ddb, G = np.stack(db), np.stack(ddb), np.stack(G)
+    bracket1 = (np.einsum("plki,plj->pkij", G, db)
+                - np.einsum("plkj,pli->pkij", G, db))
+    bracket2 = (np.einsum("plkj,pil->pkij", G, db)
+                - np.einsum("plki,pjl->pkij", G, db))
+    bracket3 = ddb.transpose(0, 1, 3, 2) - ddb  # d_k d_j b_i - d_k d_i b_j
     return bracket1 + bracket2 + bracket3

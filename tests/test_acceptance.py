@@ -39,6 +39,7 @@ from finsym.finsler import (
     finsler_sample,
     max_pairwise_spread,
     metric_validity,
+    sample_block,
     structural_residuals,
 )
 from finsym.jets import fd_oracle, fd_stencil
@@ -143,8 +144,8 @@ def test_criterion_02_structural_equations(euclid2, polar, quartic2, randers01):
     worst_t, worst_c = 0.0, 0.0
     for metric, box in [(euclid2, BOX2), (polar, POLAR_BOX),
                         (quartic2, BOX2), (randers01, BOX2)]:
-        for x, y in xy_samples(rng, box, 100):
-            res = structural_residuals(finsler_sample(metric, x, y))
+        xs, ys = zip(*xy_samples(rng, box, 100))
+        for res in structural_residuals(sample_block(metric, xs, ys)):
             worst_t = max(worst_t, res.torsion)
             worst_c = max(worst_c, res.compat / res.scale)
     _report("criterion-02 structural-equations",
@@ -293,15 +294,17 @@ def test_criterion_07_berwald_uniqueness(polar, quartic2, randers01):
 def test_criterion_08_randers_equivalence(randers01, dbeta01):
     rng = np.random.default_rng(17)
     worst_eq, worst_closed = 0.0, 0.0
-    for x, y in xy_samples(rng, BOX2, 100):
-        pres = chern_preservation_residual(randers01, dbeta01, x, y)
-        (db_ddb,) = covector_derivatives(randers01.b_fields, [x])
-        cond = randers_condition(*db_ddb, finsler_sample(randers01, x, y).chern)
+    xs, ys = zip(*xy_samples(rng, BOX2, 100))
+    G = [smp.chern for smp in sample_block(randers01, xs, ys)]
+    forms = dbeta01.data(xs)
+    lifts = PreservationResidual.stacked(*zip(*forms), G)
+    conds = randers_condition(
+        *zip(*covector_derivatives(randers01.b_fields, xs)), G)
+    for pres, cond, (_, dw) in zip(lifts, conds, forms):
         scale = max(1.0, float(np.max(np.abs(pres.entries))))
         worst_eq = max(worst_eq,
                        float(np.max(np.abs(cond + pres.entries))) / scale)
-        worst_closed = max(worst_closed,
-                           closedness(dbeta01.data([x])[0][1]))
+        worst_closed = max(worst_closed, closedness(dw))
     w12 = dbeta01.data([[0.3, -0.7]])[0][0][0, 1]
     _report("criterion-08 randers-equivalence",
             worst_eq <= 1e-9 and worst_closed <= 1e-9

@@ -21,11 +21,13 @@ from finsym.errors import FinsymError, each_row
 from finsym.fedosov import FedosovScenario
 from finsym.fields import (ChartMap, DomainBox, ScalarFieldSpec,
                            VectorFieldSpec, chart_jacobians)
-from finsym.finsler import (MetricSpec, chern_block, euler_residuals,
-                            homogeneity_residuals, randers_alpha_norm,
-                            sample_block)
+from finsym.finsler import (MetricSpec, cartan_trace_residual, chern_block,
+                            euler_residuals, homogeneity_residuals,
+                            randers_alpha_norm, sample_block,
+                            structural_residuals)
 from finsym.scenario import build_scenario, load_config
-from finsym.symplectic import (ExactTwoForm, covector_derivatives,
+from finsym.symplectic import (ExactTwoForm, PreservationResidual,
+                               covector_derivatives, exact_form_data,
                                explicit_two_form)
 
 XY = ("x1", "x2")
@@ -78,6 +80,27 @@ SCENARIO = FedosovScenario(
     QUARTIC, VectorFieldSpec(_specs("1+x1^2", "1/x2")))
 INDUCED_ROWS = ([([0.3, 0.5], [1.0, 0.7]), ([-0.2, 0.8], [0.6, 1.1])],
                 [([0.3, 0.0], [1.0, 0.7]), ([0.3, 0.5], [0.0, 1.0])])
+# the pair numerics on a stack of samples, where the sample fails as above
+LIFTED = explicit_two_form(2, {(0, 1): "1+x1*x2^2"})
+RANDERS_ROWS = ([([0.5, 0.2], [1.0, 0.3]), ([0.0, -0.4], [0.4, 1.1]),
+                 ([1.5, 1.0], [-0.7, 0.5])],
+                [([3.0, 0.0], [1.0, 0.5]), ([0.5, 0.2], [1e-9, 0.0])])
+
+
+def _lift_rows(xs, ys):
+    G = [smp.chern for smp in sample_block(MIXED, xs, ys)]
+    return PreservationResidual.stacked(*zip(*LIFTED.data(xs)), G)
+
+
+def _randers_rows(xs, ys):
+    """The randers-equivalence facet's residual on d(beta)."""
+    samples = sample_block(RANDERS, xs, ys)
+    covectors = covector_derivatives(RANDERS.b_fields, xs)
+    lifts = PreservationResidual.stacked(
+        *zip(*(exact_form_data(*c) for c in covectors)),
+        [smp.chern for smp in samples])
+    return checks._randers_equivalence(None, xs, ys, lifts, covectors,
+                                       samples)
 
 
 def _jet_rows(order, xs):
@@ -115,6 +138,12 @@ CASES = {
     "chern-mixed": (partial(chern_block, MIXED), MIXED_ROWS),
     "chern-quartic": (partial(chern_block, QUARTIC), QUARTIC_ROWS),
     "induced": (partial(induced_derivatives, SCENARIO), INDUCED_ROWS),
+    "structural": (lambda xs, ys: structural_residuals(
+        sample_block(MIXED, xs, ys)), MIXED_ROWS),
+    "cartan-trace": (lambda xs, ys: cartan_trace_residual(
+        sample_block(MIXED, xs, ys)), MIXED_ROWS),
+    "lift": (_lift_rows, MIXED_ROWS),
+    "randers-equivalence": (_randers_rows, RANDERS_ROWS),
 }
 
 
@@ -296,3 +325,77 @@ def test_each_fd_entry_is_the_one_point_commutator(path):
             outcomes.add("value")
     # on the narrow box every stencil leaves the box
     assert outcomes == ({"error"} if "narrow-box" in path else {"value"})
+
+
+def _facet_column(name):
+    return next(facet.residual for check in checks.CHECKS
+                for facet in check.facets if facet.name == name)
+
+
+def _one_lift(b, sample, form):
+    return PreservationResidual.of(*form, sample.chern)
+
+
+# stacked column -> (the scenarios it applies to, its inputs, the call on
+# one row's input values)
+PAIR_COLUMNS = {
+    "structural": (checks.STRUCTURAL, lambda s: True, (checks.SAMPLE,),
+                   lambda b, sample: structural_residuals([sample])[0]),
+    "cartan-trace": (
+        _facet_column("metric-validity:cartan-trace"), lambda s: True,
+        (checks.SAMPLE,),
+        lambda b, sample: cartan_trace_residual([sample])[0]),
+    "lift": (checks.LIFT, lambda s: s.two_form is not None,
+             (checks.SAMPLE, checks.FORM), _one_lift),
+    "lift-w": (checks.LIFT_W, lambda s: None not in (s.two_form,
+                                                     s.vector_field),
+               (checks.SAMPLE_W, checks.FORM), _one_lift),
+    "standard-lift-w": (
+        checks.STANDARD_LIFT_W,
+        lambda s: s.vector_field is not None and s.dimension % 2 == 0,
+        (checks.SAMPLE_W,), lambda b, sample: _one_lift(
+            b, sample, checks._standard_data(b.s.dimension // 2))),
+    "randers-equivalence": (
+        _facet_column("preservation:randers-equivalence"),
+        lambda s: s.two_form_kind == "randers-dbeta",
+        (checks.LIFT, checks.COVECTOR, checks.SAMPLE),
+        lambda b, lift, covector, sample: checks._randers_equivalence(
+            b, None, None, [lift], [covector], [sample])[0]),
+}
+
+PAIR_CONFIGS = sorted(
+    [f"configs/{name}" for name in os.listdir(os.path.join(ROOT, "configs"))]
+    + [f"tests/data/{name}" for name in os.listdir(os.path.join(ROOT,
+                                                                "tests/data"))])
+# (config, column) whose rows mix values with their inputs' errors: pairs
+# failing tol_pd, and a base point where W vanishes
+MIXED_ENTRIES = ({("tests/data/errors-tol-pd.json", name)
+                  for name in PAIR_COLUMNS}
+                 | {("tests/data/errors-w-vanishing.json", name)
+                    for name in ("lift-w", "standard-lift-w")})
+
+
+@pytest.mark.parametrize("path", PAIR_CONFIGS)
+def test_each_pair_numeric_entry_is_the_one_row_call(path):
+    """The structural, Cartan-trace, lift and Randers-equivalence columns
+    are one call over a block's rows whose inputs hold values; each entry
+    is what the call on its row alone gives, bit for bit, through every
+    byte of a lift's entries, and a row whose input fails carries that
+    input's error.  The block is the whole plan, up to 1,600 rows."""
+    s = build_scenario(load_config(os.path.join(ROOT, path)))
+    sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
+          if s.vector_field is not None else None)
+    block = checks._Block(s, sc, 0, len(s.plan.xs))
+    mixed = set()
+    for name, (column, applies, inputs, one_row) in PAIR_COLUMNS.items():
+        if not applies(s):
+            continue
+        rows = range(len(block.points[column.fiber]))
+        found = block.read(column, rows)
+        one = checks._Block(s, sc, 0, len(s.plan.xs)).read(
+            checks._derived(one_row, *inputs), rows)
+        for a, b in zip(found, one):
+            _assert_same(a, b)
+        if len({isinstance(e, FinsymError) for e in found}) == 2:
+            mixed.add((path, name))
+    assert mixed == {key for key in MIXED_ENTRIES if key[0] == path}

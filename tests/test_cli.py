@@ -1,12 +1,14 @@
 """Scenario configs, the check runner, report emission, and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from finsym import checks, curvature, fedosov, fields, finsler, scenario
@@ -50,6 +52,47 @@ def randers_config(count=5, seed=42):
         "sampling": {"mode": "random", "count": count, "seed": seed,
                      "y_per_x": 2},
     }
+
+
+def _with_balls(config):
+    """The config with a ball excluded at the middle of its domain, its
+    fibers drawn from a box about the origin with a ball excluded, and a
+    slit floor, so each candidate test of the sampler rejects some."""
+    cfg = json.loads(json.dumps(config))
+    n = cfg["dimension"]
+    domain = cfg["metric"]["domain"]
+    widths = [b - a for a, b in zip(domain["lower"], domain["upper"])]
+    domain["excluded"] = [{
+        "center": [(a + b) / 2 for a, b in zip(domain["lower"],
+                                               domain["upper"])],
+        "radius": 0.2 * min(widths)}]
+    cfg["metric"]["y_min"] = 0.4
+    cfg["sampling"]["y_box"] = {
+        "lower": [-1.6] * n, "upper": [1.6] * n,
+        "excluded": [{"center": [1.5] * n, "radius": 0.5}]}
+    return cfg
+
+
+ROOT = os.path.dirname(CONFIG_DIR)
+# sampled on a grid: 5 x 5 x 5 base points and 2 x 2 x 2 fibers, each
+# grid less the points in its ball
+GRID_3D = "tests/data/structural-n3-v3.json"
+# sha256 of each plan's shapes and bytes under _with_balls, measured when
+# each candidate point was drawn and tested alone
+PLAN_SHA256 = {
+    "configs/curved_volume.json":
+        "0521fb886fc27a068079efaf7fe79dc0967d31f302e9d77d839d2bb01e6d083e",
+    "configs/euclidean_standard.json":
+        "e57861e98d5f0a091cb09fa09a93d319802259b447561606172222fa72bb53ca",
+    "configs/polar_riemannian.json":
+        "1bd2d3bbebdeebad333aa6b3aa47f45eafce5de4620109c5e6ad421ea8958cc6",
+    "configs/quartic_minkowski_chart.json":
+        "e57861e98d5f0a091cb09fa09a93d319802259b447561606172222fa72bb53ca",
+    "configs/randers_dbeta.json":
+        "1abdd4299ce47ddf93db3cea4266729edacd4b01712ddb840220a69f99a94a28",
+    "tests/data/structural-n3-v3.json":
+        "0077f934b3fe5a79d6938e39676bec25bf16bab55694a99075c95b3c8dec9ef5",
+}
 
 
 def strict_records(text):
@@ -212,6 +255,49 @@ class TestRunScenario:
         for x in xs:
             step = fd_base_step(1) * max(1.0, *abs(x))
             assert math.hypot(*(x - 1005.0)) >= 3 + step
+
+    @pytest.mark.parametrize("path", sorted(PLAN_SHA256))
+    def test_sample_plan_is_pinned(self, path):
+        """Candidates are drawn and tested in stacks; the plan, with a
+        ball excluded from the base points and from the fibers and a slit
+        floor that rejects fibers too, is the same, byte for byte, as when
+        each candidate was drawn and tested alone."""
+        config = scenario.load_config(os.path.join(ROOT, path))
+        if path == GRID_3D:
+            config["sampling"] = {"mode": "grid", "count": 100, "y_per_x": 8}
+        plan = build_scenario(_with_balls(config)).plan
+        digest = hashlib.sha256(repr((plan.xs.shape, plan.ys.shape)).encode()
+                                + plan.xs.tobytes() + plan.ys.tobytes())
+        assert digest.hexdigest() == PLAN_SHA256[path]
+
+    def test_a_box_that_rejects_nearly_every_point(self, tmp_path, capsys):
+        """About one uniform point in 70,000 of the inset box misses the
+        ball, so 5 base points are not found in 5,000 draws: exit 2, and
+        exactly 1000 draws per point asked for were made."""
+        cfg = randers_config()
+        cfg["metric"]["domain"]["excluded"] = [{"center": [0, 0],
+                                                "radius": 1.34}]
+        path = tmp_path / "rejecting.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: /sampling: sampling box rejects nearly all points\n")
+        drawn = []
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, shape):
+                drawn.append(shape[0])
+                return self.rng.random(shape)
+
+        box = build_scenario(randers_config()).metric.domain
+        box = dataclasses.replace(box, excluded=(((0.0, 0.0), 1.34),))
+        with pytest.raises(ConfigError):
+            scenario._random_points(box, 5, Counted(np.random.default_rng(
+                42)))
+        assert sum(drawn) == 5000
 
     def test_requested_subset(self):
         records = run_scenario(euclid_config(), suite=["structural"])

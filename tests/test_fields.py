@@ -18,6 +18,7 @@ from finsym.errors import (
 )
 from finsym.fields import (
     _MAX_NESTING,
+    _pow_value,
     ChartMap,
     DomainBox,
     ScalarFieldSpec,
@@ -57,6 +58,31 @@ class TestParser:
     def test_negative_exponent(self):
         f = ScalarFieldSpec.parse("x1^-2", V2)
         assert f.evaluate([2.0, 0.0]) == 0.25
+
+    @pytest.mark.parametrize("p,entries", [
+        (3.0, [0.5, -1.25, 7.0, 0.0]),
+        (-1.0, [2.0, -4.0, 1e-300]),
+        (2.0, [0.5, 1e200, -3.0, 1e300]),      # overflows at the second
+        (-2.0, [0.5, -3.0, 0.0, 2.0, 0.0]),    # 0^-2 at the third
+        (-3.0, [1e-120, 0.0]),                 # overflows before 0^-3
+        (1.5, [4.0, 0.0, -1.0, 2.0]),          # fractional: fails at 0
+        (0.5, [4.0, 2.0]),
+    ])
+    def test_array_power_is_the_per_entry_power(self, p, entries):
+        """A power of an array is each entry's power as a Python float,
+        bit for bit, or the first failing entry's error, type and text."""
+        def per_entry():
+            return np.array([_pow_value(e, p) for e in entries])
+
+        try:
+            expected = per_entry()
+        except DomainError as exc:
+            with pytest.raises(DomainError) as err:
+                _pow_value(np.array(entries), p)
+            assert str(err.value) == str(exc)
+        else:
+            found = _pow_value(np.array(entries), p)
+            assert found.tobytes() == expected.tobytes()
 
     def test_division(self):
         f = ScalarFieldSpec.parse("x1/x2", V2)

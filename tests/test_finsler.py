@@ -29,6 +29,7 @@ from finsym.finsler import (
     finsler_samples,
     max_pairwise_spread,
     metric_validity,
+    sample_block,
     structural_residuals,
 )
 from finsym.report import emit_report
@@ -190,27 +191,27 @@ class TestChernCoefficients:
         assert np.array_equal(G, G.transpose(0, 2, 1))
 
     def test_randers_validated_by_structural(self, randers01):
-        res = structural_residuals(
-            finsler_sample(randers01, [0.3, 0.2], [1.0, 0.5]))
+        (res,) = structural_residuals(
+            sample_block(randers01, [[0.3, 0.2]], [[1.0, 0.5]]))
         assert res.compat <= 1e-7 * res.scale
 
 
 class TestStructuralResiduals:
     def test_euclidean_zero(self, euclid2):
-        res = structural_residuals(
-            finsler_sample(euclid2, [0.2, 0.3], [1.0, 0.5]))
+        (res,) = structural_residuals(
+            sample_block(euclid2, [[0.2, 0.3]], [[1.0, 0.5]]))
         assert res.torsion == 0.0
         assert res.compat == 0.0
 
     def test_polar(self, polar):
-        res = structural_residuals(
-            finsler_sample(polar, [2.0, 0.5], [1.0, 1.0]))
+        (res,) = structural_residuals(
+            sample_block(polar, [[2.0, 0.5]], [[1.0, 1.0]]))
         assert res.torsion == 0.0
         assert res.compat <= 1e-9
 
     def test_quartic_exact(self, quartic2):
-        res = structural_residuals(
-            finsler_sample(quartic2, [0.4, -0.2], [1.0, 0.7]))
+        (res,) = structural_residuals(
+            sample_block(quartic2, [[0.4, -0.2]], [[1.0, 0.7]]))
         assert res.torsion == 0.0
         assert res.compat == 0.0
 
@@ -219,8 +220,8 @@ class TestStructuralResiduals:
         cases = [(euclid2, BOX2), (polar, POLAR_BOX),
                  (quartic2, BOX2), (randers01, BOX2)]
         for metric, box in cases:
-            for x, y in xy_samples(rng, box, 25):
-                res = structural_residuals(finsler_sample(metric, x, y))
+            xs, ys = zip(*xy_samples(rng, box, 25))
+            for res in structural_residuals(sample_block(metric, xs, ys)):
                 assert res.torsion == 0.0
                 assert res.compat <= 1e-7 * res.scale
 

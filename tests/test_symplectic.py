@@ -5,9 +5,10 @@ import pytest
 
 from finsym.errors import DimensionMismatchError, OddDimensionError
 from finsym.fields import ScalarFieldSpec
-from finsym.finsler import finsler_sample, max_pairwise_spread
+from finsym.finsler import max_pairwise_spread, sample_block
 from finsym.symplectic import (
     ExactTwoForm,
+    PreservationResidual,
     TwoFormField,
     chern_preservation_residual,
     closedness,
@@ -160,18 +161,20 @@ class TestPreservationResidual:
 
     def test_volume_form_is_preserved(self, graph2, volume_form2):
         rng = np.random.default_rng(8)
-        for x, y in xy_samples(rng, BOX2, 15):
-            res = chern_preservation_residual(graph2, volume_form2, x, y)
+        xs, ys = zip(*xy_samples(rng, BOX2, 15))
+        G = [smp.chern for smp in sample_block(graph2, xs, ys)]
+        for res in PreservationResidual.stacked(
+                *zip(*volume_form2.data(xs)), G):
             assert res.max_abs <= 1e-9
 
     def test_lift_invariant_when_berwald(self, graph2, volume_form2):
         """Fiber independence of the residual follows the coefficient spread."""
         x = [0.4, -0.3]
         ys = [[1.0, 0.5], [0.6, 1.2], [2.0, 1.0]]
-        spread = max_pairwise_spread([finsler_sample(graph2, x, y).chern
-                                      for y in ys])
-        residuals = [chern_preservation_residual(graph2, volume_form2, x, y).entries
-                     for y in ys]
+        G = [smp.chern for smp in sample_block(graph2, [x] * 3, ys)]
+        spread = max_pairwise_spread(G)
+        residuals = [res.entries for res in PreservationResidual.stacked(
+            *zip(*volume_form2.data([x] * 3)), G)]
         worst = max(float(np.max(np.abs(residuals[0] - r))) for r in residuals[1:])
         assert worst <= 10 * spread + 1e-12
 
@@ -180,24 +183,27 @@ class TestRandersCondition:
     def test_constant_covector_flat_alpha(self):
         from finsym.finsler import MetricSpec
         m = MetricSpec.randers([["1", "0"], ["0", "1"]], ["0.2", "0.1"], BOX2)
-        x, y = [0.3, 0.1], [1.0, 0.5]
-        cond = randers_condition(*covector_derivatives(m.b_fields, [x])[0],
-                                 finsler_sample(m, x, y).chern)
+        xs, ys = [[0.3, 0.1]], [[1.0, 0.5]]
+        (cond,) = randers_condition(
+            *zip(*covector_derivatives(m.b_fields, xs)),
+            [smp.chern for smp in sample_block(m, xs, ys)])
         assert np.max(np.abs(cond)) == 0.0
 
     def test_equivalence_with_negated_lift_residual(self, randers01, dbeta01):
         rng = np.random.default_rng(6)
-        for x, y in xy_samples(rng, BOX2, 20):
-            pres = chern_preservation_residual(randers01, dbeta01, x, y)
-            cond = randers_condition(
-                *covector_derivatives(randers01.b_fields, [x])[0],
-                finsler_sample(randers01, x, y).chern)
+        xs, ys = zip(*xy_samples(rng, BOX2, 20))
+        G = [smp.chern for smp in sample_block(randers01, xs, ys)]
+        lifts = PreservationResidual.stacked(*zip(*dbeta01.data(xs)), G)
+        conds = randers_condition(
+            *zip(*covector_derivatives(randers01.b_fields, xs)), G)
+        for pres, cond in zip(lifts, conds):
             scale = max(1.0, float(np.max(np.abs(pres.entries))))
             assert np.max(np.abs(cond + pres.entries)) <= 1e-9 * scale
 
     def test_pointwise_equivalence_at_probe(self, randers01, dbeta01):
-        x, y = [0.3, 0.2], [1.0, 0.5]
-        pres = chern_preservation_residual(randers01, dbeta01, x, y)
-        (db_ddb,) = covector_derivatives(randers01.b_fields, [x])
-        cond = randers_condition(*db_ddb, finsler_sample(randers01, x, y).chern)
+        xs, ys = [[0.3, 0.2]], [[1.0, 0.5]]
+        (G,) = [smp.chern for smp in sample_block(randers01, xs, ys)]
+        (pres,) = PreservationResidual.stacked(*zip(*dbeta01.data(xs)), [G])
+        (cond,) = randers_condition(
+            *zip(*covector_derivatives(randers01.b_fields, xs)), [G])
         assert np.max(np.abs(cond + pres.entries)) <= 1e-9
