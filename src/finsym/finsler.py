@@ -483,7 +483,8 @@ def cartan_trace_residual(samples: Sequence[FinslerSample]) -> list[float]:
     ys = np.stack([s.y for s in samples])
     trace = np.abs(np.einsum("pijk,pk->pij", A, ys)).max(axis=(1, 2))
     # |y| as np.linalg.norm takes it of one row, a dot product: an axis
-    # norm sums the squares in another order
+    # norm of the stack sums the squares by another route, and its last bit
+    # can differ
     norm = np.sqrt(np.vecdot(ys, ys))
     scale = np.abs(A).max(axis=(1, 2, 3)) * norm
     return [t / max(1.0, c) for t, c in zip(trace.tolist(), scale.tolist())]

@@ -357,7 +357,8 @@ def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0,
 
     Candidates are drawn in rounds of as many as are still needed, one
     ``rng.random`` call each: the draws of single points, in their order.
-    After ``1000 * count`` draws, the box rejects nearly all points."""
+    A ConfigError after ``1000 * count`` draws that did not give ``count``
+    points."""
     keep = keep or box.contains_rows
     lo, hi = _inset(box)
     out = []

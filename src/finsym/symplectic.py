@@ -176,8 +176,7 @@ def chern_preservation_residual(m: MetricSpec, omega: TwoForm,
     return PreservationResidual.of(*omega.data([x])[0], chern)
 
 
-def randers_condition(db: np.ndarray, ddb: np.ndarray,
-                      G: np.ndarray) -> np.ndarray:
+def randers_condition(db, ddb, G) -> np.ndarray:
     """Pointwise preservation condition of a Randers metric against d(beta),
     per (p, k, i, j), at each row p of stacks of the covector's derivative
     arrays db and ddb at x (see :func:`covector_derivatives`) and the

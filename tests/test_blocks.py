@@ -21,14 +21,14 @@ from finsym.errors import FinsymError, each_row
 from finsym.fedosov import FedosovScenario
 from finsym.fields import (ChartMap, DomainBox, ScalarFieldSpec,
                            VectorFieldSpec, chart_jacobians)
-from finsym.finsler import (MetricSpec, cartan_trace_residual, chern_block,
-                            euler_residuals, homogeneity_residuals,
-                            randers_alpha_norm, sample_block,
-                            structural_residuals)
+from finsym.finsler import (FinslerSample, MetricSpec, cartan_trace_residual,
+                            chern_block, euler_residuals,
+                            homogeneity_residuals, randers_alpha_norm,
+                            sample_block, structural_residuals)
 from finsym.scenario import build_scenario, load_config
 from finsym.symplectic import (ExactTwoForm, PreservationResidual,
                                covector_derivatives, exact_form_data,
-                               explicit_two_form)
+                               explicit_two_form, randers_condition)
 
 XY = ("x1", "x2")
 BOX = DomainBox((-2.0, -2.0), (2.0, 2.0))
@@ -184,7 +184,7 @@ def test_every_case_has_good_and_failing_rows():
                    for r in bad), name
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=350, deadline=None, derandomize=True)
 @given(st.data())
 def test_block_rows_equal_one_row_calls(data):
     """Each row of a stack, through :func:`each_row`, equals the call on
@@ -399,3 +399,70 @@ def test_each_pair_numeric_entry_is_the_one_row_call(path):
         if len({isinstance(e, FinsymError) for e in found}) == 2:
             mixed.add((path, name))
     assert mixed == {key for key in MIXED_ENTRIES if key[0] == path}
+
+
+# The one-point formulas the stacked pair numerics replaced, kept as their
+# reference: a stack must give each row's one-point result, bit for bit.
+
+
+def _one_point_structural(s):
+    torsion = float(np.max(np.abs(s.chern - s.chern.transpose(0, 2, 1))))
+    term_g = s.dg_dx.transpose(1, 2, 0)
+    term_a = np.einsum("kj,kit->ijt", s.g, s.chern)
+    term_b = np.einsum("ik,kjt->ijt", s.g, s.chern)
+    term_c = 2.0 * np.einsum("ijs,st->ijt", s.A, s.N) / s.F
+    residual = term_g - term_a - term_b - term_c
+    scale = max(1.0, max(float(np.max(np.abs(t)))
+                         for t in (term_g, term_a, term_b, term_c)))
+    return (torsion, float(np.max(np.abs(residual))), scale)
+
+
+def _one_point_cartan(s):
+    trace = float(np.max(np.abs(np.einsum("ijk,k->ij", s.A, s.y))))
+    scale = max(1.0, float(np.max(np.abs(s.A))) * float(np.linalg.norm(s.y)))
+    return trace / scale
+
+
+def _one_point_lift(w, dw, G):
+    return (dw - np.einsum("il,lkj->kij", w, G)
+            + np.einsum("jl,lki->kij", w, G))
+
+
+def _one_point_randers(db, ddb, G):
+    return ((np.einsum("lki,lj->kij", G, db)
+             - np.einsum("lkj,li->kij", G, db))
+            + (np.einsum("lkj,il->kij", G, db)
+               - np.einsum("lki,jl->kij", G, db))
+            + (ddb.transpose(0, 2, 1) - ddb))
+
+
+@pytest.mark.parametrize("magnitude", [1e-3, 1e-1, 1.0, 1e2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_numerics_equal_their_one_point_formulas(n, magnitude):
+    """Random 64-row stacks at each dimension and magnitude: each row of
+    the structural residuals, the Cartan trace (whose scale takes |y| as a
+    1-D norm, a dot product), the lift residual and the Randers condition
+    is its one-point formula's result, bit for bit."""
+    rng = np.random.default_rng(int(n * 1000 * magnitude))
+    P = 64
+
+    def draw(*shape):
+        return magnitude * rng.uniform(-1.0, 1.0, (P,) + shape)
+
+    F = np.abs(draw()) + magnitude
+    samples = [FinslerSample(*row) for row in zip(
+        draw(n), draw(n), F.tolist(), draw(n, n), draw(n, n), draw(n, n, n),
+        draw(n, n, n), draw(n, n), draw(n, n, n), draw(n, n, n))]
+    for res, s in zip(structural_residuals(samples), samples):
+        assert tuple(res) == _one_point_structural(s)
+    assert cartan_trace_residual(samples) == [_one_point_cartan(s)
+                                              for s in samples]
+    w, dw, G = draw(n, n), draw(n, n, n), draw(n, n, n)
+    db, ddb = draw(n, n), draw(n, n, n)
+    for res, row in zip(PreservationResidual.stacked(w, dw, G),
+                        zip(w, dw, G)):
+        expected = _one_point_lift(*row)
+        assert res.entries.tobytes() == expected.tobytes()
+        assert res.max_abs == float(np.max(np.abs(expected)))
+    for cond, row in zip(randers_condition(db, ddb, G), zip(db, ddb, G)):
+        assert cond.tobytes() == _one_point_randers(*row).tobytes()
