@@ -17,7 +17,7 @@ from .errors import (
     UnknownVariableError,
     ZeroVectorError,
 )
-from .jets import Jet, fd_oracle
+from .jets import Jet, fd_oracle, fd_stencil
 from .fields import (
     ChartMap,
     DomainBox,
@@ -60,9 +60,11 @@ from .fedosov import (
     transform_connection,
 )
 from .curvature import (
+    TwoPathResidual,
     brace_array,
     contracted_two_path,
     curvature_fd_commutator,
+    curvature_fd_commutators,
     curvature_induced,
     curvature_up,
     cyclic_residual,

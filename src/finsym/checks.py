@@ -13,15 +13,18 @@ values, and a row carries its first failing input's error
 sample among them, is one call over the rows where its inputs hold values
 (:func:`_stacked`); the samples come from the block's one sample cache
 (:meth:`_Block.samples`).  So are the numerics made from the samples at
-every row: the structural and Cartan-trace residuals, the lift residuals
-and the Randers equivalence, each one array computation over the stack.
-Any other quantity made from others is computed row by row, on the rows
-read (:func:`_derived`).  The finite-difference
-commutator is stacked too, over the rows where the chain-rule curvature
-exists, but it samples its base points' own stencils and reads no
-sample, W or other quantity of the block.  Domain failures never abort a
-suite: :func:`_records` makes an error record where
-a row's entry is an error or its residual or tolerance is not finite.
+every row (the structural and Cartan-trace residuals, the lift residuals
+and the Randers equivalence) and the curvature numerics (the curvature
+and brace arrays, both two-path comparisons and the cyclic, antisymmetry
+and FD-consistency residuals), each one array computation over the stack.
+The finite-difference commutator is stacked too, over the rows where the
+chain-rule curvature exists, but it samples its base points' own stencils
+and reads no sample, W or other quantity of the block.  The rest (the
+facets that pick a field from such a column, the Darboux relations and
+the Minkowski columns among the quantities) is computed row by row, on
+the rows read (:func:`_derived`).  Domain failures never abort a suite:
+:func:`_records` makes an error record where a row's entry is an error
+or its residual or tolerance is not finite.
 Record order is fixed: record ids sorted, then points in plan order.
 """
 
@@ -35,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import (
+    _max_abs_rows,
     brace_array,
     contracted_two_path,
     curvature_fd_commutators,
@@ -244,6 +248,12 @@ def _lifts(samples, forms) -> list[PreservationResidual]:
                                         [sample.chern for sample in samples])
 
 
+def _curvature_stacks(ups, braces, forms) -> tuple[np.ndarray, ...]:
+    """The rows' curvature, brace arrays and two-form components, each
+    stacked."""
+    return np.stack(ups), np.stack(braces), np.stack([w for w, _ in forms])
+
+
 def _minkowski(b: _Block, _, form, jac, hatted) -> tuple:
     mk = minkowski_preservation_check(form[1], jac, hatted)
     ghat = transform_connection(np.zeros((b.s.dimension,) * 3), jac)
@@ -292,10 +302,12 @@ LIFT_W = _stacked(lambda b, xs, samples, forms: _lifts(samples, forms),
                   SAMPLE_W, FORM)
 STANDARD_LIFT_W = _stacked(lambda b, xs, samples: _lifts(
     samples, [_standard_data(b.s.dimension // 2)] * len(samples)), SAMPLE_W)
-UP = _derived(lambda b, d: curvature_up(*d), DERIVATIVES)
-BRACE = _derived(lambda b, d: brace_array(*d), DERIVATIVES)
-PAIR = _derived(lambda b, up, brace, form: pair_two_path(up, brace, form[0]),
-                UP, BRACE, FORM)
+UP = _stacked(lambda b, xs, ds: curvature_up(*map(np.stack, zip(*ds))),
+              DERIVATIVES)
+BRACE = _stacked(lambda b, xs, ds: brace_array(*map(np.stack, zip(*ds))),
+                 DERIVATIVES)
+PAIR = _stacked(lambda b, xs, ups, braces, forms: pair_two_path(
+    *_curvature_stacks(ups, braces, forms)), UP, BRACE, FORM)
 FD = _stacked(lambda b, xs, ups: curvature_fd_commutators(b.sc, xs,
                                                            _BLOCK_PAIRS), UP)
 HATTED = _derived(lambda b, form, jac: hatted_two_form_data(*form, jac),
@@ -382,9 +394,20 @@ def _berwald_spread(b: _Block, samples) -> float:
     return max_pairwise_spread([smp.chern for smp in samples])
 
 
-def _fd_consistency(b: _Block, up, fd) -> tuple[float, float]:
-    scale = max(1.0, _max_abs(up), _max_abs(fd))
-    return _max_abs(up - fd), scale
+def _fd_consistency(b: _Block, xs, ups, fds) -> list[tuple[float, float]]:
+    up, fd = np.stack(ups), np.stack(fds)
+    return [(delta, max(1.0, u, f)) for delta, u, f in zip(
+        _max_abs_rows(up - fd), _max_abs_rows(up), _max_abs_rows(fd))]
+
+
+def _antisymmetry(b: _Block, xs, ups) -> list[float]:
+    up = np.stack(ups)
+    return _max_abs_rows(up + up.swapaxes(3, 4))
+
+
+def _two_path(b: _Block, xs, ups, braces, forms) -> list[float]:
+    return [r.paths_delta for r in contracted_two_path(
+        *_curvature_stacks(ups, braces, forms))]
 
 
 def _has_two_form(s: BuiltScenario) -> bool:
@@ -490,21 +513,19 @@ CHECKS = (
           "the induced-connection field; exact last-pair antisymmetry",
           ("vector_field",), (
               Facet("curvature:fd-consistency",
-                    _derived(_fd_consistency, UP, FD), "curvature-fd"),
-              Facet("curvature:antisymmetry", _derived(
-                  lambda b, up: _max_abs(up + up.swapaxes(2, 3)), UP)),
+                    _stacked(_fd_consistency, UP, FD), "curvature-fd"),
+              Facet("curvature:antisymmetry", _stacked(_antisymmetry, UP)),
           )),
     Check("bianchi",
           "cyclic curvature sum (first Bianchi identity) and the contracted "
           "two-path comparison",
           ("vector_field",), (
               Facet("bianchi:cyclic",
-                    _derived(lambda b, up: cyclic_residual(up), UP),
-                    "bianchi"),
+                    _stacked(lambda b, xs, ups: cyclic_residual(
+                        np.stack(ups)), UP), "bianchi"),
               Facet("bianchi:two-path",
-                    _derived(lambda b, up, brace, form: contracted_two_path(
-                        up, brace, form[0]).paths_delta, UP, BRACE, FORM),
-                    "two-path", when=_has_two_form),
+                    _stacked(_two_path, UP, BRACE, FORM), "two-path",
+                    when=_has_two_form),
           )),
     Check("pair-symmetry",
           "first-pair symmetry of the lowered curvature at preserving "

@@ -30,11 +30,12 @@ def induced_derivatives(s: FedosovScenario, xs, ws) -> list:
 
 
 def curvature_up(G, dG_dx, dG_dy, dW) -> np.ndarray:
-    """R^l_ijk from the induced-connection derivative data."""
-    half = (np.einsum("lkij->lijk", dG_dx)
-            + np.einsum("lkip,pj->lijk", dG_dy, dW)
-            + np.einsum("mki,ljm->lijk", G, G))
-    return half - half.swapaxes(2, 3)
+    """R^l_ijk at each row of (P, ...) stacks of the induced-connection
+    derivative data: ``up[p, l, i, j, k]``."""
+    half = (np.einsum("plkij->plijk", dG_dx)
+            + np.einsum("plkiq,pqj->plijk", dG_dy, dW)
+            + np.einsum("pmki,pljm->plijk", G, G))
+    return half - half.swapaxes(3, 4)
 
 
 def curvature_induced(s: FedosovScenario, x) -> np.ndarray:
@@ -45,12 +46,17 @@ def curvature_induced(s: FedosovScenario, x) -> np.ndarray:
     """
     x = np.asarray([x], dtype=float)  # a stack of one row
     (derivatives,) = induced_derivatives(s, x, s.vector_field.values(x))
-    return curvature_up(*derivatives)
+    return curvature_up(*(np.stack([d]) for d in derivatives))[0]
 
 
 def _lowered(w: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """R_ijkl = w_in R^n_jkl (first-slot lowering)."""
-    return np.einsum("in,njkl->ijkl", w, up)
+    """R_ijkl = w_in R^n_jkl (first-slot lowering) at each row."""
+    return np.einsum("pin,pnjkl->pijkl", w, up)
+
+
+def _max_abs_rows(a: np.ndarray) -> list[float]:
+    """max |a| over each row of a stack of arrays, as Python floats."""
+    return np.abs(a).max(axis=tuple(range(1, a.ndim))).tolist()
 
 
 def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
@@ -60,18 +66,19 @@ def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
 
 
 def curvature_fd_commutators(s: FedosovScenario, xs,
-                             max_rows: int = 1) -> list:
+                             max_rows: int = 1) -> np.ndarray:
     """Finite-difference curvature of the induced-connection field at each
-    row of a (P, n) stack of base points.
+    row of a (P, n) stack of base points, ``fd[p, l, i, j, k]``.
 
     Each base point's stencil is its centre and every axis's
-    :func:`fd_stencil` (9 points at n = 2, 17 at n = 4).  The stencils
-    are stacked and sampled in runs of whole stencils, at most
-    ``max_rows`` rows a run and at least one stencil, each run one
-    :func:`sample_block` with W on the run.  The first derivatives of
-    x -> induce_connection(s, x) come from :func:`fd_oracle` (central
-    differences, one Richardson step), one coefficient array per axis,
-    assembled into the commutator formula at each base point.
+    :func:`fd_stencil` (9 points at n = 2, 17 at n = 4), one
+    :func:`fd_stencil` call per axis over the stack.  The stencils are
+    sampled in runs of whole stencils, at most ``max_rows`` rows a run and
+    at least one stencil, each run one :func:`sample_block` with W on the
+    run.  The first derivatives of x -> induce_connection(s, x) come from
+    one :func:`fd_oracle` call per axis over the stack (central
+    differences, one Richardson step), and one contraction over the stack
+    assembles them into the commutator formula.
 
     A run that fails raises some point's error; the caller replays the
     stack one base point at a time (:func:`each_row`).  A stack of one
@@ -83,43 +90,45 @@ def curvature_fd_commutators(s: FedosovScenario, xs,
     """
     n = s.metric.dimension
     xs = np.asarray(xs, dtype=float)
-    if not len(xs):
-        return []
     axes = np.eye(n, dtype=int)
-    stencils = [np.array([x] + [p for axis in axes
-                                for p in fd_stencil(x, axis)]) for x in xs]
-    size = len(stencils[0])
+    # stencils[p]: base point p, then each axis's stencil around it
+    stencils = np.stack([xs] + [point for axis in axes
+                                for point in fd_stencil(xs, axis)], axis=1)
+    P, size = stencils.shape[:2]
     per_axis, per_run = (size - 1) // n, max(1, max_rows // size)
-    sample = induce_connections if len(xs) == 1 else _connections
-    Gs = [G for start in range(0, len(xs), per_run)
-          for G in sample(s, np.concatenate(stencils[start:start + per_run]))]
-    out = []
-    for p, x in enumerate(xs):
-        G0, *axis_Gs = Gs[p * size:(p + 1) * size]
-        # dG[l, a, b, t] = d G^l_ab / d x^t, from axis t's run of the stencil
-        dG = np.stack([fd_oracle(axis_Gs[t * per_axis:(t + 1) * per_axis],
-                                 x, axes[t]) for t in range(n)], axis=-1)
-        half = (np.einsum("lkij->lijk", dG)
-                + np.einsum("mki,ljm->lijk", G0, G0))
-        out.append(half - half.swapaxes(2, 3))
-    return out
+    sample = induce_connections if P == 1 else _connections
+    Gs = np.stack([G for start in range(0, P, per_run)
+                   for G in sample(s, stencils[start:start + per_run]
+                                   .reshape(-1, n))])
+    Gs = Gs.reshape((P, size) + Gs.shape[1:])
+    G0 = Gs[:, 0]
+    # dG[p, l, a, b, t] = d G^l_ab / d x^t at base point p, from axis t's
+    # run of its stencil
+    dG = np.stack([fd_oracle(Gs[:, 1 + t * per_axis:1 + (t + 1) * per_axis]
+                             .swapaxes(0, 1), xs, axes[t])
+                   for t in range(n)], axis=-1)
+    half = (np.einsum("plkij->plijk", dG)
+            + np.einsum("pmki,pljm->plijk", G0, G0))
+    return half - half.swapaxes(3, 4)
 
 
 def brace_array(G, dG_dx, dG_dy, dW) -> np.ndarray:
-    """B[n, j, k, l]: the printed one-brace expression of the curvature."""
-    return (np.einsum("nljk->njkl", dG_dx)
-            + np.einsum("nljp,pk->njkl", dG_dy, dW)
+    """B[p, n, j, k, l]: the printed one-brace expression of the curvature
+    at each row of the stacks :func:`curvature_up` takes."""
+    return (np.einsum("pnljk->pnjkl", dG_dx)
+            + np.einsum("pnljq,pqk->pnjkl", dG_dy, dW)
             - dG_dx
-            - np.einsum("njkp,pl->njkl", dG_dy, dW)
-            + np.einsum("plj,nkp->njkl", G, G)
-            - np.einsum("pjk,nlp->njkl", G, G))
+            - np.einsum("pnjkq,pql->pnjkl", dG_dy, dW)
+            + np.einsum("pqlj,pnkq->pnjkl", G, G)
+            - np.einsum("pqjk,pnlq->pnjkl", G, G))
 
 
 def _cyclic(last3: np.ndarray) -> np.ndarray:
-    """Sum over cyclic permutations of the last three axes (labels jkl)."""
+    """Sum over cyclic permutations of the last three axes (labels jkl) at
+    each row."""
     return (last3
-            + np.einsum("nklj->njkl", last3)
-            + np.einsum("nljk->njkl", last3))
+            + np.einsum("pnklj->pnjkl", last3)
+            + np.einsum("pnljk->pnjkl", last3))
 
 
 class TwoPathResidual(NamedTuple):
@@ -133,39 +142,37 @@ class TwoPathResidual(NamedTuple):
     scale: float
 
     @classmethod
-    def of(cls, direct: np.ndarray, assembled: np.ndarray,
-           lowered: np.ndarray) -> "TwoPathResidual":
-        return cls(
-            direct=float(np.max(np.abs(direct))),
-            assembled=float(np.max(np.abs(assembled))),
-            paths_delta=float(np.max(np.abs(direct - assembled))),
-            scale=max(1.0, float(np.max(np.abs(lowered)))),
-        )
+    def stacked(cls, direct: np.ndarray, assembled: np.ndarray,
+                lowered: np.ndarray) -> list["TwoPathResidual"]:
+        """One residual per row of the stacks."""
+        return [cls(d, a, delta, max(1.0, low)) for d, a, delta, low in zip(
+            _max_abs_rows(direct), _max_abs_rows(assembled),
+            _max_abs_rows(direct - assembled), _max_abs_rows(lowered))]
 
 
-def cyclic_residual(up: np.ndarray) -> tuple[float, float]:
-    """Uncontracted first-Bianchi residual of a curvature array and its
-    comparison scale."""
-    scale = max(1.0, float(np.max(np.abs(up))))
-    return float(np.max(np.abs(_cyclic(up)))), scale
+def cyclic_residual(up: np.ndarray) -> list[tuple[float, float]]:
+    """Uncontracted first-Bianchi residual of each row of a stack of
+    curvature arrays, with its comparison scale."""
+    return [(cyclic, max(1.0, scale)) for cyclic, scale in zip(
+        _max_abs_rows(_cyclic(up)), _max_abs_rows(up))]
 
 
-def contracted_two_path(up, brace, w) -> TwoPathResidual:
+def contracted_two_path(up, brace, w) -> list[TwoPathResidual]:
     """Cyclic curvature sum contracted with the two-form, both code paths,
-    from the curvature ``up``, the brace array and the two-form components
-    w at the point."""
-    return TwoPathResidual.of(_lowered(w, _cyclic(brace)),
-                              _lowered(w, _cyclic(up)), _lowered(w, up))
+    at each row of stacks of the curvature ``up``, the brace array and the
+    two-form components w."""
+    return TwoPathResidual.stacked(_lowered(w, _cyclic(brace)),
+                                   _lowered(w, _cyclic(up)), _lowered(w, up))
 
 
-def pair_two_path(up, brace, w) -> TwoPathResidual:
-    """Symmetry of the lowered curvature in its first index pair, from the
-    same data as :func:`contracted_two_path`.
+def pair_two_path(up, brace, w) -> list[TwoPathResidual]:
+    """Symmetry of the lowered curvature in its first index pair, at each
+    row of the stacks :func:`contracted_two_path` takes.
 
     ``assembled`` is max |R_ijkl - R_jikl| from the lowered curvature;
     ``direct`` evaluates the printed two-brace condition.
     """
-    direct = _lowered(w, brace) - np.einsum("jn,nikl->ijkl", w, brace)
+    direct = _lowered(w, brace) - np.einsum("pjn,pnikl->pijkl", w, brace)
     lowered = _lowered(w, up)
-    return TwoPathResidual.of(direct, lowered - lowered.transpose(1, 0, 2, 3),
-                              lowered)
+    return TwoPathResidual.stacked(
+        direct, lowered - lowered.transpose(0, 2, 1, 3, 4), lowered)

@@ -445,7 +445,8 @@ def chart_jacobians(chart: ChartMap, xs) -> list[ChartJacobians]:
     xhat = np.stack([j.value for j in fwd_jets], axis=1)
     fwd = np.stack([j.derivatives(1) for j in fwd_jets], axis=1)
     for x, f in zip(xs, fwd):
-        det = float(np.linalg.det(f))
+        with np.errstate(over="ignore"):  # an overflowing det is ±inf
+            det = float(np.linalg.det(f))
         if abs(det) < 1e-8:
             raise SingularChartError(f"chart Jacobian determinant {det:.3e} "
                                      f"below 1e-8 at {x.tolist()}")

@@ -280,7 +280,8 @@ def _check_pd(g: np.ndarray, tol_pd: float) -> None:
     """Every leading principal minor of each g must exceed ``tol_pd``."""
     n = g.shape[-1]
     for k in range(1, n + 1):
-        minor = np.linalg.det(g[:, :k, :k]).min()
+        with np.errstate(over="ignore"):  # an overflowing minor is ±inf
+            minor = np.linalg.det(g[:, :k, :k]).min()
         if not minor > tol_pd:
             raise NotPositiveDefiniteError(
                 f"leading principal minor {k} is {minor:.3e} (<= {tol_pd:g})"

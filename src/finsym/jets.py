@@ -442,14 +442,15 @@ def fd_base_step(degree: int) -> float:
 
 
 def _central_points(x: np.ndarray, idx: tuple, steps: np.ndarray) -> list:
-    """The points at which :func:`_central` reads the field, in its order."""
+    """The points at which :func:`_central` reads the field, in its order;
+    each is a stack where x is."""
     for v, e in enumerate(idx):
         if e > 0:
             rest = idx[:v] + (e - 1,) + idx[v + 1:]
             xp = x.copy()
-            xp[v] += steps[v]
+            xp[..., v] += steps[..., v]
             xm = x.copy()
-            xm[v] -= steps[v]
+            xm[..., v] -= steps[..., v]
             return (_central_points(xp, rest, steps)
                     + _central_points(xm, rest, steps))
     return [x]
@@ -457,12 +458,17 @@ def _central_points(x: np.ndarray, idx: tuple, steps: np.ndarray) -> list:
 
 def _central(values: Iterator, idx: tuple, steps: np.ndarray):
     """The central difference from the field's values at
-    :func:`_central_points`, taken from ``values`` in that order."""
+    :func:`_central_points`, taken from ``values`` in that order.  Where
+    the steps are a (P, n) stack, each value's leading axis is the row's,
+    and each row is divided by its own step."""
     for v, e in enumerate(idx):
         if e > 0:
             rest = idx[:v] + (e - 1,) + idx[v + 1:]
             plus = _central(values, rest, steps)
-            return (plus - _central(values, rest, steps)) / (2.0 * steps[v])
+            step = 2.0 * steps[..., v]
+            step = step.reshape(step.shape + (1,) * (np.ndim(plus)
+                                                     - step.ndim))
+            return (plus - _central(values, rest, steps)) / step
     return next(values)
 
 
@@ -474,7 +480,9 @@ def fd_stencil(point: Sequence[float], idx: Sequence[int]) -> list:
     """The points at which :func:`fd_oracle` reads the field, in the order
     it reads them: the coarse central stencil, then the fine one.  For a
     first derivative along axis v that is x + h e_v, x - h e_v,
-    x + h/2 e_v, x - h/2 e_v; a degree-0 index reads x alone."""
+    x + h/2 e_v, x - h/2 e_v; a degree-0 index reads x alone.  A (P, n)
+    stack of points gives each stencil point as a (P, n) stack, each row
+    bit for bit that of the row's own stencil."""
     idx = tuple(int(e) for e in idx)
     x = np.asarray(point, dtype=float)
     if multi_index_degree(idx) == 0:
@@ -491,8 +499,11 @@ def fd_oracle(values, point: Sequence[float], idx: Sequence[int]):
     by max(1, |x_v|), one Richardson extrapolation step (O(step^4) error for
     first derivatives).  ``values`` are the field's values at the points of
     :func:`fd_stencil`, in that order.  A value may be a float or an array,
-    which is differentiated entrywise.  The stencil is not checked against a
-    domain here: whatever evaluates the field rejects the points it cannot.
+    which is differentiated entrywise.  At a (P, n) stack of points each
+    value is a stack too, its leading axis the row's, and each row of the
+    estimate is bit for bit that of the row alone.  The stencil is not
+    checked against a domain here: whatever evaluates the field rejects the
+    points it cannot.
     """
     idx = tuple(int(e) for e in idx)
     x = np.asarray(point, dtype=float)

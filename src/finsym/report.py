@@ -3,12 +3,53 @@
 from __future__ import annotations
 
 import json
+import math
 
 from .records import CheckRecord
 
 # one encoder for every json-lines record; building one per call costs more
 # than encoding a record
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _json_lines(records: list[CheckRecord]) -> list[bytes]:
+    """Each record's strict json line, LF-terminated, in UTF-8.
+
+    A check name, point tuple or error text repeats across records: each
+    is encoded once per call, a point keyed by the id of the tuple the
+    records share (they hold it, so no id is reused while this runs).  A
+    float is written as the encoder writes it, its repr.  Each line is
+    encoded as it is made, so the report is one join of bytes: no
+    report-sized str is built beside it, which more than pays for the
+    point cache in peak memory.
+    """
+    names: dict[str, str] = {}
+    points: dict[int, str] = {}
+    errors: dict[str | None, str] = {}
+    number = float.__repr__
+    lines = []
+    for r in records:
+        name = names.get(r.check)
+        if name is None:
+            name = names[r.check] = _ENCODER.encode(r.check)
+        point = points.get(id(r.point))
+        if point is None:
+            point = points[id(r.point)] = _ENCODER.encode(list(r.point))
+        error = errors.get(r.error)
+        if error is None:
+            error = errors[r.error] = _ENCODER.encode(r.error)
+        residual, tolerance = r.residual, r.tolerance
+        if not (math.isfinite(tolerance)
+                and (residual is None or math.isfinite(residual))):
+            raise ValueError(
+                "Out of range float values are not JSON compliant")
+        residual = "null" if residual is None else number(residual)
+        lines.append(f'{{"check":{name},"point":{point},'
+                     f'"residual":{residual},'
+                     f'"tolerance":{number(tolerance)},'
+                     f'"pass":{"true" if r.passed else "false"},'
+                     f'"error":{error}}}\n'.encode("utf-8"))
+    return lines
 
 
 def emit_report(records: list[CheckRecord], fmt: str = "json") -> bytes:
@@ -21,18 +62,7 @@ def emit_report(records: list[CheckRecord], fmt: str = "json") -> bytes:
     if not records:
         raise ValueError("no records to emit")
     if fmt == "json":
-        lines = []
-        for r in records:
-            obj = {
-                "check": r.check,
-                "point": list(r.point),
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "pass": r.passed,
-                "error": r.error,
-            }
-            lines.append(_ENCODER.encode(obj))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return b"".join(_json_lines(records))
     if fmt == "table":
         groups: dict[str, list[CheckRecord]] = {}
         for r in records:

@@ -130,7 +130,8 @@ def nondegeneracy(w: np.ndarray) -> float:
         raise OddDimensionError(
             f"nondegenerate two-forms need even dimension, got {w.shape[0]}"
         )
-    return float(abs(np.linalg.det(w)))
+    with np.errstate(over="ignore"):  # an overflowing |det| is +inf
+        return float(abs(np.linalg.det(w)))
 
 
 @dataclass(frozen=True, eq=False)

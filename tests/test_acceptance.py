@@ -385,8 +385,16 @@ def test_criterion_10_curvature(request, euclid4):
 # -- 11: curvature identities ------------------------------------------------------------
 
 
-def _derivatives(sc, x):
-    return induced_derivatives(sc, [x], sc.vector_field.values([x]))[0]
+def _derivatives(sc, x, w=None):
+    """The jet-path data at x, W(x) there unless given, each a stack of
+    one row."""
+    w = sc.vector_field.values([x])[0] if w is None else w
+    return tuple(np.stack([d]) for d in induced_derivatives(sc, [x], [w])[0])
+
+
+def _form(sc, x):
+    """The scenario's two-form components at x, a stack of one row."""
+    return np.stack([sc.two_form.data([x])[0][0]])
 
 
 def test_criterion_11_curvature_identities(request):
@@ -398,11 +406,11 @@ def test_criterion_11_curvature_identities(request):
         for x in pts:
             d = _derivatives(sc, x)
             up, brace = curvature_up(*d), brace_array(*d)
-            w = sc.two_form.data([x])[0][0]
-            cyc, scale = cyclic_residual(up)
+            w = _form(sc, x)
+            ((cyc, scale),) = cyclic_residual(up)
             worst_bianchi = max(worst_bianchi, cyc / scale)
-            bc = contracted_two_path(up, brace, w)
-            ps = pair_two_path(up, brace, w)
+            (bc,) = contracted_two_path(up, brace, w)
+            (ps,) = pair_two_path(up, brace, w)
             worst_two_path = max(worst_two_path, bc.paths_delta, ps.paths_delta)
 
     worst_pair = 0.0
@@ -415,15 +423,15 @@ def test_criterion_11_curvature_identities(request):
             w = sc.vector_field.values([x])[0]
             assert chern_preservation_residual(
                 sc.metric, sc.two_form, x, w).max_abs <= 1e-9
-            d = induced_derivatives(sc, [x], [w])[0]
-            ps = pair_two_path(curvature_up(*d), brace_array(*d),
-                               sc.two_form.data([x])[0][0])
+            d = _derivatives(sc, x, w)
+            (ps,) = pair_two_path(curvature_up(*d), brace_array(*d),
+                                  _form(sc, x))
             worst_pair = max(worst_pair, ps.assembled / ps.scale)
 
     control_sc, x = request.getfixturevalue("randers_std_scenario"), [0.3, 0.2]
     d = _derivatives(control_sc, x)
-    control = pair_two_path(curvature_up(*d), brace_array(*d),
-                            control_sc.two_form.data([x])[0][0])
+    (control,) = pair_two_path(curvature_up(*d), brace_array(*d),
+                               _form(control_sc, x))
     _report("criterion-11 curvature-identities",
             worst_bianchi <= 1e-7 and worst_pair <= 1e-6
             and worst_two_path <= 1e-9 and control.assembled > 1e-6,

@@ -16,11 +16,16 @@ from hypothesis import strategies as st
 
 from finsym import checks
 from finsym.checks import run_scenario
-from finsym.curvature import curvature_fd_commutator, induced_derivatives
+from finsym.curvature import (_cyclic, brace_array, contracted_two_path,
+                              curvature_fd_commutator,
+                              curvature_fd_commutators, curvature_up,
+                              cyclic_residual, induced_derivatives,
+                              pair_two_path)
 from finsym.errors import FinsymError, each_row
 from finsym.fedosov import FedosovScenario
 from finsym.fields import (ChartMap, DomainBox, ScalarFieldSpec,
                            VectorFieldSpec, chart_jacobians)
+from finsym.jets import fd_oracle, fd_stencil
 from finsym.finsler import (FinslerSample, MetricSpec, cartan_trace_residual,
                             chern_block, euler_residuals,
                             homogeneity_residuals, randers_alpha_norm,
@@ -86,6 +91,27 @@ RANDERS_ROWS = ([([0.5, 0.2], [1.0, 0.3]), ([0.0, -0.4], [0.4, 1.1]),
                  ([1.5, 1.0], [-0.7, 0.5])],
                 [([3.0, 0.0], [1.0, 0.5]), ([0.5, 0.2], [1e-9, 0.0])])
 
+# a curved scenario: W divides by zero at x2 = 0, F < 0 at (-1.5, 0.5), and
+# at x1 = 1.9996 the curvature exists but the FD stencil leaves the box
+CURVED = FedosovScenario(MIXED, VectorFieldSpec(_specs("1+x1^2", "1/x2")))
+CURVED_ROWS = ([[0.1, 0.5], [-0.3, 0.8], [0.2, -0.6]],
+               [[0.3, 0.0], [-1.5, 0.5], [3.0, 0.5]])
+FD_ROWS = (CURVED_ROWS[0], CURVED_ROWS[1] + [[1.9996, 0.5]])
+
+
+def _curvature_entries(xs):
+    """The entries of UP, BRACE and FORM (with LIFTED as the form) at each
+    row, as the runner's columns hold them."""
+    d = list(map(np.stack, zip(*induced_derivatives(
+        CURVED, xs, CURVED.vector_field.values(xs)))))
+    return list(curvature_up(*d)), list(brace_array(*d)), LIFTED.data(xs)
+
+
+def _fd_consistency_rows(xs):
+    ups = _curvature_entries(xs)[0]
+    return checks._fd_consistency(
+        None, xs, ups, list(curvature_fd_commutators(CURVED, xs, 64)))
+
 
 def _lift_rows(xs, ys):
     G = [smp.chern for smp in sample_block(MIXED, xs, ys)]
@@ -144,6 +170,21 @@ CASES = {
         sample_block(MIXED, xs, ys)), MIXED_ROWS),
     "lift": (_lift_rows, MIXED_ROWS),
     "randers-equivalence": (_randers_rows, RANDERS_ROWS),
+    # the curvature columns, each over the rows where its inputs exist
+    "curvature-up": (lambda xs: _curvature_entries(xs)[0],
+                     _points(CURVED_ROWS)),
+    "brace": (lambda xs: _curvature_entries(xs)[1], _points(CURVED_ROWS)),
+    "pair-two-path": (lambda xs: pair_two_path(*checks._curvature_stacks(
+        *_curvature_entries(xs))), _points(CURVED_ROWS)),
+    "bianchi-two-path": (lambda xs: checks._two_path(
+        None, xs, *_curvature_entries(xs)), _points(CURVED_ROWS)),
+    "bianchi-cyclic": (lambda xs: cyclic_residual(np.stack(
+        _curvature_entries(xs)[0])), _points(CURVED_ROWS)),
+    "antisymmetry": (lambda xs: checks._antisymmetry(
+        None, xs, _curvature_entries(xs)[0]), _points(CURVED_ROWS)),
+    "fd-commutator": (partial(curvature_fd_commutators, CURVED, max_rows=64),
+                      _points(FD_ROWS)),
+    "fd-consistency": (_fd_consistency_rows, _points(FD_ROWS)),
 }
 
 
@@ -466,3 +507,172 @@ def test_pair_numerics_equal_their_one_point_formulas(n, magnitude):
         assert res.max_abs == float(np.max(np.abs(expected)))
     for cond, row in zip(randers_condition(db, ddb, G), zip(db, ddb, G)):
         assert cond.tobytes() == _one_point_randers(*row).tobytes()
+
+
+# The one-point curvature formulas the stacked ones replaced, kept as their
+# reference: a stack must give each row's one-point result, bit for bit.
+
+
+def _one_point_up(G, dG_dx, dG_dy, dW):
+    half = (np.einsum("lkij->lijk", dG_dx)
+            + np.einsum("lkip,pj->lijk", dG_dy, dW)
+            + np.einsum("mki,ljm->lijk", G, G))
+    return half - half.swapaxes(2, 3)
+
+
+def _one_point_brace(G, dG_dx, dG_dy, dW):
+    return (np.einsum("nljk->njkl", dG_dx)
+            + np.einsum("nljp,pk->njkl", dG_dy, dW)
+            - dG_dx
+            - np.einsum("njkp,pl->njkl", dG_dy, dW)
+            + np.einsum("plj,nkp->njkl", G, G)
+            - np.einsum("pjk,nlp->njkl", G, G))
+
+
+def _one_point_cyclic(last3):
+    return (last3
+            + np.einsum("nklj->njkl", last3)
+            + np.einsum("nljk->njkl", last3))
+
+
+def _one_point_lowered(w, up):
+    return np.einsum("in,njkl->ijkl", w, up)
+
+
+def _one_point_two_path(direct, assembled, lowered):
+    return (float(np.max(np.abs(direct))), float(np.max(np.abs(assembled))),
+            float(np.max(np.abs(direct - assembled))),
+            max(1.0, float(np.max(np.abs(lowered)))))
+
+
+def _one_point_cyclic_residual(up):
+    scale = max(1.0, float(np.max(np.abs(up))))
+    return float(np.max(np.abs(_one_point_cyclic(up)))), scale
+
+
+def _one_point_contracted(up, brace, w):
+    return _one_point_two_path(
+        _one_point_lowered(w, _one_point_cyclic(brace)),
+        _one_point_lowered(w, _one_point_cyclic(up)),
+        _one_point_lowered(w, up))
+
+
+def _one_point_pair(up, brace, w):
+    direct = (_one_point_lowered(w, brace)
+              - np.einsum("jn,nikl->ijkl", w, brace))
+    lowered = _one_point_lowered(w, up)
+    return _one_point_two_path(
+        direct, lowered - lowered.transpose(1, 0, 2, 3), lowered)
+
+
+def _one_point_fd_consistency(up, fd):
+    scale = max(1.0, float(np.max(np.abs(up))), float(np.max(np.abs(fd))))
+    return float(np.max(np.abs(up - fd))), scale
+
+
+def _bits(values) -> bytes:
+    """The bytes of a tuple of floats, so nan rows compare too."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_curvature_rows(G, dG_dx, dG_dy, dW, w, fd):
+    """Each row of every stacked curvature quantity is its one-point
+    formula's result on that row, bit for bit."""
+    up, brace = curvature_up(G, dG_dx, dG_dy, dW), brace_array(
+        G, dG_dx, dG_dy, dW)
+    ups = list(up)
+    rows = list(zip(G, dG_dx, dG_dy, dW, w, fd))
+    for p, row in enumerate(rows):
+        assert up[p].tobytes() == _one_point_up(*row[:4]).tobytes()
+        assert brace[p].tobytes() == _one_point_brace(*row[:4]).tobytes()
+    for a, row in zip(_cyclic(up), ups):
+        assert a.tobytes() == _one_point_cyclic(row).tobytes()
+    for found, row in zip(cyclic_residual(up), ups):
+        assert _bits(found) == _bits(_one_point_cyclic_residual(row))
+    for fn, one in ((contracted_two_path, _one_point_contracted),
+                    (pair_two_path, _one_point_pair)):
+        for found, row in zip(fn(up, brace, w), zip(ups, brace, w)):
+            assert _bits(found) == _bits(one(*row))
+    for found, row in zip(checks._fd_consistency(None, None, ups, list(fd)),
+                          zip(ups, fd)):
+        assert _bits(found) == _bits(_one_point_fd_consistency(*row))
+    assert _bits(checks._antisymmetry(None, None, ups)) == _bits(
+        [float(np.max(np.abs(u + u.swapaxes(2, 3)))) for u in ups])
+
+
+def _curvature_stacks(rng, n, P, magnitude):
+    def draw(*shape):
+        return magnitude * rng.uniform(-1.0, 1.0, (P,) + shape)
+
+    return (draw(n, n, n), draw(n, n, n, n), draw(n, n, n, n), draw(n, n),
+            draw(n, n), draw(n, n, n, n))
+
+
+@pytest.mark.parametrize("magnitude", [1e-3, 1e-1, 1.0, 1e2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curvature_numerics_equal_their_one_point_formulas(n, magnitude):
+    """Random 64-row stacks at each dimension and magnitude: each row of
+    the curvature, the brace array, the cyclic sum and its residual, both
+    two-path comparisons and the FD-consistency and antisymmetry residuals
+    is its one-point formula's result, bit for bit."""
+    rng = np.random.default_rng(int(n * 1000 * magnitude) + 7)
+    _assert_curvature_rows(*_curvature_stacks(rng, n, 64, magnitude))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_curvature_scales_skip_non_finite_rows(n):
+    """Rows holding nan or inf: every scale is Python's max(1.0, ...), in
+    which a nan term after 1.0 is passed over, as at one point; each row is
+    still its one-point result, bit for bit, and the finite rows are
+    untouched."""
+    rng = np.random.default_rng(n)
+    G, dG_dx, dG_dy, dW, w, fd = _curvature_stacks(rng, n, 8, 1.0)
+    dG_dx[1, 0, 0, 0, 1] = np.nan   # a nan curvature entry
+    dW[2, 0, 0] = np.inf            # inf times 0 and inf - inf: nan
+    w[3, 0, 1] = np.nan             # a nan form: the lowered arrays
+    fd[4, 1, 0, 1, 0] = np.nan      # the FD side alone
+    fd[5, 0, 1, 0, 1] = np.inf
+    G[6] = 1e300                    # products overflow to inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_curvature_rows(G, dG_dx, dG_dy, dW, w, fd)
+        # np.maximum would make this scale nan
+        (delta, scale), = checks._fd_consistency(None, None, [fd[0] * 0.0],
+                                                 [fd[4]])
+    assert np.isnan(delta) and scale == 1.0
+
+
+# (point, index) pairs the tests and the FD commutator difference at
+FD_INDICES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 3), (2, 2),
+              (4, 0), (1, 1, 1), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("idx", FD_INDICES)
+def test_stacked_fd_stencil_and_oracle_equal_their_one_point_calls(idx):
+    """A (P, n) stack of points: each stencil point is a stack whose rows
+    are the points of each row's own stencil, and the estimate from stacked
+    values (a scalar per row, and an array per row) is each row's 1-D
+    estimate, bit for bit, at every derivative degree the tests take."""
+    n = len(idx)
+    rng = np.random.default_rng(sum(idx) * 10 + n)
+    xs = rng.uniform(-3.0, 3.0, (16, n))
+    xs[0] = 0.0
+    xs[1, 0] = 1e-300
+    stencil = fd_stencil(xs, idx)
+    ones = [fd_stencil(x, idx) for x in xs]
+    assert len(stencil) == len(ones[0])
+    for k, points in enumerate(stencil):
+        assert points.shape == xs.shape
+        for p, one in enumerate(ones):
+            assert points[p].tobytes() == one[k].tobytes()
+    field = ScalarFieldSpec.parse(
+        "+".join(f"x{v + 1}^3*sqrt(2+x{v + 1}^2)" for v in range(n)),
+        [f"x{v + 1}" for v in range(n)])
+    scalars = [field.evaluate(points) for points in stencil]
+    arrays = [np.stack([np.outer(points[:, 0], points[:, -1]).T] * 2,
+                       axis=-1) for points in stencil]
+    found = fd_oracle(scalars, xs, idx), fd_oracle(arrays, xs, idx)
+    for p, x in enumerate(xs):
+        one_scalar = fd_oracle([v[p] for v in scalars], x, idx)
+        one_array = fd_oracle([a[p] for a in arrays], x, idx)
+        assert found[0][p].tobytes() == np.float64(one_scalar).tobytes()
+        assert found[1][p].tobytes() == one_array.tobytes()

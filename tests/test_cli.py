@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -720,6 +721,44 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report([record])
 
+    def test_json_lines_equal_per_record_dumps(self):
+        """Random records, points shared and not, residuals of every size
+        and sign, -0.0 and subnormals among them, error texts with quotes,
+        control characters and non-ASCII: each line is the record's own
+        strict ``json.dumps``, byte for byte."""
+        rng = np.random.default_rng(31)
+        floats = [0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308, 1.0, 0.1,
+                  1e-17, 123456.789]
+        texts = ['DomainError: "x" \\ \t\n\x00\x1f \u00e9\u4e2d\U0001f600',
+                 "ZeroVectorError: norm 0.000e+00", "\u2028\u2029 \x7f"]
+        points = [tuple(rng.choice(floats, 3).tolist()) for _ in range(5)]
+        records = []
+        for k in range(300):
+            point = (points[k % 5] if k % 3 else
+                     tuple(rng.uniform(-1e3, 1e3, 2).tolist()))
+            if k % 4 == 0:
+                records.append(CheckRecord.failed(
+                    f"check:{k % 7}\u00e9", point, texts[k % 3],
+                    float(rng.choice(floats))))
+            else:
+                records.append(CheckRecord.evaluated(
+                    f"check:{k % 7}", point,
+                    float(rng.choice(floats)) * rng.uniform(),
+                    float(rng.choice(floats))))
+        expected = "".join(json.dumps({
+            "check": r.check, "point": list(r.point),
+            "residual": r.residual, "tolerance": r.tolerance,
+            "pass": r.passed, "error": r.error},
+            separators=(",", ":"), allow_nan=False) + "\n"
+            for r in records).encode("utf-8")
+        assert emit_report(records, "json") == expected
+        for residual, tolerance in ((float("nan"), 1.0), (1.0, float("inf")),
+                                    (float("-inf"), 1.0)):
+            records[1] = CheckRecord(records[1].check, records[1].point,
+                                     residual, tolerance, False)
+            with pytest.raises(ValueError):
+                emit_report(records, "json")
+
     def test_table_contains_summary(self):
         records = run_scenario(euclid_config(), suite=["structural"])
         table = emit_report(records, "table").decode()
@@ -773,6 +812,37 @@ class TestCliMain:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("name,block,value", [
+        # a leading minor of g overflows
+        ("randers_dbeta", "metric", {"alpha": [["1e200", "0"],
+                                               ["0", "1e200"]]}),
+        # |det| of d(beta) overflows
+        ("randers_dbeta", "metric", {"b": ["1e308*x2", "0.1*x1"]}),
+        # the chart Jacobian's determinant overflows
+        ("quartic_minkowski_chart", "chart", {
+            "forward": ["1e200*x1", "1e200*x2"],
+            "inverse": ["1e-200*x1", "1e-200*x2"]}),
+    ])
+    def test_overflowing_determinants_warn_nothing(self, tmp_path, capsys,
+                                                   name, block, value):
+        """A determinant that overflows is inf, which passes its test; it
+        raises no RuntimeWarning, so a run with warnings as errors exits 1
+        with nothing on stderr and the report of a run that ignores
+        them."""
+        with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+            cfg = json.load(fh)
+        cfg[block].update(value)
+        path = self._write(tmp_path, cfg)
+        reports = []
+        for action in ("error", "ignore"):
+            out = tmp_path / f"{action}.jsonl"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert main(["run", "--config", path, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == ""
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_validate(self, tmp_path, capsys):
         path = self._write(tmp_path, euclid_config())
