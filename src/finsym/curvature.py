@@ -14,19 +14,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .fedosov import FedosovScenario, _connections, induce_connections
-from .finsler import chern_block
+from .finsler import _max_abs_rows, _scale, chern_block
 from .jets import fd_oracle, fd_stencil
 
 
-def induced_derivatives(s: FedosovScenario, xs, ws) -> list:
+def induced_derivatives(s: FedosovScenario, xs, ws) -> tuple:
     """Jet-path data (G, dG_dx, dG_dy, dW) of x -> Gtilde(x, W(x)) at each
-    row of a (P, n) stack of base points, with W there in ``ws``.
+    row of a (P, n) stack of base points, with W there in ``ws``, a stack
+    each.
 
     G and its chart and fiber derivatives are taken at (x, W(x)), and
-    dW[p, j] = d W^p / d x^j.
+    dW[p, q, j] = d W^q / d x^j.
     """
-    return [chern + (dW,) for chern, dW in zip(
-        chern_block(s.metric, xs, ws), s.vector_field.jacobian(xs))]
+    return chern_block(s.metric, xs, ws) + (s.vector_field.jacobian(xs),)
 
 
 def curvature_up(G, dG_dx, dG_dy, dW) -> np.ndarray:
@@ -45,18 +45,13 @@ def curvature_induced(s: FedosovScenario, x) -> np.ndarray:
     antisymmetric in (j, k).
     """
     x = np.asarray([x], dtype=float)  # a stack of one row
-    (derivatives,) = induced_derivatives(s, x, s.vector_field.values(x))
-    return curvature_up(*(np.stack([d]) for d in derivatives))[0]
+    return curvature_up(*induced_derivatives(
+        s, x, s.vector_field.values(x)))[0]
 
 
 def _lowered(w: np.ndarray, up: np.ndarray) -> np.ndarray:
     """R_ijkl = w_in R^n_jkl (first-slot lowering) at each row."""
     return np.einsum("pin,pnjkl->pijkl", w, up)
-
-
-def _max_abs_rows(a: np.ndarray) -> list[float]:
-    """max |a| over each row of a stack of arrays, as Python floats."""
-    return np.abs(a).max(axis=tuple(range(1, a.ndim))).tolist()
 
 
 def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
@@ -71,22 +66,20 @@ def curvature_fd_commutators(s: FedosovScenario, xs,
     row of a (P, n) stack of base points, ``fd[p, l, i, j, k]``.
 
     Each base point's stencil is its centre and every axis's
-    :func:`fd_stencil` (9 points at n = 2, 17 at n = 4), one
-    :func:`fd_stencil` call per axis over the stack.  The stencils are
-    sampled in runs of whole stencils, at most ``max_rows`` rows a run and
-    at least one stencil, each run one :func:`sample_block` with W on the
-    run.  The first derivatives of x -> induce_connection(s, x) come from
-    one :func:`fd_oracle` call per axis over the stack (central
-    differences, one Richardson step), and one contraction over the stack
-    assembles them into the commutator formula.
+    :func:`fd_stencil` (9 points at n = 2, 17 at n = 4), one call per axis
+    over the stack, sampled in runs of whole stencils of at most
+    ``max_rows`` rows (at least one stencil), each run one
+    :func:`sample_block` with W on the run.  One :func:`fd_oracle` call
+    per axis (central differences, one Richardson step) differentiates
+    x -> induce_connection(s, x), and one contraction assembles the
+    commutator formula.
 
-    A run that fails raises some point's error; the caller replays the
-    stack one base point at a time (:func:`each_row`).  A stack of one
-    base point goes through :func:`induce_connections` instead, which
-    raises the first failing point's error in stencil order, W's before
-    the sample's.  The stencils are this call's own: independent of the
-    jet-based chain-rule path, they share no sample with the checks'
-    other readers.
+    A failing run raises some point's error, and the caller replays the
+    stack one base point at a time (:func:`each_row`); a stack of one base
+    point goes through :func:`induce_connections`, which raises the first
+    failing point's error in stencil order, W's before the sample's.  The
+    stencils are this call's own, so the independent path shares no sample
+    with the jet-based one.
     """
     n = s.metric.dimension
     xs = np.asarray(xs, dtype=float)
@@ -97,9 +90,9 @@ def curvature_fd_commutators(s: FedosovScenario, xs,
     P, size = stencils.shape[:2]
     per_axis, per_run = (size - 1) // n, max(1, max_rows // size)
     sample = induce_connections if P == 1 else _connections
-    Gs = np.stack([G for start in range(0, P, per_run)
-                   for G in sample(s, stencils[start:start + per_run]
-                                   .reshape(-1, n))])
+    Gs = np.concatenate([sample(s, stencils[start:start + per_run]
+                                .reshape(-1, n))
+                         for start in range(0, P, per_run)])
     Gs = Gs.reshape((P, size) + Gs.shape[1:])
     G0 = Gs[:, 0]
     # dG[p, l, a, b, t] = d G^l_ab / d x^t at base point p, from axis t's
@@ -136,28 +129,27 @@ class TwoPathResidual(NamedTuple):
     the curvature output; ``paths_delta`` bounds their disagreement and
     ``scale`` is the term magnitude for relative comparisons."""
 
-    direct: float
-    assembled: float
-    paths_delta: float
-    scale: float
+    direct: np.ndarray
+    assembled: np.ndarray
+    paths_delta: np.ndarray
+    scale: np.ndarray
 
     @classmethod
     def stacked(cls, direct: np.ndarray, assembled: np.ndarray,
-                lowered: np.ndarray) -> list["TwoPathResidual"]:
-        """One residual per row of the stacks."""
-        return [cls(d, a, delta, max(1.0, low)) for d, a, delta, low in zip(
-            _max_abs_rows(direct), _max_abs_rows(assembled),
-            _max_abs_rows(direct - assembled), _max_abs_rows(lowered))]
+                lowered: np.ndarray) -> "TwoPathResidual":
+        """The residuals at each row of the stacks, a (P,) stack each."""
+        return cls(_max_abs_rows(direct), _max_abs_rows(assembled),
+                   _max_abs_rows(direct - assembled),
+                   _scale(_max_abs_rows(lowered)))
 
 
-def cyclic_residual(up: np.ndarray) -> list[tuple[float, float]]:
+def cyclic_residual(up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Uncontracted first-Bianchi residual of each row of a stack of
     curvature arrays, with its comparison scale."""
-    return [(cyclic, max(1.0, scale)) for cyclic, scale in zip(
-        _max_abs_rows(_cyclic(up)), _max_abs_rows(up))]
+    return _max_abs_rows(_cyclic(up)), _scale(_max_abs_rows(up))
 
 
-def contracted_two_path(up, brace, w) -> list[TwoPathResidual]:
+def contracted_two_path(up, brace, w) -> TwoPathResidual:
     """Cyclic curvature sum contracted with the two-form, both code paths,
     at each row of stacks of the curvature ``up``, the brace array and the
     two-form components w."""
@@ -165,7 +157,7 @@ def contracted_two_path(up, brace, w) -> list[TwoPathResidual]:
                                    _lowered(w, _cyclic(up)), _lowered(w, up))
 
 
-def pair_two_path(up, brace, w) -> list[TwoPathResidual]:
+def pair_two_path(up, brace, w) -> TwoPathResidual:
     """Symmetry of the lowered curvature in its first index pair, at each
     row of the stacks :func:`contracted_two_path` takes.
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the per-row replay."""
+"""Exception types shared across the package, the per-row replay, and the
+row operations on stacks: arrays with a leading row axis, or tuples."""
 
-from typing import Callable, Iterator
+from typing import Callable
+
+import numpy as np
 
 
 class FinsymError(Exception):
@@ -74,20 +77,37 @@ class ConfigError(FinsymError):
         self.json_path = json_path
 
 
-def each_row(fn: Callable, *stacks) -> Iterator:
-    """The entries of ``fn(*stacks)``, one per row of the equal-length
-    stacks.  Where fn raises a FinsymError on a stack of several rows, each
-    row is run again as a one-row stack, in order and as the entries are
-    read, so every entry is its own row's value or the FinsymError its
-    one-row stack raises, without frames, whatever the other rows hold."""
+def take_rows(stack, rows):
+    """Rows of a stack, an index array or a slice: of an array, or field by
+    field of a tuple or named tuple of stacks."""
+    if isinstance(stack, np.ndarray):
+        return stack[rows]
+    return getattr(stack, "_make", tuple)(take_rows(f, rows) for f in stack)
+
+
+def concat_rows(stacks: list):
+    """The rows of several stacks of one kind, in order, as one stack."""
+    if isinstance(stacks[0], np.ndarray):
+        return np.concatenate(stacks)
+    return getattr(stacks[0], "_make", tuple)(
+        concat_rows(list(fields)) for fields in zip(*stacks))
+
+
+def each_row(fn: Callable, *stacks) -> tuple[np.ndarray, object, dict]:
+    """``fn(*stacks)`` as ``(rows, values, errors)``: the rows that hold a
+    value, ascending, the stack of their values, and ``{row: FinsymError}``
+    for the others.  Where fn raises a FinsymError on several rows, each
+    row is run again alone, so every row holds what its one-row stack
+    gives, errors without frames, whatever the other rows hold."""
     try:
-        found = fn(*stacks)
+        return np.arange(len(stacks[0])), fn(*stacks), {}
     except FinsymError as exc:
-        found = exc.with_traceback(None)
-    if not isinstance(found, FinsymError):
-        yield from found
-    elif len(stacks[0]) == 1:
-        yield found
-    else:
-        for p in range(len(stacks[0])):
-            yield from each_row(fn, *(s[p:p + 1] for s in stacks))
+        error = exc.with_traceback(None)  # it may be raised again
+    if len(stacks[0]) == 1:
+        return np.arange(0), None, {0: error}
+    found = [each_row(fn, *(take_rows(s, slice(p, p + 1)) for s in stacks))
+             for p in range(len(stacks[0]))]
+    rows = [p for p, (ok, _, _) in enumerate(found) if len(ok)]
+    return (np.array(rows, dtype=int),
+            concat_rows([found[p][1] for p in rows]) if rows else None,
+            {p: e[0] for p, (_, _, e) in enumerate(found) if e})

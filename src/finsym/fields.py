@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -410,9 +410,9 @@ class ChartMap:
                         self.inverse_domain, self.forward_domain)
 
 
-@dataclass(frozen=True)
-class ChartJacobians:
-    """Derivative data of a chart map at one point x.
+class ChartJacobians(NamedTuple):
+    """Derivative data of a chart map at a stack of points x, each field
+    with a row per point:
 
     fwd[p, i]     = d xhat^p / d x^i            (at x)
     inv[j, q]     = d x^j / d xhat^q            (at xhat(x))
@@ -429,48 +429,54 @@ class ChartJacobians:
 _CHAIN_TOL = 1e-8
 
 
-def chart_jacobians(chart: ChartMap, xs) -> list[ChartJacobians]:
+def _require_rows(box: DomainBox | None, xs: np.ndarray, what: str) -> None:
+    """The box's DomainError for the first row of a stack outside it."""
+    if box is not None:
+        inside = box.contains_rows(xs)
+        if not inside.all():
+            box.require(xs[np.argmin(inside)], what)
+
+
+def chart_jacobians(chart: ChartMap, xs) -> ChartJacobians:
     """First/second derivative arrays of a chart at each row of a ``(P, m)``
     stack of points; SingularChartError unless the inverse undoes the
     forward map at every row (Jacobians inverse within ``_CHAIN_TOL``,
-    value back at x within ``_CHAIN_TOL * max(1, max|x|)``).  The checks
-    after each jet run row by row, in the order of one point's."""
+    value back at x within ``_CHAIN_TOL * max(1, max|x|)``).  Each check
+    runs over the stack and raises for its first failing row; the chain
+    defect and the round-trip miss are one check, in that order."""
     m = chart.dimension
     xs = np.asarray(xs, dtype=float)
-    if chart.forward_domain is not None:
-        for x in xs:
-            chart.forward_domain.require(x, "chart point")
+    _require_rows(chart.forward_domain, xs, "chart point")
 
     fwd_jets = [c.eval_jet(xs, 1) for c in chart.forward]
     xhat = np.stack([j.value for j in fwd_jets], axis=1)
     fwd = np.stack([j.derivatives(1) for j in fwd_jets], axis=1)
-    for x, f in zip(xs, fwd):
-        with np.errstate(over="ignore"):  # an overflowing det is ±inf
-            det = float(np.linalg.det(f))
-        if abs(det) < 1e-8:
-            raise SingularChartError(f"chart Jacobian determinant {det:.3e} "
-                                     f"below 1e-8 at {x.tolist()}")
+    with np.errstate(over="ignore"):  # an overflowing det is ±inf
+        det = np.linalg.det(fwd)
+    singular = np.abs(det) < 1e-8
+    if singular.any():
+        p = int(np.argmax(singular))
+        raise SingularChartError(f"chart Jacobian determinant {det[p]:.3e} "
+                                 f"below 1e-8 at {xs[p].tolist()}")
 
-    if chart.inverse_domain is not None:
-        for x in xhat:
-            chart.inverse_domain.require(x, "mapped chart point")
+    _require_rows(chart.inverse_domain, xhat, "mapped chart point")
     inv_jets = [c.eval_jet(xhat, 2) for c in chart.inverse]
     inv = np.stack([j.derivatives(1) for j in inv_jets], axis=1)
     inv2 = np.stack([j.derivatives(2) for j in inv_jets], axis=1)
     back = np.stack([j.value for j in inv_jets], axis=1)
 
-    out = []
-    for x, xh, f, i, i2, b in zip(xs, xhat, fwd, inv, inv2, back):
-        defect = float(np.max(np.abs(f @ i - np.eye(m))))
-        if defect > _CHAIN_TOL:
+    defect = np.abs(fwd @ inv - np.eye(m)).max(axis=(1, 2))
+    miss = np.abs(back - xs).max(axis=1)
+    bound = np.array([_CHAIN_TOL * max(1.0, v)
+                      for v in np.abs(xs).max(axis=1).tolist()])
+    bad = (defect > _CHAIN_TOL) | (miss > bound)
+    if bad.any():
+        p = int(np.argmax(bad))
+        if defect[p] > _CHAIN_TOL:
             raise SingularChartError(
                 f"inverse map inconsistent with forward map (chain defect "
-                f"{defect:.3e} > {_CHAIN_TOL:g}) at {x.tolist()}")
-        miss = float(np.max(np.abs(b - x)))
-        bound = _CHAIN_TOL * max(1.0, float(np.max(np.abs(x))))
-        if miss > bound:
-            raise SingularChartError(
-                f"inverse map does not return to the point (round-trip miss "
-                f"{miss:.3e} > {bound:.3g}) at {x.tolist()}")
-        out.append(ChartJacobians(x=x, xhat=xh, fwd=f, inv=i, inv2=i2))
-    return out
+                f"{defect[p]:.3e} > {_CHAIN_TOL:g}) at {xs[p].tolist()}")
+        raise SingularChartError(
+            f"inverse map does not return to the point (round-trip miss "
+            f"{miss[p]:.3e} > {bound[p]:.3g}) at {xs[p].tolist()}")
+    return ChartJacobians(xs, xhat, fwd, inv, inv2)

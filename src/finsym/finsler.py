@@ -7,8 +7,9 @@ leading batch axis, one entry per point, and a trailing tangent axis
 (forward-mode dual numbers).  A tangent axis of length 1 gives the values
 (:func:`sample_block`), one of length 1 + 2n the values plus their first
 derivatives in (x, y) (:func:`chern_block`), each from one jet with a column
-per point.  A single point is a block of one row: :func:`finsler_sample`.
-F cancels from the assembly and enters only the reported Cartan tensor.
+per point, and gives stacks, arrays with a row per point.  A single point is
+a block of one row: :func:`finsler_sample`.  F cancels from the assembly
+and enters only the reported Cartan tensor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,16 +84,24 @@ class MetricSpec:
         return ScalarFieldSpec.parse(str(entry), variables)
 
     @classmethod
-    def riemannian(cls, entries, domain: DomainBox,
-                   y_min: float = DEFAULT_Y_MIN) -> "MetricSpec":
+    def _symmetric(cls, entries, name: str) -> tuple:
+        """The matrix of field specs; ValueError unless it is symmetric."""
         n = len(entries)
         xvars = tuple(f"x{i + 1}" for i in range(n))
-        g = tuple(tuple(cls._as_spec(entries[i][j], xvars) for j in range(n))
+        a = tuple(tuple(cls._as_spec(entries[i][j], xvars) for j in range(n))
                   for i in range(n))
         for i in range(n):
             for j in range(i + 1, n):
-                if g[i][j].program != g[j][i].program:
-                    raise ValueError(f"metric matrix not symmetric at ({i},{j})")
+                if a[i][j].program != a[j][i].program:
+                    raise ValueError(
+                        f"{name} matrix not symmetric at ({i},{j})")
+        return a
+
+    @classmethod
+    def riemannian(cls, entries, domain: DomainBox,
+                   y_min: float = DEFAULT_Y_MIN) -> "MetricSpec":
+        n = len(entries)
+        g = cls._symmetric(entries, "metric")
         quad = _quadratic_form(g, n)
         allvars = _xy_vars(n)
         F = ScalarFieldSpec(allvars, quad + (_SQRT,))
@@ -103,14 +112,9 @@ class MetricSpec:
     def randers(cls, alpha_entries, b_components, domain: DomainBox,
                 y_min: float = DEFAULT_Y_MIN) -> "MetricSpec":
         n = len(alpha_entries)
-        xvars = tuple(f"x{i + 1}" for i in range(n))
-        a = tuple(tuple(cls._as_spec(alpha_entries[i][j], xvars) for j in range(n))
-                  for i in range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if a[i][j].program != a[j][i].program:
-                    raise ValueError(f"alpha matrix not symmetric at ({i},{j})")
-        b = tuple(cls._as_spec(c, xvars) for c in b_components)
+        a = cls._symmetric(alpha_entries, "alpha")
+        b = tuple(cls._as_spec(c, tuple(f"x{i + 1}" for i in range(n)))
+                  for c in b_components)
         if len(b) != n:
             raise ValueError("covector component count must match dimension")
         beta = _sum_programs([b[i].program + (("var", n + i), _MUL)
@@ -140,8 +144,7 @@ def _quadratic_form(entries, n: int) -> tuple:
 def _require_points(m: MetricSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Two (P, n) stacks as float arrays, checked as stacks: a DomainError
     for the first failing pair, its x before its y."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if not len(xs):
         return xs, ys
     if xs.shape[1:] != (m.dimension,) or ys.shape[1:] != (m.dimension,):
@@ -260,13 +263,13 @@ def _connection(g, dg_dx, dg_dy, y) -> tuple:
 # -- point samples -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FinslerSample:
-    """All fundamental quantities of a metric at one point (x, y)."""
+class FinslerSample(NamedTuple):
+    """All fundamental quantities of a metric at a stack of points (x, y),
+    or at one point (:func:`finsler_sample`), where F is a float."""
 
     x: np.ndarray
     y: np.ndarray
-    F: float
+    F: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     A: np.ndarray
@@ -310,16 +313,18 @@ def _assembly(m: MetricSpec, xs, ys, order: int, y: np.ndarray) -> tuple:
 
 
 def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
-    """The fundamental quantities at (x, y): :func:`sample_block` on a
-    block of one row."""
-    return sample_block(m, [x], [y])[0]
+    """The fundamental quantities at (x, y): the row of
+    :func:`sample_block` on a block of one row."""
+    sample = sample_block(m, [x], [y])
+    return FinslerSample(*(a[0] for a in sample._replace(
+        F=sample.F.tolist())))
 
 
-def sample_block(m: MetricSpec, xs, ys) -> list:
-    """The samples at each pair of two (P, n) stacks of equal length, from
-    one order-3 jet of the energy with a column per pair.  Raises a
-    FinsymError if any row fails: where rows fail at different stages, not
-    necessarily the first failing row's."""
+def sample_block(m: MetricSpec, xs, ys) -> FinslerSample:
+    """The samples at each pair of two (P, n) stacks of equal length, as
+    one stack, from one order-3 jet of the energy with a column per pair.
+    Raises a FinsymError if any row fails: where rows fail at different
+    stages, not necessarily the first failing row's."""
     xs, ys = _require_points(m, xs, ys)
     F = _positive(m.F_field.evaluate(np.concatenate([xs, ys], axis=1)),
                   xs, ys)
@@ -334,75 +339,70 @@ def sample_block(m: MetricSpec, xs, ys) -> list:
         p = int(np.argmin(finite))
         raise DomainError(f"non-finite connection data at x={xs[p].tolist()}"
                           f", y={ys[p].tolist()}")
-    return [FinslerSample(*row) for row in zip(
-        xs, ys, F.tolist(), g, g_inv, A, gamma, N, chern, dg_dx)]
+    return FinslerSample(xs, ys, F, g, g_inv, A, gamma, N, chern, dg_dx)
 
 
-def finsler_samples(m: MetricSpec, xs, ys) -> list:
+def finsler_samples(m: MetricSpec, xs, ys) -> tuple:
     """The fundamental quantities at each pair (xs[p], ys[p]) of two
     (P, n) stacks: the value path of the connection assembly, as one
     :func:`sample_block`.
 
-    Entry p is the sample, or the FinsymError raised there: what the block
-    of its row alone gives, whatever the other rows hold (:func:`each_row`).
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    Gives :func:`each_row`'s ``(rows, samples, errors)``: each row holds
+    what the block of its row alone gives."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} base points but {len(ys)} fiber points")
     if not len(xs):
-        return []
-    return list(each_row(partial(sample_block, m), xs, ys))
+        return np.arange(0), None, {}
+    return each_row(partial(sample_block, m), xs, ys)
 
 
 class StructuralResiduals(NamedTuple):
-    """Residuals of the two defining structural equations at one point."""
+    """Residuals of the two defining structural equations, (P,) each."""
 
-    torsion: float
-    compat: float
-    scale: float
+    torsion: np.ndarray
+    compat: np.ndarray
+    scale: np.ndarray
 
 
-def structural_residuals(samples: Sequence[FinslerSample]
-                         ) -> list[StructuralResiduals]:
+def structural_residuals(samples: FinslerSample) -> StructuralResiduals:
     """Torsion-freeness and almost-metric-compatibility residuals at each
-    of a stack of samples, as one array computation over the stack.
+    row of a stack of samples, as one array computation over the stack.
 
     The compatibility residual is the dx-component of the structural
     equation: dg_ij/dx^t - g_kj G^k_it - g_ik G^k_jt - 2 A_ijs N^s_t / F.
     ``scale`` is max(1, largest |term|), for relative comparisons.
     """
     # C-contiguous stacks, so einsum sums each row in a lone row's order
-    g, chern, A, N, dg_dx = (np.stack([getattr(s, name) for s in samples])
-                             for name in ("g", "chern", "A", "N", "dg_dx"))
-    F = np.array([s.F for s in samples])[:, None, None, None]
-    torsion = np.abs(chern - chern.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
+    g, chern, A, N, dg_dx = (np.ascontiguousarray(a) for a in (
+        samples.g, samples.chern, samples.A, samples.N, samples.dg_dx))
+    F = samples.F[:, None, None, None]
+    torsion = _max_abs_rows(chern - chern.transpose(0, 1, 3, 2))
 
     term_g = dg_dx.transpose(0, 2, 3, 1)                      # (p, i, j, t)
     term_a = np.einsum("pkj,pkit->pijt", g, chern)
     term_b = np.einsum("pik,pkjt->pijt", g, chern)
     term_c = 2.0 * np.einsum("pijs,pst->pijt", A, N) / F
     residual = term_g - term_a - term_b - term_c
-    largest = np.stack([np.abs(t).max(axis=(1, 2, 3))
-                        for t in (term_g, term_a, term_b, term_c)], axis=1)
-    compat = np.abs(residual).max(axis=(1, 2, 3))
-    return [StructuralResiduals(t, c, max(1.0, max(m))) for t, c, m in zip(
-        torsion.tolist(), compat.tolist(), largest.tolist())]
+    largest = zip(*(_max_abs_rows(t).tolist()
+                    for t in (term_g, term_a, term_b, term_c)))
+    return StructuralResiduals(torsion, _max_abs_rows(residual), np.array(
+        [max(1.0, max(m)) for m in largest]))
 
 
 def chern_with_derivatives(m: MetricSpec, x, y):
-    """:func:`chern_block` at (x, y), a block of one row."""
-    return chern_block(m, [x], [y])[0]
+    """:func:`chern_block` at (x, y), the row of a block of one row."""
+    return tuple(a[0] for a in chern_block(m, [x], [y]))
 
 
-def chern_block(m: MetricSpec, xs, ys) -> list:
+def chern_block(m: MetricSpec, xs, ys) -> tuple:
     """Connection coefficients plus their chart and fiber first derivatives
     at each pair of two (P, n) stacks, from one order-4 jet of the energy.
 
-    Entry p is (G, dG_dx, dG_dy) with G[l, j, k], dG_dx[l, j, k, t] the
-    derivative in x^t, dG_dy[l, j, k, q] the derivative in y^q, all at
-    (xs[p], ys[p]); G equals the value path's chern bit for bit.  Raises a
-    FinsymError if any row fails."""
+    Gives the stacks (G, dG_dx, dG_dy): G[p, l, j, k], dG_dx[p, l, j, k, t]
+    the derivative in x^t and dG_dy[p, l, j, k, q] the derivative in y^q,
+    all at (xs[p], ys[p]); G equals the value path's chern bit for bit.
+    Raises a FinsymError if any row fails."""
     xs, ys = _require_points(m, xs, ys)
     n = m.dimension
     # y as a dual number: value y, unit tangent along each fiber variable
@@ -413,14 +413,26 @@ def chern_block(m: MetricSpec, xs, ys) -> list:
     if not finite.all():
         raise DomainError("non-finite connection derivatives at "
                           f"x={xs[np.argmin(finite)].tolist()}")
-    return [(_value(G), np.ascontiguousarray(G[..., 1:n + 1]),
-             np.ascontiguousarray(G[..., n + 1:])) for G in chern]
+    return (_value(chern), np.ascontiguousarray(chern[..., 1:n + 1]),
+            np.ascontiguousarray(chern[..., n + 1:]))
+
+
+def _max_abs_rows(a: np.ndarray) -> np.ndarray:
+    """max |a| over each row of a stack of arrays."""
+    return np.abs(a).max(axis=tuple(range(1, a.ndim)))
+
+
+def _scale(*terms: np.ndarray) -> np.ndarray:
+    """max(1.0, ...) of the terms at each row, as Python's max takes it: a
+    nan term after 1.0 is passed over."""
+    return np.array([max(1.0, *row)
+                     for row in zip(*(t.tolist() for t in terms))])
 
 
 # -- validity and probes --------------------------------------------------------
 
 
-def randers_alpha_norm(m: MetricSpec, xs) -> list[float]:
+def randers_alpha_norm(m: MetricSpec, xs) -> np.ndarray:
     """alpha-norm sqrt(a^{ij} b_i b_j) of the covector b at each row of a
     (P, n) stack; the solve and the product run row by row."""
     if m.family != "randers":
@@ -442,7 +454,7 @@ def randers_alpha_norm(m: MetricSpec, xs) -> list[float]:
             raise DomainError(f"a^ij b_i b_j = {q:.3e} is negative or "
                               f"non-finite at x={x.tolist()}")
         out.append(float(np.sqrt(q)))
-    return out
+    return np.array(out)
 
 
 # fiber scalings at which the homogeneity residual compares F(x, lam y)
@@ -450,7 +462,7 @@ def randers_alpha_norm(m: MetricSpec, xs) -> list[float]:
 _LAMBDAS = (0.5, 2.0, 3.0)
 
 
-def homogeneity_residuals(m: MetricSpec, xs, ys) -> list[float]:
+def homogeneity_residuals(m: MetricSpec, xs, ys) -> np.ndarray:
     """Largest relative gap |F(x, lam y) - lam F(x, y)| / (lam F(x, y))
     over the fiber scalings lam in ``_LAMBDAS``, at each pair of two (P, n)
     stacks: F on the pairs, then on each scaling of them.  F must be
@@ -463,35 +475,33 @@ def homogeneity_residuals(m: MetricSpec, xs, ys) -> list[float]:
         Fl = m.F_field.evaluate(np.concatenate([xs, lam * ys], axis=1))
         rel = [max(r, abs(a - lam * b) / abs(lam * b))
                for r, a, b in zip(rel, Fl.tolist(), F)]
-    return rel
+    return np.array(rel)
 
 
-def euler_residuals(m: MetricSpec, xs, ys) -> list:
+def euler_residuals(m: MetricSpec, xs, ys) -> np.ndarray:
     """Relative defect of Euler's identity y^i dF/dy^i = F at each pair of
     two (P, n) stacks, from one order-1 jet of F with a column per pair.
     The contraction with y runs row by row, as a Python sum."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     Fj = m.F_field.eval_jet(np.concatenate([xs, ys], axis=1), 1)
     F = _positive(Fj.value, xs, ys).tolist()
-    return [abs(sum(y * dF) - F_xy) / abs(F_xy) for y, dF, F_xy in zip(
-        ys, Fj.derivatives(1)[:, m.dimension:], F)]
+    return np.array([abs(sum(y * dF) - F_xy) / abs(F_xy) for y, dF, F_xy
+                     in zip(ys, Fj.derivatives(1)[:, m.dimension:], F)])
 
 
-def cartan_trace_residual(samples: Sequence[FinslerSample]) -> list[float]:
+def cartan_trace_residual(samples: FinslerSample) -> np.ndarray:
     """|A_ijk y^k|, which vanishes for a homogeneous F, relative to
-    max(1, max|A| |y|), at each of a stack of samples."""
-    A = np.stack([s.A for s in samples])
-    ys = np.stack([s.y for s in samples])
+    max(1, max|A| |y|), at each row of a stack of samples."""
+    A, ys = np.ascontiguousarray(samples.A), np.ascontiguousarray(samples.y)
     trace = np.abs(np.einsum("pijk,pk->pij", A, ys)).max(axis=(1, 2))
     # |y| as np.linalg.norm takes it of one row, a dot product: an axis
     # norm of the stack sums the squares by another route, and its last bit
     # can differ
     norm = np.sqrt(np.vecdot(ys, ys))
-    scale = np.abs(A).max(axis=(1, 2, 3)) * norm
-    return [t / max(1.0, c) for t, c in zip(trace.tolist(), scale.tolist())]
+    return trace / _scale(_max_abs_rows(A) * norm)
 
 
-def metric_validity(m: MetricSpec, samples: Sequence,
+def metric_validity(m: MetricSpec, samples,
                     homogeneity_tol: float = 1e-9) -> list[CheckRecord]:
     """The ``metric-validity`` check's records, sorted by record id, with
     each sampled (x, y) pair as its own base point.  Failures never raise;
@@ -506,10 +516,11 @@ def metric_validity(m: MetricSpec, samples: Sequence,
                       ["metric-validity"])
 
 
-def max_pairwise_spread(arrays: Sequence[np.ndarray]) -> float:
-    """Largest entrywise difference between any two of the arrays."""
-    spread = 0.0
-    for a in range(len(arrays)):
-        for b in range(a + 1, len(arrays)):
-            spread = max(spread, float(np.max(np.abs(arrays[a] - arrays[b]))))
-    return spread
+def max_pairwise_spread(arrays: np.ndarray) -> np.ndarray:
+    """Largest entrywise difference between any two of the arrays
+    ``arrays[p, a]`` at each row p of a stack."""
+    k = arrays.shape[1]
+    gaps = [_max_abs_rows(arrays[:, a] - arrays[:, b]).tolist()
+            for a in range(k) for b in range(a + 1, k)]
+    return np.array([max(0.0, *row) for row in zip(*gaps)] if gaps
+                    else [0.0] * len(arrays))

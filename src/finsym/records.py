@@ -27,10 +27,9 @@ class CheckRecord:
     @classmethod
     def evaluated(cls, check: str, point, residual: float,
                   tolerance: float) -> "CheckRecord":
-        residual = float(residual)
-        return cls(check=check, point=_point(point), residual=residual,
-                   tolerance=float(tolerance),
-                   passed=bool(residual <= tolerance))
+        residual, tolerance = float(residual), float(tolerance)
+        return cls(check, _point(point), residual, tolerance,
+                   residual <= tolerance)
 
     @classmethod
     def failed(cls, check: str, point, message: str,

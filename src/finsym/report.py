@@ -77,13 +77,10 @@ def emit_report(records: list[CheckRecord], fmt: str = "json") -> bytes:
             rows.append((check, str(len(rs)), str(n_pass),
                          str(len(rs) - n_pass), str(n_err), worst))
         widths = [max(len(row[c]) for row in rows) for c in range(6)]
-        out = []
-        for row in rows:
-            out.append("  ".join(cell.ljust(widths[c])
-                                 for c, cell in enumerate(row)).rstrip())
-        total = len(records)
+        out = ["  ".join(cell.ljust(widths[c])
+                         for c, cell in enumerate(row)).rstrip()
+               for row in rows]
         passed = sum(1 for r in records if r.passed)
-        out.append("")
-        out.append(f"{passed}/{total} records passed")
+        out += ["", f"{passed}/{len(records)} records passed"]
         return ("\n".join(out) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")

@@ -195,6 +195,11 @@ def _parse_expr(text: str, variables, path: str) -> ScalarFieldSpec:
         raise ConfigError(f"bad expression {text!r}: {exc}", path) from exc
 
 
+def _parse_exprs(texts, variables, path: str) -> tuple:
+    return tuple(_parse_expr(text, variables, f"{path}/{i}")
+                 for i, text in enumerate(texts))
+
+
 def _build_metric(block: dict, dimension: int) -> MetricSpec:
     family = block["family"]
     domain = _build_box(block["domain"], dimension, "/metric/domain")
@@ -222,9 +227,9 @@ def _build_metric(block: dict, dimension: int) -> MetricSpec:
                 raise ConfigError(
                     f"randers metric requires {dimension} covector components",
                     "/metric/b")
-            b_specs = [_parse_expr(b[i], xvars, f"/metric/b/{i}")
-                       for i in range(dimension)]
-            return MetricSpec.randers(matrix("alpha"), b_specs, domain, y_min)
+            return MetricSpec.randers(matrix("alpha"),
+                                      _parse_exprs(b, xvars, "/metric/b"),
+                                      domain, y_min)
         F = block.get("F")
         if F is None:
             raise ConfigError("custom metric requires 'F'", "/metric/F")
@@ -350,28 +355,36 @@ def _grid_points(box: DomainBox, count: int, keep=None) -> np.ndarray:
 
 
 def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0,
-                   keep=None) -> np.ndarray:
-    """``count`` uniform points of the inset box that ``keep`` (default:
-    the box's own test), a test of each row of a stack, admits, each of
-    norm at least ``min_norm``.
+                   keep=None, runs: int = 1) -> np.ndarray:
+    """``runs`` runs of ``count`` uniform points of the inset box that
+    ``keep`` (default: the box's own test), a test of each row of a stack,
+    admits, each of norm at least ``min_norm``: a (runs, count, n) array.
 
-    Candidates are drawn in rounds of as many as are still needed, one
-    ``rng.random`` call each: the draws of single points, in their order.
-    A ConfigError after ``1000 * count`` draws that did not give ``count``
-    points."""
+    Candidates are one stream of rows, drawn in rounds of as many as the
+    runs still need; a run takes the rows after the last run's last point
+    up to its ``count``-th admitted row, as if drawn one at a time.  A
+    ConfigError where that row lies past ``1000 * count`` rows."""
     keep = keep or box.contains_rows
     lo, hi = _inset(box)
-    out = []
-    budget = 1000 * count
-    while len(out) < count:
-        k = min(count - len(out), budget)
-        if not k:
+    budget, out = 1000 * count, []
+    # the rows drawn after the last run's last point, and which are admitted
+    ps, admitted = np.empty((0, box.dimension)), np.empty(0, dtype=bool)
+    while len(out) < runs:
+        hits = np.flatnonzero(admitted[:budget])[:count]
+        if len(hits) == count:
+            out.append(ps[hits])
+            ps, admitted = ps[hits[-1] + 1:], admitted[hits[-1] + 1:]
+        elif len(admitted) >= budget:
             raise ConfigError(
                 "sampling box rejects nearly all points", "/sampling")
-        budget -= k
-        ps = lo + (hi - lo) * rng.random((k, box.dimension))
-        out.extend(p for p, ok, row in zip(ps, keep(ps), ps.tolist())
-                   if ok and math.hypot(*row) >= min_norm)
+        else:
+            new = lo + (hi - lo) * rng.random((min(
+                count * (runs - len(out)) - len(hits),
+                budget - len(admitted)), box.dimension))
+            norms = np.array([math.hypot(*row) for row in new.tolist()])
+            ps = np.concatenate([ps, new])
+            admitted = np.concatenate([admitted,
+                                       keep(new) & (norms >= min_norm)])
     return np.array(out)
 
 
@@ -406,10 +419,9 @@ def build_plan(config: dict, metric: MetricSpec) -> SamplePlan:
         return SamplePlan(xs=xs, ys=ys)
 
     rng = np.random.default_rng(sampling["seed"])
-    xs = _random_points(metric.domain, count, rng, keep=base_point)
-    ys = np.empty((count, y_per_x, dim))
-    for i in range(count):
-        ys[i] = _random_points(y_box, y_per_x, rng, min_norm=metric.y_min)
+    (xs,) = _random_points(metric.domain, count, rng, keep=base_point)
+    ys = _random_points(y_box, y_per_x, rng, min_norm=metric.y_min,
+                        runs=count)
     return SamplePlan(xs=xs, ys=ys)
 
 
@@ -449,18 +461,17 @@ def build_scenario(config: dict, seed_override: int | None = None,
     if "two_form" in config:
         two_form, kind = _build_two_form(config["two_form"], dimension, metric)
 
+    xvars = tuple(f"x{i + 1}" for i in range(dimension))
     vector_field = None
     if "vector_field" in config:
         block = config["vector_field"]
-        comps = block["components"]
-        if len(comps) != dimension:
+        if len(block["components"]) != dimension:
             raise ConfigError(
                 f"vector field must have {dimension} components",
                 "/vector_field/components")
-        xvars = tuple(f"x{i + 1}" for i in range(dimension))
         vector_field = VectorFieldSpec(
-            tuple(_parse_expr(comps[i], xvars, f"/vector_field/components/{i}")
-                  for i in range(dimension)),
+            _parse_exprs(block["components"], xvars,
+                         "/vector_field/components"),
             w_min=float(block.get("w_min", 1e-6)))
 
     chart = None
@@ -470,21 +481,12 @@ def build_scenario(config: dict, seed_override: int | None = None,
             raise ConfigError(
                 f"chart components must have {dimension} entries",
                 "/chart/forward")
-        xvars = tuple(f"x{i + 1}" for i in range(dimension))
         chart = ChartMap(
-            forward=tuple(_parse_expr(block["forward"][i], xvars,
-                                      f"/chart/forward/{i}")
-                          for i in range(dimension)),
-            inverse=tuple(_parse_expr(block["inverse"][i], xvars,
-                                      f"/chart/inverse/{i}")
-                          for i in range(dimension)),
-            forward_domain=(_build_box(block["forward_domain"], dimension,
-                                       "/chart/forward_domain")
-                            if "forward_domain" in block else None),
-            inverse_domain=(_build_box(block["inverse_domain"], dimension,
-                                       "/chart/inverse_domain")
-                            if "inverse_domain" in block else None),
-        )
+            _parse_exprs(block["forward"], xvars, "/chart/forward"),
+            _parse_exprs(block["inverse"], xvars, "/chart/inverse"),
+            *(_build_box(block[key], dimension, f"/chart/{key}")
+              if key in block else None
+              for key in ("forward_domain", "inverse_domain")))
 
     if "berwald_vectors" in config:
         vecs = tuple(np.asarray(v, dtype=float) for v in config["berwald_vectors"])

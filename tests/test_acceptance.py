@@ -21,7 +21,7 @@ from finsym.curvature import (
     induced_derivatives,
     pair_two_path,
 )
-from finsym.errors import ConfigError
+from finsym.errors import ConfigError, take_rows
 from finsym.fedosov import (
     FedosovScenario,
     covariant_residual,
@@ -145,9 +145,10 @@ def test_criterion_02_structural_equations(euclid2, polar, quartic2, randers01):
     for metric, box in [(euclid2, BOX2), (polar, POLAR_BOX),
                         (quartic2, BOX2), (randers01, BOX2)]:
         xs, ys = zip(*xy_samples(rng, box, 100))
-        for res in structural_residuals(sample_block(metric, xs, ys)):
-            worst_t = max(worst_t, res.torsion)
-            worst_c = max(worst_c, res.compat / res.scale)
+        res = structural_residuals(sample_block(metric, xs, ys))
+        for torsion, compat, scale in zip(*res):
+            worst_t = max(worst_t, torsion)
+            worst_c = max(worst_c, compat / scale)
     _report("criterion-02 structural-equations",
             worst_t == 0.0 and worst_c <= 1e-7,
             f"4 metrics x 100 pts: torsion {worst_t:.1e} (exact 0), "
@@ -227,7 +228,7 @@ def test_criterion_05_exactness(request):
             gam = induce_connection(sc, x)
             w = sc.vector_field.values([x])[0]
             pres = chern_preservation_residual(sc.metric, sc.two_form, x, w)
-            direct = covariant_residual(gam, *sc.two_form.data([x])[0])
+            (direct,) = covariant_residual(gam[None], *sc.two_form.data([x]))
             worst = max(worst, abs(direct - pres.max_abs))
     _report("criterion-05 induced-exactness", worst <= 1e-12,
             f"7 scenarios x 15 pts: |connection residual - lift residual| "
@@ -256,7 +257,7 @@ def test_criterion_06_darboux_relations(euclid2, quartic2, euclid4, quartic4):
                 continue
             asserted += 1
             gam = induce_connection(sc, x)
-            worst = max(worst, darboux_relations_residual(gam, n))
+            worst = max(worst, darboux_relations_residual(gam[None], n)[0])
     _report("criterion-06 darboux-relations",
             asserted == 100 and worst <= 1e-8,
             f"{asserted} preserving points, worst relation residual "
@@ -267,8 +268,9 @@ def test_criterion_06_darboux_relations(euclid2, quartic2, euclid4, quartic4):
 
 
 def _spread(metric, x, ws):
-    return max_pairwise_spread([finsler_sample(metric, x, w).chern
-                                for w in ws])
+    (spread,) = max_pairwise_spread(np.array(
+        [[finsler_sample(metric, x, w).chern for w in ws]]))
+    return spread
 
 
 def test_criterion_07_berwald_uniqueness(polar, quartic2, randers01):
@@ -295,16 +297,16 @@ def test_criterion_08_randers_equivalence(randers01, dbeta01):
     rng = np.random.default_rng(17)
     worst_eq, worst_closed = 0.0, 0.0
     xs, ys = zip(*xy_samples(rng, BOX2, 100))
-    G = [smp.chern for smp in sample_block(randers01, xs, ys)]
-    forms = dbeta01.data(xs)
-    lifts = PreservationResidual.stacked(*zip(*forms), G)
+    G = sample_block(randers01, xs, ys).chern
+    w, dw = dbeta01.data(xs)
+    lifts = PreservationResidual.stacked(w, dw, G)
     conds = randers_condition(
-        *zip(*covector_derivatives(randers01.b_fields, xs)), G)
-    for pres, cond, (_, dw) in zip(lifts, conds, forms):
-        scale = max(1.0, float(np.max(np.abs(pres.entries))))
+        *covector_derivatives(randers01.b_fields, xs), G)
+    for entries, cond, closed in zip(lifts.entries, conds, closedness(dw)):
+        scale = max(1.0, float(np.max(np.abs(entries))))
         worst_eq = max(worst_eq,
-                       float(np.max(np.abs(cond + pres.entries))) / scale)
-        worst_closed = max(worst_closed, closedness(dw))
+                       float(np.max(np.abs(cond + entries))) / scale)
+        worst_closed = max(worst_closed, closed)
     w12 = dbeta01.data([[0.3, -0.7]])[0][0][0, 1]
     _report("criterion-08 randers-equivalence",
             worst_eq <= 1e-9 and worst_closed <= 1e-9
@@ -327,18 +329,18 @@ def test_criterion_09_chart_transformation(quartic2):
     worst_spot, worst_eq = 0.0, 0.0
     for x in sample_box(rng, BOX2.lower, BOX2.upper, 20):
         gam = induce_connection(sc, x)  # vanishes in natural coordinates
-        jac = chart_jacobians(chart, [x])[0]
-        ghat = transform_connection(gam, jac)
+        jac = chart_jacobians(chart, [x])
+        ghat = transform_connection(gam[None], jac)
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 0] = -1.0
-        worst_spot = max(worst_spot, float(np.max(np.abs(ghat - expect))))
-        require_minkowskian([finsler_sample(quartic2, x, y).chern
-                             for y in minkowski_probes(2)])
-        w, dw = sc.two_form.data([x])[0]
+        worst_spot = max(worst_spot, float(np.max(np.abs(ghat[0] - expect))))
+        require_minkowskian(np.array([[finsler_sample(quartic2, x, y).chern
+                                       for y in minkowski_probes(2)]]))
+        w, dw = sc.two_form.data([x])
         hatted = hatted_two_form_data(w, dw, jac)
-        mk = minkowski_preservation_check(dw, jac, hatted)
-        hp = PreservationResidual.of(*hatted, ghat)
-        worst_eq = max(worst_eq, abs(mk.hatted - hp.max_abs))
+        _, (mk_hatted,) = minkowski_preservation_check(dw, jac, hatted)
+        _, (hp_max_abs,) = PreservationResidual.stacked(*hatted, ghat)
+        worst_eq = max(worst_eq, abs(mk_hatted - hp_max_abs))
     _report("criterion-09 chart-transformation",
             worst_spot <= 1e-8 and worst_eq <= 1e-8,
             f"hatted coefficient vs -1: {worst_spot:.3e} (tol 1e-8); hatted "
@@ -389,12 +391,12 @@ def _derivatives(sc, x, w=None):
     """The jet-path data at x, W(x) there unless given, each a stack of
     one row."""
     w = sc.vector_field.values([x])[0] if w is None else w
-    return tuple(np.stack([d]) for d in induced_derivatives(sc, [x], [w])[0])
+    return induced_derivatives(sc, [x], [w])
 
 
 def _form(sc, x):
     """The scenario's two-form components at x, a stack of one row."""
-    return np.stack([sc.two_form.data([x])[0][0]])
+    return sc.two_form.data([x])[0]
 
 
 def test_criterion_11_curvature_identities(request):
@@ -407,11 +409,11 @@ def test_criterion_11_curvature_identities(request):
             d = _derivatives(sc, x)
             up, brace = curvature_up(*d), brace_array(*d)
             w = _form(sc, x)
-            ((cyc, scale),) = cyclic_residual(up)
+            (cyc,), (scale,) = cyclic_residual(up)
             worst_bianchi = max(worst_bianchi, cyc / scale)
-            (bc,) = contracted_two_path(up, brace, w)
-            (ps,) = pair_two_path(up, brace, w)
-            worst_two_path = max(worst_two_path, bc.paths_delta, ps.paths_delta)
+            (bc,) = contracted_two_path(up, brace, w).paths_delta
+            (ps,) = pair_two_path(up, brace, w).paths_delta
+            worst_two_path = max(worst_two_path, bc, ps)
 
     worst_pair = 0.0
     preserving = [("graph_scenario", BOX2, 40), ("product_scenario", BOX4, 8),
@@ -424,14 +426,14 @@ def test_criterion_11_curvature_identities(request):
             assert chern_preservation_residual(
                 sc.metric, sc.two_form, x, w).max_abs <= 1e-9
             d = _derivatives(sc, x, w)
-            (ps,) = pair_two_path(curvature_up(*d), brace_array(*d),
-                                  _form(sc, x))
-            worst_pair = max(worst_pair, ps.assembled / ps.scale)
+            ps = pair_two_path(curvature_up(*d), brace_array(*d),
+                               _form(sc, x))
+            worst_pair = max(worst_pair, ps.assembled[0] / ps.scale[0])
 
     control_sc, x = request.getfixturevalue("randers_std_scenario"), [0.3, 0.2]
     d = _derivatives(control_sc, x)
-    (control,) = pair_two_path(curvature_up(*d), brace_array(*d),
-                               _form(control_sc, x))
+    control = take_rows(pair_two_path(curvature_up(*d), brace_array(*d),
+                                      _form(control_sc, x)), 0)
     _report("criterion-11 curvature-identities",
             worst_bianchi <= 1e-7 and worst_pair <= 1e-6
             and worst_two_path <= 1e-9 and control.assembled > 1e-6,

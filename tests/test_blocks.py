@@ -5,9 +5,10 @@ fail in every way a block can: outside the domain, below the slit or W's
 floor, at a singular chart or alpha, where g is not positive definite,
 where F <= 0, and where a field's value or jet is not finite."""
 
-import dataclasses
 import os
+import sys
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,17 +22,21 @@ from finsym.curvature import (_cyclic, brace_array, contracted_two_path,
                               curvature_fd_commutators, curvature_up,
                               cyclic_residual, induced_derivatives,
                               pair_two_path)
-from finsym.errors import FinsymError, each_row
-from finsym.fedosov import FedosovScenario
+from finsym.errors import FinsymError, each_row, take_rows
+from finsym.fedosov import (FedosovScenario, darboux_relations_residual,
+                            hatted_two_form_data, minkowski_probes,
+                            require_minkowskian)
 from finsym.fields import (ChartMap, DomainBox, ScalarFieldSpec,
                            VectorFieldSpec, chart_jacobians)
 from finsym.jets import fd_oracle, fd_stencil
 from finsym.finsler import (FinslerSample, MetricSpec, cartan_trace_residual,
                             chern_block, euler_residuals,
-                            homogeneity_residuals, randers_alpha_norm,
-                            sample_block, structural_residuals)
-from finsym.scenario import build_scenario, load_config
-from finsym.symplectic import (ExactTwoForm, PreservationResidual,
+                            homogeneity_residuals, max_pairwise_spread,
+                            randers_alpha_norm, sample_block,
+                            structural_residuals)
+from finsym.scenario import (build_scenario, default_berwald_vectors,
+                             load_config)
+from finsym.symplectic import (ExactTwoForm, PreservationResidual, closedness,
                                covector_derivatives, exact_form_data,
                                explicit_two_form, randers_condition)
 
@@ -99,40 +104,94 @@ CURVED_ROWS = ([[0.1, 0.5], [-0.3, 0.8], [0.2, -0.6]],
 FD_ROWS = (CURVED_ROWS[0], CURVED_ROWS[1] + [[1.9996, 0.5]])
 
 
-def _curvature_entries(xs):
-    """The entries of UP, BRACE and FORM (with LIFTED as the form) at each
+def _curvature_values(xs):
+    """The values of UP, BRACE and FORM (with LIFTED as the form) at each
     row, as the runner's columns hold them."""
-    d = list(map(np.stack, zip(*induced_derivatives(
-        CURVED, xs, CURVED.vector_field.values(xs)))))
-    return list(curvature_up(*d)), list(brace_array(*d)), LIFTED.data(xs)
+    d = induced_derivatives(CURVED, xs, CURVED.vector_field.values(xs))
+    return curvature_up(*d), brace_array(*d), LIFTED.data(xs)
 
 
 def _fd_consistency_rows(xs):
-    ups = _curvature_entries(xs)[0]
-    return checks._fd_consistency(
-        None, xs, ups, list(curvature_fd_commutators(CURVED, xs, 64)))
+    return checks._fd_consistency(None, xs, _curvature_values(xs)[0],
+                                  curvature_fd_commutators(CURVED, xs, 64))
 
 
 def _lift_rows(xs, ys):
-    G = [smp.chern for smp in sample_block(MIXED, xs, ys)]
-    return PreservationResidual.stacked(*zip(*LIFTED.data(xs)), G)
+    return PreservationResidual.stacked(*LIFTED.data(xs),
+                                        sample_block(MIXED, xs, ys).chern)
 
 
 def _randers_rows(xs, ys):
     """The randers-equivalence facet's residual on d(beta)."""
     samples = sample_block(RANDERS, xs, ys)
-    covectors = covector_derivatives(RANDERS.b_fields, xs)
-    lifts = PreservationResidual.stacked(
-        *zip(*(exact_form_data(*c) for c in covectors)),
-        [smp.chern for smp in samples])
-    return checks._randers_equivalence(None, xs, ys, lifts, covectors,
+    covector = covector_derivatives(RANDERS.b_fields, xs)
+    lifts = PreservationResidual.stacked(*exact_form_data(*covector),
+                                         samples.chern)
+    return checks._randers_equivalence(None, xs, ys, lifts, covector,
                                        samples)
 
 
 def _jet_rows(order, xs):
     """The field's jet at each row: its coefficients and every partial."""
     jet = FIELD.eval_jet(xs, order)
-    return list(zip(jet.c.T, *(jet.derivatives(k) for k in range(order + 1))))
+    return (jet.c.T,) + tuple(jet.derivatives(k) for k in range(order + 1))
+
+
+# the facets made from the form, the chart, the samples and the probes; a
+# block stand-in holds the tolerance and dimension they read
+BLOCK = SimpleNamespace(s=SimpleNamespace(tolerances={"tol_nd": 1e-8},
+                                          dimension=2))
+# a 4-d form: sqrt(x1) fails below 0 and 1/x4 at 0
+FORM4 = explicit_two_form(4, {(0, 1): "sqrt(x1)*x3", (0, 3): "x1*x2*x3",
+                              (1, 2): "x2*x4+2", (2, 3): "1/x4"})
+FORM4_ROWS = ([[0.5, 1.0, -0.3, 0.7], [1.3, -0.2, 0.4, -1.1],
+               [0.1, 0.6, 1.5, 0.9]],
+              [[-1.0, 1.0, 0.2, 0.3], [0.5, 0.2, 0.1, 0.0]])
+# x1 > 0, where the chart and MIXED hold values, then the chart failing
+TRANSFORM_ROWS = ([([0.5, 0.3], [1.0, 0.7]), ([1.2, -0.4], [0.6, 1.1])],
+                  [([0.0, 0.3], [1.0, 0.5]), ([3.0, 0.0], [1.0, 0.5])])
+# the probes fail where the sample does: outside the box and where F < 0
+PROBE_ROWS = ([[0.1, 0.2], [-0.3, 0.4], [0.2, -0.1]],
+              [[3.0, 0.0], [-1.5, 0.0]])
+# Minkowskian within 1e-8 near the origin, not at x1 = 100, and outside its
+# box at x1 = 300
+FLATISH = MetricSpec.custom("sqrt((1+0.000000001*x1^2)*y1^2+y2^2)", 2,
+                            DomainBox((-200.0, -200.0), (200.0, 200.0)))
+FLATISH_ROWS = ([[0.5, 0.2], [-0.3, 0.1], [0.2, -0.4]],
+                [[100.0, 0.0], [300.0, 0.0]])
+
+
+def _probe_chern(m, xs, probes):
+    """The connection arrays at each row's probes, as the probe columns
+    hold them."""
+    k = len(probes)
+    chern = sample_block(m, np.repeat(xs, k, axis=0),
+                         np.tile(np.asarray(probes), (len(xs), 1))).chern
+    return chern.reshape((len(xs), k) + chern.shape[1:])
+
+
+def _hatted_rows(xs):
+    return hatted_two_form_data(*FORM.data(xs), chart_jacobians(CHART, xs))
+
+
+def _minkowski_rows(xs):
+    jac = chart_jacobians(CHART, xs)
+    form = FORM.data(xs)
+    return checks._minkowski(BLOCK, xs, None, form, jac,
+                             hatted_two_form_data(*form, jac))
+
+
+def _exactness_rows(xs, ys):
+    samples = sample_block(MIXED, xs, ys)
+    form = LIFTED.data(xs)
+    return checks._exactness(BLOCK, xs, samples,
+                             checks._lifts(samples, form), form)
+
+
+def _roundtrip_rows(xs, ys):
+    jac = chart_jacobians(CHART, xs)
+    return checks._roundtrip(BLOCK, xs, sample_block(MIXED, xs, ys), jac,
+                             chart_jacobians(CHART.swapped(), jac.xhat))
 
 
 def _points(rows):
@@ -170,18 +229,36 @@ CASES = {
         sample_block(MIXED, xs, ys)), MIXED_ROWS),
     "lift": (_lift_rows, MIXED_ROWS),
     "randers-equivalence": (_randers_rows, RANDERS_ROWS),
+    # the facets stacked from the form, the chart, the samples and probes
+    "closedness": (lambda xs: closedness(FORM4.data(xs)[1]),
+                   _points(FORM4_ROWS)),
+    "nondegeneracy": (lambda xs: checks._nondegeneracy(
+        BLOCK, xs, FORM4.data(xs)), _points(FORM4_ROWS)),
+    "hatted": (_hatted_rows, _points(CHART_ROWS)),
+    "minkowski": (_minkowski_rows, _points(CHART_ROWS)),
+    "minkowskian": (lambda xs: require_minkowskian(_probe_chern(
+        FLATISH, xs, minkowski_probes(2))), _points(FLATISH_ROWS)),
+    "berwald-spread": (lambda xs: max_pairwise_spread(
+        _probe_chern(MIXED, xs, default_berwald_vectors(2))),
+        _points(PROBE_ROWS)),
+    "symmetry": (lambda xs, ys: checks._symmetry(
+        BLOCK, xs, sample_block(MIXED, xs, ys)), MIXED_ROWS),
+    "darboux": (lambda xs, ys: darboux_relations_residual(
+        sample_block(MIXED, xs, ys).chern, 1), MIXED_ROWS),
+    "exactness": (_exactness_rows, MIXED_ROWS),
+    "roundtrip": (_roundtrip_rows, TRANSFORM_ROWS),
     # the curvature columns, each over the rows where its inputs exist
-    "curvature-up": (lambda xs: _curvature_entries(xs)[0],
+    "curvature-up": (lambda xs: _curvature_values(xs)[0],
                      _points(CURVED_ROWS)),
-    "brace": (lambda xs: _curvature_entries(xs)[1], _points(CURVED_ROWS)),
-    "pair-two-path": (lambda xs: pair_two_path(*checks._curvature_stacks(
-        *_curvature_entries(xs))), _points(CURVED_ROWS)),
+    "brace": (lambda xs: _curvature_values(xs)[1], _points(CURVED_ROWS)),
+    "pair-two-path": (lambda xs: (lambda up, brace, form: pair_two_path(
+        up, brace, form[0]))(*_curvature_values(xs)), _points(CURVED_ROWS)),
     "bianchi-two-path": (lambda xs: checks._two_path(
-        None, xs, *_curvature_entries(xs)), _points(CURVED_ROWS)),
-    "bianchi-cyclic": (lambda xs: cyclic_residual(np.stack(
-        _curvature_entries(xs)[0])), _points(CURVED_ROWS)),
+        None, xs, *_curvature_values(xs)), _points(CURVED_ROWS)),
+    "bianchi-cyclic": (lambda xs: cyclic_residual(
+        _curvature_values(xs)[0]), _points(CURVED_ROWS)),
     "antisymmetry": (lambda xs: checks._antisymmetry(
-        None, xs, _curvature_entries(xs)[0]), _points(CURVED_ROWS)),
+        None, xs, _curvature_values(xs)[0]), _points(CURVED_ROWS)),
     "fd-commutator": (partial(curvature_fd_commutators, CURVED, max_rows=64),
                       _points(FD_ROWS)),
     "fd-consistency": (_fd_consistency_rows, _points(FD_ROWS)),
@@ -189,31 +266,38 @@ CASES = {
 
 
 def _one_row(fn, row):
-    """What ``fn`` gives on the stacks of one row: its entry, or its
-    error."""
+    """What ``fn`` gives on the stacks of one row: a stack of one row, or
+    its error."""
     try:
-        (found,) = fn(*(np.array([r]) for r in row))
+        return fn(*(np.array([r]) for r in row))
     except FinsymError as exc:
         return exc
-    return found
 
 
 def _assert_same(a, b):
-    """Bit for bit, through tuples, lists and dataclasses; errors by type
-    and text."""
+    """Bit for bit, through tuples and named tuples of stacks; errors by
+    type and text."""
     assert type(a) is type(b)
     if isinstance(a, FinsymError):
         assert str(a) == str(b)
-    elif isinstance(a, (tuple, list)):
+    elif isinstance(a, tuple):
         assert len(a) == len(b)
         for u, v in zip(a, b):
             _assert_same(u, v)
-    elif dataclasses.is_dataclass(a):
-        for field in dataclasses.fields(a):
-            _assert_same(getattr(a, field.name), getattr(b, field.name))
     else:
         assert np.shape(a) == np.shape(b)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _rows(found, size):
+    """The entries of :func:`each_row`'s ``(rows, values, errors)``, in
+    row order: each row's value as a stack of one row, or its error."""
+    rows, values, errors = found
+    entries = dict(errors)
+    entries.update((p, take_rows(values, slice(i, i + 1)))
+                   for i, p in enumerate(rows.tolist()))
+    assert sorted(entries) == list(range(size))
+    return [entries[p] for p in range(size)]
 
 
 def test_every_case_has_good_and_failing_rows():
@@ -235,8 +319,7 @@ def test_block_rows_equal_one_row_calls(data):
     pool = good if data.draw(st.booleans()) else good + bad
     rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     stacks = [np.array(column) for column in zip(*rows)]
-    found = list(each_row(fn, *stacks))
-    assert len(found) == len(rows)
+    found = _rows(each_row(fn, *stacks), len(rows))
     for row, entry in zip(rows, found):
         _assert_same(entry, _one_row(fn, row))
 
@@ -309,6 +392,37 @@ def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
     assert (max(sizes) == 1) == (block_pairs == 1)
 
 
+@pytest.mark.parametrize("block_pairs", [None, 7])
+@pytest.mark.parametrize("path", ["configs/euclidean_standard.json",
+                                  "configs/quartic_minkowski_chart.json"])
+def test_np_stack_grows_with_blocks_and_columns(monkeypatch, path,
+                                                block_pairs):
+    """A column's values are gathered from stacks by fancy indexing, not
+    re-stacked from rows: over a full run of a config with a chart,
+    finsym calls ``np.stack`` at most once per column computed in a block,
+    whatever the number of rows."""
+    if block_pairs is not None:
+        monkeypatch.setattr(checks, "_BLOCK_PAIRS", block_pairs)
+    stack, init = np.stack, checks._Block.__init__
+    calls, blocks = [0], []
+
+    def counted(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        calls[0] += caller.startswith("finsym")
+        return stack(*args, **kwargs)
+
+    def kept(block, *args):
+        init(block, *args)
+        blocks.append(block)
+
+    monkeypatch.setattr(np, "stack", counted)
+    monkeypatch.setattr(checks._Block, "__init__", kept)
+    records = run_scenario(load_config(os.path.join(ROOT, path)))
+    columns = sum(len(block._columns) for block in blocks)
+    assert len(records) > columns >= len(blocks) > 1
+    assert calls[0] <= columns
+
+
 def test_a_stacked_column_over_pairs_reads_base_point_inputs():
     """A stacked column over the plan pairs with a base-point input, W:
     one call on the pairs whose base point holds a value, each pair with
@@ -321,16 +435,17 @@ def test_a_stacked_column_over_pairs_reads_base_point_inputs():
 
     def fn(b, xs, ys, ws):
         calls.append(len(xs))
-        return [float(y @ w) for y, w in zip(ys, ws)]
+        return np.array([float(y @ w) for y, w in zip(ys, ws)])
 
     rows = range(len(block.pairs[0]))
-    found = block.read(checks._stacked(fn, checks.W, fiber=True), rows)
-    ws = block.read(checks.W, range(len(block.xs)))
+    found = _rows(block.read(checks._stacked(fn, checks.W, fiber=True)),
+                     len(rows))
+    ws = _rows(block.read(checks.W), len(block.xs))
     assert sum(isinstance(w, FinsymError) for w in ws) == 1
     for p, entry in zip(rows, found):
         w = ws[p // block.per_x]
-        assert entry is w if isinstance(w, FinsymError) else entry == float(
-            block.pairs[1][p] @ w)
+        assert entry is w if isinstance(w, FinsymError) else entry[0] == (
+            block.pairs[1][p] @ w[0])
     assert calls == [len(rows) - block.per_x]
 
 
@@ -349,10 +464,10 @@ def test_each_fd_entry_is_the_one_point_commutator(path):
     s = build_scenario(load_config(os.path.join(ROOT, path)))
     sc = FedosovScenario(s.metric, s.vector_field, s.two_form)
     block = checks._Block(s, sc, 0, len(s.plan.xs))
-    rows = range(len(block.xs))
+    size = len(block.xs)
     outcomes = set()
-    for x, up, fd in zip(block.xs, block.read(checks.UP, rows),
-                         block.read(checks.FD, rows)):
+    for x, up, fd in zip(block.xs, _rows(block.read(checks.UP), size),
+                         _rows(block.read(checks.FD), size)):
         if isinstance(up, FinsymError):
             assert fd is up
             continue
@@ -362,7 +477,8 @@ def test_each_fd_entry_is_the_one_point_commutator(path):
             assert type(fd) is type(exc) and str(fd) == str(exc)
             outcomes.add("error")
         else:
-            assert fd.shape == one.shape and fd.tobytes() == one.tobytes()
+            assert fd[0].shape == one.shape
+            assert fd[0].tobytes() == one.tobytes()
             outcomes.add("value")
     # on the narrow box every stencil leaves the box
     assert outcomes == ({"error"} if "narrow-box" in path else {"value"})
@@ -374,18 +490,17 @@ def _facet_column(name):
 
 
 def _one_lift(b, sample, form):
-    return PreservationResidual.of(*form, sample.chern)
+    return PreservationResidual.stacked(*form, sample.chern)
 
 
 # stacked column -> (the scenarios it applies to, its inputs, the call on
-# one row's input values)
+# one row's input values, each a stack of one row)
 PAIR_COLUMNS = {
     "structural": (checks.STRUCTURAL, lambda s: True, (checks.SAMPLE,),
-                   lambda b, sample: structural_residuals([sample])[0]),
+                   lambda b, sample: structural_residuals(sample)),
     "cartan-trace": (
         _facet_column("metric-validity:cartan-trace"), lambda s: True,
-        (checks.SAMPLE,),
-        lambda b, sample: cartan_trace_residual([sample])[0]),
+        (checks.SAMPLE,), lambda b, sample: cartan_trace_residual(sample)),
     "lift": (checks.LIFT, lambda s: s.two_form is not None,
              (checks.SAMPLE, checks.FORM), _one_lift),
     "lift-w": (checks.LIFT_W, lambda s: None not in (s.two_form,
@@ -401,8 +516,25 @@ PAIR_COLUMNS = {
         lambda s: s.two_form_kind == "randers-dbeta",
         (checks.LIFT, checks.COVECTOR, checks.SAMPLE),
         lambda b, lift, covector, sample: checks._randers_equivalence(
-            b, None, None, [lift], [covector], [sample])[0]),
+            b, None, None, lift, covector, sample)),
 }
+
+
+def _one_row_entries(block, column, inputs, one_row):
+    """What ``one_row`` gives at each row of a column from that row's input
+    values, each a stack of one row, or the row's first failing input's
+    error."""
+    size = len(block.points[column.fiber])
+    read = [(c, _rows(block.read(c), len(block.points[c.fiber])))
+            for c in inputs]
+    out = []
+    for p in range(size):
+        values = [entries[p // block.per_x if column.fiber and not c.fiber
+                          else p] for c, entries in read]
+        error = next((v for v in values if isinstance(v, FinsymError)), None)
+        out.append(error if error is not None else one_row(block, *values))
+    return out
+
 
 PAIR_CONFIGS = sorted(
     [f"configs/{name}" for name in os.listdir(os.path.join(ROOT, "configs"))]
@@ -431,10 +563,9 @@ def test_each_pair_numeric_entry_is_the_one_row_call(path):
     for name, (column, applies, inputs, one_row) in PAIR_COLUMNS.items():
         if not applies(s):
             continue
-        rows = range(len(block.points[column.fiber]))
-        found = block.read(column, rows)
-        one = checks._Block(s, sc, 0, len(s.plan.xs)).read(
-            checks._derived(one_row, *inputs), rows)
+        found = _rows(block.read(column), len(block.points[column.fiber]))
+        one = _one_row_entries(checks._Block(s, sc, 0, len(s.plan.xs)),
+                               column, inputs, one_row)
         for a, b in zip(found, one):
             _assert_same(a, b)
         if len({isinstance(e, FinsymError) for e in found}) == 2:
@@ -491,20 +622,21 @@ def test_pair_numerics_equal_their_one_point_formulas(n, magnitude):
         return magnitude * rng.uniform(-1.0, 1.0, (P,) + shape)
 
     F = np.abs(draw()) + magnitude
-    samples = [FinslerSample(*row) for row in zip(
-        draw(n), draw(n), F.tolist(), draw(n, n), draw(n, n), draw(n, n, n),
-        draw(n, n, n), draw(n, n), draw(n, n, n), draw(n, n, n))]
-    for res, s in zip(structural_residuals(samples), samples):
-        assert tuple(res) == _one_point_structural(s)
-    assert cartan_trace_residual(samples) == [_one_point_cartan(s)
-                                              for s in samples]
+    samples = FinslerSample(
+        draw(n), draw(n), F, draw(n, n), draw(n, n), draw(n, n, n),
+        draw(n, n, n), draw(n, n), draw(n, n, n), draw(n, n, n))
+    rows = [take_rows(samples, p) for p in range(P)]
+    for res, s in zip(zip(*structural_residuals(samples)), rows):
+        assert res == _one_point_structural(s)
+    assert cartan_trace_residual(samples).tolist() == [
+        _one_point_cartan(s) for s in rows]
     w, dw, G = draw(n, n), draw(n, n, n), draw(n, n, n)
     db, ddb = draw(n, n), draw(n, n, n)
-    for res, row in zip(PreservationResidual.stacked(w, dw, G),
-                        zip(w, dw, G)):
+    lifts = PreservationResidual.stacked(w, dw, G)
+    for entries, max_abs, row in zip(*lifts, zip(w, dw, G)):
         expected = _one_point_lift(*row)
-        assert res.entries.tobytes() == expected.tobytes()
-        assert res.max_abs == float(np.max(np.abs(expected)))
+        assert entries.tobytes() == expected.tobytes()
+        assert max_abs == float(np.max(np.abs(expected)))
     for cond, row in zip(randers_condition(db, ddb, G), zip(db, ddb, G)):
         assert cond.tobytes() == _one_point_randers(*row).tobytes()
 
@@ -575,7 +707,7 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _assert_curvature_rows(G, dG_dx, dG_dy, dW, w, fd):
+def _assert_curvature_values(G, dG_dx, dG_dy, dW, w, fd):
     """Each row of every stacked curvature quantity is its one-point
     formula's result on that row, bit for bit."""
     up, brace = curvature_up(G, dG_dx, dG_dy, dW), brace_array(
@@ -587,16 +719,16 @@ def _assert_curvature_rows(G, dG_dx, dG_dy, dW, w, fd):
         assert brace[p].tobytes() == _one_point_brace(*row[:4]).tobytes()
     for a, row in zip(_cyclic(up), ups):
         assert a.tobytes() == _one_point_cyclic(row).tobytes()
-    for found, row in zip(cyclic_residual(up), ups):
+    for found, row in zip(zip(*cyclic_residual(up)), ups):
         assert _bits(found) == _bits(_one_point_cyclic_residual(row))
     for fn, one in ((contracted_two_path, _one_point_contracted),
                     (pair_two_path, _one_point_pair)):
-        for found, row in zip(fn(up, brace, w), zip(ups, brace, w)):
+        for found, row in zip(zip(*fn(up, brace, w)), zip(ups, brace, w)):
             assert _bits(found) == _bits(one(*row))
-    for found, row in zip(checks._fd_consistency(None, None, ups, list(fd)),
+    for found, row in zip(zip(*checks._fd_consistency(None, None, up, fd)),
                           zip(ups, fd)):
         assert _bits(found) == _bits(_one_point_fd_consistency(*row))
-    assert _bits(checks._antisymmetry(None, None, ups)) == _bits(
+    assert _bits(checks._antisymmetry(None, None, up)) == _bits(
         [float(np.max(np.abs(u + u.swapaxes(2, 3)))) for u in ups])
 
 
@@ -616,7 +748,7 @@ def test_curvature_numerics_equal_their_one_point_formulas(n, magnitude):
     two-path comparisons and the FD-consistency and antisymmetry residuals
     is its one-point formula's result, bit for bit."""
     rng = np.random.default_rng(int(n * 1000 * magnitude) + 7)
-    _assert_curvature_rows(*_curvature_stacks(rng, n, 64, magnitude))
+    _assert_curvature_values(*_curvature_stacks(rng, n, 64, magnitude))
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -634,10 +766,10 @@ def test_curvature_scales_skip_non_finite_rows(n):
     fd[5, 0, 1, 0, 1] = np.inf
     G[6] = 1e300                    # products overflow to inf
     with np.errstate(invalid="ignore", over="ignore"):
-        _assert_curvature_rows(G, dG_dx, dG_dy, dW, w, fd)
+        _assert_curvature_values(G, dG_dx, dG_dy, dW, w, fd)
         # np.maximum would make this scale nan
-        (delta, scale), = checks._fd_consistency(None, None, [fd[0] * 0.0],
-                                                 [fd[4]])
+        (delta,), (scale,) = checks._fd_consistency(
+            None, None, fd[:1] * 0.0, fd[4:5])
     assert np.isnan(delta) and scale == 1.0
 
 

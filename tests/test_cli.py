@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -94,6 +96,72 @@ PLAN_SHA256 = {
     "tests/data/structural-n3-v3.json":
         "0077f934b3fe5a79d6938e39676bec25bf16bab55694a99075c95b3c8dec9ef5",
 }
+
+
+def _load_workloads():
+    """The benchmark's config generator, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(
+        "finsym_perfbench_workloads",
+        os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _per_point_draws(box, count, rng, min_norm=0.0, keep=None):
+    """``count`` points of the inset box as one base point's fibers were
+    drawn before the plan drew them in one pass: rounds of as many
+    candidates as are still needed, at most ``1000 * count`` in all."""
+    keep = keep or box.contains_rows
+    lo, hi = scenario._inset(box)
+    out, budget = [], 1000 * count
+    while len(out) < count:
+        k = min(count - len(out), budget)
+        if not k:
+            raise ConfigError("sampling box rejects nearly all points",
+                              "/sampling")
+        budget -= k
+        ps = lo + (hi - lo) * rng.random((k, box.dimension))
+        out.extend(p for p, ok, row in zip(ps, keep(ps), ps.tolist())
+                   if ok and math.hypot(*row) >= min_norm)
+    return np.array(out)
+
+
+def _per_point_plan(config, metric):
+    """The reference random plan: the base points, then each base point's
+    fibers in turn, every run of draws on its own."""
+    sampling, n = config["sampling"], config["dimension"]
+    y_box = (scenario._build_box(sampling["y_box"], n, "/sampling/y_box")
+             if "y_box" in sampling else
+             fields.DomainBox((0.35,) * n, (1.6,) * n))
+    rng = np.random.default_rng(sampling["seed"])
+    xs = _per_point_draws(metric.domain, sampling["count"], rng,
+                          keep=partial(scenario._stencil_clear,
+                                       metric.domain))
+    ys = [_per_point_draws(y_box, sampling.get("y_per_x", 1), rng,
+                           min_norm=metric.y_min) for _ in xs]
+    return xs, np.array(ys)
+
+
+def _plan_cases():
+    """The benchmark's generated Randers configs, a fiber box and slit
+    floor that reject some candidates, and a floor above every fiber
+    point of the box, which exhausts the draws."""
+    randers_config = _load_workloads().randers_config
+    cases = {f"randers-n{n}-v{v}": randers_config(
+        n, v, count=count, y_per_x=per, two_form=False, vector_field=False)
+        for n, count, per in ((2, 100, 3), (3, 400, 4), (4, 16, 2))
+        for v in (0, 7, 15)}
+    rejecting = _with_balls(cases["randers-n3-v0"])
+    cases["rejecting"] = rejecting
+    exhausting = json.loads(json.dumps(rejecting))
+    exhausting["metric"]["y_min"] = 10.0
+    cases["exhausting"] = exhausting
+    return cases
+
+
+PLAN_CASES = _plan_cases()
 
 
 def strict_records(text):
@@ -257,6 +325,26 @@ class TestRunScenario:
             step = fd_base_step(1) * max(1.0, *abs(x))
             assert math.hypot(*(x - 1005.0)) >= 3 + step
 
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    def test_plan_draws_equal_per_point_draws(self, case):
+        """The random plan draws every base point's fibers in one pass; the
+        plan is the one each base point's own rounds of draws gave, byte
+        for byte, or the same error, text and JSON pointer."""
+        config = PLAN_CASES[case]
+        metric = scenario._build_metric(config["metric"], config["dimension"])
+        try:
+            expected = _per_point_plan(config, metric)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as raised:
+                scenario.build_plan(config, metric)
+            assert str(raised.value) == str(exc)
+            assert raised.value.json_path == exc.json_path == "/sampling"
+            return
+        plan = scenario.build_plan(config, metric)
+        for found, reference in zip((plan.xs, plan.ys), expected):
+            assert found.shape == reference.shape
+            assert found.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("path", sorted(PLAN_SHA256))
     def test_sample_plan_is_pinned(self, path):
         """Candidates are drawn and tested in stacks; the plan, with a
@@ -376,14 +464,14 @@ class TestRunScenario:
     def test_chart_data_once_per_base_point(self, monkeypatch):
         """transform and minkowski share the chart derivatives at x and
         the hatted form; only the round trip's swapped chart adds a row.
-        The chart derivatives are counted by rows of their block calls."""
+        Both are counted by rows of their block calls."""
         counts = {}
 
         def counting(module, name):
             original = getattr(module, name)
 
             def counted(*args, **kwargs):
-                rows = len(args[1]) if name == "chart_jacobians" else 1
+                rows = len(args[1] if name == "chart_jacobians" else args[0])
                 counts[name] = counts.get(name, 0) + rows
                 return original(*args, **kwargs)
 
@@ -635,15 +723,15 @@ class TestRunScenario:
 
         def skew(sample):
             chern = sample.chern.copy()
-            chern[0, 0, 1] += 1e-3
-            return dataclasses.replace(sample, chern=chern)
+            chern[..., 0, 0, 1] += 1e-3
+            return sample._replace(chern=chern)
 
         def skewed(m, x, y):
             return skew(original(m, x, y))
 
         def skewed_block(m, xs, ys):
-            return [r if isinstance(r, Exception) else skew(r)
-                    for r in block(m, xs, ys)]
+            rows, samples, errors = block(m, xs, ys)
+            return rows, None if samples is None else skew(samples), errors
 
         patch_everywhere(monkeypatch, original, skewed)
         patch_everywhere(monkeypatch, block, skewed_block)

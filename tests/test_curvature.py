@@ -15,7 +15,7 @@ from finsym.curvature import (
     pair_two_path,
 )
 from finsym import finsler
-from finsym.errors import FinsymError
+from finsym.errors import FinsymError, take_rows
 from finsym.fedosov import FedosovScenario, induce_connection
 from finsym.fields import ScalarFieldSpec, VectorFieldSpec
 from finsym.jets import fd_oracle, fd_stencil
@@ -28,12 +28,17 @@ def _derivatives(sc, x, w=None):
     """The jet-path data at x, W(x) there unless given, each a stack of
     one row."""
     w = sc.vector_field.values([x])[0] if w is None else w
-    return tuple(np.stack([d]) for d in induced_derivatives(sc, [x], [w])[0])
+    return induced_derivatives(sc, [x], [w])
+
+
+def _row(stack):
+    """The one row of a stack of one row."""
+    return take_rows(stack, 0)
 
 
 def _form(form, x):
     """The two-form's components at x, a stack of one row."""
-    return np.stack([form.data([x])[0][0]])
+    return form.data([x])[0]
 
 
 class TestCurvatureInduced:
@@ -202,15 +207,16 @@ class TestLowerCurvature:
     def test_zero_curvature(self, euclid_std_scenario):
         x = [0.1, 0.1]
         d = _derivatives(euclid_std_scenario, x)
-        (res,) = pair_two_path(curvature_up(*d), brace_array(*d),
-                               _form(euclid_std_scenario.two_form, x))
+        res = _row(pair_two_path(curvature_up(*d), brace_array(*d),
+                               _form(euclid_std_scenario.two_form, x)))
         assert res.assembled == 0.0 and res.scale == 1.0
 
     def test_standard_form_unrolled_n1(self, graph_scenario):
         x = [0.4, -0.3]
         d = _derivatives(graph_scenario, x)
         up = curvature_up(*d)
-        (res,) = pair_two_path(up, brace_array(*d), _form(standard_form(1), x))
+        res = _row(pair_two_path(up, brace_array(*d),
+                                 _form(standard_form(1), x)))
         up = up[0]
         low = np.stack([up[1], -up[0]])  # R_1jkl = R^2_jkl, R_2jkl = -R^1_jkl
         assert res.assembled == np.max(np.abs(low - low.transpose(1, 0, 2, 3)))
@@ -221,8 +227,8 @@ class TestLowerCurvature:
         rng = np.random.default_rng(23)
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 8):
             d = _derivatives(graph_scenario, x)
-            (res,) = pair_two_path(curvature_up(*d), brace_array(*d),
-                                   _form(volume_form2, x))
+            res = _row(pair_two_path(curvature_up(*d), brace_array(*d),
+                                   _form(volume_form2, x)))
             assert res.assembled <= 1e-7 * res.scale
 
 
@@ -230,8 +236,8 @@ class TestBianchi:
     def test_flat(self, euclid_std_scenario):
         x = [0.2, 0.2]
         d = _derivatives(euclid_std_scenario, x)
-        (res,) = contracted_two_path(curvature_up(*d), brace_array(*d),
-                                     _form(euclid_std_scenario.two_form, x))
+        res = _row(contracted_two_path(curvature_up(*d), brace_array(*d),
+                                     _form(euclid_std_scenario.two_form, x)))
         assert res.direct == 0.0 and res.assembled == 0.0
 
     def test_cyclic_sum_all_scenarios(self, graph_scenario, product_scenario,
@@ -240,16 +246,16 @@ class TestBianchi:
                         (randers_std_scenario, BOX2)):
             rng = np.random.default_rng(24)
             for x in sample_box(rng, box.lower, box.upper, 5):
-                ((cyc, scale),) = cyclic_residual(
-                    np.stack([curvature_induced(sc, x)]))
+                (cyc,), (scale,) = cyclic_residual(
+                    curvature_induced(sc, x)[None])
                 assert cyc <= 1e-7 * scale
 
     def test_two_paths_agree(self, graph_scenario, product_scenario):
         for sc, x in ((graph_scenario, [0.4, -0.3]),
                       (product_scenario, [0.4, -0.3, 0.2, 0.5])):
             d = _derivatives(sc, x)
-            (res,) = contracted_two_path(curvature_up(*d), brace_array(*d),
-                                         _form(sc.two_form, x))
+            res = _row(contracted_two_path(curvature_up(*d), brace_array(*d),
+                                         _form(sc.two_form, x)))
             assert res.paths_delta <= 1e-9
 
 
@@ -257,8 +263,8 @@ class TestPairSymmetry:
     def test_flat(self, quartic_std_scenario):
         x = [0.2, 0.6]
         d = _derivatives(quartic_std_scenario, x)
-        (res,) = pair_two_path(curvature_up(*d), brace_array(*d),
-                               _form(quartic_std_scenario.two_form, x))
+        res = _row(pair_two_path(curvature_up(*d), brace_array(*d),
+                               _form(quartic_std_scenario.two_form, x)))
         assert res.assembled == 0.0 and res.direct == 0.0
 
     def test_preserving_scenarios_symmetric(self, graph_scenario,
@@ -270,8 +276,8 @@ class TestPairSymmetry:
                 pres = chern_preservation_residual(sc.metric, sc.two_form, x, w)
                 assert pres.max_abs <= 1e-9  # scenario really does preserve
                 d = _derivatives(sc, x, w)
-                (res,) = pair_two_path(curvature_up(*d), brace_array(*d),
-                                       _form(sc.two_form, x))
+                res = _row(pair_two_path(curvature_up(*d), brace_array(*d),
+                                       _form(sc.two_form, x)))
                 assert res.assembled <= 1e-6 * res.scale
 
     def test_two_paths_agree_everywhere(self, graph_scenario,
@@ -279,8 +285,8 @@ class TestPairSymmetry:
         x = [0.3, 0.2]
         for sc in (graph_scenario, randers_std_scenario):
             d = _derivatives(sc, x)
-            (res,) = pair_two_path(curvature_up(*d), brace_array(*d),
-                                   _form(sc.two_form, x))
+            res = _row(pair_two_path(curvature_up(*d), brace_array(*d),
+                                   _form(sc.two_form, x)))
             assert res.paths_delta <= 1e-9
 
     def test_negative_control_breaks_symmetry(self, randers_std_scenario):
@@ -293,7 +299,7 @@ class TestPairSymmetry:
             randers_std_scenario.metric, randers_std_scenario.two_form, x, w)
         assert pres.max_abs > 1e-3
         d = _derivatives(randers_std_scenario, x, w)
-        (res,) = pair_two_path(curvature_up(*d), brace_array(*d),
-                               _form(randers_std_scenario.two_form, x))
+        res = _row(pair_two_path(curvature_up(*d), brace_array(*d),
+                               _form(randers_std_scenario.two_form, x)))
         assert np.isfinite(res.assembled)
         assert res.assembled > 1e-6  # visibly asymmetric here

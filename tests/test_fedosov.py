@@ -8,6 +8,7 @@ from finsym.errors import (
     DimensionMismatchError,
     NotMinkowskianError,
     ZeroVectorError,
+    take_rows,
 )
 from finsym.fields import (
     ChartMap,
@@ -94,13 +95,13 @@ class TestSymplecticConnectionResidual:
     def test_zero_connection_constant_form(self):
         gam = _zero(2)
         omega, x = standard_form(1), [0.1, 0.2]
-        assert covariant_residual(gam, *omega.data([x])[0]) == 0.0
+        assert covariant_residual(gam[None], *omega.data([x]))[0] == 0.0
 
     def test_unmatched_derivative(self):
         gam = _zero(2)
         omega, x = explicit_two_form(2, {(0, 1): "1+x1"}), [0.4, 0.0]
-        assert covariant_residual(gam,
-                                  *omega.data([x])[0]) == pytest.approx(1.0)
+        assert covariant_residual(gam[None],
+                                  *omega.data([x]))[0] == pytest.approx(1.0)
 
     def test_exactness_on_preserving_scenario(self, graph_scenario):
         rng = np.random.default_rng(12)
@@ -110,7 +111,7 @@ class TestSymplecticConnectionResidual:
             pres = chern_preservation_residual(
                 graph_scenario.metric, graph_scenario.two_form, x, w)
             omega = graph_scenario.two_form
-            direct = covariant_residual(gam, *omega.data([x])[0])
+            direct = covariant_residual(gam[None], *omega.data([x]))[0]
             assert abs(direct - pres.max_abs) <= 1e-12
             assert direct <= 1e-9
 
@@ -123,14 +124,14 @@ class TestSymplecticConnectionResidual:
         pres = chern_preservation_residual(
             randers_std_scenario.metric, randers_std_scenario.two_form, x, w)
         omega = randers_std_scenario.two_form
-        direct = covariant_residual(gam, *omega.data([x])[0])
+        direct = covariant_residual(gam[None], *omega.data([x]))[0]
         assert abs(direct - pres.max_abs) <= 1e-12
         assert direct > 1e-3  # negative control is genuinely non-preserving
 
 
 class TestDarbouxRelations:
     def test_zero_connection(self):
-        assert darboux_relations_residual(_zero(4), 2) == 0.0
+        assert darboux_relations_residual(_zero(4)[None], 2)[0] == 0.0
 
     def test_hand_unrolled_n1(self):
         """n=1: families collapse to G^2_k2 + G^1_k1 = 0 for both k."""
@@ -138,7 +139,7 @@ class TestDarbouxRelations:
         arr = np.zeros((2, 2, 2))
         arr[0, 0, 0] = c            # G^1_11 = c
         arr[1, 0, 1] = arr[1, 1, 0] = -c  # G^2_12 = -c, symmetric
-        assert darboux_relations_residual(arr, 1) == 0.0
+        assert darboux_relations_residual(arr[None], 1)[0] == 0.0
         # brute-force enumeration over all four printed relation families
         G = arr
         worst = 0.0
@@ -154,33 +155,34 @@ class TestDarbouxRelations:
     def test_violating_connection_detected(self):
         arr = np.zeros((2, 2, 2))
         arr[0, 0, 0] = 1.0  # G^1_11 = 1 with G^2_12 = 0 breaks the relation
-        assert darboux_relations_residual(arr, 1) == pytest.approx(1.0)
+        (residual,) = darboux_relations_residual(arr[None], 1)
+        assert residual == pytest.approx(1.0)
 
     def test_preserving_scenario_satisfies_relations(self, quartic_std_scenario):
         rng = np.random.default_rng(3)
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 10):
             gam = induce_connection(quartic_std_scenario, x)
             omega = quartic_std_scenario.two_form
-            res = covariant_residual(gam, *omega.data([x])[0])
+            res = covariant_residual(gam[None], *omega.data([x]))[0]
             if res <= 1e-9:
-                assert darboux_relations_residual(gam, 1) <= 1e-8
+                assert darboux_relations_residual(gam[None], 1)[0] <= 1e-8
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
-            darboux_relations_residual(_zero(2), 2)
+            darboux_relations_residual(_zero(2)[None], 2)[0]
 
 
 class TestTransformConnection:
     def test_identity_chart(self, polar_scenario):
         gam = induce_connection(polar_scenario, [2.0, 0.5])
         # polar domain box differs; identity chart carries no domain checks
-        ghat = transform_connection(
-            gam, chart_jacobians(IDENTITY_CHART, [[2.0, 0.5]])[0])
+        (ghat,) = transform_connection(
+            gam[None], chart_jacobians(IDENTITY_CHART, [[2.0, 0.5]]))
         assert np.max(np.abs(ghat - gam)) == 0.0
 
     def test_quadratic_chart_frozen_value(self):
-        (jac,) = chart_jacobians(QUAD_CHART, [[0.8, -0.1]])
-        ghat = transform_connection(_zero(2), jac)
+        jac = chart_jacobians(QUAD_CHART, [[0.8, -0.1]])
+        (ghat,) = transform_connection(_zero(2)[None], jac)
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 0] = -1.0
         assert np.allclose(ghat, expect, atol=1e-12)
@@ -188,7 +190,8 @@ class TestTransformConnection:
     def test_linear_chart_pure_conjugation(self, polar_scenario):
         x = [2.0, 0.5]
         gam = induce_connection(polar_scenario, x)
-        ghat = transform_connection(gam, chart_jacobians(LIN_CHART, [x])[0])
+        (ghat,) = transform_connection(gam[None],
+                                       chart_jacobians(LIN_CHART, [x]))
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         Ainv = np.linalg.inv(A)
         expect = np.zeros((2, 2, 2))
@@ -206,41 +209,41 @@ class TestTransformConnection:
 
     def test_symmetry_preserved(self, graph_scenario):
         gam = induce_connection(graph_scenario, [0.4, -0.3])
-        ghat = transform_connection(
-            gam, chart_jacobians(QUAD_CHART, [[0.4, -0.3]])[0])
+        (ghat,) = transform_connection(
+            gam[None], chart_jacobians(QUAD_CHART, [[0.4, -0.3]]))
         assert np.array_equal(ghat, ghat.transpose(0, 2, 1))
 
     def test_chain_consistency(self):
         """Transforming through a hand-composed chart equals composing the
         two transforms."""
         x = np.array([0.3, -0.2])
-        zero = _zero(2)
-        step1 = transform_connection(zero, chart_jacobians(LIN_CHART, [x])[0])
-        mid = chart_jacobians(LIN_CHART, [x])[0].xhat
-        step2 = transform_connection(
-            step1, chart_jacobians(QUAD_CHART, [mid])[0])
-        direct = transform_connection(
-            zero, chart_jacobians(COMP_CHART, [x])[0])
+        zero = _zero(2)[None]
+        step1 = transform_connection(zero, chart_jacobians(LIN_CHART, [x]))
+        mid = chart_jacobians(LIN_CHART, [x]).xhat
+        step2 = transform_connection(step1, chart_jacobians(QUAD_CHART, mid))
+        direct = transform_connection(zero, chart_jacobians(COMP_CHART, [x]))
         assert np.max(np.abs(step2 - direct)) <= 1e-8
 
     def test_roundtrip(self, graph_scenario):
         x = np.array([0.4, -0.3])
         gam = induce_connection(graph_scenario, x)
-        jac = chart_jacobians(QUAD_CHART, [x])[0]
-        ghat = transform_connection(gam, jac)
-        back = transform_connection(
-            ghat, chart_jacobians(QUAD_CHART.swapped(), [jac.xhat])[0])
+        jac = chart_jacobians(QUAD_CHART, [x])
+        ghat = transform_connection(gam[None], jac)
+        (back,) = transform_connection(
+            ghat, chart_jacobians(QUAD_CHART.swapped(), jac.xhat))
         assert np.max(np.abs(back - gam)) <= 1e-8
 
 
 def _minkowski(metric, omega, chart, x):
-    """The minkowski check's residuals and the hatted form at x."""
-    require_minkowskian([finsler_sample(metric, x, y).chern
-                         for y in minkowski_probes(2)])
-    jac = chart_jacobians(chart, [x])[0]
-    w, dw = omega.data([x])[0]
+    """The minkowski check's residuals at x, and the hatted form and the
+    chart derivatives there, as stacks of one row."""
+    require_minkowskian(np.array([[finsler_sample(metric, x, y).chern
+                                   for y in minkowski_probes(2)]]))
+    jac = chart_jacobians(chart, [x])
+    w, dw = omega.data([x])
     hatted = hatted_two_form_data(w, dw, jac)
-    return minkowski_preservation_check(dw, jac, hatted), hatted, jac
+    return (take_rows(minkowski_preservation_check(dw, jac, hatted), 0),
+            hatted, jac)
 
 
 class TestMinkowskiCheck:
@@ -261,13 +264,13 @@ class TestMinkowskiCheck:
         for x in sample_box(rng, BOX2.lower, BOX2.upper, 10):
             res, hatted, jac = _minkowski(quartic2, standard_form(1),
                                           QUAD_CHART, x)
-            ghat = transform_connection(_zero(2), jac)
-            pres = PreservationResidual.of(*hatted, ghat)
-            assert abs(res.hatted - pres.max_abs) <= 1e-8
+            ghat = transform_connection(_zero(2)[None], jac)
+            _, (max_abs,) = PreservationResidual.stacked(*hatted, ghat)
+            assert abs(res.hatted - max_abs) <= 1e-8
 
     def test_not_minkowskian(self, polar):
-        probes = [finsler_sample(polar, [2.0, 0.5], y).chern
-                  for y in minkowski_probes(2)]
+        probes = np.array([[finsler_sample(polar, [2.0, 0.5], y).chern
+                            for y in minkowski_probes(2)]])
         with pytest.raises(NotMinkowskianError):
             require_minkowskian(probes)
 
@@ -300,14 +303,15 @@ def test_hatted_form_against_differences(m):
     def hatted_values(xhats):
         """The hatted components at each row of a stack of hatted points."""
         xs = np.stack([c.evaluate(xhats) for c in chart.inverse], axis=1)
-        return [hatted_two_form_data(w, dw, jac)[0] for (w, dw), jac
-                in zip(omega.data(xs), chart_jacobians(chart, xs))]
+        return hatted_two_form_data(*omega.data(xs),
+                                    chart_jacobians(chart, xs))[0]
 
     rng = np.random.default_rng(21 + m)
     for x in rng.uniform(-0.8, 0.8, (4, m)):
-        jac = chart_jacobians(chart, [x])[0]
-        w, dw = omega.data([x])[0]
-        values, derivs = hatted_two_form_data(w, dw, jac)
+        jacs = chart_jacobians(chart, [x])
+        (w,), (dw,) = omega.data([x])
+        (values,), (derivs,) = hatted_two_form_data(w[None], dw[None], jacs)
+        jac = take_rows(jacs, 0)
         assert np.allclose(values, jac.inv.T @ w @ jac.inv,
                            rtol=0, atol=1e-14)
         assert np.array_equal(values, -values.T)
@@ -325,8 +329,9 @@ def test_hatted_form_against_differences(m):
 def _spread(metric, x, ws):
     """The berwald-uniqueness residual: the largest difference of the
     connection arrays at x across the fiber points ws."""
-    return max_pairwise_spread([finsler_sample(metric, x, w).chern
-                                for w in ws])
+    (spread,) = max_pairwise_spread(np.array(
+        [[finsler_sample(metric, x, w).chern for w in ws]]))
+    return spread
 
 
 class TestBerwaldUniqueness:

@@ -1,6 +1,5 @@
 """Fundamental tensors, connection coefficients, and structural residuals."""
 
-import dataclasses
 import glob
 import math
 import os
@@ -17,6 +16,7 @@ from finsym.errors import (
     FinsymError,
     NonPositiveError,
     NotPositiveDefiniteError,
+    take_rows,
 )
 from finsym.fields import DomainBox, ScalarFieldSpec
 from finsym.finsler import (
@@ -191,27 +191,27 @@ class TestChernCoefficients:
         assert np.array_equal(G, G.transpose(0, 2, 1))
 
     def test_randers_validated_by_structural(self, randers01):
-        (res,) = structural_residuals(
-            sample_block(randers01, [[0.3, 0.2]], [[1.0, 0.5]]))
+        res = take_rows(structural_residuals(
+            sample_block(randers01, [[0.3, 0.2]], [[1.0, 0.5]])), 0)
         assert res.compat <= 1e-7 * res.scale
 
 
 class TestStructuralResiduals:
     def test_euclidean_zero(self, euclid2):
-        (res,) = structural_residuals(
-            sample_block(euclid2, [[0.2, 0.3]], [[1.0, 0.5]]))
+        res = take_rows(structural_residuals(
+            sample_block(euclid2, [[0.2, 0.3]], [[1.0, 0.5]])), 0)
         assert res.torsion == 0.0
         assert res.compat == 0.0
 
     def test_polar(self, polar):
-        (res,) = structural_residuals(
-            sample_block(polar, [[2.0, 0.5]], [[1.0, 1.0]]))
+        res = take_rows(structural_residuals(
+            sample_block(polar, [[2.0, 0.5]], [[1.0, 1.0]])), 0)
         assert res.torsion == 0.0
         assert res.compat <= 1e-9
 
     def test_quartic_exact(self, quartic2):
-        (res,) = structural_residuals(
-            sample_block(quartic2, [[0.4, -0.2]], [[1.0, 0.7]]))
+        res = take_rows(structural_residuals(
+            sample_block(quartic2, [[0.4, -0.2]], [[1.0, 0.7]])), 0)
         assert res.torsion == 0.0
         assert res.compat == 0.0
 
@@ -221,9 +221,10 @@ class TestStructuralResiduals:
                  (quartic2, BOX2), (randers01, BOX2)]
         for metric, box in cases:
             xs, ys = zip(*xy_samples(rng, box, 25))
-            for res in structural_residuals(sample_block(metric, xs, ys)):
-                assert res.torsion == 0.0
-                assert res.compat <= 1e-7 * res.scale
+            res = structural_residuals(sample_block(metric, xs, ys))
+            assert len(res.torsion) == 25
+            assert (res.torsion == 0.0).all()
+            assert (res.compat <= 1e-7 * res.scale).all()
 
 
 class TestMetricValidity:
@@ -259,18 +260,20 @@ class TestBerwaldProbe:
     YS = ([1.0, 0.5], [0.5, 1.3], [2.0, 3.0])
 
     def test_riemannian(self, polar):
-        spread = max_pairwise_spread(
-            [finsler_sample(polar, [2.0, 0.5], y).chern for y in self.YS])
+        (spread,) = max_pairwise_spread(np.array(
+            [[finsler_sample(polar, [2.0, 0.5], y).chern for y in self.YS]]))
         assert spread <= 1e-10
 
     def test_locally_minkowskian_exact(self, quartic2):
-        spread = max_pairwise_spread(
-            [finsler_sample(quartic2, [0.4, -0.2], y).chern for y in self.YS])
+        (spread,) = max_pairwise_spread(np.array(
+            [[finsler_sample(quartic2, [0.4, -0.2], y).chern
+              for y in self.YS]]))
         assert spread == 0.0
 
     def test_randers_is_not_berwald(self, randers01):
-        spread = max_pairwise_spread(
-            [finsler_sample(randers01, [0.3, 0.2], y).chern for y in self.YS])
+        (spread,) = max_pairwise_spread(np.array(
+            [[finsler_sample(randers01, [0.3, 0.2], y).chern
+              for y in self.YS]]))
         assert spread > 1e-3
 
 
@@ -315,11 +318,23 @@ CONFIGS = SHIPPED + sorted(glob.glob(os.path.join(ROOT, "tests", "data",
 
 
 def _assert_same_sample(a: FinslerSample, b: FinslerSample) -> None:
-    for field in dataclasses.fields(FinslerSample):
-        va, vb = getattr(a, field.name), getattr(b, field.name)
-        assert type(va) is type(vb), field.name
-        assert np.shape(va) == np.shape(vb), field.name
-        assert np.asarray(va).tobytes() == np.asarray(vb).tobytes(), field.name
+    for name in FinslerSample._fields:
+        va, vb = getattr(a, name), getattr(b, name)
+        assert type(va) is type(vb), name
+        assert np.shape(va) == np.shape(vb), name
+        assert np.asarray(va).tobytes() == np.asarray(vb).tobytes(), name
+
+
+def _entries(found) -> list:
+    """The rows of what :func:`finsler_samples` gives, in order: each row's
+    sample as :func:`finsler_sample` gives one, or its error."""
+    rows, samples, errors = found
+    entries = dict(errors)
+    if samples is not None:
+        samples = samples._replace(F=samples.F.tolist())
+        entries.update((p, FinslerSample(*(a[i] for a in samples)))
+                       for i, p in enumerate(rows.tolist()))
+    return [entries[p] for p in sorted(entries)]
 
 
 def _assert_one_point_result(m, x, y, entry) -> None:
@@ -401,7 +416,7 @@ class TestSampleBlocks:
         s = build_scenario(load_config(path))
         xs = np.repeat(s.plan.xs, s.plan.ys.shape[1], axis=0)
         ys = s.plan.ys.reshape(-1, s.dimension)
-        found = finsler_samples(s.metric, xs, ys)
+        found = _entries(finsler_samples(s.metric, xs, ys))
         assert len(found) == len(xs)
         for x, y, entry in zip(xs, ys, found):
             _assert_one_point_result(s.metric, x, y, entry)
@@ -427,10 +442,10 @@ class TestSampleBlocks:
         with pytest.raises(error) as raised:
             finsler_sample(metric, x, y)
         pairs = self.GOOD[:2] + [(x, y)] + self.GOOD[2:]
-        found = finsler_samples(metric, *zip(*pairs))
+        found = _entries(finsler_samples(metric, *zip(*pairs)))
         assert type(found[2]) is error
         assert str(found[2]) == str(raised.value)
-        alone = finsler_samples(metric, *zip(*self.GOOD))
+        alone = _entries(finsler_samples(metric, *zip(*self.GOOD)))
         for (gx, gy), entry, clean in zip(self.GOOD, found[:2] + found[3:],
                                           alone):
             _assert_same_sample(entry, clean)
@@ -480,7 +495,8 @@ class TestSampleBlocks:
             finsler_sample(metric, x, y)
         assert type(raised.value) is error and str(raised.value) == text
         good = self.GOOD_AT[metric]
-        found = finsler_samples(metric, *zip(good[0], (x, y), good[1]))
+        found = _entries(finsler_samples(metric,
+                                         *zip(good[0], (x, y), good[1])))
         assert type(found[1]) is error and str(found[1]) == text
 
     # good points of each metric above
@@ -503,10 +519,10 @@ class TestSampleBlocks:
                                        if m is metric]
         pairs = data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                    max_size=8))
-        found = finsler_samples(metric, *zip(*pairs))
+        found = _entries(finsler_samples(metric, *zip(*pairs)))
         assert len(found) == len(pairs)
         for (x, y), entry in zip(pairs, found):
-            (alone,) = finsler_samples(metric, [x], [y])
+            (alone,) = _entries(finsler_samples(metric, [x], [y]))
             if isinstance(alone, FinsymError):
                 assert type(entry) is type(alone)
                 assert str(entry) == str(alone)
@@ -558,8 +574,9 @@ class TestSampleBlocks:
         xs = s.plan.xs
         ws = s.vector_field.values(xs)
         found = chern_block(s.metric, xs, ws)
-        assert len(found) == rows
-        for p, entry in enumerate(found):
-            (alone,) = chern_block(s.metric, xs[p:p + 1], ws[p:p + 1])
-            for a, b in zip(entry, alone):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert all(len(a) == rows for a in found)
+        for p in range(rows):
+            alone = chern_block(s.metric, xs[p:p + 1], ws[p:p + 1])
+            for a, b in zip(found, alone):
+                assert a[p].shape == b[0].shape
+                assert a[p].tobytes() == b[0].tobytes()

@@ -192,7 +192,7 @@ def test_inputs_are_computed_only_where_a_record_needs_them(name,
     """A facet reads its inputs in order, each only where the earlier ones
     hold values, and a gated residual runs only where its gate lets the
     row through: the FD commutator runs where the chain-rule curvature
-    exists, and the Darboux relations once per record they give a
+    exists, and the Darboux relations on one row per record they give a
     residual."""
     assert sorted(FD_COMMUTATOR_CALLS) == ERROR_CONFIGS
     fd, relations = set(), []
@@ -205,7 +205,7 @@ def test_inputs_are_computed_only_where_a_record_needs_them(name,
         return commutators(sc, xs, *args)
 
     def counted_relations(G, n):
-        relations.append(G)
+        relations.extend(G)  # one row per base point
         return darboux(G, n)
 
     monkeypatch.setattr(checks, "curvature_fd_commutators", counted_fd)

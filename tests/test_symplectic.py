@@ -40,7 +40,7 @@ class TestStandardForm:
 
     def test_constant_coefficients_closed(self):
         omega = standard_form(2)
-        assert closedness(omega.data([[0.1, -0.2, 0.5, 0.0]])[0][1]) == 0.0
+        assert closedness(omega.data([[0.1, -0.2, 0.5, 0.0]])[1])[0] == 0.0
 
     def test_skewness_structural(self):
         omega = explicit_two_form(4, {(0, 1): "x1*x2", (1, 3): "sqrt(1+x3^2)"})
@@ -52,7 +52,7 @@ class TestClosedness:
     def test_dbeta_is_closed(self, dbeta01):
         rng = np.random.default_rng(1)
         for x in -1 + 2 * rng.random((10, 2)):
-            assert closedness(dbeta01.data([x])[0][1]) <= 1e-9
+            assert closedness(dbeta01.data([x])[1])[0] <= 1e-9
 
     def test_dbeta_closed_dim4(self):
         b = [ScalarFieldSpec.parse(t, ["x1", "x2", "x3", "x4"])
@@ -60,43 +60,43 @@ class TestClosedness:
         omega = ExactTwoForm(b)
         rng = np.random.default_rng(1)
         for x in -1 + 2 * rng.random((10, 4)):
-            assert closedness(omega.data([x])[0][1]) <= 1e-9
+            assert closedness(omega.data([x])[1])[0] <= 1e-9
 
     def test_two_dimensional_vacuous(self):
         omega = explicit_two_form(2, {(0, 1): "x1"})
-        assert closedness(omega.data([[0.5, 0.5]])[0][1]) == 0.0
+        assert closedness(omega.data([[0.5, 0.5]])[1])[0] == 0.0
 
     def test_non_closed_detected(self):
         omega = explicit_two_form(4, {(0, 1): "x3"})
-        d = omega.data([[0.0, 0.0, 0.0, 0.0]])[0][1]
-        assert closedness(d) == pytest.approx(1.0)
+        d = omega.data([[0.0, 0.0, 0.0, 0.0]])[1]
+        assert closedness(d)[0] == pytest.approx(1.0)
 
 
 class TestNondegeneracy:
     def test_standard(self):
-        w = standard_form(2).data([[0.0] * 4])[0][0]
-        assert nondegeneracy(w) == pytest.approx(1.0)
+        w = standard_form(2).data([[0.0] * 4])[0]
+        assert nondegeneracy(w)[0] == pytest.approx(1.0)
 
     def test_randers_dbeta_determinant(self, dbeta01):
         # 2 * 0.1 = 0.2 on each entry, det = 0.04
-        w = dbeta01.data([[0.3, -0.8]])[0][0]
-        assert nondegeneracy(w) == pytest.approx(0.04)
+        w = dbeta01.data([[0.3, -0.8]])[0]
+        assert nondegeneracy(w)[0] == pytest.approx(0.04)
 
     def test_zero_form_fails(self):
         omega = TwoFormField(2, {})
-        assert nondegeneracy(omega.data([[0.0, 0.0]])[0][0]) == 0.0
+        assert nondegeneracy(omega.data([[0.0, 0.0]])[0])[0] == 0.0
 
     def test_odd_dimension(self):
         omega = TwoFormField(3, {})
         with pytest.raises(OddDimensionError):
-            nondegeneracy(omega.data([[0.0, 0.0, 0.0]])[0][0])
+            nondegeneracy(omega.data([[0.0, 0.0, 0.0]])[0])[0]
 
 
 class TestRandersTwoForm:
     def test_linear_covector_constant_entry(self, dbeta01):
         rng = np.random.default_rng(4)
         for x in -1 + 2 * rng.random((5, 2)):
-            (w, _), = dbeta01.data([x])
+            (w,), _ = dbeta01.data([x])
             assert w[0, 1] == pytest.approx(0.2, abs=1e-14)
 
     def test_exact_covector_gives_zero(self):
@@ -104,13 +104,13 @@ class TestRandersTwoForm:
         b = [ScalarFieldSpec.parse(t, V2) for t in ("2*x1", "2*x2")]
         omega = ExactTwoForm(b)
         assert np.max(np.abs(omega.data([[0.7, -0.4]])[0][0])) < 1e-14
-        assert nondegeneracy(omega.data([[0.7, -0.4]])[0][0]) < 1e-8
+        assert nondegeneracy(omega.data([[0.7, -0.4]])[0])[0] < 1e-8
 
     def test_degenerate_line(self):
         b = [ScalarFieldSpec.parse(t, V2) for t in ("0", "x1^2")]
         omega = ExactTwoForm(b)
         assert omega.data([[0.5, 0.0]])[0][0][0, 1] == pytest.approx(1.0)
-        assert nondegeneracy(omega.data([[0.0, 0.3]])[0][0]) < 1e-8
+        assert nondegeneracy(omega.data([[0.0, 0.3]])[0])[0] < 1e-8
 
 
 # nonlinear covectors; b[j] is the component b_j
@@ -129,7 +129,7 @@ def test_exact_form_against_differences(n):
     unit = np.eye(n, dtype=int)
     rng = np.random.default_rng(30 + n)
     for x in rng.uniform(-0.9, 0.9, (3, n)):
-        w, dw = omega.data([x])[0]
+        (w,), (dw,) = omega.data([x])
         assert np.array_equal(w, -w.T)
         assert np.array_equal(dw, -dw.transpose(0, 2, 1))
         for i in range(n):
@@ -162,19 +162,18 @@ class TestPreservationResidual:
     def test_volume_form_is_preserved(self, graph2, volume_form2):
         rng = np.random.default_rng(8)
         xs, ys = zip(*xy_samples(rng, BOX2, 15))
-        G = [smp.chern for smp in sample_block(graph2, xs, ys)]
-        for res in PreservationResidual.stacked(
-                *zip(*volume_form2.data(xs)), G):
-            assert res.max_abs <= 1e-9
+        G = sample_block(graph2, xs, ys).chern
+        res = PreservationResidual.stacked(*volume_form2.data(xs), G)
+        assert len(res.max_abs) == 15 and (res.max_abs <= 1e-9).all()
 
     def test_lift_invariant_when_berwald(self, graph2, volume_form2):
         """Fiber independence of the residual follows the coefficient spread."""
         x = [0.4, -0.3]
         ys = [[1.0, 0.5], [0.6, 1.2], [2.0, 1.0]]
-        G = [smp.chern for smp in sample_block(graph2, [x] * 3, ys)]
-        spread = max_pairwise_spread(G)
-        residuals = [res.entries for res in PreservationResidual.stacked(
-            *zip(*volume_form2.data([x] * 3)), G)]
+        G = sample_block(graph2, [x] * 3, ys).chern
+        (spread,) = max_pairwise_spread(G[None])
+        residuals = PreservationResidual.stacked(
+            *volume_form2.data([x] * 3), G).entries
         worst = max(float(np.max(np.abs(residuals[0] - r))) for r in residuals[1:])
         assert worst <= 10 * spread + 1e-12
 
@@ -184,26 +183,26 @@ class TestRandersCondition:
         from finsym.finsler import MetricSpec
         m = MetricSpec.randers([["1", "0"], ["0", "1"]], ["0.2", "0.1"], BOX2)
         xs, ys = [[0.3, 0.1]], [[1.0, 0.5]]
-        (cond,) = randers_condition(
-            *zip(*covector_derivatives(m.b_fields, xs)),
-            [smp.chern for smp in sample_block(m, xs, ys)])
+        (cond,) = randers_condition(*covector_derivatives(m.b_fields, xs),
+                                    sample_block(m, xs, ys).chern)
         assert np.max(np.abs(cond)) == 0.0
 
     def test_equivalence_with_negated_lift_residual(self, randers01, dbeta01):
         rng = np.random.default_rng(6)
         xs, ys = zip(*xy_samples(rng, BOX2, 20))
-        G = [smp.chern for smp in sample_block(randers01, xs, ys)]
-        lifts = PreservationResidual.stacked(*zip(*dbeta01.data(xs)), G)
+        G = sample_block(randers01, xs, ys).chern
+        lifts = PreservationResidual.stacked(*dbeta01.data(xs), G)
         conds = randers_condition(
-            *zip(*covector_derivatives(randers01.b_fields, xs)), G)
-        for pres, cond in zip(lifts, conds):
-            scale = max(1.0, float(np.max(np.abs(pres.entries))))
-            assert np.max(np.abs(cond + pres.entries)) <= 1e-9 * scale
+            *covector_derivatives(randers01.b_fields, xs), G)
+        assert len(conds) == len(lifts.entries) == 20
+        for entries, cond in zip(lifts.entries, conds):
+            scale = max(1.0, float(np.max(np.abs(entries))))
+            assert np.max(np.abs(cond + entries)) <= 1e-9 * scale
 
     def test_pointwise_equivalence_at_probe(self, randers01, dbeta01):
         xs, ys = [[0.3, 0.2]], [[1.0, 0.5]]
-        (G,) = [smp.chern for smp in sample_block(randers01, xs, ys)]
-        (pres,) = PreservationResidual.stacked(*zip(*dbeta01.data(xs)), [G])
+        G = sample_block(randers01, xs, ys).chern
+        (entries,), _ = PreservationResidual.stacked(*dbeta01.data(xs), G)
         (cond,) = randers_condition(
-            *zip(*covector_derivatives(randers01.b_fields, xs)), [G])
-        assert np.max(np.abs(cond + pres.entries)) <= 1e-9
+            *covector_derivatives(randers01.b_fields, xs), G)
+        assert np.max(np.abs(cond + entries)) <= 1e-9
