@@ -166,16 +166,20 @@ def _inputs(b: _Block, inputs, rows: np.ndarray,
         return rows // b.per_x if fiber and not column.fiber else rows
 
     errors: dict = {}
-    live, read = rows, [(column, b.read(column)) for column in inputs]
-    for column, (held, _, failed) in read:
-        bad = ~np.isin(at(column, live), held)
+    live, read = rows, []
+    for column in inputs:
+        held, values, failed = b.read(column)
+        index = np.full(len(b.points[column.fiber]), -1)  # row -> its value
+        index[held] = np.arange(len(held))
+        bad = index[at(column, live)] < 0
         errors.update((p, failed[q]) for p, q in zip(
             live[bad].tolist(), at(column, live[bad]).tolist()))
         live = live[~bad]
+        read.append((column, index, values))
     if not len(live):
         return live, [], errors
-    return live, [take_rows(values, np.searchsorted(held, at(column, live)))
-                  for column, (held, values, _) in read], errors
+    return live, [take_rows(values, index[at(column, live)])
+                  for column, index, values in read], errors
 
 
 def _stacked(fn, *inputs: _Column, fiber: bool = False) -> _Column:
