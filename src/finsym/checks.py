@@ -138,9 +138,9 @@ class _Block:
         keys = xy.view(f"V{xy.shape[1] * 8}").ravel().tolist()
         todo = {k: p for p, k in enumerate(keys) if k not in self._keys}
         if todo:
-            new, at = list(todo), list(todo.values())
-            rows, found, errors = finsler_samples(self.s.metric, xs[at],
-                                                  ys[at])
+            new, picked = list(todo), list(todo.values())
+            rows, found, errors = finsler_samples(self.s.metric, xs[picked],
+                                                  ys[picked])
             size = 0 if self._store is None else len(self._store.x)
             self._keys.update((new[p], e) for p, e in errors.items())
             self._keys.update((new[p], size + r)
