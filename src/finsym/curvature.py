@@ -69,7 +69,9 @@ def curvature_fd_commutators(s: FedosovScenario, xs,
     :func:`fd_stencil` (9 points at n = 2, 17 at n = 4), one call per axis
     over the stack, sampled in runs of whole stencils of at most
     ``max_rows`` rows (at least one stencil), each run one
-    :func:`sample_block` with W on the run.  One :func:`fd_oracle` call
+    :func:`sample_block` with W on the run; the runner passes its bound on
+    a block's plan pairs, which bounds the memory of a run as it does a
+    block's (51 rows at n = 4, 306 at n = 2).  One :func:`fd_oracle` call
     per axis (central differences, one Richardson step) differentiates
     x -> induce_connection(s, x), and one contraction assembles the
     commutator formula.

@@ -171,14 +171,25 @@ def _derivative_gather(num_vars: int, order: int,
     return pos, t.factorials[pos]
 
 
-# above the most a benchmark workload uses: the restricted tables of orders
-# 2 to 4 times the block widths come to 205 entries over the 16 variants of
-# curvature-n4 in one process, and to 128 over the five shipped configs
+def _flat_bins(out: np.ndarray, columns: int) -> np.ndarray:
+    """Output positions ``out`` in flattened ``(size, columns)``
+    coefficients, one row per table entry."""
+    return (out[:, None] * columns + np.arange(columns)).ravel()
+
+
+# A product's bins are cached only up to _CACHED_COLUMNS columns.  A wider
+# block amortises their cost over its columns, and cached they would raise
+# the peak RSS: at n = 3, where a block is 128 columns wide, caching its
+# bins raised it by about 0.5 MB.  The cache's 256 slots are above the most
+# a benchmark workload fills: 246 over the 16 variants of curvature-n4 in
+# one process, where blocks are at most 64 columns wide.
+_CACHED_COLUMNS = 64
+
+
 @lru_cache(maxsize=256)
 def _column_bins(product: _Product, columns: int) -> np.ndarray:
-    """A product table's output positions in flattened ``(size, columns)``
-    coefficients, one row per table entry."""
-    bins = (product.out[:, None] * columns + np.arange(columns)).ravel()
+    """:func:`_flat_bins` of a product table, read-only and cached."""
+    bins = _flat_bins(product.out, columns)
     bins.flags.writeable = False  # shared by every product of this shape
     return bins
 
@@ -368,7 +379,9 @@ class Jet:
         # one bincount over the flattened (output, column) index adds each
         # column's terms in table order, whatever the number of columns
         columns = prod.shape[1]
-        c = np.bincount(_column_bins(p, columns), weights=prod.ravel(),
+        bins = (_flat_bins(p.out, columns) if columns > _CACHED_COLUMNS
+                else _column_bins(p, columns))
+        c = np.bincount(bins, weights=prod.ravel(),
                         minlength=t.size * columns)
         return self._new(c.reshape(t.size, columns), support)
 

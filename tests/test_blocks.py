@@ -5,6 +5,7 @@ fail in every way a block can: outside the domain, below the slit or W's
 floor, at a singular chart or alpha, where g is not positive definite,
 where F <= 0, and where a field's value or jet is not finite."""
 
+import glob
 import os
 import sys
 from functools import partial
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsym import checks
+from finsym import checks, curvature, jets
 from finsym.checks import run_scenario
 from finsym.curvature import (_cyclic, brace_array, contracted_two_path,
                               curvature_fd_commutator,
@@ -34,6 +35,7 @@ from finsym.finsler import (FinslerSample, MetricSpec, cartan_trace_residual,
                             homogeneity_residuals, max_pairwise_spread,
                             randers_alpha_norm, sample_block,
                             structural_residuals)
+from finsym.report import emit_report
 from finsym.scenario import (build_scenario, default_berwald_vectors,
                              load_config)
 from finsym.symplectic import (ExactTwoForm, PreservationResidual, closedness,
@@ -356,7 +358,8 @@ def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
     if config["dimension"] % 2 == 0:
         checks._standard_data(config["dimension"] // 2)  # once a process
     if block_pairs is not None:
-        monkeypatch.setattr(checks, "_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(checks, "_block_pairs",
+                            lambda n, pairs=block_pairs: pairs)
     counts, sizes, in_fd = [0], [], []
     evaluate = ScalarFieldSpec.evaluate
     eval_jet = ScalarFieldSpec.eval_jet
@@ -400,9 +403,15 @@ def test_np_stack_grows_with_blocks_and_columns(monkeypatch, path,
     """A column's values are gathered from stacks by fancy indexing, not
     re-stacked from rows: over a full run of a config with a chart,
     finsym calls ``np.stack`` at most once per column computed in a block,
-    whatever the number of rows."""
-    if block_pairs is not None:
-        monkeypatch.setattr(checks, "_BLOCK_PAIRS", block_pairs)
+    whatever the number of rows.  At the default width a shipped config is
+    one block, so there its plan takes 8 fiber points per base point: 3
+    blocks of at most 38 base points."""
+    config = load_config(os.path.join(ROOT, path))
+    if block_pairs is None:
+        config["sampling"]["y_per_x"] = 8
+    else:
+        monkeypatch.setattr(checks, "_block_pairs",
+                            lambda n, pairs=block_pairs: pairs)
     stack, init = np.stack, checks._Block.__init__
     calls, blocks = [0], []
 
@@ -417,10 +426,143 @@ def test_np_stack_grows_with_blocks_and_columns(monkeypatch, path,
 
     monkeypatch.setattr(np, "stack", counted)
     monkeypatch.setattr(checks._Block, "__init__", kept)
-    records = run_scenario(load_config(os.path.join(ROOT, path)))
+    records = run_scenario(config)
     columns = sum(len(block._columns) for block in blocks)
     assert len(records) > columns >= len(blocks) > 1
     assert calls[0] <= columns
+
+
+def _randers(n: int, count: int, y_per_x: int) -> dict:
+    """A Randers config on [-1, 1]^n with x-dependent alpha and b, a vector
+    field that never vanishes there, and a random plan."""
+    alpha = [[f"1+0.2*x{i + 1}^2" if i == j
+              else f"0.03*x{min(i, j) + 1}*x{max(i, j) + 1}"
+              for j in range(n)] for i in range(n)]
+    return {"dimension": n,
+            "metric": {"family": "randers", "alpha": alpha,
+                       "b": [f"{0.1 * (-1) ** i:.1f}*x{(i + 1) % n + 1}"
+                             for i in range(n)],
+                       "domain": {"lower": [-1] * n, "upper": [1] * n}},
+            "vector_field": {"components": [f"1+0.2*x{(i + 1) % n + 1}"
+                                            for i in range(n)]},
+            "sampling": {"mode": "random", "count": count, "seed": 3,
+                         "y_per_x": y_per_x}}
+
+
+def _block_sizes(monkeypatch) -> list:
+    """The number of base points of each block a run makes from now on."""
+    sizes, init = [], checks._Block.__init__
+
+    def counted(block, *args):
+        init(block, *args)
+        sizes.append(len(block.xs))
+
+    monkeypatch.setattr(checks._Block, "__init__", counted)
+    return sizes
+
+
+def _fd_runs(monkeypatch) -> list:
+    """The number of stencil rows of each run the FD commutator samples
+    from now on."""
+    runs, connections = [], curvature._connections
+
+    def counted(sc, xs):
+        runs.append(len(xs))
+        return connections(sc, xs)
+
+    monkeypatch.setattr(curvature, "_connections", counted)
+    return runs
+
+
+# n -> (plan pairs per block, rows of a full FD run: whole stencils of
+# 1 + 4n rows)
+BLOCK_RULE = {1: (1075, 1075), 2: (307, 306), 3: (128, 117), 4: (65, 51)}
+
+
+@pytest.mark.parametrize("n", sorted(BLOCK_RULE))
+def test_block_width_follows_the_energy_jet(monkeypatch, n):
+    """A block holds at most 10,752 // C(2n + 3, 3) plan pairs, the number
+    of order-3 coefficients of the energy summed over its pairs, and one
+    run of the FD commutator's stencils at most as many rows: here a run
+    of the curvature check over one stencil more than a full run."""
+    pairs, rows = BLOCK_RULE[n]
+    assert checks._block_pairs(n) == pairs
+    stencil = 1 + 4 * n
+    config = _randers(n, rows // stencil + 1, 1)
+    sizes, runs = _block_sizes(monkeypatch), _fd_runs(monkeypatch)
+    run_scenario(config, ["curvature"])
+    assert sizes == [rows // stencil + 1]
+    assert runs == [rows, stencil]
+
+
+def test_curvature_n4_keeps_its_block_widths(monkeypatch):
+    """At n = 4 with 2 fiber points per base point a block holds 32 base
+    points and an FD run 3 of them, 51 rows, as when every block held 64
+    pairs.  A block of one base point samples its stencil through
+    ``induce_connections``, so it makes no run here."""
+    config = load_config(os.path.join(ROOT, "tests", "data",
+                                      "curvature-n4-v3.json"))
+    config["sampling"]["count"] = 33
+    sizes, runs = _block_sizes(monkeypatch), _fd_runs(monkeypatch)
+    run_scenario(config, ["curvature"])
+    assert sizes == [32, 1]
+    assert runs == [51] * 10 + [34]
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(os.path.join(ROOT, "configs"))
+    if f.endswith(".json")))
+def test_each_shipped_config_is_one_block(monkeypatch, name):
+    """The blocks depend only on the plan; a shipped config's plan of 100
+    base points at n = 2 fits in one block."""
+    sizes = _block_sizes(monkeypatch)
+    run_scenario(load_config(os.path.join(ROOT, "configs", name)),
+                 ["structural"])
+    assert sizes == [100]
+
+
+@pytest.mark.parametrize("n,count,y_per_x,blocks", [(3, 100, 4, 4),
+                                                    (1, 600, 2, 2)])
+def test_reports_over_several_default_blocks_are_unchanged(
+        monkeypatch, n, count, y_per_x, blocks):
+    """A plan the default width cuts into several blocks gives the same
+    report bytes there as at 7 pairs and at 1 pair per block."""
+    config = _randers(n, count, y_per_x)
+    sizes = _block_sizes(monkeypatch)
+    expected = emit_report(run_scenario(config))
+    assert len(sizes) == blocks
+    for pairs in (7, 1):
+        monkeypatch.setattr(checks, "_block_pairs",
+                            lambda n, pairs=pairs: pairs)
+        assert emit_report(run_scenario(config)) == expected
+
+
+# the bytes of every product's bins that the cache held after a run of the
+# five shipped configs when every block held 64 pairs and every width was
+# cached: 142 entries
+SHIPPED_BINS_BYTES = 1_101_528
+
+
+def test_bins_cache_holds_nothing_wider_than_64_columns(monkeypatch):
+    """After a run of the five shipped configs, whose blocks are 100 base
+    points wide, the cache of product bins holds none wider than 64
+    columns, and no more bytes than when every block held 64 pairs.  The
+    cache is emptied first and sees no eviction, so what it holds is what
+    the run asked of it."""
+    held, column_bins = {}, jets._column_bins
+
+    def counted(product, columns):
+        bins = column_bins(product, columns)
+        held[product, columns] = bins.nbytes
+        return bins
+
+    column_bins.cache_clear()
+    monkeypatch.setattr(jets, "_column_bins", counted)
+    for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
+        run_scenario(load_config(path))
+    assert column_bins.cache_info().currsize == len(held)
+    assert not [columns for _, columns in held if columns > 64]
+    assert sum(held.values()) <= SHIPPED_BINS_BYTES
 
 
 def test_a_stacked_column_over_pairs_reads_base_point_inputs():

@@ -632,7 +632,7 @@ class TestRunScenario:
         run_scenario(config)
         assert counts and set(counts.values()) == {1}
         assert all(rows % size == 0 for rows in stacks)
-        assert size < max(stacks) <= checks._BLOCK_PAIRS
+        assert size < max(stacks) <= checks._block_pairs(s.dimension)
         assert {(tuple(x), tuple(y)) for x, ys in zip(s.plan.xs, s.plan.ys)
                 for y in ys} <= set(counts)
         assert stencils == [

@@ -546,13 +546,14 @@ class TestSampleBlocks:
             config["sampling"].update(count=40, y_per_x=y_per_x)
         expected = emit_report(run_scenario(config, suite))
         for size in (1, 7):
-            monkeypatch.setattr(checks, "_BLOCK_PAIRS", size)
+            monkeypatch.setattr(checks, "_block_pairs",
+                                lambda n, pairs=size: pairs)
             assert emit_report(run_scenario(config, suite)) == expected
 
     def test_block_size_leaves_one_fiber_point_reports_unchanged(
             self, monkeypatch):
         """At one fiber point per base point a block holds 32 base points,
-        half of ``_BLOCK_PAIRS``; the 4-d report at 64 base points is the
+        half of ``_block_pairs(4)``; the 4-d report at 64 base points is the
         same there, at block sizes 1 and 7, and in one block of all 64,
         where the order-4 column is 64 wide."""
         config = load_config(os.path.join(ROOT, "tests", "data",
@@ -560,7 +561,8 @@ class TestSampleBlocks:
         config["sampling"].update(count=64, y_per_x=1)
         expected = emit_report(run_scenario(config))
         for size in (1, 7, 128):
-            monkeypatch.setattr(checks, "_BLOCK_PAIRS", size)
+            monkeypatch.setattr(checks, "_block_pairs",
+                                lambda n, pairs=size: pairs)
             assert emit_report(run_scenario(config)) == expected
 
     @pytest.mark.parametrize("rows", [64, 65])
