@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import finsler
 from .curvature import (
     brace_array,
     contracted_two_path,
@@ -77,27 +78,6 @@ from .symplectic import (
     randers_condition,
     standard_form,
 )
-
-
-# the most coefficients the order-3 jets of the energy hold over a block's plan
-# pairs, summed: a block holds at most _block_pairs(n) pairs, in whole base
-# points, max(1, _block_pairs(n) // max(2, y_per_x)) of them (one base point
-# alone when it has more), so its width shrinks as the jet's size C(2n + 3, 3)
-# grows: 1,075, 307, 128 and 65 pairs at n = 1 to 4.  A wide block spreads the
-# fixed cost of each call over its rows: on 2 vCPUs a warm round of the five
-# shipped configs (n = 2, one block each) took 335-373 ms at 64 pairs and
-# 171-188 ms at 307.  Memory grows with the width: on a 3-d Randers plan of
-# 1,600 pairs the peak RSS was 45.2 MB at 64 pairs, 46.1 MB at 128, 48.1 MB at
-# 256 and 69.0 MB in one block, at equal speed within the noise.  At n = 4 a
-# block holds 32 base points, which bounds the order-4 column (chern_block): 64
-# wide it raised the peak RSS by about 7 MB over 32.
-_BLOCK_COEFFICIENTS = 10_752
-
-
-def _block_pairs(n: int) -> int:
-    """The most plan pairs a block of an n-dimensional scenario holds, and
-    the most rows of one run of the FD commutator's stencils."""
-    return max(1, _BLOCK_COEFFICIENTS // math.comb(2 * n + 3, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +248,9 @@ def _minkowski(b: _Block, xs, _, form, jac, hatted) -> tuple:
 # derivatives at x, BACK the swapped chart's at the mapped point, and
 # HATTED the form pulled back through JAC.  FD, over the rows where UP
 # holds a value, takes W and the samples again on its base points' own
-# stencils, (x, W(x)) included, in runs of at most _block_pairs(n) rows, so
-# it shares no result with the path it checks; a row carries its stencil's
-# first failing point's error.
+# stencils, (x, W(x)) included, in runs of at most finsler._block_pairs(n)
+# rows, so it shares no result with the path it checks; a row carries its
+# stencil's first failing point's error.
 W = _stacked(lambda b, xs: b.s.vector_field.values(xs))
 SAMPLE_W = _stacked(lambda b, xs, ws: b.samples(xs, ws), W)
 DERIVATIVES = _stacked(lambda b, xs, ws: induced_derivatives(b.sc, xs, ws), W)
@@ -301,8 +281,7 @@ BRACE = _stacked(lambda b, xs, ds: brace_array(*ds), DERIVATIVES)
 PAIR = _stacked(lambda b, xs, up, brace, form: pair_two_path(up, brace,
                                                              form[0]),
                 UP, BRACE, FORM)
-FD = _stacked(lambda b, xs, up: curvature_fd_commutators(
-    b.sc, xs, _block_pairs(b.s.dimension)), UP)
+FD = _stacked(lambda b, xs, up: curvature_fd_commutators(b.sc, xs), UP)
 HATTED = _stacked(lambda b, xs, form, jac: hatted_two_form_data(*form, jac),
                   FORM, JAC)
 MINKOWSKIAN = _stacked(lambda b, xs, chern: require_minkowskian(chern),
@@ -615,7 +594,8 @@ def run_checks(s: BuiltScenario, suite=None) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
           if s.vector_field is not None else None)
-    size = max(1, _block_pairs(s.dimension) // max(2, s.plan.ys.shape[1]))
+    size = max(1, finsler._block_pairs(s.dimension)
+               // max(2, s.plan.ys.shape[1]))
     for start in range(0, len(s.plan.xs), size):
         block = _Block(s, sc, start, start + size)
         for facet in facets:

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import finsler
 from .fedosov import FedosovScenario, _connections, induce_connections
 from .finsler import _max_abs_rows, _scale, chern_block
 from .jets import fd_oracle, fd_stencil
@@ -60,21 +61,18 @@ def curvature_fd_commutator(s: FedosovScenario, x) -> np.ndarray:
     return curvature_fd_commutators(s, [x])[0]
 
 
-def curvature_fd_commutators(s: FedosovScenario, xs,
-                             max_rows: int = 1) -> np.ndarray:
+def curvature_fd_commutators(s: FedosovScenario, xs) -> np.ndarray:
     """Finite-difference curvature of the induced-connection field at each
     row of a (P, n) stack of base points, ``fd[p, l, i, j, k]``.
 
     Each base point's stencil is its centre and every axis's
     :func:`fd_stencil` (9 points at n = 2, 17 at n = 4), one call per axis
     over the stack, sampled in runs of whole stencils of at most
-    ``max_rows`` rows (at least one stencil), each run one
-    :func:`sample_block` with W on the run; the runner passes its bound on
-    a block's plan pairs, which bounds the memory of a run as it does a
-    block's (51 rows at n = 4, 306 at n = 2).  One :func:`fd_oracle` call
-    per axis (central differences, one Richardson step) differentiates
-    x -> induce_connection(s, x), and one contraction assembles the
-    commutator formula.
+    ``finsler._block_pairs(n)`` rows (at least one stencil; 51 rows at
+    n = 4, 306 at n = 2), the runner's bound on a block's plan pairs, each
+    run one :func:`sample_block` with W on the run.  One :func:`fd_oracle`
+    call per axis (central differences, one Richardson step) differentiates
+    x -> induce_connection(s, x); one contraction assembles the formula.
 
     A failing run raises some point's error, and the caller replays the
     stack one base point at a time (:func:`each_row`); a stack of one base
@@ -90,7 +88,8 @@ def curvature_fd_commutators(s: FedosovScenario, xs,
     stencils = np.stack([xs] + [point for axis in axes
                                 for point in fd_stencil(xs, axis)], axis=1)
     P, size = stencils.shape[:2]
-    per_axis, per_run = (size - 1) // n, max(1, max_rows // size)
+    per_axis = (size - 1) // n
+    per_run = max(1, finsler._block_pairs(n) // size)
     sample = induce_connections if P == 1 else _connections
     Gs = np.concatenate([sample(s, stencils[start:start + per_run]
                                 .reshape(-1, n))

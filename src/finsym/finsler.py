@@ -36,6 +36,24 @@ DEFAULT_Y_MIN = 1e-6
 DEFAULT_TOL_PD = 1e-10
 
 
+# The runner's blocks hold at most _block_pairs(n) plan pairs, in whole base
+# points, and each run of the FD commutator's stencils at most as many rows:
+# the pairs whose order-3 energy jets hold at most _BLOCK_COEFFICIENTS
+# coefficients, summed (1,075, 307, 128 and 65 at n = 1 to 4).  A wide block
+# spreads the fixed cost of each call over its rows: a warm round of the five
+# shipped configs took 335-373 ms at 64 pairs and 171-188 ms at 307 on 2 vCPUs.
+# The peak RSS grows with the width: 45.2 MB at 64 pairs and 69.0 MB in one
+# block on a 3-d Randers plan of 1,600 pairs, and about 7 MB more at n = 4 with
+# 64 base points in a block than with 32.
+_BLOCK_COEFFICIENTS = 10_752
+
+
+def _block_pairs(n: int) -> int:
+    """The most plan pairs a block of an n-dimensional scenario holds, and
+    the most rows of one run of the FD commutator's stencils."""
+    return max(1, _BLOCK_COEFFICIENTS // math.comb(2 * n + 3, 3))
+
+
 def _xy_vars(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n))
 
@@ -466,15 +484,20 @@ def homogeneity_residuals(m: MetricSpec, xs, ys) -> np.ndarray:
     """Largest relative gap |F(x, lam y) - lam F(x, y)| / (lam F(x, y))
     over the fiber scalings lam in ``_LAMBDAS``, at each pair of two (P, n)
     stacks: F on the pairs, then on each scaling of them.  F must be
-    positive on the slit domain."""
+    positive on the slit domain, and lam F(x, y) may not underflow to 0."""
     xs, ys = _require_points(m, xs, ys)
     F = _positive(m.F_field.evaluate(np.concatenate([xs, ys], axis=1)),
                   xs, ys).tolist()
     rel = [0.0] * len(F)
     for lam in _LAMBDAS:  # per pair on Python floats, as one point's
         Fl = m.F_field.evaluate(np.concatenate([xs, lam * ys], axis=1))
-        rel = [max(r, abs(a - lam * b) / abs(lam * b))
-               for r, a, b in zip(rel, Fl.tolist(), F)]
+        scaled = [lam * b for b in F]
+        if 0.0 in scaled:
+            p = scaled.index(0.0)
+            raise DomainError(f"lam F = {lam:g} * {F[p]:.3e} underflows to 0 "
+                              f"at x={xs[p].tolist()}, y={ys[p].tolist()}")
+        rel = [max(r, abs(a - s) / abs(s))
+               for r, a, s in zip(rel, Fl.tolist(), scaled)]
     return np.array(rel)
 
 

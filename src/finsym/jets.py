@@ -15,11 +15,12 @@ A jet holds one field at P points: its coefficients have shape
 for all of them (Taylor propagation vectorised over points, Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  One point
 is P = 1.  Every column is bit-identical to the jet of its point alone: a
-product sums each coefficient's terms in the same order whatever P is
-(one ``np.bincount`` over the flattened (output, column) index), and the
-Taylor factors of sqrt, real powers and reciprocals are computed per
-column with Python float ``**``, which can round differently from
-``np.power``.
+product sums each coefficient's terms from +0.0 in table order whatever P
+is, one numpy call per rank over index data that does not depend on P
+(:class:`_Product`), and the Taylor factors of sqrt, real powers and
+reciprocals are computed per column with Python float ``**``, which can
+round differently from ``np.power``.  Only the sign of a nan where two
+nans meet is numpy's choice per loop; a non-finite jet is an error.
 
 Each jet carries its variable support, a bitmask of the variables its
 coefficients can depend on; every other coefficient is ±0.  A variable
@@ -28,11 +29,11 @@ the union; negation, finite scalar factors and divisors and compositions
 keep it; a jet made from raw coefficients has all of them (dependence
 propagation in forward mode, as in Griewank & Walther).  A product reads
 only the entries of its table whose two factors lie inside their
-operands' supports: a cached subsequence of the full table, in the same
-order, of which the full table is the (full, full) case.  Each skipped
-term has a ±0 factor, so with finite operands it is ±0, and
-``np.bincount`` starts every sum at +0.0, where adding ±0 changes no
-partial sum: every coefficient equals the full product's bit for bit.
+operands' supports: a cached restriction of the full table, of which
+the full table is the (full, full) case.  Each skipped term has a ±0
+factor, so with finite operands it is ±0, and every sum starts at +0.0,
+where adding ±0 changes no partial sum: every coefficient equals the full
+product's bit for bit.
 
 With a non-finite factor a skipped term is nan, which the full product
 keeps and the restricted one drops.  A product carries any non-finite
@@ -89,13 +90,29 @@ def _graded_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
 
 class _Product:
     """The entries of a product table whose two factors lie inside given
-    supports, in table order: coefficient ``a[e]`` of the left factor times
-    ``b[e]`` of the right one adds to coefficient ``out[e]``."""
+    supports: entry e multiplies coefficient ``a[e]`` of the left factor by
+    ``b[e]`` of the right one.  An entry's rank is its position among the
+    entries of its output, in table order; slots order the outputs by entry
+    count, most first, ``out[slot]`` the output.  The entries come by rank,
+    then by slot, so those of rank k are ``ranks[k]:ranks[k + 1]`` and add
+    to the first slots, whatever the number of columns."""
 
-    __slots__ = ("a", "b", "out")
+    __slots__ = ("a", "b", "out", "ranks")
 
     def __init__(self, a: np.ndarray, b: np.ndarray, out: np.ndarray):
-        self.a, self.b, self.out = a, b, out
+        """The entries ``a``, ``b``, ``out`` in table order."""
+        by_out = np.argsort(out, kind="stable")
+        outputs, first, counts = np.unique(out[by_out], return_index=True,
+                                           return_counts=True)
+        rank = np.empty_like(out)
+        rank[by_out] = np.arange(len(out)) - np.repeat(first, counts)
+        by_count = np.argsort(-counts, kind="stable")
+        slot = np.empty_like(by_count)
+        slot[by_count] = np.arange(len(by_count))
+        layout = np.lexsort((slot[np.searchsorted(outputs, out)], rank))
+        self.a, self.b, self.out = a[layout], b[layout], outputs[by_count]
+        self.ranks = tuple(np.searchsorted(
+            rank[layout], np.arange(counts.max(initial=0) + 1)).tolist())
 
 
 class _JetTable:
@@ -169,29 +186,6 @@ def _derivative_gather(num_vars: int, order: int,
     pos = t.positions((slots[..., None] == np.arange(num_vars)).sum(axis=0))
     pos = pos.reshape(shape)
     return pos, t.factorials[pos]
-
-
-def _flat_bins(out: np.ndarray, columns: int) -> np.ndarray:
-    """Output positions ``out`` in flattened ``(size, columns)``
-    coefficients, one row per table entry."""
-    return (out[:, None] * columns + np.arange(columns)).ravel()
-
-
-# A product's bins are cached only up to _CACHED_COLUMNS columns.  A wider
-# block amortises their cost over its columns, and cached they would raise
-# the peak RSS: at n = 3, where a block is 128 columns wide, caching its
-# bins raised it by about 0.5 MB.  The cache's 256 slots are above the most
-# a benchmark workload fills: 246 over the 16 variants of curvature-n4 in
-# one process, where blocks are at most 64 columns wide.
-_CACHED_COLUMNS = 64
-
-
-@lru_cache(maxsize=256)
-def _column_bins(product: _Product, columns: int) -> np.ndarray:
-    """:func:`_flat_bins` of a product table, read-only and cached."""
-    bins = _flat_bins(product.out, columns)
-    bins.flags.writeable = False  # shared by every product of this shape
-    return bins
 
 
 def _finite(scalar) -> bool:
@@ -376,14 +370,16 @@ class Jet:
         p = t.product(self.support, other.support)
         prod = self.c[p.a]
         prod *= other.c[p.b]
-        # one bincount over the flattened (output, column) index adds each
-        # column's terms in table order, whatever the number of columns
-        columns = prod.shape[1]
-        bins = (_flat_bins(p.out, columns) if columns > _CACHED_COLUMNS
-                else _column_bins(p, columns))
-        c = np.bincount(bins, weights=prod.ravel(),
-                        minlength=t.size * columns)
-        return self._new(c.reshape(t.size, columns), support)
+        # each output's sum starts at +0.0 and adds its terms in table order,
+        # rank by rank, in the head of prod: the same float operations in
+        # the same order whatever the number of columns
+        sums = prod[:len(p.out)]
+        sums += 0.0
+        for start, stop in zip(p.ranks[1:], p.ranks[2:]):
+            sums[:stop - start] += prod[start:stop]
+        c = np.zeros((t.size,) + prod.shape[1:])
+        c[p.out] = sums
+        return self._new(c, support)
 
     __rmul__ = __mul__
 

@@ -5,7 +5,6 @@ fail in every way a block can: outside the domain, below the slit or W's
 floor, at a singular chart or alpha, where g is not positive definite,
 where F <= 0, and where a field's value or jet is not finite."""
 
-import glob
 import os
 import sys
 from functools import partial
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsym import checks, curvature, jets
+from finsym import checks, curvature, finsler
 from finsym.checks import run_scenario
 from finsym.curvature import (_cyclic, brace_array, contracted_two_path,
                               curvature_fd_commutator,
@@ -115,7 +114,7 @@ def _curvature_values(xs):
 
 def _fd_consistency_rows(xs):
     return checks._fd_consistency(None, xs, _curvature_values(xs)[0],
-                                  curvature_fd_commutators(CURVED, xs, 64))
+                                  _fd_commutators(xs))
 
 
 def _lift_rows(xs, ys):
@@ -201,6 +200,14 @@ def _points(rows):
     return [(r,) for r in good], [(r,) for r in bad]
 
 
+def _fd_commutators(xs):
+    """The FD commutator on CURVED with the block rule at 64 pairs, so that
+    a run holds up to 7 stencils."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finsler, "_block_pairs", lambda n: 64)
+        return curvature_fd_commutators(CURVED, xs)
+
+
 # name -> (block function, (good rows, failing rows)); a row holds one row
 # of each stack the function takes
 CASES = {
@@ -261,8 +268,7 @@ CASES = {
         _curvature_values(xs)[0]), _points(CURVED_ROWS)),
     "antisymmetry": (lambda xs: checks._antisymmetry(
         None, xs, _curvature_values(xs)[0]), _points(CURVED_ROWS)),
-    "fd-commutator": (partial(curvature_fd_commutators, CURVED, max_rows=64),
-                      _points(FD_ROWS)),
+    "fd-commutator": (_fd_commutators, _points(FD_ROWS)),
     "fd-consistency": (_fd_consistency_rows, _points(FD_ROWS)),
 }
 
@@ -358,7 +364,7 @@ def test_field_evaluations_depend_on_the_blocks(monkeypatch, path,
     if config["dimension"] % 2 == 0:
         checks._standard_data(config["dimension"] // 2)  # once a process
     if block_pairs is not None:
-        monkeypatch.setattr(checks, "_block_pairs",
+        monkeypatch.setattr(finsler, "_block_pairs",
                             lambda n, pairs=block_pairs: pairs)
     counts, sizes, in_fd = [0], [], []
     evaluate = ScalarFieldSpec.evaluate
@@ -410,7 +416,7 @@ def test_np_stack_grows_with_blocks_and_columns(monkeypatch, path,
     if block_pairs is None:
         config["sampling"]["y_per_x"] = 8
     else:
-        monkeypatch.setattr(checks, "_block_pairs",
+        monkeypatch.setattr(finsler, "_block_pairs",
                             lambda n, pairs=block_pairs: pairs)
     stack, init = np.stack, checks._Block.__init__
     calls, blocks = [0], []
@@ -486,7 +492,7 @@ def test_block_width_follows_the_energy_jet(monkeypatch, n):
     run of the FD commutator's stencils at most as many rows: here a run
     of the curvature check over one stencil more than a full run."""
     pairs, rows = BLOCK_RULE[n]
-    assert checks._block_pairs(n) == pairs
+    assert finsler._block_pairs(n) == pairs
     stencil = 1 + 4 * n
     config = _randers(n, rows // stencil + 1, 1)
     sizes, runs = _block_sizes(monkeypatch), _fd_runs(monkeypatch)
@@ -532,37 +538,9 @@ def test_reports_over_several_default_blocks_are_unchanged(
     expected = emit_report(run_scenario(config))
     assert len(sizes) == blocks
     for pairs in (7, 1):
-        monkeypatch.setattr(checks, "_block_pairs",
+        monkeypatch.setattr(finsler, "_block_pairs",
                             lambda n, pairs=pairs: pairs)
         assert emit_report(run_scenario(config)) == expected
-
-
-# the bytes of every product's bins that the cache held after a run of the
-# five shipped configs when every block held 64 pairs and every width was
-# cached: 142 entries
-SHIPPED_BINS_BYTES = 1_101_528
-
-
-def test_bins_cache_holds_nothing_wider_than_64_columns(monkeypatch):
-    """After a run of the five shipped configs, whose blocks are 100 base
-    points wide, the cache of product bins holds none wider than 64
-    columns, and no more bytes than when every block held 64 pairs.  The
-    cache is emptied first and sees no eviction, so what it holds is what
-    the run asked of it."""
-    held, column_bins = {}, jets._column_bins
-
-    def counted(product, columns):
-        bins = column_bins(product, columns)
-        held[product, columns] = bins.nbytes
-        return bins
-
-    column_bins.cache_clear()
-    monkeypatch.setattr(jets, "_column_bins", counted)
-    for path in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
-        run_scenario(load_config(path))
-    assert column_bins.cache_info().currsize == len(held)
-    assert not [columns for _, columns in held if columns > 64]
-    assert sum(held.values()) <= SHIPPED_BINS_BYTES
 
 
 def test_a_stacked_column_over_pairs_reads_base_point_inputs():

@@ -632,7 +632,7 @@ class TestRunScenario:
         run_scenario(config)
         assert counts and set(counts.values()) == {1}
         assert all(rows % size == 0 for rows in stacks)
-        assert size < max(stacks) <= checks._block_pairs(s.dimension)
+        assert size < max(stacks) <= finsler._block_pairs(s.dimension)
         assert {(tuple(x), tuple(y)) for x, ys in zip(s.plan.xs, s.plan.ys)
                 for y in ys} <= set(counts)
         assert stencils == [
@@ -1215,6 +1215,28 @@ class TestCliMain:
         assert len(errors) == 6  # the grid columns x1 = -0.95 and x1 = 0
         assert all("<= 0" in r["error"] for r in errors)
         assert all(r["point"][0] <= 0 for r in errors)
+
+    def test_underflowing_scaled_F_gives_homogeneity_error_records(
+            self, tmp_path):
+        """Where lam F(x, y) underflows to 0 (F is subnormal here) the
+        homogeneity record is an error record, not a division by zero, so
+        the report stays strict JSON and the run fails without a
+        traceback."""
+        cfg = {
+            "dimension": 2,
+            "metric": {"family": "custom", "F": "5e-324*y1",
+                       "domain": {"lower": [-1, -1], "upper": [1, 1]}},
+            "sampling": {"mode": "grid", "count": 4},
+        }
+        path = self._write(tmp_path, cfg)
+        proc = self._cli(path, "--suite", "metric-validity")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        homogeneity = [r for r in strict_records(proc.stdout)
+                       if r["check"] == "metric-validity:homogeneity"]
+        assert len(homogeneity) == 4
+        assert all(r["error"].startswith("DomainError: lam F = 0.5 * ")
+                   and "underflows to 0" in r["error"] for r in homogeneity)
 
     @pytest.mark.parametrize("flag, config_text", [
         ("structural-compat=inf", None),

@@ -154,7 +154,7 @@ class TestStencilBlock:
             assert np.array_equal(curvature_fd_commutator(sc, x),
                                   _one_point_commutator(sc, x))
 
-    @pytest.mark.parametrize("points,max_rows,runs", [
+    @pytest.mark.parametrize("points,pairs,runs", [
         (7, 63, [63]),        # one run of exactly the row cap
         (7, 62, [54, 9]),     # one row fewer: the seventh stencil runs alone
         (8, 63, [63, 9]),     # one stencil past the cap
@@ -162,10 +162,10 @@ class TestStencilBlock:
     ])
     def test_stacked_stencils_equal_one_point_calls(self, monkeypatch,
                                                     graph_scenario, points,
-                                                    max_rows, runs):
+                                                    pairs, runs):
         """Stencils are sampled in runs of whole stencils of at most
-        ``max_rows`` rows, and each base point's commutator is the
-        one-point one, bit for bit."""
+        ``finsler._block_pairs(n)`` rows, here patched to ``pairs``, and
+        each base point's commutator is the one-point one, bit for bit."""
         xs = sample_box(np.random.default_rng(24), BOX2.lower, BOX2.upper,
                         points)
         sizes = []
@@ -176,7 +176,8 @@ class TestStencilBlock:
             return block(m, xs, ys)
 
         patch_everywhere(monkeypatch, block, counted)
-        found = curvature_fd_commutators(graph_scenario, xs, max_rows)
+        monkeypatch.setattr(finsler, "_block_pairs", lambda n: pairs)
+        found = curvature_fd_commutators(graph_scenario, xs)
         assert sizes == runs
         for x, fd in zip(xs, found):
             assert np.array_equal(fd, _one_point_commutator(graph_scenario,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsym import checks
+from finsym import checks, finsler
 from finsym.checks import run_scenario
 from finsym.errors import (
     DomainError,
@@ -546,7 +546,7 @@ class TestSampleBlocks:
             config["sampling"].update(count=40, y_per_x=y_per_x)
         expected = emit_report(run_scenario(config, suite))
         for size in (1, 7):
-            monkeypatch.setattr(checks, "_block_pairs",
+            monkeypatch.setattr(finsler, "_block_pairs",
                                 lambda n, pairs=size: pairs)
             assert emit_report(run_scenario(config, suite)) == expected
 
@@ -561,7 +561,7 @@ class TestSampleBlocks:
         config["sampling"].update(count=64, y_per_x=1)
         expected = emit_report(run_scenario(config))
         for size in (1, 7, 128):
-            monkeypatch.setattr(checks, "_block_pairs",
+            monkeypatch.setattr(finsler, "_block_pairs",
                                 lambda n, pairs=size: pairs)
             assert emit_report(run_scenario(config)) == expected
 

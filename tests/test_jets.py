@@ -2,13 +2,14 @@
 
 import hashlib
 import os
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsym import jets
 from finsym.errors import DomainError, FinsymError, OrderError
 from finsym.fields import ScalarFieldSpec, _run
 from finsym.jets import (
@@ -605,11 +606,43 @@ def _reference_table(num_vars, order):
     return indices, rows
 
 
+def _inside(rows, sa, sb):
+    """The reference table's entries (ka, kb, out) whose factors lie inside
+    the supports sa and sb, in table order."""
+    return [(ka, kb, out) for ka, kb, out, ia, ib in rows
+            if all(e == 0 or sa >> v & 1 for v, e in enumerate(ia))
+            and all(e == 0 or sb >> v & 1 for v, e in enumerate(ib))]
+
+
+def _assert_layout(p, inside):
+    """The product ``p`` holds the entries ``inside`` (in table order) by
+    rank, then by slot: each output's entries in table order, the k-th
+    entries of every output that has more than k of them in the slice
+    ``ranks[k]:ranks[k + 1]`` over its first slots, and the slots ordered
+    by entry count, most first, then by output position."""
+    by_out = {}
+    for ka, kb, out in inside:
+        by_out.setdefault(out, []).append((ka, kb))
+    slots = sorted(by_out, key=lambda out: (-len(by_out[out]), out))
+    counts = [len(by_out[out]) for out in slots]
+    # the number of outputs with more than k entries, for each rank k
+    widths = [sum(c > k for c in counts)
+              for k in range(max(counts, default=0))]
+    assert p.out.dtype == p.a.dtype == p.b.dtype == np.intp
+    assert p.out.tolist() == slots
+    assert list(p.ranks) == [0, *accumulate(widths)]
+    for k, (start, width) in enumerate(zip(p.ranks, widths)):
+        entries = slice(start, start + width)
+        assert list(zip(p.a[entries].tolist(), p.b[entries].tolist())) == [
+            by_out[out][k] for out in slots[:width]]
+
+
 @pytest.mark.parametrize("num_vars,order", _SHAPES)
 def test_tables_equal_the_loop_construction(num_vars, order):
-    """The product tables (full and restricted), the derivative gathers and
-    their factorial weights equal a plain loop construction, entry for
-    entry and in order."""
+    """The product tables (full and restricted) hold the entries of a plain
+    loop construction in the rank layout, and the derivative gathers and
+    their factorial weights equal the loop's, entry for entry and in
+    order."""
     t = _table(num_vars, order)
     indices, rows = _reference_table(num_vars, order)
     assert t.indices == indices
@@ -618,13 +651,7 @@ def test_tables_equal_the_loop_construction(num_vars, order):
     for sa, sb in [(full, full), (0, full), (1, full - 1)] + [
             tuple(rng.integers(0, full + 1, 2)) for _ in range(3)]:
         sa, sb = int(sa), int(sb)
-        inside = [(ka, kb, out) for ka, kb, out, ia, ib in rows
-                  if all(e == 0 or sa >> v & 1 for v, e in enumerate(ia))
-                  and all(e == 0 or sb >> v & 1 for v, e in enumerate(ib))]
-        p = t.product(sa, sb)
-        for got, want in zip((p.a, p.b, p.out), zip(*inside) if inside
-                             else ((), (), ())):
-            assert got.dtype == np.intp and got.tolist() == list(want)
+        _assert_layout(t.product(sa, sb), _inside(rows, sa, sb))
     for k in range(order + 1):
         pos, fac = _derivative_gather(num_vars, order, k)
         assert pos.shape == fac.shape == (num_vars,) * k
@@ -635,3 +662,93 @@ def test_tables_equal_the_loop_construction(num_vars, order):
                 idx[v] += 1
             assert pos[slots] == indices.index(tuple(idx))
             assert fac[slots] == float(multi_index_factorial(idx))
+
+
+_WIDTHS = [1, 2, 64, 65, 307]
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _wide_pairs(draw):
+    """Two jets of one shape of order 2 or more, the orders whose products
+    go through the table, with a width from ``_WIDTHS``, random supports
+    and coefficients, some of them ±0, ±inf or nan anywhere."""
+    num_vars, order = draw(st.sampled_from(
+        [(n, o) for n, o in _SHAPES if o >= 2]))
+    width = draw(st.sampled_from(_WIDTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = len(_reference_indices(num_vars, order))
+    coefficients = []
+    for _ in range(2):
+        c = rng.normal(size=(size, width))
+        special = rng.random(c.shape) < draw(st.sampled_from([0.0, 0.05,
+                                                              0.5]))
+        c[special] = rng.choice(_SPECIAL, special.sum())
+        coefficients.append(c)
+    supports = [draw(st.integers(0, 2 ** num_vars - 1)) for _ in range(2)]
+    return num_vars, order, coefficients, supports
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_wide_pairs())
+def test_products_equal_a_sequential_sum(pair):
+    """A product on any supports and at any width equals the plain sum of
+    its restricted table's terms, each coefficient from +0.0 in table
+    order, bit for bit.  Only where two nans meet can the sign of the nan
+    differ: numpy picks it per loop, as ``np.bincount`` did."""
+    num_vars, order, (ca, cb), (sa, sb) = pair
+    a, b = Jet(num_vars, order, ca), Jet(num_vars, order, cb)
+    a.support, b.support = sa, sb
+    _, rows = _reference_table(num_vars, order)
+    expected = np.zeros_like(ca)
+    with np.errstate(all="ignore"):
+        found = (a * b).c
+        for ka, kb, out in _inside(rows, sa, sb):
+            expected[out] = expected[out] + ca[ka] * cb[kb]
+    assert found.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(found), nan)
+    assert found[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def test_product_index_data_does_not_depend_on_the_width():
+    """Products at 1, 7, 64, 65 and 307 columns read the same index data:
+    each table's arrays hold one entry per entry of the restricted table
+    (the outputs one per slot), none is replaced, and no product past the
+    first width adds an entry to any cache of the kernel."""
+    rng = np.random.default_rng(24)
+    shapes = [(2, 3), (3, 3), (4, 4), (6, 3), (8, 4)]
+
+    def caches():
+        return ({name: fn.cache_info().currsize
+                 for name, fn in vars(jets).items()
+                 if hasattr(fn, "cache_info")},
+                {shape: {key: (p.a, p.b, p.out, p.ranks) for key, p
+                         in _table(*shape).products.items()}
+                 for shape in shapes})
+
+    def products(width):
+        for num_vars, order in shapes:
+            full = (1 << num_vars) - 1
+            size = len(_reference_indices(num_vars, order))
+            for sa, sb in [(full, full), (1, full - 1), (3, 2)]:
+                a = Jet(num_vars, order, rng.normal(size=(size, width)))
+                b = Jet(num_vars, order, rng.normal(size=(size, width)))
+                a.support, b.support = sa & full, sb & full
+                assert (a * b).c.shape == (size, width)
+
+    products(1)
+    before = caches()
+    for width in [7, 64, 65, 307]:
+        products(width)
+    after = caches()
+    assert after[0] == before[0]
+    for shape in shapes:
+        _, rows = _reference_table(*shape)
+        assert after[1][shape].keys() == before[1][shape].keys()
+        for key, arrays in after[1][shape].items():
+            assert all(x is y for x, y in zip(arrays, before[1][shape][key]))
+            entries = len(_inside(rows, *key))
+            a, b, out, ranks = arrays
+            assert len(a) == len(b) == ranks[-1] == entries
+            assert len(out) == len(set(out.tolist())) <= entries

@@ -129,7 +129,7 @@ def test_higher_dimension_report_is_byte_identical(name, suite):
 def test_error_report_is_the_same_at_every_block_size(name, block_pairs,
                                                       monkeypatch):
     if block_pairs is not None:
-        monkeypatch.setattr(checks, "_block_pairs",
+        monkeypatch.setattr(finsler, "_block_pairs",
                             lambda n, pairs=block_pairs: pairs)
     payload = emit_report(run_scenario(_load(name, DATA_DIR)))
     assert payload.count(b'"error":"') > 0
