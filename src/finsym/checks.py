@@ -16,10 +16,14 @@ block's one sample cache (:meth:`_Block.samples`).  The finite-difference
 commutator, stacked over the rows where the chain-rule curvature exists,
 samples its base points' own stencils and reads no other column.  A gated
 facet computes its residual only on the rows its gate lets through.
-Records are made from the columns (:func:`_records`), and a row that holds
-an error, or whose residual or bound is not finite, gets an error record,
-so domain failures never abort a suite.  Record order is fixed: record ids
-sorted, then points in plan order.
+Each facet gives a facet table per block (:func:`_records`): its rows'
+plan indices and their residuals, bounds and pass flags as arrays, with
+the error text of each row that holds an error or whose residual or bound
+is not finite, so domain failures never abort a suite.  The runner joins
+each facet's tables over the blocks and makes no record object: the
+result (:class:`~finsym.records.Records`) makes a record when it is read,
+and the report is written from the tables.  Record order is fixed: record
+ids sorted, then points in plan order.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -67,7 +70,7 @@ from .finsler import (
     randers_alpha_norm,
     structural_residuals,
 )
-from .records import CheckRecord
+from .records import FacetTable, Points, Records
 from .scenario import BuiltScenario, build_scenario
 from .symplectic import (
     PreservationResidual,
@@ -100,13 +103,10 @@ class _Block:
                  start: int, stop: int):
         self.s, self.sc = s, sc
         self.xs, self.ys = s.plan.xs[start:stop], s.plan.ys[start:stop]
-        self.per_x = self.ys.shape[1]
+        self.start, self.per_x = start, self.ys.shape[1]
         self.pairs = (np.repeat(self.xs, self.per_x, axis=0),
                       self.ys.reshape(-1, s.dimension))
-        # each row's sample point as floats: base points, then pairs
-        self.points = ([tuple(x) for x in self.xs.tolist()],
-                       [tuple(x + y) for x, y in zip(
-                           self.pairs[0].tolist(), self.pairs[1].tolist())])
+        self.size = (len(self.xs), len(self.pairs[0]))  # base points, pairs
         self._columns: dict = {}  # column -> its entries at every row
         # by the bytes of x then y: a row of _store, or the pair's error
         self._keys: dict = {}
@@ -116,7 +116,7 @@ class _Block:
         """The column at every row, computed on its first read."""
         found = self._columns.get(column)
         if found is None:
-            rows = np.arange(len(self.points[column.fiber]))
+            rows = np.arange(self.size[column.fiber])
             found = self._columns[column] = column.compute(self, rows)
         return found
 
@@ -160,7 +160,7 @@ def _inputs(b: _Block, inputs, rows: np.ndarray,
     live, read = rows, []
     for column in inputs:
         held, values, failed = b.read(column)
-        index = np.full(len(b.points[column.fiber]), -1)  # row -> its value
+        index = np.full(b.size[column.fiber], -1)  # row -> its value
         index[held] = np.arange(len(held))
         bad = index[at(column, live)] < 0
         errors.update((p, failed[q]) for p, q in zip(
@@ -512,14 +512,13 @@ def available_checks(s: BuiltScenario) -> list[str]:
             and not (check.even_dimension and s.dimension % 2 != 0)]
 
 
-def _records(facet: Facet, b: _Block) -> list[CheckRecord]:
-    """The facet's records over the block, in row order, made from its
-    residual column's arrays: an error record where the row holds an error
-    or its residual or bound is not finite, and none where the gate stops
-    the row."""
+def _records(facet: Facet, b: _Block) -> FacetTable | None:
+    """The facet's table over the block, in row order, rows counted over
+    the plan, from its residual column's arrays: an error row where the
+    row holds an error or its residual or bound is not finite, and none
+    where the gate stops the row; None where no row is left."""
     tolerances = b.s.tolerances
     tolerance = tolerances[facet.tol] if facet.tol else facet.bound
-    points, name = b.points[facet.residual.fiber], facet.name
     if facet.gate is None:
         rows, values, errors = b.read(facet.residual)
     else:
@@ -529,29 +528,40 @@ def _records(facet: Facet, b: _Block) -> list[CheckRecord]:
             held = held[~(gate.max_abs > tolerances["preservation-gate"])]
         rows, values, failed = facet.residual.compute(b, held)
         errors = {**errors, **failed}
-    records = []
+    residual = bound = np.zeros(0)
     if len(rows):
         residual, scale = (values if isinstance(values, tuple)
                            else (values, np.ones(len(rows))))
+        residual = np.array(residual, dtype=float)  # no view into a stack
         with np.errstate(over="ignore"):  # an overflowing bound is inf
             bound = tolerance * scale
         finite = np.isfinite(residual) & np.isfinite(bound)
-        errors = {**errors, **{
-            p: DomainError(f"non-finite residual {r:.3e} or bound {t:.3e}")
-            for p, r, t in zip(rows[~finite].tolist(),
-                               residual[~finite].tolist(),
-                               bound[~finite].tolist())}}
-        rows = rows[finite].tolist()
-        evaluated = CheckRecord.evaluated
-        records = [evaluated(name, points[p], r, t) for p, r, t in zip(
-            rows, residual[finite].tolist(), bound[finite].tolist())]
-    if not errors:
-        return records
-    failed = [(p, CheckRecord.failed(name, points[p],
-                                     f"{type(e).__name__}: {e}", tolerance))
-              for p, e in errors.items()]
-    return [r for _, r in sorted(list(zip(rows, records)) + failed,
-                                 key=itemgetter(0))]
+        if not finite.all():
+            errors = {**errors, **{
+                p: DomainError(f"non-finite residual {r:.3e} or bound {t:.3e}")
+                for p, r, t in zip(rows[~finite].tolist(),
+                                   residual[~finite].tolist(),
+                                   bound[~finite].tolist())}}
+            rows, residual, bound = (rows[finite], residual[finite],
+                                     bound[finite])
+    texts = {}
+    if errors:
+        rows = np.concatenate([rows, list(errors)])
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        residual = np.concatenate([residual, np.full(len(errors), np.nan)])
+        bound = np.concatenate([bound, np.full(len(errors),
+                                               float(tolerance))])
+        residual, bound = residual[order], bound[order]
+        at = np.argsort(order)[len(order) - len(errors):].tolist()
+        texts = {k: f"{type(e).__name__}: {e}"
+                 for k, e in zip(at, errors.values())}
+    if not len(rows):
+        return None
+    fiber = facet.residual.fiber
+    return FacetTable(facet.name, fiber,
+                      rows + b.start * (b.per_x if fiber else 1), residual,
+                      bound, residual <= bound, texts)
 
 
 def _select(s: BuiltScenario, suite) -> list[Check]:
@@ -572,26 +582,28 @@ def _select(s: BuiltScenario, suite) -> list[Check]:
 
 
 def run_scenario(config: dict, suite=None, seed_override: int | None = None,
-                 tolerance_overrides: dict | None = None) -> list[CheckRecord]:
+                 tolerance_overrides: dict | None = None) -> Records:
     """Run the requested checks over one scenario config.
 
     ``suite`` is an iterable of check ids; None runs every check in
     :func:`available_checks`.  Records come back sorted by record id, then by
-    sample-point order.  Sampling is deterministic for a given config and
-    seed, so two runs produce identical records.
+    sample-point order, as a read-only sequence of :class:`CheckRecord`
+    made from the facet tables when read.  Sampling is deterministic for a
+    given config and seed, so two runs produce identical records.
     """
     return run_checks(build_scenario(config, seed_override=seed_override,
                                      tolerance_overrides=tolerance_overrides),
                       suite)
 
 
-def run_checks(s: BuiltScenario, suite=None) -> list[CheckRecord]:
+def run_checks(s: BuiltScenario, suite=None) -> Records:
     """Run the requested checks over a built scenario's sample plan, as
-    :func:`run_scenario` does."""
+    :func:`run_scenario` does: each facet's tables of the blocks joined,
+    the facets in record-id order."""
     checks = _select(s, suite)
     facets = [f for check in checks for f in check.facets
               if f.when is None or f.when(s)]
-    records: list[CheckRecord] = []
+    tables: dict[str, list[FacetTable]] = {f.name: [] for f in facets}
     sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
           if s.vector_field is not None else None)
     size = max(1, finsler._block_pairs(s.dimension)
@@ -599,6 +611,9 @@ def run_checks(s: BuiltScenario, suite=None) -> list[CheckRecord]:
     for start in range(0, len(s.plan.xs), size):
         block = _Block(s, sc, start, start + size)
         for facet in facets:
-            records.extend(_records(facet, block))
-    records.sort(key=lambda r: r.check)
-    return records
+            table = _records(facet, block)
+            if table is not None:
+                tables[facet.name].append(table)
+    return Records.of_tables(Points.of_plan(s.plan.xs, s.plan.ys),
+                             [t for name in sorted(tables)
+                              for t in tables[name]])

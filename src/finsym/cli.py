@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
-        return 0 if all(r.passed for r in records) else 1
+        return 0 if records.all_passed() else 1
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -644,8 +644,8 @@ def _one_row_entries(block, column, inputs, one_row):
     """What ``one_row`` gives at each row of a column from that row's input
     values, each a stack of one row, or the row's first failing input's
     error."""
-    size = len(block.points[column.fiber])
-    read = [(c, _rows(block.read(c), len(block.points[c.fiber])))
+    size = block.size[column.fiber]
+    read = [(c, _rows(block.read(c), block.size[c.fiber]))
             for c in inputs]
     out = []
     for p in range(size):
@@ -683,7 +683,7 @@ def test_each_pair_numeric_entry_is_the_one_row_call(path):
     for name, (column, applies, inputs, one_row) in PAIR_COLUMNS.items():
         if not applies(s):
             continue
-        found = _rows(block.read(column), len(block.points[column.fiber]))
+        found = _rows(block.read(column), block.size[column.fiber])
         one = _one_row_entries(checks._Block(s, sc, 0, len(s.plan.xs)),
                                column, inputs, one_row)
         for a, b in zip(found, one):

@@ -276,6 +276,26 @@ class TestRunScenario:
             else:
                 assert not r.passed and r.residual is None
 
+    def test_records_are_read_from_the_tables(self):
+        """The result is a read-only sequence whose records are made when
+        read: indexing from either end, slicing and iterating give the
+        same records, and the records of one sample point share one point
+        tuple, a base point's and a pair's each their own."""
+        records = run_scenario(randers_config(count=5))
+        as_list = list(records)
+        assert len(as_list) == len(records) > 9
+        assert [records[i] for i in range(len(records))] == as_list
+        assert records[-1] == as_list[-1]
+        assert records[2:9:3] == as_list[2:9:3]
+        with pytest.raises(IndexError):
+            records[len(records)]
+        with pytest.raises(TypeError):
+            records[0] = as_list[0]
+        first: dict = {}
+        for r in as_list:
+            assert first.setdefault(r.point, r.point) is r.point
+        assert {len(point) for point in first} == {2, 4}
+
     def test_records_sorted_by_check(self):
         records = run_scenario(euclid_config())
         ids = [r.check for r in records]
@@ -840,6 +860,23 @@ class TestEmitReport:
             separators=(",", ":"), allow_nan=False) + "\n"
             for r in records).encode("utf-8")
         assert emit_report(records, "json") == expected
+        # one record id over a shared point whose residuals and tolerances
+        # repeat signed zeros and subnormals: each keeps its own text
+        signed = [(0.0, -0.0), (-0.0, 0.0), (5e-324, 5e-324), (-5e-324, 0.0),
+                  (0.0, 1e-310), (-0.0, -0.0), (1e-310, -5e-324)]
+        column = [CheckRecord.evaluated("check:zeros", points[0], r, t)
+                  for r, t in signed * 3]
+        column[4] = CheckRecord.failed("check:zeros", points[0], texts[1],
+                                       -0.0)
+        expected = "".join(json.dumps({
+            "check": r.check, "point": list(r.point),
+            "residual": r.residual, "tolerance": r.tolerance,
+            "pass": r.passed, "error": r.error},
+            separators=(",", ":"), allow_nan=False) + "\n"
+            for r in column + records).encode("utf-8")
+        assert b'"residual":-0.0,"tolerance":0.0' in expected
+        assert b'"residual":0.0,"tolerance":-0.0' in expected
+        assert emit_report(column + records, "json") == expected
         for residual, tolerance in ((float("nan"), 1.0), (1.0, float("inf")),
                                     (float("-inf"), 1.0)):
             records[1] = CheckRecord(records[1].check, records[1].point,

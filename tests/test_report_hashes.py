@@ -12,12 +12,17 @@ generated Randers configs in ``tests/data`` pin the n = 3 and n = 4 paths:
 a 4-d scenario under the full suite and a 3-d one under ``structural``.
 Five small ``errors-*`` configs pin reports full of error records, so the
 type, text and precedence of each error stays fixed, at every block size.
+Every pinned run's report, written from its record columns, equals the one
+written from the same records as a plain list, and a run with numpy's AVX2
+and AVX-512 kernels switched off gives the same bytes.
 """
 
 import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +140,51 @@ def test_error_report_is_the_same_at_every_block_size(name, block_pairs,
     assert payload.count(b'"error":"') > 0
     assert (hashlib.sha256(payload).hexdigest()
             == DATA_REPORT_SHA256[(name, None)])
+
+
+# every shipped and tests/data config, with the suite its hash is pinned at
+PINNED_RUNS = ([(name, None) for name in sorted(REPORT_SHA256)]
+               + sorted(DATA_REPORT_SHA256, key=lambda k: k[0]))
+
+
+@pytest.mark.parametrize("block_pairs", [None, 7, 1])
+@pytest.mark.parametrize("name,suite", PINNED_RUNS)
+def test_tables_give_the_report_of_their_records(name, suite, block_pairs,
+                                                 monkeypatch):
+    """A run's report is written from its facet tables; the records read
+    from those tables, passed as a plain list, give the same bytes in
+    both formats, at the default block width, at 7 pairs and at 1."""
+    if block_pairs is not None:
+        monkeypatch.setattr(finsler, "_block_pairs",
+                            lambda n, pairs=block_pairs: pairs)
+    directory = CONFIG_DIR if name in REPORT_SHA256 else DATA_DIR
+    records = run_scenario(_load(name, directory),
+                           suite=None if suite is None else [suite])
+    as_list = list(records)
+    assert len(as_list) == len(records)
+    for fmt in ("json", "table"):
+        assert emit_report(records, fmt) == emit_report(as_list, fmt)
+
+
+def test_report_does_not_depend_on_the_simd_level():
+    """numpy picks some kernels (sorting and ``np.unique`` among them) by
+    the CPU's SIMD level.  ``finsym run`` with numpy's AVX2 and AVX-512
+    dispatch switched off gives the in-process report byte for byte, and
+    the same exit code.  numpy skips a feature name it does not dispatch,
+    with an ImportWarning that Python ignores by default, so the test runs
+    on any CPU."""
+    name = "randers_dbeta"
+    src = os.path.dirname(os.path.dirname(finsler.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finsym.cli", "run", "--config",
+         os.path.join(CONFIG_DIR, f"{name}.json")],
+        capture_output=True, check=False,
+        env=dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=(
+            "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")))
+    records = run_scenario(_load(name))
+    assert proc.returncode == (0 if records.all_passed() else 1)
+    assert proc.stdout == emit_report(records)
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256[name]
 
 
 def test_a_failing_stencil_is_replayed_up_to_its_first_failing_point(
