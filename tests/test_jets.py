@@ -391,6 +391,22 @@ _NON_FINITE_PINS = {
     ("(1e999*x1)^0*y2", "block", 3): "76303264665fef1f",
     ("x1*y2/(y1+1e999)", "bad", 4): "738c079dff6c9b77",
     ("x1*y2/(y1+1e999)", "block", 3): "16d0edc8b7ad7705",
+    # 1e999-1e999 is a nan scalar: as a factor, a divisor and under sqrt
+    ("(1e999-1e999)*y1", "bad", 3): _BAD_TEXT,
+    ("(1e999-1e999)*y1", "block", 4): _FIRST,
+    ("y1/(1e999-1e999)", "bad", 4): _BAD_TEXT,
+    ("y1/(1e999-1e999)", "block", 3): _FIRST,
+    ("sqrt(y1+(1e999-1e999))", "bad", 3): _BAD_TEXT,
+    ("sqrt(y1+(1e999-1e999))", "block", 4): _FIRST,
+    # an operand that overflows to inf under a reciprocal, a power and sqrt
+    ("y2/(x1*1e999)", "bad", 4): _BAD_TEXT,
+    ("y2/(x1*1e999)", "block", 3): _FIRST,
+    ("(1e999*x1)^-1*y2", "bad", 3): _BAD_TEXT,
+    ("(1e999*x1)^-1*y2", "block", 4): _FIRST,
+    ("(x1*1e999)^0.5*y2", "bad", 4): _BAD_TEXT,
+    ("(x1*1e999)^0.5*y2", "block", 3): _FIRST,
+    ("sqrt(x1*1e999)*y1", "bad", 3): _BAD_TEXT,
+    ("sqrt(x1*1e999)*y1", "block", 4): _FIRST,
 }
 
 
