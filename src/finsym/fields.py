@@ -8,10 +8,10 @@ Grammar (whitespace insignificant)::
     base   := number | identifier | '(' expr ')' | 'sqrt(' expr ')'
 
 Identifiers are the declared variable names (conventionally ``x1..xn`` and
-``y1..yn``).  Exponents are numeric literals, never sub-expressions.  The
-leading ``-`` on a factor is accepted as sugar on top of the binary grammar.
-Parentheses, ``sqrt(`` and unary minus may nest at most ``_MAX_NESTING``
-levels deep.
+``y1..yn``).  Exponents are numeric literals, never sub-expressions, of
+magnitude at most ``_MAX_EXPONENT``.  The leading ``-`` on a factor is
+accepted as sugar on top of the binary grammar.  Parentheses, ``sqrt(``
+and unary minus may nest at most ``_MAX_NESTING`` levels deep.
 
 The parser emits a flat postfix program of ``(op, arg)`` instructions:
 ``("num", value)``, ``("var", index)``, ``("neg", None)``,
@@ -53,6 +53,9 @@ _TOKEN_RE = re.compile(
 # nesting levels of parentheses, sqrt( and unary minus; the parser recurses
 # once per level
 _MAX_NESTING = 100
+
+# largest exponent magnitude; an integer power n costs |n| - 1 jet products
+_MAX_EXPONENT = 1000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -145,7 +148,12 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "op" and text == "^":
                 self.advance()
-                self.program.append(("^", self.signed_number()))
+                at = self.peek()[2]
+                exponent = self.signed_number()
+                if abs(exponent) > _MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponent magnitude above {_MAX_EXPONENT}", at)
+                self.program.append(("^", exponent))
         self.depth -= 1
 
     def signed_number(self) -> float:
@@ -306,8 +314,9 @@ class ScalarFieldSpec:
             out = _run(self.program, env)
         if not isinstance(out, Jet):
             out = Jet.constant(np.full(len(x), float(out)), num_vars, order)
-        if not out.is_finite():  # named by the first non-finite column
-            x = x[np.argmin(np.isfinite(out.c).all(axis=0))]
+        finite = np.isfinite(out.c).all(axis=0)
+        if not finite.all():  # named by the first non-finite column
+            x = x[np.argmin(finite)]
             raise DomainError(f"non-finite field data at {x.tolist()}")
         return out
 

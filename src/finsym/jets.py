@@ -23,30 +23,34 @@ round differently from ``np.power``.  Only the sign of a nan where two
 nans meet is numpy's choice per loop; a non-finite jet is an error.
 
 Each jet carries its variable support, a bitmask of the variables its
-coefficients can depend on; every other coefficient is ±0.  A variable
-has its own bit and a constant none; sums, differences and products take
-the union; negation, finite scalar factors and divisors and compositions
-keep it; a jet made from raw coefficients has all of them (dependence
-propagation in forward mode, as in Griewank & Walther).  A product reads
-only the entries of its table whose two factors lie inside their
+coefficients can depend on; every other coefficient is ±0, or nan where
+non-finite data met it (below).  A variable has its own bit and a
+constant none; sums, differences and products take the union; negation,
+scalar factors and divisors and compositions keep it; a jet made from
+raw coefficients has all of them (dependence propagation in forward
+mode, as in Griewank & Walther).  A support thus follows from the
+program alone, never from the data.  A product reads only the entries of its table whose two factors lie inside their
 operands' supports: a cached restriction of the full table, of which
 the full table is the (full, full) case.  Each skipped term has a ±0
 factor, so with finite operands it is ±0, and every sum starts at +0.0,
 where adding ±0 changes no partial sum: every coefficient equals the full
 product's bit for bit.
 
-With a non-finite factor a skipped term can be nan, which the full product
-keeps and the restricted one drops.  Where a non-finite scalar multiplies
-or divides a jet its zeros become nan, and a composition of non-finite
-data can give finite coefficients: both widen the support to full, so no
-later product skips them.  Every other jet of a program has a non-empty
-support (a variable has its bit, and ``x ^ 0`` keeps its operand's), so a
-non-finite value reaches a derivative coefficient in every product it
-enters, and that coefficient stays non-finite.  A column is then
+With non-finite data a skipped term can be nan, which the full product
+keeps and the restricted one drops: a non-finite value times a ±0
+outside a support, be it the other factor's value in a product, a scalar
+factor or a composition's Taylor factor.  No jet of a program has an
+empty support (a variable has its bit, constant subexpressions run on
+floats, and ``x ^ 0`` keeps its operand's), so the same value also meets
+a first-order coefficient inside the support, and the result has a
+non-finite coefficient of degree one or more inside it.  That coefficient
+stays non-finite in every later operation: a scalar or Taylor factor
+multiplies it, a sum adds it, and a product reads it against the other
+factor's value, which lies inside every support.  A column is then
 non-finite under the restricted products exactly where it is under the
-full table, and a finite column is the same bit for bit;
-``ScalarFieldSpec.eval_jet`` raises on the first non-finite column, so it
-runs each program once.
+full table, and a finite column met no skipped nan, so it is the same
+bit for bit; ``ScalarFieldSpec.eval_jet`` raises on the first non-finite
+column, so it runs each program once.
 
 An independent finite-difference oracle (:func:`fd_oracle`) is provided to
 cross-check jet output; it never goes through jet arithmetic.
@@ -189,13 +193,6 @@ def _derivative_gather(num_vars: int, order: int,
     return pos, t.factorials[pos]
 
 
-def _finite(scalar) -> bool:
-    """Whether a scalar, or every entry of an array of them, is finite."""
-    if isinstance(scalar, np.ndarray):
-        return bool(np.isfinite(scalar).all())
-    return math.isfinite(scalar)
-
-
 def _reciprocal_factors(v: float, order: int) -> list[float]:
     if v == 0.0:
         raise DomainError("division by a jet with zero value")
@@ -237,9 +234,9 @@ class Jet:
 
     ``support`` is a bitmask of the variables the coefficients can depend
     on: every coefficient whose multi-index has a variable outside it is
-    ±0.  A jet made from raw coefficients has full support, and so has a
-    jet whose data met a non-finite scalar factor or divisor or went
-    through a composition of non-finite data.
+    ±0, or nan where non-finite data met it.  A jet made from raw
+    coefficients has full support; every other support follows from the
+    operations that made the jet, whatever its data.
     """
 
     __slots__ = ("num_vars", "order", "c", "support")
@@ -256,9 +253,6 @@ class Jet:
         out.num_vars, out.order, out.c, out.support = (
             self.num_vars, self.order, c, support)
         return out
-
-    def _widened(self, c: np.ndarray) -> "Jet":
-        return self._new(c, (1 << self.num_vars) - 1)
 
     # -- constructors ------------------------------------------------------
 
@@ -308,9 +302,6 @@ class Jet:
         # point's: numpy may sum in another order over other strides
         return np.multiply(self.c.T[:, pos], fac, order="C")
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.c).all())
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Jet") -> None:
@@ -348,9 +339,7 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c = self.c * other
-            return (self._new(c, self.support) if _finite(other)
-                    else self._widened(c))
+            return self._new(self.c * other, self.support)
         self._check(other)
         t = _table(self.num_vars, self.order)
         p = t.product(self.support, other.support)
@@ -372,9 +361,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        c = self.c / other
-        return (self._new(c, self.support) if _finite(other)
-                else self._widened(c))
+        return self._new(self.c / other, self.support)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -394,8 +381,6 @@ class Jet:
         """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!,
         one per column."""
         h = self._nilpotent()
-        if not self.is_finite():
-            h = h._widened(h.c)
         out = h * dcoef[-1]
         for k in range(len(dcoef) - 2, 0, -1):
             out.c[0] += dcoef[k]

@@ -508,11 +508,15 @@ def build_scenario(config: dict, seed_override: int | None = None,
     )
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8, huge integers
+            return json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, NaN, bad UTF-8, huge ints
         raise ConfigError(f"invalid JSON: {exc}", "") from exc
     except RecursionError:
         raise ConfigError("invalid JSON: nested too deeply", "") from None

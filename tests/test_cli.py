@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from functools import partial
 
@@ -1012,6 +1013,47 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err.startswith("error: /vector_field/components/0: bad expression")
         assert "nested more than" in err
+
+    @pytest.mark.parametrize("exponent", ["1e9", "-1001", "1e999"])
+    def test_large_exponent_is_a_config_error(self, tmp_path, capsys,
+                                              exponent):
+        """An integer power costs one jet product per unit of exponent, so
+        an exponent above the cap is refused before any point runs."""
+        cfg = euclid_config()
+        F = cfg["metric"]["F"] = f"sqrt(y1^2+y2^2)*(1+0*x1^{exponent})"
+        path = self._write(tmp_path, cfg)
+        for command in ("validate", "run"):
+            start = time.perf_counter()
+            assert main([command, "--config", path]) == 2
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: /metric/F: bad expression {F!r}: exponent magnitude "
+                f"above {fields._MAX_EXPONENT} (at position 24)\n")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("old, new", [
+        ('"components": ["1", "0"]', '"components": ["1", "0"], "w_min": {}'),
+        ('"domain":', '"y_min": {}, "domain":'),
+        ('"upper": [3, 1.5]',
+         '"upper": [3, 1.5], "excluded": [{{"center": [2, 1], "radius": {}}}]'),
+    ], ids=["w_min", "y_min", "radius"])
+    def test_non_finite_json_tokens_are_config_errors(self, tmp_path, capsys,
+                                                      token, old, new):
+        """Configs are strict JSON: a NaN or an infinity token, which would
+        pass every schema bound on a number, is refused as invalid JSON."""
+        with open(os.path.join(CONFIG_DIR, "polar_riemannian.json")) as fh:
+            text = fh.read()
+        assert text.count(old) == 1
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace(old, new.format(token)))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: /: invalid JSON: {token} is not a JSON number\n")
 
     @pytest.mark.parametrize("text", [
         b'{"dimension": 2, "note": "\xff"}',

@@ -17,6 +17,7 @@ from finsym.errors import (
     take_rows,
 )
 from finsym.fields import (
+    _MAX_EXPONENT,
     _MAX_NESTING,
     _pow_value,
     ChartMap,
@@ -112,6 +113,14 @@ class TestParser:
     def test_exponent_must_be_literal(self):
         with pytest.raises(ParseError):
             ScalarFieldSpec.parse("x1^x2", V2)
+
+    def test_exponent_limit(self):
+        for exponent in (_MAX_EXPONENT, -_MAX_EXPONENT):
+            ScalarFieldSpec.parse(f"x1^{exponent}", V2)
+        for text in ("x1^1001", "x1^-1e9", "x1^1e999"):
+            with pytest.raises(ParseError, match="exponent magnitude") as err:
+                ScalarFieldSpec.parse(text, V2)
+            assert err.value.position == 3
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):

@@ -439,8 +439,9 @@ def _full_support_eval_jet(field, point, order):
         out = _run(field.program, env)
     if not isinstance(out, Jet):
         out = Jet.constant(np.full(len(x), float(out)), n, order)
-    if not out.is_finite():
-        x = x[np.argmin(np.isfinite(out.c).all(axis=0))]
+    finite = np.isfinite(out.c).all(axis=0)
+    if not finite.all():
+        x = x[np.argmin(finite)]
         raise DomainError(f"non-finite field data at {x.tolist()}")
     return out
 
@@ -509,7 +510,7 @@ def test_random_programs_equal_full_support_runs(text, rows, block, order):
 
 def test_supports_follow_the_operations():
     """Variables and constants start the supports; sums and products take
-    the union; negation, finite scalars and compositions keep it; raw
+    the union; negation, scalars and compositions keep it; raw
     coefficients give full support."""
     x, y, z = (Jet.variable(i, 0.5 + i, 4, 3) for i in range(3))
     assert (x.support, y.support, Jet.constant(2.0, 4, 3).support) == (
@@ -528,14 +529,22 @@ def test_supports_follow_the_operations():
     lambda x: x * np.array([1.0, np.inf]),
     lambda x: (x * 1e308 * 10.0 + 1.0).sqrt(),
     lambda x: (x + float("inf")) ** -1])
-def test_non_finite_scalars_and_compositions_mark_the_jet(make):
-    """A non-finite scalar factor or a composition of non-finite data marks
-    the jet with full support, which spreads."""
+def test_non_finite_scalars_and_compositions_keep_the_support(make):
+    """A non-finite scalar factor or divisor and a composition of
+    non-finite data keep the operand's support, and the jet, its product
+    with another variable and a difference give the values and the
+    non-finite columns of the same expressions on raw coefficients."""
     x, y = (Jet.variable(i, np.array([0.5, 2.0]), 3, 2) for i in range(2))
+    full_x, full_y = (Jet(3, 2, v.c) for v in (x, y))
     with np.errstate(all="ignore"):
-        jet = make(x)
-        assert jet.support == 0b111
-        assert (jet * y).support == 0b111 and (y - jet).support == 0b111
+        jet, full = make(x), make(full_x)
+        assert jet.support == 0b1
+        assert (jet * y).support == 0b11 and (y - jet).support == 0b11
+        for out, want in ((jet, full), (jet * y, full * full_y),
+                          (y - jet, full_y - full)):
+            assert out.c[0].tobytes() == want.c[0].tobytes()
+            assert (np.isfinite(out.c).all(axis=0).tolist()
+                    == np.isfinite(want.c).all(axis=0).tolist())
         # finite scalars keep the support, even where the product overflows
         assert (x * 1e308).support == 0b1
 
