@@ -58,6 +58,122 @@ def randers_config(count=5, seed=42):
     }
 
 
+_DELETE = object()
+
+
+def _edited(config, path, value):
+    """The config with the node at ``path`` (a tuple of keys and indices)
+    set to ``value``, or removed for ``_DELETE``; ``()`` is the whole
+    document."""
+    if not path:
+        return value
+    cfg = json.loads(json.dumps(config))
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+_EXPLICIT = ("two_form",), {"kind": "explicit", "entries": {"1,2": "1"}}
+# the edits to euclid_config() and the error `finsym validate` reports
+SCHEMA_ERRORS = {
+    "type": ([(("dimension",), "2")],
+             "/dimension: '2' is not of type 'integer'"),
+    "type-object": ([(("metric",), [])],
+                    "/metric: [] is not of type 'object'"),
+    "required": ([(("metric", "domain"), _DELETE)],
+                 "/metric: 'domain' is a required property"),
+    "required-first-listed": ([(("sampling",), _DELETE),
+                               (("metric",), _DELETE)],
+                              "/: 'metric' is a required property"),
+    "properties-box": ([(("metric", "domain", "upper"), [1, "1"])],
+                       "/metric/domain/upper/1: '1' is not of type 'number'"),
+    "additional-one": ([(("extra",), 1)],
+                       "/: Additional properties are not allowed "
+                       "('extra' was unexpected)"),
+    "additional-two-sorted": ([(("zeta",), 1), (("alpha",), 2)],
+                              "/: Additional properties are not allowed "
+                              "('alpha', 'zeta' were unexpected)"),
+    "additional-nested": ([(("sampling", "y_box"),
+                            {"lower": [0.5], "upper": [1], "side": 1})],
+                          "/sampling/y_box: Additional properties are not "
+                          "allowed ('side' was unexpected)"),
+    "additional-schema-tolerances": (
+        [(("tolerances",), {"preservation": 1e-8, "bianchi": "1e-7"})],
+        "/tolerances/bianchi: '1e-7' is not of type 'number'"),
+    "additional-schema-entries": (
+        [_EXPLICIT, (("two_form", "entries", "1,2"), "")],
+        "/two_form/entries/1,2: '' should be non-empty"),
+    "additional-schema-entries-type": (
+        [_EXPLICIT, (("two_form", "entries", "1,2"), 3)],
+        "/two_form/entries/1,2: 3 is not of type 'string'"),
+    "items": ([(("vector_field", "components", 1), 0)],
+              "/vector_field/components/1: 0 is not of type 'string'"),
+    "items-nested": ([(("berwald_vectors",), [[1, 0], [0, None]])],
+                     "/berwald_vectors/1/1: None is not of type 'number'"),
+    "enum": ([(("metric", "family"), "finsler")],
+             "/metric/family: 'finsler' is not one of "
+             "['riemannian', 'randers', 'custom']"),
+    "enum-not-a-string": ([(("sampling", "mode"), 1)],
+                          "/sampling/mode: 1 is not one of "
+                          "['grid', 'random']"),
+    "minItems-1": ([(("vector_field", "components"), [])],
+                   "/vector_field/components: [] should be non-empty"),
+    "minItems-2": ([(("berwald_vectors",), [[1, 0]])],
+                   "/berwald_vectors: [[1, 0]] is too short"),
+    "minLength": ([(("metric", "F"), "")],
+                  "/metric/F: '' should be non-empty"),
+    "minimum": ([(("sampling", "count"), 0)],
+                "/sampling/count: 0 is less than the minimum of 1"),
+    "minimum-seed": ([(("sampling", "seed"), -1)],
+                     "/sampling/seed: -1 is less than the minimum of 0"),
+    "maximum": ([(("dimension",), 5)],
+                "/dimension: 5 is greater than the maximum of 4"),
+    "exclusiveMinimum": ([(("metric", "y_min"), 0)],
+                         "/metric/y_min: 0 is less than or equal to the "
+                         "minimum of 0"),
+    "exclusiveMinimum-radius": (
+        [(("metric", "domain", "excluded"),
+          [{"center": [0, 0], "radius": -0.5}])],
+        "/metric/domain/excluded/0/radius: -0.5 is less than or equal to "
+        "the minimum of 0"),
+    "true-is-not-a-number": ([(("vector_field", "w_min"), True)],
+                             "/vector_field/w_min: True is not of type "
+                             "'number'"),
+    "true-is-not-an-integer": ([(("sampling", "count"), True)],
+                               "/sampling/count: True is not of type "
+                               "'integer'"),
+    "whole-float-is-an-integer": ([(("dimension",), 5.0)],
+                                  "/dimension: 5.0 is greater than the "
+                                  "maximum of 4"),
+    "infinity-is-not-an-integer": ([(("sampling", "count"), 1e400)],
+                                   "/sampling/count: inf is not of type "
+                                   "'integer'"),
+    "top-level-array": ([((), [1])], "/: [1] is not of type 'object'"),
+    "smallest-path-wins": ([(("sampling", "count"), 0),
+                            (("dimension",), 9)],
+                           "/dimension: 9 is greater than the maximum of 4"),
+    "smallest-path-yielded-last": (
+        [(("metric", "family"), "x"), (("metric", "F"), "")],
+        "/metric/F: '' should be non-empty"),
+    "indices-compare-as-numbers": (
+        [(("vector_field", "components"),
+          ["1"] * 9 + [None, None])],
+        "/vector_field/components/9: None is not of type 'string'"),
+    "one-path-required-before-additional": (
+        [(("sampling",), _DELETE), (("extra",), 1)],
+        "/: 'sampling' is a required property"),
+    "one-path-type-before-maximum": ([(("dimension",), 7.5)],
+                                     "/dimension: 7.5 is not of type "
+                                     "'integer'"),
+}
+
+
 def _with_balls(config):
     """The config with a ball excluded at the middle of its domain, its
     fibers drawn from a box about the origin with a ball excluded, and a
@@ -993,6 +1109,24 @@ class TestCliMain:
             errors.append(captured.err)
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: /two_form/entries/1,2: bad expression")
+
+    @pytest.mark.parametrize("edits, expected", SCHEMA_ERRORS.values(),
+                             ids=SCHEMA_ERRORS.keys())
+    def test_schema_errors_are_pinned(self, tmp_path, capsys, edits,
+                                      expected):
+        """Each schema keyword's error keeps its pointer and wording; of
+        several errors the one with the smallest path is reported, and of
+        two at one path the one whose keyword comes first in the schema."""
+        cfg = euclid_config()
+        for path, value in edits:
+            cfg = _edited(cfg, path, value)
+        path = tmp_path / "cfg.json"
+        # JSON reads the literal 1e400 as infinity
+        path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
+        assert main(["validate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_deeply_nested_json_is_a_config_error(self, tmp_path, capsys,
