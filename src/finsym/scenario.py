@@ -1,20 +1,23 @@
 """Scenario configuration: schema validation, object building, sampling.
 
 A scenario is one JSON document describing a metric, an optional two-form,
-vector field and chart, a sampling plan, and tolerance overrides.  Random
-sampling uses numpy's PCG64 generator with the explicit seed from the
-config, so runs are reproducible byte for byte.
+vector field and chart, a sampling plan, and tolerance overrides.
+``CONFIG_SCHEMA`` states its format in the eleven JSON Schema 2020-12
+keywords that ``_errors`` implements; a config's error is the one at the
+smallest path.  Random sampling uses numpy's PCG64 generator with the
+explicit seed from the config, so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Number
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .errors import ConfigError, ParseError
 from .fields import (DEFAULT_W_MIN, ChartMap, DomainBox, ScalarFieldSpec,
@@ -140,8 +143,68 @@ CONFIG_SCHEMA = {
 }
 
 
-def _json_pointer(path) -> str:
-    return "/" + "/".join(str(p) for p in path)
+# JSON Schema 2020-12 types: a bool is not a number, a whole float is an
+# integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+# The keywords a schema may use, each with the type of value it reads
+# (None: any), and how a value fails each bound and the words that say so.
+_KEYWORDS = {
+    "type": None, "enum": None, "required": "object", "properties": "object",
+    "additionalProperties": "object", "items": "array", "minItems": "array",
+    "minLength": "string", "minimum": "number", "maximum": "number",
+    "exclusiveMinimum": "number",
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+}
+
+
+def _errors(schema, v, path=()):
+    """(path, message) of each way ``v`` breaks ``schema``, keyword by
+    keyword in the schema's order."""
+    for key, arg in schema.items():
+        kind = _KEYWORDS[key]
+        if kind is not None and not _TYPES[kind](v):
+            continue
+        if key == "type" and not _TYPES[arg](v):
+            yield path, f"{v!r} is not of type {arg!r}"
+        elif key == "enum" and v not in arg:
+            yield path, f"{v!r} is not one of {arg!r}"
+        elif key == "required":
+            for name in arg:
+                if name not in v:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in arg.items():
+                if name in v:
+                    yield from _errors(sub, v[name], path + (name,))
+        elif key == "additionalProperties":
+            extras = sorted(set(v) - set(schema.get("properties", ())))
+            if isinstance(arg, dict):
+                for name in extras:
+                    yield from _errors(arg, v[name], path + (name,))
+            elif extras and not arg:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extras))} {verb} "
+                             "unexpected)")
+        elif key == "items":
+            for i, item in enumerate(v):
+                yield from _errors(arg, item, path + (i,))
+        elif key in ("minItems", "minLength") and len(v) < arg:
+            yield path, f"{v!r} " + (
+                "should be non-empty" if arg == 1 else "is too short")
+        elif key in _BOUNDS and _BOUNDS[key][0](v, arg):
+            yield path, f"{v!r} is {_BOUNDS[key][1]} {arg!r}"
 
 
 @dataclass(frozen=True)
@@ -287,17 +350,24 @@ def default_berwald_vectors(dimension: int) -> tuple:
     return tuple(np.array(v[:dimension]) for v in _BERWALD_BASE)
 
 
+# The most (x, y) pairs a plan may hold: the samplers hold their grids and
+# candidates in memory, and a check runs once per pair.
+_MAX_PAIRS = 10_000
+
+
 def validate_config(config: dict) -> None:
     """Schema plus cross-field validation; raises ConfigError."""
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    errors = list(_errors(CONFIG_SCHEMA, config))
     if errors:
-        e = errors[0]
-        raise ConfigError(e.message, _json_pointer(e.absolute_path))
+        path, message = min(errors, key=lambda e: e[0])
+        raise ConfigError(message, "/" + "/".join(map(str, path)))
     sampling = config["sampling"]
     if sampling["mode"] == "random" and "seed" not in sampling:
         raise ConfigError("random sampling requires an explicit seed",
                           "/sampling/seed")
+    if int(sampling["count"]) * int(sampling.get("y_per_x", 1)) > _MAX_PAIRS:
+        raise ConfigError(f"count * y_per_x is above {_MAX_PAIRS} pairs",
+                          "/sampling")
     for name, value in config.get("tolerances", {}).items():
         _check_tolerance(name, value)
 

@@ -369,6 +369,30 @@ class TestValidation:
             validate_config(cfg)
         assert err.value.json_path == "/sampling/count"
 
+    def test_schema_uses_only_implemented_keywords(self):
+        """A keyword added to the schema alone would not be checked."""
+        def keywords(schema):
+            for keyword, arg in schema.items():
+                yield keyword
+                if keyword == "properties":
+                    for sub in arg.values():
+                        yield from keywords(sub)
+                elif isinstance(arg, dict):  # items, additionalProperties
+                    yield from keywords(arg)
+
+        found = set(keywords(scenario.CONFIG_SCHEMA))
+        assert found <= set(scenario._KEYWORDS)
+        assert len(found) == 11
+
+    def test_plan_size_cap(self):
+        cfg = euclid_config()
+        cfg["sampling"].update(count=scenario._MAX_PAIRS // 4, y_per_x=4)
+        validate_config(cfg)
+        cfg["sampling"]["count"] += 1
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.json_path == "/sampling"
+
     def test_explicit_entries_key_format(self):
         cfg = euclid_config()
         cfg["two_form"] = {"kind": "explicit", "entries": {"2,1": "1"}}
@@ -1127,6 +1151,40 @@ class TestCliMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("y_per_x", 1e9), ("y_per_x", 1.7e308), ("count", 1e9)])
+    def test_oversized_plan_is_a_config_error(self, tmp_path, capsys, field,
+                                              value):
+        """A plan above the cap is refused before a sampler allocates
+        it."""
+        with open(os.path.join(CONFIG_DIR, "randers_dbeta.json")) as fh:
+            cfg = json.load(fh)
+        cfg["sampling"][field] = value
+        path = self._write(tmp_path, cfg)
+        for command in ("validate", "run"):
+            start = time.perf_counter()
+            assert main([command, "--config", path]) == 2
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: /sampling: count * y_per_x is above "
+                f"{scenario._MAX_PAIRS} pairs\n")
+
+    def test_cli_imports_no_schema_library(self):
+        """Configs are validated in-house: importing the CLI in a fresh
+        interpreter loads no JSON Schema engine or its dependencies."""
+        src = os.path.dirname(os.path.dirname(finsler.__file__))
+        banned = ("jsonschema", "referencing", "attr", "attrs", "rpds",
+                  "jsonschema_specifications")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, sys, finsym.cli; "
+             "print(json.dumps(list(sys.modules)))"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        loaded = json.loads(proc.stdout)
+        assert [m for m in loaded if m.partition(".")[0] in banned] == []
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_deeply_nested_json_is_a_config_error(self, tmp_path, capsys,
