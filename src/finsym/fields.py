@@ -17,28 +17,59 @@ The parser emits a flat postfix program of ``(op, arg)`` instructions:
 ``("num", value)``, ``("var", index)``, ``("neg", None)``,
 ``("sqrt", None)``, ``("^", exponent)`` and the binary ``("+", None)``,
 ``("-", None)``, ``("*", None)``, ``("/", None)``, each after both of its
-operands.  One loop over a value stack runs a program on jets or columns
-of floats, one column per row of a ``(P, num_vars)`` stack of points, left
-operand first, so the length of an expression costs no stack depth.
+operands.  One loop over a value stack (``_run``) runs a program on
+columns of floats, one per row of a ``(P, num_vars)`` stack of points,
+left operand first, so the length of an expression costs no stack depth;
+on ``Jet`` operands it is the reference the tests hold jets to.
+
+``eval_jet`` runs a tape instead: each ``(program, num_vars, order)`` is
+compiled once (a bounded cache) into straight-line steps over numbered
+slots.  Compiling resolves all that depends on the program alone: every
+jet's support and each product's restricted table, constant subexpressions
+(folded by ``_run``; one that raises becomes a step that raises the same
+error at its place in the order), integer powers as products and each
+composition's table.  A product reads a variable from a bank of the
+variables' values, a row of 1.0 and a row of +0.0, the floats of its
+coefficients, so a variable takes a slot only where a scalar, a sum or a
+composition meets it.  Each call allocates one working block for the
+slots, reused by stack liveness, the bank and one product scratch, into
+which a product gathers both its factors, and frees it on return; only the
+result, in an array of its own, outlives the call.  The steps run the
+``Jet`` operators' float operations in the same order through the same
+kernels (``jets._multiply_into``, ``jets._compose_into`` and
+``jets._taylor``), so every coefficient, every error and the first failing
+column equal a run of ``_run`` on jets, bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     DomainError,
+    FinsymError,
     ParseError,
     SingularChartError,
     UnknownVariableError,
     ZeroVectorError,
 )
-from .jets import Jet
+from .jets import (
+    Jet,
+    _compose_into,
+    _multiply_into,
+    _power_factors,
+    _reciprocal_factors,
+    _sqrt_factors,
+    _table,
+    _taylor,
+)
 
 DEFAULT_W_MIN = 1e-6
 
@@ -268,6 +299,233 @@ def _run(program: tuple, env: Sequence):
     return stack[-1]
 
 
+# -- jet tapes ----------------------------------------------------------------
+#
+# Each step is a function of the call's arrays (the slots, then the bank of
+# the variables' values, a row of 1.0 and a row of +0.0), the product scratch
+# and its compiled arguments.  It makes the float operations of the ``Jet``
+# operator it stands for, in the same order, through the same kernels.
+
+
+def _step_variable(ar, scratch, rows, out):
+    np.take(ar[-1], rows, axis=0, out=ar[out], mode="clip")
+
+
+def _step_constant(ar, scratch, value, out):
+    ar[out].fill(0.0)
+    ar[out][0] = value
+
+
+def _step_product(ar, scratch, p, a, b, out):
+    _multiply_into(p, ar[a], ar[b], ar[out], scratch)
+
+
+def _step_compose(ar, scratch, p, order, factors, args, src, out):
+    h = ar[src]
+    dcoef = _taylor(factors, h[0], order, *args)
+    h[0] = 0.0
+    _compose_into(p, h, dcoef, ar[out], scratch)
+
+
+def _step_combine(ar, scratch, ufunc, a, b):
+    ufunc(ar[a], ar[b], out=ar[a])
+
+
+def _step_scale(ar, scratch, ufunc, a, value):
+    ufunc(ar[a], value, out=ar[a])
+
+
+def _step_shift(ar, scratch, ufunc, a, value):
+    ufunc(ar[a][0], value, out=ar[a][0])
+
+
+def _step_negate(ar, scratch, a):
+    np.negative(ar[a], out=ar[a])
+
+
+def _step_fail(ar, scratch, fragment):
+    _run(fragment, ())
+
+
+class _Tape:
+    """A program compiled for one ``(num_vars, order)``: straight-line
+    steps over numbered slots of ``size`` coefficient rows each, the
+    result in slot ``result`` with the variable support ``support``, and
+    ``scratch`` rows for the products."""
+
+    __slots__ = ("size", "steps", "slots", "scratch", "result", "support")
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """The coefficients at each row of a ``(P, num_vars)`` stack, in a
+        fresh array.  Every other slot, the bank and the scratch share one
+        block, allocated here and freed on return."""
+        n, size = x.shape[1], self.size
+        out = np.empty((size, len(x)))
+        block = np.empty((self.scratch + n + 2 + (self.slots - 1) * size,
+                          len(x)))
+        bank = block[self.scratch:self.scratch + n + 2]
+        bank[:n] = x.T
+        bank[n] = 1.0
+        bank[n + 1] = 0.0
+        ar = [block[start:start + size] for start in range(
+            self.scratch + n + 2, len(block), size)]
+        ar.insert(self.result, out)
+        ar.append(bank)
+        scratch = block[:self.scratch]
+        for step, args in self.steps:
+            step(ar, scratch, *args)
+        return out
+
+
+# compiled tapes kept per process: each distinct program compiles one, and
+# a config builds a few dozen
+_TAPES = 256
+
+
+@lru_cache(maxsize=_TAPES)
+def _tape(program: tuple, num_vars: int, order: int) -> _Tape:
+    """Compile ``program`` for ``num_vars`` variables at ``order``.  A
+    stack entry is a float for a constant subexpression, folded here by
+    ``_run`` (a failing one becomes a step that raises its error and ends
+    the tape), or ``(slot, support)`` for a jet, where ``slot`` is -1 for a
+    variable read from the bank.  Slots are reused by stack liveness,
+    lowest first."""
+    t = _table(num_vars, order)
+    tape = _Tape()
+    tape.size, tape.steps, tape.scratch = t.size, [], 0
+    tape.result, tape.support = 0, 0
+    steps, free, used = tape.steps, [], 0
+
+    def new() -> int:
+        nonlocal used
+        if free:
+            return heapq.heappop(free)
+        used += 1
+        return used - 1
+
+    def release(e) -> None:
+        if e[0] >= 0:
+            heapq.heappush(free, e[0])
+
+    def slot(e) -> int:
+        """The slot of jet entry ``e``; a variable is copied to a new one."""
+        if e[0] >= 0:
+            return e[0]
+        out = new()
+        steps.append((_step_variable, (t.bank[e[1].bit_length() - 1], out)))
+        return out
+
+    def product(a, b, out: int) -> None:
+        p = t.product(a[1], b[1], a[0] < 0, b[0] < 0)
+        tape.scratch = max(tape.scratch, 2 * len(p.a))
+        steps.append((_step_product, (p, a[0], b[0], out)))
+
+    def compose(e, factors, *args):
+        src, out, p = slot(e), new(), None
+        if order >= 2:  # Horner's scheme makes products
+            p = t.product(e[1], e[1])
+            tape.scratch = max(tape.scratch, 2 * len(p.a))
+        steps.append((_step_compose, (p, order, factors, args, src, out)))
+        heapq.heappush(free, src)
+        return out, e[1]
+
+    def power(e, n: int):
+        if n == 0:
+            # the operand's support, as ``Jet.__pow__`` keeps it
+            release(e)
+            out = new()
+            steps.append((_step_constant, (1.0, out)))
+            return out, e[1]
+        if abs(n) > 1:
+            out = new()
+            product(e, e, out)
+            for _ in range(abs(n) - 2):
+                product((out, e[1]), e, out)
+            release(e)
+            e = out, e[1]
+        return e if n > 0 else compose(e, _reciprocal_factors)
+
+    stack: list = []
+    for op, arg in program:
+        if op == "num":
+            stack.append(arg)
+            continue
+        if op == "var":
+            stack.append((-1, 1 << arg))
+            continue
+        arity = 1 if op in ("^", "sqrt", "neg") else 2
+        operands = stack[-arity:]
+        del stack[-arity:]
+        if all(isinstance(v, float) for v in operands):
+            fragment = tuple(("num", v) for v in operands) + ((op, arg),)
+            try:
+                stack.append(_run(fragment, ()))
+            except FinsymError:
+                steps.append((_step_fail, (fragment,)))
+                break
+            continue
+        if arity == 1:
+            (e,) = operands
+            if op == "neg":
+                out = slot(e)
+                steps.append((_step_negate, (out,)))
+                stack.append((out, e[1]))
+            elif op == "sqrt":
+                stack.append(compose(e, _sqrt_factors))
+            elif float(arg).is_integer():
+                stack.append(power(e, int(arg)))
+            else:
+                stack.append(compose(e, _power_factors, float(arg)))
+            continue
+        left, right = operands
+        if op == "/" and isinstance(right, float) and _is_zero(right):
+            # the division's own check; the left operand does not matter
+            steps.append((_step_fail, ((("num", 1.0), ("num", right),
+                                        ("/", None)),)))
+            break
+        if op == "/" and not isinstance(right, float):
+            # a jet divisor: times its reciprocal, as Jet's division
+            right = compose(right, _reciprocal_factors)
+            op = "*"
+        if isinstance(left, float) or isinstance(right, float):
+            value, e = (left, right) if isinstance(left, float) else (
+                right, left)
+            out = slot(e)
+            if op == "*":
+                steps.append((_step_scale, (np.multiply, out, value)))
+            elif op == "/":
+                steps.append((_step_scale, (np.true_divide, out, value)))
+            elif op == "+":
+                steps.append((_step_shift, (np.add, out, value)))
+            elif isinstance(right, float):
+                steps.append((_step_shift, (np.subtract, out, value)))
+            else:
+                steps.append((_step_negate, (out,)))
+                steps.append((_step_shift, (np.add, out, value)))
+            stack.append((out, e[1]))
+        elif op == "*":
+            out = left[0] if left[0] >= 0 else (
+                right[0] if right[0] >= 0 else new())
+            product(left, right, out)
+            release(right if out == left[0] else left)
+            stack.append((out, left[1] | right[1]))
+        else:
+            a, b = slot(left), slot(right)
+            steps.append((_step_combine, (
+                np.add if op == "+" else np.subtract, a, b)))
+            heapq.heappush(free, b)
+            stack.append((a, left[1] | right[1]))
+    else:
+        e = stack[-1]
+        if isinstance(e, float):
+            out = new()
+            steps.append((_step_constant, (e, out)))
+            e = out, 0
+        tape.result, tape.support = slot(e), e[1]
+    tape.slots = max(used, 1)
+    return tape
+
+
 # -- field specs ---------------------------------------------------------------
 
 
@@ -308,17 +566,39 @@ class ScalarFieldSpec:
         row."""
         num_vars = len(self.variables)
         x = np.asarray(point, dtype=float).reshape(-1, num_vars)
-        env = [Jet.variable(i, x.T[i], num_vars, order)
-               for i in range(num_vars)]
+        tape = _tape(self.program, num_vars, order)
         with np.errstate(all="ignore"):  # non-finite data raises below
-            out = _run(self.program, env)
-        if not isinstance(out, Jet):
-            out = Jet.constant(np.full(len(x), float(out)), num_vars, order)
+            out = Jet(num_vars, order, tape.run(x))
+        out.support = tape.support
         finite = np.isfinite(out.c).all(axis=0)
         if not finite.all():  # named by the first non-finite column
             x = x[np.argmin(finite)]
             raise DomainError(f"non-finite field data at {x.tolist()}")
         return out
+
+
+# how far, relative to a bound, a norm summed by numpy may stray from
+# math.hypot's: a few units in the last place, with a wide margin
+_NORM_SLACK = 1e-9
+
+
+def norms_at_least(rows: np.ndarray, bounds) -> np.ndarray:
+    """Whether ``math.hypot(*row) >= bound`` for each row of a ``(P, n)``
+    stack and its bound (one float, or one per row), decided in one numpy
+    pass.  ``math.hypot`` scales its arguments, so it cannot overflow; it
+    decides itself the rows the pass cannot: those whose norm lies within
+    ``_NORM_SLACK`` of the bound, is below 1e-150 (its squares may
+    underflow) or is not finite (they overflow)."""
+    bounds = np.broadcast_to(np.asarray(bounds, dtype=float), rows.shape[:1])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        norms = np.sqrt((rows * rows).sum(axis=1))
+        sure = ((np.abs(norms - bounds) > _NORM_SLACK * np.abs(bounds))
+                & (norms >= 1e-150) & np.isfinite(norms))
+    out = norms >= bounds
+    unsure = np.flatnonzero(~sure)
+    out[unsure] = [math.hypot(*row) >= bound for row, bound in zip(
+        rows[unsure].tolist(), bounds[unsure].tolist())]
+    return out
 
 
 @dataclass(frozen=True)
@@ -350,11 +630,9 @@ class DomainBox:
         inside = (np.isfinite(xs) & (xs >= self.lower)
                   & (xs <= self.upper)).all(axis=1)
         for center, radius in self.excluded:
-            # math.hypot scales its arguments, so a far centre cannot
-            # overflow; a difference that does is inf, as on Python floats
+            # a difference that overflows is inf, as on Python floats
             with np.errstate(over="ignore"):
-                offsets = (xs - center).tolist()
-            inside &= ~(np.array([math.hypot(*d) for d in offsets]) < radius)
+                inside &= norms_at_least(xs - center, radius)
         return inside
 
     def require(self, point: Sequence[float], what: str = "point") -> None:

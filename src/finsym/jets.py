@@ -52,6 +52,12 @@ full table, and a finite column met no skipped nan, so it is the same
 bit for bit; ``ScalarFieldSpec.eval_jet`` raises on the first non-finite
 column, so it runs each program once.
 
+Two kernels do the arithmetic, shared by the ``Jet`` operators and by
+the tapes ``fields.ScalarFieldSpec.eval_jet`` runs: :func:`_multiply_into`,
+the one product routine, and :func:`_compose_into`, the one composition
+routine (Horner's scheme over it), both writing into arrays the caller
+provides; :func:`_taylor` computes the Taylor factors they compose with.
+
 An independent finite-difference oracle (:func:`fd_oracle`) is provided to
 cross-check jet output; it never goes through jet arithmetic.
 """
@@ -102,10 +108,13 @@ class _Product:
     then by slot, so those of rank k are ``ranks[k]:ranks[k + 1]`` and add
     to the first slots, whatever the number of columns."""
 
-    __slots__ = ("a", "b", "out", "ranks")
+    __slots__ = ("a", "b", "out", "ranks", "partial")
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, out: np.ndarray):
-        """The entries ``a``, ``b``, ``out`` in table order."""
+    def __init__(self, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                 size: int):
+        """The entries ``a``, ``b``, ``out`` of a table of ``size``
+        coefficients, in table order; ``partial`` whether some coefficient
+        is no entry's output."""
         by_out = np.argsort(out, kind="stable")
         outputs, first, counts = np.unique(out[by_out], return_index=True,
                                            return_counts=True)
@@ -118,20 +127,21 @@ class _Product:
         self.a, self.b, self.out = a[layout], b[layout], outputs[by_count]
         self.ranks = tuple(np.searchsorted(
             rank[layout], np.arange(counts.max(initial=0) + 1)).tolist())
+        self.partial = len(outputs) < size
 
 
 class _JetTable:
     """Precomputed index bookkeeping for one (num_vars, order) shape."""
 
-    __slots__ = ("num_vars", "order", "indices", "index_of", "size",
-                 "factorials", "_by_key", "_keys", "_pairs", "products")
+    __slots__ = ("num_vars", "order", "indices", "size",
+                 "factorials", "_by_key", "_keys", "_pairs", "bank",
+                 "products", "banked")
 
     def __init__(self, num_vars: int, order: int):
         self.num_vars = num_vars
         self.order = order
         self.indices = _graded_indices(num_vars, order)
         self.size = len(self.indices)
-        self.index_of = {idx: k for k, idx in enumerate(self.indices)}
         exponents = np.array(self.indices, dtype=np.intp).reshape(
             self.size, num_vars)
         self.factorials = np.array([multi_index_factorial(idx)
@@ -155,24 +165,95 @@ class _JetTable:
         out = self.positions(exponents[a] + exponents[b])
         support = (exponents > 0) @ (1 << np.arange(num_vars))
         self._pairs = (a, b, out, support[a], support[b])
+        # bank[i, k]: the row of coefficient k of variable i's jet in a bank
+        # of the variables' values, a row of 1.0 and a row of +0.0
+        self.bank = np.full((num_vars, self.size), num_vars + 1,
+                            dtype=np.intp)
+        self.bank[:, 0] = np.arange(num_vars)
+        if order:
+            self.bank[np.arange(num_vars), self.positions(
+                np.eye(num_vars, dtype=np.intp))] = num_vars
         self.products: dict[tuple[int, int], _Product] = {}
+        self.banked: dict[tuple, _Product] = {}
 
     def positions(self, exponents: np.ndarray) -> np.ndarray:
         """The coefficient position of each row of a multi-index array."""
         keys = exponents @ (self.order + 1) ** np.arange(self.num_vars)
         return self._by_key[np.searchsorted(self._keys, keys)]
 
-    def product(self, sa: int, sb: int) -> _Product:
+    def product(self, sa: int, sb: int, bank_a: bool = False,
+                bank_b: bool = False) -> _Product:
         """The product table restricted to factors whose variables lie in
-        the supports ``sa`` and ``sb``; cached in ``products``."""
+        the supports ``sa`` and ``sb``; cached in ``products``.  A factor
+        marked ``bank_a`` or ``bank_b`` is a variable, its support one bit,
+        read from a bank of ``num_vars + 2`` rows (see ``bank``); those
+        tables are cached in ``banked``."""
+        if bank_a or bank_b:
+            found = self.banked.get((sa, sb, bank_a, bank_b))
+            if found is None:
+                p = self.product(sa, sb)
+                found = _Product.__new__(_Product)
+                found.a, found.b = p.a, p.b
+                if bank_a:
+                    found.a = self.bank[sa.bit_length() - 1, p.a]
+                if bank_b:
+                    found.b = self.bank[sb.bit_length() - 1, p.b]
+                found.out, found.ranks, found.partial = (p.out, p.ranks,
+                                                         p.partial)
+                self.banked[sa, sb, bank_a, bank_b] = found
+            return found
         found = self.products.get((sa, sb))
         if found is None:
             a, b, out, support_a, support_b = self._pairs
             keep = np.flatnonzero(((support_a & ~sa) == 0)
                                   & ((support_b & ~sb) == 0))
             found = self.products[sa, sb] = _Product(a[keep], b[keep],
-                                                     out[keep])
+                                                     out[keep], self.size)
         return found
+
+
+def _multiply_into(p: _Product, a: np.ndarray, b: np.ndarray,
+                   out: np.ndarray, scratch: np.ndarray) -> None:
+    """The product of the coefficient arrays ``a`` and ``b`` on the table
+    ``p``, written to ``out``, which may be ``a`` or ``b``; the two factors
+    are gathered into ``scratch``, which has at least ``2 * len(p.a)``
+    rows.  Each output's sum starts at +0.0 and adds its terms in table
+    order, rank by rank, in the head of the gathered left factor: the same
+    float operations in the same order whatever the number of columns."""
+    prod, right = scratch[:len(p.a)], scratch[len(p.a):2 * len(p.a)]
+    # mode="clip" writes straight to out; the default buffers it
+    np.take(a, p.a, axis=0, out=prod, mode="clip")
+    np.take(b, p.b, axis=0, out=right, mode="clip")
+    prod *= right
+    sums = prod[:len(p.out)]
+    sums += 0.0
+    for start, stop in zip(p.ranks[1:], p.ranks[2:]):
+        sums[:stop - start] += prod[start:stop]
+    if p.partial:
+        out.fill(0.0)
+    out[p.out] = sums
+
+
+def _compose_into(p: _Product | None, h: np.ndarray, dcoef,
+                  out: np.ndarray, scratch: np.ndarray) -> None:
+    """The analytic composition g(value + h), written to ``out``, from the
+    nilpotent part ``h`` of a jet (its value row +0.0) and dcoef[k] =
+    g^(k)(value)/k!, one per column: Horner's scheme from dcoef[-1] * h,
+    with ``p`` the product table of h's support with itself, which only
+    orders 2 and up use."""
+    np.multiply(h, dcoef[-1], out=out)
+    for k in range(len(dcoef) - 2, 0, -1):
+        out[0] += dcoef[k]
+        _multiply_into(p, out, h, out, scratch)
+    out[0] += dcoef[0]
+
+
+def _taylor(factors: Callable, values: np.ndarray, order: int,
+            *args) -> np.ndarray:
+    """``factors(v, order, *args)`` at each entry of ``values``, as an
+    ``(order + 1, P)`` array; always on Python floats, which np.power need
+    not match, so the first failing entry raises."""
+    return np.array([factors(v, order, *args) for v in values.tolist()]).T
 
 
 @lru_cache(maxsize=None)
@@ -267,23 +348,6 @@ class Jet:
         out.support = 0
         return out
 
-    @classmethod
-    def variable(cls, i: int, value, num_vars: int, order: int) -> "Jet":
-        """The jet of coordinate i with one column per entry of ``value``
-        (a float is one column)."""
-        if not 0 <= i < num_vars:
-            raise ValueError(f"variable index {i} out of range for {num_vars} vars")
-        t = _table(num_vars, order)
-        value = np.atleast_1d(value)
-        c = np.zeros((t.size,) + value.shape)
-        c[0] = value
-        if order >= 1:
-            unit = tuple(1 if v == i else 0 for v in range(num_vars))
-            c[t.index_of[unit]] = 1.0
-        out = cls(num_vars, order, c)
-        out.support = 1 << i
-        return out
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -341,19 +405,11 @@ class Jet:
         if not isinstance(other, Jet):
             return self._new(self.c * other, self.support)
         self._check(other)
-        t = _table(self.num_vars, self.order)
-        p = t.product(self.support, other.support)
-        prod = self.c[p.a]
-        prod *= other.c[p.b]
-        # each output's sum starts at +0.0 and adds its terms in table order,
-        # rank by rank, in the head of prod: the same float operations in
-        # the same order whatever the number of columns
-        sums = prod[:len(p.out)]
-        sums += 0.0
-        for start, stop in zip(p.ranks[1:], p.ranks[2:]):
-            sums[:stop - start] += prod[start:stop]
-        c = np.zeros((t.size,) + prod.shape[1:])
-        c[p.out] = sums
+        p = _table(self.num_vars, self.order).product(self.support,
+                                                       other.support)
+        c = np.empty(self.c.shape)
+        _multiply_into(p, self.c, other.c, c,
+                       np.empty((2 * len(p.a),) + c.shape[1:]))
         return self._new(c, self.support | other.support)
 
     __rmul__ = __mul__
@@ -371,28 +427,23 @@ class Jet:
         c[0] = 0.0
         return self._new(c, self.support)
 
-    def _factors(self, factors: Callable, *args) -> np.ndarray:
-        """``factors(v, order, *args)`` at each column's value, as an
-        ``(order + 1, P)`` array; always on Python floats."""
-        return np.array([factors(v, self.order, *args)
-                         for v in self.c[0].tolist()]).T
-
     def _compose(self, dcoef) -> "Jet":
         """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!,
         one per column."""
-        h = self._nilpotent()
-        out = h * dcoef[-1]
-        for k in range(len(dcoef) - 2, 0, -1):
-            out.c[0] += dcoef[k]
-            out = out * h
-        out.c[0] += dcoef[0]
-        return out
+        h = self._nilpotent().c
+        p = _table(self.num_vars, self.order).product(self.support,
+                                                       self.support)
+        out = np.empty(h.shape)
+        _compose_into(p, h, dcoef, out,
+                      np.empty((2 * len(p.a),) + h.shape[1:]))
+        return self._new(out, self.support)
 
     def _reciprocal(self) -> "Jet":
-        return self._compose(self._factors(_reciprocal_factors))
+        return self._compose(_taylor(_reciprocal_factors, self.c[0],
+                                     self.order))
 
     def sqrt(self) -> "Jet":
-        return self._compose(self._factors(_sqrt_factors))
+        return self._compose(_taylor(_sqrt_factors, self.c[0], self.order))
 
     def __pow__(self, p: float) -> "Jet":
         p = float(p)
@@ -409,7 +460,8 @@ class Jet:
             for _ in range(abs(n) - 1):
                 out = out * self
             return out if n > 0 else out._reciprocal()
-        return self._compose(self._factors(_power_factors, p))
+        return self._compose(_taylor(_power_factors, self.c[0], self.order,
+                                     p))
 
     def __repr__(self) -> str:
         return f"Jet(num_vars={self.num_vars}, order={self.order}, value={self.value})"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 from .fields import (DEFAULT_W_MIN, ChartMap, DomainBox, ScalarFieldSpec,
-                     VectorFieldSpec)
+                     VectorFieldSpec, norms_at_least)
 from .finsler import DEFAULT_TOL_PD, DEFAULT_Y_MIN, MetricSpec
 from .jets import fd_base_step
 from .symplectic import ExactTwoForm, TwoForm, explicit_two_form, standard_form
@@ -393,12 +393,13 @@ def _stencil_clear(box: DomainBox, ps: np.ndarray) -> np.ndarray:
     stencil around it misses the excluded balls: p is at least the largest
     step, ``eps^(1/5) * max(1, |x_v|)``, beyond each ball's radius."""
     clear = box.contains_rows(ps)
-    if box.excluded:
-        for row, coords in enumerate(ps.tolist()):
-            step = _FD_STEP * max(1.0, *map(abs, coords))
-            clear[row] = clear[row] and all(
-                math.hypot(*(a - c for a, c in zip(coords, center)))
-                >= radius + step for center, radius in box.excluded)
+    rows = np.flatnonzero(clear)
+    if box.excluded and len(rows):
+        inside = ps[rows]
+        step = _FD_STEP * np.maximum(1.0, np.abs(inside).max(axis=1))
+        for center, radius in box.excluded:
+            with np.errstate(over="ignore"):
+                clear[rows] &= norms_at_least(inside - center, radius + step)
     return clear
 
 
@@ -438,24 +439,27 @@ def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0,
     keep = keep or box.contains_rows
     lo, hi = _inset(box)
     budget, out = 1000 * count, []
-    # the rows drawn after the last run's last point, and which are admitted
-    ps, admitted = np.empty((0, box.dimension)), np.empty(0, dtype=bool)
+    # the admitted rows drawn after the last run's last point, their
+    # positions among the rows drawn since, and how many those are
+    kept, at, drawn = np.empty((0, box.dimension)), np.empty(0, np.intp), 0
     while len(out) < runs:
-        hits = np.flatnonzero(admitted[:budget])[:count]
+        hits = np.flatnonzero(at < budget)[:count]
         if len(hits) == count:
-            out.append(ps[hits])
-            ps, admitted = ps[hits[-1] + 1:], admitted[hits[-1] + 1:]
-        elif len(admitted) >= budget:
+            out.append(kept[:count])
+            start = at[count - 1] + 1
+            kept, at, drawn = kept[count:], at[count:] - start, drawn - start
+        elif drawn >= budget:
             raise ConfigError(
                 "sampling box rejects nearly all points", "/sampling")
         else:
             new = lo + (hi - lo) * rng.random((min(
                 count * (runs - len(out)) - len(hits),
-                budget - len(admitted)), box.dimension))
-            norms = np.array([math.hypot(*row) for row in new.tolist()])
-            ps = np.concatenate([ps, new])
-            admitted = np.concatenate([admitted,
-                                       keep(new) & (norms >= min_norm)])
+                budget - drawn), box.dimension))
+            admitted = np.flatnonzero(keep(new) & norms_at_least(new,
+                                                                 min_norm))
+            kept = np.concatenate([kept, new[admitted]])
+            at = np.concatenate([at, drawn + admitted])
+            drawn += len(new)
     return np.array(out)
 
 

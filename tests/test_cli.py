@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -548,6 +549,25 @@ class TestRunScenario:
             scenario._random_points(box, 5, Counted(np.random.default_rng(
                 42)))
         assert sum(drawn) == 5000
+
+    def test_a_domain_that_rejects_every_point_holds_no_candidates(self):
+        """A ball covering the whole box: at ``count`` 1000 the plan draws
+        its budget of a million base-point candidates, and the traced
+        memory peaks at a few MB while it does, because only admitted rows
+        are kept."""
+        config = scenario.load_config(os.path.join(ROOT, "configs",
+                                                   "randers_dbeta.json"))
+        config["metric"]["domain"]["excluded"] = [{"center": [0, 0],
+                                                   "radius": 10}]
+        config["sampling"]["count"] = 1000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="rejects nearly all"):
+                build_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_requested_subset(self):
         records = run_scenario(euclid_config(), suite=["structural"])

@@ -25,7 +25,10 @@ from finsym.fields import (
     ScalarFieldSpec,
     VectorFieldSpec,
     chart_jacobians,
+    norms_at_least,
 )
+from finsym import scenario
+from finsym.scenario import _FD_STEP
 
 from conftest import fd_estimate
 
@@ -313,6 +316,49 @@ class TestDomainBox:
             True, False, False, False, False, True]
         assert [wide.contains(x) for x in rows] == [
             True, False, False, False, False, True]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 4),
+           st.sampled_from([1.0, 1e-3, 1e6, 1e-160, 1e-300, 1e160, 1e200]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_ball_tests_equal_the_per_row_rule(self, n, scale, seed):
+        """Rows at, and a few units in the last place around, the edge of
+        a ball and of its FD-step margin, at scales where the squares of
+        the offsets overflow or underflow: the box's test and the
+        base-point test in one numpy pass give the per-row
+        ``math.hypot`` rules, and so does ``norms_at_least`` against each
+        row's own norm."""
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-2.0, 2.0, n) * scale
+        radius = rng.uniform(0.1, 3.0) * scale
+        directions = rng.normal(size=(6, n))
+        directions /= np.sqrt((directions ** 2).sum(axis=1))[:, None]
+        margin = radius + _FD_STEP * max(1.0, 5.0 * scale)
+        nudges = 1.0 + np.arange(-4, 5) * 2.0 ** -52
+        rows = np.concatenate([center + directions * r * k for r in (
+            radius, margin) for k in nudges])
+        box = DomainBox((-1.7e308,) * n, (1.7e308,) * n,
+                        excluded=((tuple(center.tolist()), radius),))
+
+        def by_row(coords, stencil):
+            if not all(math.isfinite(v) for v in coords):
+                return False
+            norm = math.hypot(*(a - c for a, c in zip(coords, center)))
+            step = _FD_STEP * max(1.0, *map(abs, coords))
+            return not norm < radius and (
+                not stencil or norm >= radius + step)
+
+        assert box.contains_rows(rows).tolist() == [
+            by_row(row, False) for row in rows.tolist()]
+        assert scenario._stencil_clear(box, rows).tolist() == [
+            by_row(row, True) for row in rows.tolist()]
+        with np.errstate(over="ignore"):
+            offsets = rows - center
+        norms = [math.hypot(*row) for row in offsets.tolist()]
+        for bounds in (norms, np.nextafter(norms, np.inf),
+                       np.nextafter(norms, -np.inf)):
+            assert norms_at_least(offsets, bounds).tolist() == [
+                norm >= bound for norm, bound in zip(norms, bounds)]
 
     def test_require(self):
         box = DomainBox((0.0,), (1.0,))

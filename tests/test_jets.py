@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import tracemalloc
+from functools import lru_cache
 from itertools import accumulate, product
 
 import numpy as np
@@ -27,6 +29,19 @@ from finsym.jets import (
 from finsym.scenario import build_scenario, load_config
 
 from conftest import fd_estimate, partial
+
+
+def _variable(i, value, num_vars, order):
+    """The jet of coordinate i with one column per entry of ``value`` (a
+    float is one column): the value, 1.0 on x_i and +0.0 elsewhere, on
+    the support 1 << i."""
+    c = Jet.constant(value, num_vars, order).c
+    if order:
+        c[_table(num_vars, order).indices.index(
+            tuple(int(v == i) for v in range(num_vars)))] = 1.0
+    jet = Jet(num_vars, order, c)
+    jet.support = 1 << i
+    return jet
 
 
 def test_multi_index_helpers():
@@ -61,7 +76,7 @@ class TestJetEval:
         assert abs(j.derivatives(2)[0, 0, 0] - fd) < 1e-8
 
     def test_callable_field(self):
-        v = [Jet.variable(i, p, 2, 2) for i, p in enumerate([2.0, 3.0])]
+        v = [_variable(i, p, 2, 2) for i, p in enumerate([2.0, 3.0])]
         j = v[0] * v[0] * v[1]
         assert j.value.tolist() == [12.0]
         assert j.derivatives(2)[0, 0, 1] == 4.0
@@ -149,7 +164,7 @@ class TestJetArithmetic:
 def _poly_jets(draw, num_vars=2, order=3):
     """Random integer polynomial jets built from variables and constants."""
     point = [float(draw(st.integers(-2, 2))) for _ in range(num_vars)]
-    vs = [Jet.variable(i, point[i], num_vars, order) for i in range(num_vars)]
+    vs = [_variable(i, point[i], num_vars, order) for i in range(num_vars)]
 
     def term():
         c = draw(st.integers(-3, 3))
@@ -433,7 +448,7 @@ def _full_support_eval_jet(field, point, order):
     """``ScalarFieldSpec.eval_jet`` run on jets made from raw coefficients."""
     n = field.num_vars
     x = np.asarray(point, dtype=float).reshape(-1, n)
-    env = [Jet(n, order, Jet.variable(i, x.T[i], n, order).c)
+    env = [Jet(n, order, _variable(i, x.T[i], n, order).c)
            for i in range(n)]
     with np.errstate(all="ignore"):
         out = _run(field.program, env)
@@ -455,20 +470,105 @@ def _configs():
                 yield os.path.join(directory, name)
 
 
-@pytest.mark.parametrize("path", list(_configs()),
-                         ids=lambda p: os.path.basename(p)[:-5])
-def test_energy_jets_equal_full_support_runs(path):
-    """The energy of every shipped and test config, at orders 3 and 4, on
-    one point and on a block: ``eval_jet`` equals the program run on jets
-    made from raw coefficients, bit for bit."""
-    s = build_scenario(load_config(path))
-    points = np.array([np.concatenate([x, y]) for x, ys in zip(
+@lru_cache(maxsize=None)
+def _scenario(path):
+    return build_scenario(load_config(path))
+
+
+def _field_programs(path):
+    """Every field program the config at ``path`` builds, by name, with
+    the points it is evaluated at: six (x, y) pairs of the plan for F and
+    the energy, their base points for the metric, covector, W, chart and
+    two-form entries, and the chart's images of them for its inverse."""
+    s = _scenario(path)
+    n = s.dimension
+    xy = np.array([np.concatenate([x, y]) for x, ys in zip(
         s.plan.xs, s.plan.ys) for y in ys][:6])
-    phi = s.metric.phi_field
-    for order in (3, 4):
+    xs = xy[:, :n]
+    fields = {"phi": (s.metric.phi_field, xy), "F": (s.metric.F_field, xy)}
+    for i, row in enumerate(s.metric.g_entries or ()):
+        for j, entry in enumerate(row):
+            fields[f"g{i + 1}{j + 1}"] = entry, xs
+    for i, entry in enumerate(s.metric.b_fields or ()):
+        fields[f"b{i + 1}"] = entry, xs
+    for i, entry in enumerate(getattr(s.vector_field, "components", ())):
+        fields[f"W{i + 1}"] = entry, xs
+    if s.chart is not None:
+        xhat = np.stack([c.evaluate(xs) for c in s.chart.forward], axis=1)
+        for i, (fwd, inv) in enumerate(zip(s.chart.forward,
+                                           s.chart.inverse)):
+            fields[f"chart{i + 1}"] = fwd, xs
+            fields[f"inverse{i + 1}"] = inv, xhat
+    for (i, j), entry in getattr(s.two_form, "entries", {}).items():
+        fields[f"form{i + 1}{j + 1}"] = entry, xs
+    return fields
+
+
+def _field_cases():
+    """(config, field name) pairs; the energy's case keeps the config's
+    name as its id."""
+    for path in _configs():
+        config = os.path.basename(path)[:-5]
+        for name in _field_programs(path):
+            yield pytest.param(path, name, id=config if name == "phi"
+                               else f"{config}-{name}")
+
+
+@pytest.mark.parametrize("path,name", list(_field_cases()))
+def test_energy_jets_equal_full_support_runs(path, name):
+    """Every field program of every shipped and test config (F, the
+    energy, the metric or alpha and b entries, W, the chart's forward and
+    inverse maps and the two-form entries), at orders 1 to 4, on one point
+    and on a block: ``eval_jet`` equals the program run on jets made from
+    raw coefficients, bit for bit."""
+    field, points = _field_programs(path)[name]
+    for order in (1, 2, 3, 4):
         for at in (points[0], points):
-            assert (phi.eval_jet(at, order).c.tobytes()
-                    == _full_support_eval_jet(phi, at, order).c.tobytes())
+            assert (field.eval_jet(at, order).c.tobytes()
+                    == _full_support_eval_jet(field, at, order).c.tobytes())
+
+
+@pytest.mark.parametrize("text", ["x1^2*x2+sqrt(1+x2^2)", "x2", "7"])
+def test_returned_jets_share_no_memory(text):
+    """A jet ``eval_jet`` returns owns its coefficients: writing into them
+    leaves the next call's jet unchanged, on one row and on a block."""
+    f = ScalarFieldSpec.parse(text, ["x1", "x2"])
+    points = np.array([[0.5, 1.5], [2.0, -0.25], [1.25, 3.0]])
+    for at in (points[0], points):
+        first = f.eval_jet(at, 3)
+        expected = first.c.copy()
+        first.c[...] = 12345.0
+        again = f.eval_jet(at, 3)
+        assert again.c.tobytes() == expected.tobytes()
+        assert not np.shares_memory(first.c, again.c)
+
+
+def test_tapes_and_working_blocks_are_not_retained():
+    """Evaluating many distinct programs leaves the traced memory within a
+    fixed bound, so the compiled tapes are a bounded cache; and a call's
+    working block is freed on return, so a wide call leaves only the jet
+    it returns."""
+    def run(offsets):
+        for k in offsets:
+            ScalarFieldSpec.parse(f"x1^2*x2+sqrt({k}+x2^2)/x1",
+                                  ["x1", "x2"]).eval_jet([0.5, 1.5], 2)
+
+    run(range(1, 301))  # fills the cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(range(301, 1301))
+        grown = tracemalloc.get_traced_memory()[0] - before
+        wide = 0.5 + np.random.default_rng(29).random((20_000, 2))
+        f = ScalarFieldSpec.parse("x1^2*x2+sqrt(1+x2^2)/x1", ["x1", "x2"])
+        f.eval_jet(wide[:1], 3)
+        before = tracemalloc.get_traced_memory()[0]
+        jet = f.eval_jet(wide, 3)
+        left = tracemalloc.get_traced_memory()[0] - before - jet.c.nbytes
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024
+    assert left < 64 * 1024
 
 
 _LEAVES = ["x1", "x2", "y1", "y2", "2", "0.5", "0", "1e-200", "1e200",
@@ -512,7 +612,7 @@ def test_supports_follow_the_operations():
     """Variables and constants start the supports; sums and products take
     the union; negation, scalars and compositions keep it; raw
     coefficients give full support."""
-    x, y, z = (Jet.variable(i, 0.5 + i, 4, 3) for i in range(3))
+    x, y, z = (_variable(i, 0.5 + i, 4, 3) for i in range(3))
     assert (x.support, y.support, Jet.constant(2.0, 4, 3).support) == (
         0b1, 0b10, 0)
     assert ((x + y).support, (x - z).support, (x * z).support) == (
@@ -534,7 +634,7 @@ def test_non_finite_scalars_and_compositions_keep_the_support(make):
     non-finite data keep the operand's support, and the jet, its product
     with another variable and a difference give the values and the
     non-finite columns of the same expressions on raw coefficients."""
-    x, y = (Jet.variable(i, np.array([0.5, 2.0]), 3, 2) for i in range(2))
+    x, y = (_variable(i, np.array([0.5, 2.0]), 3, 2) for i in range(2))
     full_x, full_y = (Jet(3, 2, v.c) for v in (x, y))
     with np.errstate(all="ignore"):
         jet, full = make(x), make(full_x)
