@@ -444,6 +444,38 @@ def test_non_finite_intermediates_are_pinned(text, where, order):
     assert found == _NON_FINITE_PINS[text, where, order]
 
 
+@pytest.mark.parametrize("text,error", [
+    ("sqrt(x1-5)+1/0", "sqrt of non-positive jet value -4.0"),
+    ("1/0+sqrt(x1-5)", "division by zero"),
+    ("x2*(0^-1)", "zero raised to a negative power"),
+])
+@pytest.mark.parametrize("at", [[1.0, 2.0], [[1.0, 2.0], [9.0, 2.0]],
+                                [[9.0, 2.0], [1.0, 2.0]]])
+@pytest.mark.parametrize("order", [1, 3])
+def test_constant_errors_keep_their_place_in_the_order(text, error, at,
+                                                       order):
+    """A constant subexpression that raises does so where the program
+    reaches it: after an earlier failing jet operation, and before a later
+    one, on one row and on a block in either row order."""
+    field = ScalarFieldSpec.parse(text, ["x1", "x2"])
+    with pytest.raises(DomainError) as caught:
+        field.eval_jet(at, order)
+    assert str(caught.value) == error
+
+
+def test_constant_errors_are_raised_fresh():
+    """Each call raises a new exception object, so one stored error does
+    not grow another call's traceback."""
+    field = ScalarFieldSpec.parse("x1/0", ["x1"])
+    raised = []
+    for _ in range(2):
+        with pytest.raises(DomainError) as caught:
+            field.eval_jet([1.0], 2)
+        raised.append(caught.value)
+    assert raised[0] is not raised[1]
+    assert str(raised[0]) == str(raised[1]) == "division by zero"
+
+
 def _full_support_eval_jet(field, point, order):
     """``ScalarFieldSpec.eval_jet`` run on jets made from raw coefficients."""
     n = field.num_vars
