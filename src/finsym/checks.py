@@ -73,6 +73,7 @@ from .finsler import (
 from .records import FacetTable, Points, Records
 from .scenario import BuiltScenario, build_scenario
 from .symplectic import (
+    ExactTwoForm,
     PreservationResidual,
     closedness,
     covector_derivatives,
@@ -266,7 +267,7 @@ _FIELD_FORM = _stacked(lambda b, xs: b.s.two_form.data(xs))
 _EXACT_FORM = _stacked(lambda b, xs, covector: exact_form_data(*covector),
                        COVECTOR)
 FORM = _Column(lambda b, rows: b.read(
-    _EXACT_FORM if b.s.two_form_kind == "randers-dbeta" else _FIELD_FORM))
+    _EXACT_FORM if isinstance(b.s.two_form, ExactTwoForm) else _FIELD_FORM))
 JAC = _stacked(lambda b, xs: chart_jacobians(b.s.chart, xs))
 BACK = _stacked(lambda b, xs, jac: chart_jacobians(b.s.chart.swapped(),
                                                    jac.xhat), JAC)
@@ -424,7 +425,8 @@ CHECKS = (
                     _stacked(_randers_equivalence, LIFT, COVECTOR, SAMPLE),
                     "randers-equivalence",
                     when=lambda s: (s.metric.family == "randers"
-                                    and s.two_form_kind == "randers-dbeta")),
+                                    and isinstance(s.two_form,
+                                                   ExactTwoForm))),
           )),
     Check("induce",
           "symmetry of the induced connection and exact agreement of its "

@@ -20,25 +20,31 @@ The parser emits a flat postfix program of ``(op, arg)`` instructions:
 operands.  One loop over a value stack (``_run``) runs a program on
 columns of floats, one per row of a ``(P, num_vars)`` stack of points,
 left operand first, so the length of an expression costs no stack depth;
-on ``Jet`` operands it is the reference the tests hold jets to.
+on ``Jet`` operands it is the reference the tests hold jets to.  It alone
+dispatches on the instructions and folds the constant subexpressions, on
+floats.
 
-``eval_jet`` runs a tape instead: each ``(program, num_vars, order)`` is
-compiled once (a bounded cache) into straight-line steps over numbered
-slots.  Compiling resolves all that depends on the program alone: every
-jet's support and each product's restricted table, constant subexpressions
-(folded by ``_run``; one that raises becomes a step that raises the same
-error at its place in the order), integer powers as products and each
-composition's table.  A product reads a variable from a bank of the
-variables' values, a row of 1.0 and a row of +0.0, the floats of its
-coefficients, so a variable takes a slot only where a scalar, a sum or a
-composition meets it.  Each call allocates one working block for the
-slots, reused by stack liveness, the bank and one product scratch, into
-which a product gathers both its factors, and frees it on return; only the
-result, in an array of its own, outlives the call.  The steps run the
-``Jet`` operators' float operations in the same order through the same
-kernels (``jets._multiply_into``, ``jets._compose_into`` and
-``jets._taylor``), so every coefficient, every error and the first failing
-column equal a run of ``_run`` on jets, bit for bit.
+``eval_jet`` runs a tape instead.  Each ``(program, num_vars, order)`` is
+compiled once (a bounded cache) by running ``_run`` on recording jets
+(``_TapeJet``, taping by operator overloading, Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6), whose operators
+append the steps of the ``Jet`` operators of the same names to straight-line
+code over numbered slots.  Compiling resolves all that depends on the
+program alone: every jet's support and each product's restricted table
+(the support rules, and why they change no coefficient, are stated at
+``_TapeJet``), constant subexpressions (one that raises ends the tape
+with a step that raises the same error at its place in the order),
+integer powers as products and each composition's table.  A product reads
+a variable from a bank of the variables' values, a row of 1.0 and a row of
++0.0, the floats of its coefficients, so a variable takes a slot only
+where a scalar, a sum or a composition meets it.  Each call allocates one
+working block for the slots, reused by stack liveness, the bank and one
+product scratch, into which a product gathers both its factors, and frees
+it on return; only the result, in an array of its own, outlives the call.
+The steps run the ``Jet`` operators' float operations in the same order
+through the same kernels (``jets._multiply_into``, ``jets._compose_into``
+and ``jets._taylor``), so every coefficient, every error and the first
+failing column equal a run of ``_run`` on jets, bit for bit.
 """
 
 from __future__ import annotations
@@ -223,8 +229,6 @@ class _Parser:
 
 
 def _pow_value(v, p: float):
-    if isinstance(v, Jet):
-        return v ** p
     if isinstance(v, np.ndarray):
         # per entry on Python floats, which np.power need not match: an
         # integer power in one pass, and entry by entry where that fails,
@@ -236,7 +240,8 @@ def _pow_value(v, p: float):
         except (OverflowError, ZeroDivisionError):
             pass
         return np.array([_pow_value(e, p) for e in v.tolist()])
-    v = float(v)
+    if not isinstance(v, float):
+        return v ** p
     try:
         if p == float(int(p)):
             if v == 0.0 and p < 0:
@@ -250,13 +255,12 @@ def _pow_value(v, p: float):
 
 
 def _sqrt_value(v):
-    if isinstance(v, Jet):
-        return v.sqrt()
     if isinstance(v, np.ndarray):
         if (v < 0.0).any():
             raise DomainError(f"sqrt of negative value {v[v < 0.0][0]}")
         return np.sqrt(v)  # correctly rounded, as math.sqrt is
-    v = float(v)
+    if not isinstance(v, float):
+        return v.sqrt()
     if v < 0.0:
         raise DomainError(f"sqrt of negative value {v}")
     return math.sqrt(v)
@@ -265,12 +269,13 @@ def _sqrt_value(v):
 def _is_zero(v) -> bool:
     if isinstance(v, np.ndarray):
         return bool((v == 0.0).any())
-    return not isinstance(v, Jet) and float(v) == 0.0
+    return isinstance(v, float) and v == 0.0
 
 
 def _run(program: tuple, env: Sequence):
     """Run a postfix program; env entries are arrays or jets with one entry
-    or column per point.  Constant subexpressions run on floats."""
+    or column per point, or the recording jets of a tape.  Constant
+    subexpressions run on floats."""
     stack = []
     for op, arg in program:
         if op == "var":
@@ -343,17 +348,42 @@ def _step_negate(ar, scratch, a):
     np.negative(ar[a], out=ar[a])
 
 
-def _step_fail(ar, scratch, fragment):
-    _run(fragment, ())
+def _step_fail(ar, scratch, kind, text):
+    raise kind(text)  # a new error per call, not a stored one
 
 
 class _Tape:
     """A program compiled for one ``(num_vars, order)``: straight-line
     steps over numbered slots of ``size`` coefficient rows each, the
     result in slot ``result`` with the variable support ``support``, and
-    ``scratch`` rows for the products."""
+    ``scratch`` rows for the products.  While it is recorded, ``free``
+    holds the released slots, reused lowest first."""
 
-    __slots__ = ("size", "steps", "slots", "scratch", "result", "support")
+    __slots__ = ("table", "size", "steps", "slots", "scratch", "result",
+                 "support", "free")
+
+    def __init__(self, table):
+        self.table, self.size, self.steps, self.free = (table, table.size,
+                                                        [], [])
+        self.slots = self.scratch = self.result = self.support = 0
+
+    def new(self) -> int:
+        if self.free:
+            return heapq.heappop(self.free)
+        self.slots += 1
+        return self.slots - 1
+
+    def release(self, slot: int) -> None:
+        if slot >= 0:
+            heapq.heappush(self.free, slot)
+
+    def product(self, sa: int, sb: int, bank_a: bool = False,
+                bank_b: bool = False):
+        """``_JetTable.product``, with the scratch grown to gather its
+        factors."""
+        p = self.table.product(sa, sb, bank_a, bank_b)
+        self.scratch = max(self.scratch, 2 * len(p.a))
+        return p
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """The coefficients at each row of a ``(P, num_vars)`` stack, in a
@@ -377,152 +407,176 @@ class _Tape:
         return out
 
 
-# compiled tapes kept per process: each distinct program compiles one, and
-# a config builds a few dozen
+class _TapeJet:
+    """A jet while ``_run`` records a program on a tape: its ``slot``, -1
+    for a variable read from the bank, and its variable ``support``.  Each
+    operator appends the steps of the ``Jet`` operator of the same name and
+    consumes its operands, which ``_run`` reads once each, save the
+    variables, whose handles it shares and which are copied, never
+    written.
+
+    A support is a bitmask of the variables a jet's coefficients can
+    depend on; a coefficient whose multi-index has a variable outside it is
+    ±0, or nan where non-finite data met it (below).  A variable has its
+    own bit and a constant none; sums, differences and products take the
+    union; negation, scalar factors and divisors, compositions and ``^ 0``
+    keep it (dependence propagation in forward mode, as in Griewank &
+    Walther).  A product reads only
+    the entries of its table whose two factors lie inside their operands'
+    supports (``_JetTable.product``).  Each skipped term has a ±0 factor,
+    so with finite operands it is ±0, and every sum starts at +0.0, where
+    adding ±0 changes no partial sum: every coefficient equals the
+    full-table product's bit for bit.
+
+    With non-finite data a skipped term can be nan, which the full table
+    keeps and the restricted one drops: a non-finite value times a ±0
+    outside a support, be it the other factor's value in a product, a
+    scalar factor or a composition's Taylor factor.  No jet of a program
+    has an empty support (a variable has its bit, constant subexpressions
+    run on floats, and ``x ^ 0`` keeps its operand's), so the same value
+    also meets a first-order coefficient inside the support, and the result
+    has a non-finite coefficient of degree one or more inside it.  That
+    coefficient stays non-finite in every later operation: a scalar or
+    Taylor factor multiplies it, a sum adds it, and a product reads it
+    against the other factor's value, which lies inside every support.  A
+    column is then non-finite under the restricted products exactly where
+    it is under the full table, and a finite column met no skipped nan, so
+    it is the same bit for bit; ``ScalarFieldSpec.eval_jet`` raises on the
+    first non-finite column, so it runs each program once."""
+
+    __slots__ = ("tape", "slot", "support")
+
+    def __init__(self, tape: _Tape, slot: int, support: int):
+        self.tape, self.slot, self.support = tape, slot, support
+
+    def _slotted(self) -> int:
+        """This jet's slot; a variable is copied to a new one."""
+        if self.slot >= 0:
+            return self.slot
+        out = self.tape.new()
+        self.tape.steps.append((_step_variable, (
+            self.tape.table.bank[self.support.bit_length() - 1], out)))
+        return out
+
+    def _scalar(self, step, ufunc, value: float) -> "_TapeJet":
+        out = self._slotted()
+        self.tape.steps.append((step, (ufunc, out, value)))
+        return _TapeJet(self.tape, out, self.support)
+
+    def _combine(self, ufunc, other: "_TapeJet") -> "_TapeJet":
+        a, b = self._slotted(), other._slotted()
+        self.tape.steps.append((_step_combine, (ufunc, a, b)))
+        self.tape.release(b)
+        return _TapeJet(self.tape, a, self.support | other.support)
+
+    def _multiply(self, other: "_TapeJet", out: int) -> None:
+        p = self.tape.product(self.support, other.support, self.slot < 0,
+                              other.slot < 0)
+        self.tape.steps.append((_step_product, (p, self.slot, other.slot,
+                                                out)))
+
+    def _compose(self, factors, *args) -> "_TapeJet":
+        tape = self.tape
+        src, out, p = self._slotted(), tape.new(), None
+        if tape.table.order >= 2:  # Horner's scheme makes products
+            p = tape.product(self.support, self.support)
+        tape.steps.append((_step_compose, (p, tape.table.order, factors,
+                                           args, src, out)))
+        tape.release(src)
+        return _TapeJet(tape, out, self.support)
+
+    def __add__(self, other):
+        if isinstance(other, _TapeJet):
+            return self._combine(np.add, other)
+        return self._scalar(_step_shift, np.add, other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        out = self._slotted()
+        self.tape.steps.append((_step_negate, (out,)))
+        return _TapeJet(self.tape, out, self.support)
+
+    def __sub__(self, other):
+        if isinstance(other, _TapeJet):
+            return self._combine(np.subtract, other)
+        return self._scalar(_step_shift, np.subtract, other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _TapeJet):
+            return self._scalar(_step_scale, np.multiply, other)
+        # into the left factor's slot if it has one, else the right's
+        out = self.slot if self.slot >= 0 else (
+            other.slot if other.slot >= 0 else self.tape.new())
+        self._multiply(other, out)
+        self.tape.release(other.slot if out == self.slot else self.slot)
+        return _TapeJet(self.tape, out, self.support | other.support)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _TapeJet):
+            return self * other._reciprocal()
+        return self._scalar(_step_scale, np.true_divide, other)
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
+    def _reciprocal(self) -> "_TapeJet":
+        return self._compose(_reciprocal_factors)
+
+    def sqrt(self) -> "_TapeJet":
+        return self._compose(_sqrt_factors)
+
+    def __pow__(self, p: float) -> "_TapeJet":
+        p = float(p)
+        if not p.is_integer():
+            return self._compose(_power_factors, p)
+        n, tape = int(p), self.tape
+        if n == 0:
+            tape.release(self.slot)
+            out = tape.new()
+            tape.steps.append((_step_constant, (1.0, out)))
+            return _TapeJet(tape, out, self.support)
+        out = self
+        if abs(n) > 1:
+            # the operand is read |n| - 1 times, so the result takes a slot
+            # of its own before the operand's is released
+            out = _TapeJet(tape, tape.new(), self.support)
+            self._multiply(self, out.slot)
+            for _ in range(abs(n) - 2):
+                out._multiply(self, out.slot)
+            tape.release(self.slot)
+        return out if n > 0 else out._reciprocal()
+
+
+# compiled tapes kept per process: each distinct program compiles one per
+# order, and a run compiles 6-12 per shipped config
 _TAPES = 256
 
 
 @lru_cache(maxsize=_TAPES)
 def _tape(program: tuple, num_vars: int, order: int) -> _Tape:
-    """Compile ``program`` for ``num_vars`` variables at ``order``.  A
-    stack entry is a float for a constant subexpression, folded here by
-    ``_run`` (a failing one becomes a step that raises its error and ends
-    the tape), or ``(slot, support)`` for a jet, where ``slot`` is -1 for a
-    variable read from the bank.  Slots are reused by stack liveness,
-    lowest first."""
-    t = _table(num_vars, order)
-    tape = _Tape()
-    tape.size, tape.steps, tape.scratch = t.size, [], 0
-    tape.result, tape.support = 0, 0
-    steps, free, used = tape.steps, [], 0
-
-    def new() -> int:
-        nonlocal used
-        if free:
-            return heapq.heappop(free)
-        used += 1
-        return used - 1
-
-    def release(e) -> None:
-        if e[0] >= 0:
-            heapq.heappush(free, e[0])
-
-    def slot(e) -> int:
-        """The slot of jet entry ``e``; a variable is copied to a new one."""
-        if e[0] >= 0:
-            return e[0]
-        out = new()
-        steps.append((_step_variable, (t.bank[e[1].bit_length() - 1], out)))
-        return out
-
-    def product(a, b, out: int) -> None:
-        p = t.product(a[1], b[1], a[0] < 0, b[0] < 0)
-        tape.scratch = max(tape.scratch, 2 * len(p.a))
-        steps.append((_step_product, (p, a[0], b[0], out)))
-
-    def compose(e, factors, *args):
-        src, out, p = slot(e), new(), None
-        if order >= 2:  # Horner's scheme makes products
-            p = t.product(e[1], e[1])
-            tape.scratch = max(tape.scratch, 2 * len(p.a))
-        steps.append((_step_compose, (p, order, factors, args, src, out)))
-        heapq.heappush(free, src)
-        return out, e[1]
-
-    def power(e, n: int):
-        if n == 0:
-            # the operand's support, as ``Jet.__pow__`` keeps it
-            release(e)
-            out = new()
-            steps.append((_step_constant, (1.0, out)))
-            return out, e[1]
-        if abs(n) > 1:
-            out = new()
-            product(e, e, out)
-            for _ in range(abs(n) - 2):
-                product((out, e[1]), e, out)
-            release(e)
-            e = out, e[1]
-        return e if n > 0 else compose(e, _reciprocal_factors)
-
-    stack: list = []
-    for op, arg in program:
-        if op == "num":
-            stack.append(arg)
-            continue
-        if op == "var":
-            stack.append((-1, 1 << arg))
-            continue
-        arity = 1 if op in ("^", "sqrt", "neg") else 2
-        operands = stack[-arity:]
-        del stack[-arity:]
-        if all(isinstance(v, float) for v in operands):
-            fragment = tuple(("num", v) for v in operands) + ((op, arg),)
-            try:
-                stack.append(_run(fragment, ()))
-            except FinsymError:
-                steps.append((_step_fail, (fragment,)))
-                break
-            continue
-        if arity == 1:
-            (e,) = operands
-            if op == "neg":
-                out = slot(e)
-                steps.append((_step_negate, (out,)))
-                stack.append((out, e[1]))
-            elif op == "sqrt":
-                stack.append(compose(e, _sqrt_factors))
-            elif float(arg).is_integer():
-                stack.append(power(e, int(arg)))
-            else:
-                stack.append(compose(e, _power_factors, float(arg)))
-            continue
-        left, right = operands
-        if op == "/" and isinstance(right, float) and _is_zero(right):
-            # the division's own check; the left operand does not matter
-            steps.append((_step_fail, ((("num", 1.0), ("num", right),
-                                        ("/", None)),)))
-            break
-        if op == "/" and not isinstance(right, float):
-            # a jet divisor: times its reciprocal, as Jet's division
-            right = compose(right, _reciprocal_factors)
-            op = "*"
-        if isinstance(left, float) or isinstance(right, float):
-            value, e = (left, right) if isinstance(left, float) else (
-                right, left)
-            out = slot(e)
-            if op == "*":
-                steps.append((_step_scale, (np.multiply, out, value)))
-            elif op == "/":
-                steps.append((_step_scale, (np.true_divide, out, value)))
-            elif op == "+":
-                steps.append((_step_shift, (np.add, out, value)))
-            elif isinstance(right, float):
-                steps.append((_step_shift, (np.subtract, out, value)))
-            else:
-                steps.append((_step_negate, (out,)))
-                steps.append((_step_shift, (np.add, out, value)))
-            stack.append((out, e[1]))
-        elif op == "*":
-            out = left[0] if left[0] >= 0 else (
-                right[0] if right[0] >= 0 else new())
-            product(left, right, out)
-            release(right if out == left[0] else left)
-            stack.append((out, left[1] | right[1]))
-        else:
-            a, b = slot(left), slot(right)
-            steps.append((_step_combine, (
-                np.add if op == "+" else np.subtract, a, b)))
-            heapq.heappush(free, b)
-            stack.append((a, left[1] | right[1]))
+    """Compile ``program`` for ``num_vars`` variables at ``order`` by
+    running it once on recording jets.  ``_run`` folds the constant
+    subexpressions on floats; one that raises ends the tape with a step
+    that raises an error of the same type and text."""
+    tape = _Tape(_table(num_vars, order))
+    try:
+        e = _run(program, [_TapeJet(tape, -1, 1 << i)
+                           for i in range(num_vars)])
+    except FinsymError as exc:
+        tape.steps.append((_step_fail, (type(exc), str(exc))))
     else:
-        e = stack[-1]
-        if isinstance(e, float):
-            out = new()
-            steps.append((_step_constant, (e, out)))
-            e = out, 0
-        tape.result, tape.support = slot(e), e[1]
-    tape.slots = max(used, 1)
+        if not isinstance(e, _TapeJet):
+            out = tape.new()
+            tape.steps.append((_step_constant, (e, out)))
+            e = _TapeJet(tape, out, 0)
+        tape.result, tape.support = e._slotted(), e.support
+    tape.slots = max(tape.slots, 1)
     return tape
 
 
@@ -569,7 +623,6 @@ class ScalarFieldSpec:
         tape = _tape(self.program, num_vars, order)
         with np.errstate(all="ignore"):  # non-finite data raises below
             out = Jet(num_vars, order, tape.run(x))
-        out.support = tape.support
         finite = np.isfinite(out.c).all(axis=0)
         if not finite.all():  # named by the first non-finite column
             x = x[np.argmin(finite)]
@@ -734,7 +787,9 @@ def chart_jacobians(chart: ChartMap, xs) -> ChartJacobians:
     fwd_jets = [c.eval_jet(xs, 1) for c in chart.forward]
     xhat = np.stack([j.value for j in fwd_jets], axis=1)
     fwd = np.stack([j.derivatives(1) for j in fwd_jets], axis=1)
-    with np.errstate(over="ignore"):  # an overflowing det is ±inf
+    # an overflowing det is ±inf; a subnormal Jacobian can leave a zero on
+    # the LU diagonal, whose log numpy flags as a division by zero
+    with np.errstate(over="ignore", divide="ignore"):
         det = np.linalg.det(fwd)
     singular = np.abs(det) < 1e-8
     if singular.any():

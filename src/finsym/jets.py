@@ -22,41 +22,18 @@ reciprocals are computed per column with Python float ``**``, which can
 round differently from ``np.power``.  Only the sign of a nan where two
 nans meet is numpy's choice per loop; a non-finite jet is an error.
 
-Each jet carries its variable support, a bitmask of the variables its
-coefficients can depend on; every other coefficient is ±0, or nan where
-non-finite data met it (below).  A variable has its own bit and a
-constant none; sums, differences and products take the union; negation,
-scalar factors and divisors and compositions keep it; a jet made from
-raw coefficients has all of them (dependence propagation in forward
-mode, as in Griewank & Walther).  A support thus follows from the
-program alone, never from the data.  A product reads only the entries of its table whose two factors lie inside their
-operands' supports: a cached restriction of the full table, of which
-the full table is the (full, full) case.  Each skipped term has a ±0
-factor, so with finite operands it is ±0, and every sum starts at +0.0,
-where adding ±0 changes no partial sum: every coefficient equals the full
-product's bit for bit.
-
-With non-finite data a skipped term can be nan, which the full product
-keeps and the restricted one drops: a non-finite value times a ±0
-outside a support, be it the other factor's value in a product, a scalar
-factor or a composition's Taylor factor.  No jet of a program has an
-empty support (a variable has its bit, constant subexpressions run on
-floats, and ``x ^ 0`` keeps its operand's), so the same value also meets
-a first-order coefficient inside the support, and the result has a
-non-finite coefficient of degree one or more inside it.  That coefficient
-stays non-finite in every later operation: a scalar or Taylor factor
-multiplies it, a sum adds it, and a product reads it against the other
-factor's value, which lies inside every support.  A column is then
-non-finite under the restricted products exactly where it is under the
-full table, and a finite column met no skipped nan, so it is the same
-bit for bit; ``ScalarFieldSpec.eval_jet`` raises on the first non-finite
-column, so it runs each program once.
+A product reads a table of coefficient pairs (:meth:`_JetTable.product`),
+which can be restricted to the pairs whose two factors depend only on the
+variables of given supports, bitmasks of variables.  ``Jet`` operators
+read the full table; the tapes of ``fields.ScalarFieldSpec.eval_jet``
+read restricted ones, and ``fields._TapeJet`` states how a tape decides
+the supports and why that leaves every coefficient as the full table's.
 
 Two kernels do the arithmetic, shared by the ``Jet`` operators and by
-the tapes ``fields.ScalarFieldSpec.eval_jet`` runs: :func:`_multiply_into`,
-the one product routine, and :func:`_compose_into`, the one composition
-routine (Horner's scheme over it), both writing into arrays the caller
-provides; :func:`_taylor` computes the Taylor factors they compose with.
+the tapes: :func:`_multiply_into`, the one product routine, and
+:func:`_compose_into`, the one composition routine (Horner's scheme over
+it), both writing into arrays the caller provides; :func:`_taylor`
+computes the Taylor factors they compose with.
 
 An independent finite-difference oracle (:func:`fd_oracle`) is provided to
 cross-check jet output; it never goes through jet arithmetic.
@@ -311,29 +288,20 @@ class Jet:
     ``c`` holds the Taylor coefficients in graded multi-index order, with a
     trailing column axis, one column per point; the partial derivative
     for a multi-index is its coefficient times ``multi_index_factorial``,
-    read out through :meth:`derivatives`.
-
-    ``support`` is a bitmask of the variables the coefficients can depend
-    on: every coefficient whose multi-index has a variable outside it is
-    ±0, or nan where non-finite data met it.  A jet made from raw
-    coefficients has full support; every other support follows from the
-    operations that made the jet, whatever its data.
+    read out through :meth:`derivatives`.  Products and compositions read
+    the full table.
     """
 
-    __slots__ = ("num_vars", "order", "c", "support")
+    __slots__ = ("num_vars", "order", "c")
 
     def __init__(self, num_vars: int, order: int, c: np.ndarray):
         self.num_vars = num_vars
         self.order = order
         self.c = c
-        self.support = (1 << num_vars) - 1
 
-    def _new(self, c: np.ndarray, support: int) -> "Jet":
-        """A jet of this shape with coefficients ``c`` and ``support``."""
-        out = Jet.__new__(Jet)
-        out.num_vars, out.order, out.c, out.support = (
-            self.num_vars, self.order, c, support)
-        return out
+    def _new(self, c: np.ndarray) -> "Jet":
+        """A jet of this shape with coefficients ``c``."""
+        return Jet(self.num_vars, self.order, c)
 
     # -- constructors ------------------------------------------------------
 
@@ -344,9 +312,7 @@ class Jet:
         value = np.atleast_1d(value)
         c = np.zeros((_table(num_vars, order).size,) + value.shape)
         c[0] = value
-        out = cls(num_vars, order, c)
-        out.support = 0
-        return out
+        return cls(num_vars, order, c)
 
     # -- accessors ---------------------------------------------------------
 
@@ -368,6 +334,10 @@ class Jet:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _full(self) -> _Product:
+        full = (1 << self.num_vars) - 1
+        return _table(self.num_vars, self.order).product(full, full)
+
     def _check(self, other: "Jet") -> None:
         if self.num_vars != other.num_vars or self.order != other.order:
             raise ValueError(
@@ -378,46 +348,45 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return self._new(self.c + other.c, self.support | other.support)
+            return self._new(self.c + other.c)
         c = self.c.copy()
         c[0] += other
-        return self._new(c, self.support)
+        return self._new(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(-self.c, self.support)
+        return self._new(-self.c)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            return self._new(self.c - other.c, self.support | other.support)
+            return self._new(self.c - other.c)
         c = self.c.copy()
         c[0] -= other
-        return self._new(c, self.support)
+        return self._new(c)
 
     def __rsub__(self, other):
         c = -self.c
         c[0] += other
-        return self._new(c, self.support)
+        return self._new(c)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return self._new(self.c * other, self.support)
+            return self._new(self.c * other)
         self._check(other)
-        p = _table(self.num_vars, self.order).product(self.support,
-                                                       other.support)
+        p = self._full()
         c = np.empty(self.c.shape)
         _multiply_into(p, self.c, other.c, c,
                        np.empty((2 * len(p.a),) + c.shape[1:]))
-        return self._new(c, self.support | other.support)
+        return self._new(c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        return self._new(self.c / other, self.support)
+        return self._new(self.c / other)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -425,18 +394,17 @@ class Jet:
     def _nilpotent(self) -> "Jet":
         c = self.c.copy()
         c[0] = 0.0
-        return self._new(c, self.support)
+        return self._new(c)
 
     def _compose(self, dcoef) -> "Jet":
         """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!,
         one per column."""
         h = self._nilpotent().c
-        p = _table(self.num_vars, self.order).product(self.support,
-                                                       self.support)
+        p = self._full()
         out = np.empty(h.shape)
         _compose_into(p, h, dcoef, out,
                       np.empty((2 * len(p.a),) + h.shape[1:]))
-        return self._new(out, self.support)
+        return self._new(out)
 
     def _reciprocal(self) -> "Jet":
         return self._compose(_taylor(_reciprocal_factors, self.c[0],
@@ -450,12 +418,8 @@ class Jet:
         if p.is_integer():
             n = int(p)
             if n == 0:
-                # the operand's support, not a constant's: no jet of a
-                # program has an empty support, so a non-finite value
-                # always reaches a derivative coefficient of a product
-                one = Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
-                                   self.order)
-                return self._new(one.c, self.support)
+                return Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
+                                    self.order)
             out = self
             for _ in range(abs(n) - 1):
                 out = out * self

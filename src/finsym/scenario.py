@@ -224,7 +224,6 @@ class BuiltScenario:
     plan: SamplePlan
     tolerances: dict
     two_form: TwoForm | None = None
-    two_form_kind: str | None = None
     vector_field: VectorFieldSpec | None = None
     chart: ChartMap | None = None
     berwald_vectors: tuple = ()
@@ -304,20 +303,20 @@ def _build_metric(block: dict, dimension: int) -> MetricSpec:
 
 
 def _build_two_form(block: dict, dimension: int,
-                    metric: MetricSpec) -> tuple[TwoForm, str]:
+                    metric: MetricSpec) -> TwoForm:
     kind = block["kind"]
     if kind == "standard":
         if dimension % 2 != 0:
             raise ConfigError(
                 f"standard two-form needs an even dimension, got {dimension}",
                 "/dimension")
-        return standard_form(dimension // 2), kind
+        return standard_form(dimension // 2)
     if kind == "randers-dbeta":
         if metric.family != "randers":
             raise ConfigError(
                 "randers-dbeta two-form requires a randers metric",
                 "/two_form/kind")
-        return ExactTwoForm(metric.b_fields), kind
+        return ExactTwoForm(metric.b_fields)
     entries = block.get("entries")
     if not entries:
         raise ConfigError("explicit two-form requires 'entries'",
@@ -336,7 +335,7 @@ def _build_two_form(block: dict, dimension: int,
                 f"/two_form/entries/{key}")
         parsed[(i - 1, j - 1)] = _parse_expr(
             str(text), xvars, f"/two_form/entries/{key}")
-    return explicit_two_form(dimension, parsed), kind
+    return explicit_two_form(dimension, parsed)
 
 
 _BERWALD_BASE = (
@@ -532,9 +531,8 @@ def build_scenario(config: dict, seed_override: int | None = None,
                      tol_pd=tolerances["tol_pd"])
 
     two_form = None
-    kind = None
     if "two_form" in config:
-        two_form, kind = _build_two_form(config["two_form"], dimension, metric)
+        two_form = _build_two_form(config["two_form"], dimension, metric)
 
     xvars = tuple(f"x{i + 1}" for i in range(dimension))
     vector_field = None
@@ -577,7 +575,7 @@ def build_scenario(config: dict, seed_override: int | None = None,
     plan = build_plan(config, metric)
     return BuiltScenario(
         dimension=dimension, metric=metric, plan=plan, tolerances=tolerances,
-        two_form=two_form, two_form_kind=kind, vector_field=vector_field,
+        two_form=two_form, vector_field=vector_field,
         chart=chart, berwald_vectors=berwald_vectors,
     )
 

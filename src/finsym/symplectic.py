@@ -124,7 +124,9 @@ def nondegeneracy(w: np.ndarray) -> np.ndarray:
         raise OddDimensionError(
             f"nondegenerate two-forms need even dimension, got {w.shape[1]}"
         )
-    with np.errstate(over="ignore"):  # an overflowing |det| is +inf
+    # an overflowing |det| is +inf; a subnormal matrix can leave a zero on
+    # the LU diagonal, whose log numpy flags as a division by zero
+    with np.errstate(over="ignore", divide="ignore"):
         return np.abs(np.linalg.det(w))
 
 

@@ -633,7 +633,7 @@ PAIR_COLUMNS = {
             b, sample, checks._standard_data(b.s.dimension // 2))),
     "randers-equivalence": (
         _facet_column("preservation:randers-equivalence"),
-        lambda s: s.two_form_kind == "randers-dbeta",
+        lambda s: isinstance(s.two_form, ExactTwoForm),
         (checks.LIFT, checks.COVECTOR, checks.SAMPLE),
         lambda b, lift, covector, sample: checks._randers_equivalence(
             b, None, None, lift, covector, sample)),

@@ -1130,6 +1130,30 @@ class TestCliMain:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("name,block,value,digest", [
+        # a subnormal two-form entry
+        ("polar_riemannian", "two_form", {"entries": {"1,2": "1e-320"}},
+         "cd792bd9d4bbd9548074d2d9abca56fe88877710bcc92775c45cfea8119e1894"),
+        # a subnormal chart derivative
+        ("euclidean_standard", "chart", {"forward": ["x2", "1e-320*x1"],
+                                         "inverse": ["x2", "x1"]},
+         "9ffc86c509381b7e466f7b628e51a72a6453ddbff1ef97ceb8c34888fde97421"),
+    ])
+    def test_subnormal_determinants_warn_nothing(self, tmp_path, capsys, name,
+                                                 block, value, digest):
+        """A subnormal matrix can leave a zero on the LU diagonal inside
+        ``np.linalg.det``, whose log numpy flags as a division by zero.
+        Under the suite's warnings-as-errors filter the run still exits 1
+        with nothing on stderr and the report of a run that ignores the
+        flag."""
+        with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+            cfg = json.load(fh)
+        cfg[block].update(value)
+        path, out = self._write(tmp_path, cfg), tmp_path / "out.jsonl"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_validate(self, tmp_path, capsys):
         path = self._write(tmp_path, euclid_config())
         assert main(["validate", "--config", path]) == 0

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from finsym import jets
 from finsym.errors import DomainError, FinsymError, OrderError
-from finsym.fields import ScalarFieldSpec, _run
+from finsym.fields import ScalarFieldSpec, _run, _tape
 from finsym.jets import (
     Jet,
     _derivative_gather,
+    _multiply_into,
     _power_factors,
     _reciprocal_factors,
     _table,
@@ -33,15 +34,12 @@ from conftest import fd_estimate, partial
 
 def _variable(i, value, num_vars, order):
     """The jet of coordinate i with one column per entry of ``value`` (a
-    float is one column): the value, 1.0 on x_i and +0.0 elsewhere, on
-    the support 1 << i."""
+    float is one column): the value, 1.0 on x_i and +0.0 elsewhere."""
     c = Jet.constant(value, num_vars, order).c
     if order:
         c[_table(num_vars, order).indices.index(
             tuple(int(v == i) for v in range(num_vars)))] = 1.0
-    jet = Jet(num_vars, order, c)
-    jet.support = 1 << i
-    return jet
+    return Jet(num_vars, order, c)
 
 
 def test_multi_index_helpers():
@@ -477,11 +475,11 @@ def test_constant_errors_are_raised_fresh():
 
 
 def _full_support_eval_jet(field, point, order):
-    """``ScalarFieldSpec.eval_jet`` run on jets made from raw coefficients."""
+    """``ScalarFieldSpec.eval_jet`` as ``_run`` on jets, whose products
+    and compositions read the full table."""
     n = field.num_vars
     x = np.asarray(point, dtype=float).reshape(-1, n)
-    env = [Jet(n, order, _variable(i, x.T[i], n, order).c)
-           for i in range(n)]
+    env = [_variable(i, x.T[i], n, order) for i in range(n)]
     with np.errstate(all="ignore"):
         out = _run(field.program, env)
     if not isinstance(out, Jet):
@@ -640,45 +638,59 @@ def test_random_programs_equal_full_support_runs(text, rows, block, order):
 # -- supports -------------------------------------------------------------------
 
 
+def _support(text):
+    """The support a tape records for ``text`` over x1..x4 at order 3."""
+    program = ScalarFieldSpec.parse(text, ["x1", "x2", "x3", "x4"]).program
+    return _tape(program, 4, 3).support
+
+
 def test_supports_follow_the_operations():
-    """Variables and constants start the supports; sums and products take
-    the union; negation, scalars and compositions keep it; raw
-    coefficients give full support."""
-    x, y, z = (_variable(i, 0.5 + i, 4, 3) for i in range(3))
-    assert (x.support, y.support, Jet.constant(2.0, 4, 3).support) == (
-        0b1, 0b10, 0)
-    assert ((x + y).support, (x - z).support, (x * z).support) == (
-        0b11, 0b101, 0b101)
-    for jet in (-x, x * 3.0, 3.0 * x, x / 3.0, 2.0 - x, x + 1.0,
-                x._nilpotent(), x.sqrt(), x ** 0.5, x ** -2, x ** 0):
-        assert jet.support == 0b1
-    assert Jet(4, 3, x.c).support == 0b1111
+    """Variables and constants start the supports; sums, differences and
+    products take the union; negation, scalars, divisors, compositions and
+    integer powers keep it."""
+    assert [_support(t) for t in ("x1", "x2", "2")] == [0b1, 0b10, 0]
+    assert [_support(t) for t in ("x1+x2", "x1-x3", "x1*x3", "x1/x3")] == [
+        0b11, 0b101, 0b101, 0b101]
+    for text in ("-x1", "x1*3", "3*x1", "x1/3", "2-x1", "x1+1", "2/x1",
+                 "sqrt(x1)", "x1^0.5", "x1^-2", "x1^3", "x1^0"):
+        assert _support(text) == 0b1
 
 
 @pytest.mark.parametrize("make", [
-    lambda x: x * float("inf"), lambda x: float("nan") * x,
-    lambda x: x / float("nan"), lambda x: x / np.inf,
-    lambda x: x * np.array([1.0, np.inf]),
-    lambda x: (x * 1e308 * 10.0 + 1.0).sqrt(),
-    lambda x: (x + float("inf")) ** -1])
+    lambda x: f"{x}*1e999", lambda x: f"(1e999-1e999)*{x}",
+    lambda x: f"{x}/(1e999-1e999)", lambda x: f"{x}/1e999",
+    lambda x: f"sqrt({x}*1e308*10+1)",
+    lambda x: f"({x}+1e999)^-1"])
 def test_non_finite_scalars_and_compositions_keep_the_support(make):
-    """A non-finite scalar factor or divisor and a composition of
-    non-finite data keep the operand's support, and the jet, its product
-    with another variable and a difference give the values and the
-    non-finite columns of the same expressions on raw coefficients."""
-    x, y = (_variable(i, np.array([0.5, 2.0]), 3, 2) for i in range(2))
-    full_x, full_y = (Jet(3, 2, v.c) for v in (x, y))
-    with np.errstate(all="ignore"):
-        jet, full = make(x), make(full_x)
-        assert jet.support == 0b1
-        assert (jet * y).support == 0b11 and (y - jet).support == 0b11
-        for out, want in ((jet, full), (jet * y, full * full_y),
-                          (y - jet, full_y - full)):
-            assert out.c[0].tobytes() == want.c[0].tobytes()
-            assert (np.isfinite(out.c).all(axis=0).tolist()
-                    == np.isfinite(want.c).all(axis=0).tolist())
-        # finite scalars keep the support, even where the product overflows
-        assert (x * 1e308).support == 0b1
+    """On a tape, a non-finite scalar factor or divisor and a composition
+    of non-finite data keep the operand's support, and the jet, its
+    product with another variable and a difference give the values and the
+    non-finite columns of the same programs run on full-table jets."""
+    names, points = ["x1", "x2", "x3"], np.array([[0.5, 0.5, 1.0],
+                                                  [2.0, 2.0, 1.0]])
+    env = [_variable(i, points[:, i], 3, 2) for i in range(3)]
+    for text, support in ((make("x1"), 0b1), (f"({make('x1')})*x2", 0b11),
+                          (f"x2-({make('x1')})", 0b11)):
+        program = ScalarFieldSpec.parse(text, names).program
+        tape = _tape(program, 3, 2)
+        assert tape.support == support
+        with np.errstate(all="ignore"):
+            out, want = tape.run(points), _run(program, env).c
+        assert out[0].tobytes() == want[0].tobytes()
+        assert (np.isfinite(out).all(axis=0).tolist()
+                == np.isfinite(want).all(axis=0).tolist())
+    # finite scalars keep the support, even where the product overflows
+    assert _tape(ScalarFieldSpec.parse("x1*1e308", names).program, 3,
+                 2).support == 0b1
+
+
+def _restricted_product(num_vars, order, ca, cb, sa, sb):
+    """The product of the coefficients ``ca`` and ``cb`` on the table
+    restricted to the supports ``sa`` and ``sb``, as a tape makes it."""
+    p = _table(num_vars, order).product(sa, sb)
+    out = np.empty(ca.shape)
+    _multiply_into(p, ca, cb, out, np.empty((2 * len(p.a),) + ca.shape[1:]))
+    return out
 
 
 _SHAPES = [(n, o) for n in range(1, 9) for o in range(5)]
@@ -717,18 +729,15 @@ def test_restricted_products_equal_the_full_table(pair):
     ones, the values are bit-identical and the same columns are
     non-finite, so an error names the same first failing column."""
     num_vars, order, (ca, cb), (sa, sb) = pair
-    a, b = Jet(num_vars, order, ca), Jet(num_vars, order, cb)
-    a.support, b.support = sa, sb
     with np.errstate(all="ignore"):
-        restricted = a * b
-        full = Jet(num_vars, order, ca) * Jet(num_vars, order, cb)
-    assert restricted.support == sa | sb
+        restricted = _restricted_product(num_vars, order, ca, cb, sa, sb)
+        full = (Jet(num_vars, order, ca) * Jet(num_vars, order, cb)).c
     if np.isfinite(ca).all() and np.isfinite(cb).all():
-        assert restricted.c.tobytes() == full.c.tobytes()
+        assert restricted.tobytes() == full.tobytes()
     else:
-        assert restricted.c[0].tobytes() == full.c[0].tobytes()
-        assert (np.isfinite(restricted.c).all(axis=0).tolist()
-                == np.isfinite(full.c).all(axis=0).tolist())
+        assert restricted[0].tobytes() == full[0].tobytes()
+        assert (np.isfinite(restricted).all(axis=0).tolist()
+                == np.isfinite(full).all(axis=0).tolist())
 
 
 # -- table construction -----------------------------------------------------------
@@ -858,12 +867,10 @@ def test_products_equal_a_sequential_sum(pair):
     order, bit for bit.  Only where two nans meet can the sign of the nan
     differ: numpy picks it per loop, as ``np.bincount`` did."""
     num_vars, order, (ca, cb), (sa, sb) = pair
-    a, b = Jet(num_vars, order, ca), Jet(num_vars, order, cb)
-    a.support, b.support = sa, sb
     _, rows = _reference_table(num_vars, order)
     expected = np.zeros_like(ca)
     with np.errstate(all="ignore"):
-        found = (a * b).c
+        found = _restricted_product(num_vars, order, ca, cb, sa, sb)
         for ka, kb, out in _inside(rows, sa, sb):
             expected[out] = expected[out] + ca[ka] * cb[kb]
     assert found.shape == expected.shape
@@ -893,10 +900,10 @@ def test_product_index_data_does_not_depend_on_the_width():
             full = (1 << num_vars) - 1
             size = len(_reference_indices(num_vars, order))
             for sa, sb in [(full, full), (1, full - 1), (3, 2)]:
-                a = Jet(num_vars, order, rng.normal(size=(size, width)))
-                b = Jet(num_vars, order, rng.normal(size=(size, width)))
-                a.support, b.support = sa & full, sb & full
-                assert (a * b).c.shape == (size, width)
+                ca, cb = rng.normal(size=(2, size, width))
+                assert _restricted_product(num_vars, order, ca, cb,
+                                           sa & full, sb & full).shape == (
+                    size, width)
 
     products(1)
     before = caches()
