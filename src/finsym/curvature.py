@@ -68,8 +68,8 @@ def curvature_fd_commutators(s: FedosovScenario, xs) -> np.ndarray:
     Each base point's stencil is its centre and every axis's
     :func:`fd_stencil` (9 points at n = 2, 17 at n = 4), one call per axis
     over the stack, sampled in runs of whole stencils of at most
-    ``finsler._block_pairs(n)`` rows (at least one stencil; 51 rows at
-    n = 4, 306 at n = 2), the runner's bound on a block's plan pairs, each
+    ``finsler._block_pairs(n)`` rows (at least one stencil; 102 rows at
+    n = 4, 486 at n = 2), the runner's bound on a block's plan pairs, each
     run one :func:`sample_block` with W on the run.  One :func:`fd_oracle`
     call per axis (central differences, one Richardson step) differentiates
     x -> induce_connection(s, x); one contraction assembles the formula.

@@ -24,27 +24,38 @@ on ``Jet`` operands it is the reference the tests hold jets to.  It alone
 dispatches on the instructions and folds the constant subexpressions, on
 floats.
 
-``eval_jet`` runs a tape instead.  Each ``(program, num_vars, order)`` is
-compiled once (a bounded cache) by running ``_run`` on recording jets
-(``_TapeJet``, taping by operator overloading, Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6), whose operators
-append the steps of the ``Jet`` operators of the same names to straight-line
-code over numbered slots.  Compiling resolves all that depends on the
-program alone: every jet's support and each product's restricted table
-(the support rules, and why they change no coefficient, are stated at
-``_TapeJet``), constant subexpressions (one that raises ends the tape
-with a step that raises the same error at its place in the order),
-integer powers as products and each composition's table.  A product reads
-a variable from a bank of the variables' values, a row of 1.0 and a row of
-+0.0, the floats of its coefficients, so a variable takes a slot only
-where a scalar, a sum or a composition meets it.  Each call allocates one
-working block for the slots, reused by stack liveness, the bank and one
-product scratch, into which a product gathers both its factors, and frees
-it on return; only the result, in an array of its own, outlives the call.
+``eval_jet`` runs a tape instead.  Each ``(program, num_vars, order,
+x_vars)`` is compiled once (a bounded cache) by running ``_run`` on
+recording jets (``_TapeJet``, taping by operator overloading, Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6), whose
+operators append the steps of the ``Jet`` operators of the same names to
+straight-line code over numbered slots.  Compiling resolves all that
+depends on the program alone: every jet's support and each product's
+restricted table (the support rules, and why they change no coefficient,
+are stated at ``_TapeJet``), constant subexpressions (one that raises
+ends the tape with a step that raises the same error at its place in the
+order), integer powers as products and each composition's table.  A
+product reads a variable from a bank of the variables' values, a row of
+1.0 and a row of +0.0, the floats of its coefficients, so a variable
+takes a slot only where a scalar, a sum or a composition meets it.  Each
+call allocates one working block for the slots, reused by stack liveness,
+the bank and one product scratch, into which a product gathers both its
+factors, and frees it on return; only the result, in an array of its own,
+outlives the call.
 The steps run the ``Jet`` operators' float operations in the same order
 through the same kernels (``jets._multiply_into``, ``jets._compose_into``
 and ``jets._taylor``), so every coefficient, every error and the first
 failing column equal a run of ``_run`` on jets, bit for bit.
+
+A field spec with ``x_vars`` (the energy, ``finsler.MetricSpec``)
+compiles its tapes of orders 3 and 4 on a truncated table
+(``jets._JetTable``), which keeps the monomials of degree at most
+``order - 2`` in its first ``x_vars`` variables: 22 of 35 rows at n = 2
+and order 3, 360 of 495 at n = 4 and order 4.  The kept set is closed
+under taking divisors, so each kept coefficient is the full run's, bit
+for bit.  A column is an error only where a kept coefficient is
+non-finite: one that overflows only in a dropped coefficient, such as an
+x-degree-3 coefficient of ``(y1/x1)^2`` at x1 = 1e-70, is no longer one.
 """
 
 from __future__ import annotations
@@ -434,8 +445,9 @@ class _TapeJet:
     scalar factor or a composition's Taylor factor.  No jet of a program
     has an empty support (a variable has its bit, constant subexpressions
     run on floats, and ``x ^ 0`` keeps its operand's), so the same value
-    also meets a first-order coefficient inside the support, and the result
-    has a non-finite coefficient of degree one or more inside it.  That
+    also meets a first-order coefficient inside the support, which a
+    truncated table keeps too, and the result has a non-finite coefficient
+    of degree one or more inside it.  That
     coefficient stays non-finite in every later operation: a scalar or
     Taylor factor multiplies it, a sum adds it, and a product reads it
     against the other factor's value, which lies inside every support.  A
@@ -559,12 +571,14 @@ _TAPES = 256
 
 
 @lru_cache(maxsize=_TAPES)
-def _tape(program: tuple, num_vars: int, order: int) -> _Tape:
-    """Compile ``program`` for ``num_vars`` variables at ``order`` by
+def _tape(program: tuple, num_vars: int, order: int,
+          x_vars: int = 0) -> _Tape:
+    """Compile ``program`` for ``num_vars`` variables at ``order``, on the
+    table truncated in the first ``x_vars`` (``jets._JetTable``), by
     running it once on recording jets.  ``_run`` folds the constant
     subexpressions on floats; one that raises ends the tape with a step
     that raises an error of the same type and text."""
-    tape = _Tape(_table(num_vars, order))
+    tape = _Tape(_table(num_vars, order, x_vars))
     try:
         e = _run(program, [_TapeJet(tape, -1, 1 << i)
                            for i in range(num_vars)])
@@ -585,10 +599,17 @@ def _tape(program: tuple, num_vars: int, order: int) -> _Tape:
 
 @dataclass(frozen=True)
 class ScalarFieldSpec:
-    """A scalar field given by a postfix program over named variables."""
+    """A scalar field given by a postfix program over named variables.
+
+    With ``x_vars``, the first ``x_vars`` variables count as x, and
+    ``eval_jet`` at orders 3 and up keeps only the coefficients of
+    x-degree at most ``order - 2`` (``jets._JetTable``): the partials with
+    at least two derivatives in the other variables, and their divisors.
+    The energy of a metric is such a field (``finsler.MetricSpec``)."""
 
     variables: tuple[str, ...]
     program: tuple
+    x_vars: int = 0
 
     @classmethod
     def parse(cls, text: str, variables: Sequence[str]) -> "ScalarFieldSpec":
@@ -616,13 +637,15 @@ class ScalarFieldSpec:
 
     def eval_jet(self, point: Sequence[float], order: int) -> Jet:
         """The order-``order`` jet with one column per row of a
-        ``(P, num_vars)`` stack of points; one point is a stack of one
-        row."""
+        ``(P, num_vars)`` stack of points, truncated as the class states;
+        one point is a stack of one row.  DomainError for the first column
+        with a non-finite coefficient the jet holds."""
         num_vars = len(self.variables)
         x = np.asarray(point, dtype=float).reshape(-1, num_vars)
-        tape = _tape(self.program, num_vars, order)
+        x_vars = self.x_vars if order > 2 else 0
+        tape = _tape(self.program, num_vars, order, x_vars)
         with np.errstate(all="ignore"):  # non-finite data raises below
-            out = Jet(num_vars, order, tape.run(x))
+            out = Jet(num_vars, order, tape.run(x), x_vars)
         finite = np.isfinite(out.c).all(axis=0)
         if not finite.all():  # named by the first non-finite column
             x = x[np.argmin(finite)]
@@ -652,6 +675,13 @@ def norms_at_least(rows: np.ndarray, bounds) -> np.ndarray:
     out[unsure] = [math.hypot(*row) >= bound for row, bound in zip(
         rows[unsure].tolist(), bounds[unsure].tolist())]
     return out
+
+
+def norms_below(rows: np.ndarray, floor: float) -> np.ndarray:
+    """Whether ``math.hypot(*row) < floor`` for each row of a ``(P, n)``
+    stack, decided by :func:`norms_at_least`: a row holding a nan is never
+    below, as its hypot is nan, or inf where the row holds an inf too."""
+    return ~(norms_at_least(rows, floor) | np.isnan(rows).any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -710,12 +740,12 @@ class VectorFieldSpec:
         points, each row held to the floor."""
         xs = np.asarray(xs, dtype=float)
         w = np.stack([c.evaluate(xs) for c in self.components], axis=1)
-        for x, row in zip(xs, w.tolist()):
-            norm = math.hypot(*row)  # scaled, so a large W cannot overflow
-            if norm < self.w_min:
-                raise ZeroVectorError(
-                    f"vector field norm {norm:.3e} below floor "
-                    f"{self.w_min} at {x.tolist()}")
+        below = norms_below(w, self.w_min)
+        if below.any():
+            p = int(np.argmax(below))
+            raise ZeroVectorError(
+                f"vector field norm {math.hypot(*w[p].tolist()):.3e} below "
+                f"floor {self.w_min} at {xs[p].tolist()}")
         return w
 
     def jacobian(self, xs) -> np.ndarray:

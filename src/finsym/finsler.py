@@ -28,7 +28,7 @@ from .errors import (
     NotRandersError,
     each_row,
 )
-from .fields import DomainBox, ScalarFieldSpec
+from .fields import DomainBox, ScalarFieldSpec, norms_below
 from .jets import Jet
 from .records import CheckRecord
 
@@ -39,19 +39,24 @@ DEFAULT_TOL_PD = 1e-10
 # The runner's blocks hold at most _block_pairs(n) plan pairs, in whole base
 # points, and each run of the FD commutator's stencils at most as many rows:
 # the pairs whose order-3 energy jets hold at most _BLOCK_COEFFICIENTS
-# coefficients, summed (1,075, 307, 128 and 65 at n = 1 to 4).  A wide block
-# spreads the fixed cost of each call over its rows: a warm round of the five
-# shipped configs took 335-373 ms at 64 pairs and 171-188 ms at 307 on 2 vCPUs.
-# The peak RSS grows with the width: 45.2 MB at 64 pairs and 69.0 MB in one
-# block on a 3-d Randers plan of 1,600 pairs, and about 7 MB more at n = 4 with
-# 64 base points in a block than with 32.
+# coefficients, summed.  Those jets keep the rows of x-degree at most 1
+# (MetricSpec), C(n + 3, 3) + n C(n + 2, 2) of them: 7, 22, 50 and 95 at n = 1
+# to 4, so a block holds 1,536, 488, 215 and 113 pairs.  A wide block spreads
+# the fixed cost of each call over its rows: a warm round of the five shipped
+# configs took 335-373 ms at 64 pairs and 171-188 ms at 307 on 2 vCPUs, and a
+# 3-d structural round 42-44 ms at 128 pairs of full jets and 32-33 ms at 215
+# of truncated ones.  The peak RSS grows with the width: 45.2 MB at 64 pairs
+# and 69.0 MB in one block on a 3-d Randers plan of 1,600 pairs, and 43.4 MB
+# at 65 pairs of full jets against 44.1 MB at 113 of truncated ones on a 4-d
+# plan of 200 base points.
 _BLOCK_COEFFICIENTS = 10_752
 
 
 def _block_pairs(n: int) -> int:
     """The most plan pairs a block of an n-dimensional scenario holds, and
     the most rows of one run of the FD commutator's stencils."""
-    return max(1, _BLOCK_COEFFICIENTS // math.comb(2 * n + 3, 3))
+    rows = math.comb(n + 3, 3) + n * math.comb(n + 2, 2)
+    return max(1, _BLOCK_COEFFICIENTS // rows)
 
 
 def _xy_vars(n: int) -> tuple[str, ...]:
@@ -70,10 +75,6 @@ def _sum_programs(programs) -> tuple:
     return out
 
 
-def _half(program: tuple) -> tuple:
-    return (("num", 0.5),) + program + (_MUL,)
-
-
 @dataclass(frozen=True, eq=False)
 class MetricSpec:
     """Declarative description of a Finsler metric on an n-dimensional chart.
@@ -89,7 +90,7 @@ class MetricSpec:
     dimension: int
     domain: DomainBox
     F_field: ScalarFieldSpec
-    phi_field: ScalarFieldSpec
+    phi_field: ScalarFieldSpec  # its x1..xn count as x (_energy)
     y_min: float = DEFAULT_Y_MIN
     g_entries: tuple | None = None
     b_fields: tuple | None = None
@@ -121,10 +122,9 @@ class MetricSpec:
         n = len(entries)
         g = cls._symmetric(entries, "metric")
         quad = _quadratic_form(g, n)
-        allvars = _xy_vars(n)
-        F = ScalarFieldSpec(allvars, quad + (_SQRT,))
-        phi = ScalarFieldSpec(allvars, _half(quad))
-        return cls("riemannian", n, domain, F, phi, y_min, g_entries=g)
+        F = ScalarFieldSpec(_xy_vars(n), quad + (_SQRT,))
+        return cls("riemannian", n, domain, F, _energy(n, quad), y_min,
+                   g_entries=g)
 
     @classmethod
     def randers(cls, alpha_entries, b_components, domain: DomainBox,
@@ -138,18 +138,24 @@ class MetricSpec:
         beta = _sum_programs([b[i].program + (("var", n + i), _MUL)
                               for i in range(n)])
         F_program = _quadratic_form(a, n) + (_SQRT,) + beta + (_ADD,)
-        allvars = _xy_vars(n)
-        F = ScalarFieldSpec(allvars, F_program)
-        phi = ScalarFieldSpec(allvars, _half(F_program + (_SQUARE,)))
+        F = ScalarFieldSpec(_xy_vars(n), F_program)
+        phi = _energy(n, F_program + (_SQUARE,))
         return cls("randers", n, domain, F, phi, y_min, g_entries=a, b_fields=b)
 
     @classmethod
     def custom(cls, F, dimension: int, domain: DomainBox,
                y_min: float = DEFAULT_Y_MIN) -> "MetricSpec":
-        allvars = _xy_vars(dimension)
-        F_spec = cls._as_spec(F, allvars)
-        phi = ScalarFieldSpec(allvars, _half(F_spec.program + (_SQUARE,)))
+        F_spec = cls._as_spec(F, _xy_vars(dimension))
+        phi = _energy(dimension, F_spec.program + (_SQUARE,))
         return cls("custom", dimension, domain, F_spec, phi, y_min)
+
+
+def _energy(n: int, program: tuple) -> ScalarFieldSpec:
+    """Half the given program over x1..xn, y1..yn, with x1..xn counted as
+    x: ``_metric_data``, the one reader of its jets, takes only partials
+    with two fiber derivatives, of x-degree at most ``order - 2``."""
+    half = (("num", 0.5),) + program + (_MUL,)
+    return ScalarFieldSpec(_xy_vars(n), half, n)
 
 
 def _quadratic_form(entries, n: int) -> tuple:
@@ -169,15 +175,13 @@ def _require_points(m: MetricSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"point shapes {xs.shape[1:]}/{ys.shape[1:]} do "
                           f"not match dimension {m.dimension}")
     bad_x = ~m.domain.contains_rows(xs)
-    # scaled, so a large y cannot overflow
-    norms = [math.hypot(*y) for y in ys.tolist()]
-    bad = bad_x | (np.array(norms) < m.y_min)
+    bad = bad_x | norms_below(ys, m.y_min)
     if bad.any():
         p = int(np.argmax(bad))
         if bad_x[p]:
             m.domain.require(xs[p], "base point")
-        raise DomainError(
-            f"fiber point norm {norms[p]:.3e} below slit floor {m.y_min}")
+        raise DomainError(f"fiber point norm {math.hypot(*ys[p].tolist()):.3e}"
+                          f" below slit floor {m.y_min}")
     return xs, ys
 
 
@@ -239,18 +243,18 @@ def _permute(a: np.ndarray, *axes: int) -> np.ndarray:
 
 def _metric_data(phi: Jet, n: int) -> tuple:
     """g_ij, dg_ij/dx^t as [t, i, j] and dg_ij/dy^k as [k, i, j] at each
-    column of the jet of the energy, with a tangent axis of length 1 + 2n
-    from an order-4 jet and of length 1 from an order-3 one.  Each is
-    C-contiguous: einsum sums the slices of a 64-row block of strided
-    order-4 data in another order than a lone row's."""
-    fiber = slice(n, 2 * n)
-    g = phi.derivatives(2)[:, fiber, fiber, None]
-    d3 = phi.derivatives(3)[:, :, fiber, fiber]         # [p, a, i, j]
+    column of the jet of the energy, truncated as ``_energy`` states, with
+    a tangent axis of length 1 + 2n from an order-4 jet and of length 1
+    from an order-3 one.  Each is C-contiguous: einsum sums the slices of a
+    64-row block of strided order-4 data in another order than a lone
+    row's."""
+    g = phi.derivatives(2, fiber=2)[..., None]
+    d3 = phi.derivatives(3, fiber=2)                    # [p, a, i, j]
     dg = d3[..., None]
     if phi.order == 4:
         g = np.concatenate([g, d3.transpose(0, 2, 3, 1)], axis=-1)
-        dg = np.concatenate([dg, phi.derivatives(4)[:, :, fiber, fiber]],
-                            axis=-1)
+        dg = np.concatenate([dg, phi.derivatives(4, fiber=2).transpose(
+            0, 1, 3, 4, 2)], axis=-1)                   # [p, a, i, j, b]
     return tuple(np.ascontiguousarray(a) for a in (g, dg[:, :n], dg[:, n:]))
 
 

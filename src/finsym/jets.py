@@ -18,16 +18,27 @@ is P = 1.  Every column is bit-identical to the jet of its point alone: a
 product sums each coefficient's terms from +0.0 in table order whatever P
 is, one numpy call per rank over index data that does not depend on P
 (:class:`_Product`), and the Taylor factors of sqrt, real powers and
-reciprocals are computed per column with Python float ``**``, which can
-round differently from ``np.power``.  Only the sign of a nan where two
+reciprocals are computed with Python float ``**``, which can round
+differently from ``np.power``: row by row in one pass over the columns,
+and column by column where that pass raises, so the first failing column
+raises its own error (:func:`_taylor`).  Only the sign of a nan where two
 nans meet is numpy's choice per loop; a non-finite jet is an error.
+
+A table can be truncated (:class:`_JetTable`): with ``x_vars``, it keeps
+only the multi-indices of degree at most ``order - 2`` in the first
+``x_vars`` variables, the partials with two derivatives in the others and
+their divisors, which is all the energy's readers take.  That set is
+closed under taking divisors, so each kept coefficient of a product or a
+composition is the full table's, bit for bit; a jet on such a table holds
+only those rows, and :meth:`Jet.derivatives` raises for a partial it
+dropped.  A non-finite value in a dropped coefficient alone is no error.
 
 A product reads a table of coefficient pairs (:meth:`_JetTable.product`),
 which can be restricted to the pairs whose two factors depend only on the
 variables of given supports, bitmasks of variables.  ``Jet`` operators
-read the full table; the tapes of ``fields.ScalarFieldSpec.eval_jet``
+read the whole table; the tapes of ``fields.ScalarFieldSpec.eval_jet``
 read restricted ones, and ``fields._TapeJet`` states how a tape decides
-the supports and why that leaves every coefficient as the full table's.
+the supports and why that leaves every coefficient as the whole table's.
 
 Two kernels do the arithmetic, shared by the ``Jet`` operators and by
 the tapes: :func:`_multiply_into`, the one product routine, and
@@ -42,8 +53,8 @@ cross-check jet output; it never goes through jet arithmetic.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from functools import lru_cache, partial
+from itertools import combinations_with_replacement, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -108,16 +119,30 @@ class _Product:
 
 
 class _JetTable:
-    """Precomputed index bookkeeping for one (num_vars, order) shape."""
+    """Precomputed index bookkeeping for one (num_vars, order, x_vars)
+    shape.  With ``x_vars``, the first ``x_vars`` variables count as x and
+    the table keeps only the multi-indices of x-degree at most
+    ``order - 2``: every partial with at least two derivatives in the
+    other variables, and its divisors.  That set is closed under taking
+    divisors, so a kept coefficient of a product has only kept factors
+    and the truncated product keeps exactly its full-table terms, in table
+    order (weighted-order truncation, Berz, *Modern Map Methods in
+    Particle Beam Physics*, 1999, ch. 2).  A truncated table has order 3
+    or more, so it keeps every first-order monomial."""
 
-    __slots__ = ("num_vars", "order", "indices", "size",
+    __slots__ = ("num_vars", "order", "x_vars", "indices", "size",
                  "factorials", "_by_key", "_keys", "_pairs", "bank",
                  "products", "banked")
 
-    def __init__(self, num_vars: int, order: int):
+    def __init__(self, num_vars: int, order: int, x_vars: int = 0):
+        if x_vars and order < 3:
+            raise ValueError(f"no truncation at order {order}")
         self.num_vars = num_vars
         self.order = order
-        self.indices = _graded_indices(num_vars, order)
+        self.x_vars = x_vars
+        indices = _graded_indices(num_vars, order)
+        kept = self.keeps(np.array(indices).reshape(len(indices), num_vars))
+        self.indices = [idx for idx, k in zip(indices, kept) if k]
         self.size = len(self.indices)
         exponents = np.array(self.indices, dtype=np.intp).reshape(
             self.size, num_vars)
@@ -129,7 +154,7 @@ class _JetTable:
         self._by_key = np.argsort(keys)
         self._keys = keys[self._by_key]
 
-        # every pair of coefficients whose degrees sum to at most order, by
+        # every pair of coefficients whose product the table keeps, by
         # degree of a, then degree of b, then a, then b
         start = np.searchsorted(exponents.sum(axis=1),
                                 np.arange(order + 2))
@@ -139,6 +164,8 @@ class _JetTable:
                  for kb in blocks[:order + 1 - da]]
         a = np.concatenate([ka for ka, _ in pairs])
         b = np.concatenate([kb for _, kb in pairs])
+        kept = np.flatnonzero(self.keeps(exponents[a] + exponents[b]))
+        a, b = a[kept], b[kept]
         out = self.positions(exponents[a] + exponents[b])
         support = (exponents > 0) @ (1 << np.arange(num_vars))
         self._pairs = (a, b, out, support[a], support[b])
@@ -153,8 +180,14 @@ class _JetTable:
         self.products: dict[tuple[int, int], _Product] = {}
         self.banked: dict[tuple, _Product] = {}
 
+    def keeps(self, exponents: np.ndarray) -> np.ndarray:
+        """Whether the table keeps each row of a multi-index array."""
+        return (exponents[..., :self.x_vars].sum(axis=-1)
+                <= (self.order - 2 if self.x_vars else self.order))
+
     def positions(self, exponents: np.ndarray) -> np.ndarray:
-        """The coefficient position of each row of a multi-index array."""
+        """The coefficient position of each row of a multi-index array,
+        every one kept."""
         keys = exponents @ (self.order + 1) ** np.arange(self.num_vars)
         return self._by_key[np.searchsorted(self._keys, keys)]
 
@@ -229,25 +262,43 @@ def _taylor(factors: Callable, values: np.ndarray, order: int,
             *args) -> np.ndarray:
     """``factors(v, order, *args)`` at each entry of ``values``, as an
     ``(order + 1, P)`` array; always on Python floats, which np.power need
-    not match, so the first failing entry raises."""
-    return np.array([factors(v, order, *args) for v in values.tolist()]).T
+    not match.  Row by row in one pass (``_ROWS``), with the same float
+    operations in the same order as the per-entry calls; where that pass
+    declines or raises, entry by entry, so the first failing entry raises
+    its error."""
+    try:
+        rows = _ROWS[factors](values, order, *args)
+    except (ZeroDivisionError, OverflowError):
+        rows = None
+    if rows is None:
+        return np.array([factors(v, order, *args)
+                         for v in values.tolist()]).T
+    return np.array(rows)
 
 
 @lru_cache(maxsize=None)
-def _table(num_vars: int, order: int) -> _JetTable:
-    return _JetTable(num_vars, order)
+def _table(num_vars: int, order: int, x_vars: int = 0) -> _JetTable:
+    return _JetTable(num_vars, order, x_vars)
 
 
 @lru_cache(maxsize=None)
-def _derivative_gather(num_vars: int, order: int,
-                       k: int) -> tuple[np.ndarray, np.ndarray]:
+def _derivative_gather(num_vars: int, order: int, k: int, x_vars: int = 0,
+                       fiber: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient positions and multi-index factorial weights of every k-th
-    partial, laid out as ``(num_vars,)*k`` arrays."""
-    t = _table(num_vars, order)
-    shape = (num_vars,) * k
-    slots = np.indices(shape).reshape(k, num_vars ** k)
-    pos = t.positions((slots[..., None] == np.arange(num_vars)).sum(axis=0))
-    pos = pos.reshape(shape)
+    partial whose last ``fiber`` variables are not among the first
+    ``x_vars``, laid out as ``(num_vars,)*(k - fiber)`` then
+    ``(num_vars - x_vars,)*fiber`` arrays; OrderError if the table of
+    ``(num_vars, order, x_vars)`` drops one of them."""
+    t = _table(num_vars, order, x_vars)
+    shape = (num_vars,) * (k - fiber) + (num_vars - x_vars,) * fiber
+    slots = np.indices(shape).reshape(k, math.prod(shape))
+    slots[k - fiber:] += x_vars
+    exponents = (slots[..., None] == np.arange(num_vars)).sum(axis=0)
+    if not t.keeps(exponents).all():
+        raise OrderError(f"a jet truncated at x-degree {order - 2} in its "
+                         f"first {x_vars} variables holds no partial of "
+                         f"degree {k} with {fiber} fiber derivatives")
+    pos = t.positions(exponents).reshape(shape)
     return pos, t.factorials[pos]
 
 
@@ -282,37 +333,67 @@ def _sqrt_factors(v: float, order: int) -> list[float]:
     return _power_factors(v, order, 0.5)
 
 
+def _reciprocal_rows(values: np.ndarray, order: int) -> list[list[float]]:
+    """The rows of :func:`_reciprocal_factors` over every entry."""
+    values, rows = values.tolist(), []
+    for k in range(order + 1):
+        sign = (-1.0) ** k
+        rows.append([sign / t for t in map(pow, values, repeat(k + 1))])
+    return rows
+
+
+def _power_rows(values: np.ndarray, order: int,
+                p: float) -> list[list[float]] | None:
+    """The rows of :func:`_power_factors` over every entry, or None where
+    an entry is not positive."""
+    if (values <= 0.0).any():
+        return None
+    values, rows, binom = values.tolist(), [], 1.0
+    for k in range(order + 1):
+        rows.append([binom * t for t in map(pow, values, repeat(p - k))])
+        binom *= (p - k) / (k + 1)
+    return rows
+
+
+_ROWS = {_reciprocal_factors: _reciprocal_rows, _power_factors: _power_rows,
+         _sqrt_factors: partial(_power_rows, p=0.5)}
+
+
 class Jet:
     """Truncated multivariate Taylor expansion of a scalar field at P points.
 
     ``c`` holds the Taylor coefficients in graded multi-index order, with a
     trailing column axis, one column per point; the partial derivative
     for a multi-index is its coefficient times ``multi_index_factorial``,
-    read out through :meth:`derivatives`.  Products and compositions read
-    the full table.
+    read out through :meth:`derivatives`.  With ``x_vars``, ``c`` holds
+    only the coefficients the table of ``(num_vars, order, x_vars)`` keeps
+    (:class:`_JetTable`).  Products and compositions read the whole table.
     """
 
-    __slots__ = ("num_vars", "order", "c")
+    __slots__ = ("num_vars", "order", "c", "x_vars")
 
-    def __init__(self, num_vars: int, order: int, c: np.ndarray):
+    def __init__(self, num_vars: int, order: int, c: np.ndarray,
+                 x_vars: int = 0):
         self.num_vars = num_vars
         self.order = order
         self.c = c
+        self.x_vars = x_vars
 
     def _new(self, c: np.ndarray) -> "Jet":
         """A jet of this shape with coefficients ``c``."""
-        return Jet(self.num_vars, self.order, c)
+        return Jet(self.num_vars, self.order, c, self.x_vars)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, num_vars: int, order: int) -> "Jet":
+    def constant(cls, value, num_vars: int, order: int,
+                 x_vars: int = 0) -> "Jet":
         """A constant jet with one column per entry of ``value`` (a float is
         one column)."""
         value = np.atleast_1d(value)
-        c = np.zeros((_table(num_vars, order).size,) + value.shape)
+        c = np.zeros((_table(num_vars, order, x_vars).size,) + value.shape)
         c[0] = value
-        return cls(num_vars, order, c)
+        return cls(num_vars, order, c, x_vars)
 
     # -- accessors ---------------------------------------------------------
 
@@ -321,13 +402,21 @@ class Jet:
         """The values, one per column."""
         return self.c[0].copy()
 
-    def derivatives(self, k: int) -> np.ndarray:
+    def derivatives(self, k: int, fiber: int = 0) -> np.ndarray:
         """Every k-th partial at each column, as symmetric
         ``(num_vars,)*k`` arrays after the column axis: ``out[p, v1, ...,
-        vk]`` is the partial in the variables v1..vk at column p."""
+        vk]`` is the partial in the variables v1..vk at column p.  With
+        ``fiber``, only the partials whose last ``fiber`` variables are
+        not among the first ``x_vars``, those axes indexing the variables
+        after them.  OrderError for a partial the jet does not hold: a
+        truncated jet gives its partials of degree ``order - 1`` and up
+        only with ``fiber`` 2."""
         if not 0 <= k <= self.order:
             raise OrderError(f"derivative degree {k} outside 0..{self.order}")
-        pos, fac = _derivative_gather(self.num_vars, self.order, k)
+        if not 0 <= fiber <= k:
+            raise OrderError(f"{fiber} fiber derivatives outside 0..{k}")
+        pos, fac = _derivative_gather(self.num_vars, self.order, k,
+                                      self.x_vars, fiber)
         # C order, so that each column's array is laid out as a lone
         # point's: numpy may sum in another order over other strides
         return np.multiply(self.c.T[:, pos], fac, order="C")
@@ -336,14 +425,14 @@ class Jet:
 
     def _full(self) -> _Product:
         full = (1 << self.num_vars) - 1
-        return _table(self.num_vars, self.order).product(full, full)
+        return _table(self.num_vars, self.order, self.x_vars).product(full,
+                                                                      full)
 
     def _check(self, other: "Jet") -> None:
-        if self.num_vars != other.num_vars or self.order != other.order:
-            raise ValueError(
-                "jet shape mismatch: "
-                f"({self.num_vars},{self.order}) vs ({other.num_vars},{other.order})"
-            )
+        mine = (self.num_vars, self.order, self.x_vars)
+        theirs = (other.num_vars, other.order, other.x_vars)
+        if mine != theirs:
+            raise ValueError(f"jet shape mismatch: {mine} vs {theirs}")
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -419,7 +508,7 @@ class Jet:
             n = int(p)
             if n == 0:
                 return Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
-                                    self.order)
+                                    self.order, self.x_vars)
             out = self
             for _ in range(abs(n) - 1):
                 out = out * self

@@ -482,15 +482,16 @@ def _fd_runs(monkeypatch) -> list:
 
 # n -> (plan pairs per block, rows of a full FD run: whole stencils of
 # 1 + 4n rows)
-BLOCK_RULE = {1: (1075, 1075), 2: (307, 306), 3: (128, 117), 4: (65, 51)}
+BLOCK_RULE = {1: (1536, 1535), 2: (488, 486), 3: (215, 208), 4: (113, 102)}
 
 
 @pytest.mark.parametrize("n", sorted(BLOCK_RULE))
 def test_block_width_follows_the_energy_jet(monkeypatch, n):
-    """A block holds at most 10,752 // C(2n + 3, 3) plan pairs, the number
-    of order-3 coefficients of the energy summed over its pairs, and one
-    run of the FD commutator's stencils at most as many rows: here a run
-    of the curvature check over one stencil more than a full run."""
+    """A block holds at most 10,752 // (C(n + 3, 3) + n C(n + 2, 2)) plan
+    pairs, the number of coefficients the energy's order-3 jets keep
+    summed over its pairs, and one run of the FD commutator's stencils at
+    most as many rows: here a run of the curvature check over one stencil
+    more than a full run."""
     pairs, rows = BLOCK_RULE[n]
     assert finsler._block_pairs(n) == pairs
     stencil = 1 + 4 * n
@@ -502,17 +503,17 @@ def test_block_width_follows_the_energy_jet(monkeypatch, n):
 
 
 def test_curvature_n4_keeps_its_block_widths(monkeypatch):
-    """At n = 4 with 2 fiber points per base point a block holds 32 base
-    points and an FD run 3 of them, 51 rows, as when every block held 64
-    pairs.  A block of one base point samples its stencil through
-    ``induce_connections``, so it makes no run here."""
+    """At n = 4 with 2 fiber points per base point a block holds 56 base
+    points, 112 pairs, and an FD run 6 of them, 102 rows.  A block of one
+    base point samples its stencil through ``induce_connections``, so it
+    makes no run here."""
     config = load_config(os.path.join(ROOT, "tests", "data",
                                       "curvature-n4-v3.json"))
-    config["sampling"]["count"] = 33
+    config["sampling"]["count"] = 57
     sizes, runs = _block_sizes(monkeypatch), _fd_runs(monkeypatch)
     run_scenario(config, ["curvature"])
-    assert sizes == [32, 1]
-    assert runs == [51] * 10 + [34]
+    assert sizes == [56, 1]
+    assert runs == [102] * 9 + [34]
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -527,13 +528,14 @@ def test_each_shipped_config_is_one_block(monkeypatch, name):
     assert sizes == [100]
 
 
-@pytest.mark.parametrize("n,count,y_per_x,blocks", [(3, 100, 4, 4),
-                                                    (1, 600, 2, 2)])
+@pytest.mark.parametrize("n,y_per_x,blocks", [(3, 4, 4), (1, 2, 2)])
 def test_reports_over_several_default_blocks_are_unchanged(
-        monkeypatch, n, count, y_per_x, blocks):
-    """A plan the default width cuts into several blocks gives the same
-    report bytes there as at 7 pairs and at 1 pair per block."""
-    config = _randers(n, count, y_per_x)
+        monkeypatch, n, y_per_x, blocks):
+    """A plan the default width cuts into several blocks, the last of one
+    base point, gives the same report bytes there as at 7 pairs and at 1
+    pair per block."""
+    per_block = finsler._block_pairs(n) // max(2, y_per_x)
+    config = _randers(n, per_block * (blocks - 1) + 1, y_per_x)
     sizes = _block_sizes(monkeypatch)
     expected = emit_report(run_scenario(config))
     assert len(sizes) == blocks

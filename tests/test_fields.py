@@ -26,6 +26,7 @@ from finsym.fields import (
     VectorFieldSpec,
     chart_jacobians,
     norms_at_least,
+    norms_below,
 )
 from finsym import scenario
 from finsym.scenario import _FD_STEP
@@ -225,6 +226,20 @@ class TestVectorField:
         assert type(first) is type(expected)
         assert str(first) == str(expected)
 
+    def test_the_floor_names_the_first_row_below_it(self):
+        """The floor is decided over the stack in one pass; the error
+        gives the first row below it and its norm as ``math.hypot``
+        takes it, near the floor and at scales whose squares underflow."""
+        w = VectorFieldSpec(_specs("x1", "x2"), w_min=1e-6)
+        rows = np.array([[1e-6, 0.0], [6e-7, 8e-7], [1e-160, 1e-160],
+                         [5e-7, 0.0], [0.0, 0.0]])
+        assert w.values(rows[:2]).tolist() == rows[:2].tolist()
+        with pytest.raises(ZeroVectorError) as caught:
+            w.values(rows)
+        assert str(caught.value) == (
+            f"vector field norm {math.hypot(1e-160, 1e-160):.3e} below floor "
+            "1e-06 at [1e-160, 1e-160]")
+
     def test_polynomial_jacobian(self):
         w = VectorFieldSpec(_specs("1+x1^2", "x2"))
         assert np.allclose(w.values([[1.0, 2.0]])[0], [2.0, 2.0])
@@ -359,6 +374,19 @@ class TestDomainBox:
                        np.nextafter(norms, -np.inf)):
             assert norms_at_least(offsets, bounds).tolist() == [
                 norm >= bound for norm, bound in zip(norms, bounds)]
+        assert norms_below(offsets, radius).tolist() == [
+            norm < radius for norm in norms]
+
+    def test_rows_holding_a_nan_are_not_below(self):
+        """``norms_below`` is ``math.hypot(*row) < floor``: a row holding a
+        nan has a nan hypot, or an inf one beside an inf, and is not below
+        any floor."""
+        rows = np.array([[math.nan, 0.0], [0.0, 0.0], [1e-7, 0.0],
+                         [math.inf, math.nan], [3.0, 4.0], [-math.nan, 1e-300],
+                         [math.inf, 0.0]])
+        for floor in (1e-6, 5.0, math.inf):
+            assert norms_below(rows, floor).tolist() == [
+                math.hypot(*row) < floor for row in rows.tolist()]
 
     def test_require(self):
         box = DomainBox((0.0,), (1.0,))

@@ -409,6 +409,19 @@ class TestRequirePoints:
                            "outside domain"):
             finsler_sample(self.BALLED, [math.nan, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("y", [[math.nan, 1e-9], [math.nan, 0.0],
+                                   [math.inf, math.nan], [0.0, -math.nan]])
+    def test_a_nan_fiber_point_is_not_below_the_slit_floor(self, y):
+        """The hypot of a fiber point holding a nan is nan, or inf beside
+        an inf, and neither is below the floor: the stacked check passes
+        the row, as the per-row rule does, and the sample fails on F."""
+        xs, ys = [[0.1, 0.2], [0.3, 0.1]], [[1.0, 0.5], y]
+        assert _outcome(_per_row_check, self.BALLED, xs, ys) is None
+        assert _outcome(_require_points, self.BALLED, xs, ys) is None
+        with pytest.raises(DomainError, match="non-finite field value at "
+                           r"\[0.3, 0.1, "):
+            sample_block(self.BALLED, xs, ys)
+
 
 class TestSampleBlocks:
     @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
@@ -552,7 +565,7 @@ class TestSampleBlocks:
 
     def test_block_size_leaves_one_fiber_point_reports_unchanged(
             self, monkeypatch):
-        """At one fiber point per base point a block holds 32 base points,
+        """At one fiber point per base point a block holds 56 base points,
         half of ``_block_pairs(4)``; the 4-d report at 64 base points is the
         same there, at block sizes 1 and 7, and in one block of all 64,
         where the order-4 column is 64 wide."""

@@ -284,6 +284,65 @@ class TestColumns:
         with pytest.raises(DomainError):
             f.eval_jet(np.array([[1.0], [bad], [2.0]]), 3)
 
+    @pytest.mark.parametrize("text,column,error", [
+        ("sqrt(x1)", [4.0, -1.0, 0.0], "sqrt of non-positive jet value -1.0"),
+        ("sqrt(x1)", [4.0, 0.0, -1.0], "sqrt of non-positive jet value 0.0"),
+        ("x1^0.25", [2.0, -3.0, 0.0],
+         "fractional power 0.25 of non-positive jet value -3.0"),
+        ("x1^-1.5", [2.0, 1e-250, -1.0],
+         "Taylor factors of 1e-250^-1.5 leave the floating-point range"),
+        ("x1^2.5", [2.0, 1e200, 1e300],
+         "Taylor factors of 1e+200^2.5 leave the floating-point range"),
+        ("1/x1", [2.0, 0.0, 1e-100], "division by a jet with zero value"),
+        ("1/x1", [2.0, 1e-100, 0.0],
+         "Taylor factors of 1/1e-100 leave the floating-point range"),
+        ("x1^-2", [2.0, 1e-100, 0.0],
+         "Taylor factors of 1/1e-200 leave the floating-point range"),
+    ])
+    def test_the_first_bad_column_after_a_good_one_raises(self, text, column,
+                                                          error):
+        """The Taylor factors of a block are made row by row in one pass;
+        where that fails, the column that fails first raises its own
+        error, as alone, on a tape and on full-table jets."""
+        f = ScalarFieldSpec.parse(text, ["x1"])
+        at = np.array(column)[:, None]
+        with pytest.raises(DomainError) as caught:
+            f.eval_jet(at, 3)
+        assert str(caught.value) == error
+        assert _outcome(lambda: _full_support_eval_jet(f, at, 3)) == (
+            f"DomainError: {error}")
+        with pytest.raises(DomainError) as caught:
+            f.eval_jet(at[1], 3)
+        assert str(caught.value) == error
+
+
+_TAYLOR_VALUES = [0.5, 1.5, 2.0, 3.7, 1e-30, 1e-60, 1e30, 1e100, 7e-5,
+                  np.inf, np.nan, 1e-300, 5e-324]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from(_TAYLOR_VALUES),
+                          st.floats(1e-80, 1e80)), min_size=1, max_size=6),
+       st.integers(0, 4),
+       st.sampled_from([(jets._reciprocal_factors, ()),
+                        (jets._sqrt_factors, ()),
+                        (jets._power_factors, (-1.5,)),
+                        (jets._power_factors, (0.25,)),
+                        (jets._power_factors, (2.5,))]))
+def test_one_pass_taylor_factors_equal_the_per_entry_calls(values, order,
+                                                          factors):
+    """``_taylor``'s one pass gives the factors of each entry's own call,
+    bit for bit, or the first failing entry's error."""
+    fn, args = factors
+    values = np.array(values)
+
+    def per_entry():
+        return np.array([fn(v, order, *args) for v in values.tolist()]).T
+
+    found = _outcome(lambda: Jet(1, order, jets._taylor(fn, values, order,
+                                                        *args)))
+    assert found == _outcome(lambda: Jet(1, order, per_entry()))
+
 
 class TestFdOracle:
     def test_cube_first_derivative(self):
@@ -474,9 +533,10 @@ def test_constant_errors_are_raised_fresh():
     assert str(raised[0]) == str(raised[1]) == "division by zero"
 
 
-def _full_support_eval_jet(field, point, order):
+def _full_support_eval_jet(field, point, order, kept=slice(None)):
     """``ScalarFieldSpec.eval_jet`` as ``_run`` on jets, whose products
-    and compositions read the full table."""
+    and compositions read the full table, keeping the coefficient rows
+    ``kept``: a column fails where one of those is non-finite."""
     n = field.num_vars
     x = np.asarray(point, dtype=float).reshape(-1, n)
     env = [_variable(i, x.T[i], n, order) for i in range(n)]
@@ -484,11 +544,20 @@ def _full_support_eval_jet(field, point, order):
         out = _run(field.program, env)
     if not isinstance(out, Jet):
         out = Jet.constant(np.full(len(x), float(out)), n, order)
+    out = Jet(n, order, out.c[kept])
     finite = np.isfinite(out.c).all(axis=0)
     if not finite.all():
         x = x[np.argmin(finite)]
         raise DomainError(f"non-finite field data at {x.tolist()}")
     return out
+
+
+def _x_degree_at_most(num_vars, order, x_vars, cap):
+    """Which rows of the full table of ``(num_vars, order)`` have degree at
+    most ``cap`` in the first ``x_vars`` variables, counted from the
+    multi-indices."""
+    return np.array([sum(idx[:x_vars]) <= cap
+                     for idx in _table(num_vars, order).indices])
 
 
 def _configs():
@@ -550,12 +619,22 @@ def test_energy_jets_equal_full_support_runs(path, name):
     energy, the metric or alpha and b entries, W, the chart's forward and
     inverse maps and the two-form entries), at orders 1 to 4, on one point
     and on a block: ``eval_jet`` equals the program run on jets made from
-    raw coefficients, bit for bit."""
+    raw coefficients, bit for bit, on every row it keeps.  The energy's
+    jets at orders 3 and 4 drop exactly the rows of x-degree above
+    order - 2 in x1..xn; every other jet keeps every row."""
     field, points = _field_programs(path)[name]
+    n = _scenario(path).dimension
+    assert field.x_vars == (n if name == "phi" else 0)
     for order in (1, 2, 3, 4):
+        kept = _x_degree_at_most(field.num_vars, order, n,
+                                 order - 2 if name == "phi" and order > 2
+                                 else order)
+        assert kept.all() == (name != "phi" or order < 3)
         for at in (points[0], points):
-            assert (field.eval_jet(at, order).c.tobytes()
-                    == _full_support_eval_jet(field, at, order).c.tobytes())
+            jet = field.eval_jet(at, order)
+            assert jet.c.shape[0] == kept.sum()
+            assert (jet.c.tobytes() == _full_support_eval_jet(
+                field, at, order, kept).c.tobytes())
 
 
 @pytest.mark.parametrize("text", ["x1^2*x2+sqrt(1+x2^2)", "x2", "7"])
@@ -633,6 +712,109 @@ def test_random_programs_equal_full_support_runs(text, rows, block, order):
         _POINTS[rows[0]])
     assert (_outcome(lambda: field.eval_jet(at, order))
             == _outcome(lambda: _full_support_eval_jet(field, at, order)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.recursive(st.sampled_from(_LEAVES), _extend, max_leaves=10),
+       st.lists(st.sampled_from(range(len(_POINTS))), min_size=1,
+                max_size=3),
+       st.booleans(), st.integers(0, 4))
+def test_random_truncated_programs_keep_the_full_runs_rows(text, rows, block,
+                                                           order):
+    """The random fields of the test above with x1 and x2 counted as x:
+    at orders 3 and 4 ``eval_jet`` gives the rows of x-degree at most
+    order - 2 of the run on full-table jets, or the error type, text and
+    first failing column of that run where those rows are non-finite; at
+    orders 0 to 2 the whole run."""
+    field = ScalarFieldSpec(tuple(_XY), ScalarFieldSpec.parse(
+        text, _XY).program, 2)
+    at = np.array([_POINTS[r] for r in rows]) if block else np.array(
+        _POINTS[rows[0]])
+    kept = _x_degree_at_most(4, order, 2, order - 2 if order > 2 else order)
+    assert (_outcome(lambda: field.eval_jet(at, order))
+            == _outcome(lambda: _full_support_eval_jet(field, at, order,
+                                                       kept)))
+
+
+def test_a_column_non_finite_only_in_dropped_rows_does_not_raise():
+    """At x1 = 1e-70 the coefficients of (y1/x1)^2 of x-degree 3 overflow,
+    and those of x-degree 1 or less stay finite: the full jet raises, the
+    jet truncated at x-degree 1 does not, and its rows are those of the
+    full run.  So a custom metric with F = |y|/x1 samples there."""
+    names = ["x1", "y1"]
+    program = ScalarFieldSpec.parse("(y1/x1)^2", names).program
+    at = np.array([[0.5, 1.0], [1e-70, 1.0]])
+    with pytest.raises(DomainError, match=r"at \[1e-70, 1.0\]"):
+        ScalarFieldSpec(tuple(names), program).eval_jet(at, 3)
+    jet = ScalarFieldSpec(tuple(names), program, 1).eval_jet(at, 3)
+    with np.errstate(all="ignore"):
+        full = _run(program, [_variable(i, at[:, i], 2, 3)
+                              for i in range(2)]).c
+    dropped = ~_x_degree_at_most(2, 3, 1, 1)
+    assert not np.isfinite(full[dropped, 1]).all()
+    assert jet.c.tobytes() == full[~dropped].tobytes()
+
+    from finsym.fields import DomainBox
+    from finsym.finsler import MetricSpec, sample_block
+    metric = MetricSpec.custom("sqrt(y1^2+y2^2)/x1", 2, DomainBox(
+        (1e-80, -1.0), (1.0, 1.0)))
+    xs, ys = [[1e-70, 0.5]], [[1.0, 0.5]]
+    with pytest.raises(DomainError, match="non-finite field data"):
+        ScalarFieldSpec(metric.phi_field.variables,
+                        metric.phi_field.program).eval_jet(
+            np.concatenate([xs, ys], axis=1), 3)
+    sample = sample_block(metric, xs, ys)
+    assert np.isfinite(sample.chern).all() and np.isfinite(sample.g).all()
+
+
+def test_truncated_jets_hold_no_dropped_partial():
+    """A truncated jet gives no partial it dropped: its full partials of
+    degree order - 1 and up raise, and the form with two fiber
+    derivatives gives the full jet's partials on the fiber axes."""
+    names = ["x1", "x2", "y1", "y2"]
+    text = "(1+x1^2*x2)*(y1^2+x2*y1*y2+3*y2^2)+x1^3*y2"
+    at = np.array([[0.5, 1.5, 2.0, 0.75], [1.25, -0.5, 0.3, 1.1]])
+    full = ScalarFieldSpec.parse(text, names)
+    cut = ScalarFieldSpec(full.variables, full.program, 2)
+    for order in (3, 4):
+        jet, reference = cut.eval_jet(at, order), full.eval_jet(at, order)
+        for k in range(order + 1):
+            if k < order - 1:
+                assert (jet.derivatives(k).tobytes()
+                        == reference.derivatives(k).tobytes())
+            else:
+                with pytest.raises(OrderError):
+                    jet.derivatives(k)
+            if k >= 2:
+                axes = (slice(None),) * (k - 1) + (slice(2, 4),) * 2
+                assert (jet.derivatives(k, fiber=2).tobytes()
+                        == np.ascontiguousarray(
+                            reference.derivatives(k)[axes]).tobytes())
+        with pytest.raises(OrderError):
+            jet.derivatives(order, fiber=1)
+
+
+def test_truncated_jet_arithmetic_keeps_the_full_rows():
+    """``Jet`` operators on truncated jets read the truncated table and
+    give the kept rows of the same operators on full jets, bit for bit;
+    jets truncated differently do not mix."""
+    names = ["x1", "y1", "y2"]
+    at = np.array([[0.5, 1.5, 2.0], [1.25, -0.5, 0.3]])
+    texts = ("x1^2*y1+y2", "1+x1*y2^2")
+    for order in (3, 4):
+        kept = _x_degree_at_most(3, order, 1, order - 2)
+        cut = [ScalarFieldSpec(tuple(names), ScalarFieldSpec.parse(
+            t, names).program, 1).eval_jet(at, order) for t in texts]
+        full = [ScalarFieldSpec.parse(t, names).eval_jet(at, order)
+                for t in texts]
+        for op in (lambda a, b: a * b, lambda a, b: a / b,
+                   lambda a, b: a - 2.0 * b, lambda a, b: (a * a).sqrt(),
+                   lambda a, b: b ** -1.5 + a ** 3, lambda a, b: a ** 0):
+            found, want = op(*cut), op(*full)
+            assert found.x_vars == 1
+            assert found.c.tobytes() == want.c[kept].tobytes()
+        with pytest.raises(ValueError, match="jet shape mismatch"):
+            cut[0] * full[1]
 
 
 # -- supports -------------------------------------------------------------------
