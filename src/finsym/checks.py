@@ -9,10 +9,13 @@ a row per block row that holds a value, and a ``{row: FinsymError}`` map
 of the other rows.  What a facet reads is a column of the block too,
 computed on first read and kept with the block, so each quantity is
 computed once.  A column is one call over the rows where every input
-column holds a value, the inputs gathered there by fancy indexing, and
-every other row carries its first failing input's error (:func:`_inputs`,
-:func:`_stacked`).  The Finsler samples of every kind come from the
-block's one sample cache (:meth:`_Block.samples`).  The finite-difference
+column holds a value, the inputs gathered there by fancy indexing, or
+handed over as stored where the call reads every row of an input in
+order, and every other row carries its first failing input's error
+(:func:`_inputs`, :func:`_stacked`).  Every stored stack is read-only,
+so no reader can change what a later reader sees.  The Finsler samples
+of every kind come from the block's one sample cache
+(:meth:`_Block.samples`).  The finite-difference
 commutator, stacked over the rows where the chain-rule curvature exists,
 samples its base points' own stencils and reads no other column.  A gated
 facet computes its residual only on the rows its gate lets through.
@@ -45,8 +48,8 @@ from .curvature import (
     induced_derivatives,
     pair_two_path,
 )
-from .errors import (ConfigError, DomainError, FinsymError, ZeroVectorError,
-                     concat_rows, each_row, take_rows)
+from .errors import (ConfigError, DomainError, ZeroVectorError, concat_rows,
+                     each_row, take_rows)
 from .fedosov import (
     FedosovScenario,
     covariant_residual,
@@ -61,7 +64,7 @@ from .fields import chart_jacobians
 from .finsler import (
     FinslerSample,
     _max_abs_rows,
-    _scale,
+    _max_of,
     cartan_trace_residual,
     euler_residuals,
     finsler_samples,
@@ -103,22 +106,27 @@ class _Block:
     def __init__(self, s: BuiltScenario, sc: FedosovScenario | None,
                  start: int, stop: int):
         self.s, self.sc = s, sc
-        self.xs, self.ys = s.plan.xs[start:stop], s.plan.ys[start:stop]
+        self.xs = _frozen(s.plan.xs[start:stop])
+        self.ys = s.plan.ys[start:stop]
         self.start, self.per_x = start, self.ys.shape[1]
-        self.pairs = (np.repeat(self.xs, self.per_x, axis=0),
-                      self.ys.reshape(-1, s.dimension))
+        self.pairs = _frozen((np.repeat(self.xs, self.per_x, axis=0),
+                              self.ys.reshape(-1, s.dimension)))
         self.size = (len(self.xs), len(self.pairs[0]))  # base points, pairs
         self._columns: dict = {}  # column -> its entries at every row
-        # by the bytes of x then y: a row of _store, or the pair's error
+        # by the bytes of x then y: a row of _store, or ~e for the pair's
+        # error _errors[e]
         self._keys: dict = {}
+        self._errors: list = []
         self._store: FinslerSample | None = None
 
     def read(self, column: _Column) -> tuple:
-        """The column at every row, computed on its first read."""
+        """The column at every row, computed on its first read; its stack
+        is read-only."""
         found = self._columns.get(column)
         if found is None:
             rows = np.arange(self.size[column.fiber])
             found = self._columns[column] = column.compute(self, rows)
+            _frozen(found[1])
         return found
 
     def samples(self, xs, ys) -> FinslerSample:
@@ -128,23 +136,49 @@ class _Block:
         per block: those not seen before, in one call."""
         xy = np.concatenate([xs, ys], axis=1)
         keys = xy.view(f"V{xy.shape[1] * 8}").ravel().tolist()
-        todo = {k: p for p, k in enumerate(keys) if k not in self._keys}
+        todo = dict(zip(keys, range(len(keys))))
+        if self._keys:
+            todo = {k: p for k, p in todo.items() if k not in self._keys}
         if todo:
-            new, picked = list(todo), list(todo.values())
-            rows, found, errors = finsler_samples(self.s.metric, xs[picked],
-                                                  ys[picked])
+            new = list(todo)
+            picked = np.fromiter(todo.values(), np.intp, len(todo))
+            rows, found, errors = finsler_samples(
+                self.s.metric, _gather(xs, picked, len(xs)),
+                _gather(ys, picked, len(ys)))
+            self._keys.update((new[p], ~e) for e, p in enumerate(
+                errors, len(self._errors)))
+            self._errors.extend(errors.values())
             size = 0 if self._store is None else len(self._store.x)
-            self._keys.update((new[p], e) for p, e in errors.items())
-            self._keys.update((new[p], size + r)
-                              for r, p in enumerate(rows.tolist()))
+            self._keys.update(zip(map(new.__getitem__, rows.tolist()),
+                                  range(size, size + len(rows))))
             if len(rows):
-                self._store = found if self._store is None else concat_rows(
-                    [self._store, found])
-        at = [self._keys[k] for k in keys]
-        for entry in at:
-            if isinstance(entry, FinsymError):
-                raise entry
-        return take_rows(self._store, at)
+                self._store = _frozen(found if self._store is None
+                                      else concat_rows([self._store, found]))
+        at = np.fromiter(map(self._keys.__getitem__, keys), np.intp,
+                         len(keys))
+        failed = at < 0
+        if failed.any():
+            raise self._errors[~at[np.argmax(failed)]]
+        return _gather(self._store, at, len(self._store.x))
+
+
+def _frozen(stack):
+    """The stack, every array of it made read-only, so no reader of a
+    stored stack can change what a later reader sees."""
+    if isinstance(stack, np.ndarray):
+        stack.flags.writeable = False
+    elif isinstance(stack, tuple):
+        for field in stack:
+            _frozen(field)
+    return stack
+
+
+def _gather(stack, rows: np.ndarray, size: int):
+    """The rows ``rows`` of a stack of ``size`` rows: the stack itself
+    where they are all of its rows in order, else their gather."""
+    if len(rows) == size and (rows == np.arange(size)).all():
+        return stack
+    return take_rows(stack, rows)
 
 
 def _inputs(b: _Block, inputs, rows: np.ndarray,
@@ -167,11 +201,11 @@ def _inputs(b: _Block, inputs, rows: np.ndarray,
         errors.update((p, failed[q]) for p, q in zip(
             live[bad].tolist(), at(column, live[bad]).tolist()))
         live = live[~bad]
-        read.append((column, index, values))
+        read.append((column, index, values, len(held)))
     if not len(live):
         return live, [], errors
-    return live, [take_rows(values, index[at(column, live)])
-                  for column, index, values in read], errors
+    return live, [_gather(values, index[at(column, live)], size)
+                  for column, index, values, size in read], errors
 
 
 def _stacked(fn, *inputs: _Column, fiber: bool = False) -> _Column:
@@ -187,7 +221,8 @@ def _stacked(fn, *inputs: _Column, fiber: bool = False) -> _Column:
         live, values, errors = _inputs(b, inputs, rows, fiber)
         if not len(live):
             return live, None, errors
-        stacks = [s[live] for s in (b.pairs if fiber else (b.xs,))]
+        stacks = [_gather(s, live, len(s))
+                  for s in (b.pairs if fiber else (b.xs,))]
         held, found, failed = each_row(partial(fn, b), *stacks, *values)
         errors.update(zip(live[list(failed)].tolist(), failed.values()))
         return live[held], found, errors
@@ -336,15 +371,13 @@ class Check:
 
 
 def _nondegeneracy(b: _Block, xs, form) -> np.ndarray:
-    tol_nd = b.s.tolerances["tol_nd"]
-    return np.array([max(0.0, tol_nd - d)
-                     for d in nondegeneracy(form[0]).tolist()])
+    return _max_of(0.0, b.s.tolerances["tol_nd"] - nondegeneracy(form[0]))
 
 
 def _randers_equivalence(b: _Block, xs, ys, lifts, covector,
                          samples) -> np.ndarray:
     gap = randers_condition(*covector, samples.chern) + lifts.entries
-    return _max_abs_rows(gap) / _scale(lifts.max_abs)
+    return _max_abs_rows(gap) / _max_of(1.0, lifts.max_abs)
 
 
 def _symmetry(b: _Block, xs, samples) -> np.ndarray:
@@ -362,8 +395,8 @@ def _roundtrip(b: _Block, xs, samples, jac, back) -> np.ndarray:
 
 
 def _fd_consistency(b: _Block, xs, up, fd) -> tuple:
-    return _max_abs_rows(up - fd), _scale(_max_abs_rows(up),
-                                          _max_abs_rows(fd))
+    return _max_abs_rows(up - fd), _max_of(1.0, _max_abs_rows(up),
+                                           _max_abs_rows(fd))
 
 
 def _antisymmetry(b: _Block, xs, up) -> np.ndarray:

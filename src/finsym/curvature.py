@@ -15,7 +15,7 @@ import numpy as np
 
 from . import finsler
 from .fedosov import FedosovScenario, _connections, induce_connections
-from .finsler import _max_abs_rows, _scale, chern_block
+from .finsler import _max_abs_rows, _max_of, chern_block
 from .jets import fd_oracle, fd_stencil
 
 
@@ -141,13 +141,13 @@ class TwoPathResidual(NamedTuple):
         """The residuals at each row of the stacks, a (P,) stack each."""
         return cls(_max_abs_rows(direct), _max_abs_rows(assembled),
                    _max_abs_rows(direct - assembled),
-                   _scale(_max_abs_rows(lowered)))
+                   _max_of(1.0, _max_abs_rows(lowered)))
 
 
 def cyclic_residual(up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Uncontracted first-Bianchi residual of each row of a stack of
     curvature arrays, with its comparison scale."""
-    return _max_abs_rows(_cyclic(up)), _scale(_max_abs_rows(up))
+    return _max_abs_rows(_cyclic(up)), _max_of(1.0, _max_abs_rows(up))
 
 
 def contracted_two_path(up, brace, w) -> TwoPathResidual:

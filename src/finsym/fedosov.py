@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (DimensionMismatchError, FinsymError,
                      NotMinkowskianError)
 from .fields import ChartJacobians, VectorFieldSpec
-from .finsler import (MetricSpec, _max_abs_rows, _mirror, finsler_sample,
-                      sample_block)
+from .finsler import (MetricSpec, _max_abs_rows, _max_of, _mirror,
+                      finsler_sample, sample_block)
 from .symplectic import TwoForm
 
 
@@ -96,11 +96,10 @@ def darboux_relations_residual(G: np.ndarray, n: int) -> np.ndarray:
         )
     A, B = G[:, n:, :, :n], G[:, :n, :, n:]
     C, D = G[:, n:, :, n:], G[:, :n, :, :n]
-    return np.array([max(*row) for row in zip(
-        _max_abs_rows(A - A.transpose(0, 3, 2, 1)).tolist(),
-        _max_abs_rows(C + D.transpose(0, 3, 2, 1)).tolist(),
-        _max_abs_rows(D + C.transpose(0, 3, 2, 1)).tolist(),
-        _max_abs_rows(B - B.transpose(0, 3, 2, 1)).tolist())])
+    return _max_of(_max_abs_rows(A - A.transpose(0, 3, 2, 1)),
+                   _max_abs_rows(C + D.transpose(0, 3, 2, 1)),
+                   _max_abs_rows(D + C.transpose(0, 3, 2, 1)),
+                   _max_abs_rows(B - B.transpose(0, 3, 2, 1)))
 
 
 def transform_connection(G: np.ndarray, jac: ChartJacobians) -> np.ndarray:
@@ -171,8 +170,8 @@ def require_minkowskian(probes: np.ndarray) -> np.ndarray:
     at x on the :func:`minkowski_probes`, at each row of a stack; raises
     NotMinkowskianError unless they vanish, as they do for an
     x-independent metric."""
-    worst = np.array([max(0.0, *row) for row in np.abs(probes).reshape(
-        probes.shape[:2] + (-1,)).max(axis=2).tolist()])
+    worst = _max_of(np.zeros(len(probes)), *np.abs(probes).reshape(
+        probes.shape[:2] + (-1,)).max(axis=2).T)
     if (worst > _FLATNESS_TOL).any():
         raise NotMinkowskianError(
             f"connection coefficients reach {worst.max():.3e} in the natural "

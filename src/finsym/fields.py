@@ -242,12 +242,15 @@ class _Parser:
 def _pow_value(v, p: float):
     if isinstance(v, np.ndarray):
         # per entry on Python floats, which np.power need not match: an
-        # integer power in one pass, and entry by entry where that fails,
-        # so the first failing entry's error is raised
+        # integer power, or a fractional one of positive entries, in one
+        # pass, and entry by entry where that fails, so the first failing
+        # entry's error is raised
         try:
             if p == float(int(p)):
                 q = int(p)
                 return np.array([e ** q for e in v.tolist()])
+            if (v > 0.0).all():
+                return np.array([e ** p for e in v.tolist()])
         except (OverflowError, ZeroDivisionError):
             pass
         return np.array([_pow_value(e, p) for e in v.tolist()])
@@ -835,8 +838,8 @@ def chart_jacobians(chart: ChartMap, xs) -> ChartJacobians:
 
     defect = np.abs(fwd @ inv - np.eye(m)).max(axis=(1, 2))
     miss = np.abs(back - xs).max(axis=1)
-    bound = np.array([_CHAIN_TOL * max(1.0, v)
-                      for v in np.abs(xs).max(axis=1).tolist()])
+    largest = np.abs(xs).max(axis=1)
+    bound = _CHAIN_TOL * np.where(largest > 1.0, largest, 1.0)  # max(1, .)
     bad = (defect > _CHAIN_TOL) | (miss > bound)
     if bad.any():
         p = int(np.argmax(bad))

@@ -406,10 +406,10 @@ def structural_residuals(samples: FinslerSample) -> StructuralResiduals:
     term_b = np.einsum("pik,pkjt->pijt", g, chern)
     term_c = 2.0 * np.einsum("pijs,pst->pijt", A, N) / F
     residual = term_g - term_a - term_b - term_c
-    largest = zip(*(_max_abs_rows(t).tolist()
-                    for t in (term_g, term_a, term_b, term_c)))
-    return StructuralResiduals(torsion, _max_abs_rows(residual), np.array(
-        [max(1.0, max(m)) for m in largest]))
+    largest = _max_of(*(_max_abs_rows(t)
+                        for t in (term_g, term_a, term_b, term_c)))
+    return StructuralResiduals(torsion, _max_abs_rows(residual),
+                               _max_of(1.0, largest))
 
 
 def chern_with_derivatives(m: MetricSpec, x, y):
@@ -444,11 +444,15 @@ def _max_abs_rows(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=tuple(range(1, a.ndim)))
 
 
-def _scale(*terms: np.ndarray) -> np.ndarray:
-    """max(1.0, ...) of the terms at each row, as Python's max takes it: a
-    nan term after 1.0 is passed over."""
-    return np.array([max(1.0, *row)
-                     for row in zip(*(t.tolist() for t in terms))])
+def _max_of(first, *terms: np.ndarray) -> np.ndarray:
+    """Python's ``max(first, *terms)`` at each row of (P,) stacks, folded
+    left to right: a term replaces the running maximum only where it is
+    greater, so a nan or equal term after the first is passed over (where
+    ``np.fmax`` would take a later term over a nan first one)."""
+    out = first
+    for t in terms:
+        out = np.where(t > out, t, out)
+    return out
 
 
 # -- validity and probes --------------------------------------------------------
@@ -456,7 +460,10 @@ def _scale(*terms: np.ndarray) -> np.ndarray:
 
 def randers_alpha_norm(m: MetricSpec, xs) -> np.ndarray:
     """alpha-norm sqrt(a^{ij} b_i b_j) of the covector b at each row of a
-    (P, n) stack; the solve and the product run row by row."""
+    (P, n) stack, from one stacked solve and one stacked product, which
+    give each row's bits.  Where a matrix is singular or a^{ij} b_i b_j is
+    negative or not finite, the rows run one by one, so the first failing
+    row's error is raised."""
     if m.family != "randers":
         raise NotRandersError(f"metric family is {m.family!r}")
     n = m.dimension
@@ -464,6 +471,13 @@ def randers_alpha_norm(m: MetricSpec, xs) -> np.ndarray:
     a = np.stack([np.stack([m.g_entries[i][j].evaluate(xs) for j in range(n)],
                            axis=1) for i in range(n)], axis=1)
     b = np.stack([c.evaluate(xs) for c in m.b_fields], axis=1)
+    try:
+        with np.errstate(all="ignore"):  # checked right below
+            q = np.vecdot(b, np.linalg.solve(a, b[..., None])[..., 0])
+        if ((0.0 <= q) & (q < np.inf)).all():
+            return np.sqrt(q)
+    except np.linalg.LinAlgError:
+        pass
     out = []
     for x, a_x, b_x in zip(xs, a, b):
         try:
@@ -491,29 +505,36 @@ def homogeneity_residuals(m: MetricSpec, xs, ys) -> np.ndarray:
     positive on the slit domain, and lam F(x, y) may not underflow to 0."""
     xs, ys = _require_points(m, xs, ys)
     F = _positive(m.F_field.evaluate(np.concatenate([xs, ys], axis=1)),
-                  xs, ys).tolist()
-    rel = [0.0] * len(F)
-    for lam in _LAMBDAS:  # per pair on Python floats, as one point's
+                  xs, ys)
+    rel = np.zeros(len(F))
+    for lam in _LAMBDAS:
         Fl = m.F_field.evaluate(np.concatenate([xs, lam * ys], axis=1))
-        scaled = [lam * b for b in F]
-        if 0.0 in scaled:
-            p = scaled.index(0.0)
-            raise DomainError(f"lam F = {lam:g} * {F[p]:.3e} underflows to 0 "
-                              f"at x={xs[p].tolist()}, y={ys[p].tolist()}")
-        rel = [max(r, abs(a - s) / abs(s))
-               for r, a, s in zip(rel, Fl.tolist(), scaled)]
-    return np.array(rel)
+        # as on Python floats, which overflow to inf without a warning
+        with np.errstate(all="ignore"):
+            scaled = lam * F
+            zero = scaled == 0.0
+            if zero.any():
+                p = int(np.argmax(zero))
+                raise DomainError(
+                    f"lam F = {lam:g} * {F[p]:.3e} underflows to 0 at "
+                    f"x={xs[p].tolist()}, y={ys[p].tolist()}")
+            rel = _max_of(rel, np.abs(Fl - scaled) / np.abs(scaled))
+    return rel
 
 
 def euler_residuals(m: MetricSpec, xs, ys) -> np.ndarray:
     """Relative defect of Euler's identity y^i dF/dy^i = F at each pair of
     two (P, n) stacks, from one order-1 jet of F with a column per pair.
-    The contraction with y runs row by row, as a Python sum."""
+    The contraction with y adds y^i dF/dy^i to 0.0 for i = 1..n in turn,
+    as a Python sum of one row does."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     Fj = m.F_field.eval_jet(np.concatenate([xs, ys], axis=1), 1)
-    F = _positive(Fj.value, xs, ys).tolist()
-    return np.array([abs(sum(y * dF) - F_xy) / abs(F_xy) for y, dF, F_xy
-                     in zip(ys, Fj.derivatives(1)[:, m.dimension:], F)])
+    F = _positive(Fj.value, xs, ys)
+    dF = Fj.derivatives(1)[:, m.dimension:]
+    contracted = 0.0
+    for i in range(m.dimension):
+        contracted = contracted + ys[:, i] * dF[:, i]
+    return np.abs(contracted - F) / np.abs(F)
 
 
 def cartan_trace_residual(samples: FinslerSample) -> np.ndarray:
@@ -525,7 +546,7 @@ def cartan_trace_residual(samples: FinslerSample) -> np.ndarray:
     # norm of the stack sums the squares by another route, and its last bit
     # can differ
     norm = np.sqrt(np.vecdot(ys, ys))
-    return trace / _scale(_max_abs_rows(A) * norm)
+    return trace / _max_of(1.0, _max_abs_rows(A) * norm)
 
 
 def metric_validity(m: MetricSpec, samples,
@@ -547,7 +568,6 @@ def max_pairwise_spread(arrays: np.ndarray) -> np.ndarray:
     """Largest entrywise difference between any two of the arrays
     ``arrays[p, a]`` at each row p of a stack."""
     k = arrays.shape[1]
-    gaps = [_max_abs_rows(arrays[:, a] - arrays[:, b]).tolist()
-            for a in range(k) for b in range(a + 1, k)]
-    return np.array([max(0.0, *row) for row in zip(*gaps)] if gaps
-                    else [0.0] * len(arrays))
+    return _max_of(np.zeros(len(arrays)), *(
+        _max_abs_rows(arrays[:, a] - arrays[:, b])
+        for a in range(k) for b in range(a + 1, k)))

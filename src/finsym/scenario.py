@@ -434,32 +434,33 @@ def _random_points(box: DomainBox, count: int, rng, min_norm: float = 0.0,
     Candidates are one stream of rows, drawn in rounds of as many as the
     runs still need; a run takes the rows after the last run's last point
     up to its ``count``-th admitted row, as if drawn one at a time.  A
-    ConfigError where that row lies past ``1000 * count`` rows."""
+    ConfigError where that row lies past ``1000 * count`` rows.  After
+    each round, every whole run the admitted rows hold is cut at once."""
     keep = keep or box.contains_rows
     lo, hi = _inset(box)
-    budget, out = 1000 * count, []
+    budget, out, done = 1000 * count, [], 0
     # the admitted rows drawn after the last run's last point, their
     # positions among the rows drawn since, and how many those are
     kept, at, drawn = np.empty((0, box.dimension)), np.empty(0, np.intp), 0
-    while len(out) < runs:
-        hits = np.flatnonzero(at < budget)[:count]
-        if len(hits) == count:
-            out.append(kept[:count])
-            start = at[count - 1] + 1
-            kept, at, drawn = kept[count:], at[count:] - start, drawn - start
-        elif drawn >= budget:
+    while True:
+        # each run ends at its count-th admitted row: no draw reaches past
+        # the budget of the run it starts in, so every whole run is cut
+        cut = min(len(at) // count, runs - done) * count
+        if cut:
+            out.append(kept[:cut].reshape(-1, count, box.dimension))
+            start, done = at[cut - 1] + 1, done + cut // count
+            kept, at, drawn = kept[cut:], at[cut:] - start, drawn - start
+        if done == runs:
+            return np.concatenate(out)
+        if drawn >= budget:
             raise ConfigError(
                 "sampling box rejects nearly all points", "/sampling")
-        else:
-            new = lo + (hi - lo) * rng.random((min(
-                count * (runs - len(out)) - len(hits),
-                budget - drawn), box.dimension))
-            admitted = np.flatnonzero(keep(new) & norms_at_least(new,
-                                                                 min_norm))
-            kept = np.concatenate([kept, new[admitted]])
-            at = np.concatenate([at, drawn + admitted])
-            drawn += len(new)
-    return np.array(out)
+        new = lo + (hi - lo) * rng.random((min(
+            count * (runs - done) - len(at), budget - drawn), box.dimension))
+        admitted = np.flatnonzero(keep(new) & norms_at_least(new, min_norm))
+        kept = np.concatenate([kept, new[admitted]])
+        at = np.concatenate([at, drawn + admitted])
+        drawn += len(new)
 
 
 _DEFAULT_Y_RANGE = (0.35, 1.6)
@@ -483,8 +484,7 @@ def build_plan(config: dict, metric: MetricSpec) -> SamplePlan:
             raise ConfigError("grid produced no admissible base points",
                               "/sampling/count")
         y_fixed = _grid_points(y_box, y_per_x)
-        y_fixed = np.array([y for y in y_fixed
-                            if math.hypot(*y) >= metric.y_min])
+        y_fixed = y_fixed[norms_at_least(y_fixed, metric.y_min)]
         if y_fixed.size == 0:
             raise ConfigError("fiber grid produced no admissible points",
                               "/sampling/y_box")

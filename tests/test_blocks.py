@@ -67,11 +67,12 @@ FORM = explicit_two_form(2, {(0, 1): "sqrt(x1)*x2+1/x2"})
 COVECTOR = _specs("x1^2*x2", "sqrt(x2)")
 COVECTOR_ROWS = ([[0.5, 1.0], [1.3, 0.7], [-1.0, 1.0]],
                  [[2.0, -0.5], [0.5, 0.0], [1e300, 1e-300]])
-# alpha is singular at x1 = -1 and indefinite below it
+# alpha is singular at x1 = -1 and indefinite below it, where a^ij b_i b_j
+# is negative; it overflows to inf at x2 = 1e300
 RANDERS = MetricSpec.randers([["1+x1", "0"], ["0", "1"]], ["0.5", "0.5*x2"],
                              BOX)
 ALPHA_ROWS = ([[0.5, 0.2], [0.0, -0.4], [1.5, 1.0]],
-              [[-1.0, 0.3], [-1.5, 0.3]])
+              [[-1.0, 0.3], [-1.5, 0.3], [0.5, 1e300]])
 # sqrt(alpha^2) + x1 y1 with alpha^2 = (1 + x2) y1^2 + y2^2
 MIXED = MetricSpec.custom("sqrt(y1^2+y2^2+x2*y1^2)+x1*y1", 2, BOX)
 MIXED_ROWS = (
@@ -81,6 +82,16 @@ MIXED_ROWS = (
      ([0.1, 0.2], [1e-9, 0.0]),       # below the slit floor
      ([-1.5, 0.0], [1.0, 0.0]),       # F = -0.5
      ([0.0, -1.5], [1.0, 0.0])])      # sqrt(-0.5)
+# F = 0 on MIXED
+MIXED_ZERO = ([-1.0, 0.0], [1.0, 0.0])
+# F = x1 |y| is the least subnormal at x1 = 5e-324, |y| = 1, so 0.5 F
+# underflows to 0; F = 0 where x1 |y| underflows and at x1 = 0
+SUBNORMAL = MetricSpec.custom("x1*sqrt(y1^2+y2^2)", 2,
+                              DomainBox((0.0, -1.0), (2.0, 1.0)))
+SUBNORMAL_ROWS = ([([0.5, 0.2], [1.0, 0.7]), ([1e-323, 0.4], [1.0, 0.0]),
+                   ([5e-324, 0.1], [2.0, 0.0])],
+                  [([5e-324, 0.1], [1.0, 0.0]), ([5e-324, -0.3], [0.0, 0.5]),
+                   ([0.0, 0.2], [1.0, 0.7])])
 # g is not positive definite on the fiber axes
 QUARTIC = MetricSpec.custom("(y1^4+y2^4)^0.25", 2,
                             DomainBox((-1.0, -1.0), (1.0, 1.0)))
@@ -223,10 +234,13 @@ CASES = {
                  _points(COVECTOR_ROWS)),
     "exact-form": (ExactTwoForm(COVECTOR).data, _points(COVECTOR_ROWS)),
     "alpha-norm": (partial(randers_alpha_norm, RANDERS), _points(ALPHA_ROWS)),
-    "homogeneity": (partial(homogeneity_residuals, MIXED), MIXED_ROWS),
+    "homogeneity": (partial(homogeneity_residuals, MIXED),
+                    (MIXED_ROWS[0], MIXED_ROWS[1] + [MIXED_ZERO])),
+    "homogeneity-subnormal": (partial(homogeneity_residuals, SUBNORMAL),
+                              SUBNORMAL_ROWS),
     # F alone: no domain or slit check, as at one point
     "euler": (partial(euler_residuals, MIXED),
-              (MIXED_ROWS[0], MIXED_ROWS[1][2:])),
+              (MIXED_ROWS[0], MIXED_ROWS[1][2:] + [MIXED_ZERO])),
     "sample-mixed": (partial(sample_block, MIXED), MIXED_ROWS),
     "sample-quartic": (partial(sample_block, QUARTIC), QUARTIC_ROWS),
     "chern-mixed": (partial(chern_block, MIXED), MIXED_ROWS),
@@ -330,6 +344,38 @@ def test_block_rows_equal_one_row_calls(data):
     found = _rows(each_row(fn, *stacks), len(rows))
     for row, entry in zip(rows, found):
         _assert_same(entry, _one_row(fn, row))
+
+
+def _outcome(fn, rows):
+    """What ``fn`` gives on the stacks of ``rows``, or its error."""
+    try:
+        return fn(*(np.array(column) for column in zip(*rows)))
+    except FinsymError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", ["alpha-norm", "homogeneity",
+                                  "homogeneity-subnormal", "euler"])
+def test_a_stacked_facet_raises_its_failing_rows_error(name):
+    """The stacked metric-validity facets, called on good rows with one
+    failing row among them, raise the error that row alone raises."""
+    fn, (good, bad) = CASES[name]
+    for row in bad:
+        for at in (0, 1, len(good)):
+            found = _outcome(fn, good[:at] + [row] + good[at:])
+            assert isinstance(found, FinsymError)
+            _assert_same(found, _one_row(fn, row))
+
+
+def test_the_alpha_norm_raises_the_first_failing_rows_error():
+    """Where several rows fail, the alpha norm raises the first one's
+    error: a singular alpha, a negative or a non-finite a^ij b_i b_j."""
+    fn, (good, bad) = CASES["alpha-norm"]
+    for first in bad:
+        for second in bad:
+            if second is not first:
+                _assert_same(_outcome(fn, good[:1] + [first, second]),
+                             _one_row(fn, first))
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -569,6 +615,50 @@ def test_a_stacked_column_over_pairs_reads_base_point_inputs():
         assert entry is w if isinstance(w, FinsymError) else entry[0] == (
             block.pairs[1][p] @ w[0])
     assert calls == [len(rows) - block.per_x]
+
+
+def _arrays(stack):
+    """Every array of a stack: an array, or a tuple of stacks."""
+    if isinstance(stack, np.ndarray):
+        return [stack]
+    return [a for field in stack or () for a in _arrays(field)]
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(os.path.join(ROOT, "configs"))
+    if f.endswith(".json")))
+def test_a_block_hands_out_its_stored_stacks_read_only(name):
+    """A read of every row of a stored column, in order, is the stored
+    stack itself, and so is a sample read of every stored pair; a read of
+    some rows gathers them.  After every facet has run on a block, no
+    stored column, sample or point stack can be written."""
+    s = build_scenario(load_config(os.path.join(ROOT, "configs", name)))
+    sc = (FedosovScenario(s.metric, s.vector_field, s.two_form)
+          if s.vector_field is not None else None)
+    block = checks._Block(s, sc, 0, len(s.plan.xs))
+    twice = checks._stacked(lambda b, xs: 2.0 * xs)
+    for column in (twice, checks.SAMPLE):
+        held, stored, errors = block.read(column)
+        assert not errors and len(held) == block.size[column.fiber]
+        whole = checks._inputs(block, [column], held, column.fiber)[1][0]
+        assert whole is stored
+        part = checks._inputs(block, [column], held[1:], column.fiber)[1][0]
+        assert part is not stored
+        _assert_same(part, take_rows(stored, slice(1, None)))
+    samples = block.read(checks.SAMPLE)[1]
+    assert block.samples(*block.pairs) is samples is block._store
+    part = block.samples(block.pairs[0][1:], block.pairs[1][1:])
+    _assert_same(part, take_rows(samples, slice(1, None)))
+    for check in checks._select(s, None):
+        for facet in check.facets:
+            if facet.when is None or facet.when(s):
+                checks._records(facet, block)
+    stored = [a for _, values, _ in block._columns.values()
+              for a in _arrays(values)]
+    assert len(block._columns) > 3
+    for a in stored + _arrays(block._store) + [block.xs, *block.pairs]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
 
 
 FD_CONFIGS = ["configs/randers_dbeta.json"] + [

@@ -15,6 +15,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsym import checks, curvature, fedosov, fields, finsler, scenario
 from finsym.checks import CHECK_IDS, available_checks, run_scenario
@@ -246,6 +248,108 @@ def _per_point_draws(box, count, rng, min_norm=0.0, keep=None):
     return np.array(out)
 
 
+def _run_by_run(box, count, rng, min_norm=0.0, keep=None, runs=1):
+    """The reference of ``scenario._random_points``: the same stream of
+    draws, each run cut alone, after the draw that completes it."""
+    keep = keep or box.contains_rows
+    lo, hi = scenario._inset(box)
+    budget, out = 1000 * count, []
+    kept, at, drawn = np.empty((0, box.dimension)), np.empty(0, np.intp), 0
+    while len(out) < runs:
+        hits = np.flatnonzero(at < budget)[:count]
+        if len(hits) == count:
+            out.append(kept[:count])
+            start = at[count - 1] + 1
+            kept, at, drawn = kept[count:], at[count:] - start, drawn - start
+        elif drawn >= budget:
+            raise ConfigError(
+                "sampling box rejects nearly all points", "/sampling")
+        else:
+            new = lo + (hi - lo) * rng.random((min(
+                count * (runs - len(out)) - len(hits),
+                budget - drawn), box.dimension))
+            admitted = np.flatnonzero(keep(new) & fields.norms_at_least(
+                new, min_norm))
+            kept = np.concatenate([kept, new[admitted]])
+            at = np.concatenate([at, drawn + admitted])
+            drawn += len(new)
+    return np.array(out)
+
+
+@st.composite
+def _sampling_cases(draw):
+    """A box with up to two excluded balls, from none to one covering
+    nearly all of it, a slit floor up to beyond the box, ``count`` and
+    ``runs``, and whether base-point stencils must clear the balls."""
+    n = draw(st.integers(1, 3))
+    lower = [draw(st.floats(-3.0, 3.0)) for _ in range(n)]
+    widths = [draw(st.floats(0.1, 4.0)) for _ in range(n)]
+    upper = [a + w for a, w in zip(lower, widths)]
+    reach = math.hypot(*widths) / 2
+    balls = tuple(
+        (tuple(a + draw(st.floats(0.0, 1.0)) * w
+               for a, w in zip(lower, widths)),
+         reach * draw(st.sampled_from((0.1, 0.5, 0.9, 0.99, 1.02, 2.0))))
+        for _ in range(draw(st.integers(0, 2))))
+    box = fields.DomainBox(tuple(lower), tuple(upper), balls)
+    far = max(map(abs, lower + upper)) * math.sqrt(n)
+    min_norm = draw(st.sampled_from((0.0, 0.5, 0.999, 1.01))) * far
+    keep = (partial(scenario._stencil_clear, box) if draw(st.booleans())
+            else None)
+    return (box, draw(st.integers(1, 6)), min_norm, keep,
+            draw(st.integers(1, 50)), draw(st.integers(0, 2 ** 32)))
+
+
+def _plan_or_error(sampler, case):
+    box, count, min_norm, keep, runs, seed = case
+    rng = np.random.default_rng(seed)
+    try:
+        found = sampler(box, count, rng, min_norm=min_norm, keep=keep,
+                        runs=runs)
+    except ConfigError as exc:
+        found = (str(exc), exc.json_path)
+    else:
+        found = (found.shape, found.dtype, found.tobytes())
+    return found, rng.random()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sampling_cases())
+def test_runs_cut_at_once_equal_runs_cut_one_by_one(case):
+    """Every whole run the admitted rows hold is cut in one step: the plan
+    is the one-run-at-a-time plan, byte for byte, or the same ConfigError,
+    and the generator is left where that plan leaves it."""
+    assert (_plan_or_error(scenario._random_points, case)
+            == _plan_or_error(_run_by_run, case))
+
+
+class _EveryNth:
+    """A keep admitting the rows at positions ``k * period - 1`` of the
+    stream of candidates it is shown, so a run's last point falls on a
+    chosen row of the stream."""
+
+    def __init__(self, period):
+        self.period, self.seen = period, 0
+
+    def __call__(self, rows):
+        at = self.seen + np.arange(len(rows))
+        self.seen += len(rows)
+        return at % self.period == self.period - 1
+
+
+@pytest.mark.parametrize("count, period, runs", [
+    (1, 1000, 3), (1, 1001, 3), (2, 1000, 4), (2, 1001, 4), (3, 999, 2)])
+def test_a_run_ending_at_the_budget_is_cut_as_one_by_one(count, period,
+                                                          runs):
+    """A run ending on the budget's last row is cut, and one ending a row
+    later raises the ConfigError, as when runs were cut one by one."""
+    box = fields.DomainBox((0.0,), (1.0,))
+    assert (_plan_or_error(scenario._random_points,
+                           (box, count, 0.0, _EveryNth(period), runs, 5))
+            == _plan_or_error(_run_by_run,
+                              (box, count, 0.0, _EveryNth(period), runs, 5)))
+
+
 def _per_point_plan(config, metric):
     """The reference random plan: the base points, then each base point's
     fibers in turn, every run of draws on its own."""
@@ -471,6 +575,37 @@ class TestRunScenario:
         assert len(records) == 16
         assert all(r.error is None for r in records)
         assert [0.95, 0.0] not in [r.point for r in records]
+
+    @pytest.mark.parametrize("norm, above, kept", [
+        (1, False, 8), (1, True, 4), (2, False, 4), (2, True, 0)])
+    def test_grid_fibers_are_those_at_least_the_slit_floor(self, norm, above,
+                                                          kept):
+        """The fiber grid keeps the points whose ``math.hypot`` is at least
+        the slit floor, in grid order, a point on the floor included; a
+        floor above every one of them is a config error.  The floor is one
+        of the grid's norms (the origin's, an axis point's, a corner's), or
+        the next float above it."""
+        cfg = euclid_config(count=4)
+        cfg["sampling"].update(y_per_x=9, y_box={"lower": [-1.7, -1.7],
+                                                 "upper": [1.7, 1.7]})
+        grid = scenario._grid_points(scenario._build_box(
+            cfg["sampling"]["y_box"], 2, "/sampling/y_box"), 9)
+        y_min = sorted({math.hypot(*y) for y in grid.tolist()})[norm]
+        if above:
+            y_min = math.nextafter(y_min, math.inf)
+        cfg["metric"]["y_min"] = y_min
+        metric = scenario._build_metric(cfg["metric"], 2)
+        expected = [y for y in grid.tolist() if math.hypot(*y) >= y_min]
+        assert len(expected) == kept
+        if not kept:
+            with pytest.raises(ConfigError) as err:
+                scenario.build_plan(cfg, metric)
+            assert str(err.value) == (
+                "/sampling/y_box: fiber grid produced no admissible points")
+            return
+        ys = scenario.build_plan(cfg, metric).ys
+        assert ys.shape == (4, kept, 2)
+        assert ys.tobytes() == np.array([expected] * 4).tobytes()
 
     def test_random_base_points_keep_clear_of_excluded_balls(self):
         """Far from the origin the FD step, eps^(1/5) * max(1, |x_v|), is

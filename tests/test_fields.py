@@ -72,6 +72,12 @@ class TestParser:
         (-3.0, [1e-120, 0.0]),                 # overflows before 0^-3
         (1.5, [4.0, 0.0, -1.0, 2.0]),          # fractional: fails at 0
         (0.5, [4.0, 2.0]),
+        (0.25, [2.0, 1e-300, -0.5, 3.0]),      # fails at -0.5
+        (0.25, [16.0, -0.0]),                  # fails at -0.0
+        (1.5, [4.0, 1e300, 2.0]),              # overflows at the second
+        (-2.5, [2.0, 1e-200, 0.0]),            # overflows before 0^-2.5
+        (0.75, [3.0, float("inf"), 1e-310]),
+        (0.5, [4.0, float("nan"), 2.0]),
     ])
     def test_array_power_is_the_per_entry_power(self, p, entries):
         """A power of an array is each entry's power as a Python float,

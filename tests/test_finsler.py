@@ -595,3 +595,24 @@ class TestSampleBlocks:
             for a, b in zip(found, alone):
                 assert a[p].shape == b[0].shape
                 assert a[p].tobytes() == b[0].tobytes()
+
+
+_FOLD_VALUES = (math.nan, -math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0,
+                math.inf)
+
+
+@pytest.mark.parametrize("first", [0.0, 1.0, "stack"])
+def test_max_of_is_pythons_max_at_each_row(first):
+    """``_max_of`` folds (P,) stacks as Python's ``max`` folds floats: the
+    running value is kept where a later term is nan or equal (0.0 before
+    -0.0 stays 0.0), and a nan first operand is kept."""
+    rows = [(a, b, c) for a in _FOLD_VALUES for b in _FOLD_VALUES
+            for c in _FOLD_VALUES]
+    columns = [np.array(column) for column in zip(*rows)]
+    if first == "stack":
+        found = finsler._max_of(*columns)
+        expected = [max(*row) for row in rows]
+    else:
+        found = finsler._max_of(first, *columns)
+        expected = [max(first, *row) for row in rows]
+    assert found.tobytes() == np.array(expected).tobytes()
