@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the per-row replay, and the
+"""Exception types shared across the package, the per-row replays, and the
 row operations on stacks: arrays with a leading row axis, or tuples."""
 
 from typing import Callable
@@ -91,6 +91,13 @@ def concat_rows(stacks: list):
         return np.concatenate(stacks)
     return getattr(stacks[0], "_make", tuple)(
         concat_rows(list(fields)) for fields in zip(*stacks))
+
+
+def row_by_row(fn: Callable, *stacks):
+    """``fn`` on each one-row stack of ``stacks`` in order, the results
+    joined as one stack, so the first failing row raises its error."""
+    return concat_rows([fn(*(take_rows(s, slice(p, p + 1)) for s in stacks))
+                        for p in range(len(stacks[0]))])
 
 
 def each_row(fn: Callable, *stacks) -> tuple[np.ndarray, object, dict]:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DimensionMismatchError, FinsymError,
-                     NotMinkowskianError)
+                     NotMinkowskianError, row_by_row)
 from .fields import ChartJacobians, VectorFieldSpec
 from .finsler import (MetricSpec, _max_abs_rows, _max_of, _mirror,
                       finsler_sample, sample_block)
@@ -69,8 +69,7 @@ def induce_connections(s: FedosovScenario, xs: np.ndarray) -> np.ndarray:
     except FinsymError:
         if len(xs) == 1:
             raise
-    return np.concatenate([_connections(s, xs[p:p + 1])
-                           for p in range(len(xs))])
+    return row_by_row(lambda rows: _connections(s, rows), xs)
 
 
 def covariant_residual(G: np.ndarray, w: np.ndarray,

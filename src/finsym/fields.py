@@ -20,7 +20,8 @@ The parser emits a flat postfix program of ``(op, arg)`` instructions:
 operands.  One loop over a value stack (``_run``) runs a program on
 columns of floats, one per row of a ``(P, num_vars)`` stack of points,
 left operand first, so the length of an expression costs no stack depth;
-on ``Jet`` operands it is the reference the tests hold jets to.  It alone
+on the full-table jets of the tests (``tests/test_jets.py``, ``Jet`` with
+operators) it is the reference the tapes are held to.  It alone
 dispatches on the instructions and folds the constant subexpressions, on
 floats.
 
@@ -28,8 +29,8 @@ floats.
 x_vars)`` is compiled once (a bounded cache) by running ``_run`` on
 recording jets (``_TapeJet``, taping by operator overloading, Griewank &
 Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 6), whose
-operators append the steps of the ``Jet`` operators of the same names to
-straight-line code over numbered slots.  Compiling resolves all that
+operators append the steps of the reference operators of the same names
+to straight-line code over numbered slots.  Compiling resolves all that
 depends on the program alone: every jet's support and each product's
 restricted table (the support rules, and why they change no coefficient,
 are stated at ``_TapeJet``), constant subexpressions (one that raises
@@ -42,7 +43,7 @@ call allocates one working block for the slots, reused by stack liveness,
 the bank and one product scratch, into which a product gathers both its
 factors, and frees it on return; only the result, in an array of its own,
 outlives the call.
-The steps run the ``Jet`` operators' float operations in the same order
+The steps run the reference operators' float operations in the same order
 through the same kernels (``jets._multiply_into``, ``jets._compose_into``
 and ``jets._taylor``), so every coefficient, every error and the first
 failing column equal a run of ``_run`` on jets, bit for bit.
@@ -322,8 +323,9 @@ def _run(program: tuple, env: Sequence):
 #
 # Each step is a function of the call's arrays (the slots, then the bank of
 # the variables' values, a row of 1.0 and a row of +0.0), the product scratch
-# and its compiled arguments.  It makes the float operations of the ``Jet``
-# operator it stands for, in the same order, through the same kernels.
+# and its compiled arguments.  It makes the float operations of the
+# reference operator it stands for, in the same order, through the same
+# kernels.
 
 
 def _step_variable(ar, scratch, rows, out):
@@ -424,7 +426,8 @@ class _Tape:
 class _TapeJet:
     """A jet while ``_run`` records a program on a tape: its ``slot``, -1
     for a variable read from the bank, and its variable ``support``.  Each
-    operator appends the steps of the ``Jet`` operator of the same name and
+    operator appends the steps of the reference operator of the same name
+    (the full-table jets of the tests, see the module docstring) and
     consumes its operands, which ``_run`` reads once each, save the
     variables, whose handles it shares and which are copied, never
     written.

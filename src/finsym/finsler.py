@@ -27,6 +27,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotRandersError,
     each_row,
+    row_by_row,
 )
 from .fields import DomainBox, ScalarFieldSpec, norms_below
 from .jets import Jet
@@ -461,8 +462,9 @@ def _max_of(first, *terms: np.ndarray) -> np.ndarray:
 def randers_alpha_norm(m: MetricSpec, xs) -> np.ndarray:
     """alpha-norm sqrt(a^{ij} b_i b_j) of the covector b at each row of a
     (P, n) stack, from one stacked solve and one stacked product, which
-    give each row's bits.  Where a matrix is singular or a^{ij} b_i b_j is
-    negative or not finite, the rows run one by one, so the first failing
+    give each row's bits.  Where a^{ij} b_i b_j is negative or not finite,
+    the first such row's error is raised; where a matrix is singular, a
+    stack of several rows is run one row at a time, so the first failing
     row's error is raised."""
     if m.family != "randers":
         raise NotRandersError(f"metric family is {m.family!r}")
@@ -474,23 +476,18 @@ def randers_alpha_norm(m: MetricSpec, xs) -> np.ndarray:
     try:
         with np.errstate(all="ignore"):  # checked right below
             q = np.vecdot(b, np.linalg.solve(a, b[..., None])[..., 0])
-        if ((0.0 <= q) & (q < np.inf)).all():
-            return np.sqrt(q)
     except np.linalg.LinAlgError:
-        pass
-    out = []
-    for x, a_x, b_x in zip(xs, a, b):
-        try:
-            with np.errstate(all="ignore"):  # checked right below
-                q = float(b_x @ np.linalg.solve(a_x, b_x))
-        except np.linalg.LinAlgError:
+        if len(xs) == 1:
             raise DomainError(
-                f"singular alpha matrix at x={x.tolist()}") from None
-        if not 0.0 <= q < np.inf:
-            raise DomainError(f"a^ij b_i b_j = {q:.3e} is negative or "
-                              f"non-finite at x={x.tolist()}")
-        out.append(float(np.sqrt(q)))
-    return np.array(out)
+                f"singular alpha matrix at x={xs[0].tolist()}") from None
+    else:
+        good = (0.0 <= q) & (q < np.inf)
+        if not good.all():
+            p = np.argmin(good)
+            raise DomainError(f"a^ij b_i b_j = {q[p]:.3e} is negative or "
+                              f"non-finite at x={xs[p].tolist()}")
+        return np.sqrt(q)
+    return row_by_row(partial(randers_alpha_norm, m), xs)
 
 
 # fiber scalings at which the homogeneity residual compares F(x, lam y)

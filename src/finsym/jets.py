@@ -3,9 +3,11 @@
 A :class:`Jet` stores the Taylor coefficients of a smooth scalar field at a
 point, over ``num_vars`` coordinates, truncated at total degree ``order``.
 The partial derivative for a multi-index equals the stored coefficient
-times the multi-index factorial.  Arithmetic is closed on jets of equal
-shape and is exact for polynomial operations; analytic operations (sqrt,
-real powers, reciprocals) are exact to the truncation order.
+times the multi-index factorial.  ``Jet`` is a container: the package's
+one jet arithmetic is the tapes of ``fields.ScalarFieldSpec.eval_jet``,
+exact for polynomial operations and, for the analytic ones (sqrt, real
+powers, reciprocals), to the truncation order.  The full-table ``Jet``
+operators the tapes are held to live in the tests (``tests/test_jets.py``).
 Derivatives leave a jet only as arrays (:meth:`Jet.derivatives`); chain
 rules through a known Jacobian are numpy contractions over those arrays,
 done by the callers, not jet compositions.
@@ -35,16 +37,16 @@ dropped.  A non-finite value in a dropped coefficient alone is no error.
 
 A product reads a table of coefficient pairs (:meth:`_JetTable.product`),
 which can be restricted to the pairs whose two factors depend only on the
-variables of given supports, bitmasks of variables.  ``Jet`` operators
-read the whole table; the tapes of ``fields.ScalarFieldSpec.eval_jet``
-read restricted ones, and ``fields._TapeJet`` states how a tape decides
-the supports and why that leaves every coefficient as the whole table's.
+variables of given supports, bitmasks of variables.  The tapes read
+restricted tables, and ``fields._TapeJet`` states how a tape decides the
+supports and why that leaves every coefficient as the whole table's; the
+tests' reference reads the whole table.
 
-Two kernels do the arithmetic, shared by the ``Jet`` operators and by
-the tapes: :func:`_multiply_into`, the one product routine, and
+Two kernels do the arithmetic, shared by the tapes and the tests'
+reference: :func:`_multiply_into`, the one product routine, and
 :func:`_compose_into`, the one composition routine (Horner's scheme over
 it), both writing into arrays the caller provides; :func:`_taylor`
-computes the Taylor factors they compose with.
+computes the Taylor factors they compose with, one routine per function.
 
 An independent finite-difference oracle (:func:`fd_oracle`) is provided to
 cross-check jet output; it never goes through jet arithmetic.
@@ -53,7 +55,7 @@ cross-check jet output; it never goes through jet arithmetic.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations_with_replacement, repeat
 from typing import Callable, Iterator, Sequence
 
@@ -229,7 +231,8 @@ def _multiply_into(p: _Product, a: np.ndarray, b: np.ndarray,
     are gathered into ``scratch``, which has at least ``2 * len(p.a)``
     rows.  Each output's sum starts at +0.0 and adds its terms in table
     order, rank by rank, in the head of the gathered left factor: the same
-    float operations in the same order whatever the number of columns."""
+    float operations in the same order whatever the number of columns.
+    Shared by the tapes and the tests' full-table reference."""
     prod, right = scratch[:len(p.a)], scratch[len(p.a):2 * len(p.a)]
     # mode="clip" writes straight to out; the default buffers it
     np.take(a, p.a, axis=0, out=prod, mode="clip")
@@ -250,30 +253,13 @@ def _compose_into(p: _Product | None, h: np.ndarray, dcoef,
     nilpotent part ``h`` of a jet (its value row +0.0) and dcoef[k] =
     g^(k)(value)/k!, one per column: Horner's scheme from dcoef[-1] * h,
     with ``p`` the product table of h's support with itself, which only
-    orders 2 and up use."""
+    orders 2 and up use.  Shared by the tapes and the tests' full-table
+    reference."""
     np.multiply(h, dcoef[-1], out=out)
     for k in range(len(dcoef) - 2, 0, -1):
         out[0] += dcoef[k]
         _multiply_into(p, out, h, out, scratch)
     out[0] += dcoef[0]
-
-
-def _taylor(factors: Callable, values: np.ndarray, order: int,
-            *args) -> np.ndarray:
-    """``factors(v, order, *args)`` at each entry of ``values``, as an
-    ``(order + 1, P)`` array; always on Python floats, which np.power need
-    not match.  Row by row in one pass (``_ROWS``), with the same float
-    operations in the same order as the per-entry calls; where that pass
-    declines or raises, entry by entry, so the first failing entry raises
-    its error."""
-    try:
-        rows = _ROWS[factors](values, order, *args)
-    except (ZeroDivisionError, OverflowError):
-        rows = None
-    if rows is None:
-        return np.array([factors(v, order, *args)
-                         for v in values.tolist()]).T
-    return np.array(rows)
 
 
 @lru_cache(maxsize=None)
@@ -302,61 +288,69 @@ def _derivative_gather(num_vars: int, order: int, k: int, x_vars: int = 0,
     return pos, t.factorials[pos]
 
 
-def _reciprocal_factors(v: float, order: int) -> list[float]:
-    if v == 0.0:
-        raise DomainError("division by a jet with zero value")
+def _taylor(factors: Callable, values: np.ndarray, order: int,
+            *args) -> np.ndarray:
+    """``factors(entries, order, *args)`` over the entries of ``values``,
+    as an ``(order + 1, P)`` array; always on Python floats, which
+    np.power need not match.  Where the pass over all entries raises, the
+    entries are run one at a time, so the first failing entry raises its
+    own error."""
+    values = values.tolist()
     try:
-        return [(-1.0) ** k / v ** (k + 1) for k in range(order + 1)]
-    except (ZeroDivisionError, OverflowError):
-        raise DomainError(f"Taylor factors of 1/{v:.6g} leave the "
-                          "floating-point range") from None
+        return np.array(factors(values, order, *args))
+    except DomainError:
+        pass  # replayed below, outside the handler, so no error chains to it
+    return np.hstack([factors([v], order, *args) for v in values])
 
 
-def _power_factors(v: float, order: int, p: float) -> list[float]:
-    if v <= 0.0:
-        raise DomainError(f"fractional power {p} of non-positive jet value {v}")
-    dcoef = []
-    binom = 1.0
+def _reciprocal_factors(values: list, order: int) -> list[list[float]]:
+    """The Taylor factors (-1)^k / v^(k + 1) of 1/v at each entry v, one
+    row per k <= order.  DomainError where an entry is zero or a factor
+    leaves the floating-point range; the range error names the first
+    entry, the failing one in the one-entry calls ``_taylor`` falls back
+    to."""
+    if 0.0 in values:
+        raise DomainError("division by a jet with zero value")
+    rows = []
     try:
         for k in range(order + 1):
-            dcoef.append(binom * v ** (p - k))
+            sign = (-1.0) ** k
+            rows.append([sign / t for t in map(pow, values, repeat(k + 1))])
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"Taylor factors of 1/{values[0]:.6g} leave the "
+                          "floating-point range") from None
+    return rows
+
+
+def _power_factors(values: list, order: int,
+                   p: float) -> list[list[float]]:
+    """The Taylor factors binom(p, k) v^(p - k) of v^p at each entry v, one
+    row per k <= order.  DomainError where an entry is not positive,
+    naming the first such entry, or where a factor leaves the
+    floating-point range, naming the first entry (see
+    :func:`_reciprocal_factors`)."""
+    bad = next(filter((0.0).__ge__, values), None)
+    if bad is not None:
+        raise DomainError(f"fractional power {p} of non-positive jet value "
+                          f"{bad}")
+    rows, binom = [], 1.0
+    try:
+        for k in range(order + 1):
+            rows.append([binom * t for t in map(pow, values, repeat(p - k))])
             binom *= (p - k) / (k + 1)
     except (ZeroDivisionError, OverflowError):
-        raise DomainError(f"Taylor factors of {v:.6g}^{p:g} leave the "
-                          "floating-point range") from None
-    return dcoef
-
-
-def _sqrt_factors(v: float, order: int) -> list[float]:
-    if v <= 0.0:
-        raise DomainError(f"sqrt of non-positive jet value {v}")
-    return _power_factors(v, order, 0.5)
-
-
-def _reciprocal_rows(values: np.ndarray, order: int) -> list[list[float]]:
-    """The rows of :func:`_reciprocal_factors` over every entry."""
-    values, rows = values.tolist(), []
-    for k in range(order + 1):
-        sign = (-1.0) ** k
-        rows.append([sign / t for t in map(pow, values, repeat(k + 1))])
+        raise DomainError(f"Taylor factors of {values[0]:.6g}^{p:g} leave "
+                          "the floating-point range") from None
     return rows
 
 
-def _power_rows(values: np.ndarray, order: int,
-                p: float) -> list[list[float]] | None:
-    """The rows of :func:`_power_factors` over every entry, or None where
-    an entry is not positive."""
-    if (values <= 0.0).any():
-        return None
-    values, rows, binom = values.tolist(), [], 1.0
-    for k in range(order + 1):
-        rows.append([binom * t for t in map(pow, values, repeat(p - k))])
-        binom *= (p - k) / (k + 1)
-    return rows
-
-
-_ROWS = {_reciprocal_factors: _reciprocal_rows, _power_factors: _power_rows,
-         _sqrt_factors: partial(_power_rows, p=0.5)}
+def _sqrt_factors(values: list, order: int) -> list[list[float]]:
+    """:func:`_power_factors` at p = 1/2, with its own word for a
+    non-positive entry."""
+    bad = next(filter((0.0).__ge__, values), None)
+    if bad is not None:
+        raise DomainError(f"sqrt of non-positive jet value {bad}")
+    return _power_factors(values, order, 0.5)
 
 
 class Jet:
@@ -367,7 +361,7 @@ class Jet:
     for a multi-index is its coefficient times ``multi_index_factorial``,
     read out through :meth:`derivatives`.  With ``x_vars``, ``c`` holds
     only the coefficients the table of ``(num_vars, order, x_vars)`` keeps
-    (:class:`_JetTable`).  Products and compositions read the whole table.
+    (:class:`_JetTable`).  A container: the tapes do the arithmetic.
     """
 
     __slots__ = ("num_vars", "order", "c", "x_vars")
@@ -378,24 +372,6 @@ class Jet:
         self.order = order
         self.c = c
         self.x_vars = x_vars
-
-    def _new(self, c: np.ndarray) -> "Jet":
-        """A jet of this shape with coefficients ``c``."""
-        return Jet(self.num_vars, self.order, c, self.x_vars)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value, num_vars: int, order: int,
-                 x_vars: int = 0) -> "Jet":
-        """A constant jet with one column per entry of ``value`` (a float is
-        one column)."""
-        value = np.atleast_1d(value)
-        c = np.zeros((_table(num_vars, order, x_vars).size,) + value.shape)
-        c[0] = value
-        return cls(num_vars, order, c, x_vars)
-
-    # -- accessors ---------------------------------------------------------
 
     @property
     def value(self) -> np.ndarray:
@@ -420,104 +396,6 @@ class Jet:
         # C order, so that each column's array is laid out as a lone
         # point's: numpy may sum in another order over other strides
         return np.multiply(self.c.T[:, pos], fac, order="C")
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _full(self) -> _Product:
-        full = (1 << self.num_vars) - 1
-        return _table(self.num_vars, self.order, self.x_vars).product(full,
-                                                                      full)
-
-    def _check(self, other: "Jet") -> None:
-        mine = (self.num_vars, self.order, self.x_vars)
-        theirs = (other.num_vars, other.order, other.x_vars)
-        if mine != theirs:
-            raise ValueError(f"jet shape mismatch: {mine} vs {theirs}")
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return self._new(self.c + other.c)
-        c = self.c.copy()
-        c[0] += other
-        return self._new(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new(-self.c)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return self._new(self.c - other.c)
-        c = self.c.copy()
-        c[0] -= other
-        return self._new(c)
-
-    def __rsub__(self, other):
-        c = -self.c
-        c[0] += other
-        return self._new(c)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return self._new(self.c * other)
-        self._check(other)
-        p = self._full()
-        c = np.empty(self.c.shape)
-        _multiply_into(p, self.c, other.c, c,
-                       np.empty((2 * len(p.a),) + c.shape[1:]))
-        return self._new(c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other._reciprocal()
-        return self._new(self.c / other)
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def _nilpotent(self) -> "Jet":
-        c = self.c.copy()
-        c[0] = 0.0
-        return self._new(c)
-
-    def _compose(self, dcoef) -> "Jet":
-        """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!,
-        one per column."""
-        h = self._nilpotent().c
-        p = self._full()
-        out = np.empty(h.shape)
-        _compose_into(p, h, dcoef, out,
-                      np.empty((2 * len(p.a),) + h.shape[1:]))
-        return self._new(out)
-
-    def _reciprocal(self) -> "Jet":
-        return self._compose(_taylor(_reciprocal_factors, self.c[0],
-                                     self.order))
-
-    def sqrt(self) -> "Jet":
-        return self._compose(_taylor(_sqrt_factors, self.c[0], self.order))
-
-    def __pow__(self, p: float) -> "Jet":
-        p = float(p)
-        if p.is_integer():
-            n = int(p)
-            if n == 0:
-                return Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
-                                    self.order, self.x_vars)
-            out = self
-            for _ in range(abs(n) - 1):
-                out = out * self
-            return out if n > 0 else out._reciprocal()
-        return self._compose(_taylor(_power_factors, self.c[0], self.order,
-                                     p))
-
-    def __repr__(self) -> str:
-        return f"Jet(num_vars={self.num_vars}, order={self.order}, value={self.value})"
 
 
 def fd_base_step(degree: int) -> float:

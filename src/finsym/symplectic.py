@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, OddDimensionError, take_rows
 from .fields import ScalarFieldSpec
-from .finsler import MetricSpec, sample_block
+from .finsler import MetricSpec, _max_of, sample_block
 
 
 @dataclass(eq=False)
@@ -111,10 +111,9 @@ def explicit_two_form(dimension: int, entries: Mapping) -> TwoFormField:
 def closedness(d: np.ndarray) -> np.ndarray:
     """max over i<j<k of |d_i w_jk + d_j w_ki + d_k w_ij| at each row of a
     stack of the form's derivative data d[p, k, i, j] (vacuous in dim 2)."""
-    sums = [(d[:, i, j, k] + d[:, j, k, i] + d[:, k, i, j]).tolist()
-            for i, j, k in combinations(range(d.shape[1]), 3)]
-    return np.array([max(0.0, *map(abs, row)) for row in zip(*sums)]
-                    if sums else [0.0] * len(d))
+    return _max_of(np.zeros(len(d)), *(
+        np.abs(d[:, i, j, k] + d[:, j, k, i] + d[:, k, i, j])
+        for i, j, k in combinations(range(d.shape[1]), 3)))
 
 
 def nondegeneracy(w: np.ndarray) -> np.ndarray:

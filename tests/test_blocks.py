@@ -22,7 +22,7 @@ from finsym.curvature import (_cyclic, brace_array, contracted_two_path,
                               curvature_fd_commutators, curvature_up,
                               cyclic_residual, induced_derivatives,
                               pair_two_path)
-from finsym.errors import FinsymError, each_row, take_rows
+from finsym.errors import FinsymError, each_row, row_by_row, take_rows
 from finsym.fedosov import (FedosovScenario, darboux_relations_residual,
                             hatted_two_form_data, minkowski_probes,
                             require_minkowskian)
@@ -369,13 +369,29 @@ def test_a_stacked_facet_raises_its_failing_rows_error(name):
 
 def test_the_alpha_norm_raises_the_first_failing_rows_error():
     """Where several rows fail, the alpha norm raises the first one's
-    error: a singular alpha, a negative or a non-finite a^ij b_i b_j."""
+    error: a singular alpha, a negative or a non-finite a^ij b_i b_j,
+    next to each other or with good rows between them."""
     fn, (good, bad) = CASES["alpha-norm"]
     for first in bad:
         for second in bad:
             if second is not first:
-                _assert_same(_outcome(fn, good[:1] + [first, second]),
-                             _one_row(fn, first))
+                for rows in (good[:1] + [first, second],
+                             good + [first] + good + [second]):
+                    _assert_same(_outcome(fn, rows), _one_row(fn, first))
+
+
+def test_row_by_row_joins_the_one_row_calls():
+    """``row_by_row`` calls fn on each one-row stack in order and joins
+    the results, named tuples field by field; the first failing row raises
+    the error it raises alone."""
+    fn, (good, bad) = CASES["sample-mixed"]
+    stacks = [np.array(column) for column in zip(*good)]
+    _assert_same(row_by_row(fn, *stacks), fn(*stacks))
+    for at in range(len(good) + 1):
+        rows = good[:at] + bad + good[at:]
+        with pytest.raises(FinsymError) as caught:
+            row_by_row(fn, *(np.array(column) for column in zip(*rows)))
+        _assert_same(caught.value, _one_row(fn, bad[0]))
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

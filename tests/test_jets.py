@@ -1,4 +1,5 @@
-"""Jet arithmetic, derivative extraction, and the finite-difference oracle."""
+"""Jet tapes against the full-table reference arithmetic, derivative
+extraction, and the finite-difference oracle."""
 
 import hashlib
 import os
@@ -15,12 +16,14 @@ from finsym import jets
 from finsym.errors import DomainError, FinsymError, OrderError
 from finsym.fields import ScalarFieldSpec, _run, _tape
 from finsym.jets import (
-    Jet,
+    _compose_into,
     _derivative_gather,
     _multiply_into,
     _power_factors,
     _reciprocal_factors,
+    _sqrt_factors,
     _table,
+    _taylor,
     fd_base_step,
     fd_oracle,
     fd_stencil,
@@ -30,6 +33,132 @@ from finsym.jets import (
 from finsym.scenario import build_scenario, load_config
 
 from conftest import fd_estimate, partial
+
+
+class Jet(jets.Jet):
+    """The package's jet with the reference arithmetic the tapes are held
+    to: every product and composition reads the whole table (products
+    through ``_multiply_into``, compositions through ``_compose_into`` and
+    ``_taylor``), with no supports.  ``fields._run`` on these jets runs a
+    program as ``eval_jet`` runs its tape (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., SIAM 2008, ch. 13)."""
+
+    __slots__ = ()
+
+    def _new(self, c: np.ndarray) -> "Jet":
+        """A jet of this shape with coefficients ``c``."""
+        return Jet(self.num_vars, self.order, c, self.x_vars)
+
+    @classmethod
+    def constant(cls, value, num_vars: int, order: int,
+                 x_vars: int = 0) -> "Jet":
+        """A constant jet with one column per entry of ``value`` (a float is
+        one column)."""
+        value = np.atleast_1d(value)
+        c = np.zeros((_table(num_vars, order, x_vars).size,) + value.shape)
+        c[0] = value
+        return cls(num_vars, order, c, x_vars)
+
+    def _full(self):
+        full = (1 << self.num_vars) - 1
+        return _table(self.num_vars, self.order, self.x_vars).product(full,
+                                                                      full)
+
+    def _check(self, other: "Jet") -> None:
+        mine = (self.num_vars, self.order, self.x_vars)
+        theirs = (other.num_vars, other.order, other.x_vars)
+        if mine != theirs:
+            raise ValueError(f"jet shape mismatch: {mine} vs {theirs}")
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            self._check(other)
+            return self._new(self.c + other.c)
+        c = self.c.copy()
+        c[0] += other
+        return self._new(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.c)
+
+    def __sub__(self, other):
+        if isinstance(other, Jet):
+            self._check(other)
+            return self._new(self.c - other.c)
+        c = self.c.copy()
+        c[0] -= other
+        return self._new(c)
+
+    def __rsub__(self, other):
+        c = -self.c
+        c[0] += other
+        return self._new(c)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return self._new(self.c * other)
+        self._check(other)
+        p = self._full()
+        c = np.empty(self.c.shape)
+        _multiply_into(p, self.c, other.c, c,
+                       np.empty((2 * len(p.a),) + c.shape[1:]))
+        return self._new(c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return self * other._reciprocal()
+        return self._new(self.c / other)
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
+    def _nilpotent(self) -> "Jet":
+        c = self.c.copy()
+        c[0] = 0.0
+        return self._new(c)
+
+    def _compose(self, dcoef) -> "Jet":
+        """Analytic composition g(self) given dcoef[k] = g^(k)(value)/k!,
+        one per column."""
+        h = self._nilpotent().c
+        p = self._full()
+        out = np.empty(h.shape)
+        _compose_into(p, h, dcoef, out,
+                      np.empty((2 * len(p.a),) + h.shape[1:]))
+        return self._new(out)
+
+    def _reciprocal(self) -> "Jet":
+        return self._compose(_taylor(_reciprocal_factors, self.c[0],
+                                     self.order))
+
+    def sqrt(self) -> "Jet":
+        return self._compose(_taylor(_sqrt_factors, self.c[0], self.order))
+
+    def __pow__(self, p: float) -> "Jet":
+        p = float(p)
+        if p.is_integer():
+            n = int(p)
+            if n == 0:
+                return Jet.constant(np.ones(self.c.shape[1:]), self.num_vars,
+                                    self.order, self.x_vars)
+            out = self
+            for _ in range(abs(n) - 1):
+                out = out * self
+            return out if n > 0 else out._reciprocal()
+        return self._compose(_taylor(_power_factors, self.c[0], self.order,
+                                     p))
+
+    def __repr__(self) -> str:
+        return f"Jet(num_vars={self.num_vars}, order={self.order}, value={self.value})"
+
+
+def _reference(jet):
+    """A jet ``eval_jet`` returned, with the reference arithmetic."""
+    return Jet(jet.num_vars, jet.order, jet.c, jet.x_vars)
 
 
 def _variable(i, value, num_vars, order):
@@ -237,9 +366,9 @@ def test_shortcuts_match_the_full_products(num_vars, order):
             assert (jet ** n).c.tobytes() == _full_power(jet, n).c.tobytes()
         assert ((jet ** -2).c.tobytes()
                 == _full_compose(_full_power(jet, 2), _reciprocal_factors(
-                    _full_power(jet, 2).value[0], order)).c.tobytes())
+                    _full_power(jet, 2).value.tolist(), order)).c.tobytes())
         for p in (0.5, 0.25, -1.5):
-            dcoef = _power_factors(jet.value[0], order, p)
+            dcoef = _power_factors(jet.value.tolist(), order, p)
             assert ((jet ** p).c.tobytes()
                     == _full_compose(jet, dcoef).c.tobytes())
         dcoef = rng.normal(size=order + 1).tolist()
@@ -337,11 +466,53 @@ def test_one_pass_taylor_factors_equal_the_per_entry_calls(values, order,
     values = np.array(values)
 
     def per_entry():
-        return np.array([fn(v, order, *args) for v in values.tolist()]).T
+        return np.hstack([fn([v], order, *args) for v in values.tolist()])
 
-    found = _outcome(lambda: Jet(1, order, jets._taylor(fn, values, order,
-                                                        *args)))
+    found = _outcome(lambda: Jet(1, order, _taylor(fn, values, order, *args)))
     assert found == _outcome(lambda: Jet(1, order, per_entry()))
+
+
+# (factors, args, a failing entry, a different failing entry): an entry
+# that is zero, not positive, overflows or underflows to a zero divisor
+_FAILING_ENTRIES = [
+    (_reciprocal_factors, (), 0.0, 1e100),
+    (_reciprocal_factors, (), -0.0, 1e-75),
+    (_reciprocal_factors, (), 1e100, 0.0),      # v^5 overflows
+    (_reciprocal_factors, (), 1e-75, 0.0),      # v^5 underflows to 0
+    (_sqrt_factors, (), 0.0, 1e-200),
+    (_sqrt_factors, (), -1.0, 0.0),
+    (_sqrt_factors, (), 1e-200, -1.0),          # v^(1/2 - 4) overflows
+    (_power_factors, (0.25,), 0.0, 1e-100),
+    (_power_factors, (0.25,), -3.0, 0.0),
+    (_power_factors, (0.25,), 1e-100, -3.0),    # v^(1/4 - 4) overflows
+    (_power_factors, (2.5,), 1e200, 0.0),       # v^(5/2) overflows
+    (_power_factors, (-1.5,), 1e-250, -1.0),    # v^(-3/2) overflows
+]
+# per function, an entry whose last factor at order 4 is subnormal or 0
+_TINY_FACTORS = {(_reciprocal_factors, ()): -1.7e61, (_sqrt_factors, ()): 1e300,
+                 (_power_factors, (0.25,)): 1e300,
+                 (_power_factors, (2.5,)): 1e-150,
+                 (_power_factors, (-1.5,)): 1e300}
+
+
+@pytest.mark.parametrize("fn,args,bad,later", _FAILING_ENTRIES)
+def test_the_first_failing_entry_raises_its_one_entry_error(fn, args, bad,
+                                                            later):
+    """Good entries, then a failing one, then one that fails otherwise:
+    ``_taylor`` raises the error type and text of the failing entry's
+    one-entry call, and the good entries alone give their one-entry calls'
+    factors bit for bit."""
+    good = [0.5, 1.5, 3.7, _TINY_FACTORS[fn, args]]
+    with pytest.raises(DomainError) as alone:
+        fn([bad], 4, *args)
+    with pytest.raises(DomainError) as caught:
+        _taylor(fn, np.array(good + [bad, later]), 4, *args)
+    assert type(caught.value) is type(alone.value)
+    assert str(caught.value) == str(alone.value)
+    for order in range(5):
+        rows = _taylor(fn, np.array(good), order, *args)
+        assert rows.tobytes() == np.hstack(
+            [fn([v], order, *args) for v in good]).tobytes()
 
 
 class TestFdOracle:
@@ -803,9 +974,9 @@ def test_truncated_jet_arithmetic_keeps_the_full_rows():
     texts = ("x1^2*y1+y2", "1+x1*y2^2")
     for order in (3, 4):
         kept = _x_degree_at_most(3, order, 1, order - 2)
-        cut = [ScalarFieldSpec(tuple(names), ScalarFieldSpec.parse(
-            t, names).program, 1).eval_jet(at, order) for t in texts]
-        full = [ScalarFieldSpec.parse(t, names).eval_jet(at, order)
+        cut = [_reference(ScalarFieldSpec(tuple(names), ScalarFieldSpec.parse(
+            t, names).program, 1).eval_jet(at, order)) for t in texts]
+        full = [_reference(ScalarFieldSpec.parse(t, names).eval_jet(at, order))
                 for t in texts]
         for op in (lambda a, b: a * b, lambda a, b: a / b,
                    lambda a, b: a - 2.0 * b, lambda a, b: (a * a).sqrt(),
