@@ -568,8 +568,7 @@ def _records(facet: Facet, b: _Block) -> FacetTable | None:
         residual, scale = (values if isinstance(values, tuple)
                            else (values, np.ones(len(rows))))
         residual = np.array(residual, dtype=float)  # no view into a stack
-        with np.errstate(over="ignore"):  # an overflowing bound is inf
-            bound = tolerance * scale
+        bound = tolerance * scale  # an overflowing bound is inf
         finite = np.isfinite(residual) & np.isfinite(bound)
         if not finite.all():
             errors = {**errors, **{
@@ -631,6 +630,10 @@ def run_scenario(config: dict, suite=None, seed_override: int | None = None,
                       suite)
 
 
+# the floating-point policy of a run, here and on build_scenario: numpy's
+# flags are ignored, since every check tests the values it computed and
+# overflow (±inf) or an invalid operation (nan) is a value like any other
+@np.errstate(all="ignore")
 def run_checks(s: BuiltScenario, suite=None) -> Records:
     """Run the requested checks over a built scenario's sample plan, as
     :func:`run_scenario` does: each facet's tables of the blocks joined,

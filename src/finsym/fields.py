@@ -630,8 +630,7 @@ class ScalarFieldSpec:
         One point is run as a stack of one row; its value is a float."""
         point = np.asarray(point, dtype=float)
         points = point.reshape(-1, self.num_vars)
-        with np.errstate(all="ignore"):  # non-finite values raise below
-            out = _run(self.program, list(points.T.copy()))
+        out = _run(self.program, list(points.T.copy()))
         out = np.broadcast_to(out, points.shape[:1])
         finite = np.isfinite(out)
         if not finite.all():  # named by the first failing row
@@ -650,8 +649,7 @@ class ScalarFieldSpec:
         x = np.asarray(point, dtype=float).reshape(-1, num_vars)
         x_vars = self.x_vars if order > 2 else 0
         tape = _tape(self.program, num_vars, order, x_vars)
-        with np.errstate(all="ignore"):  # non-finite data raises below
-            out = Jet(num_vars, order, tape.run(x), x_vars)
+        out = Jet(num_vars, order, tape.run(x), x_vars)
         finite = np.isfinite(out.c).all(axis=0)
         if not finite.all():  # named by the first non-finite column
             x = x[np.argmin(finite)]
@@ -672,10 +670,9 @@ def norms_at_least(rows: np.ndarray, bounds) -> np.ndarray:
     ``_NORM_SLACK`` of the bound, is below 1e-150 (its squares may
     underflow) or is not finite (they overflow)."""
     bounds = np.broadcast_to(np.asarray(bounds, dtype=float), rows.shape[:1])
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        norms = np.sqrt((rows * rows).sum(axis=1))
-        sure = ((np.abs(norms - bounds) > _NORM_SLACK * np.abs(bounds))
-                & (norms >= 1e-150) & np.isfinite(norms))
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    sure = ((np.abs(norms - bounds) > _NORM_SLACK * np.abs(bounds))
+            & (norms >= 1e-150) & np.isfinite(norms))
     out = norms >= bounds
     unsure = np.flatnonzero(~sure)
     out[unsure] = [math.hypot(*row) >= bound for row, bound in zip(
@@ -719,9 +716,7 @@ class DomainBox:
         inside = (np.isfinite(xs) & (xs >= self.lower)
                   & (xs <= self.upper)).all(axis=1)
         for center, radius in self.excluded:
-            # a difference that overflows is inf, as on Python floats
-            with np.errstate(over="ignore"):
-                inside &= norms_at_least(xs - center, radius)
+            inside &= norms_at_least(xs - center, radius)
         return inside
 
     def require(self, point: Sequence[float], what: str = "point") -> None:
@@ -823,10 +818,7 @@ def chart_jacobians(chart: ChartMap, xs) -> ChartJacobians:
     fwd_jets = [c.eval_jet(xs, 1) for c in chart.forward]
     xhat = np.stack([j.value for j in fwd_jets], axis=1)
     fwd = np.stack([j.derivatives(1) for j in fwd_jets], axis=1)
-    # an overflowing det is ±inf; a subnormal Jacobian can leave a zero on
-    # the LU diagonal, whose log numpy flags as a division by zero
-    with np.errstate(over="ignore", divide="ignore"):
-        det = np.linalg.det(fwd)
+    det = np.linalg.det(fwd)  # an overflowing det is ±inf
     singular = np.abs(det) < 1e-8
     if singular.any():
         p = int(np.argmax(singular))

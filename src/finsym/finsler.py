@@ -306,8 +306,8 @@ def _check_pd(g: np.ndarray, tol_pd: float) -> None:
     """Every leading principal minor of each g must exceed ``tol_pd``."""
     n = g.shape[-1]
     for k in range(1, n + 1):
-        with np.errstate(over="ignore"):  # an overflowing minor is ±inf
-            minor = np.linalg.det(g[:, :k, :k]).min()
+        # an overflowing minor is ±inf
+        minor = np.linalg.det(g[:, :k, :k]).min()
         if not minor > tol_pd:
             raise NotPositiveDefiniteError(
                 f"leading principal minor {k} is {minor:.3e} (<= {tol_pd:g})"
@@ -331,8 +331,7 @@ def _assembly(m: MetricSpec, xs, ys, order: int, y: np.ndarray) -> tuple:
     phi = m.phi_field.eval_jet(np.concatenate([xs, ys], axis=1), order)
     g, dg_dx, dg_dy = _metric_data(phi, m.dimension)
     _check_pd(_value(g), m.tol_pd)
-    with np.errstate(all="ignore"):
-        return (g, dg_dx) + _connection(g, dg_dx, dg_dy, y)
+    return (g, dg_dx) + _connection(g, dg_dx, dg_dy, y)
 
 
 def finsler_sample(m: MetricSpec, x, y) -> FinslerSample:
@@ -353,8 +352,7 @@ def sample_block(m: MetricSpec, xs, ys) -> FinslerSample:
                   xs, ys)
     g, dg_dx, g_inv, C, gamma, N, chern = (
         _value(a) for a in _assembly(m, xs, ys, 3, ys[..., None]))
-    with np.errstate(all="ignore"):  # non-finite results raise below
-        A = F[:, None, None, None] * C
+    A = F[:, None, None, None] * C
     finite = np.isfinite(np.concatenate(
         [a.reshape(len(xs), -1) for a in (g_inv, A, gamma, N, chern)],
         axis=1)).all(axis=1)
@@ -474,8 +472,7 @@ def randers_alpha_norm(m: MetricSpec, xs) -> np.ndarray:
                            axis=1) for i in range(n)], axis=1)
     b = np.stack([c.evaluate(xs) for c in m.b_fields], axis=1)
     try:
-        with np.errstate(all="ignore"):  # checked right below
-            q = np.vecdot(b, np.linalg.solve(a, b[..., None])[..., 0])
+        q = np.vecdot(b, np.linalg.solve(a, b[..., None])[..., 0])
     except np.linalg.LinAlgError:
         if len(xs) == 1:
             raise DomainError(
@@ -506,16 +503,14 @@ def homogeneity_residuals(m: MetricSpec, xs, ys) -> np.ndarray:
     rel = np.zeros(len(F))
     for lam in _LAMBDAS:
         Fl = m.F_field.evaluate(np.concatenate([xs, lam * ys], axis=1))
-        # as on Python floats, which overflow to inf without a warning
-        with np.errstate(all="ignore"):
-            scaled = lam * F
-            zero = scaled == 0.0
-            if zero.any():
-                p = int(np.argmax(zero))
-                raise DomainError(
-                    f"lam F = {lam:g} * {F[p]:.3e} underflows to 0 at "
-                    f"x={xs[p].tolist()}, y={ys[p].tolist()}")
-            rel = _max_of(rel, np.abs(Fl - scaled) / np.abs(scaled))
+        scaled = lam * F
+        zero = scaled == 0.0
+        if zero.any():
+            p = int(np.argmax(zero))
+            raise DomainError(
+                f"lam F = {lam:g} * {F[p]:.3e} underflows to 0 at "
+                f"x={xs[p].tolist()}, y={ys[p].tolist()}")
+        rel = _max_of(rel, np.abs(Fl - scaled) / np.abs(scaled))
     return rel
 
 

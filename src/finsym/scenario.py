@@ -397,8 +397,7 @@ def _stencil_clear(box: DomainBox, ps: np.ndarray) -> np.ndarray:
         inside = ps[rows]
         step = _FD_STEP * np.maximum(1.0, np.abs(inside).max(axis=1))
         for center, radius in box.excluded:
-            with np.errstate(over="ignore"):
-                clear[rows] &= norms_at_least(inside - center, radius + step)
+            clear[rows] &= norms_at_least(inside - center, radius + step)
     return clear
 
 
@@ -499,6 +498,7 @@ def build_plan(config: dict, metric: MetricSpec) -> SamplePlan:
     return SamplePlan(xs=xs, ys=ys)
 
 
+@np.errstate(all="ignore")  # the policy of checks.run_checks
 def build_scenario(config: dict, seed_override: int | None = None,
                    tolerance_overrides: dict | None = None) -> BuiltScenario:
     """Validate a config dict and construct all scenario objects.

@@ -123,10 +123,7 @@ def nondegeneracy(w: np.ndarray) -> np.ndarray:
         raise OddDimensionError(
             f"nondegenerate two-forms need even dimension, got {w.shape[1]}"
         )
-    # an overflowing |det| is +inf; a subnormal matrix can leave a zero on
-    # the LU diagonal, whose log numpy flags as a division by zero
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.abs(np.linalg.det(w))
+    return np.abs(np.linalg.det(w))  # an overflowing |det| is +inf
 
 
 class PreservationResidual(NamedTuple):

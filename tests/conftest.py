@@ -30,6 +30,16 @@ def patch_everywhere(monkeypatch, original, replacement):
                 monkeypatch.setattr(module, attr, replacement)
 
 
+@pytest.fixture
+def numpy_policy():
+    """numpy's error state at finsym's entry points, ``run_checks`` and
+    ``build_scenario``: flags ignored.  For tests that feed non-finite data
+    to a kernel directly; every other test runs under numpy's default
+    state, with warnings as errors."""
+    with np.errstate(all="ignore"):
+        yield
+
+
 def partial(jet, idx):
     """The partial derivative of a one-point jet for a multi-index, read
     from ``jet.derivatives``."""

@@ -322,6 +322,7 @@ def _rows(found, size):
     return [entries[p] for p in range(size)]
 
 
+@pytest.mark.usefixtures("numpy_policy")
 def test_every_case_has_good_and_failing_rows():
     for name, (fn, (good, bad)) in CASES.items():
         assert good and bad, name
@@ -331,6 +332,7 @@ def test_every_case_has_good_and_failing_rows():
                    for r in bad), name
 
 
+@pytest.mark.usefixtures("numpy_policy")
 @settings(max_examples=350, deadline=None, derandomize=True)
 @given(st.data())
 def test_block_rows_equal_one_row_calls(data):
@@ -354,6 +356,7 @@ def _outcome(fn, rows):
         return exc
 
 
+@pytest.mark.usefixtures("numpy_policy")
 @pytest.mark.parametrize("name", ["alpha-norm", "homogeneity",
                                   "homogeneity-subnormal", "euler"])
 def test_a_stacked_facet_raises_its_failing_rows_error(name):
@@ -367,6 +370,7 @@ def test_a_stacked_facet_raises_its_failing_rows_error(name):
             _assert_same(found, _one_row(fn, row))
 
 
+@pytest.mark.usefixtures("numpy_policy")
 def test_the_alpha_norm_raises_the_first_failing_rows_error():
     """Where several rows fail, the alpha norm raises the first one's
     error: a singular alpha, a negative or a non-finite a^ij b_i b_j,

@@ -1244,16 +1244,33 @@ class TestCliMain:
         ("quartic_minkowski_chart", "chart", {
             "forward": ["1e200*x1", "1e200*x2"],
             "inverse": ["1e-200*x1", "1e-200*x2"]}),
+        # the factorial scaling of the energy's jet overflows
+        ("polar_riemannian", "metric", {"g": [["1", "0"],
+                                              ["0", "(1+x2^2)*1e308"]]}),
+        # dw - einsum(...) of the preservation and covariant residuals
+        ("polar_riemannian", "two_form", {"entries": {"1,2": "x1+1e308"}}),
+        # lam * y of the homogeneity residual overflows at the y_box's top;
+        # None takes several blocks' updates
+        ("euclidean_standard", None, {
+            "metric": {"F": "1e200*sqrt((1e-200*y1)^2+(1e-200*y2)^2)"},
+            "sampling": {"y_box": {"lower": [0.5, 0.5],
+                                   "upper": [1e308, 1e308]}}}),
+        # the chain product fwd @ inv of the chart Jacobians overflows
+        ("quartic_minkowski_chart", "chart", {
+            "forward": ["x1", "(x2+x1^2/2)/1e-200"],
+            "inverse": ["x1*1e200", "x2-x1^2/2"]}),
     ])
     def test_overflowing_determinants_warn_nothing(self, tmp_path, capsys,
                                                    name, block, value):
-        """A determinant that overflows is inf, which passes its test; it
-        raises no RuntimeWarning, so a run with warnings as errors exits 1
-        with nothing on stderr and the report of a run that ignores
-        them."""
+        """A non-finite intermediate, such as a determinant that overflows
+        to inf and passes its test, is a value that the checks test, not
+        an error: it raises no RuntimeWarning, so a run with warnings as
+        errors exits 1 with nothing on stderr and the report of a run that
+        ignores them."""
         with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
             cfg = json.load(fh)
-        cfg[block].update(value)
+        for key, update in ({block: value} if block else value).items():
+            cfg[key].update(update)
         path = self._write(tmp_path, cfg)
         reports = []
         for action in ("error", "ignore"):

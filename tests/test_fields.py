@@ -207,6 +207,7 @@ class TestVectorField:
         with pytest.raises(ZeroVectorError):
             w.values([[0.0, 0.0]])
 
+    @pytest.mark.usefixtures("numpy_policy")
     @pytest.mark.parametrize("texts,rows", [
         (("x1", "x2"), [[0.5, 0.5], [0.0, 0.0], [0.0, 1e-7], [1.0, 1.0]]),
         (("1/x1", "1"), [[0.5, 0.5], [2.0, 1.0], [0.0, 0.3], [-1e-300, 1.0]]),
@@ -322,6 +323,7 @@ class TestDomainBox:
         assert not box.contains([0.1, 0.1])  # inside the excluded ball
         assert box.contains([0.25, 0.0])     # on the ball boundary
 
+    @pytest.mark.usefixtures("numpy_policy")
     def test_non_finite_coordinates_are_outside(self):
         """Every comparison with NaN is false, so NaN would pass the box
         test; a non-finite coordinate is outside even an unbounded box."""
@@ -338,6 +340,7 @@ class TestDomainBox:
         assert [wide.contains(x) for x in rows] == [
             True, False, False, False, False, True]
 
+    @pytest.mark.usefixtures("numpy_policy")
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(1, 4),
            st.sampled_from([1.0, 1e-3, 1e6, 1e-160, 1e-300, 1e160, 1e200]),
@@ -383,6 +386,7 @@ class TestDomainBox:
         assert norms_below(offsets, radius).tolist() == [
             norm < radius for norm in norms]
 
+    @pytest.mark.usefixtures("numpy_policy")
     def test_rows_holding_a_nan_are_not_below(self):
         """``norms_below`` is ``math.hypot(*row) < floor``: a row holding a
         nan has a nan hypot, or an inf one beside an inf, and is not below
@@ -399,6 +403,7 @@ class TestDomainBox:
         with pytest.raises(DomainError):
             box.require([2.0])
 
+    @pytest.mark.usefixtures("numpy_policy")
     def test_far_excluded_ball(self):
         # the distance to the centre is finite; its square is not
         box = DomainBox((-1.0, -1.0), (1.0, 1.0),

@@ -497,6 +497,7 @@ class TestSampleBlocks:
          "non-finite field value at [0.1, 0.0, 1.0, 0.0]"),
     ]
 
+    @pytest.mark.usefixtures("numpy_policy")
     @pytest.mark.parametrize(
         "metric,x,y,error,text", PINNED,
         ids=["outside", "slit", "F<=0", "sqrt", "not-pd", "non-finite",
@@ -521,6 +522,7 @@ class TestSampleBlocks:
         BIG: [([0.0, 0.3], [1.0, 0.5]), ([0.0, -0.6], [0.4, 0.9])],
     }
 
+    @pytest.mark.usefixtures("numpy_policy")
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())
     def test_block_entries_equal_one_row_blocks(self, data):

@@ -661,6 +661,7 @@ def _outcome(evaluate):
         return f"{type(exc).__name__}: {exc}"
 
 
+@pytest.mark.usefixtures("numpy_policy")
 @pytest.mark.parametrize("text,where,order", sorted(_NON_FINITE_PINS))
 def test_non_finite_intermediates_are_pinned(text, where, order):
     """Where a non-finite value meets a jet, the jet or the error (type,
@@ -868,6 +869,7 @@ def _extend(sub):
         sub.map(lambda e: f"-{e}"))
 
 
+@pytest.mark.usefixtures("numpy_policy")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.recursive(st.sampled_from(_LEAVES), _extend, max_leaves=10),
        st.lists(st.sampled_from(range(len(_POINTS))), min_size=1,
@@ -885,6 +887,7 @@ def test_random_programs_equal_full_support_runs(text, rows, block, order):
             == _outcome(lambda: _full_support_eval_jet(field, at, order)))
 
 
+@pytest.mark.usefixtures("numpy_policy")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.recursive(st.sampled_from(_LEAVES), _extend, max_leaves=10),
        st.lists(st.sampled_from(range(len(_POINTS))), min_size=1,
@@ -907,6 +910,7 @@ def test_random_truncated_programs_keep_the_full_runs_rows(text, rows, block,
                                                        kept)))
 
 
+@pytest.mark.usefixtures("numpy_policy")
 def test_a_column_non_finite_only_in_dropped_rows_does_not_raise():
     """At x1 = 1e-70 the coefficients of (y1/x1)^2 of x-degree 3 overflow,
     and those of x-degree 1 or less stay finite: the full jet raises, the
